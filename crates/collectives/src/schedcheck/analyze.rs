@@ -11,7 +11,7 @@
 //! exactly that: two receives of one step writing overlapping bytes.
 
 use super::domain::RankAbs;
-use super::graph::{Messages, MsgKey};
+use super::graph::MsgKey;
 use super::{OpRef, Phase, SchedError, StepRef};
 use crate::schedule::{CommSchedule, Op};
 use std::collections::BTreeMap;
@@ -51,11 +51,7 @@ pub(super) fn check_recv_overlap(s: &CommSchedule) -> Result<(), SchedError> {
 /// Fails on any read of an uninitialized byte (including a `Combine`
 /// destination — no registered algorithm reduces into zero-initialized
 /// memory, and a synthesized one must not either).
-pub(super) fn interpret(
-    s: &CommSchedule,
-    _msgs: &Messages,
-    order: &[StepRef],
-) -> Result<Vec<RankAbs>, SchedError> {
+pub(super) fn interpret(s: &CommSchedule, order: &[StepRef]) -> Result<Vec<RankAbs>, SchedError> {
     let mut states: Vec<RankAbs> = (0..s.world).map(|r| RankAbs::new(s, r)).collect();
     let mut payloads: BTreeMap<MsgKey, Vec<super::AbsByte>> = BTreeMap::new();
     for nref in order {

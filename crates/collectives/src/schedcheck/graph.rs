@@ -14,331 +14,399 @@
 //! receiver's Complete. A topological order exists iff no set of ranks
 //! can wait on each other forever; the order also drives the abstract
 //! interpretation, and a cycle is reported as a deadlock witness.
+//!
+//! Both halves are built for schedules of 10⁵–10⁶ messages, where the
+//! cost is memory latency: the matcher works on 24-byte records it moves
+//! once (a counting sort of the receives by source) and then only reads
+//! in order, and the edges it hands on are two `u32` arrays laid out in
+//! program order, so [`Messages::sweep`] needs no adjacency build at all.
 
 use super::{OpRef, Phase, SchedError, StepRef};
-use crate::schedule::{CommSchedule, Op, Region};
-use std::collections::VecDeque;
+use crate::schedule::{CommSchedule, Op};
 
 /// Mailbox key: `(source rank, destination rank, tag)`.
 pub(crate) type MsgKey = (u32, u32, u32);
 
-/// One side of a matched message.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Endpoint {
-    pub at: OpRef,
-    pub region: Region,
+/// One posted send or receive as the matcher sees it (24 bytes).
+#[derive(Debug, Clone, Copy, Default)]
+struct Rec {
+    len: u64,
+    /// The other rank: the destination of a send, the source of a
+    /// receive — until the receives are bucketed by source, when the
+    /// bucket says the source and this holds the receiving rank.
+    peer: u32,
+    tag: u32,
+    /// Global step index (steps before the rank + step).
+    step: u32,
+    /// Position among the receives in program order (unused for sends).
+    idx: u32,
 }
 
-/// Every message of the schedule, fully matched and sorted by mailbox
-/// key: `(send, recv)` endpoint pairs.
-#[derive(Debug)]
+/// The step graph of a fully matched schedule. Node ids are
+/// `2·(steps before the rank + step) + phase` (`u32`: 2³¹ steps do not fit
+/// in memory first); a message is one edge from the sender's Post to the
+/// receiver's Complete, stored from both ends in program order, so a
+/// step's out-edges (its sends) and in-edges (its receives) are contiguous.
+#[derive(Debug, Default)]
 pub(crate) struct Messages {
-    pub pairs: Vec<(Endpoint, Endpoint)>,
-}
-
-/// Index the elements of `v` in `key`-then-program order. Keys are
-/// materialized next to the indices (sorting a gather is all cache
-/// misses at millions of messages), and the index breaks ties, so equal
-/// keys come out in posting order without relying on sort stability.
-fn order_by<K: Ord + Copy>(len: usize, key: impl Fn(usize) -> K) -> Vec<u32> {
-    let mut keyed: Vec<(K, u32)> = (0..len as u32).map(|i| (key(i as usize), i)).collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, i)| i).collect()
-}
-
-/// Earliest (program-order) *second* occurrence of any duplicated key,
-/// given the key-sorted index array — the op the incremental map-insert
-/// of the previous implementation would have tripped on.
-fn second_occurrence<K: Eq>(order: &[u32], key: impl Fn(usize) -> K) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for w in order.windows(2) {
-        if key(w[0] as usize) == key(w[1] as usize) {
-            let second = w[1] as usize;
-            best = Some(best.map_or(second, |b| b.min(second)));
-        }
-    }
-    best
+    /// First global step of each rank, plus the total (`world + 1`).
+    base: Vec<u32>,
+    /// Rank of each global step.
+    rank_of: Vec<u32>,
+    /// Where each global step's sends start in `succ` / its receives in
+    /// `pred`, plus the totals.
+    send_off: Vec<u32>,
+    recv_off: Vec<u32>,
+    /// Per send: the Complete node that waits on it — within a step in
+    /// ascending node order, not op order, so [`Messages::sweep`]'s order
+    /// does not depend on how an algorithm happens to list its sends.
+    succ: Vec<u32>,
+    /// Per receive, in op order: the Post node that feeds it.
+    pred: Vec<u32>,
 }
 
 /// Match every send to its receive and enforce the FIFO tag discipline.
 ///
-/// One program-order scan collects both sides; everything after is
-/// index sorts and linear merges. (A map-keyed implementation spends
-/// its whole budget on per-message tree inserts once alltoall-sized
-/// schedules reach millions of messages.) Error selection is identical
-/// to the incremental version: duplicates beat matching errors, the
-/// send side is reported in key order before unmatched receives, and
-/// FIFO violations come last.
+/// One program-order scan writes a record per send and per receive. The
+/// receives are bucketed by source rank (a stable counting sort: a bucket
+/// lists its source's receives by destination, then program order) and
+/// each rank's sends walked in program order against its bucket, one
+/// cursor per destination: the k-th send of a pair meets the k-th receive.
+/// Equal tags and lengths at every meeting, nothing left over and tags
+/// climbing within each pair are together "keys unique, every key matched
+/// with equal sizes, FIFO respected"; anything else goes to [`diagnose`],
+/// which alone decides which error is reported.
 pub(crate) fn match_messages(s: &CommSchedule) -> Result<Messages, SchedError> {
-    let mut sends: Vec<(MsgKey, Endpoint)> = Vec::new();
-    let mut recvs: Vec<(MsgKey, Endpoint)> = Vec::new();
+    let refuse = || {
+        Err(diagnose(s).unwrap_or(SchedError::Internal {
+            what: "matcher refused a schedule the diagnosis accepts",
+        }))
+    };
+    let world = s.ranks.len();
+    let mut m = Messages::default();
+    // Room for every op on either side: untouched capacity is free, growth
+    // by doubling touches (and page-faults) twice the records.
+    let ops = s.ranks.iter().flatten().map(|step| step.ops.len()).sum();
+    let mut sends = Vec::<Rec>::with_capacity(ops);
+    let mut recvs = Vec::<Rec>::with_capacity(ops);
+    // Receives per source, then (prefix-summed) where its bucket fills.
+    let mut fill = vec![0usize; world];
+    for (rank, prog) in s.ranks.iter().enumerate() {
+        m.base.push(m.rank_of.len() as u32);
+        for step in prog {
+            let g = m.rank_of.len() as u32;
+            m.rank_of.push(rank as u32);
+            m.send_off.push(sends.len() as u32);
+            m.recv_off.push(recvs.len() as u32);
+            for op in &step.ops {
+                let (list, peer, tag, region) = match op {
+                    Op::Send { to, tag, region } => (&mut sends, *to, *tag, region),
+                    Op::Recv { from, tag, region } => match fill.get_mut(*from as usize) {
+                        Some(n) => {
+                            *n += 1;
+                            (&mut recvs, *from, *tag, region)
+                        }
+                        None => return refuse(),
+                    },
+                    _ => continue,
+                };
+                list.push(Rec {
+                    len: region.len as u64,
+                    peer,
+                    tag,
+                    step: g,
+                    idx: list.len() as u32,
+                });
+            }
+        }
+    }
+    m.base.push(m.rank_of.len() as u32);
+    m.send_off.push(sends.len() as u32);
+    m.recv_off.push(recvs.len() as u32);
+    // A rank's records are those of its steps: `base` indexes the offsets.
+    let of_rank = |off: &[u32], rank: usize| off[m.base[rank] as usize] as usize;
+
+    let mut at = 0;
+    for n in &mut fill {
+        at += std::mem::replace(n, at);
+    }
+    let mut inbox = vec![Rec::default(); recvs.len()];
+    for dst in 0..world {
+        for r in &recvs[of_rank(&m.recv_off, dst)..of_rank(&m.recv_off, dst + 1)] {
+            let slot = &mut fill[r.peer as usize];
+            inbox[*slot] = Rec {
+                peer: dst as u32,
+                ..*r
+            };
+            *slot += 1;
+        }
+    }
+
+    let (mut succ, mut pred) = (vec![0; sends.len()], vec![0; recvs.len()]);
+    // Per destination: the next unmatched receive of the current bucket
+    // and the end of that destination's run (both 0 outside a bucket).
+    let (mut next, mut end) = (vec![0usize; world], vec![0usize; world]);
+    let mut unordered_tags = false;
+    let mut lo = 0;
+    for src in 0..world {
+        // `fill[src]` is now one past the source's bucket.
+        let bucket = &inbox[lo..fill[src]];
+        lo = fill[src];
+        for (k, r) in bucket.iter().enumerate() {
+            if k == 0 || bucket[k - 1].peer != r.peer {
+                next[r.peer as usize] = k;
+            }
+            end[r.peer as usize] = k + 1;
+        }
+        for i in of_rank(&m.send_off, src)..of_rank(&m.send_off, src + 1) {
+            let snd = &sends[i];
+            let k = match next.get_mut(snd.peer as usize) {
+                Some(k) if *k < end[snd.peer as usize] => std::mem::replace(k, *k + 1),
+                _ => return refuse(),
+            };
+            let (rcv, before) = (&bucket[k], &bucket[k.saturating_sub(1)]);
+            if (rcv.tag, rcv.len) != (snd.tag, snd.len) {
+                return refuse();
+            }
+            unordered_tags |= k > 0 && before.peer == rcv.peer && before.tag >= rcv.tag;
+            succ[i] = 2 * rcv.step + 1;
+            pred[rcv.idx as usize] = 2 * snd.step;
+        }
+        for r in bucket {
+            let d = r.peer as usize;
+            if std::mem::take(&mut next[d]) != std::mem::take(&mut end[d]) {
+                return refuse();
+            }
+        }
+    }
+    // Tags that do not climb within a pair may repeat; only then is the
+    // exact duplicate check worth its sorts.
+    if unordered_tags {
+        if let Some(err) = diagnose(s) {
+            return Err(err);
+        }
+    }
+    for w in m.send_off.windows(2) {
+        succ[w[0] as usize..w[1] as usize].sort_unstable();
+    }
+    Ok(Messages { succ, pred, ..m })
+}
+
+/// Which error a mismatched schedule reports — the slow, exact half of
+/// the matcher, run only once [`match_messages`] has found something wrong
+/// (or tags it cannot vouch for). Duplicates beat matching errors (the
+/// earliest-posted second occurrence on either side), the send side is
+/// reported in key order before unmatched receives, FIFO violations last.
+fn diagnose(s: &CommSchedule) -> Option<SchedError> {
+    let (mut sends, mut recvs) = (Vec::new(), Vec::new());
     for (rank, prog) in s.ranks.iter().enumerate() {
         let rank = rank as u32;
-        for (si, step) in prog.iter().enumerate() {
-            for (oi, op) in step.ops.iter().enumerate() {
-                let at = OpRef {
-                    rank,
-                    step: si,
-                    op: oi,
-                };
-                match op {
-                    Op::Send { to, tag, region } => sends.push((
-                        (rank, *to, *tag),
-                        Endpoint {
-                            at,
-                            region: *region,
-                        },
-                    )),
-                    Op::Recv { from, tag, region } => recvs.push((
-                        (*from, rank, *tag),
-                        Endpoint {
-                            at,
-                            region: *region,
-                        },
-                    )),
+        for (step, st) in prog.iter().enumerate() {
+            for (op, o) in st.ops.iter().enumerate() {
+                let at = OpRef { rank, step, op };
+                match o {
+                    Op::Send { to, tag, region } => sends.push(((rank, *to, *tag), at, region.len)),
+                    Op::Recv { from, tag, region } => {
+                        recvs.push(((*from, rank, *tag), at, region.len))
+                    }
                     _ => {}
                 }
             }
         }
     }
-
-    // Duplicate keys: report whichever side's duplicate op posts first
-    // (element index is monotone in the rank-major program scan only
-    // within one side, so compare across sides by OpRef).
-    let key_s = order_by(sends.len(), |i| sends[i].0);
-    let key_r = order_by(recvs.len(), |i| recvs[i].0);
-    let s_dup = second_occurrence(&key_s, |i| sends[i].0);
-    let r_dup = second_occurrence(&key_r, |i| recvs[i].0);
-    let posted = |e: &Endpoint| (e.at.rank, e.at.step, e.at.op);
-    let dup = match (s_dup, r_dup) {
-        (Some(a), Some(b)) if posted(&sends[a].1) <= posted(&recvs[b].1) => Some(sends[a].0),
-        (Some(_), Some(b)) => Some(recvs[b].0),
-        (Some(a), None) => Some(sends[a].0),
-        (None, Some(b)) => Some(recvs[b].0),
-        (None, None) => None,
+    sends.sort_unstable();
+    recvs.sort_unstable();
+    let second_posting = |side: &[(MsgKey, OpRef, usize)]| {
+        let repeats = side.windows(2).filter(|w| w[0].0 == w[1].0);
+        repeats.map(|w| (w[1].1, w[1].0)).min()
     };
-    if let Some((src, dst, tag)) = dup {
-        return Err(SchedError::DuplicateMessage { src, dst, tag });
+    let dup = [second_posting(&sends), second_posting(&recvs)];
+    if let Some((_, (src, dst, tag))) = dup.into_iter().flatten().min() {
+        return Some(SchedError::DuplicateMessage { src, dst, tag });
+    }
+    // Keys are unique now. Every send must find its receive, of its size;
+    // an unmatched receive only counts once the send side is clean.
+    let find = |side: &[(MsgKey, OpRef, usize)], key| side.binary_search_by_key(&key, |m| m.0);
+    for &((src, dst, tag), at, send_len) in &sends {
+        match find(&recvs, (src, dst, tag)).map(|j| recvs[j].2) {
+            Ok(recv_len) if recv_len == send_len => {}
+            Ok(recv_len) => {
+                return Some(SchedError::MessageSizeMismatch {
+                    src,
+                    dst,
+                    tag,
+                    send_len,
+                    recv_len,
+                })
+            }
+            Err(_) => return Some(SchedError::UnmatchedSend { at, to: dst, tag }),
+        }
+    }
+    if let Some(&((from, _, tag), at, _)) = recvs.iter().find(|r| find(&sends, r.0).is_err()) {
+        return Some(SchedError::UnmatchedRecv { at, from, tag });
+    }
+    // FIFO: walked in pair-then-program order the two sides align one to
+    // one (everything matched), and the k-th tags of a pair must agree.
+    let by_posting = |m: &(MsgKey, OpRef, usize)| (m.0 .0, m.0 .1, m.1);
+    sends.sort_unstable_by_key(by_posting);
+    recvs.sort_unstable_by_key(by_posting);
+    let mut index = 0;
+    for (i, (snd, rcv)) in sends.iter().zip(&recvs).enumerate() {
+        let ((src, dst, send_tag), recv_tag) = (snd.0, rcv.0 .2);
+        let same_pair = i > 0 && (sends[i - 1].0 .0, sends[i - 1].0 .1) == (src, dst);
+        index = if same_pair { index + 1 } else { 0 };
+        if send_tag != recv_tag {
+            return Some(SchedError::TagOrderViolation {
+                src,
+                dst,
+                index,
+                send_tag,
+                recv_tag,
+            });
+        }
+    }
+    None
+}
+
+impl Messages {
+    /// Number of steps over all ranks (half the node count).
+    pub(crate) fn steps(&self) -> usize {
+        self.rank_of.len()
     }
 
-    // Merge in key order: every send must find its receive (keys are
-    // unique now). Unmatched receives only count once the send side is
-    // clean, so note the first and keep going.
-    let mut pairs = Vec::with_capacity(sends.len());
-    let mut unmatched_recv: Option<usize> = None;
-    let mut j = 0usize;
-    for &si in &key_s {
-        let (skey, snd) = &sends[si as usize];
-        while j < key_r.len() && recvs[key_r[j] as usize].0 < *skey {
-            unmatched_recv.get_or_insert(key_r[j] as usize);
-            j += 1;
+    fn step_ref(&self, id: usize) -> StepRef {
+        let rank = self.rank_of[id / 2];
+        StepRef {
+            rank,
+            step: id / 2 - self.base[rank as usize] as usize,
+            phase: [Phase::Post, Phase::Complete][id % 2],
         }
-        if j >= key_r.len() || recvs[key_r[j] as usize].0 != *skey {
-            return Err(SchedError::UnmatchedSend {
-                at: snd.at,
-                to: skey.1,
-                tag: skey.2,
-            });
-        }
-        let rcv = &recvs[key_r[j] as usize].1;
-        if snd.region.len != rcv.region.len {
-            return Err(SchedError::MessageSizeMismatch {
-                src: skey.0,
-                dst: skey.1,
-                tag: skey.2,
-                send_len: snd.region.len,
-                recv_len: rcv.region.len,
-            });
-        }
-        pairs.push((*snd, *rcv));
-        j += 1;
-    }
-    if let Some(i) = unmatched_recv.or((j < key_r.len()).then(|| key_r[j] as usize)) {
-        let (key, rcv) = &recvs[i];
-        return Err(SchedError::UnmatchedRecv {
-            at: rcv.at,
-            from: key.0,
-            tag: key.2,
-        });
     }
 
-    // FIFO: per directed pair the k-th send and the k-th receive (each
-    // in its own rank's program order) must carry the same tag. All
-    // messages matched above, so the pair groups align one to one when
-    // both sides are walked in pair-then-program order.
-    let pair_s = order_by(sends.len(), |i| (sends[i].0 .0, sends[i].0 .1));
-    let pair_r = order_by(recvs.len(), |i| (recvs[i].0 .0, recvs[i].0 .1));
-    let mut k = 0usize;
-    let mut prev: Option<(u32, u32)> = None;
-    for (&si, &ri) in pair_s.iter().zip(&pair_r) {
-        let skey = sends[si as usize].0;
-        let rtag = recvs[ri as usize].0 .2;
-        let pair = (skey.0, skey.1);
-        k = if prev == Some(pair) { k + 1 } else { 0 };
-        prev = Some(pair);
-        if skey.2 != rtag {
-            return Err(SchedError::TagOrderViolation {
-                src: pair.0,
-                dst: pair.1,
-                index: k,
-                send_tag: skey.2,
-                recv_tag: rtag,
-            });
+    /// Visit every node of the Post/Complete graph in topological order
+    /// (Kahn's algorithm, first-in first-out: a wavefront across ranks),
+    /// handing `visit` the node, its id and the Post nodes of the messages
+    /// it completes (none for a Post; the program-order predecessor is
+    /// `id − 1` unless the node opens its rank's program). A client computes
+    /// per node here, in one pass, against state it keeps in visit order.
+    /// A stalled sweep is a deadlock; only then is the cycle looked for.
+    pub(crate) fn sweep(
+        &self,
+        s: &CommSchedule,
+        mut visit: impl FnMut(StepRef, usize, &[u32]),
+    ) -> Result<(), SchedError> {
+        let n = 2 * self.steps();
+        // A Post waits on the Complete before it, a Complete on its own
+        // Post and on every message it receives.
+        let mut indeg = vec![0u32; n];
+        for g in 0..self.steps() {
+            indeg[2 * g] = (g as u32 > self.base[self.rank_of[g] as usize]) as u32;
+            indeg[2 * g + 1] = 1 + self.recv_off[g + 1] - self.recv_off[g];
+        }
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
+        queue.extend(
+            self.base
+                .windows(2)
+                .filter(|w| w[0] < w[1])
+                .map(|w| 2 * w[0]),
+        );
+        let mut head = 0;
+        while let Some(&id) = queue.get(head) {
+            head += 1;
+            let (id, g) = (id as usize, id as usize / 2);
+            let at = self.step_ref(id);
+            let mut release = |succ: u32| {
+                indeg[succ as usize] -= 1;
+                if indeg[succ as usize] == 0 {
+                    queue.push(succ);
+                }
+            };
+            if at.phase == Phase::Post {
+                visit(at, id, &[]);
+                release(id as u32 + 1);
+                let fan_out = self.send_off[g] as usize..self.send_off[g + 1] as usize;
+                self.succ[fan_out].iter().copied().for_each(release);
+            } else {
+                let fan_in = self.recv_off[g] as usize..self.recv_off[g + 1] as usize;
+                visit(at, id, &self.pred[fan_in]);
+                if (g as u32 + 1) < self.base[at.rank as usize + 1] {
+                    release(id as u32 + 1);
+                }
+            }
+        }
+        if queue.len() == n {
+            return Ok(());
+        }
+        Err(self.deadlock(s, &indeg))
+    }
+
+    /// The cycle behind a stalled sweep: walk unvisited (`indeg > 0`)
+    /// predecessors until a node repeats — the program-order one first,
+    /// then the message with the smallest `(source, tag)`.
+    fn deadlock(&self, s: &CommSchedule, indeg: &[u32]) -> SchedError {
+        let stuck = |id: usize| indeg[id] > 0;
+        let stuck_pred = |id: usize| -> Option<usize> {
+            let at = self.step_ref(id);
+            if at.phase == Phase::Post {
+                return (at.step > 0 && stuck(id - 1)).then(|| id - 1);
+            }
+            if stuck(id - 1) {
+                return Some(id - 1);
+            }
+            let recvs = s.ranks[at.rank as usize][at.step].recvs();
+            let feeds = &self.pred[self.recv_off[id / 2] as usize..];
+            recvs
+                .zip(feeds)
+                .filter(|(_, &p)| stuck(p as usize))
+                .min_by_key(|((from, tag, _), _)| (**from, **tag))
+                .map(|(_, &p)| p as usize)
+        };
+        let start = (0..indeg.len()).find(|&id| stuck(id)).unwrap_or(0);
+        let mut pos = vec![usize::MAX; indeg.len()];
+        let mut path = vec![start];
+        pos[start] = 0;
+        let cycle = loop {
+            let Some(pred) = stuck_pred(path[path.len() - 1]) else {
+                // Every unvisited node has an unvisited predecessor;
+                // defensive fallback so a broken invariant still reports
+                // *something*.
+                break path;
+            };
+            if pos[pred] != usize::MAX {
+                let mut cycle = path.split_off(pos[pred]);
+                cycle.reverse();
+                break cycle;
+            }
+            pos[pred] = path.len();
+            path.push(pred);
+        };
+        SchedError::Deadlock {
+            cycle: cycle.into_iter().map(|id| self.step_ref(id)).collect(),
         }
     }
-    Ok(Messages { pairs })
 }
 
 /// A topological order of the Post/Complete step graph, or the deadlock
 /// cycle that prevents one.
 pub(crate) fn topo_order(s: &CommSchedule, msgs: &Messages) -> Result<Vec<StepRef>, SchedError> {
-    // Dense node ids: 2·(steps before rank r + step) + phase.
-    let mut base = vec![0usize; s.ranks.len() + 1];
-    let mut rank_step: Vec<(u32, usize)> = Vec::new();
-    for (r, prog) in s.ranks.iter().enumerate() {
-        base[r + 1] = base[r] + prog.len();
-        for st in 0..prog.len() {
-            rank_step.push((r as u32, st));
-        }
-    }
-    let n = 2 * rank_step.len();
-    let node = |rank: u32, step: usize, phase: Phase| -> usize {
-        2 * (base[rank as usize] + step)
-            + match phase {
-                Phase::Post => 0,
-                Phase::Complete => 1,
-            }
-    };
-    let as_ref = |id: usize| -> StepRef {
-        let (rank, step) = rank_step[id / 2];
-        StepRef {
-            rank,
-            step,
-            phase: if id.is_multiple_of(2) {
-                Phase::Post
-            } else {
-                Phase::Complete
-            },
-        }
-    };
-    // Compressed adjacency (count, prefix-sum, fill): one growable Vec
-    // per node means millions of allocations at alltoall scale.
-    let for_each_edge = |f: &mut dyn FnMut(usize, usize)| {
-        for (r, prog) in s.ranks.iter().enumerate() {
-            let r = r as u32;
-            for st in 0..prog.len() {
-                f(node(r, st, Phase::Post), node(r, st, Phase::Complete));
-                if st > 0 {
-                    f(node(r, st - 1, Phase::Complete), node(r, st, Phase::Post));
-                }
-            }
-        }
-        for (snd, rcv) in &msgs.pairs {
-            f(
-                node(snd.at.rank, snd.at.step, Phase::Post),
-                node(rcv.at.rank, rcv.at.step, Phase::Complete),
-            );
-        }
-    };
-    let mut cursor = vec![0u32; n + 1];
-    for_each_edge(&mut |a, _| cursor[a + 1] += 1);
-    for i in 0..n {
-        cursor[i + 1] += cursor[i];
-    }
-    let off = cursor.clone();
-    let mut adj = vec![0u32; off[n] as usize];
-    let mut indeg = vec![0u32; n];
-    for_each_edge(&mut |a, b| {
-        adj[cursor[a] as usize] = b as u32;
-        cursor[a] += 1;
-        indeg[b] += 1;
-    });
-    let mut queue: VecDeque<usize> = (0..n).filter(|&id| indeg[id] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(id) = queue.pop_front() {
-        order.push(as_ref(id));
-        for &succ in &adj[off[id] as usize..off[id + 1] as usize] {
-            indeg[succ as usize] -= 1;
-            if indeg[succ as usize] == 0 {
-                queue.push_back(succ as usize);
-            }
-        }
-    }
-    if order.len() == n {
-        return Ok(order);
-    }
-    // Cycle witness: walk predecessors inside the remaining (indeg > 0)
-    // subgraph until a node repeats.
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for_each_edge(&mut |a, b| {
-        if indeg[a] > 0 && indeg[b] > 0 {
-            rev[b].push(a);
-        }
-    });
-    let start = (0..n).find(|&id| indeg[id] > 0).unwrap_or(0);
-    let mut pos = vec![usize::MAX; n];
-    let mut path = vec![start];
-    pos[start] = 0;
-    let cycle_ids = loop {
-        let cur = path[path.len() - 1];
-        let Some(&pred) = rev[cur].first() else {
-            // Every remaining node has a remaining predecessor; defensive
-            // fallback so a broken invariant still reports *something*.
-            break path.clone();
-        };
-        if pos[pred] != usize::MAX {
-            let mut cyc = path[pos[pred]..].to_vec();
-            cyc.reverse();
-            break cyc;
-        }
-        pos[pred] = path.len();
-        path.push(pred);
-    };
-    Err(SchedError::Deadlock {
-        cycle: cycle_ids.into_iter().map(as_ref).collect(),
-    })
+    let mut order = Vec::with_capacity(2 * msgs.steps());
+    msgs.sweep(s, |at, _, _| order.push(at))?;
+    Ok(order)
 }
+
+#[cfg(test)]
+#[path = "oracle.rs"] // the pre-rewrite matcher and sort, the test corpus, the equivalence tests
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::{Buf, CommSchedule, Op, Region, Step};
 
-    /// Two ranks, each receiving before it sends: the classic wait cycle.
-    fn cyclic_schedule() -> CommSchedule {
-        let b = 4usize;
-        let mk = |peer: u32| {
-            vec![
-                Step {
-                    ops: vec![Op::Recv {
-                        from: peer,
-                        tag: 0,
-                        region: Region::new(Buf::Work, 0, b),
-                    }],
-                },
-                Step {
-                    ops: vec![Op::Send {
-                        to: peer,
-                        tag: 0,
-                        region: Region::new(Buf::Input, 0, b),
-                    }],
-                },
-            ]
-        };
-        CommSchedule {
-            world: 2,
-            block: b,
-            input_len: b,
-            work_len: b,
-            aux_len: 0,
-            work_initialized_from_input: false,
-            ranks: vec![mk(1), mk(0)],
-        }
-    }
-
     #[test]
     fn wait_cycle_is_reported_with_witness() {
-        let s = cyclic_schedule();
+        // Two ranks, each receiving before it sends.
+        let s = oracle::corpus::wait_cycle();
         let msgs = match_messages(&s).unwrap();
         let err = topo_order(&s, &msgs).unwrap_err();
         match err {

@@ -15,7 +15,7 @@
 //! the op (its old value is unobservable), while a `Combine` destination
 //! stays live (the old value is read into the reduction).
 
-use super::graph::{Messages, MsgKey};
+use super::graph::MsgKey;
 use super::{OpRef, Phase, StepRef};
 use crate::schedule::{Buf, CommSchedule, Op, Region};
 use std::collections::BTreeMap;
@@ -70,11 +70,7 @@ fn any(mask: &[bool]) -> bool {
 
 /// The first (by rank, step, op position) operation that contributes no
 /// byte to any rank's final Work buffer, if any.
-pub(super) fn first_dead_op(
-    s: &CommSchedule,
-    _msgs: &Messages,
-    order: &[StepRef],
-) -> Option<OpRef> {
+pub(super) fn first_dead_op(s: &CommSchedule, order: &[StepRef]) -> Option<OpRef> {
     let mut live: Vec<Live> = (0..s.world as usize)
         .map(|_| Live {
             work: vec![true; s.work_len],

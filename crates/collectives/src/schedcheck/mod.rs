@@ -41,8 +41,10 @@ pub use domain::{AbsByte, RankAbs, SourceByte};
 pub use spec::Spec;
 
 // The static cost analyzer (`crate::schedcost`) reuses the message
-// matcher and the Post/Complete dependency order.
-pub(crate) use graph::{match_messages, topo_order};
+// matcher and the sweep over the Post/Complete dependency graph.
+pub(crate) use graph::match_messages;
+#[cfg(test)]
+pub(crate) use graph::oracle;
 
 use crate::algo::{Algorithm, Collective};
 use crate::schedule::{Buf, CommSchedule, Op, Region};
@@ -417,9 +419,9 @@ pub fn check_schedule(schedule: &CommSchedule, spec: &Spec) -> Result<(), SchedE
     let msgs = graph::match_messages(schedule)?;
     analyze::check_recv_overlap(schedule)?;
     let order = graph::topo_order(schedule, &msgs)?;
-    let finals = analyze::interpret(schedule, &msgs, &order)?;
+    let finals = analyze::interpret(schedule, &order)?;
     spec.check_post(schedule, &finals)?;
-    if let Some(at) = liveness::first_dead_op(schedule, &msgs, &order) {
+    if let Some(at) = liveness::first_dead_op(schedule, &order) {
         return Err(SchedError::DeadOp { at });
     }
     Ok(())

@@ -4,29 +4,47 @@
 //! per (algorithm, layout) at unit block and reused across the whole
 //! message-size sweep (the same trick `measure_sweep` plays with
 //! `run_scaled`); the chunked bcast/allreduce variants, whose schedule
-//! shape depends on `msg mod p`, are keyed by the actual size. Ties
-//! break by registry index, so rankings are bit-identical run to run —
-//! the property the obs-determinism CI lane pins for the selector tier
-//! built on top of this.
+//! shape depends on `msg mod p`, are keyed by the actual size — and only
+//! the most recent few thousand of those are kept. Ties break by
+//! registry index, so rankings are bit-identical run to run — the
+//! property the obs-determinism CI lane pins for the selector tier built
+//! on top of this.
 
 use super::extract::extract_poly;
 use super::fit::cached_params;
 use super::CostPoly;
 use crate::algo::{Algorithm, Collective};
-use pml_obs::Counter;
+use pml_obs::{span, Counter};
 use pml_simnet::{JobLayout, NodeSpec};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{OnceLock, RwLock};
 
-/// Polynomial-cache hits.
+/// Polynomial-cache hits, and misses (each one a schedule generated and
+/// extracted under a `schedcost.extract` span).
 static POLY_HITS: Counter = Counter::new("schedcost.cache.poly_hits");
+static POLY_MISSES: Counter = Counter::new("schedcost.cache.poly_misses");
 
 type PolyKey = (Collective, usize, u32, u32, usize);
 
+/// How many size-keyed polynomials the cache keeps. Scale-invariant
+/// algorithms add one entry per layout and are never evicted; the chunked
+/// bcast/allreduce variants add one per distinct message size, which a
+/// long-lived daemon answering arbitrary sizes would grow forever.
+/// Entries are pure functions of their key, so dropping the oldest only
+/// costs a re-extraction.
+const SIZE_KEYED_CAP: usize = 4096;
+
 /// Process-wide polynomial cache: (collective, algo index, nodes, ppn,
 /// size key) → polynomial. Size key is 0 for scale-invariant algorithms
-/// (unit-block polynomial) and the message size otherwise.
-static POLYS: OnceLock<RwLock<BTreeMap<PolyKey, CostPoly>>> = OnceLock::new();
+/// (unit-block polynomial) and the message size otherwise; `size_keyed`
+/// lists the latter in insertion order, at most [`SIZE_KEYED_CAP`].
+#[derive(Default)]
+struct PolyCache {
+    polys: BTreeMap<PolyKey, CostPoly>,
+    size_keyed: VecDeque<PolyKey>,
+}
+
+static POLYS: OnceLock<RwLock<PolyCache>> = OnceLock::new();
 
 /// The cost polynomial of `algo` at this layout and message size, from
 /// cache when possible. `None` when the algorithm is undefined at the
@@ -49,17 +67,26 @@ pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPo
         layout.ppn,
         size_key,
     );
-    let cache = POLYS.get_or_init(|| RwLock::new(BTreeMap::new()));
+    let cache = POLYS.get_or_init(Default::default);
     if let Ok(guard) = cache.read() {
-        if let Some(poly) = guard.get(&key) {
+        if let Some(poly) = guard.polys.get(&key) {
             POLY_HITS.inc();
             return Some(*poly);
         }
     }
+    POLY_MISSES.inc();
+    let _span = span!("schedcost.extract", world = p, algo = algo.name());
     let schedule = algo.schedule(p, block).ok()?;
     let poly = extract_poly(&schedule, layout).ok()?;
     if let Ok(mut guard) = cache.write() {
-        guard.insert(key, poly);
+        if guard.polys.insert(key, poly).is_none() && size_key != 0 {
+            if guard.size_keyed.len() == SIZE_KEYED_CAP {
+                if let Some(oldest) = guard.size_keyed.pop_front() {
+                    guard.polys.remove(&oldest);
+                }
+            }
+            guard.size_keyed.push_back(key);
+        }
     }
     Some(poly)
 }
@@ -158,6 +185,52 @@ mod tests {
         let small = cost_for(algo, &node, layout, 64).unwrap();
         let big = cost_for(algo, &node, layout, 1 << 20).unwrap();
         assert!(big > small);
+    }
+
+    #[test]
+    fn size_keyed_entries_are_capped_and_eviction_changes_no_answer() {
+        // A daemon asked about ten thousand distinct bcast sizes: every
+        // one is its own schedule for the chunked algorithms, so before
+        // the cap every one stayed in the map for good.
+        let node = test_node();
+        let layout = JobLayout::new(3, 1);
+        let chunked: Vec<Algorithm> = Algorithm::all_for(Collective::Bcast)
+            .into_iter()
+            .filter(|a| !a.scale_invariant())
+            .collect();
+        assert!(!chunked.is_empty());
+        let size_keyed = || {
+            let guard = POLYS.get_or_init(Default::default).read().unwrap();
+            let in_map = guard.polys.keys().filter(|k| k.4 != 0).count();
+            assert_eq!(in_map, guard.size_keyed.len());
+            in_map
+        };
+        for msg in 1..=10_000usize {
+            let ranked = rank_static(Collective::Bcast, &node, layout, msg);
+            assert_eq!(ranked.len(), Collective::Bcast.algo_count());
+            if msg % 1000 == 0 {
+                assert!(size_keyed() <= SIZE_KEYED_CAP, "{}", size_keyed());
+            }
+        }
+        assert!(10_000 * chunked.len() > SIZE_KEYED_CAP);
+        // Sizes long evicted, sizes still cached and sizes never seen all
+        // rank exactly as a from-scratch extraction does.
+        for msg in [1usize, 2, 77, 5_000, 9_999, 10_000, 123_457] {
+            let mut fresh: Vec<(Algorithm, f64)> = Algorithm::all_for(Collective::Bcast)
+                .into_iter()
+                .map(|a| {
+                    let (block, scale) = if a.scale_invariant() {
+                        (1, msg as f64)
+                    } else {
+                        (msg, 1.0)
+                    };
+                    let poly = extract_poly(&a.schedule(3, block).unwrap(), layout).unwrap();
+                    (a, poly.eval(&cached_params(&node, layout.ppn), scale))
+                })
+                .collect();
+            fresh.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.index().cmp(&b.0.index())));
+            assert_eq!(rank_static(Collective::Bcast, &node, layout, msg), fresh);
+        }
     }
 
     #[test]

@@ -14,12 +14,18 @@
 //! the marginal cost to exactly those terms end to end (see
 //! [`super::fit_params`]), which is what makes the polynomial's units
 //! line up with the simulator's.
+//!
+//! Cost: linear in the schedule — three passes over its ops (structural
+//! checks, the matcher's scan, the weights) plus the matcher's counting
+//! sort and the sweep — and at a few hundred ranks decided by memory
+//! latency and fresh pages, not arithmetic (DESIGN.md §6.9 has numbers).
 
 use super::{CostError, CostPoly};
 use crate::schedcheck::{self, Phase, SchedError, ScheduleDoc, SCHED_DOC_VERSION};
 use crate::schedule::{CommSchedule, Op};
 use pml_obs::Counter;
 use pml_simnet::JobLayout;
+use std::collections::VecDeque;
 
 /// Polynomials extracted (cache misses included, cache hits not).
 static POLYS_EXTRACTED: Counter = Counter::new("schedcost.polys");
@@ -35,14 +41,32 @@ const NET_MSGS: usize = 6;
 const SHM_MSGS: usize = 7;
 const METRICS: usize = 8;
 
+/// What one step adds to a path through it: at its Post node the local-op
+/// bytes and the sends beyond the first, at its Complete node the received
+/// bytes, a round per traffic class and the receives beyond the first.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepWeight {
+    copy_bytes: u64,
+    reduce_bytes: u64,
+    net_bytes: u64,
+    shm_bytes: u64,
+    net_sends: u32,
+    shm_sends: u32,
+    net_recvs: u32,
+    shm_recvs: u32,
+}
+
 /// Extract the symbolic cost polynomial of `schedule` on `layout`
 /// without executing it.
 ///
 /// The schedule is structurally verified first (typed errors, never
-/// panics on corrupted input), its messages FIFO-matched, and the
-/// Post/Complete graph topologically ordered — the same machinery
-/// schedcheck's dataflow verifier runs on. The walk itself is linear in
-/// the schedule size.
+/// panics on corrupted input) and its messages FIFO-matched — the same
+/// machinery schedcheck's dataflow verifier runs on. The longest path is
+/// computed *inside* the topological sweep: a node's value is the max over
+/// its predecessors plus its own weight. The program-order predecessor is
+/// always the last node its rank visited, so one running vector per rank
+/// carries the chains; only Post values are read across ranks, and those
+/// wait in a queue in visit order until their last receive has read them.
 pub fn extract_poly(schedule: &CommSchedule, layout: JobLayout) -> Result<CostPoly, CostError> {
     schedcheck::structural(schedule)?;
     if schedule.world != layout.world_size() {
@@ -52,111 +76,91 @@ pub fn extract_poly(schedule: &CommSchedule, layout: JobLayout) -> Result<CostPo
         });
     }
     let msgs = schedcheck::match_messages(schedule)?;
-    let order = schedcheck::topo_order(schedule, &msgs)?;
 
-    // Dense node ids, same scheme as the topo sort: 2·(steps before
-    // rank + step) + phase.
-    let mut base = vec![0usize; schedule.ranks.len() + 1];
-    for (r, prog) in schedule.ranks.iter().enumerate() {
-        base[r + 1] = base[r] + prog.len();
-    }
-    let n = 2 * base[schedule.ranks.len()];
-    let node_id = |rank: u32, step: usize, phase: Phase| -> usize {
-        2 * (base[rank as usize] + step) + matches!(phase, Phase::Complete) as usize
-    };
-
-    // Cross-rank dependency edges (sender Post → receiver Complete),
-    // bucketed per Complete node in compressed form (count, prefix-sum,
-    // fill), plus the NIC tx/rx byte ledgers for the contention term.
-    let mut cursor = vec![0u32; n + 1];
-    for (_, rcv) in &msgs.pairs {
-        cursor[node_id(rcv.at.rank, rcv.at.step, Phase::Complete) + 1] += 1;
-    }
-    for i in 0..n {
-        cursor[i + 1] += cursor[i];
-    }
-    let off = cursor.clone();
-    let mut preds = vec![0u32; off[n] as usize];
+    // What each step adds, read off the ops in program order (the sweep
+    // runs across ranks, where every op would be a cache miss).
+    // `structural` has bounded every peer, so the lookups cannot miss.
+    let node_of: Vec<u32> = (0..schedule.world).map(|r| layout.node_of(r)).collect();
     let mut nic_tx = vec![0u64; layout.nodes as usize];
     let mut nic_rx = vec![0u64; layout.nodes as usize];
-    for (snd, rcv) in &msgs.pairs {
-        let id = node_id(rcv.at.rank, rcv.at.step, Phase::Complete);
-        preds[cursor[id] as usize] = node_id(snd.at.rank, snd.at.step, Phase::Post) as u32;
-        cursor[id] += 1;
-        if !layout.same_node(snd.at.rank, rcv.at.rank) {
-            nic_tx[layout.node_of(snd.at.rank) as usize] += snd.region.len as u64;
-            nic_rx[layout.node_of(rcv.at.rank) as usize] += rcv.region.len as u64;
+    let mut weights = Vec::with_capacity(msgs.steps());
+    for (prog, &me) in schedule.ranks.iter().zip(&node_of) {
+        for step in prog {
+            let mut w = StepWeight::default();
+            for op in &step.ops {
+                match op {
+                    Op::Copy { src, .. } => w.copy_bytes += src.len as u64,
+                    Op::Combine { src, .. } => w.reduce_bytes += src.len as u64,
+                    Op::Send { to, .. } if node_of[*to as usize] == me => w.shm_sends += 1,
+                    Op::Send { region, .. } => {
+                        w.net_sends += 1;
+                        nic_tx[me as usize] += region.len as u64;
+                    }
+                    Op::Recv { from, region, .. } if node_of[*from as usize] == me => {
+                        w.shm_recvs += 1;
+                        w.shm_bytes += region.len as u64;
+                    }
+                    Op::Recv { region, .. } => {
+                        w.net_recvs += 1;
+                        w.net_bytes += region.len as u64;
+                        nic_rx[me as usize] += region.len as u64;
+                    }
+                }
+            }
+            weights.push(w);
         }
     }
 
-    // Componentwise longest path in topological order. A node's value is
-    // the max over its predecessors plus its own weight; receiver-side
-    // weights live on Complete nodes, local-op weights on Post nodes.
-    let mut dp = vec![[0u64; METRICS]; n];
-    for sr in &order {
-        let ops = &schedule.ranks[sr.rank as usize][sr.step].ops;
-        let mut acc = match sr.phase {
-            Phase::Post if sr.step > 0 => dp[node_id(sr.rank, sr.step - 1, Phase::Complete)],
-            Phase::Post => [0u64; METRICS],
-            Phase::Complete => dp[node_id(sr.rank, sr.step, Phase::Post)],
-        };
-        let id = node_id(sr.rank, sr.step, sr.phase);
-        if sr.phase == Phase::Complete {
-            for &p in &preds[off[id] as usize..off[id + 1] as usize] {
-                for (a, v) in acc.iter_mut().zip(dp[p as usize]) {
-                    *a = (*a).max(v);
-                }
-            }
-        }
-        let (mut net_recvs, mut shm_recvs) = (0u64, 0u64);
-        let (mut net_sends, mut shm_sends) = (0u64, 0u64);
-        for op in ops {
-            match (sr.phase, op) {
-                (Phase::Post, Op::Copy { src, .. }) => acc[COPY_BYTES] += src.len as u64,
-                (Phase::Post, Op::Combine { src, .. }) => acc[REDUCE_BYTES] += src.len as u64,
-                (Phase::Post, Op::Send { to, .. }) => {
-                    if layout.same_node(*to, sr.rank) {
-                        shm_sends += 1;
-                    } else {
-                        net_sends += 1;
-                    }
-                }
-                (Phase::Complete, Op::Recv { from, region, .. }) => {
-                    if layout.same_node(*from, sr.rank) {
-                        shm_recvs += 1;
-                        acc[SHM_BYTES] += region.len as u64;
-                    } else {
-                        net_recvs += 1;
-                        acc[NET_BYTES] += region.len as u64;
-                    }
-                }
-                _ => {}
-            }
-        }
+    let mut chain = vec![[0u64; METRICS]; schedule.ranks.len()];
+    // Post values some receive still waits for, in visit order, each with
+    // its receives left; `slot` numbers them, `retired` left the front.
+    let mut posted: VecDeque<([u64; METRICS], u32)> = VecDeque::new();
+    let mut retired = 0u32;
+    let mut slot = vec![0u32; msgs.steps()];
+    msgs.sweep(schedule, |at, id, feeds| {
+        let acc = &mut chain[at.rank as usize];
+        let w = &weights[id / 2];
         // A completing phase pays one full latency term per traffic
         // class; every message beyond the first in a phase (posted or
         // completed) is marginal per-message handling, not a fresh round
         // trip — that is what makes single-step fan-in/fan-out schedules
         // cheaper than one round per peer.
-        acc[NET_ROUNDS] += (net_recvs > 0) as u64;
-        acc[SHM_ROUNDS] += (shm_recvs > 0) as u64;
-        acc[NET_MSGS] += net_recvs.saturating_sub(1) + net_sends.saturating_sub(1);
-        acc[SHM_MSGS] += shm_recvs.saturating_sub(1) + shm_sends.saturating_sub(1);
-        dp[id] = acc;
-    }
+        if at.phase == Phase::Post {
+            acc[COPY_BYTES] += w.copy_bytes;
+            acc[REDUCE_BYTES] += w.reduce_bytes;
+            acc[NET_MSGS] += w.net_sends.saturating_sub(1) as u64;
+            acc[SHM_MSGS] += w.shm_sends.saturating_sub(1) as u64;
+            slot[id / 2] = retired + posted.len() as u32;
+            posted.push_back((*acc, w.net_sends + w.shm_sends));
+            return;
+        }
+        for &feed in feeds {
+            let (sender, waiting) = &mut posted[(slot[feed as usize / 2] - retired) as usize];
+            *waiting -= 1;
+            for (a, v) in acc.iter_mut().zip(sender) {
+                *a = (*a).max(*v);
+            }
+        }
+        while posted.front().is_some_and(|&(_, waiting)| waiting == 0) {
+            posted.pop_front();
+            retired += 1;
+        }
+        acc[NET_BYTES] += w.net_bytes;
+        acc[SHM_BYTES] += w.shm_bytes;
+        acc[NET_ROUNDS] += (w.net_recvs > 0) as u64;
+        acc[SHM_ROUNDS] += (w.shm_recvs > 0) as u64;
+        acc[NET_MSGS] += w.net_recvs.saturating_sub(1) as u64;
+        acc[SHM_MSGS] += w.shm_recvs.saturating_sub(1) as u64;
+    })?;
 
+    // Weights are non-negative, so a rank's last node dominates its chain.
     let mut max = [0u64; METRICS];
-    for v in &dp {
+    for v in &chain {
         for (m, x) in max.iter_mut().zip(v) {
             *m = (*m).max(*x);
         }
     }
-    let nic_bytes = nic_tx
-        .iter()
-        .chain(nic_rx.iter())
-        .copied()
-        .max()
-        .unwrap_or(0);
+    let nic_bytes = nic_tx.iter().chain(&nic_rx).copied().max().unwrap_or(0);
     POLYS_EXTRACTED.inc();
     Ok(CostPoly {
         net_rounds: max[NET_ROUNDS],
@@ -183,6 +187,10 @@ pub fn doc_cost(doc: &ScheduleDoc, layout: JobLayout) -> Result<CostPoly, CostEr
     }
     extract_poly(&doc.schedule, layout)
 }
+
+#[cfg(test)]
+#[path = "oracle.rs"] // the pre-rewrite walk and the equivalence tests against it
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -317,12 +317,53 @@ impl CommSchedule {
     }
 }
 
+/// How many peers a [`PeerSeq`] lists before it turns to a dense row.
+const FEW_PEERS: usize = 8;
+
+/// FIFO sequence counters from one rank toward its peers. Rings and trees
+/// stay in the short list (a world-sized row per rank would cost more than
+/// their schedule at ~2k ranks); a rank that fans out moves to a dense row.
+/// Peers outside the world — [`CommSchedule::validate`] rejects them later
+/// — stay listed: a bad peer costs a scan, not an out-of-bounds index.
+#[derive(Debug, Clone, Default)]
+struct PeerSeq {
+    few: Vec<(u32, u32)>,
+    dense: Vec<u32>,
+}
+
+impl PeerSeq {
+    /// The next tag toward `peer` (post-increment).
+    fn next(&mut self, peer: u32, world: u32) -> u32 {
+        if self.dense.is_empty() && self.few.len() >= FEW_PEERS && peer < world {
+            self.dense = vec![0; world as usize];
+            let dense = &mut self.dense;
+            self.few
+                .retain(|&(p, seq)| dense.get_mut(p as usize).map(|slot| *slot = seq).is_none());
+        }
+        let seq = match self.dense.get_mut(peer as usize) {
+            Some(seq) => seq,
+            None => {
+                let listed = self.few.iter().position(|&(p, _)| p == peer);
+                let at = listed.unwrap_or_else(|| {
+                    self.few.push((peer, 0));
+                    self.few.len() - 1
+                });
+                &mut self.few[at].1
+            }
+        };
+        *seq += 1;
+        *seq - 1
+    }
+}
+
 /// Incremental builder that assigns FIFO message tags automatically.
 #[derive(Debug)]
 pub struct ScheduleBuilder {
     schedule: CommSchedule,
-    send_seq: HashMap<(u32, u32), u32>,
-    recv_seq: HashMap<(u32, u32), u32>,
+    /// `send_seq[r]` counts r's sends per destination, `recv_seq[r]` its
+    /// receives per source.
+    send_seq: Vec<PeerSeq>,
+    recv_seq: Vec<PeerSeq>,
 }
 
 impl ScheduleBuilder {
@@ -343,8 +384,8 @@ impl ScheduleBuilder {
                 work_initialized_from_input: false,
                 ranks: vec![Vec::new(); world as usize],
             },
-            send_seq: HashMap::new(),
-            recv_seq: HashMap::new(),
+            send_seq: vec![PeerSeq::default(); world as usize],
+            recv_seq: vec![PeerSeq::default(); world as usize],
         }
     }
 
@@ -356,9 +397,16 @@ impl ScheduleBuilder {
     /// Append one step to `rank`'s program, described by closure calls on a
     /// [`StepBuilder`]. Empty steps are dropped.
     pub fn step(&mut self, rank: u32, f: impl FnOnce(&mut StepBuilder<'_>)) {
+        // Collectives are symmetric: size the op list like the previous
+        // rank's step at this position instead of growing it.
+        let ranks = &self.schedule.ranks;
+        let at = ranks.get(rank as usize).map_or(0, Vec::len);
+        let like = ranks
+            .get((rank as usize).wrapping_sub(1))
+            .and_then(|p| p.get(at));
         let mut sb = StepBuilder {
             rank,
-            ops: Vec::new(),
+            ops: Vec::with_capacity(like.map_or(0, |step| step.ops.len())),
             builder: self,
         };
         f(&mut sb);
@@ -400,9 +448,8 @@ impl StepBuilder<'_> {
         if region.len == 0 {
             return;
         }
-        let seq = self.builder.send_seq.entry((self.rank, to)).or_insert(0);
-        let tag = *seq;
-        *seq += 1;
+        let world = self.builder.schedule.world;
+        let tag = self.builder.send_seq[self.rank as usize].next(to, world);
         self.ops.push(Op::Send { to, tag, region });
     }
 
@@ -410,9 +457,8 @@ impl StepBuilder<'_> {
         if region.len == 0 {
             return;
         }
-        let seq = self.builder.recv_seq.entry((from, self.rank)).or_insert(0);
-        let tag = *seq;
-        *seq += 1;
+        let world = self.builder.schedule.world;
+        let tag = self.builder.recv_seq[self.rank as usize].next(from, world);
         self.ops.push(Op::Recv { from, tag, region });
     }
 }
@@ -461,6 +507,56 @@ mod tests {
         let tags: Vec<u32> = sch.ranks[0][0].sends().map(|(_, t, _)| *t).collect();
         assert_eq!(tags, vec![0, 1]);
         sch.validate().unwrap();
+    }
+
+    #[test]
+    fn tags_count_per_pair_across_the_dense_switch_and_outside_the_world() {
+        // The reference is the pair of hashed maps the builder used to
+        // keep. Rank 0 fans out past FEW_PEERS (short list → dense row)
+        // with peers revisited before and after the switch; peers no rank
+        // has (the world size, u32::MAX) must count like any other and
+        // never index out of bounds.
+        let world = 12u32;
+        let mut sb = ScheduleBuilder::new(world, 4, 4, 4, 0);
+        let mut state = 7u64;
+        for _ in 0..3000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let pick = (state >> 33) as u32;
+            let rank = if pick.is_multiple_of(3) {
+                0
+            } else {
+                pick % world
+            };
+            let peer = match (pick >> 8) % 10 {
+                0 => world,
+                1 => u32::MAX,
+                _ => (pick >> 12) % world,
+            };
+            sb.step(rank, |s| match (pick >> 20) % 2 {
+                0 => s.send(peer, Region::input(0, 4)),
+                _ => s.recv(peer, Region::work(0, 4)),
+            });
+        }
+        let sch = sb.finish();
+        let mut sends: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut recvs: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut checked = 0;
+        for (rank, prog) in sch.ranks.iter().enumerate() {
+            for op in prog.iter().flat_map(|step| &step.ops) {
+                let (seq, tag) = match op {
+                    Op::Send { to, tag, .. } => (sends.entry((rank as u32, *to)).or_insert(0), tag),
+                    Op::Recv { from, tag, .. } => {
+                        (recvs.entry((*from, rank as u32)).or_insert(0), tag)
+                    }
+                    other => panic!("unexpected {other:?}"),
+                };
+                assert_eq!(tag, seq, "rank {rank} {op:?}");
+                *seq += 1;
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3000);
+        assert!(sends.keys().filter(|k| k.0 == 0).count() > FEW_PEERS);
     }
 
     #[test]

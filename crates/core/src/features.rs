@@ -57,6 +57,9 @@ pub const MPI_FEATURES: [usize; 3] = [0, 1, 2];
 /// Indices of the analytic-cost features within the vector.
 pub const ANALYTIC_FEATURES: [usize; 3] = [14, 15, 16];
 
+/// The analytic triple of a cell that has no ranking.
+const NO_RANKING: [f64; 3] = [-1.0, 0.0, 0.0];
+
 /// The three analytic-cost features for one cell: predicted-best
 /// algorithm (registry index; −1 when no ranking exists), its predicted
 /// cost in microseconds, and the relative best-to-runner-up gap.
@@ -64,11 +67,11 @@ pub const ANALYTIC_FEATURES: [usize; 3] = [14, 15, 16];
 /// are memoized process-wide in `schedcost`).
 fn analytic(node: &NodeSpec, collective: Collective, nodes: u32, ppn: u32, msg: usize) -> [f64; 3] {
     if nodes == 0 || ppn == 0 {
-        return [-1.0, 0.0, 0.0];
+        return NO_RANKING;
     }
     let ranked = schedcost::rank_static(collective, node, JobLayout::new(nodes, ppn), msg);
     match ranked.as_slice() {
-        [] => [-1.0, 0.0, 0.0],
+        [] => NO_RANKING,
         [(best, cost)] => [best.index() as f64, cost * 1e6, 0.0],
         [(best, cost), (_, second), ..] => {
             let gap = if *cost > 0.0 {
@@ -90,7 +93,18 @@ pub fn extract(
     ppn: u32,
     msg_size: usize,
 ) -> [f64; N_FEATURES] {
-    let [best, cost, gap] = analytic(node, collective, nodes, ppn, msg_size);
+    let analytic = analytic(node, collective, nodes, ppn, msg_size);
+    assemble(node, nodes, ppn, msg_size, analytic)
+}
+
+/// The feature vector around an already-known analytic triple.
+fn assemble(
+    node: &NodeSpec,
+    nodes: u32,
+    ppn: u32,
+    msg_size: usize,
+    [best, cost, gap]: [f64; 3],
+) -> [f64; N_FEATURES] {
     [
         nodes as f64,
         ppn as f64,
@@ -117,11 +131,39 @@ pub fn extract(
 /// [`pml_mlcore::RandomForest::predict_batch`] during tuning-table
 /// generation.
 pub fn extract_batch(node: &NodeSpec, collective: Collective, jobs: &[JobConfig]) -> Matrix {
-    let rows: Vec<[f64; N_FEATURES]> = jobs
-        .iter()
-        .map(|j| extract(node, collective, j.nodes, j.ppn, j.msg_size))
-        .collect();
-    Matrix::from_rows(rows)
+    let all: [usize; N_FEATURES] = std::array::from_fn(|j| j);
+    extract_projected(node, collective, jobs, &all)
+}
+
+/// [`extract_batch`] projected onto the feature subset `keep`, one flat
+/// matrix and no intermediate row vectors — what a shipped model feeds
+/// its forest. The analytic triple costs a cold `schedcost` extraction
+/// per never-seen layout (tens of milliseconds at a few hundred ranks),
+/// so it is only derived when `keep` reads one of its columns; a model
+/// that predates those features, or did not select them, gets the
+/// no-ranking sentinel in columns the projection never looks at.
+pub(crate) fn extract_projected(
+    node: &NodeSpec,
+    collective: Collective,
+    jobs: &[JobConfig],
+    keep: &[usize],
+) -> Matrix {
+    let reads_analytic = keep.iter().any(|j| ANALYTIC_FEATURES.contains(j));
+    let mut out = Matrix::zeros(jobs.len(), keep.len());
+    for (i, j) in jobs.iter().enumerate() {
+        let analytic = if reads_analytic {
+            analytic(node, collective, j.nodes, j.ppn, j.msg_size)
+        } else {
+            NO_RANKING
+        };
+        let full = assemble(node, j.nodes, j.ppn, j.msg_size, analytic);
+        for (slot, &k) in out.row_mut(i).iter_mut().zip(keep) {
+            // An index past the schema only comes from a corrupted artifact;
+            // read it as zero rather than aborting the caller.
+            *slot = full.get(k).copied().unwrap_or(0.0);
+        }
+    }
+    out
 }
 
 /// Convert tuning records into an ML dataset for one collective.

@@ -9,8 +9,42 @@
 # - BENCH_serve.json — serving-path latency/throughput: loadgen drives
 #   100k concurrent requests through a running `pml-mpi serve` daemon
 #   and records p50/p99/p999 round-trip latency plus requests/sec.
+#
+# `scripts/bench.sh --schedcost [BASE_REV]` does none of that: it prints
+# the `schedcost_extraction` criterion bench (cold schedule generation and
+# polynomial extraction per allgather/alltoall algorithm, worlds 64 and
+# 250) as a table and writes no file. With BASE_REV the same bench file is
+# also built inside a `git archive` copy of that revision, and the table
+# gains before / after / ratio columns — the table for a PR description.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--schedcost" ]]; then
+    run_bench() { # <checkout dir> <target dir>
+        (cd "$1" && CARGO_TARGET_DIR="$2" cargo bench --offline -p pml-bench \
+            --bench schedcost_extraction 2>/dev/null) |
+            awk '/ns\/iter/ { gsub(/,/, "", $2); print $1, $2 }'
+    }
+    after=$(mktemp)
+    trap 'rm -rf "$after" "${base_dir:-}" "${before:-}"' EXIT
+    run_bench . "${CARGO_TARGET_DIR:-target}" > "$after"
+    if [[ -z "${2:-}" ]]; then
+        awk '{ printf "%-56s %12.3f ms\n", $1, $2 / 1e6 }' "$after"
+        exit 0
+    fi
+    base_dir=$(mktemp -d)
+    before=$(mktemp)
+    git archive "$2" | tar -x -C "$base_dir"
+    # The base may predate the bench: it only uses API both sides have.
+    cp crates/bench/benches/schedcost_extraction.rs "$base_dir/crates/bench/benches/"
+    cp crates/bench/Cargo.toml "$base_dir/crates/bench/Cargo.toml"
+    run_bench "$base_dir" "$base_dir/target" > "$before"
+    printf '%-56s %12s %12s %7s\n' "bench (ms)" "$2" "$(git rev-parse --short HEAD)+" ratio
+    awk 'NR == FNR { b[$1] = $2; next }
+         ($1 in b) { printf "%-56s %12.3f %12.3f %6.2fx\n", $1, b[$1] / 1e6, $2 / 1e6, b[$1] / $2 }' \
+        "$before" "$after"
+    exit 0
+fi
 
 out=BENCH_train_infer.json
 stamp=$(date -u +%FT%TZ)

@@ -4,7 +4,7 @@
 //! current deserializer must reproduce the predictions the original model
 //! made, recorded alongside it at capture time.
 
-use pml_mpi::{by_name, JobConfig, PretrainedModel};
+use pml_mpi::{by_name, obs, JobConfig, PretrainedModel};
 
 #[test]
 fn v1_model_artifact_loads_and_predicts_identically() {
@@ -47,4 +47,45 @@ fn migrated_model_reserializes_in_current_layout() {
     assert!(!rewritten.contains("\"Split\""));
     let back = PretrainedModel::from_json(&rewritten).expect("current layout parses");
     assert_eq!(model, back);
+}
+
+#[test]
+fn model_without_analytic_features_never_pays_for_extraction() {
+    // The v1 artifact selects features [0, 1, 2, 4, 5]: the analytic
+    // triple (14–16) is projected away, so predicting on a layout this
+    // process has never costed (16×16 appears nowhere else in this test
+    // binary) must not extract a single polynomial — and must still
+    // answer what it answered when the triple was computed and dropped
+    // (recorded on the commit before the skip).
+    let json = include_str!("fixtures/model_v1_allgather.json");
+    let model = PretrainedModel::from_json(json).expect("v1 artifact loads");
+    assert!(model.selected_features().iter().all(|&j| j < 14));
+
+    let polys = || {
+        let snap = obs::metrics::snapshot();
+        snap.counters.get("schedcost.polys").copied().unwrap_or(0)
+    };
+    let before = polys();
+    let frontera = by_name("Frontera").expect("zoo cluster");
+    let jobs: Vec<JobConfig> = (0..=20).map(|i| JobConfig::new(16, 16, 1 << i)).collect();
+    let preds: Vec<String> = model
+        .predict_batch(&frontera.spec.node, &jobs)
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    assert_eq!(
+        polys(),
+        before,
+        "cold extraction ran for columns nobody reads"
+    );
+
+    let expected: Vec<String> = [
+        ("recursive_doubling", 10),
+        ("rd_communication", 6),
+        ("ring", 5),
+    ]
+    .iter()
+    .flat_map(|&(algo, n)| std::iter::repeat_n(format!("MPI_Allgather:{algo}"), n))
+    .collect();
+    assert_eq!(preds, expected);
 }
