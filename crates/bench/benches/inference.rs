@@ -27,9 +27,6 @@ fn bench_inference(c: &mut Criterion) {
         top_k_features: Some(5),
     };
     let model = PretrainedModel::train(&records, Collective::Allgather, &cfg).expect("train");
-    // Recorded by scripts/bench.sh into BENCH_train_infer.json so the perf
-    // point says which forest kernel (compiled/exact) produced it.
-    eprintln!("inference_path: {}", model.inference_path());
     let frontera = by_name("Frontera").expect("zoo cluster");
 
     let mut g = c.benchmark_group("inference");

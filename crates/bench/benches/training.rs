@@ -1,22 +1,20 @@
-//! Criterion: forest training at dataset-zoo scale — histogram-binned
-//! split finding against the exact sort-based kernel, plus the batched
-//! probability kernel the tuning-table path runs on. The binned-vs-exact
-//! pair is the perf trajectory `scripts/bench.sh` records in
+//! Criterion: forest training at dataset-zoo scale (histogram-binned
+//! split finding), plus the batched probability kernel the tuning-table
+//! path runs on — the perf trajectory `scripts/bench.sh` records in
 //! `BENCH_train_infer.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pml_collectives::Collective;
 use pml_core::features::records_to_dataset;
-use pml_mlcore::{Classifier, ForestParams, Matrix, RandomForest, SplitFinder};
+use pml_mlcore::{Classifier, ForestParams, Matrix, RandomForest};
 use std::hint::black_box;
 
 const TREES: usize = 40;
 
-fn fit(x: &Matrix, y: &[usize], k: usize, split_finder: SplitFinder) -> RandomForest {
+fn fit(x: &Matrix, y: &[usize], k: usize) -> RandomForest {
     let mut f = RandomForest::new(ForestParams {
         n_estimators: TREES,
         seed: 42,
-        split_finder,
         ..Default::default()
     });
     f.fit(x, y, k).expect("forest fit");
@@ -32,20 +30,16 @@ fn bench_training(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("forest_fit");
     g.bench_function(format!("binned_{TREES}_trees"), |b| {
-        b.iter(|| black_box(fit(x, y, k, SplitFinder::default())))
-    });
-    g.bench_function(format!("exact_{TREES}_trees"), |b| {
-        b.iter(|| black_box(fit(x, y, k, SplitFinder::Exact)))
+        b.iter(|| black_box(fit(x, y, k)))
     });
     g.finish();
 
     // Batched inference over the whole dataset with a caller-provided
-    // output buffer — the allocation-free hot loop. The unqualified ID is
-    // the routed entry point (compiled when the forest lowers); the
-    // compiled_*/exact_* pair pins the two kernels against each other.
-    let forest = fit(x, y, k, SplitFinder::default());
-    let compiled = forest.compile().expect("hist-trained forest compiles");
-    eprintln!("inference_path: {}", forest.inference_path());
+    // output buffer — the allocation-free hot loop — then hard
+    // predictions straight off the compiled twin, then the exact f64
+    // oracle the kernel is tested against.
+    let forest = fit(x, y, k);
+    let compiled = forest.compiled().expect("fitted forest compiles");
     let mut out = Matrix::zeros(x.rows(), k);
     let mut g = c.benchmark_group("forest_predict");
     g.bench_function(format!("proba_batch_into_{}_rows", x.rows()), |b| {
@@ -54,15 +48,6 @@ fn bench_training(c: &mut Criterion) {
             black_box(&out);
         })
     });
-    g.bench_function(
-        format!("compiled_proba_batch_into_{}_rows", x.rows()),
-        |b| {
-            b.iter(|| {
-                compiled.predict_proba_batch_into(black_box(x), &mut out);
-                black_box(&out);
-            })
-        },
-    );
     g.bench_function(format!("compiled_predict_batch_{}_rows", x.rows()), |b| {
         b.iter(|| black_box(compiled.predict_batch(black_box(x))))
     });

@@ -46,6 +46,6 @@ pub use selectors::{
 pub use tuner::{FallbackDepth, Tuner};
 pub use tuning_table::{TableEntry, TableStore, TuningTable};
 pub use verify::{
-    verify_artifact_file, verify_artifact_str, verify_compiled, verify_compiled_json, verify_model,
-    verify_model_json, verify_table, verify_table_json, ArtifactKind, VerifyError, VerifyErrorKind,
+    verify_artifact_file, verify_artifact_str, verify_model, verify_model_json, verify_table,
+    verify_table_json, ArtifactKind, VerifyError, VerifyErrorKind,
 };

@@ -59,6 +59,12 @@ impl FallbackDepth {
     }
 }
 
+/// Most decisions one shard memoizes. Past it new keys are answered but
+/// not remembered — a decision is a pure function of its key, so skipping
+/// the memo is always correct — which bounds memory under a client that
+/// cycles through distinct job shapes or message sizes.
+const SHARD_CAP: usize = 65_536;
+
 /// Memo key within a shard: the job shape (nodes, ppn, msg_size).
 type ShardKey = (u32, u32, usize);
 /// Memoized decision: the algorithm and how it was reached.
@@ -213,13 +219,14 @@ impl Tuner {
     ) -> (Algorithm, FallbackDepth) {
         let key = (job.nodes, job.ppn, job.msg_size);
         let shard = &self.shards[shard_index(collective)];
-        if let Some(&(a, depth)) = shard.read().get(&key) {
+        let hit = |decision: Decision| {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             CACHE_HIT.inc();
-            return (a, depth);
+            decision
+        };
+        if let Some(&decision) = shard.read().get(&key) {
+            return hit(decision);
         }
-        shard.misses.fetch_add(1, Ordering::Relaxed);
-        CACHE_MISS.inc();
         let world = job.world_size();
         let mut depth = FallbackDepth::DefaultRules;
         let mut chosen = None;
@@ -251,11 +258,19 @@ impl Tuner {
             }
         }
         let chosen = chosen.unwrap_or_else(|| MvapichDefault.select(collective, job));
+        // A thread that lost the race to memoize this key computed the same
+        // deterministic decision; it counts as the hit it would have been a
+        // moment later, so misses stay one per memoized key.
+        let mut map = shard.write();
+        if let Some(&decision) = map.get(&key) {
+            return hit(decision);
+        }
+        shard.misses.fetch_add(1, Ordering::Relaxed);
+        CACHE_MISS.inc();
         FALLBACK_DEPTH.observe(depth.as_u64());
-        // Two threads racing on the same uncached key both compute the same
-        // deterministic decision; whichever inserts second overwrites with
-        // an identical value, so the memo never flaps.
-        shard.write().insert(key, (chosen, depth));
+        if map.len() < SHARD_CAP {
+            map.insert(key, (chosen, depth));
+        }
         (chosen, depth)
     }
 }
@@ -394,6 +409,31 @@ mod tests {
         let (hits, misses) = tuner.stats();
         assert_eq!(hits + misses, 4 * jobs.len() as u64);
         assert!(tuner.cached_decisions() <= jobs.len());
+    }
+
+    /// A client cycling through distinct message sizes cannot grow the
+    /// memo past its cap, and what is answered past the cap — or from the
+    /// memo on a second pass — is what an empty memo computes.
+    #[test]
+    fn memo_is_bounded_and_answers_do_not_depend_on_it() {
+        let jobs = || (0..200_000).map(|i| JobConfig::new(2, 8, 1 + 37 * i));
+        let fresh = Tuner::new([table()]);
+        let want: Vec<_> = jobs()
+            .map(|j| fresh.select_traced(Collective::Alltoall, j))
+            .collect();
+        assert_eq!(fresh.stats().0, 0, "distinct keys never hit the memo");
+
+        let tuner = Tuner::new([table()]);
+        for _pass in 0..2 {
+            for (j, w) in jobs().zip(&want) {
+                assert_eq!(tuner.select_traced(Collective::Alltoall, j), *w);
+            }
+            assert_eq!(tuner.cached_decisions(), SHARD_CAP);
+        }
+        assert_eq!(
+            tuner.stats(),
+            (SHARD_CAP as u64, 400_000 - SHARD_CAP as u64)
+        );
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!   in-bounds, parent-before-child order ⇒ acyclic, contiguous leaf
 //!   arena, leaf sentinel slots zeroed, per-leaf probability simplex
 //!   within 1e-6; see `pml_mlcore::verify`), ensemble metadata is
-//!   consistent (class/feature counts, selected-feature indices, bin
-//!   budget), and every class index maps to a real [`Algorithm`] of the
-//!   model's collective. v1 artifacts are migrated during parse, so this
-//!   pass doubles as the post-migration re-check.
+//!   consistent (class/feature counts, selected-feature indices), the
+//!   forest compiles into its quantized inference twin (finite thresholds
+//!   within the u8 code budget — the one step that builds rather than
+//!   only inspects, and the result stays cached for prediction), and
+//!   every class index maps to a real [`Algorithm`] of the model's
+//!   collective. v1 artifacts are migrated during parse, so this pass
+//!   doubles as the post-migration re-check.
 //! * **Tuning tables** — every entry's algorithm belongs to the table's
 //!   collective, the (nodes × ppn × msg) grid is total (no missing or
 //!   duplicate cells), and the static fallback chain terminates in an
 //!   algorithm applicable at each cell's world size.
-//! * **Binned matrices** — strictly increasing bin edges, codes within
-//!   the ≤ 256-bin u8 budget (see `BinnedMatrix::verify`).
 //!
 //! Every failure is a typed [`VerifyError`] carrying the artifact path.
 //! [`crate::PretrainedModel::from_json`] and [`crate::Tuner::from_dir`]
@@ -31,7 +32,7 @@ use crate::pipeline::PretrainedModel;
 use crate::selectors::{applicable_or_fallback, AlgorithmSelector, JobConfig, MvapichDefault};
 use crate::tuning_table::TuningTable;
 use pml_collectives::{Algorithm, Collective};
-use pml_mlcore::{BinnedMatrix, CompiledForest, ForestIssue, StructureIssue};
+use pml_mlcore::{ForestIssue, StructureIssue};
 use pml_obs::Counter;
 use std::fmt;
 use std::path::Path;
@@ -46,8 +47,6 @@ static VERIFY_PASSED: Counter = Counter::new("verify.passed");
 pub enum ArtifactKind {
     Model,
     TuningTable,
-    BinnedMatrix,
-    CompiledForest,
 }
 
 impl fmt::Display for ArtifactKind {
@@ -55,8 +54,6 @@ impl fmt::Display for ArtifactKind {
         match self {
             ArtifactKind::Model => write!(f, "model"),
             ArtifactKind::TuningTable => write!(f, "tuning table"),
-            ArtifactKind::BinnedMatrix => write!(f, "binned matrix"),
-            ArtifactKind::CompiledForest => write!(f, "compiled forest"),
         }
     }
 }
@@ -70,8 +67,6 @@ pub enum VerifyErrorKind {
     Tree { tree: usize, issue: StructureIssue },
     /// An ensemble-level violation of the model's forest.
     Forest(StructureIssue),
-    /// A violation of a binned matrix's metadata.
-    Binned(StructureIssue),
     /// Model metadata inconsistent with the feature schema.
     Model(String),
     /// A model class index with no corresponding algorithm.
@@ -94,14 +89,6 @@ pub enum VerifyErrorKind {
         ppn: u32,
         algorithm: Algorithm,
     },
-    /// A structural violation inside a compiled-forest artifact
-    /// (quantized branchless layout: bin-edge monotonicity,
-    /// breadth-first parent-before-child order, code thresholds within
-    /// their feature's edge list, self-loop leaves, stored depths).
-    Compiled {
-        tree: Option<usize>,
-        issue: StructureIssue,
-    },
     /// The JSON parsed but matches no known artifact schema.
     UnrecognizedArtifact,
 }
@@ -112,7 +99,6 @@ impl fmt::Display for VerifyErrorKind {
             VerifyErrorKind::Malformed(e) => write!(f, "malformed artifact: {e}"),
             VerifyErrorKind::Tree { tree, issue } => write!(f, "forest tree {tree}: {issue}"),
             VerifyErrorKind::Forest(issue) => write!(f, "forest: {issue}"),
-            VerifyErrorKind::Binned(issue) => write!(f, "binned matrix: {issue}"),
             VerifyErrorKind::Model(why) => write!(f, "model metadata: {why}"),
             VerifyErrorKind::UnknownClass {
                 class,
@@ -150,10 +136,6 @@ impl fmt::Display for VerifyErrorKind {
                 "fallback chain from {algorithm} cannot reach an applicable \
                  algorithm at {nodes} nodes × ppn {ppn}"
             ),
-            VerifyErrorKind::Compiled { tree, issue } => match tree {
-                Some(t) => write!(f, "compiled forest tree {t}: {issue}"),
-                None => write!(f, "compiled forest: {issue}"),
-            },
             VerifyErrorKind::UnrecognizedArtifact => {
                 write!(f, "JSON matches no known artifact schema")
             }
@@ -334,33 +316,15 @@ pub fn verify_table(table: &TuningTable) -> Result<(), VerifyErrorKind> {
     Ok(())
 }
 
-/// Verify a binned matrix's metadata (edges, codes, bin budget).
-pub fn verify_binned(b: &BinnedMatrix) -> Result<(), VerifyErrorKind> {
-    b.verify().map_err(VerifyErrorKind::Binned)
-}
-
-/// Verify a compiled forest's quantized layout (see
-/// `CompiledForest::verify`): bin-edge monotonicity and budget,
-/// breadth-first parent-before-child child order, code thresholds within
-/// their feature's edge list, self-loop leaf encoding with a contiguous
-/// payload arena and per-leaf simplex, and stored traversal depths.
-pub fn verify_compiled(c: &CompiledForest) -> Result<(), VerifyErrorKind> {
-    c.verify().map_err(|e| VerifyErrorKind::Compiled {
-        tree: e.tree,
-        issue: e.issue,
-    })
-}
-
-/// Parse and verify a model artifact from JSON. Also warms the forest's
-/// compiled (quantized) inference twin, so every trust-boundary load path
+/// Parse and verify a model artifact from JSON. Verification compiles the
+/// forest's quantized inference twin, so every trust-boundary load path
 /// — `PretrainedModel::from_json`, `Tuner::from_dir`, the serve daemon —
-/// starts batch prediction on the fast kernel without a first-call stall.
+/// starts batch prediction without a first-call stall.
 pub fn verify_model_json(s: &str) -> Result<PretrainedModel, VerifyErrorKind> {
     let mut model: PretrainedModel =
         serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
     model.migrate_features();
     verify_model(&model)?;
-    model.forest().compiled();
     Ok(model)
 }
 
@@ -370,22 +334,6 @@ pub fn verify_table_json(s: &str) -> Result<TuningTable, VerifyErrorKind> {
         serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
     verify_table(&table)?;
     Ok(table)
-}
-
-/// Parse and verify a binned-matrix artifact from JSON.
-pub fn verify_binned_json(s: &str) -> Result<BinnedMatrix, VerifyErrorKind> {
-    let b: BinnedMatrix =
-        serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
-    verify_binned(&b)?;
-    Ok(b)
-}
-
-/// Parse and verify a compiled-forest artifact from JSON.
-pub fn verify_compiled_json(s: &str) -> Result<CompiledForest, VerifyErrorKind> {
-    let c: CompiledForest =
-        serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
-    verify_compiled(&c)?;
-    Ok(c)
 }
 
 /// Sniff the artifact kind from the document's top-level keys and run the
@@ -402,10 +350,6 @@ pub fn verify_artifact_str(s: &str) -> Result<ArtifactKind, VerifyErrorKind> {
             verify_model_json(s).map(|_| ArtifactKind::Model)
         } else if has("entries") && has("cluster") {
             verify_table_json(s).map(|_| ArtifactKind::TuningTable)
-        } else if has("codes") && has("edges") {
-            verify_binned_json(s).map(|_| ArtifactKind::BinnedMatrix)
-        } else if has("tcode") && has("tree_roots") {
-            verify_compiled_json(s).map(|_| ArtifactKind::CompiledForest)
         } else {
             Err(VerifyErrorKind::UnrecognizedArtifact)
         }

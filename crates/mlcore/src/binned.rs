@@ -11,68 +11,16 @@
 //! equal-frequency (quantile) bins.
 
 use crate::matrix::Matrix;
-use crate::verify::StructureIssue;
-use serde::{DeError, Deserialize, Serialize, Value};
 
-/// Which split-finding kernel tree growth uses at every node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitFinder {
-    /// Sort every candidate column at every node — the original kernel,
-    /// kept as the reference implementation and benchmark baseline.
-    Exact,
-    /// Accumulate per-bin histograms over pre-quantized columns.
-    Hist {
-        /// Bin budget per feature, clamped to `2..=256` (`u8` codes).
-        max_bins: u16,
-    },
-}
-
-impl Default for SplitFinder {
-    fn default() -> Self {
-        SplitFinder::Hist { max_bins: 256 }
-    }
-}
-
-// Externally tagged, matching what the derive macro would emit — plus
-// `Null → default`, so `ForestParams` artifacts written before this field
-// existed still deserialize.
-impl Serialize for SplitFinder {
-    fn to_value(&self) -> Value {
-        match *self {
-            SplitFinder::Exact => Value::Str("Exact".to_string()),
-            SplitFinder::Hist { max_bins } => Value::Object(vec![(
-                "Hist".to_string(),
-                Value::Object(vec![("max_bins".to_string(), max_bins.to_value())]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for SplitFinder {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(SplitFinder::default()),
-            Value::Str(s) if s == "Exact" => Ok(SplitFinder::Exact),
-            Value::Object(pairs) => match pairs.first() {
-                Some((tag, body)) if tag == "Hist" && pairs.len() == 1 => {
-                    let fields = body
-                        .as_object()
-                        .ok_or_else(|| DeError::expected("Hist variant body", body))?;
-                    let max_bins: u16 = serde::__get_field(fields, "max_bins")?;
-                    Ok(SplitFinder::Hist { max_bins })
-                }
-                _ => Err(DeError::expected("SplitFinder variant", v)),
-            },
-            other => Err(DeError::expected("SplitFinder variant", other)),
-        }
-    }
-}
+/// The bin budget every trainer uses: codes are `u8`, so at most 256 bins
+/// per feature.
+pub(crate) const MAX_BINS: u16 = 256;
 
 /// A feature matrix quantized for histogram split finding: one `u8` code
 /// per (row, feature), laid out column-major so a node's histogram pass
 /// streams one contiguous column, plus the real-valued bin edges so the
 /// trained tree predicts directly on raw feature rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedMatrix {
     /// Column-major codes: `codes[f * rows + i]` is row `i`, feature `f`.
     codes: Vec<u8>,
@@ -95,7 +43,7 @@ impl BinnedMatrix {
     pub fn from_matrix(x: &Matrix, max_bins: u16) -> Self {
         let rows = x.rows();
         let cols = x.cols();
-        let max_bins = (max_bins as usize).clamp(2, 256);
+        let max_bins = max_bins.clamp(2, MAX_BINS) as usize;
         let mut codes = vec![0u8; rows * cols];
         let mut edges = Vec::with_capacity(cols);
         let mut vals: Vec<f64> = Vec::with_capacity(rows);
@@ -174,69 +122,6 @@ impl BinnedMatrix {
     pub fn threshold(&self, f: usize, bin: usize) -> f64 {
         self.edges[f][bin]
     }
-
-    /// Assemble a binned matrix from its parts, verifying the metadata —
-    /// the trust-boundary counterpart of [`BinnedMatrix::from_matrix`].
-    pub fn from_parts(
-        codes: Vec<u8>,
-        rows: usize,
-        cols: usize,
-        edges: Vec<Vec<f64>>,
-    ) -> Result<Self, StructureIssue> {
-        let b = BinnedMatrix {
-            codes,
-            rows,
-            cols,
-            edges,
-        };
-        b.verify()?;
-        Ok(b)
-    }
-
-    /// Prove the binned-matrix invariants: code and edge arrays match the
-    /// declared shape, every per-feature edge list is strictly increasing
-    /// and within the 256-bin u8 budget, and every code addresses an
-    /// existing bin. Histogram kernels index bins without rechecking, so
-    /// this must pass before a deserialized binning is trained on.
-    pub fn verify(&self) -> Result<(), StructureIssue> {
-        if self.codes.len() != self.rows * self.cols || self.edges.len() != self.cols {
-            return Err(StructureIssue::Shape(format!(
-                "{}x{} matrix with {} codes and {} edge lists",
-                self.rows,
-                self.cols,
-                self.codes.len(),
-                self.edges.len()
-            )));
-        }
-        for (f, col_edges) in self.edges.iter().enumerate() {
-            if col_edges.len() + 1 > 256 {
-                return Err(StructureIssue::BinBudget {
-                    n_bins: col_edges.len() + 1,
-                });
-            }
-            for (i, w) in col_edges.windows(2).enumerate() {
-                // NaN edges fail too: thresholds must be comparable.
-                if w[0].is_nan() || w[1].is_nan() || w[0] >= w[1] {
-                    return Err(StructureIssue::BinEdgesNotIncreasing {
-                        feature: f,
-                        index: i + 1,
-                    });
-                }
-            }
-            let n_bins = col_edges.len() + 1;
-            for (row, &code) in self.column(f).iter().enumerate() {
-                if code as usize >= n_bins {
-                    return Err(StructureIssue::BinCodeOutOfRange {
-                        feature: f,
-                        row,
-                        code,
-                        n_bins,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -290,59 +175,5 @@ mod tests {
         let b = BinnedMatrix::from_matrix(&x, 256);
         assert_eq!(b.n_bins(0), 1);
         assert!(b.column(0).iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn from_parts_verifies_metadata() {
-        let x = column(&[0.5, 1.5, 2.5]);
-        let b = BinnedMatrix::from_matrix(&x, 256);
-        assert_eq!(b.verify(), Ok(()));
-        // Round-trip through serde, re-verify, and reassemble via from_parts.
-        let json = serde_json::to_string(&b).unwrap();
-        let back: BinnedMatrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.verify(), Ok(()));
-        assert_eq!(back, b);
-
-        // Non-monotone edges.
-        assert!(matches!(
-            BinnedMatrix::from_parts(vec![0, 0, 1], 3, 1, vec![vec![2.0, 1.0]]),
-            Err(StructureIssue::BinEdgesNotIncreasing {
-                feature: 0,
-                index: 1
-            })
-        ));
-        // Code addressing a bin past the edge list.
-        assert!(matches!(
-            BinnedMatrix::from_parts(vec![0, 5, 1], 3, 1, vec![vec![1.0, 2.0]]),
-            Err(StructureIssue::BinCodeOutOfRange {
-                feature: 0,
-                row: 1,
-                code: 5,
-                ..
-            })
-        ));
-        // Declared shape disagreeing with the code array.
-        assert!(matches!(
-            BinnedMatrix::from_parts(vec![0, 0], 3, 1, vec![vec![1.0]]),
-            Err(StructureIssue::Shape(_))
-        ));
-        // More than 256 bins cannot be coded in u8.
-        let edges: Vec<f64> = (0..256).map(|i| i as f64).collect();
-        assert!(matches!(
-            BinnedMatrix::from_parts(vec![0], 1, 1, vec![edges]),
-            Err(StructureIssue::BinBudget { n_bins: 257 })
-        ));
-    }
-
-    #[test]
-    fn split_finder_serde_roundtrip_and_null_default() {
-        for sf in [SplitFinder::Exact, SplitFinder::Hist { max_bins: 64 }] {
-            let v = sf.to_value();
-            assert_eq!(SplitFinder::from_value(&v).unwrap(), sf);
-        }
-        assert_eq!(
-            SplitFinder::from_value(&Value::Null).unwrap(),
-            SplitFinder::default()
-        );
     }
 }

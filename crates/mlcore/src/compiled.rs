@@ -29,24 +29,22 @@
 //! a function of the code vector alone. When the code space is small —
 //! `∏(edges[f].len() + 1)` at most [`MAX_LUT_CELLS`], the common case for
 //! tuning-table models trained on small benchmark grids — compilation
-//! memoizes it outright: every cell's class probabilities are accumulated
-//! once, in tree order with the final division, so the table entry is
-//! bitwise the value the block kernel would have produced. Inference then
-//! reduces to quantizing each row and one table fetch, skipping tree
-//! traversal entirely. Forests with larger code spaces use the blockwise
-//! traversal above.
+//! memoizes it outright by running the block kernel once over every code
+//! vector, so a table entry is bitwise what that kernel computes because
+//! that kernel computed it. Inference then reduces to quantizing each row
+//! and one table fetch, skipping tree traversal entirely. Forests with
+//! larger code spaces use the blockwise traversal above.
 //!
-//! The exact-f64 path stays as the verify/fallback twin: forests whose
-//! thresholds cannot be quantized (more than [`MAX_EDGES`] distinct values
-//! on one feature, possible under `SplitFinder::Exact`) simply keep using
-//! it via [`CompileError`].
+//! This is the only batch inference path: `RandomForest::fit` and
+//! `RandomForest::verify` both end by compiling, so a forest that cannot
+//! be quantized ([`CompileError`]) is a typed error where it is made or
+//! loaded. The exact f64 walk survives only as the oracle the equivalence
+//! tests compare against.
 
 use crate::forest::{RandomForest, BLOCK};
 use crate::matrix::Matrix;
 use crate::tree::{argmax, LEAF};
-use crate::verify::{ForestIssue, StructureIssue};
 use rayon::prelude::*;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Maximum distinct split thresholds per feature: codes 0..=255 must fit
@@ -65,9 +63,9 @@ pub const MAX_LUT_CELLS: usize = 4096;
 /// slots (`cells × n_classes`), i.e. 256 KiB.
 const MAX_LUT_VALUES: usize = 32_768;
 
-/// Derived (never serialized) memo of the full quantized code space:
-/// `proba[cell * k ..][..k]` is bitwise what the traversal kernel computes
-/// for any row quantizing to `cell`, and `class[cell]` its argmax. Cell
+/// Memo of the full quantized code space: `proba[cell * k ..][..k]` is
+/// what the traversal kernel computed for the code vector of `cell` (and
+/// so for any row quantizing to it), and `class[cell]` its argmax. Cell
 /// indices are mixed-radix over per-feature codes, last feature fastest.
 #[derive(Debug, Clone, PartialEq)]
 struct CodeLut {
@@ -75,10 +73,9 @@ struct CodeLut {
     class: Vec<u32>,
 }
 
-/// Why a [`RandomForest`] could not be compiled. None of these are
-/// errors of the forest itself — callers keep predicting on the exact
-/// path.
-#[derive(Debug, Clone, PartialEq)]
+/// Why a [`RandomForest`] could not be compiled — and therefore cannot
+/// serve batch predictions.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
     /// The forest has no fitted trees (or zero features/classes).
     Unfit,
@@ -137,18 +134,17 @@ pub struct CompiledForest {
     tree_roots: Vec<u32>,
     /// Traversal trip count per tree (deepest leaf's level).
     tree_depths: Vec<u32>,
-    /// Code-space memo when the space is small; rebuilt (never shipped)
-    /// after compile and deserialization, `None` past the cell budget.
+    /// Code-space memo when the space is small, `None` past the cell
+    /// budget.
     lut: Option<CodeLut>,
 }
 
 impl CompiledForest {
-    /// Quantize and re-lay `forest`. Fails (recoverably — keep the exact
-    /// path) when a feature's distinct-threshold count exceeds the u8
-    /// budget, a threshold is non-finite, or the forest is unfit. Assumes
-    /// a structurally valid forest, like every predict kernel; run
-    /// `RandomForest::verify` first on anything that crossed a trust
-    /// boundary.
+    /// Quantize and re-lay `forest`. Fails when a feature's
+    /// distinct-threshold count exceeds the u8 budget, a threshold is
+    /// non-finite, or the forest is unfit. Assumes a structurally valid
+    /// forest, like every predict kernel (`RandomForest::verify` checks
+    /// that before it compiles).
     pub fn compile(forest: &RandomForest) -> Result<Self, CompileError> {
         let n_classes = forest.n_classes();
         let n_features = forest.n_features();
@@ -264,68 +260,40 @@ impl CompiledForest {
         Ok(out)
     }
 
-    /// Memoize the full quantized code space when it fits the cell budget.
-    /// Every indexing step is checked and every walk is bounded, so this
-    /// is safe to run on deserialized (possibly corrupt) layouts before
-    /// [`CompiledForest::verify`]: corruption yields `None` (falling back
-    /// to the traversal kernel, whose own bounds checks still hold), never
-    /// a panic or a hang.
+    /// Memoize the full quantized code space when it fits the cell budget:
+    /// enumerate the code vectors a block at a time and let the traversal
+    /// kernel itself fill the table.
     fn build_lut(&self) -> Option<CodeLut> {
         let k = self.n_classes;
-        if k == 0 || self.tree_roots.is_empty() {
-            return None;
-        }
+        debug_assert!(
+            self.edges.iter().all(|e| e.len() <= MAX_EDGES),
+            "every code digit fits u8; classes fit u32 under MAX_LUT_VALUES"
+        );
         let mut cells = 1usize;
         for e in &self.edges {
-            cells = cells.checked_mul(e.len() + 1)?;
+            cells *= e.len() + 1; // ≤ MAX_LUT_CELLS × 256: cannot overflow
             if cells > MAX_LUT_CELLS {
                 return None;
             }
         }
-        if cells.checked_mul(k)? > MAX_LUT_VALUES {
+        if cells * k > MAX_LUT_VALUES {
             return None;
         }
-        let kt = self.tree_roots.len() as f64;
-        let mut code = vec![0u8; self.edges.len()];
+        let mut codes = vec![0u8; self.n_features * BLOCK];
+        let mut nodes = vec![0u32; BLOCK];
         let mut proba = vec![0.0f64; cells * k];
-        let mut class = vec![0u32; cells];
-        for cell in 0..cells {
-            let out = &mut proba[cell * k..(cell + 1) * k];
-            for &root in &self.tree_roots {
-                let mut node = root as usize;
-                loop {
-                    let l = *self.children.get(2 * node)? as usize;
-                    if l == node {
-                        break; // leaf
-                    }
-                    let f = *self.feat.get(node)? as usize;
-                    let go = usize::from(*code.get(f)? > *self.tcode.get(node)?);
-                    let next = *self.children.get(2 * node + go)? as usize;
-                    if next <= node {
-                        return None; // breadth-first order violated: corrupt
-                    }
-                    node = next; // strictly increasing ⇒ terminates ≤ n steps
-                }
-                let off = *self.leaf_off.get(node)? as usize;
-                let payload = self.leaf_values.get(off..off + k)?;
-                // Same accumulation order and final division as the
-                // traversal kernel: the memo is bitwise, not just close.
-                for (a, p) in out.iter_mut().zip(payload) {
-                    *a += p;
+        for (blk, out) in proba.chunks_mut(BLOCK * k).enumerate() {
+            for j in 0..out.len() / k {
+                // Mixed-radix digits of the cell index, last feature fastest.
+                let mut cell = blk * BLOCK + j;
+                for (f, e) in self.edges.iter().enumerate().rev() {
+                    codes[f * BLOCK + j] = (cell % (e.len() + 1)) as u8;
+                    cell /= e.len() + 1;
                 }
             }
-            for a in out.iter_mut() {
-                *a /= kt;
-            }
-            class[cell] = u32::try_from(argmax(out)).ok()?;
-            for f in (0..self.edges.len()).rev() {
-                code[f] += 1;
-                if (code[f] as usize) <= self.edges[f].len() {
-                    break;
-                }
-                code[f] = 0;
-            }
+            self.accumulate_block(&codes, &mut nodes, out);
         }
+        let class = proba.chunks(k).map(|p| argmax(p) as u32).collect();
         Some(CodeLut { proba, class })
     }
 
@@ -427,9 +395,7 @@ impl CompiledForest {
     }
 
     /// Average class probabilities for rows `base..base + out.len()/k`
-    /// into `out`, bitwise identical to the exact kernel: bin the block
-    /// once, park every row of every tree on its leaf, accumulate leaf
-    /// payloads in tree order, divide by the tree count last.
+    /// into `out`: bin the block once, then accumulate from the codes.
     fn predict_proba_block(
         &self,
         x: &Matrix,
@@ -438,9 +404,17 @@ impl CompiledForest {
         nodes_buf: &mut [u32],
         out: &mut [f64],
     ) {
+        self.bin_block(x, base, out.len() / self.n_classes, codes);
+        self.accumulate_block(codes, nodes_buf, out);
+    }
+
+    /// Average class probabilities for the `out.len()/k` binned rows of
+    /// `codes` into `out`, bitwise identical to the exact walk: park every
+    /// row of every tree on its leaf, accumulate leaf payloads in tree
+    /// order, divide by the tree count last.
+    fn accumulate_block(&self, codes: &[u8], nodes_buf: &mut [u32], out: &mut [f64]) {
         let k = self.n_classes;
         let rows = out.len() / k;
-        self.bin_block(x, base, rows, codes);
         out.fill(0.0);
         for (t, &root) in self.tree_roots.iter().enumerate() {
             let nodes = &mut nodes_buf[..rows];
@@ -537,252 +511,6 @@ impl CompiledForest {
             .collect();
         nested.into_iter().flatten().collect()
     }
-
-    /// Prove every structural invariant of the compiled layout; see the
-    /// field docs on [`CompiledForest`]. Like the forest verifier this
-    /// must run on any artifact that crossed a trust boundary before
-    /// traversal indexes into the arrays. Checks, per the issue spec:
-    /// bin-edge monotonicity (and finiteness), breadth-first
-    /// parent-before-child child ordering, code thresholds in range for
-    /// their feature's edge list — plus self-loop leaf encoding, zeroed
-    /// unused sentinel slots, contiguous leaf arena, per-leaf probability
-    /// simplex, exactly-once child references, and stored-vs-computed
-    /// traversal depths.
-    pub fn verify(&self) -> Result<(), ForestIssue> {
-        let ensemble = |issue| ForestIssue { tree: None, issue };
-        let n = self.feat.len();
-        if self.n_classes == 0 || self.n_features == 0 {
-            return Err(ensemble(StructureIssue::Shape(
-                "zero classes or features".into(),
-            )));
-        }
-        if self.edges.len() != self.n_features {
-            return Err(ensemble(StructureIssue::Shape(format!(
-                "{} edge lists for {} features",
-                self.edges.len(),
-                self.n_features
-            ))));
-        }
-        for (f, e) in self.edges.iter().enumerate() {
-            if e.len() > MAX_EDGES {
-                return Err(ensemble(StructureIssue::BinBudget { n_bins: e.len() }));
-            }
-            for (i, w) in e.iter().enumerate() {
-                let increasing = w.is_finite() && (i == 0 || e[i - 1] < *w);
-                if !increasing {
-                    return Err(ensemble(StructureIssue::BinEdgesNotIncreasing {
-                        feature: f,
-                        index: i,
-                    }));
-                }
-            }
-        }
-        if self.tcode.len() != n || self.children.len() != 2 * n || self.leaf_off.len() != n {
-            return Err(ensemble(StructureIssue::Shape(format!(
-                "{n} nodes vs {} tcodes, {} child slots, {} leaf offsets",
-                self.tcode.len(),
-                self.children.len(),
-                self.leaf_off.len()
-            ))));
-        }
-        if n == 0 || self.tree_roots.is_empty() {
-            return Err(ensemble(StructureIssue::Empty));
-        }
-        if self.tree_depths.len() != self.tree_roots.len() {
-            return Err(ensemble(StructureIssue::Shape(format!(
-                "{} roots vs {} depths",
-                self.tree_roots.len(),
-                self.tree_depths.len()
-            ))));
-        }
-        if self.tree_roots[0] != 0 {
-            return Err(ensemble(StructureIssue::Shape(format!(
-                "first root is {}, expected 0",
-                self.tree_roots[0]
-            ))));
-        }
-
-        let k = self.n_classes;
-        let mut arena = 0usize;
-        let mut refs: Vec<u8> = Vec::new();
-        let mut level: Vec<u32> = Vec::new();
-        for (t, &root) in self.tree_roots.iter().enumerate() {
-            let located = |issue| ForestIssue {
-                tree: Some(t),
-                issue,
-            };
-            let root = root as usize;
-            let end = self.tree_roots.get(t + 1).map(|&r| r as usize).unwrap_or(n);
-            if root >= end || end > n {
-                return Err(ensemble(StructureIssue::Shape(format!(
-                    "tree {t} spans [{root}, {end}), out of order for {n} nodes"
-                ))));
-            }
-            let span = end - root;
-            refs.clear();
-            refs.resize(span, 0);
-            level.clear();
-            level.resize(span, 0);
-            let mut depth = 0u32;
-            for i in root..end {
-                let is_leaf = self.children[2 * i] as usize == i;
-                if is_leaf {
-                    if self.children[2 * i + 1] as usize != i
-                        || self.feat[i] != 0
-                        || self.tcode[i] != 0
-                    {
-                        return Err(located(StructureIssue::BadLeafSentinel { node: i }));
-                    }
-                    if self.leaf_off[i] as usize != arena {
-                        return Err(located(StructureIssue::ArenaMismatch {
-                            node: i,
-                            offset: self.leaf_off[i] as usize,
-                            expected: arena,
-                        }));
-                    }
-                    if arena + k > self.leaf_values.len() {
-                        return Err(located(StructureIssue::ArenaLength {
-                            expected: arena + k,
-                            actual: self.leaf_values.len(),
-                        }));
-                    }
-                    let payload = &self.leaf_values[arena..arena + k];
-                    for &p in payload {
-                        if !(0.0..=1.0).contains(&p) {
-                            return Err(located(StructureIssue::LeafValueOutOfRange {
-                                node: i,
-                                value: p,
-                            }));
-                        }
-                    }
-                    let sum: f64 = payload.iter().sum();
-                    if (sum - 1.0).abs() > 1e-6 {
-                        return Err(located(StructureIssue::NotSimplex { node: i, sum }));
-                    }
-                    arena += k;
-                    depth = depth.max(level[i - root]);
-                } else {
-                    let f = self.feat[i] as usize;
-                    if f >= self.n_features {
-                        return Err(located(StructureIssue::FeatureOutOfRange {
-                            node: i,
-                            feature: f,
-                            n_features: self.n_features,
-                        }));
-                    }
-                    if self.tcode[i] as usize >= self.edges[f].len() {
-                        return Err(located(StructureIssue::CodeThresholdOutOfRange {
-                            node: i,
-                            code: self.tcode[i] as usize,
-                            n_edges: self.edges[f].len(),
-                        }));
-                    }
-                    if self.leaf_off[i] != 0 {
-                        return Err(located(StructureIssue::BadLeafSentinel { node: i }));
-                    }
-                    for slot in 0..2 {
-                        let c = self.children[2 * i + slot] as usize;
-                        if c >= end {
-                            return Err(located(StructureIssue::ChildOutOfBounds {
-                                node: i,
-                                child: c,
-                                n_nodes: end,
-                            }));
-                        }
-                        if c <= i {
-                            return Err(located(StructureIssue::OrderViolation {
-                                node: i,
-                                child: c,
-                            }));
-                        }
-                        refs[c - root] += 1;
-                        level[c - root] = level[i - root] + 1;
-                    }
-                }
-            }
-            for (off, &count) in refs.iter().enumerate() {
-                let node = root + off;
-                if node == root {
-                    if count != 0 {
-                        return Err(located(StructureIssue::MultiParent { node }));
-                    }
-                } else if count == 0 {
-                    return Err(located(StructureIssue::UnreachableNode { node }));
-                } else if count > 1 {
-                    return Err(located(StructureIssue::MultiParent { node }));
-                }
-            }
-            if self.tree_depths[t] != depth {
-                return Err(located(StructureIssue::DepthMismatch {
-                    stored: self.tree_depths[t] as usize,
-                    actual: depth as usize,
-                }));
-            }
-        }
-        if arena != self.leaf_values.len() {
-            return Err(ensemble(StructureIssue::ArenaLength {
-                expected: arena,
-                actual: self.leaf_values.len(),
-            }));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization: versioned, hand-rolled (v1 — the only compiled layout so
-// far; unknown versions are rejected so a future layout change cannot be
-// silently mis-read).
-// ---------------------------------------------------------------------------
-
-impl Serialize for CompiledForest {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), Value::UInt(1)),
-            ("n_classes".to_string(), self.n_classes.to_value()),
-            ("n_features".to_string(), self.n_features.to_value()),
-            ("edges".to_string(), self.edges.to_value()),
-            ("feat".to_string(), self.feat.to_value()),
-            ("tcode".to_string(), self.tcode.to_value()),
-            ("children".to_string(), self.children.to_value()),
-            ("leaf_off".to_string(), self.leaf_off.to_value()),
-            ("leaf_values".to_string(), self.leaf_values.to_value()),
-            ("tree_roots".to_string(), self.tree_roots.to_value()),
-            ("tree_depths".to_string(), self.tree_depths.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CompiledForest {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("CompiledForest object", v))?;
-        let version: u64 = serde::__get_field(pairs, "version")?;
-        if version != 1 {
-            return Err(DeError(format!(
-                "unsupported compiled-forest version {version} (expected 1)"
-            )));
-        }
-        let mut c = CompiledForest {
-            n_classes: serde::__get_field(pairs, "n_classes")?,
-            n_features: serde::__get_field(pairs, "n_features")?,
-            edges: serde::__get_field(pairs, "edges")?,
-            feat: serde::__get_field(pairs, "feat")?,
-            tcode: serde::__get_field(pairs, "tcode")?,
-            children: serde::__get_field(pairs, "children")?,
-            leaf_off: serde::__get_field(pairs, "leaf_off")?,
-            leaf_values: serde::__get_field(pairs, "leaf_values")?,
-            tree_roots: serde::__get_field(pairs, "tree_roots")?,
-            tree_depths: serde::__get_field(pairs, "tree_depths")?,
-            lut: None,
-        };
-        // Derived, never shipped: rebuild (bounded and checked, so corrupt
-        // artifacts degrade to `None` instead of panicking — `verify` then
-        // names the actual defect).
-        c.lut = c.build_lut();
-        Ok(c)
-    }
 }
 
 #[cfg(test)]
@@ -790,7 +518,7 @@ mod tests {
     use super::*;
     use crate::classifier::Classifier;
     use crate::forest::{ForestParams, RandomForest};
-    use crate::SplitFinder;
+    use crate::verify::{ForestIssue, StructureIssue};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -828,7 +556,6 @@ mod tests {
             for max_depth in [Some(3), Some(8), Some(9), None] {
                 let (f, _) = fitted(seed, 12, max_depth);
                 let c = CompiledForest::compile(&f).unwrap();
-                assert_eq!(c.verify(), Ok(()));
                 let (q, _) = noisy_data(130, seed + 900);
                 let mut exact = Matrix::zeros(q.rows(), 3);
                 let mut fast = Matrix::zeros(q.rows(), 3);
@@ -935,142 +662,89 @@ mod tests {
         c.predict_proba_batch_into(&q, &mut fast);
         assert_eq!(exact, fast);
         assert_eq!(f.predict_batch_exact(&q), c.predict_batch(&q));
-
-        // The memo survives a serde roundtrip (rebuilt, not shipped).
-        let back: CompiledForest =
-            serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
-        assert_eq!(back.lut_cells(), Some(cells));
-        assert_eq!(c.predict_batch(&q), back.predict_batch(&q));
     }
 
-    /// A forest with more distinct thresholds than u8 codes on one
-    /// feature refuses to compile — the caller keeps the exact path.
+    /// A one-tree, one-feature, two-class forest: a right-leaning chain
+    /// splitting on each threshold in turn. Written as JSON and parsed
+    /// without `verify`, so it can carry what the trainer never emits —
+    /// more than [`MAX_EDGES`] thresholds, or `1e999` (parses to ∞).
+    fn chain_forest(thresholds: &[String]) -> RandomForest {
+        let m = thresholds.len();
+        let (mut feature, mut threshold, mut children) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, t) in thresholds.iter().enumerate() {
+            // Split at node 2i, its left leaf at 2i + 1 (payload i).
+            feature.extend(["0".to_string(), LEAF.to_string()]);
+            threshold.extend([t.clone(), "0.0".to_string()]);
+            children.push(format!("{},{},{},0", 2 * i + 1, 2 * i + 2, 2 * i));
+        }
+        feature.push(LEAF.to_string());
+        threshold.push("0.0".to_string());
+        children.push(format!("{},0", 2 * m));
+        let json = format!(
+            r#"{{"params":{{"n_estimators":1,"max_depth":null,"min_samples_split":2,
+                "min_samples_leaf":1,"max_features":"All","bootstrap":false,"seed":0}},
+                "trees":[{{"version":2,"feature":[{}],"threshold":[{}],"children":[{}],
+                "leaf_values":[{}],"n_classes":2,"raw_importance":[1.0]}}],
+                "n_classes":2,"n_features":1,"oob_score":null}}"#,
+            feature.join(","),
+            threshold.join(","),
+            children.join(","),
+            vec!["1.0,0.0"; m + 1].join(","),
+        );
+        serde_json::from_str(&json).unwrap()
+    }
+
+    /// More distinct thresholds on one feature than u8 codes can name:
+    /// a typed error from `compile`, and from `verify` before any
+    /// prediction is served.
     #[test]
     fn too_many_thresholds_is_a_typed_error() {
-        let n = 600;
-        let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64]).collect();
-        let y: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let mut f = RandomForest::new(ForestParams {
-            n_estimators: 2,
-            bootstrap: false,
-            split_finder: SplitFinder::Exact,
-            max_features: crate::MaxFeatures::All,
-            ..Default::default()
-        });
-        f.fit(&Matrix::from_rows(rows), &y, 2).unwrap();
-        match CompiledForest::compile(&f) {
-            Err(CompileError::TooManyThresholds {
-                feature: 0,
-                distinct,
-            }) => {
-                assert!(distinct > MAX_EDGES, "{distinct}");
-            }
-            other => panic!("expected TooManyThresholds, got {other:?}"),
-        }
-        // The forest itself still predicts (exact fallback).
-        assert_eq!(f.inference_path(), "exact");
+        let thresholds = |n: usize| (0..n).map(|i| format!("{i}.5")).collect::<Vec<_>>();
+        let fits = chain_forest(&thresholds(MAX_EDGES));
+        assert_eq!(fits.verify(), Ok(()));
+        assert_eq!(
+            fits.predict_batch(&Matrix::from_rows([[3.0], [900.0]]))
+                .len(),
+            2
+        );
+
+        let f = chain_forest(&thresholds(MAX_EDGES + 1));
+        let budget = CompileError::TooManyThresholds {
+            feature: 0,
+            distinct: MAX_EDGES + 1,
+        };
+        assert_eq!(CompiledForest::compile(&f), Err(budget));
+        assert_eq!(
+            f.verify(),
+            Err(ForestIssue {
+                tree: None,
+                issue: StructureIssue::ThresholdBudget {
+                    feature: 0,
+                    distinct: MAX_EDGES + 1
+                }
+            })
+        );
+    }
+
+    #[test]
+    fn non_finite_threshold_is_a_typed_error() {
+        let f = chain_forest(&["0.5".to_string(), "1e999".to_string()]);
+        let at = CompileError::NonFiniteThreshold { tree: 0, node: 2 };
+        assert_eq!(CompiledForest::compile(&f), Err(at));
+        assert_eq!(
+            f.verify(),
+            Err(ForestIssue {
+                tree: Some(0),
+                issue: StructureIssue::NonFiniteThreshold { node: 2 }
+            })
+        );
+        // Never verified, not quantizable: answers like an unfit forest.
+        assert_eq!(f.predict_batch(&Matrix::from_rows([[9.0]])), vec![0]);
     }
 
     #[test]
     fn unfit_forest_does_not_compile() {
         let f = RandomForest::new(ForestParams::default());
         assert_eq!(CompiledForest::compile(&f), Err(CompileError::Unfit));
-    }
-
-    #[test]
-    fn serde_roundtrip_is_identity_and_versions_are_checked() {
-        let (f, x) = fitted(3, 8, None);
-        let c = CompiledForest::compile(&f).unwrap();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: CompiledForest = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
-        assert_eq!(back.verify(), Ok(()));
-        assert_eq!(c.predict_batch(&x), back.predict_batch(&x));
-
-        let bumped = json.replacen("\"version\":1", "\"version\":9", 1);
-        assert_ne!(bumped, json);
-        assert!(serde_json::from_str::<CompiledForest>(&bumped).is_err());
-    }
-
-    /// Each verify invariant trips on a targeted corruption — never a
-    /// panic, always the exact issue variant.
-    #[test]
-    fn verify_catches_targeted_corruptions() {
-        let (f, _) = fitted(5, 6, None);
-        let base = CompiledForest::compile(&f).unwrap();
-        assert_eq!(base.verify(), Ok(()));
-
-        let mut c = base.clone();
-        // Find the first split and point its left child before itself.
-        let split = (0..c.feat.len())
-            .find(|&i| c.children[2 * i] as usize != i)
-            .unwrap();
-        c.children[2 * split] = split as u32;
-        // Now node `split` reads as a malformed leaf (nonzero feat/tcode
-        // or mismatched right slot) or an order violation; either way a
-        // typed issue, not a panic.
-        assert!(c.verify().is_err());
-
-        let mut c = base.clone();
-        // A split past the root whose child points at or before itself
-        // (but not at itself) is a breadth-first order violation.
-        let late_split = (1..c.feat.len())
-            .find(|&i| c.children[2 * i] as usize != i)
-            .unwrap();
-        c.children[2 * late_split] = 0;
-        assert!(matches!(
-            c.verify(),
-            Err(ForestIssue {
-                issue: StructureIssue::OrderViolation { .. },
-                ..
-            })
-        ));
-
-        let mut c = base.clone();
-        let fsplit = c.feat[split] as usize;
-        c.tcode[split] = c.edges[fsplit].len() as u8;
-        assert!(matches!(
-            c.verify(),
-            Err(ForestIssue {
-                issue: StructureIssue::CodeThresholdOutOfRange { .. },
-                ..
-            })
-        ));
-
-        let mut c = base.clone();
-        if c.edges[fsplit].len() >= 2 {
-            c.edges[fsplit].swap(0, 1);
-        } else {
-            c.edges[fsplit][0] = f64::NAN;
-        }
-        assert!(matches!(
-            c.verify(),
-            Err(ForestIssue {
-                issue: StructureIssue::BinEdgesNotIncreasing { .. },
-                ..
-            })
-        ));
-
-        let mut c = base.clone();
-        c.tree_depths[0] = c.tree_depths[0].wrapping_add(3);
-        assert!(matches!(
-            c.verify(),
-            Err(ForestIssue {
-                issue: StructureIssue::DepthMismatch { .. },
-                ..
-            })
-        ));
-
-        let mut c = base.clone();
-        c.leaf_values.pop();
-        assert!(matches!(
-            c.verify(),
-            Err(ForestIssue {
-                issue: StructureIssue::ArenaLength { .. }
-                    | StructureIssue::LeafValueOutOfRange { .. }
-                    | StructureIssue::NotSimplex { .. },
-                ..
-            })
-        ));
     }
 }

@@ -1,6 +1,7 @@
 //! Error type for the ML layer: everything a caller-supplied dataset or
 //! hyperparameter set can get wrong, surfaced as values instead of panics.
 
+use crate::compiled::CompileError;
 use std::fmt;
 
 /// Why a fit / split / search request was rejected.
@@ -20,6 +21,8 @@ pub enum MlError {
     NoCandidates,
     /// Prediction requested from a model that was never fitted.
     NotFitted,
+    /// The fitted forest cannot be compiled for inference.
+    Compile(CompileError),
 }
 
 impl fmt::Display for MlError {
@@ -41,6 +44,7 @@ impl fmt::Display for MlError {
             MlError::InvalidParam { param, why } => write!(f, "invalid `{param}`: {why}"),
             MlError::NoCandidates => write!(f, "grid search needs at least one candidate"),
             MlError::NotFitted => write!(f, "model has not been fitted"),
+            MlError::Compile(e) => write!(f, "fitted forest cannot serve predictions: {e}"),
         }
     }
 }

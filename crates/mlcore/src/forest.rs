@@ -4,10 +4,10 @@
 //! Training bins the feature matrix once ([`BinnedMatrix`]) and fits every
 //! tree over index slices into it — bootstrap sampling never copies row
 //! data, and each rayon worker reuses one [`TreeScratch`] across all the
-//! trees it grows. The original sort-based trainer stays available behind
-//! [`SplitFinder::Exact`] as the reference implementation.
+//! trees it grows. `fit` ends by compiling the ensemble into its
+//! [`CompiledForest`] twin — the only batch inference path.
 
-use crate::binned::{BinnedMatrix, SplitFinder};
+use crate::binned::{BinnedMatrix, MAX_BINS};
 use crate::classifier::Classifier;
 use crate::compiled::{CompileError, CompiledForest};
 use crate::error::{validate_fit, MlError};
@@ -25,10 +25,6 @@ use std::sync::OnceLock;
 static TRAIN_TREES: Counter = Counter::new("train.trees");
 /// Node count per fitted tree.
 static TRAIN_TREE_NODES: Histogram = Histogram::new("train.tree.nodes", &pml_obs::SIZE_BOUNDS);
-/// Batched inference calls served by the compiled quantized kernel.
-static INFER_COMPILED: Counter = Counter::new("infer.path.compiled");
-/// Batched inference calls that fell back to the exact f64 kernel.
-static INFER_EXACT: Counter = Counter::new("infer.path.exact");
 
 /// Rows per parallel work unit in the batched inference kernels, and trees
 /// per work unit in the OOB pass. Fixed (not derived from thread count) so
@@ -49,9 +45,6 @@ pub struct ForestParams {
     /// Bootstrap-sample each tree's training set.
     pub bootstrap: bool,
     pub seed: u64,
-    /// Split-finding kernel. Artifacts serialized before this field existed
-    /// deserialize to the default (histogram).
-    pub split_finder: SplitFinder,
 }
 
 impl Default for ForestParams {
@@ -64,17 +57,17 @@ impl Default for ForestParams {
             max_features: MaxFeatures::Sqrt,
             bootstrap: true,
             seed: 0,
-            split_finder: SplitFinder::default(),
         }
     }
 }
 
 /// Bagged ensemble of Gini CART trees with per-split feature subsampling.
 ///
-/// Carries a lazily-built [`CompiledForest`] twin (quantized branchless
-/// batch kernel); the cache is invisible to equality and serialization —
-/// both are hand-written below to stay byte-identical to the pre-cache
-/// derived forms — and is rebuilt on demand after `fit` or deserialization.
+/// Carries its [`CompiledForest`] twin (quantized branchless batch
+/// kernel), built by `fit` and `verify` and otherwise on first use; the
+/// cache is invisible to equality and serialization — both are
+/// hand-written below to stay byte-identical to the pre-cache derived
+/// forms.
 #[derive(Debug)]
 pub struct RandomForest {
     params: ForestParams,
@@ -82,9 +75,8 @@ pub struct RandomForest {
     n_classes: usize,
     n_features: usize,
     oob_score: Option<f64>,
-    /// `None` inside means compilation was attempted and declined (exact
-    /// fallback); an unset lock means not attempted yet.
-    compiled: OnceLock<Option<CompiledForest>>,
+    /// Unset until the first compile attempt, whose outcome it keeps.
+    compiled: OnceLock<Result<CompiledForest, CompileError>>,
 }
 
 impl Clone for RandomForest {
@@ -181,50 +173,38 @@ impl RandomForest {
         &self.trees
     }
 
-    /// The quantized branchless twin, compiled on first use and cached.
-    /// `None` when the forest cannot be quantized (e.g. more distinct
-    /// thresholds on one feature than u8 codes can name, possible under
-    /// `SplitFinder::Exact`) — batch kernels then keep the exact path.
-    pub fn compiled(&self) -> Option<&CompiledForest> {
+    /// The cached compile attempt: made at most once per fitted ensemble.
+    fn compile_cached(&self) -> Result<&CompiledForest, &CompileError> {
         self.compiled
-            .get_or_init(|| CompiledForest::compile(self).ok())
+            .get_or_init(|| CompiledForest::compile(self))
             .as_ref()
     }
 
-    /// Compile eagerly, surfacing why quantization declined on failure.
-    /// (The batch kernels use the cached [`Self::compiled`] twin.)
-    pub fn compile(&self) -> Result<CompiledForest, CompileError> {
-        CompiledForest::compile(self)
+    /// The quantized branchless twin every batch prediction runs on.
+    /// `None` only for a forest that is unfit, or that skipped both `fit`
+    /// and `verify` and cannot be quantized.
+    pub fn compiled(&self) -> Option<&CompiledForest> {
+        self.compile_cached().ok()
     }
 
-    /// Which kernel the batched predict paths will use: `"compiled"`
-    /// (quantized branchless traversal) or `"exact"` (f64 SoA descent).
-    pub fn inference_path(&self) -> &'static str {
-        if self.compiled().is_some() {
-            "compiled"
-        } else {
-            "exact"
-        }
+    /// Compile afresh, bypassing the cache.
+    pub fn compile(&self) -> Result<CompiledForest, CompileError> {
+        CompiledForest::compile(self)
     }
 
     /// Prove every structural invariant of the ensemble: each tree's SoA
     /// store is well-formed (child indices in-bounds, parent-before-child
     /// order, contiguous leaf arena, per-leaf probability simplex — see
     /// `DecisionTree::verify`), every tree agrees with the ensemble on the
-    /// class and feature counts, and the histogram bin budget fits the u8
-    /// code layout. Deserialization checks parse shape only; run this on
-    /// any forest that crossed a trust boundary before predicting with it.
+    /// class and feature counts, and the ensemble compiles (finite
+    /// thresholds within the u8 code budget) — the compiled twin stays
+    /// cached for prediction. Deserialization checks parse shape only; run
+    /// this on any forest that crossed a trust boundary before predicting
+    /// with it.
     pub fn verify(&self) -> Result<(), ForestIssue> {
         let ensemble = |issue| ForestIssue { tree: None, issue };
         if self.trees.is_empty() {
             return Err(ensemble(StructureIssue::Empty));
-        }
-        if let SplitFinder::Hist { max_bins } = self.params.split_finder {
-            if !(2..=256).contains(&max_bins) {
-                return Err(ensemble(StructureIssue::BinBudget {
-                    n_bins: max_bins as usize,
-                }));
-            }
         }
         for (i, t) in self.trees.iter().enumerate() {
             let located = |issue| ForestIssue {
@@ -245,7 +225,20 @@ impl RandomForest {
             }
             t.verify().map_err(located)?;
         }
-        Ok(())
+        match self.compile_cached() {
+            Ok(_) => Ok(()),
+            Err(CompileError::Unfit) => Err(ensemble(StructureIssue::Empty)),
+            Err(&CompileError::TooManyThresholds { feature, distinct }) => {
+                Err(ensemble(StructureIssue::ThresholdBudget {
+                    feature,
+                    distinct,
+                }))
+            }
+            Err(&CompileError::NonFiniteThreshold { tree, node }) => Err(ForestIssue {
+                tree: Some(tree),
+                issue: StructureIssue::NonFiniteThreshold { node },
+            }),
+        }
     }
 
     /// Parse a serialized forest and structurally verify it — the
@@ -301,23 +294,19 @@ impl RandomForest {
     /// caller-provided matrix of shape `x.rows() × n_classes`. This is the
     /// inference hot path: tuning-table generation and the ML selector
     /// push entire job grids through here instead of calling
-    /// [`Classifier::predict_proba_row`] per cell. Routed through the
-    /// compiled quantized kernel when available (bitwise-identical
-    /// output), else the exact f64 twin.
+    /// [`Classifier::predict_proba_row`] per cell. A forest without a
+    /// compiled twin (see [`Self::compiled`]) answers the uniform
+    /// distribution, like an unfit one.
     pub fn predict_proba_batch_into(&self, x: &Matrix, out: &mut Matrix) {
-        if let Some(c) = self.compiled() {
-            INFER_COMPILED.add(1);
-            c.predict_proba_batch_into(x, out);
-        } else {
-            INFER_EXACT.add(1);
-            self.predict_proba_batch_into_exact(x, out);
+        match self.compiled() {
+            Some(c) => c.predict_proba_batch_into(x, out),
+            None => out.as_mut_slice().fill(1.0 / self.n_classes.max(1) as f64),
         }
     }
 
-    /// Exact-f64 twin of [`Self::predict_proba_batch_into`] — the
-    /// reference kernel the compiled path is property-tested against.
-    /// Workers fill disjoint row blocks of the output buffer directly —
-    /// the inner loop performs no allocation at all.
+    /// The exact f64 walk over the original trees — the oracle the
+    /// compiled kernel is property-tested against, bit for bit. Workers
+    /// fill disjoint row blocks of the output buffer directly.
     pub fn predict_proba_batch_into_exact(&self, x: &Matrix, out: &mut Matrix) {
         let k = self.n_classes.max(1);
         debug_assert_eq!(out.rows(), x.rows());
@@ -343,43 +332,20 @@ impl RandomForest {
         out
     }
 
-    /// Hard predictions for a whole batch of rows, in parallel. Routed
-    /// through the compiled quantized kernel when available
-    /// (bitwise-identical probabilities, so identical argmax), else the
-    /// exact twin.
+    /// Hard predictions for a whole batch of rows, in parallel; class 0
+    /// throughout for a forest without a compiled twin.
     pub fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
-        if let Some(c) = self.compiled() {
-            INFER_COMPILED.add(1);
-            c.predict_batch(x)
-        } else {
-            INFER_EXACT.add(1);
-            self.predict_batch_exact(x)
+        match self.compiled() {
+            Some(c) => c.predict_batch(x),
+            None => vec![0; x.rows()],
         }
     }
 
-    /// Exact-f64 twin of [`Self::predict_batch`]. Each worker reuses one
-    /// probability buffer across its rows.
+    /// Argmax over [`Self::predict_proba_batch_into_exact`].
     pub fn predict_batch_exact(&self, x: &Matrix) -> Vec<usize> {
-        debug_assert!(!self.trees.is_empty(), "predict before fit");
-        let k = self.n_classes.max(1);
-        let n = x.rows();
-        let blocks: Vec<usize> = (0..n.div_ceil(BLOCK)).collect();
-        let nested: Vec<Vec<usize>> = blocks
-            .into_par_iter()
-            .map_init(
-                || vec![0.0f64; k],
-                |buf, blk| {
-                    let base = blk * BLOCK;
-                    (base..(base + BLOCK).min(n))
-                        .map(|i| {
-                            self.predict_proba_into(x.row(i), buf);
-                            argmax(buf)
-                        })
-                        .collect()
-                },
-            )
-            .collect();
-        nested.into_iter().flatten().collect()
+        let mut proba = Matrix::zeros(x.rows(), self.n_classes.max(1));
+        self.predict_proba_batch_into_exact(x, &mut proba);
+        (0..x.rows()).map(|i| argmax(proba.row(i))).collect()
     }
 }
 
@@ -417,9 +383,8 @@ impl Classifier for RandomForest {
 
         let bootstrap = self.params.bootstrap;
         debug_assert!(n < u32::MAX as usize, "row ids must fit u32");
-        // Both kernels draw the bootstrap sample identically (`usize` range
-        // keeps the RNG stream aligned with the exact path, and with models
-        // trained before the histogram kernel existed).
+        // A `usize` range keeps the RNG stream aligned with models trained
+        // before row ids were `u32`.
         let draw_sample = |rng: &mut StdRng| -> Vec<u32> {
             if bootstrap {
                 (0..n).map(|_| rng.gen_range(0..n) as u32).collect()
@@ -429,47 +394,29 @@ impl Classifier for RandomForest {
         };
 
         let _span = span!("fit.forest", trees = self.params.n_estimators, rows = n);
-        let fitted: Vec<(DecisionTree, Vec<u32>)> = match self.params.split_finder {
-            SplitFinder::Hist { max_bins } => {
-                // Bin once; every tree trains over index slices into the
-                // shared binned matrix — no per-tree row materialization.
-                let binned = {
-                    let _span = span!("fit.bin", rows = n, cols = x.cols());
-                    BinnedMatrix::from_matrix(x, max_bins)
-                };
-                seeds
-                    .par_iter()
-                    .map_init(TreeScratch::default, |scratch, &seed| {
-                        let mut rng = StdRng::seed_from_u64(seed);
-                        let sample = draw_sample(&mut rng);
-                        let tree = DecisionTree::fit_binned(
-                            &binned,
-                            y,
-                            &sample,
-                            n_classes,
-                            &tree_params,
-                            &mut rng,
-                            scratch,
-                        );
-                        (tree, sample)
-                    })
-                    .collect()
-            }
-            SplitFinder::Exact => seeds
-                .par_iter()
-                .map(|&seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let sample = draw_sample(&mut rng);
-                    let idx: Vec<usize> = sample.iter().map(|&i| i as usize).collect();
-                    let xs = x.select_rows(&idx);
-                    let ys: Vec<usize> = idx.iter().map(|&i| y[i]).collect();
-                    (
-                        DecisionTree::fit(&xs, &ys, n_classes, &tree_params, &mut rng),
-                        sample,
-                    )
-                })
-                .collect(),
+        // Bin once; every tree trains over index slices into the shared
+        // binned matrix — no per-tree row materialization.
+        let binned = {
+            let _span = span!("fit.bin", rows = n, cols = x.cols());
+            BinnedMatrix::from_matrix(x, MAX_BINS)
         };
+        let fitted: Vec<(DecisionTree, Vec<u32>)> = seeds
+            .par_iter()
+            .map_init(TreeScratch::default, |scratch, &seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let sample = draw_sample(&mut rng);
+                let tree = DecisionTree::fit_binned(
+                    &binned,
+                    y,
+                    &sample,
+                    n_classes,
+                    &tree_params,
+                    &mut rng,
+                    scratch,
+                );
+                (tree, sample)
+            })
+            .collect();
 
         // OOB score: vote each sample with the trees that never saw it.
         // Fixed-size tree chunks fan out over rayon (one in-bag buffer per
@@ -536,8 +483,11 @@ impl Classifier for RandomForest {
         };
 
         self.trees = fitted.into_iter().map(|(t, _)| t).collect();
-        // The compiled twin (if any) described the previous ensemble.
+        // Replace the previous ensemble's twin. Only a split on a
+        // non-finite bin edge (−∞ in the feature data) fails here.
         self.compiled = OnceLock::new();
+        self.compile_cached()
+            .map_err(|e| MlError::Compile(e.clone()))?;
         Ok(())
     }
 
@@ -691,49 +641,62 @@ mod tests {
         assert_eq!(out, f.predict_proba_batch(&x));
     }
 
-    /// Forest-level pin of the tentpole equivalence: on data where binning
-    /// is lossless (distinct values per column ≤ 256), the histogram and
-    /// exact kernels — fed the same seed — grow forests with identical
-    /// train-set predictions and importances. Bootstrap is off because the
-    /// guarantee covers each tree's own training rows: an out-of-bag row
-    /// can legitimately fall between a sample-midpoint threshold (exact)
-    /// and the full-data bin edge (hist).
+    /// Artifacts written while `ForestParams` still carried a
+    /// `split_finder` option load as if the key were absent: it selected a
+    /// trainer, and nothing about a trained forest depends on it.
     #[test]
-    fn hist_and_exact_forests_agree_when_binning_is_lossless() {
-        let (x, y) = noisy_data(120, 13);
-        let fit = |split_finder: SplitFinder| {
-            let mut f = RandomForest::new(ForestParams {
-                n_estimators: 12,
-                seed: 21,
-                bootstrap: false,
-                split_finder,
-                ..Default::default()
-            });
-            f.fit(&x, &y, 2).unwrap();
-            f
-        };
-        let hist = fit(SplitFinder::default());
-        let exact = fit(SplitFinder::Exact);
-        assert_eq!(hist.predict_batch(&x), exact.predict_batch(&x));
-        for (h, e) in hist
-            .feature_importances()
-            .iter()
-            .zip(exact.feature_importances())
-        {
-            assert!((h - e).abs() < 1e-9, "importances diverge: {h} vs {e}");
+    fn legacy_split_finder_key_is_ignored() {
+        let (x, y) = noisy_data(80, 12);
+        let mut f = RandomForest::new(ForestParams {
+            n_estimators: 6,
+            seed: 3,
+            ..Default::default()
+        });
+        f.fit(&x, &y, 2).unwrap();
+        let json = serde_json::to_string(&f).unwrap();
+        assert!(!json.contains("split_finder"));
+        for legacy in [r#""Exact""#, r#"{"Hist":{"max_bins":64}}"#] {
+            let keyed = json.replacen(
+                r#""params":{"#,
+                &format!(r#""params":{{"split_finder":{legacy},"#),
+                1,
+            );
+            assert_ne!(keyed, json);
+            let loaded = RandomForest::from_json(&keyed).unwrap();
+            assert_eq!(loaded, f);
+            assert_eq!(loaded.predict_proba_batch(&x), f.predict_proba_batch(&x));
+            assert_eq!(serde_json::to_string(&loaded).unwrap(), json);
         }
     }
 
+    /// The bin edge between −∞ and the finite values is −∞ itself, and a
+    /// split there cannot be quantized: `fit` says so instead of leaving a
+    /// forest that cannot serve predictions. (+∞ and NaN rows never get
+    /// that far: `v > edge` is false at their own edge, so they fall into
+    /// a neighbouring bin and no split can land on it.)
     #[test]
-    fn params_without_split_finder_field_deserialize_to_default() {
-        // A ForestParams artifact serialized before the split_finder knob
-        // existed.
-        let json = r#"{"n_estimators":15,"max_depth":null,"min_samples_split":2,
-                       "min_samples_leaf":1,"max_features":"Sqrt","bootstrap":true,
-                       "seed":3}"#;
-        let p: ForestParams = serde_json::from_str(json).unwrap();
-        assert_eq!(p.split_finder, SplitFinder::default());
-        assert_eq!(p.n_estimators, 15);
+    fn fit_on_non_finite_features_is_a_typed_error() {
+        let ninf = f64::NEG_INFINITY;
+        let x = Matrix::from_rows([[ninf], [ninf], [ninf], [1.0], [1.0], [1.0]]);
+        let y = [0, 0, 0, 1, 1, 1];
+        let mut f = RandomForest::new(ForestParams {
+            n_estimators: 1,
+            bootstrap: false,
+            ..Default::default()
+        });
+        assert_eq!(
+            f.fit(&x, &y, 2),
+            Err(MlError::Compile(CompileError::NonFiniteThreshold {
+                tree: 0,
+                node: 0
+            }))
+        );
+        assert!(f.compiled().is_none());
+        assert_eq!(f.predict_batch(&x), vec![0; 6]);
+
+        let inf = f64::INFINITY;
+        let x = Matrix::from_rows([[0.0], [0.0], [1.0], [inf], [inf], [f64::NAN]]);
+        assert_eq!(f.fit(&x, &y, 2), Ok(()));
     }
 
     #[test]

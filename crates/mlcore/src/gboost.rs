@@ -1,7 +1,7 @@
 //! Multinomial Gradient Boosting (Friedman's GBM with softmax loss),
 //! regression trees on the per-class negative gradient.
 
-use crate::binned::BinnedMatrix;
+use crate::binned::{BinnedMatrix, MAX_BINS};
 use crate::classifier::Classifier;
 use crate::error::{validate_fit, MlError};
 use crate::matrix::Matrix;
@@ -130,7 +130,7 @@ impl Classifier for GradientBoosting {
         // Bin the features once; every boosting round's trees train over
         // index slices into the shared binned matrix (no per-round row
         // materialization), reusing one scratch and gradient buffer.
-        let binned = BinnedMatrix::from_matrix(x, 256);
+        let binned = BinnedMatrix::from_matrix(x, MAX_BINS);
         let mut scratch = TreeScratch::default();
         let mut grad = vec![0.0f64; n];
 

@@ -29,7 +29,7 @@ pub mod svm;
 pub mod tree;
 pub mod verify;
 
-pub use binned::{BinnedMatrix, SplitFinder};
+pub use binned::BinnedMatrix;
 pub use classifier::Classifier;
 pub use compiled::{CompileError, CompiledForest, MAX_EDGES, MAX_UNROLLED_DEPTH};
 pub use dataset::Dataset;

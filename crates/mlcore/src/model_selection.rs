@@ -64,7 +64,9 @@ pub enum Scoring {
     MacroAuc,
 }
 
-/// Mean k-fold cross-validation score for a model factory.
+/// Mean k-fold cross-validation score for a model factory, over the folds
+/// that have both a training and a validation side (with fewer members
+/// than folds some are empty and are skipped).
 pub fn cross_val_score<M, F>(
     data: &Dataset,
     k: usize,
@@ -78,6 +80,7 @@ where
 {
     let folds = stratified_folds(&data.y, data.n_classes, k, seed)?;
     let mut total = 0.0;
+    let mut scored = 0usize;
     for f in 0..k {
         let train_idx: Vec<usize> = (0..data.len()).filter(|&i| folds[i] != f).collect();
         let val_idx: Vec<usize> = (0..data.len()).filter(|&i| folds[i] == f).collect();
@@ -92,8 +95,15 @@ where
             Scoring::Accuracy => accuracy(&val.y, &model.predict(&val.x)),
             Scoring::MacroAuc => macro_ovr_auc(&val.y, &model.predict_proba(&val.x)),
         };
+        scored += 1;
     }
-    Ok(total / k as f64)
+    if scored == 0 {
+        return Err(MlError::InvalidParam {
+            param: "k",
+            why: format!("none of the {k} folds has both training and validation rows"),
+        });
+    }
+    Ok(total / scored as f64)
 }
 
 /// Exhaustive grid search: evaluates `make_model(params)` for every
@@ -178,6 +188,27 @@ mod tests {
         })
         .unwrap();
         assert!(score > 0.85, "cv accuracy {score}");
+    }
+
+    #[test]
+    fn cross_val_averages_over_the_folds_it_scored() {
+        // Three samples over five folds: folds 2–4 are empty. Fold 0 holds
+        // a class-0 sample and the only class-1 sample, trains on the other
+        // class-0 sample alone and gets one of two right; fold 1 validates
+        // the remaining class-0 sample, which 1-NN gets right.
+        let x = Matrix::from_rows([[0.0], [0.1], [5.0]]);
+        let d = Dataset::new(x, vec![0, 0, 1], 2, vec!["a".into()]);
+        let knn = || crate::knn::Knn::new(crate::knn::KnnParams { k: 1 });
+        let score = cross_val_score(&d, 5, 0, Scoring::Accuracy, knn);
+        assert_eq!(score, Ok((0.5 + 1.0) / 2.0));
+
+        // One sample: its fold has no training side, the rest no
+        // validation side.
+        let one = Dataset::new(Matrix::from_rows([[0.0]]), vec![0], 1, vec!["a".into()]);
+        assert!(matches!(
+            cross_val_score(&one, 3, 0, Scoring::Accuracy, knn),
+            Err(MlError::InvalidParam { param: "k", .. })
+        ));
     }
 
     #[test]

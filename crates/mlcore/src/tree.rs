@@ -6,13 +6,13 @@
 //! ([`TreeNodes`]) — parallel `feature`/`threshold`/`children` arrays plus
 //! one contiguous leaf-payload arena — so descent touches three small hot
 //! arrays instead of chasing an enum per node, and prediction never
-//! allocates. Growth comes in two kernels: the original exact sort-based
-//! search, and a histogram kernel over a [`BinnedMatrix`] that scores every
-//! candidate split of a feature from one O(n) counting pass. On lossless
-//! binnings the two kernels choose identical splits (see the equivalence
-//! tests at the bottom of this file).
+//! allocates. Growth is histogram split finding over a [`BinnedMatrix`]:
+//! every candidate split of a feature is scored from one O(n) counting
+//! pass. The sort-based search it replaced survives as a test-only oracle
+//! (`tree/oracle.rs`); on lossless binnings both choose identical splits
+//! (see the equivalence tests at the bottom of this file).
 
-use crate::binned::BinnedMatrix;
+use crate::binned::{BinnedMatrix, MAX_BINS};
 use crate::matrix::Matrix;
 use crate::verify::StructureIssue;
 use rand::rngs::StdRng;
@@ -418,35 +418,6 @@ impl Deserialize for DecisionTree {
 }
 
 impl DecisionTree {
-    /// Fit on `x`/`y` with the exact sort-based split search. The RNG
-    /// drives the per-split feature subsampling (only relevant when
-    /// `max_features != All`).
-    ///
-    /// Callers pass one label per row and at least one sample (the public
-    /// path validates through `Dataset::try_new`); on mismatched lengths the
-    /// fit uses the common prefix, and debug builds assert.
-    pub fn fit(
-        x: &Matrix,
-        y: &[usize],
-        n_classes: usize,
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> Self {
-        debug_assert_eq!(x.rows(), y.len(), "one label per row");
-        debug_assert!(n_classes >= 1);
-        debug_assert!(x.rows() >= 1, "cannot fit on an empty dataset");
-        debug_assert!(x.cols() < LEAF as usize, "feature index must fit u16");
-        let n = x.rows().min(y.len());
-        let mut tree = DecisionTree {
-            nodes: TreeNodes::default(),
-            n_classes,
-            raw_importance: vec![0.0; x.cols()],
-        };
-        let idx: Vec<usize> = (0..n).collect();
-        tree.grow(x, y, idx, params, rng, 0, n as f64);
-        tree
-    }
-
     /// Fit over `rows` (indices into the shared binned matrix, duplicates
     /// allowed — a bootstrap sample) with histogram split finding. No row
     /// data is copied; `scratch` buffers are reused across fits.
@@ -471,7 +442,7 @@ impl DecisionTree {
         scratch.rows.clear();
         scratch.rows.extend_from_slice(rows);
         scratch.hist.clear();
-        scratch.hist.resize(256 * n_classes, 0.0);
+        scratch.hist.resize(MAX_BINS as usize * n_classes, 0.0);
         let n = rows.len();
         tree.grow_binned(b, y, params, rng, scratch, 0, n, 0, n as f64);
         tree
@@ -494,95 +465,6 @@ impl DecisionTree {
         self.nodes.threshold.push(0.0);
         self.nodes.children.extend([off, 0]);
         (self.nodes.feature.len() - 1) as u32
-    }
-
-    fn leaf_from(&mut self, y: &[usize], idx: &[usize]) -> u32 {
-        let mut dist = vec![0.0; self.n_classes];
-        for &i in idx {
-            dist[y[i]] += 1.0;
-        }
-        self.push_dist_leaf(&dist)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn grow(
-        &mut self,
-        x: &Matrix,
-        y: &[usize],
-        idx: Vec<usize>,
-        params: &TreeParams,
-        rng: &mut StdRng,
-        depth: usize,
-        n_total: f64,
-    ) -> u32 {
-        let n = idx.len();
-        let mut counts = vec![0.0f64; self.n_classes];
-        for &i in &idx {
-            counts[y[i]] += 1.0;
-        }
-        let impurity = gini(&counts, n as f64);
-        let depth_stop = params.max_depth.is_some_and(|d| depth >= d);
-        if impurity == 0.0 || n < params.min_samples_split || depth_stop {
-            return self.leaf_from(y, &idx);
-        }
-
-        // Feature subset for this split.
-        let d = x.cols();
-        let k = params.max_features.resolve(d);
-        let features: Vec<usize> = if k >= d {
-            (0..d).collect()
-        } else {
-            let mut all: Vec<usize> = (0..d).collect();
-            all.shuffle(rng);
-            let mut subset = all[..k].to_vec();
-            subset.sort_unstable();
-            subset
-        };
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, decrease)
-        let mut sorted: Vec<(f64, usize)> = Vec::with_capacity(n);
-        for &f in &features {
-            sorted.clear();
-            sorted.extend(idx.iter().map(|&i| (x.get(i, f), y[i])));
-            sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut left = vec![0.0f64; self.n_classes];
-            let mut right = counts.clone();
-            for split_at in 1..n {
-                let (v_prev, c_prev) = sorted[split_at - 1];
-                left[c_prev] += 1.0;
-                right[c_prev] -= 1.0;
-                let v_next = sorted[split_at].0;
-                if v_prev == v_next {
-                    continue; // cannot split between equal values
-                }
-                let nl = split_at;
-                let nr = n - split_at;
-                if nl < params.min_samples_leaf || nr < params.min_samples_leaf {
-                    continue;
-                }
-                let w_impurity = (nl as f64 * gini(&left, nl as f64)
-                    + nr as f64 * gini(&right, nr as f64))
-                    / n as f64;
-                let decrease = impurity - w_impurity;
-                if best.map_or(decrease > 1e-12, |(_, _, bd)| decrease > bd + 1e-12) {
-                    best = Some((f, 0.5 * (v_prev + v_next), decrease));
-                }
-            }
-        }
-
-        let Some((feature, threshold, decrease)) = best else {
-            return self.leaf_from(y, &idx);
-        };
-        self.raw_importance[feature] += (n as f64 / n_total) * decrease;
-
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| x.get(i, feature) <= threshold);
-        let me = self.nodes.push_placeholder();
-        let left = self.grow(x, y, left_idx, params, rng, depth + 1, n_total);
-        let right = self.grow(x, y, right_idx, params, rng, depth + 1, n_total);
-        self.nodes.set_split(me, feature, threshold, left, right);
-        me
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -619,8 +501,8 @@ impl DecisionTree {
             return self.push_dist_leaf(&scratch.counts);
         }
 
-        // Feature subset: same RNG consumption as the exact grower, so both
-        // kernels draw identical subsets at every node.
+        // Feature subset: same RNG consumption as the sort-based oracle, so
+        // both draw identical subsets at every node.
         let d = b.cols();
         let k = params.max_features.resolve(d);
         scratch.feats.clear();
@@ -660,7 +542,7 @@ impl DecisionTree {
                 }
                 // Prefix-scan bins ascending; a boundary after bin `bin` is
                 // a candidate only when the bin holds samples of this node
-                // (matching the exact kernel's distinct-value candidates) —
+                // (matching the oracle's distinct-value candidates) —
                 // empty bins change neither `left` nor the partition.
                 for l in left.iter_mut() {
                     *l = 0.0;
@@ -843,23 +725,6 @@ impl Deserialize for RegressionTree {
 }
 
 impl RegressionTree {
-    /// Fit on `x`/`y` with the exact sort-based split search. Same contract
-    /// as [`DecisionTree::fit`]: mismatched lengths fall back to the common
-    /// prefix, debug builds assert.
-    pub fn fit(x: &Matrix, y: &[f64], params: &TreeParams, rng: &mut StdRng) -> Self {
-        debug_assert_eq!(x.rows(), y.len(), "one target per row");
-        debug_assert!(x.rows() >= 1, "cannot fit on an empty dataset");
-        debug_assert!(x.cols() < LEAF as usize, "feature index must fit u16");
-        let n = x.rows().min(y.len());
-        let mut tree = RegressionTree {
-            nodes: TreeNodes::default(),
-            raw_importance: vec![0.0; x.cols()],
-        };
-        let idx: Vec<usize> = (0..n).collect();
-        tree.grow(x, y, idx, params, rng, 0, n as f64);
-        tree
-    }
-
     /// Fit over `rows` (indices into the shared binned matrix) with
     /// histogram split finding; `y` is indexed by original row id.
     pub fn fit_binned(
@@ -880,97 +745,10 @@ impl RegressionTree {
         scratch.rows.clear();
         scratch.rows.extend_from_slice(rows);
         scratch.hist.clear();
-        scratch.hist.resize(256 * 3, 0.0);
+        scratch.hist.resize(MAX_BINS as usize * 3, 0.0);
         let n = rows.len();
         tree.grow_binned(b, y, params, rng, scratch, 0, n, 0, n as f64);
         tree
-    }
-
-    fn leaf_from(&mut self, y: &[f64], idx: &[usize]) -> u32 {
-        let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len() as f64;
-        self.nodes.push_leaf(&[mean])
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn grow(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        idx: Vec<usize>,
-        params: &TreeParams,
-        rng: &mut StdRng,
-        depth: usize,
-        n_total: f64,
-    ) -> u32 {
-        let n = idx.len();
-        let sum: f64 = idx.iter().map(|&i| y[i]).sum();
-        let sum2: f64 = idx.iter().map(|&i| y[i] * y[i]).sum();
-        let var = (sum2 - sum * sum / n as f64).max(0.0) / n as f64;
-        let depth_stop = params.max_depth.is_some_and(|d| depth >= d);
-        if var <= 1e-18 || n < params.min_samples_split || depth_stop {
-            return self.leaf_from(y, &idx);
-        }
-
-        let d = x.cols();
-        let k = params.max_features.resolve(d);
-        let features: Vec<usize> = if k >= d {
-            (0..d).collect()
-        } else {
-            let mut all: Vec<usize> = (0..d).collect();
-            all.shuffle(rng);
-            let mut subset = all[..k].to_vec();
-            subset.sort_unstable();
-            subset
-        };
-
-        let mut best: Option<(usize, f64, f64)> = None;
-        let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(n);
-        for &f in &features {
-            sorted.clear();
-            sorted.extend(idx.iter().map(|&i| (x.get(i, f), y[i])));
-            sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut lsum = 0.0;
-            let mut lsum2 = 0.0;
-            let mut rsum = sum;
-            let mut rsum2 = sum2;
-            for split_at in 1..n {
-                let (v_prev, t_prev) = sorted[split_at - 1];
-                lsum += t_prev;
-                lsum2 += t_prev * t_prev;
-                rsum -= t_prev;
-                rsum2 -= t_prev * t_prev;
-                let v_next = sorted[split_at].0;
-                if v_prev == v_next {
-                    continue;
-                }
-                let nl = split_at as f64;
-                let nr = (n - split_at) as f64;
-                if (nl as usize) < params.min_samples_leaf
-                    || (nr as usize) < params.min_samples_leaf
-                {
-                    continue;
-                }
-                let sse = (lsum2 - lsum * lsum / nl) + (rsum2 - rsum * rsum / nr);
-                let decrease = var - sse / n as f64;
-                if best.map_or(decrease > 1e-15, |(_, _, bd)| decrease > bd + 1e-15) {
-                    best = Some((f, 0.5 * (v_prev + v_next), decrease));
-                }
-            }
-        }
-
-        let Some((feature, threshold, decrease)) = best else {
-            return self.leaf_from(y, &idx);
-        };
-        self.raw_importance[feature] += (n as f64 / n_total) * decrease;
-
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| x.get(i, feature) <= threshold);
-        let me = self.nodes.push_placeholder();
-        let left = self.grow(x, y, left_idx, params, rng, depth + 1, n_total);
-        let right = self.grow(x, y, right_idx, params, rng, depth + 1, n_total);
-        self.nodes.set_split(me, feature, threshold, left, right);
-        me
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1145,12 +923,38 @@ pub fn normalize(mut v: Vec<f64>) -> Vec<f64> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0)
+    }
+
+    /// Grow a classification tree over every row of `x` with the shipped
+    /// histogram kernel.
+    fn fit_tree(
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        params: &TreeParams,
+        rng: &mut StdRng,
+    ) -> DecisionTree {
+        let b = BinnedMatrix::from_matrix(x, MAX_BINS);
+        let rows: Vec<u32> = (0..x.rows() as u32).collect();
+        let mut scratch = TreeScratch::default();
+        DecisionTree::fit_binned(&b, y, &rows, n_classes, params, rng, &mut scratch)
+    }
+
+    /// Regression twin of [`fit_tree`].
+    fn fit_reg(x: &Matrix, y: &[f64], params: &TreeParams, rng: &mut StdRng) -> RegressionTree {
+        let b = BinnedMatrix::from_matrix(x, MAX_BINS);
+        let rows: Vec<u32> = (0..x.rows() as u32).collect();
+        let mut scratch = TreeScratch::default();
+        RegressionTree::fit_binned(&b, y, &rows, params, rng, &mut scratch)
     }
 
     /// Two clearly separable blobs.
@@ -1170,7 +974,7 @@ mod tests {
     #[test]
     fn fits_separable_data_perfectly() {
         let (x, y) = blobs();
-        let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default(), &mut rng());
+        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         assert_eq!(t.predict(&x), y);
         assert!(t.depth() >= 1);
     }
@@ -1179,7 +983,7 @@ mod tests {
     fn pure_node_becomes_leaf() {
         let x = Matrix::from_rows([[1.0], [2.0], [3.0]]);
         let y = vec![1, 1, 1];
-        let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default(), &mut rng());
+        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.predict_proba_row(&[5.0]), vec![0.0, 1.0]);
     }
@@ -1191,7 +995,7 @@ mod tests {
             max_depth: Some(1),
             ..Default::default()
         };
-        let t = DecisionTree::fit(&x, &y, 2, &params, &mut rng());
+        let t = fit_tree(&x, &y, 2, &params, &mut rng());
         assert!(t.depth() <= 1);
     }
 
@@ -1203,7 +1007,7 @@ mod tests {
             min_samples_leaf: 2,
             ..Default::default()
         };
-        let t = DecisionTree::fit(&x, &y, 2, &params, &mut rng());
+        let t = fit_tree(&x, &y, 2, &params, &mut rng());
         // Only split leaving >= 2 on each side is between index 1 and 2.
         if t.nodes.feature[0] != LEAF {
             assert!((1.0..2.0).contains(&t.nodes.threshold[0]));
@@ -1215,7 +1019,7 @@ mod tests {
         // Feature 1 is informative, feature 0 is constant.
         let x = Matrix::from_rows([[7.0, 0.0], [7.0, 1.0], [7.0, 10.0], [7.0, 11.0]]);
         let y = vec![0, 0, 1, 1];
-        let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default(), &mut rng());
+        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         let imp = t.feature_importances();
         assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(imp[0], 0.0);
@@ -1229,8 +1033,8 @@ mod tests {
             max_features: MaxFeatures::Count(1),
             ..Default::default()
         };
-        let a = DecisionTree::fit(&x, &y, 2, &params, &mut StdRng::seed_from_u64(9));
-        let b = DecisionTree::fit(&x, &y, 2, &params, &mut StdRng::seed_from_u64(9));
+        let a = fit_tree(&x, &y, 2, &params, &mut StdRng::seed_from_u64(9));
+        let b = fit_tree(&x, &y, 2, &params, &mut StdRng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 
@@ -1238,7 +1042,7 @@ mod tests {
     fn regression_tree_fits_step_function() {
         let x = Matrix::from_rows([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]);
         let y = vec![1.0, 1.0, 1.0, 5.0, 5.0, 5.0];
-        let t = RegressionTree::fit(&x, &y, &TreeParams::default(), &mut rng());
+        let t = fit_reg(&x, &y, &TreeParams::default(), &mut rng());
         assert!((t.predict_row(&[1.5]) - 1.0).abs() < 1e-9);
         assert!((t.predict_row(&[11.0]) - 5.0).abs() < 1e-9);
     }
@@ -1247,7 +1051,7 @@ mod tests {
     fn regression_tree_constant_target_single_leaf() {
         let x = Matrix::from_rows([[0.0], [1.0], [2.0]]);
         let y = vec![3.0, 3.0, 3.0];
-        let t = RegressionTree::fit(&x, &y, &TreeParams::default(), &mut rng());
+        let t = fit_reg(&x, &y, &TreeParams::default(), &mut rng());
         assert_eq!(t.nodes.len(), 1);
         assert_eq!(t.predict_row(&[9.0]), 3.0);
     }
@@ -1255,7 +1059,7 @@ mod tests {
     #[test]
     fn tree_serde_roundtrip() {
         let (x, y) = blobs();
-        let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default(), &mut rng());
+        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         let json = serde_json::to_string(&t).unwrap();
         let back: DecisionTree = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
@@ -1265,7 +1069,7 @@ mod tests {
     fn regression_tree_serde_roundtrip() {
         let x = Matrix::from_rows([[0.0], [1.0], [2.0], [10.0], [11.0]]);
         let y = vec![1.0, 1.0, 1.5, 5.0, 5.0];
-        let t = RegressionTree::fit(&x, &y, &TreeParams::default(), &mut rng());
+        let t = fit_reg(&x, &y, &TreeParams::default(), &mut rng());
         let json = serde_json::to_string(&t).unwrap();
         let back: RegressionTree = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
@@ -1325,9 +1129,9 @@ mod tests {
     #[test]
     fn verify_catches_each_structural_corruption() {
         let (x, y) = blobs();
-        let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default(), &mut rng());
+        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         assert_eq!(t.verify(), Ok(()));
-        let r = RegressionTree::fit(
+        let r = fit_reg(
             &x,
             &y.iter().map(|&c| c as f64).collect::<Vec<_>>(),
             &TreeParams::default(),
@@ -1396,7 +1200,7 @@ mod tests {
     #[test]
     fn predict_proba_into_matches_row() {
         let (x, y) = blobs();
-        let t = DecisionTree::fit(&x, &y, 2, &TreeParams::default(), &mut rng());
+        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         let mut buf = [0.0f64; 2];
         for i in 0..x.rows() {
             t.predict_proba_into(x.row(i), &mut buf);
@@ -1430,25 +1234,14 @@ mod tests {
 
     /// Property: on lossless binnings (distinct values ≤ bins) the
     /// histogram kernel grows a tree whose train-set predictions match the
-    /// exact sort-based kernel, and whose importances agree.
+    /// sort-based oracle, and whose importances agree.
     #[test]
     fn binned_split_finding_matches_exact_on_train_data() {
         for seed in 0..12u64 {
             let (x, y) = random_dataset(seed, 60, 4, 3);
-            let b = BinnedMatrix::from_matrix(&x, 256);
-            let rows: Vec<u32> = (0..x.rows() as u32).collect();
             let params = TreeParams::default();
-            let mut scratch = TreeScratch::default();
             let exact = DecisionTree::fit(&x, &y, 3, &params, &mut StdRng::seed_from_u64(seed));
-            let hist = DecisionTree::fit_binned(
-                &b,
-                &y,
-                &rows,
-                3,
-                &params,
-                &mut StdRng::seed_from_u64(seed),
-                &mut scratch,
-            );
+            let hist = fit_tree(&x, &y, 3, &params, &mut StdRng::seed_from_u64(seed));
             assert_eq!(
                 exact.predict(&x),
                 hist.predict(&x),
@@ -1463,28 +1256,17 @@ mod tests {
     }
 
     /// The same equivalence holds under per-node feature subsampling: both
-    /// kernels consume the RNG identically, so the subsets align.
+    /// growers consume the RNG identically, so the subsets align.
     #[test]
     fn binned_matches_exact_with_feature_subsampling() {
         for seed in 0..6u64 {
             let (x, y) = random_dataset(100 + seed, 50, 5, 3);
-            let b = BinnedMatrix::from_matrix(&x, 256);
-            let rows: Vec<u32> = (0..x.rows() as u32).collect();
             let params = TreeParams {
                 max_features: MaxFeatures::Count(2),
                 ..Default::default()
             };
-            let mut scratch = TreeScratch::default();
             let exact = DecisionTree::fit(&x, &y, 3, &params, &mut StdRng::seed_from_u64(seed));
-            let hist = DecisionTree::fit_binned(
-                &b,
-                &y,
-                &rows,
-                3,
-                &params,
-                &mut StdRng::seed_from_u64(seed),
-                &mut scratch,
-            );
+            let hist = fit_tree(&x, &y, 3, &params, &mut StdRng::seed_from_u64(seed));
             assert_eq!(exact.predict(&x), hist.predict(&x), "seed {seed}");
         }
     }
@@ -1494,7 +1276,8 @@ mod tests {
         let x = Matrix::from_rows([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]);
         let y = vec![1.0, 1.0, 1.0, 5.0, 5.0, 5.0];
         let b = BinnedMatrix::from_matrix(&x, 256);
-        let rows: Vec<u32> = (0..6).collect();
+        // A subsample-style index slice: duplicates, one row absent.
+        let rows: Vec<u32> = vec![0, 0, 1, 3, 4, 4, 5];
         let mut scratch = TreeScratch::default();
         let t = RegressionTree::fit_binned(
             &b,

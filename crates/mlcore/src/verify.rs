@@ -5,18 +5,17 @@
 //! out-of-bounds children, reference cycles, dangling leaf payloads, or
 //! probability vectors that are not distributions — none of which the
 //! parser alone can rule out without re-walking the whole structure.
-//! [`StructureIssue`] enumerates every invariant a well-formed tree (or
-//! binned matrix) satisfies; `DecisionTree::verify`,
-//! `RegressionTree::verify`, [`crate::RandomForest::verify`], and
-//! `BinnedMatrix::verify` prove them before inference ever descends a
-//! node. Deserialization itself only enforces parse-shape consistency —
-//! run `verify` on anything that crossed a trust boundary.
+//! [`StructureIssue`] enumerates every invariant a well-formed tree
+//! ensemble satisfies; `DecisionTree::verify`, `RegressionTree::verify`
+//! and [`crate::RandomForest::verify`] prove them before inference ever
+//! descends a node. Deserialization itself only enforces parse-shape
+//! consistency — run `verify` on anything that crossed a trust boundary.
 
 use std::fmt;
 
-/// A structural invariant violated by a deserialized tree ensemble or
-/// binned matrix. Every variant names the offending node/feature so the
-/// report points at the corruption, not just the artifact.
+/// A structural invariant violated by a deserialized tree ensemble. Every
+/// variant names the offending node/feature so the report points at the
+/// corruption, not just the artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StructureIssue {
     /// Parallel arrays disagree on the node count.
@@ -60,28 +59,11 @@ pub enum StructureIssue {
     ClassCount { expected: usize, actual: usize },
     /// A tree's importance vector disagrees with the feature count.
     ImportanceLength { expected: usize, actual: usize },
-    /// Bin edges are not strictly increasing at this position.
-    BinEdgesNotIncreasing { feature: usize, index: usize },
-    /// The per-feature bin count exceeds the u8 code budget.
-    BinBudget { n_bins: usize },
-    /// Binned codes reference a bin past the feature's edge list.
-    BinCodeOutOfRange {
-        feature: usize,
-        row: usize,
-        code: u8,
-        n_bins: usize,
-    },
-    /// A compiled split's quantized code threshold is past its feature's
-    /// edge list.
-    CodeThresholdOutOfRange {
-        node: usize,
-        code: usize,
-        n_edges: usize,
-    },
-    /// A compiled tree's stored traversal depth disagrees with the depth
-    /// computed from its layout — traversal would stop early (or spin on
-    /// leaf self-loops needlessly).
-    DepthMismatch { stored: usize, actual: usize },
+    /// A feature is split on more distinct thresholds across the ensemble
+    /// than the compiled kernel's u8 codes can name.
+    ThresholdBudget { feature: usize, distinct: usize },
+    /// A split threshold is NaN or infinite and cannot be quantized.
+    NonFiniteThreshold { node: usize },
 }
 
 impl fmt::Display for StructureIssue {
@@ -145,35 +127,15 @@ impl fmt::Display for StructureIssue {
                 f,
                 "importance vector has {actual} entries, expected {expected}"
             ),
-            StructureIssue::BinEdgesNotIncreasing { feature, index } => write!(
+            StructureIssue::ThresholdBudget { feature, distinct } => write!(
                 f,
-                "feature {feature} bin edges not strictly increasing at index {index}"
+                "feature {feature} is split on {distinct} distinct thresholds, more \
+                 than the {} the compiled u8 codes can name",
+                crate::compiled::MAX_EDGES
             ),
-            StructureIssue::BinBudget { n_bins } => {
-                write!(f, "{n_bins} bins exceed the 256-bin u8 code budget")
+            StructureIssue::NonFiniteThreshold { node } => {
+                write!(f, "split {node} has a non-finite threshold")
             }
-            StructureIssue::BinCodeOutOfRange {
-                feature,
-                row,
-                code,
-                n_bins,
-            } => write!(
-                f,
-                "feature {feature} row {row} has code {code}, out of range for {n_bins} bins"
-            ),
-            StructureIssue::CodeThresholdOutOfRange {
-                node,
-                code,
-                n_edges,
-            } => write!(
-                f,
-                "compiled split {node} holds code threshold {code}, out of range \
-                 for {n_edges} edges"
-            ),
-            StructureIssue::DepthMismatch { stored, actual } => write!(
-                f,
-                "compiled tree stores depth {stored}, layout requires {actual}"
-            ),
         }
     }
 }

@@ -199,8 +199,8 @@ impl LintConfig {
                 // Tuner memo hit/miss counters, read after threads join.
                 "crates/core/src/tuner.rs".into(),
             ],
-            // The forest kernels (compiled + exact) and everything the
-            // selection path routes through them.
+            // The compiled forest kernel, its exact-walk oracle, and
+            // everything the selection path routes through them.
             unsafe_scope: vec!["crates/mlcore/src/".into(), "crates/core/src/".into()],
         }
     }

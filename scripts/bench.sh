@@ -2,10 +2,8 @@
 # Records the perf points for this checkout:
 #
 # - BENCH_train_infer.json — the criterion benches covering forest
-#   fitting (histogram-binned vs exact split finding) and batched
-#   inference, parsed from the ns/iter lines. The headline number is
-#   fit_speedup_binned_vs_exact — the wall-clock ratio of the two
-#   40-tree forest fits at dataset-zoo scale.
+#   fitting (a 40-tree histogram-binned fit at dataset-zoo scale) and
+#   batched inference, parsed from the ns/iter lines.
 # - BENCH_serve.json — serving-path latency/throughput: loadgen drives
 #   100k concurrent requests through a running `pml-mpi serve` daemon
 #   and records p50/p99/p999 round-trip latency plus requests/sec.
@@ -49,12 +47,13 @@ fi
 out=BENCH_train_infer.json
 stamp=$(date -u +%FT%TZ)
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# Uncommitted changes measured: the point is of HEAD plus a diff.
+git diff --quiet HEAD 2>/dev/null || rev="$rev+"
 
 {
     cargo bench -p pml-bench --bench training 2>&1
     cargo bench -p pml-bench --bench inference 2>&1
-} | grep -E "ns/iter|^inference_path:" | awk -v stamp="$stamp" -v rev="$rev" '
-  $1 == "inference_path:" { path = $2; next }
+} | grep -E "ns/iter" | awk -v stamp="$stamp" -v rev="$rev" '
   {
     id = $1
     ns = $2
@@ -63,21 +62,13 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
     vals[id] = ns
   }
   END {
-    if (path == "") path = "unknown"
     printf "{\n"
     printf "  \"date\": \"%s\",\n", stamp
     printf "  \"rev\": \"%s\",\n", rev
-    printf "  \"inference_path\": \"%s\",\n", path
     printf "  \"benches_ns_per_iter\": {\n"
     for (i = 1; i <= n; i++)
       printf "    \"%s\": %s%s\n", ids[i], vals[ids[i]], (i < n ? "," : "")
-    printf "  },\n"
-    b = vals["forest_fit/binned_40_trees"] + 0
-    e = vals["forest_fit/exact_40_trees"] + 0
-    if (b > 0 && e > 0)
-      printf "  \"fit_speedup_binned_vs_exact\": %.2f\n", e / b
-    else
-      printf "  \"fit_speedup_binned_vs_exact\": null\n"
+    printf "  }\n"
     printf "}\n"
   }
 ' > "$out"

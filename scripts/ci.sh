@@ -47,9 +47,6 @@ echo "==> obs-determinism lane"
 echo "==> serve smoke lane"
 ./scripts/serve_smoke.sh
 
-echo "==> serve bench gate (fresh p99 vs committed BENCH_serve.json)"
-./scripts/bench_gate.sh
-
 echo "==> cargo bench -- --test (smoke: each bench runs once)"
 cargo bench -p pml-bench -- --test
 

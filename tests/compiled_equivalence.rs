@@ -49,7 +49,7 @@ fn compiled_matches_exact_across_seeds_and_depths() {
             _ => Some(MAX_UNROLLED_DEPTH + 1),
         };
         let (f, _) = fitted(seed, depth);
-        assert_eq!(f.inference_path(), "compiled", "seed {seed}");
+        assert!(f.compile().is_ok(), "seed {seed}");
         let (queries, _) = synthetic(173, seed ^ 0xbeef);
 
         let mut exact = Matrix::zeros(queries.rows(), N_CLASSES);

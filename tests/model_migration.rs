@@ -1,6 +1,6 @@
 //! Shipped model artifacts outlive the code that wrote them. The fixture
 //! here was serialized by the pre-SoA tree layout (per-node `Leaf`/`Split`
-//! enum, forest params without `split_finder`); loading it through the
+//! enum, the first generation of forest params); loading it through the
 //! current deserializer must reproduce the predictions the original model
 //! made, recorded alongside it at capture time.
 

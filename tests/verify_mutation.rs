@@ -1,17 +1,13 @@
-//! Mutation harness for pml-verify: corrupt model / table / binned-matrix
-//! JSON one invariant at a time and check that verification reports the
+//! Mutation harness for pml-verify: corrupt model / table JSON one
+//! invariant at a time and check that verification reports the
 //! matching typed error — and that no corruption class panics. The model
 //! base artifact is the committed v1 fixture migrated to the current
 //! layout, so the mutations also exercise the post-migration re-check.
 
 use pml_mpi::collectives::AlltoallAlgo;
-use pml_mpi::core::{verify_artifact_str, ArtifactKind, VerifyErrorKind};
-use pml_mpi::mlcore::{
-    BinnedMatrix, Classifier, ForestParams, Matrix, RandomForest, StructureIssue,
-};
+use pml_mpi::core::{verify_artifact_str, verify_model_json, ArtifactKind, VerifyErrorKind};
+use pml_mpi::mlcore::{ForestIssue, ForestLoadError, RandomForest, StructureIssue};
 use pml_mpi::{Algorithm, Collective, PmlError, PretrainedModel, TuningTable};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde_json::JsonValue;
 
 fn obj(v: &mut JsonValue) -> &mut Vec<(String, JsonValue)> {
@@ -201,111 +197,92 @@ fn foreign_collective_is_a_cross_collective_error() {
     ));
 }
 
+/// The base model with its forest swapped for one hand-built tree: a
+/// right-leaning chain splitting feature 0 on each threshold in turn.
+/// Spliced as text, because `1e999` parses to ∞ but ∞ serializes as
+/// `null`. Returns (model JSON, its `forest` object alone).
+fn chain_model_json(thresholds: &[String]) -> (String, String) {
+    let mut v: JsonValue = serde_json::from_str(&v2_model_json()).unwrap();
+    let forest = field(&mut v, "forest");
+    let k = field(forest, "n_classes").as_u64().unwrap() as usize;
+    let d = field(forest, "n_features").as_u64().unwrap() as usize;
+    *field(forest, "trees") = JsonValue::Str("@TREES@".into());
+
+    let m = thresholds.len();
+    let leaf = u16::MAX;
+    let (mut feature, mut threshold, mut children) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, t) in thresholds.iter().enumerate() {
+        // Split at node 2i, its left leaf at 2i + 1 (payload i).
+        feature.push(format!("0,{leaf}"));
+        threshold.push(format!("{t},0.0"));
+        children.push(format!("{},{},{},0", 2 * i + 1, 2 * i + 2, i * k));
+    }
+    feature.push(leaf.to_string());
+    threshold.push("0.0".into());
+    children.push(format!("{},0", m * k));
+    let payload = format!("1.0{}", ",0.0".repeat(k - 1));
+    let tree = format!(
+        r#"[{{"version":2,"feature":[{}],"threshold":[{}],"children":[{}],"leaf_values":[{}],"n_classes":{k},"raw_importance":[{}]}}]"#,
+        feature.join(","),
+        threshold.join(","),
+        children.join(","),
+        vec![payload; m + 1].join(","),
+        vec!["0.0"; d].join(","),
+    );
+    let splice = |v: &JsonValue| {
+        serde_json::to_string(v)
+            .unwrap()
+            .replace("\"@TREES@\"", &tree)
+    };
+    let forest = splice(field(&mut v, "forest"));
+    (splice(&v), forest)
+}
+
+/// A forest the compiled kernel cannot quantize is rejected at every load
+/// path with the typed structure error — never served on a slower path.
 #[test]
-fn non_monotone_bin_edges_are_a_binned_error() {
-    let x = Matrix::from_vec(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 6, 1);
-    let b = BinnedMatrix::from_matrix(&x, 8);
-    let good = serde_json::to_string(&b).unwrap();
+fn unquantizable_forest_is_rejected_at_every_load_path() {
+    let thresholds = |n: usize| (0..n).map(|i| format!("{i}.5")).collect::<Vec<_>>();
+    let (model, forest) = chain_model_json(&thresholds(255));
+    assert_eq!(verify_artifact_str(&model), Ok(ArtifactKind::Model));
+    assert!(RandomForest::from_json(&forest).is_ok());
+
+    let budget = StructureIssue::ThresholdBudget {
+        feature: 0,
+        distinct: 256,
+    };
+    let (model, forest) = chain_model_json(&thresholds(256));
     assert_eq!(
-        verify_artifact_str(&good),
-        Ok(ArtifactKind::BinnedMatrix),
-        "pristine binned matrix must verify"
+        verify_model_json(&model).unwrap_err(),
+        VerifyErrorKind::Forest(budget.clone())
+    );
+    assert_eq!(
+        RandomForest::from_json(&forest).unwrap_err(),
+        ForestLoadError::Structure(ForestIssue {
+            tree: None,
+            issue: budget
+        })
     );
 
-    let mut v: JsonValue = serde_json::from_str(&good).unwrap();
-    arr(&mut arr(field(&mut v, "edges"))[0]).reverse();
-    let bad = serde_json::to_string(&v).unwrap();
-    assert!(matches!(
-        verify_artifact_str(&bad),
-        Err(VerifyErrorKind::Binned(_))
-    ));
-}
-
-/// A small fitted forest lowered to the compiled (quantized, breadth-first)
-/// layout and serialized — the base every compiled-artifact mutation perturbs.
-fn compiled_json() -> String {
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut rows = Vec::new();
-    let mut y = Vec::new();
-    for _ in 0..160 {
-        let a: f64 = rng.gen_range(0.0..1.0);
-        let b: f64 = rng.gen_range(0.0..1.0);
-        rows.push(vec![a, b]);
-        y.push(usize::from(a > b));
-    }
-    let x = Matrix::from_rows(rows);
-    let mut f = RandomForest::new(ForestParams {
-        n_estimators: 3,
-        seed: 11,
-        ..Default::default()
-    });
-    f.fit(&x, &y, 2).unwrap();
-    serde_json::to_string(&f.compile().expect("hist-trained forest compiles")).unwrap()
-}
-
-fn mutate_compiled(f: impl FnOnce(&mut JsonValue)) -> String {
-    let mut v: JsonValue = serde_json::from_str(&compiled_json()).unwrap();
-    f(&mut v);
-    serde_json::to_string(&v).unwrap()
-}
-
-/// First genuine split past the root in tree 0 of the compiled arena
-/// (`children[2i] != i` marks a split; the root is always index 0).
-fn late_compiled_split(v: &mut JsonValue) -> usize {
-    let children: Vec<u64> = arr(field(v, "children"))
-        .iter()
-        .map(|c| c.as_u64().unwrap())
-        .collect();
-    (1..children.len() / 2)
-        .find(|&i| children[2 * i] != i as u64 && children[2 * i + 1] != i as u64)
-        .expect("compiled tree has a split past the root")
-}
-
-#[test]
-fn non_monotone_compiled_edges_are_a_compiled_error() {
-    let json = mutate_compiled(|v| {
-        arr(&mut arr(field(v, "edges"))[0]).reverse();
-    });
-    assert!(matches!(
-        verify_artifact_str(&json),
-        Err(VerifyErrorKind::Compiled {
-            issue: StructureIssue::BinEdgesNotIncreasing { .. },
-            ..
+    let non_finite = StructureIssue::NonFiniteThreshold { node: 2 };
+    let (model, forest) = chain_model_json(&["0.5".into(), "1e999".into()]);
+    assert_eq!(
+        verify_model_json(&model).unwrap_err(),
+        VerifyErrorKind::Tree {
+            tree: 0,
+            issue: non_finite.clone()
+        }
+    );
+    assert_eq!(
+        RandomForest::from_json(&forest).unwrap_err(),
+        ForestLoadError::Structure(ForestIssue {
+            tree: Some(0),
+            issue: non_finite
         })
-    ));
-}
-
-#[test]
-fn compiled_child_before_parent_is_a_compiled_error() {
-    // A split's left child pointing back at the root breaks the
-    // parent-before-child emission order the unrolled traversal relies on.
-    let json = mutate_compiled(|v| {
-        let split = late_compiled_split(v);
-        arr(field(v, "children"))[2 * split] = JsonValue::UInt(0);
-    });
+    );
     assert!(matches!(
-        verify_artifact_str(&json),
-        Err(VerifyErrorKind::Compiled {
-            issue: StructureIssue::OrderViolation { .. },
-            ..
-        })
-    ));
-}
-
-#[test]
-fn out_of_range_code_threshold_is_a_compiled_error() {
-    let json = mutate_compiled(|v| {
-        let split = late_compiled_split(v);
-        let feature = arr(field(v, "feat"))[split].as_u64().unwrap() as usize;
-        let n_edges = arr(&mut arr(field(v, "edges"))[feature]).len();
-        arr(field(v, "tcode"))[split] = JsonValue::UInt(n_edges as u64);
-    });
-    assert!(matches!(
-        verify_artifact_str(&json),
-        Err(VerifyErrorKind::Compiled {
-            issue: StructureIssue::CodeThresholdOutOfRange { .. },
-            ..
-        })
+        PretrainedModel::from_json(&model),
+        Err(PmlError::Verify(_))
     ));
 }
 
@@ -319,21 +296,13 @@ fn pristine_artifacts_verify() {
         verify_artifact_str(&total_table().to_json().unwrap()),
         Ok(ArtifactKind::TuningTable)
     );
-    assert_eq!(
-        verify_artifact_str(&compiled_json()),
-        Ok(ArtifactKind::CompiledForest)
-    );
 }
 
 /// Property sweep: no truncation or byte-smash of either artifact may
 /// panic — every corruption lands in `Err`, never in an abort.
 #[test]
 fn corrupted_bytes_never_panic() {
-    for base in [
-        v2_model_json(),
-        total_table().to_json().unwrap(),
-        compiled_json(),
-    ] {
+    for base in [v2_model_json(), total_table().to_json().unwrap()] {
         assert!(base.is_ascii(), "artifact JSON is ASCII");
         let step = (base.len() / 37).max(1);
         for cut in (0..base.len()).step_by(step) {
