@@ -10,15 +10,18 @@
 //! newline-delimited JSON over a Unix domain socket, no network stack, no
 //! external dependencies.
 //!
-//! * [`protocol`] — the versioned `pml-serve/v1` frame format: request
-//!   parsing with typed error replies (a malformed frame is answered, never
-//!   dropped) and reply rendering;
+//! * [`protocol`] — the versioned `pml-serve/v1` frame format: a one-pass
+//!   request scanner with typed error replies (a malformed frame is
+//!   answered, never dropped), the request encoder clients use, and reply
+//!   rendering;
 //! * [`batch`] — the request batcher: concurrent `predict` lookups funnel
 //!   through a bounded queue into one batched forest inference
 //!   ([`pml_core::PretrainedModel::predict_batch`]) per time/size window;
 //! * [`server`] — artifact loading and the accept loop: per-connection
-//!   threads over a shared [`pml_core::Tuner`], clean shutdown on SIGTERM
-//!   or the `shutdown` op (socket file removed, connections joined);
+//!   threads over a shared [`pml_core::Tuner`] that answer a burst of
+//!   frames per read and write its replies before they block, clean
+//!   shutdown on SIGTERM or the `shutdown` op (socket file removed,
+//!   connections joined);
 //! * [`reqtrace`] — request-level stage attribution: every request gets a
 //!   monotonic id and (when tracing is on) timestamps through
 //!   parse → select / queue-wait → batch-assembly → predict → serialize →
@@ -43,8 +46,8 @@ pub mod slo;
 
 pub use batch::{BatchConfig, BatchTiming, Batcher};
 pub use protocol::{
-    collective_wire_name, parse_request, ErrorKind, Op, ProtoError, Request, PROTOCOL_VERSION,
-    WATCH_DEFAULT_INTERVAL_MS,
+    collective_wire_name, encode_request, parse_request, ErrorKind, Op, ProtoError, Request,
+    PROTOCOL_VERSION, WATCH_DEFAULT_INTERVAL_MS,
 };
 pub use quality::{QualityCell, QualityMonitor, QualitySample};
 pub use reqtrace::{RequestTrace, SlowRequest, SlowRing, SLOW_RING_CAP, STAGE_NAMES};

@@ -33,6 +33,8 @@
 use pml_collectives::{Algorithm, Collective};
 use pml_core::{FallbackDepth, JobConfig};
 use serde::Value;
+use std::borrow::Cow;
+use std::io::Write;
 
 /// The frame version this build speaks.
 pub const PROTOCOL_VERSION: &str = "pml-serve/v1";
@@ -124,6 +126,20 @@ pub enum Op {
     Shutdown,
 }
 
+impl Op {
+    /// The `"op"` field's value; also the label a request is traced under.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Op::Select { .. } => "select",
+            Op::Predict { .. } => "predict",
+            Op::Ping => "ping",
+            Op::Stats => "stats",
+            Op::Watch { .. } => "watch",
+            Op::Shutdown => "shutdown",
+        }
+    }
+}
+
 /// Default `watch` tick spacing when the frame omits `interval_ms`.
 pub const WATCH_DEFAULT_INTERVAL_MS: u64 = 1000;
 
@@ -138,125 +154,439 @@ pub fn collective_wire_name(c: Collective) -> &'static str {
     }
 }
 
-fn parse_collective(s: &str) -> Option<Collective> {
-    let want = s.to_ascii_lowercase();
-    let want = want.trim_start_matches("mpi_");
-    Collective::ALL
-        .iter()
-        .copied()
-        .find(|c| collective_wire_name(*c) == want)
+fn parse_collective(mut want: &[u8]) -> Option<Collective> {
+    while let Some((prefix, rest)) = want.split_at_checked(4) {
+        if !prefix.eq_ignore_ascii_case(b"mpi_") {
+            break;
+        }
+        want = rest;
+    }
+    Collective::ALL.into_iter().find(|c| {
+        collective_wire_name(*c)
+            .as_bytes()
+            .eq_ignore_ascii_case(want)
+    })
 }
+
+/// Render a request as one frame (no newline): the inverse of
+/// [`parse_request`], and the only place a client builds a frame.
+pub fn encode_request(req: &Request) -> String {
+    let mut out = format!("{{\"v\":\"{PROTOCOL_VERSION}\"");
+    if let Some(id) = req.id {
+        out += &format!(",\"id\":{id}");
+    }
+    out += &format!(",\"op\":\"{}\"", req.op.name());
+    if let Op::Predict { cluster, .. } = &req.op {
+        let quoted = serde_json::to_string(&Value::Str(cluster.clone()));
+        out += &format!(",\"cluster\":{}", quoted.unwrap_or_default());
+    }
+    match &req.op {
+        Op::Select { collective, job }
+        | Op::Predict {
+            collective, job, ..
+        } => {
+            let name = collective_wire_name(*collective);
+            let JobConfig {
+                nodes,
+                ppn,
+                msg_size,
+            } = job;
+            out += &format!(
+                ",\"collective\":\"{name}\",\"nodes\":{nodes},\"ppn\":{ppn},\"msg_size\":{msg_size}"
+            );
+        }
+        Op::Watch { interval_ms, count } => {
+            out += &format!(",\"interval_ms\":{interval_ms},\"count\":{count}");
+        }
+        Op::Ping | Op::Stats | Op::Shutdown => {}
+    }
+    out + "}"
+}
+
+// ---------------------------------------------------------------------------
+// Request scanning
+//
+// A frame is one flat JSON object, read in a single pass that keeps borrowed
+// views of the fields the protocol knows and only checks the syntax of the
+// rest. The grammar is the tree parser's (`serde_json::from_str`), quirks
+// included; the fields are validated after the whole frame scanned, so a
+// frame that is not JSON is always `parse` with no id. DESIGN.md §7 has
+// the grammar and the order of the checks.
+
+/// The keys the protocol knows; [`Fields`] is indexed like this.
+const KEYS: [&str; 10] = [
+    "id",
+    "v",
+    "op",
+    "collective",
+    "cluster",
+    "nodes",
+    "ppn",
+    "msg_size",
+    "interval_ms",
+    "count",
+];
+
+/// The first value each of [`KEYS`] had in the frame.
+type Fields<'a> = [Option<Val<'a>>; KEYS.len()];
+
+fn get<'a>(fields: &Fields<'a>, key: &str) -> Option<Val<'a>> {
+    let at = KEYS.iter().position(|k| *k == key)?;
+    fields.get(at).copied().flatten()
+}
+
+/// Containers deeper than this are a `parse` error instead of recursion
+/// the connection thread's stack would pay for.
+const MAX_DEPTH: u32 = 128;
 
 /// Parse one NDJSON line into a [`Request`]. On failure the error comes
 /// back with whatever frame id could still be recovered, so even the error
 /// reply stays correlatable when the frame was well-formed enough to carry
 /// an `id`.
 pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, ProtoError)> {
-    let value: Value = serde_json::from_str(line.trim())
-        .map_err(|e| (None, ProtoError::new(ErrorKind::Parse, e.to_string())))?;
-    let obj = value.as_object().ok_or_else(|| {
-        (
-            None,
-            ProtoError::new(
-                ErrorKind::Parse,
-                format!("frame must be a JSON object, got {}", value.kind()),
-            ),
-        )
-    })?;
-    // The id is recovered first so every later error can echo it.
-    let id = match get(obj, "id") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            (
-                None,
-                ProtoError::new(ErrorKind::Field, "id must be a non-negative integer"),
-            )
-        })?),
+    parse_frame(line.as_bytes())
+}
+
+/// [`parse_request`] on the bytes off the socket. UTF-8 is checked per
+/// string, so a stray byte is a typed `parse` error like any other.
+pub fn parse_frame(frame: &[u8]) -> Result<Request, (Option<u64>, ProtoError)> {
+    let mut fields = Fields::default();
+    let mut scan = Scanner {
+        b: trim_frame(frame),
+        pos: 0,
     };
-    let fail = |kind, msg: String| (id, ProtoError::new(kind, msg));
-    match get(obj, "v").and_then(Value::as_str) {
-        Some(PROTOCOL_VERSION) => {}
-        Some(other) => {
-            let msg = format!(
-                "unsupported protocol version {other:?} (daemon speaks {PROTOCOL_VERSION})"
-            );
-            return Err(fail(ErrorKind::Version, msg));
+    if let Err(what) = scan.frame(&mut fields) {
+        let msg = format!("{what} at byte {}", scan.pos);
+        return Err((None, ProtoError::new(ErrorKind::Parse, msg)));
+    }
+    let id = match get(&fields, "id") {
+        None | Some(Val::Null) => None,
+        Some(Val::UInt(id)) => Some(id),
+        Some(_) => {
+            let msg = "id must be a non-negative integer";
+            return Err((None, ProtoError::new(ErrorKind::Field, msg)));
         }
-        None => {
-            return Err(fail(
-                ErrorKind::Version,
-                format!("missing \"v\" field (expected {PROTOCOL_VERSION:?})"),
-            ))
+    };
+    request_op(&fields)
+        .map(|op| Request { id, op })
+        .map_err(|e| (id, e))
+}
+
+/// The checks after the id, in the order a client sees them fail: `v`,
+/// `op`, then the op's own fields.
+fn request_op(fields: &Fields<'_>) -> Result<Op, ProtoError> {
+    match get(fields, "v") {
+        Some(Val::Str(v)) if *v.bytes() == *PROTOCOL_VERSION.as_bytes() => {}
+        Some(Val::Str(v)) => {
+            let v = v.text();
+            let msg =
+                format!("unsupported protocol version {v:?} (daemon speaks {PROTOCOL_VERSION})");
+            return Err(ProtoError::new(ErrorKind::Version, msg));
+        }
+        _ => {
+            let msg = format!("missing \"v\" field (expected {PROTOCOL_VERSION:?})");
+            return Err(ProtoError::new(ErrorKind::Version, msg));
         }
     }
-    let op = match get(obj, "op").and_then(Value::as_str) {
-        Some(op) => op,
-        None => return Err(fail(ErrorKind::Op, "missing \"op\" field".to_string())),
+    let Some(Val::Str(op)) = get(fields, "op") else {
+        return Err(ProtoError::new(ErrorKind::Op, "missing \"op\" field"));
     };
-    let op = match op {
-        "select" => Op::Select {
-            collective: field_collective(obj).map_err(|e| (id, e))?,
-            job: field_job(obj).map_err(|e| (id, e))?,
+    Ok(match &*op.bytes() {
+        b"select" => Op::Select {
+            collective: field_collective(fields)?,
+            job: field_job(fields)?,
         },
-        "predict" => Op::Predict {
-            cluster: field_str(obj, "cluster").map_err(|e| (id, e))?.to_string(),
-            collective: field_collective(obj).map_err(|e| (id, e))?,
-            job: field_job(obj).map_err(|e| (id, e))?,
+        b"predict" => Op::Predict {
+            cluster: field_str(fields, "cluster")?.text().into_owned(),
+            collective: field_collective(fields)?,
+            job: field_job(fields)?,
         },
-        "ping" => Op::Ping,
-        "stats" => Op::Stats,
-        "watch" => Op::Watch {
-            interval_ms: field_u64_or(obj, "interval_ms", WATCH_DEFAULT_INTERVAL_MS)
-                .map_err(|e| (id, e))?,
-            count: field_u64_or(obj, "count", 0).map_err(|e| (id, e))?,
+        b"ping" => Op::Ping,
+        b"stats" => Op::Stats,
+        b"watch" => Op::Watch {
+            interval_ms: field_u64(fields, "interval_ms", Some(WATCH_DEFAULT_INTERVAL_MS))?,
+            count: field_u64(fields, "count", Some(0))?,
         },
-        "shutdown" => Op::Shutdown,
-        other => {
-            return Err(fail(
-                ErrorKind::Op,
-                format!("unknown op {other:?} (select, predict, ping, stats, watch, shutdown)"),
-            ))
+        b"shutdown" => Op::Shutdown,
+        _ => {
+            let op = op.text();
+            let msg = format!("unknown op {op:?} (select, predict, ping, stats, watch, shutdown)");
+            return Err(ProtoError::new(ErrorKind::Op, msg));
         }
-    };
-    Ok(Request { id, op })
-}
-
-fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, ProtoError> {
-    get(obj, key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| ProtoError::new(ErrorKind::Field, format!("missing string field {key:?}")))
-}
-
-fn field_u64(obj: &[(String, Value)], key: &str) -> Result<u64, ProtoError> {
-    get(obj, key).and_then(Value::as_u64).ok_or_else(|| {
-        ProtoError::new(
-            ErrorKind::Field,
-            format!("missing non-negative integer field {key:?}"),
-        )
     })
 }
 
-/// An optional non-negative integer field: absent maps to `default`, but
-/// a present-yet-mistyped value is still a field error, never ignored.
-fn field_u64_or(obj: &[(String, Value)], key: &str, default: u64) -> Result<u64, ProtoError> {
-    match get(obj, key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            ProtoError::new(
-                ErrorKind::Field,
-                format!("{key:?} must be a non-negative integer"),
-            )
-        }),
+/// `frame` without the ASCII whitespace `str::trim` strips (JSON's four,
+/// VT and FF); empty for a blank keep-alive line.
+pub fn trim_frame(frame: &[u8]) -> &[u8] {
+    let space = |b: &u8| matches!(b, b' ' | 0x09..=0x0d);
+    let start = frame.iter().position(|b| !space(b)).unwrap_or(frame.len());
+    let end = frame
+        .iter()
+        .rposition(|b| !space(b))
+        .map_or(start, |i| i + 1);
+    frame.get(start..end).unwrap_or(&[])
+}
+
+/// One scanned value: what the field checks need of it, nothing owned.
+#[derive(Debug, Clone, Copy)]
+enum Val<'a> {
+    Null,
+    /// A number `Value::as_u64` would accept.
+    UInt(u64),
+    Str(Str<'a>),
+    /// Anything else: bool, negative or fractional number, array, object.
+    Other,
+}
+
+/// A string's body as it stands in the frame (valid UTF-8); `escaped` when
+/// it holds a backslash and must be decoded before it is compared or kept.
+#[derive(Debug, Clone, Copy)]
+struct Str<'a> {
+    raw: &'a [u8],
+    escaped: bool,
+}
+
+impl<'a> Str<'a> {
+    fn text(self) -> Cow<'a, str> {
+        let raw = String::from_utf8_lossy(self.raw);
+        if !self.escaped {
+            return raw;
+        }
+        let mut scan = Scanner {
+            b: self.raw,
+            pos: 0,
+        };
+        let mut out = String::with_capacity(raw.len());
+        while let Some(rest) = raw.get(scan.pos..).filter(|r| !r.is_empty()) {
+            let (run, tail) = rest.split_once('\\').unwrap_or((rest, ""));
+            out.push_str(run);
+            scan.pos += run.len() + 1;
+            if !tail.is_empty() {
+                out.extend(scan.escape().ok());
+            }
+        }
+        Cow::Owned(out)
+    }
+
+    /// The decoded bytes, to compare without checking UTF-8 a second time.
+    fn bytes(self) -> Cow<'a, [u8]> {
+        match self.escaped {
+            false => Cow::Borrowed(self.raw),
+            true => Cow::Owned(self.text().into_owned().into_bytes()),
+        }
     }
 }
 
-fn field_collective(obj: &[(String, Value)]) -> Result<Collective, ProtoError> {
-    let s = field_str(obj, "collective")?;
-    parse_collective(s).ok_or_else(|| {
+/// What a scan stopped on; [`parse_frame`] adds where.
+type Scan<T> = Result<T, &'static str>;
+
+struct Scanner<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.b.get(self.pos).copied()
+    }
+
+    /// The next byte that is not JSON whitespace, left in place.
+    fn next(&mut self) -> Option<u8> {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+        self.peek()
+    }
+
+    /// Take `c` if it is what comes [`next`](Self::next).
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = self.next() == Some(c);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// The whole frame: one object and nothing after it.
+    fn frame(&mut self, fields: &mut Fields<'a>) -> Scan<()> {
+        if self.next() != Some(b'{') {
+            return Err("frame must be a JSON object");
+        }
+        self.members(b'}', Some(fields), 0)?;
+        match self.next() {
+            None => Ok(()),
+            Some(_) => Err("trailing characters"),
+        }
+    }
+
+    /// An object (`close` is `}`) or array whose opening bracket is at
+    /// `pos`. With `fields`, known keys keep their first value.
+    fn members(&mut self, close: u8, mut fields: Option<&mut Fields<'a>>, depth: u32) -> Scan<()> {
+        if depth >= MAX_DEPTH {
+            return Err("nesting too deep");
+        }
+        self.pos += 1;
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            let mut slot = None;
+            if close == b'}' {
+                let key = self.string()?.bytes();
+                if !self.eat(b':') {
+                    return Err("expected `:`");
+                }
+                slot = fields.as_deref_mut().and_then(|fields| {
+                    let at = KEYS.iter().position(|k| k.as_bytes() == &*key)?;
+                    fields.get_mut(at)
+                });
+            }
+            let val = self.value(depth + 1)?;
+            if let Some(slot) = slot {
+                slot.get_or_insert(val);
+            }
+            if self.eat(close) {
+                return Ok(());
+            }
+            if !self.eat(b',') {
+                return Err("expected `,` or a closing bracket");
+            }
+        }
+    }
+
+    fn value(&mut self, depth: u32) -> Scan<Val<'a>> {
+        let literal = |scan: &mut Self, word: &str, val| {
+            let rest = scan.b.get(scan.pos..).unwrap_or(&[]);
+            scan.pos += word.len();
+            rest.starts_with(word.as_bytes())
+                .then_some(val)
+                .ok_or("expected a value")
+        };
+        match self.next() {
+            Some(b'"') => self.string().map(Val::Str),
+            Some(b'{') => self.members(b'}', None, depth).map(|()| Val::Other),
+            Some(b'[') => self.members(b']', None, depth).map(|()| Val::Other),
+            Some(b't') => literal(self, "true", Val::Other),
+            Some(b'f') => literal(self, "false", Val::Other),
+            Some(b'n') => literal(self, "null", Val::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err("expected a value"),
+        }
+    }
+
+    /// A number token, made what the tree parser made of it: a `u64`, else
+    /// an `i64`, else an `f64`.
+    fn number(&mut self) -> Scan<Val<'a>> {
+        let start = self.pos;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
+            self.pos += 1;
+        }
+        let token = self.b.get(start..self.pos).unwrap_or(&[]);
+        let text = std::str::from_utf8(token).unwrap_or("");
+        if let Ok(n) = text.parse::<u64>() {
+            Ok(Val::UInt(n))
+        } else if let Ok(n) = text.parse::<i64>() {
+            Ok(u64::try_from(n).map_or(Val::Other, Val::UInt))
+        } else if text.parse::<f64>().is_ok() {
+            Ok(Val::Other)
+        } else {
+            Err("invalid number")
+        }
+    }
+
+    /// One string, its opening quote next: escapes and UTF-8 checked,
+    /// nothing decoded.
+    fn string(&mut self) -> Scan<Str<'a>> {
+        if !self.eat(b'"') {
+            return Err("expected a string");
+        }
+        let start = self.pos;
+        let mut escaped = false;
+        loop {
+            let rest = self.b.get(self.pos..).unwrap_or(&[]);
+            let stop = rest.iter().position(|&c| c == b'"' || c == b'\\');
+            self.pos += stop.map_or(rest.len(), |stop| stop + 1);
+            match stop.and_then(|stop| rest.get(stop)) {
+                None => return Err("unterminated string"),
+                Some(b'"') => break,
+                Some(_) => {
+                    self.escape()?;
+                    escaped = true;
+                }
+            }
+        }
+        let raw = self.b.get(start..self.pos - 1).unwrap_or(&[]);
+        if !raw.is_ascii() && std::str::from_utf8(raw).is_err() {
+            return Err("invalid UTF-8 in string");
+        }
+        Ok(Str { raw, escaped })
+    }
+
+    /// The escape whose backslash was just consumed, decoded.
+    fn escape(&mut self) -> Scan<char> {
+        const BAD: &str = "invalid escape";
+        let c = self.peek().ok_or(BAD)?;
+        self.pos += 1;
+        Ok(match c {
+            b'"' | b'\\' | b'/' => char::from(c),
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let mut cp = self.hex4()?;
+                // A high surrogate must lead a `\uXXXX` low one.
+                if let hi @ 0xD800..0xDC00 = cp {
+                    if self.b.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                        return Err(BAD);
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?.checked_sub(0xDC00).filter(|lo| *lo < 0x400);
+                    cp = 0x10000 + ((hi - 0xD800) << 10) + lo.ok_or(BAD)?;
+                }
+                char::from_u32(cp).ok_or(BAD)?
+            }
+            _ => return Err(BAD),
+        })
+    }
+
+    /// Four hex digits as `u32::from_str_radix` reads them.
+    fn hex4(&mut self) -> Scan<u32> {
+        let digits = self.b.get(self.pos..self.pos + 4);
+        self.pos += 4;
+        digits
+            .and_then(|d| u32::from_str_radix(std::str::from_utf8(d).ok()?, 16).ok())
+            .ok_or("invalid \\u escape")
+    }
+}
+
+fn field_str<'a>(fields: &Fields<'a>, key: &str) -> Result<Str<'a>, ProtoError> {
+    match get(fields, key) {
+        Some(Val::Str(s)) => Ok(s),
+        _ => Err(ProtoError::new(
+            ErrorKind::Field,
+            format!("missing string field {key:?}"),
+        )),
+    }
+}
+
+/// A non-negative integer field. An absent (or null) one maps to `default`
+/// when there is one, but a present-yet-mistyped value is a field error
+/// either way, never ignored.
+fn field_u64(fields: &Fields<'_>, key: &str, default: Option<u64>) -> Result<u64, ProtoError> {
+    let msg = match (get(fields, key), default) {
+        (Some(Val::UInt(n)), _) => return Ok(n),
+        (None | Some(Val::Null), Some(default)) => return Ok(default),
+        (_, Some(_)) => format!("{key:?} must be a non-negative integer"),
+        (_, None) => format!("missing non-negative integer field {key:?}"),
+    };
+    Err(ProtoError::new(ErrorKind::Field, msg))
+}
+
+fn field_collective(fields: &Fields<'_>) -> Result<Collective, ProtoError> {
+    let s = field_str(fields, "collective")?;
+    parse_collective(&s.bytes()).ok_or_else(|| {
+        let s = s.text();
         ProtoError::new(
             ErrorKind::Field,
             format!("unknown collective {s:?} (allgather, alltoall, bcast, allreduce)"),
@@ -264,10 +594,9 @@ fn field_collective(obj: &[(String, Value)]) -> Result<Collective, ProtoError> {
     })
 }
 
-fn field_job(obj: &[(String, Value)]) -> Result<JobConfig, ProtoError> {
+fn field_job(fields: &Fields<'_>) -> Result<JobConfig, ProtoError> {
     let ranged_u32 = |key: &str| -> Result<u32, ProtoError> {
-        let raw = field_u64(obj, key)?;
-        let v = u32::try_from(raw)
+        let v = u32::try_from(field_u64(fields, key, None)?)
             .map_err(|_| ProtoError::new(ErrorKind::Field, format!("{key:?} out of range")))?;
         if v == 0 {
             return Err(ProtoError::new(
@@ -279,8 +608,7 @@ fn field_job(obj: &[(String, Value)]) -> Result<JobConfig, ProtoError> {
     };
     let nodes = ranged_u32("nodes")?;
     let ppn = ranged_u32("ppn")?;
-    let msg = field_u64(obj, "msg_size")?;
-    let msg = usize::try_from(msg)
+    let msg = usize::try_from(field_u64(fields, "msg_size", None)?)
         .map_err(|_| ProtoError::new(ErrorKind::Field, "\"msg_size\" out of range"))?;
     Ok(JobConfig::new(nodes, ppn, msg))
 }
@@ -303,43 +631,6 @@ pub fn render_ok(id: Option<u64>, extra: Vec<(String, Value)>) -> String {
     frame(id, true, extra)
 }
 
-/// A `select` reply: the chosen algorithm plus the fallback depth (0 exact
-/// table cell … 4 static default rules), mirroring [`FallbackDepth`].
-pub fn render_select(id: Option<u64>, algo: Algorithm, depth: FallbackDepth) -> String {
-    frame(
-        id,
-        true,
-        vec![
-            (
-                "collective".to_string(),
-                Value::Str(collective_wire_name(algo.collective()).to_string()),
-            ),
-            ("algorithm".to_string(), Value::Str(algo.name().to_string())),
-            ("depth".to_string(), Value::UInt(depth.as_u64())),
-        ],
-    )
-}
-
-/// A `predict` reply: the model's pick for the requested job shape.
-pub fn render_predict(id: Option<u64>, algo: Algorithm) -> String {
-    frame(
-        id,
-        true,
-        vec![
-            (
-                "collective".to_string(),
-                Value::Str(collective_wire_name(algo.collective()).to_string()),
-            ),
-            ("algorithm".to_string(), Value::Str(algo.name().to_string())),
-        ],
-    )
-}
-
-/// A `ping` reply.
-pub fn render_pong(id: Option<u64>) -> String {
-    frame(id, true, vec![("pong".to_string(), Value::Bool(true))])
-}
-
 /// A typed error reply. The connection stays open after sending one.
 pub fn render_error(id: Option<u64>, err: &ProtoError) -> String {
     frame(
@@ -358,9 +649,582 @@ pub fn render_error(id: Option<u64>, err: &ProtoError) -> String {
     )
 }
 
+// The three hot replies hold only an integer, `&'static` names and a digit,
+// so they are appended straight to the connection's out buffer, byte for
+// byte what `frame` prints.
+
+/// `{"v":…,"id":…,"ok":true` — the part every successful reply opens with.
+fn write_ok_head(out: &mut Vec<u8>, id: Option<u64>) {
+    out.extend_from_slice(b"{\"v\":\"");
+    out.extend_from_slice(PROTOCOL_VERSION.as_bytes());
+    out.push(b'"');
+    if let Some(id) = id {
+        write!(out, ",\"id\":{id}").ok();
+    }
+    out.extend_from_slice(b",\"ok\":true");
+}
+
+/// The fields `select` and `predict` replies share; the object stays open.
+fn write_choice(out: &mut Vec<u8>, id: Option<u64>, algo: Algorithm) {
+    write_ok_head(out, id);
+    out.extend_from_slice(b",\"collective\":\"");
+    out.extend_from_slice(collective_wire_name(algo.collective()).as_bytes());
+    out.extend_from_slice(b"\",\"algorithm\":\"");
+    out.extend_from_slice(algo.name().as_bytes());
+    out.push(b'"');
+}
+
+/// Append a `select` reply: the chosen algorithm plus the fallback depth (0
+/// exact table cell … 4 static default rules), mirroring [`FallbackDepth`].
+pub fn write_select(out: &mut Vec<u8>, id: Option<u64>, algo: Algorithm, depth: FallbackDepth) {
+    write_choice(out, id, algo);
+    write!(out, ",\"depth\":{}}}", depth.as_u64()).ok();
+}
+
+/// Append a `predict` reply: the model's pick for the requested job shape.
+pub fn write_predict(out: &mut Vec<u8>, id: Option<u64>, algo: Algorithm) {
+    write_choice(out, id, algo);
+    out.push(b'}');
+}
+
+/// Append a `ping` reply.
+pub fn write_pong(out: &mut Vec<u8>, id: Option<u64>) {
+    write_ok_head(out, id);
+    out.extend_from_slice(b",\"pong\":true}");
+}
+
+fn rendered(write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::with_capacity(128);
+    write(&mut out);
+    String::from_utf8(out).unwrap_or_else(|_| RENDER_FALLBACK.to_string())
+}
+
+/// [`write_select`] as a `String` (tests, clients, the benchmark's reference).
+pub fn render_select(id: Option<u64>, algo: Algorithm, depth: FallbackDepth) -> String {
+    rendered(|out| write_select(out, id, algo, depth))
+}
+
+/// [`write_predict`] as a `String`.
+pub fn render_predict(id: Option<u64>, algo: Algorithm) -> String {
+    rendered(|out| write_predict(out, id, algo))
+}
+
+/// [`write_pong`] as a `String`.
+pub fn render_pong(id: Option<u64>) -> String {
+    rendered(|out| write_pong(out, id))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `parse_request` as it was before the scanner: the vendored tree
+    /// parser plus field lookups on the `Value`. Kept as the reference the
+    /// scanner is pinned to.
+    mod oracle {
+        use super::super::*;
+
+        pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, ProtoError)> {
+            let value: Value = serde_json::from_str(line.trim())
+                .map_err(|e| (None, ProtoError::new(ErrorKind::Parse, e.to_string())))?;
+            let obj = value.as_object().ok_or_else(|| {
+                (
+                    None,
+                    ProtoError::new(
+                        ErrorKind::Parse,
+                        format!("frame must be a JSON object, got {}", value.kind()),
+                    ),
+                )
+            })?;
+            // The id is recovered first so every later error can echo it.
+            let id = match get(obj, "id") {
+                None | Some(Value::Null) => None,
+                Some(v) => Some(v.as_u64().ok_or_else(|| {
+                    (
+                        None,
+                        ProtoError::new(ErrorKind::Field, "id must be a non-negative integer"),
+                    )
+                })?),
+            };
+            let fail = |kind, msg: String| (id, ProtoError::new(kind, msg));
+            match get(obj, "v").and_then(Value::as_str) {
+                Some(PROTOCOL_VERSION) => {}
+                Some(other) => {
+                    let msg = format!(
+                        "unsupported protocol version {other:?} (daemon speaks {PROTOCOL_VERSION})"
+                    );
+                    return Err(fail(ErrorKind::Version, msg));
+                }
+                None => {
+                    return Err(fail(
+                        ErrorKind::Version,
+                        format!("missing \"v\" field (expected {PROTOCOL_VERSION:?})"),
+                    ))
+                }
+            }
+            let op = match get(obj, "op").and_then(Value::as_str) {
+                Some(op) => op,
+                None => return Err(fail(ErrorKind::Op, "missing \"op\" field".to_string())),
+            };
+            let op = match op {
+                "select" => Op::Select {
+                    collective: field_collective(obj).map_err(|e| (id, e))?,
+                    job: field_job(obj).map_err(|e| (id, e))?,
+                },
+                "predict" => Op::Predict {
+                    cluster: field_str(obj, "cluster").map_err(|e| (id, e))?.to_string(),
+                    collective: field_collective(obj).map_err(|e| (id, e))?,
+                    job: field_job(obj).map_err(|e| (id, e))?,
+                },
+                "ping" => Op::Ping,
+                "stats" => Op::Stats,
+                "watch" => Op::Watch {
+                    interval_ms: field_u64_or(obj, "interval_ms", WATCH_DEFAULT_INTERVAL_MS)
+                        .map_err(|e| (id, e))?,
+                    count: field_u64_or(obj, "count", 0).map_err(|e| (id, e))?,
+                },
+                "shutdown" => Op::Shutdown,
+                other => {
+                    return Err(fail(
+                        ErrorKind::Op,
+                        format!(
+                            "unknown op {other:?} (select, predict, ping, stats, watch, shutdown)"
+                        ),
+                    ))
+                }
+            };
+            Ok(Request { id, op })
+        }
+
+        fn parse_collective(s: &str) -> Option<Collective> {
+            let want = s.to_ascii_lowercase();
+            let want = want.trim_start_matches("mpi_");
+            Collective::ALL
+                .iter()
+                .copied()
+                .find(|c| collective_wire_name(*c) == want)
+        }
+
+        pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+            obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        }
+
+        fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, ProtoError> {
+            get(obj, key).and_then(Value::as_str).ok_or_else(|| {
+                ProtoError::new(ErrorKind::Field, format!("missing string field {key:?}"))
+            })
+        }
+
+        fn field_u64(obj: &[(String, Value)], key: &str) -> Result<u64, ProtoError> {
+            get(obj, key).and_then(Value::as_u64).ok_or_else(|| {
+                ProtoError::new(
+                    ErrorKind::Field,
+                    format!("missing non-negative integer field {key:?}"),
+                )
+            })
+        }
+
+        fn field_u64_or(
+            obj: &[(String, Value)],
+            key: &str,
+            default: u64,
+        ) -> Result<u64, ProtoError> {
+            match get(obj, key) {
+                None | Some(Value::Null) => Ok(default),
+                Some(v) => v.as_u64().ok_or_else(|| {
+                    ProtoError::new(
+                        ErrorKind::Field,
+                        format!("{key:?} must be a non-negative integer"),
+                    )
+                }),
+            }
+        }
+
+        fn field_collective(obj: &[(String, Value)]) -> Result<Collective, ProtoError> {
+            let s = field_str(obj, "collective")?;
+            parse_collective(s).ok_or_else(|| {
+                ProtoError::new(
+                    ErrorKind::Field,
+                    format!("unknown collective {s:?} (allgather, alltoall, bcast, allreduce)"),
+                )
+            })
+        }
+
+        fn field_job(obj: &[(String, Value)]) -> Result<JobConfig, ProtoError> {
+            let ranged_u32 = |key: &str| -> Result<u32, ProtoError> {
+                let raw = field_u64(obj, key)?;
+                let v = u32::try_from(raw).map_err(|_| {
+                    ProtoError::new(ErrorKind::Field, format!("{key:?} out of range"))
+                })?;
+                if v == 0 {
+                    return Err(ProtoError::new(
+                        ErrorKind::Field,
+                        format!("{key:?} must be >= 1"),
+                    ));
+                }
+                Ok(v)
+            };
+            let nodes = ranged_u32("nodes")?;
+            let ppn = ranged_u32("ppn")?;
+            let msg = field_u64(obj, "msg_size")?;
+            let msg = usize::try_from(msg)
+                .map_err(|_| ProtoError::new(ErrorKind::Field, "\"msg_size\" out of range"))?;
+            Ok(JobConfig::new(nodes, ppn, msg))
+        }
+    }
+
+    use oracle::get;
+
+    /// Every frame the protocol tests in this file and
+    /// `scripts/serve_smoke.sh` send, good and bad.
+    const CORPUS: &[&str] = &[
+        r#"{"v":"pml-serve/v1","id":7,"op":"select","collective":"alltoall","nodes":4,"ppn":8,"msg_size":1024}"#,
+        r#"{"v":"pml-serve/v1","op":"predict","cluster":"Frontera","collective":"allgather","nodes":16,"ppn":56,"msg_size":4096}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"MPI_Alltoall","nodes":2,"ppn":2,"msg_size":64}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"Bcast","nodes":2,"ppn":2,"msg_size":64}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"mpi_allreduce","nodes":2,"ppn":2,"msg_size":64}"#,
+        r#"{"v":"pml-serve/v1","id":1,"op":"ping"}"#,
+        r#"{"v":"pml-serve/v1","id":1,"op":"stats"}"#,
+        r#"{"v":"pml-serve/v1","id":1,"op":"shutdown"}"#,
+        r#"{"v":"pml-serve/v1","id":9,"op":"watch"}"#,
+        r#"{"v":"pml-serve/v1","op":"watch","interval_ms":250,"count":4}"#,
+        r#"{"v":"pml-serve/v1","op":"watch","interval_ms":"fast"}"#,
+        r#"{"v":"pml-serve/v1","id":8,"op":"watch","interval_ms":0,"count":1}"#,
+        "{not json",
+        "[1,2,3]",
+        r#"{"op":"ping"}"#,
+        r#"{"v":"pml-serve/v0","op":"ping"}"#,
+        r#"{"v":"pml-serve/v1"}"#,
+        r#"{"v":"pml-serve/v1","op":"dance"}"#,
+        r#"{"v":"pml-serve/v1","id":42,"op":"dance"}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"alltoall","nodes":0,"ppn":8,"msg_size":1}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"gossip","nodes":2,"ppn":8,"msg_size":1}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":2,"ppn":4,"msg_size":256}"#,
+        "{broken",
+        r#"{"v":"pml-serve/v1","id":2,"op":"select","collective":"alltoall","nodes":2,"ppn":4,"msg_size":1024}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"alltoall","nodes":4,"ppn":8,"msg_size":65536}"#,
+        "{bad json",
+        r#"{"v":"pml-serve/v1","id":5,"op":"sel"#,
+        r#"{"v":"pml-serve/v1","id":6,"op":"frobnicate"}"#,
+        r#"{"v":"pml-serve/v1","id":7,"op":"stats"}"#,
+    ];
+
+    /// Frames for the corners of the grammar: key order, duplicates,
+    /// escapes, nested unknown values, whitespace, number forms.
+    const CORNERS: &[&str] = &[
+        r#"{"msg_size":64,"ppn":2,"nodes":2,"collective":"bcast","op":"select","id":5,"v":"pml-serve/v1"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","op":"shutdown","id":1,"id":2}"#,
+        r#"{"v":"pml-serve/v1","id":"x","id":5,"op":"ping"}"#,
+        r#"{"v":"pml-serve/v0","v":"pml-serve/v1","op":"ping"}"#,
+        r#"{"v":"pml-serve\/v1","op":"ping","id":3}"#,
+        r#"{"v":"pml-serve/v1","op":"predict","cluster":"a\"b\\c\/d\b\f\n\r\té😀é","collective":"bcast","nodes":1,"ppn":1,"msg_size":1}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"\ud800"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"\ud800A"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"\udc00"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"\u+041"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"\u12"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"\q"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","x":"tab	inside"}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","extra":{"a":[1,2,{"b":[[],{}]}],"c":null},"more":[true,false,null,-1.5e3,"s"]}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","extra":{"a":[1,2,}}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","extra":[1,2}}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","extra":{"a" 1}}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","extra":{1:2}}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","id":{"id":9}}"#,
+        " \t{ \"v\" : \"pml-serve/v1\" ,\r \"op\" : \"ping\" , \"id\" : 4 } \r",
+        "\u{b}\u{c}{\"v\":\"pml-serve/v1\",\"op\":\"ping\"}\u{c}\u{b}",
+        "{\"v\":\"pml-serve/v1\",\u{b}\"op\":\"ping\"}",
+        r#"{"v":"pml-serve/v1","op":"ping"} x"#,
+        r#"{"v":"pml-serve/v1","op":"ping",}"#,
+        r#"{,"v":"pml-serve/v1","op":"ping"}"#,
+        "{}",
+        "{ }",
+        "",
+        "null",
+        "7",
+        r#""ping""#,
+        "[{\"v\":\"pml-serve/v1\",\"op\":\"ping\"}]",
+        r#"{"v":null,"op":"ping"}"#,
+        r#"{"v":"pml-serve/v1","op":null}"#,
+        r#"{"v":"pml-serve/v1","op":7}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","id":null}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","id":true}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","id":truex}"#,
+        r#"{"v":"pml-serve/v1","op":"ping","id":nul}"#,
+        r#"{"v":"pml-serve/v1","op":"watch","interval_ms":null,"count":null}"#,
+        r#"{"v":"pml-serve/v1","op":"watch","count":-1}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"MPI_mpi_Bcast","nodes":1,"ppn":1,"msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"mpi_","nodes":1,"ppn":1,"msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"bcasté","nodes":1,"ppn":1,"msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":7,"nodes":1,"ppn":1,"msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":4294967296,"ppn":1,"msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":1,"ppn":"8","msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":1,"ppn":1}"#,
+        r#"{"v":"pml-serve/v1","op":"predict","collective":"bcast","nodes":1,"ppn":1,"msg_size":1}"#,
+        r#"{"v":"pml-serve/v1","op":"predict","cluster":5,"collective":"gossip","nodes":0,"ppn":1,"msg_size":1}"#,
+    ];
+
+    /// Number tokens, tried as `id` and as `nodes`.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "007",
+        "-0",
+        "-00",
+        "-1",
+        "-",
+        "--1",
+        "1.0",
+        "1.",
+        "-.5",
+        "1e3",
+        "1E+3",
+        "1e",
+        "1.5.5",
+        "1-2",
+        "+1",
+        ".5",
+        "1e999",
+        "4294967295",
+        "4294967296",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999999",
+    ];
+
+    /// The scanner must answer `line` as the tree parser does: the same
+    /// request, or the same recovered id and error kind — and, for every
+    /// kind but `parse` (whose wording names the syntax error), the same
+    /// message.
+    fn assert_agrees(line: &str) {
+        match (parse_request(line), oracle::parse_request(line)) {
+            (Ok(got), Ok(want)) => assert_eq!(got, want, "line: {line:?}"),
+            (Err((got_id, got)), Err((want_id, want))) => {
+                assert_eq!((got_id, got.kind), (want_id, want.kind), "line: {line:?}");
+                if want.kind != ErrorKind::Parse {
+                    assert_eq!(got.message, want.message, "line: {line:?}");
+                }
+            }
+            (got, want) => panic!("line {line:?}: scanner {got:?}, tree parser {want:?}"),
+        }
+    }
+
+    #[test]
+    fn scanner_agrees_with_the_tree_parser_on_every_known_frame_and_prefix() {
+        for line in CORPUS.iter().chain(CORNERS) {
+            assert_agrees(line);
+            for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                assert_agrees(&line[..cut]);
+            }
+        }
+        for number in NUMBERS {
+            assert_agrees(&format!(
+                r#"{{"v":"pml-serve/v1","id":{number},"op":"ping"}}"#
+            ));
+            assert_agrees(&format!(
+                r#"{{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":{number},"ppn":2,"msg_size":{number}}}"#
+            ));
+            assert_agrees(&format!(
+                r#"{{"v":"pml-serve/v1","op":"ping","unknown":[{number}]}}"#
+            ));
+        }
+    }
+
+    /// splitmix64: a seeded stream for the mutants below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn scanner_agrees_with_the_tree_parser_on_seeded_mutants() {
+        // Bytes that steer a JSON parser, drawn more often than the rest.
+        const STEER: &[u8] = b"{}[]\",:\\ \t\r-+.eEu0919tfn\x0b";
+        let bases: Vec<&str> = CORPUS.iter().chain(CORNERS).copied().collect();
+        let mut state = 0x5eed_0015_u64;
+        let (mut compared, mut not_utf8) = (0, 0);
+        for round in 0..12_000 {
+            let mut bytes = bases[round % bases.len()].as_bytes().to_vec();
+            for _ in 0..1 + next(&mut state) % 3 {
+                let at = next(&mut state) as usize % (bytes.len() + 1);
+                let byte = match next(&mut state) % 8 {
+                    0 => (next(&mut state) & 0xff) as u8,
+                    1..=2 => (next(&mut state) & 0x7f) as u8,
+                    _ => STEER[next(&mut state) as usize % STEER.len()],
+                };
+                match next(&mut state) % 4 {
+                    0 if at < bytes.len() => drop(bytes.remove(at)),
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        // Move a span: reorders and duplicates tokens.
+                        let len = next(&mut state) as usize % (bytes.len() - at) + 1;
+                        let span = bytes[at..at + len].to_vec();
+                        let to = next(&mut state) as usize % (bytes.len() + 1);
+                        bytes.splice(to..to, span);
+                    }
+                    _ if at < bytes.len() => bytes[at] = byte,
+                    _ => bytes.push(byte),
+                }
+            }
+            // A frame never holds a newline: the connection splits on it.
+            bytes.retain(|&b| b != b'\n');
+            match std::str::from_utf8(&bytes) {
+                Ok(line) => {
+                    compared += 1;
+                    assert_agrees(line);
+                }
+                // The tree parser never saw such a line; the scanner owes
+                // it a typed `parse` error.
+                Err(_) => {
+                    not_utf8 += 1;
+                    let (id, err) = parse_frame(&bytes).expect_err("invalid UTF-8 accepted");
+                    assert_eq!((id, err.kind), (None, ErrorKind::Parse));
+                }
+            }
+        }
+        assert!(
+            compared >= 10_000,
+            "only {compared} mutants were comparable"
+        );
+        assert!(not_utf8 > 0, "no mutant exercised the UTF-8 check");
+    }
+
+    #[test]
+    fn only_ascii_whitespace_is_trimmed_around_a_frame() {
+        // The one deviation from the tree parser, which went through
+        // `str::trim`: Unicode whitespace JSON does not know.
+        let ping = r#"{"v":"pml-serve/v1","id":1,"op":"ping"}"#;
+        for space in ["\u{a0}", "\u{85}", "\u{2028}", "\u{3000}"] {
+            let line = format!("{space}{ping}{space}");
+            assert!(oracle::parse_request(&line).is_ok());
+            let (id, err) = parse_request(&line).expect_err("non-JSON whitespace accepted");
+            assert_eq!((id, err.kind), (None, ErrorKind::Parse));
+            assert!(!trim_frame(space.as_bytes()).is_empty(), "not a blank line");
+        }
+        assert!(trim_frame(b" \t\r\x0b\x0c").is_empty());
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_typed_parse_error() {
+        let frames: [&[u8]; 4] = [
+            b"{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"predict\",\"cluster\":\"Fr\xffnt\"}",
+            b"{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"ping\",\"k\xc3\":1}",
+            b"{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"ping\"}\xff",
+            b"\xff",
+        ];
+        for frame in frames {
+            let (id, err) = parse_frame(frame).expect_err("invalid UTF-8 accepted");
+            assert_eq!((id, err.kind), (None, ErrorKind::Parse));
+        }
+        // A split character is only invalid until its second byte arrives.
+        let whole = "{\"v\":\"pml-serve/v1\",\"op\":\"predict\",\"cluster\":\"é\",\"collective\":\"bcast\",\"nodes\":1,\"ppn\":1,\"msg_size\":1}";
+        assert!(parse_frame(whole.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into() {
+        let nested = |depth: usize| {
+            format!(
+                r#"{{"v":"pml-serve/v1","op":"ping","x":{}{}}}"#,
+                "[".repeat(depth),
+                "]".repeat(depth)
+            )
+        };
+        // The frame's own object is level one.
+        assert_agrees(&nested(MAX_DEPTH as usize - 1));
+        for depth in [MAX_DEPTH as usize, 60_000] {
+            let (id, err) = parse_request(&nested(depth)).expect_err("deep nesting accepted");
+            assert_eq!((id, err.kind), (None, ErrorKind::Parse));
+        }
+    }
+
+    #[test]
+    fn encode_request_is_the_inverse_of_parse_request() {
+        let jobs = [
+            JobConfig::new(1, 1, 0),
+            JobConfig::new(16, 56, 4096),
+            JobConfig::new(u32::MAX, u32::MAX, usize::MAX),
+        ];
+        let clusters = [
+            "Frontera",
+            "",
+            "a\"b",
+            "back\\slash",
+            "tab\there\u{1}",
+            "é😀 x",
+        ];
+        let mut ops = vec![
+            Op::Ping,
+            Op::Stats,
+            Op::Shutdown,
+            Op::Watch {
+                interval_ms: 0,
+                count: 1,
+            },
+            Op::Watch {
+                interval_ms: u64::MAX,
+                count: u64::MAX,
+            },
+        ];
+        for collective in Collective::ALL {
+            for job in jobs {
+                ops.push(Op::Select { collective, job });
+                for cluster in clusters {
+                    ops.push(Op::Predict {
+                        cluster: cluster.to_string(),
+                        collective,
+                        job,
+                    });
+                }
+            }
+        }
+        for op in ops {
+            for id in [None, Some(0), Some(u64::MAX)] {
+                let req = Request { id, op: op.clone() };
+                let frame = encode_request(&req);
+                assert!(!frame.contains('\n'), "frame must be one line: {frame}");
+                assert_eq!(parse_request(&frame), Ok(req), "frame: {frame}");
+            }
+        }
+    }
+
+    #[test]
+    fn direct_renderers_match_the_tree_printer() {
+        let depths = [
+            FallbackDepth::Exact,
+            FallbackDepth::NearestBucket,
+            FallbackDepth::Substituted,
+            FallbackDepth::Analytic,
+            FallbackDepth::DefaultRules,
+        ];
+        let choice = |algo: Algorithm| {
+            vec![
+                (
+                    "collective".to_string(),
+                    Value::Str(collective_wire_name(algo.collective()).to_string()),
+                ),
+                ("algorithm".to_string(), Value::Str(algo.name().to_string())),
+            ]
+        };
+        for id in [None, Some(0), Some(u64::MAX)] {
+            let pong = vec![("pong".to_string(), Value::Bool(true))];
+            assert_eq!(render_pong(id), frame(id, true, pong));
+            for algo in Collective::ALL.into_iter().flat_map(Algorithm::all_for) {
+                assert_eq!(render_predict(id, algo), frame(id, true, choice(algo)));
+                for depth in depths {
+                    let mut fields = choice(algo);
+                    fields.push(("depth".to_string(), Value::UInt(depth.as_u64())));
+                    assert_eq!(render_select(id, algo, depth), frame(id, true, fields));
+                }
+            }
+        }
+    }
 
     fn must_parse(line: &str) -> Request {
         parse_request(line).expect("frame parses")

@@ -69,10 +69,12 @@ pub static STAGE_SERIALIZE: WindowedHistogram = WindowedHistogram::new(
     &LATENCY_NS_BOUNDS,
     DEFAULT_SLOT_NS,
 );
-/// Writing and flushing the reply to the socket.
+/// Writing the reply to the socket: an equal share of the one write that
+/// carried it.
 pub static STAGE_REPLY: WindowedHistogram =
     WindowedHistogram::new("serve.stage.reply_ns", &LATENCY_NS_BOUNDS, DEFAULT_SLOT_NS);
-/// End-to-end daemon-side latency: frame read → reply flushed.
+/// End-to-end daemon-side latency: frame taken from the read buffer → the
+/// write carrying its reply returned.
 pub static REQUEST_TOTAL: WindowedHistogram = WindowedHistogram::new(
     "serve.request.total_ns",
     &LATENCY_NS_BOUNDS,
@@ -109,16 +111,18 @@ pub fn stage_histogram(name: &str) -> Option<&'static WindowedHistogram> {
 
 /// One in-flight request's attribution record: its monotonic id, the
 /// clock reading when its frame arrived, and the stage durations
-/// collected so far. Only exists when request tracing is enabled.
+/// collected so far. Only exists when request tracing is enabled. The
+/// stages sit inline — no request runs through more than
+/// [`STAGE_NAMES`] has entries — so tracing allocates nothing.
 #[derive(Debug, Clone)]
 pub struct RequestTrace {
     pub id: u64,
     /// Op label, known after parse (`"select"`, `"predict"`, …).
     pub op: &'static str,
-    /// Clock reading when the frame was read off the socket.
+    /// Clock reading when the frame was taken from the read buffer.
     pub started_ns: u64,
-    /// `(stage name, duration)` pairs in the order they completed.
-    pub stages: Vec<(&'static str, u64)>,
+    stages: [(&'static str, u64); STAGE_NAMES.len()],
+    len: usize,
 }
 
 impl RequestTrace {
@@ -127,8 +131,14 @@ impl RequestTrace {
             id,
             op: "?",
             started_ns,
-            stages: Vec::with_capacity(4),
+            stages: [("", 0); STAGE_NAMES.len()],
+            len: 0,
         }
+    }
+
+    /// `(stage name, duration)` pairs in the order they completed.
+    pub fn stages(&self) -> &[(&'static str, u64)] {
+        self.stages.get(..self.len).unwrap_or(&[])
     }
 
     /// Record one completed stage: into the trace (for the slow ring) and
@@ -138,7 +148,44 @@ impl RequestTrace {
         if let Some(h) = stage_histogram(name) {
             h.observe(dur_ns, now_nanos);
         }
-        self.stages.push((name, dur_ns));
+        self.push(name, dur_ns);
+    }
+
+    /// Record a stage into the trace only: one measured elsewhere and
+    /// already in its histogram, or the total.
+    pub fn push(&mut self, name: &'static str, dur_ns: u64) {
+        if let Some(slot) = self.stages.get_mut(self.len) {
+            *slot = (name, dur_ns);
+            self.len += 1;
+        }
+    }
+}
+
+/// One daemon's request and error-reply counts, for `stats`. The request
+/// count doubles as the source of request ids (distinct from client frame
+/// ids). Statistics that order nothing, hence `Relaxed`.
+#[derive(Debug, Default)]
+pub struct RequestCounts {
+    requests: AtomicU64,
+    errors: AtomicU64,
+}
+
+impl RequestCounts {
+    /// Count one accepted frame and return its id (1-based).
+    pub fn next_id(&self) -> u64 {
+        self.requests.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    pub fn error(&self) {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// (requests, errors) so far.
+    pub fn get(&self) -> (u64, u64) {
+        (
+            self.requests.load(Ordering::Relaxed),
+            self.errors.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -177,7 +224,7 @@ impl SlowRing {
     }
 
     pub fn push(&self, slow: SlowRequest) {
-        self.captured.fetch_add(1, Ordering::SeqCst);
+        self.captured.fetch_add(1, Ordering::Relaxed);
         let mut entries = lock(&self.entries);
         if entries.len() >= SLOW_RING_CAP {
             entries.pop_front();
@@ -187,7 +234,7 @@ impl SlowRing {
 
     /// Slow requests captured since boot (including evicted ones).
     pub fn captured(&self) -> u64 {
-        self.captured.load(Ordering::SeqCst)
+        self.captured.load(Ordering::Relaxed)
     }
 
     /// The `n` most recent captures, newest first.
@@ -236,7 +283,7 @@ mod tests {
         tr.op = "select";
         tr.stage("parse", 250, 400);
         tr.stage("select", 1_000, 1_500);
-        assert_eq!(tr.stages, vec![("parse", 250), ("select", 1_000)]);
+        assert_eq!(tr.stages(), [("parse", 250), ("select", 1_000)]);
         assert!(STAGE_PARSE.snap().count >= 1);
         assert!(STAGE_SELECT.snap().count >= 1);
     }

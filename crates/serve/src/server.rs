@@ -20,10 +20,10 @@
 //! one bad table still serves the rest (mirroring [`Tuner::from_dir`]).
 
 use crate::batch::{BatchConfig, Batcher};
-use crate::protocol::{self, Op};
+use crate::protocol::{self, Op, ProtoError, Request};
 use crate::quality::{QualityMonitor, QualitySample};
 use crate::reqtrace::{
-    RequestTrace, SlowRequest, SlowRing, REQUEST_TOTAL, STAGE_NAMES, WINDOW_ERRORS,
+    RequestCounts, RequestTrace, SlowRequest, SlowRing, REQUEST_TOTAL, STAGE_NAMES, WINDOW_ERRORS,
     WINDOW_OVER_P50, WINDOW_OVER_P99, WINDOW_REQUESTS,
 };
 use crate::signal;
@@ -34,10 +34,10 @@ use pml_obs::{Clock, Counter, Histogram, MonotonicClock, LATENCY_NS_BOUNDS};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -174,11 +174,8 @@ struct Shared {
     model_coverage: Vec<Collective>,
     /// Set by the `shutdown` op or the signal flag; read everywhere.
     shutdown: AtomicBool,
-    requests: AtomicU64,
-    errors: AtomicU64,
+    counts: RequestCounts,
     clock: Arc<dyn Clock>,
-    /// Monotonic daemon-side request id (distinct from client frame ids).
-    next_request_id: AtomicU64,
     /// Immutable after bind: whether requests carry a [`RequestTrace`].
     trace_requests: bool,
     slow_threshold_ns: u64,
@@ -240,10 +237,8 @@ impl Server {
                 batcher: Batcher::new(artifacts.models, batch, batch_trace),
                 model_coverage,
                 shutdown: AtomicBool::new(false),
-                requests: AtomicU64::new(0),
-                errors: AtomicU64::new(0),
+                counts: RequestCounts::default(),
                 clock,
-                next_request_id: AtomicU64::new(0),
                 trace_requests: obs.trace_requests,
                 slow_threshold_ns: obs.slow_threshold_ns,
                 slow_ring: SlowRing::new(),
@@ -263,10 +258,7 @@ impl Server {
 
     /// (requests, errors) handled so far.
     pub fn counts(&self) -> (u64, u64) {
-        (
-            self.shared.requests.load(Ordering::SeqCst),
-            self.shared.errors.load(Ordering::SeqCst),
-        )
+        self.shared.counts.get()
     }
 
     /// Accept until `term` (e.g. the SIGTERM flag from
@@ -285,9 +277,7 @@ impl Server {
                 Ok((stream, _addr)) => {
                     CONNECTIONS.inc();
                     let shared = Arc::clone(&self.shared);
-                    conns.push(std::thread::spawn(move || {
-                        serve_connection(&shared, stream)
-                    }));
+                    conns.push(std::thread::spawn(move || Conn::new(&shared, stream).run()));
                     // Reap finished threads so a long-lived daemon's handle
                     // list stays bounded by its live connections.
                     conns.retain(|h| !h.is_finished());
@@ -312,271 +302,308 @@ impl Server {
     }
 }
 
-/// One connection: read NDJSON lines, answer each, until EOF, a transport
-/// error, or daemon shutdown. Read timeouts keep the thread responsive to
-/// the shutdown flag without busy-waiting.
-fn serve_connection(shared: &Shared, stream: UnixStream) {
-    stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    // The line buffer persists across read timeouts: a frame arriving in
-    // pieces accumulates until its newline (or EOF) shows up.
-    let mut line = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+/// A frame, its newline included, must fit the connection's read buffer.
+/// A constant, not an option: the longest legal frame is a few hundred bytes.
+pub const MAX_FRAME_BYTES: usize = 64 << 10;
+
+/// Pending replies are written out once they pass this many bytes, so a
+/// client that never reads cannot grow them further.
+const OUT_FLUSH_BYTES: usize = 64 << 10;
+
+/// One connection. Each wake-up is one `read`; every complete frame in the
+/// buffer is answered in order and the partial tail waits for the next
+/// read. Replies collect in `out` and leave in one `write_all` right before
+/// the thread blocks or the connection ends, so a burst that arrived in one
+/// read is answered in one write and nothing is held across a blocking call.
+struct Conn<'a> {
+    shared: &'a Shared,
+    stream: UnixStream,
+    out: Vec<u8>,
+    /// The traced requests whose replies are in `out`, settled by `flush`.
+    pending: Vec<(RequestTrace, bool)>,
+}
+
+impl<'a> Conn<'a> {
+    fn new(shared: &'a Shared, stream: UnixStream) -> Self {
+        Conn {
+            shared,
+            stream,
+            out: Vec::new(),
+            pending: Vec::new(),
         }
-        match reader.read_line(&mut line) {
-            // EOF. A non-empty buffer is a frame truncated mid-line by the
-            // disconnect: answer it (typed error or not) before closing.
-            Ok(0) => {
-                if !line.trim().is_empty() {
-                    answer_line(shared, &mut writer, &line);
-                }
-                return;
-            }
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue; // blank keep-alive line
-                }
-                let keep_open = answer_line(shared, &mut writer, &line);
-                line.clear();
-                if !keep_open {
+    }
+
+    /// Serve until EOF, a transport error, or daemon shutdown. Read timeouts
+    /// keep the thread responsive to the shutdown flag without busy-waiting.
+    fn run(&mut self) {
+        self.stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
+        // `buf[head..tail]` is read but unanswered, and holds no newline
+        // before `seen`. `skipping` is set inside an over-long frame, whose
+        // bytes are dropped up to its newline.
+        let mut buf = vec![0u8; MAX_FRAME_BYTES];
+        let (mut head, mut seen, mut tail, mut skipping) = (0, 0, 0, false);
+        loop {
+            while let Some(len) = buf
+                .get(seen..tail)
+                .and_then(|b| b.iter().position(|&c| c == b'\n'))
+            {
+                let frame = buf.get(head..seen + len).unwrap_or(&[]);
+                head = seen + len + 1;
+                seen = head;
+                if !std::mem::take(&mut skipping) && !self.answer(frame) {
                     return;
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
+            if head > 0 {
+                buf.copy_within(head..tail, 0);
             }
-            Err(_) => return,
+            (head, tail) = (0, tail - head);
+            if tail == buf.len() {
+                if !std::mem::replace(&mut skipping, true) {
+                    self.shared.counts.next_id();
+                    REQUESTS.inc();
+                    let msg = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
+                    let err = ProtoError::new(protocol::ErrorKind::Parse, msg);
+                    self.reject(None, &err, None);
+                }
+                tail = 0;
+            }
+            seen = tail;
+            // Nothing is left to answer: flush, and only then block.
+            if !self.flush() || self.shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match self.stream.read(buf.get_mut(tail..).unwrap_or(&mut [])) {
+                // EOF. A frame truncated mid-line by the disconnect is still
+                // answered (typed error or not) before closing.
+                Ok(0) => {
+                    if !skipping {
+                        self.answer(buf.get(..tail).unwrap_or(&[]));
+                    }
+                    self.flush();
+                    return;
+                }
+                Ok(n) => tail += n,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                Err(_) => return,
+            }
         }
     }
-}
 
-fn send(writer: &mut UnixStream, reply: &str) -> std::io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
+    /// Write the pending replies, then close out their traces: the write's
+    /// time in equal shares as each one's `reply` stage, totals, SLO
+    /// over-counters and the slow ring. Returns whether the write succeeded.
+    fn flush(&mut self) -> bool {
+        if self.out.is_empty() {
+            return true;
+        }
+        let clock = &self.shared.clock;
+        let t0 = if self.pending.is_empty() {
+            0
+        } else {
+            clock.now_nanos()
+        };
+        let sent = self.stream.write_all(&self.out).is_ok();
+        self.out.clear();
+        if !self.pending.is_empty() {
+            let t1 = clock.now_nanos();
+            let share = t1.saturating_sub(t0) / self.pending.len() as u64;
+            for (mut trace, is_error) in self.pending.drain(..) {
+                trace.stage("reply", share, t1);
+                finish_trace(self.shared, trace, is_error, t1);
+            }
+        }
+        sent
+    }
 
-/// What one frame asks the connection thread to do next.
-enum Outcome {
-    /// Send this reply; `stop` closes the daemon, `is_error` marks the
-    /// reply as an error frame for the windowed error counter.
-    Reply {
-        reply: String,
-        stop: bool,
-        is_error: bool,
-    },
-    /// Stream periodic observability snapshots on this connection.
-    Watch {
-        id: Option<u64>,
-        interval_ms: u64,
-        count: u64,
-    },
-}
+    /// End the reply just appended to `out`. Returns whether the connection
+    /// stays open.
+    fn sent(&mut self, trace: Option<RequestTrace>, is_error: bool) -> bool {
+        self.out.push(b'\n');
+        self.pending.extend(trace.map(|tr| (tr, is_error)));
+        self.out.len() < OUT_FLUSH_BYTES || self.flush()
+    }
 
-/// One frame, end to end: assign the daemon-side request id, open the
-/// trace (when tracing is on), dispatch, time the reply write, then close
-/// out the trace (windowed totals, SLO over-counters, slow ring). Returns
-/// whether the connection should stay open.
-fn answer_line(shared: &Shared, writer: &mut UnixStream, line: &str) -> bool {
-    let request_id = shared.next_request_id.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut trace = shared
-        .trace_requests
-        .then(|| RequestTrace::new(request_id, shared.clock.now_nanos()));
-    match handle_line(shared, line, trace.as_mut()) {
-        Outcome::Reply {
-            reply,
-            stop,
-            is_error,
-        } => {
-            let sent = if let Some(tr) = trace.as_mut() {
+    /// Append a typed error reply and count it.
+    fn reject(&mut self, id: Option<u64>, err: &ProtoError, trace: Option<RequestTrace>) -> bool {
+        self.shared.counts.error();
+        ERRORS.inc();
+        self.out
+            .extend_from_slice(protocol::render_error(id, err).as_bytes());
+        self.sent(trace, true)
+    }
+
+    /// One frame, end to end: assign the daemon-side request id, open the
+    /// trace (when tracing is on), dispatch, append the reply. With tracing
+    /// off the clock is read only for the cumulative latency histograms.
+    /// Returns whether the connection stays open.
+    fn answer(&mut self, frame: &[u8]) -> bool {
+        let frame = protocol::trim_frame(frame);
+        if frame.is_empty() {
+            return true; // blank keep-alive line
+        }
+        let shared = self.shared;
+        let request_id = shared.counts.next_id();
+        REQUESTS.inc();
+        let mut trace = shared
+            .trace_requests
+            .then(|| RequestTrace::new(request_id, shared.clock.now_nanos()));
+        let parsed = protocol::parse_frame(frame);
+        if let Some(tr) = trace.as_mut() {
+            let t = shared.clock.now_nanos();
+            tr.stage("parse", t.saturating_sub(tr.started_ns), t);
+            tr.op = parsed.as_ref().map_or("error", |req| req.op.name());
+        }
+        let Request { id, op } = match parsed {
+            Ok(req) => req,
+            Err((id, err)) => return self.reject(id, &err, trace),
+        };
+        // `serialize` runs from the end of the stage before it.
+        let serialized = |trace: &mut Option<RequestTrace>, since: u64| {
+            if let Some(tr) = trace.as_mut() {
+                let t = shared.clock.now_nanos();
+                tr.stage("serialize", t.saturating_sub(since), t);
+            }
+        };
+        match op {
+            Op::Ping => protocol::write_pong(&mut self.out, id),
+            Op::Select { collective, job } => {
                 let t0 = shared.clock.now_nanos();
-                let sent = send(writer, &reply);
+                let (algo, depth) = shared.tuner.select_traced(collective, job);
                 let t1 = shared.clock.now_nanos();
-                tr.stage("reply", t1.saturating_sub(t0), t1);
-                sent
-            } else {
-                send(writer, &reply)
-            };
-            finish_trace(shared, trace, is_error);
-            sent.is_ok() && !stop
+                SELECT_LATENCY.observe(t1.saturating_sub(t0));
+                if let Some(tr) = trace.as_mut() {
+                    tr.stage("select", t1.saturating_sub(t0), t1);
+                }
+                if let Some(q) = shared.quality.as_ref() {
+                    q.observe(|| QualitySample {
+                        cluster: shared
+                            .tuner
+                            .table_cluster(collective)
+                            .unwrap_or("?")
+                            .to_string(),
+                        collective,
+                        job,
+                        algo,
+                        depth: Some(depth),
+                    });
+                }
+                protocol::write_select(&mut self.out, id, algo, depth);
+                serialized(&mut trace, t1);
+            }
+            Op::Predict {
+                cluster,
+                collective,
+                job,
+            } => {
+                // `submit` blocks for the batch window.
+                if !self.flush() {
+                    return false;
+                }
+                let t0 = shared.clock.now_nanos();
+                let outcome = shared.batcher.submit(&cluster, collective, job);
+                let t1 = shared.clock.now_nanos();
+                PREDICT_LATENCY.observe(t1.saturating_sub(t0));
+                let (algo, timing) = match outcome {
+                    Ok(picked) => picked,
+                    Err(err) => return self.reject(id, &err, trace),
+                };
+                if let Some(tr) = trace.as_mut() {
+                    // Measured worker-side and already in the windowed
+                    // histograms; copy into the trace without re-observing.
+                    tr.push("queue_wait", timing.queue_wait_ns);
+                    tr.push("batch_assembly", timing.batch_assembly_ns);
+                    tr.push("predict", timing.predict_ns);
+                }
+                if let Some(q) = shared.quality.as_ref() {
+                    q.observe(|| QualitySample {
+                        cluster,
+                        collective,
+                        job,
+                        algo,
+                        depth: None,
+                    });
+                }
+                protocol::write_predict(&mut self.out, id, algo);
+                serialized(&mut trace, t1);
+            }
+            Op::Stats => self
+                .out
+                .extend_from_slice(protocol::render_ok(id, stats_fields(shared)).as_bytes()),
+            Op::Watch { interval_ms, count } => {
+                // The watch handshake itself is one (cheap) traced request;
+                // the streamed ticks are not requests.
+                let flushed = self.flush();
+                if let Some(tr) = trace {
+                    finish_trace(shared, tr, false, shared.clock.now_nanos());
+                }
+                return flushed && self.watch(id, interval_ms, count);
+            }
+            Op::Shutdown => {
+                shared.shutdown.store(true, Ordering::SeqCst);
+                let stopping = vec![("stopping".to_string(), Value::Bool(true))];
+                self.out
+                    .extend_from_slice(protocol::render_ok(id, stopping).as_bytes());
+                self.sent(trace, false);
+                self.flush();
+                return false;
+            }
         }
-        Outcome::Watch {
-            id,
-            interval_ms,
-            count,
-        } => {
-            // The watch handshake itself is one (cheap) traced request;
-            // the streamed ticks are not requests.
-            finish_trace(shared, trace, false);
-            run_watch(shared, writer, id, interval_ms, count)
-        }
+        self.sent(trace, false)
     }
-}
 
-/// Answer one frame. Stage durations land on `trace` (and, via
-/// [`RequestTrace::stage`], in the windowed stage histograms) when
-/// tracing is on; with `None` the fast path reads the clock only for the
-/// pre-existing cumulative latency histograms.
-fn handle_line(shared: &Shared, line: &str, mut trace: Option<&mut RequestTrace>) -> Outcome {
-    shared.requests.fetch_add(1, Ordering::SeqCst);
-    REQUESTS.inc();
-    let reply = |reply: String| Outcome::Reply {
-        reply,
-        stop: false,
-        is_error: false,
-    };
-    let parsed = protocol::parse_request(line);
-    if let Some(tr) = trace.as_deref_mut() {
-        let t = shared.clock.now_nanos();
-        tr.stage("parse", t.saturating_sub(tr.started_ns), t);
-    }
-    let req = match parsed {
-        Ok(req) => req,
-        Err((id, err)) => {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            ERRORS.inc();
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.op = "error";
+    /// Stream observability snapshots: one `ok` frame per tick with a `seq`
+    /// counter, `count` ticks total (`0` = until the client hangs up or the
+    /// daemon stops). Returns whether the connection should stay open.
+    fn watch(&mut self, id: Option<u64>, interval_ms: u64, count: u64) -> bool {
+        // An endless watch with a (near-)zero interval would spin the daemon;
+        // a finite one may use interval 0 (one-shot snapshot fetches).
+        let interval = if count == 0 {
+            interval_ms.max(100)
+        } else {
+            interval_ms
+        };
+        let mut seq: u64 = 0;
+        loop {
+            seq += 1;
+            let mut fields = vec![("seq".to_string(), Value::UInt(seq))];
+            fields.extend(watch_fields(self.shared));
+            self.out
+                .extend_from_slice(protocol::render_ok(id, fields).as_bytes());
+            self.out.push(b'\n');
+            if !self.flush() {
+                return false;
             }
-            return Outcome::Reply {
-                reply: protocol::render_error(id, &err),
-                stop: false,
-                is_error: true,
-            };
-        }
-    };
-    let id = req.id;
-    match req.op {
-        Op::Ping => {
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.op = "ping";
+            if count > 0 && seq >= count {
+                return true;
             }
-            reply(protocol::render_pong(id))
-        }
-        Op::Select { collective, job } => {
-            let t0 = shared.clock.now_nanos();
-            let (algo, depth) = shared.tuner.select_traced(collective, job);
-            let t1 = shared.clock.now_nanos();
-            SELECT_LATENCY.observe(t1.saturating_sub(t0));
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.op = "select";
-                tr.stage("select", t1.saturating_sub(t0), t1);
-            }
-            if let Some(q) = shared.quality.as_ref() {
-                q.observe(|| QualitySample {
-                    cluster: shared
-                        .tuner
-                        .table_cluster(collective)
-                        .unwrap_or("?")
-                        .to_string(),
-                    collective,
-                    job,
-                    algo,
-                    depth: Some(depth),
-                });
-            }
-            let rendered = protocol::render_select(id, algo, depth);
-            if let Some(tr) = trace.as_deref_mut() {
-                let t2 = shared.clock.now_nanos();
-                tr.stage("serialize", t2.saturating_sub(t1), t2);
-            }
-            reply(rendered)
-        }
-        Op::Predict {
-            cluster,
-            collective,
-            job,
-        } => {
-            let t0 = shared.clock.now_nanos();
-            let outcome = shared.batcher.submit(&cluster, collective, job);
-            let t1 = shared.clock.now_nanos();
-            PREDICT_LATENCY.observe(t1.saturating_sub(t0));
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.op = "predict";
-            }
-            match outcome {
-                Ok((algo, timing)) => {
-                    if let Some(tr) = trace.as_deref_mut() {
-                        // Measured worker-side and already in the windowed
-                        // histograms; copy into the trace without
-                        // re-observing.
-                        tr.stages.push(("queue_wait", timing.queue_wait_ns));
-                        tr.stages.push(("batch_assembly", timing.batch_assembly_ns));
-                        tr.stages.push(("predict", timing.predict_ns));
-                    }
-                    if let Some(q) = shared.quality.as_ref() {
-                        q.observe(|| QualitySample {
-                            cluster: cluster.clone(),
-                            collective,
-                            job,
-                            algo,
-                            depth: None,
-                        });
-                    }
-                    let rendered = protocol::render_predict(id, algo);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        let t2 = shared.clock.now_nanos();
-                        tr.stage("serialize", t2.saturating_sub(t1), t2);
-                    }
-                    reply(rendered)
+            // Sleep in poll-interval chunks so shutdown interrupts the stream.
+            let mut left = Duration::from_millis(interval);
+            loop {
+                if self.shared.shutdown.load(Ordering::SeqCst) {
+                    return false;
                 }
-                Err(err) => {
-                    shared.errors.fetch_add(1, Ordering::SeqCst);
-                    ERRORS.inc();
-                    Outcome::Reply {
-                        reply: protocol::render_error(id, &err),
-                        stop: false,
-                        is_error: true,
-                    }
+                if left.is_zero() {
+                    break;
                 }
-            }
-        }
-        Op::Stats => {
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.op = "stats";
-            }
-            reply(protocol::render_ok(id, stats_fields(shared)))
-        }
-        Op::Watch { interval_ms, count } => {
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.op = "watch";
-            }
-            Outcome::Watch {
-                id,
-                interval_ms,
-                count,
-            }
-        }
-        Op::Shutdown => {
-            if let Some(tr) = trace {
-                tr.op = "shutdown";
-            }
-            shared.shutdown.store(true, Ordering::SeqCst);
-            Outcome::Reply {
-                reply: protocol::render_ok(id, vec![("stopping".to_string(), Value::Bool(true))]),
-                stop: true,
-                is_error: false,
+                let chunk = left.min(POLL_INTERVAL);
+                std::thread::sleep(chunk);
+                left -= chunk;
             }
         }
     }
 }
 
-/// Close out one request's trace: end-to-end total into the windowed
-/// histogram, SLO over-target counters, and (past the threshold) the slow
-/// ring. No-op when tracing is off.
-fn finish_trace(shared: &Shared, trace: Option<RequestTrace>, is_error: bool) {
-    let Some(mut tr) = trace else { return };
-    let now = shared.clock.now_nanos();
+/// Close out one request's trace at clock reading `now`: end-to-end total
+/// into the windowed histogram, SLO over-target counters, and (past the
+/// threshold) the slow ring.
+fn finish_trace(shared: &Shared, mut tr: RequestTrace, is_error: bool, now: u64) {
     let total = now.saturating_sub(tr.started_ns);
     REQUEST_TOTAL.observe(total, now);
     WINDOW_REQUESTS.inc(now);
@@ -592,57 +619,13 @@ fn finish_trace(shared: &Shared, trace: Option<RequestTrace>, is_error: bool) {
         }
     }
     if total >= shared.slow_threshold_ns {
-        tr.stages.push(("total", total));
+        tr.push("total", total);
         shared.slow_ring.push(SlowRequest {
             id: tr.id,
             op: tr.op,
             total_ns: total,
-            stages: tr.stages,
+            stages: tr.stages().to_vec(),
         });
-    }
-}
-
-/// Stream observability snapshots: one `ok` frame per tick with a `seq`
-/// counter, `count` ticks total (`0` = until the client hangs up or the
-/// daemon stops). Returns whether the connection should stay open.
-fn run_watch(
-    shared: &Shared,
-    writer: &mut UnixStream,
-    id: Option<u64>,
-    interval_ms: u64,
-    count: u64,
-) -> bool {
-    // An endless watch with a (near-)zero interval would spin the daemon;
-    // a finite one may use interval 0 (one-shot snapshot fetches).
-    let interval = if count == 0 {
-        interval_ms.max(100)
-    } else {
-        interval_ms
-    };
-    let mut seq: u64 = 0;
-    loop {
-        seq += 1;
-        let mut fields = vec![("seq".to_string(), Value::UInt(seq))];
-        fields.extend(watch_fields(shared));
-        if send(writer, &protocol::render_ok(id, fields)).is_err() {
-            return false;
-        }
-        if count > 0 && seq >= count {
-            return true;
-        }
-        // Sleep in poll-interval chunks so shutdown interrupts the stream.
-        let mut left = Duration::from_millis(interval);
-        loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return false;
-            }
-            if left.is_zero() {
-                break;
-            }
-            let chunk = left.min(POLL_INTERVAL);
-            std::thread::sleep(chunk);
-            left -= chunk;
-        }
     }
 }
 
@@ -774,6 +757,7 @@ fn watch_fields(shared: &Shared) -> Vec<(String, Value)> {
 
 fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
     let (hits, misses) = shared.tuner.stats();
+    let (requests, errors) = shared.counts.get();
     let names = |cs: &[Collective]| {
         Value::Array(
             cs.iter()
@@ -782,14 +766,8 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
         )
     };
     vec![
-        (
-            "requests".to_string(),
-            Value::UInt(shared.requests.load(Ordering::SeqCst)),
-        ),
-        (
-            "errors".to_string(),
-            Value::UInt(shared.errors.load(Ordering::SeqCst)),
-        ),
+        ("requests".to_string(), Value::UInt(requests)),
+        ("errors".to_string(), Value::UInt(errors)),
         ("cache_hits".to_string(), Value::UInt(hits)),
         ("cache_misses".to_string(), Value::UInt(misses)),
         (
@@ -824,6 +802,7 @@ mod tests {
     use super::*;
     use pml_collectives::{Algorithm, AlltoallAlgo};
     use pml_core::TuningTable;
+    use std::io::{BufRead, BufReader};
 
     fn test_tuner() -> Tuner {
         let mut t = TuningTable::new("X", Collective::Alltoall);
@@ -848,10 +827,8 @@ mod tests {
             batcher: Batcher::new(BTreeMap::new(), BatchConfig::default(), batch_trace),
             model_coverage: Vec::new(),
             shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
+            counts: RequestCounts::default(),
             clock,
-            next_request_id: AtomicU64::new(0),
             trace_requests: obs.trace_requests,
             slow_threshold_ns: obs.slow_threshold_ns,
             slow_ring: SlowRing::new(),
@@ -860,23 +837,17 @@ mod tests {
         }
     }
 
-    /// Unit-test shim: dispatch one line without a socket, expecting a
-    /// direct reply (panics on a `watch` outcome).
+    /// Unit-test shim: answer one frame on one end of a socket pair and
+    /// return what reached the other end, plus whether the connection
+    /// would now close.
     fn handle(shared: &Shared, line: &str) -> (String, bool) {
-        let mut trace = shared
-            .trace_requests
-            .then(|| RequestTrace::new(1, shared.clock.now_nanos()));
-        match handle_line(shared, line, trace.as_mut()) {
-            Outcome::Reply {
-                reply,
-                stop,
-                is_error,
-            } => {
-                finish_trace(shared, trace, is_error);
-                (reply, stop)
-            }
-            Outcome::Watch { .. } => panic!("expected a direct reply, got watch"),
-        }
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(shared, ours);
+        let stop = !(conn.answer(line.as_bytes()) && conn.flush());
+        drop(conn);
+        let mut reply = String::new();
+        BufReader::new(theirs).read_line(&mut reply).unwrap();
+        (reply.trim_end().to_string(), stop)
     }
 
     fn obj_get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
@@ -913,8 +884,7 @@ mod tests {
             assert_eq!(obj_get(&v, "ok").and_then(Value::as_bool), Some(false));
             assert!(obj_get(&v, "error").is_some());
         }
-        assert_eq!(shared.errors.load(Ordering::SeqCst), 2);
-        assert_eq!(shared.requests.load(Ordering::SeqCst), 2);
+        assert_eq!(shared.counts.get(), (2, 2));
     }
 
     #[test]
@@ -981,22 +951,15 @@ mod tests {
             &shared,
             r#"{"v":"pml-serve/v1","id":1,"op":"select","collective":"alltoall","nodes":2,"ppn":8,"msg_size":64}"#,
         );
-        match handle_line(
+        // A one-tick watch is the handshake plus one streamed frame.
+        let (tick, stop) = handle(
             &shared,
-            r#"{"v":"pml-serve/v1","id":2,"op":"watch","count":1}"#,
-            None,
-        ) {
-            Outcome::Watch {
-                id,
-                interval_ms,
-                count,
-            } => {
-                assert_eq!(id, Some(2));
-                assert_eq!(interval_ms, protocol::WATCH_DEFAULT_INTERVAL_MS);
-                assert_eq!(count, 1);
-            }
-            Outcome::Reply { reply, .. } => panic!("expected watch outcome, got reply {reply}"),
-        }
+            r#"{"v":"pml-serve/v1","id":2,"op":"watch","interval_ms":0,"count":1}"#,
+        );
+        assert!(!stop, "a finished watch leaves the connection open");
+        let v: Value = serde_json::from_str(&tick).unwrap();
+        assert_eq!(obj_get(&v, "id").and_then(Value::as_u64), Some(2));
+        assert_eq!(obj_get(&v, "seq").and_then(Value::as_u64), Some(1));
         let rendered = protocol::render_ok(Some(2), watch_fields(&shared));
         let v: Value = serde_json::from_str(&rendered).unwrap();
         for key in [
@@ -1021,35 +984,89 @@ mod tests {
         assert!(obj_get(total, "count").and_then(Value::as_u64).unwrap() >= 1);
     }
 
+    /// A daemon on a socket in its own temp directory, stopped (and its
+    /// clean exit and removed socket file checked) by [`Daemon::stop`].
+    struct Daemon {
+        dir: PathBuf,
+        socket: PathBuf,
+        term: Arc<AtomicBool>,
+        thread: std::thread::JoinHandle<Result<(), ServeError>>,
+    }
+
+    impl Daemon {
+        fn boot(
+            name: &str,
+            models: BTreeMap<Collective, Arc<PretrainedModel>>,
+            batch: BatchConfig,
+        ) -> Daemon {
+            let dir = std::env::temp_dir().join(format!("pml-serve-{name}-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let socket = dir.join("pml.sock");
+            let artifacts = LoadedArtifacts {
+                tuner: test_tuner(),
+                models,
+                warnings: Vec::new(),
+            };
+            let server =
+                Server::with_artifacts(&socket, artifacts, batch, ObsConfig::default()).unwrap();
+            let term = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&term);
+            let thread = std::thread::spawn(move || server.run(&flag));
+            Daemon {
+                dir,
+                socket,
+                term,
+                thread,
+            }
+        }
+
+        fn connect(&self) -> (UnixStream, BufReader<UnixStream>) {
+            let stream = UnixStream::connect(&self.socket).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let reader = BufReader::new(stream.try_clone().unwrap());
+            (stream, reader)
+        }
+
+        fn stop(self) {
+            self.term.store(true, Ordering::SeqCst);
+            self.thread.join().unwrap().unwrap();
+            assert!(
+                !self.socket.exists(),
+                "socket file removed on clean shutdown"
+            );
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    fn read_reply(reader: &mut BufReader<UnixStream>) -> Value {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        serde_json::from_str(reply.trim()).unwrap_or_else(|e| panic!("reply {reply:?}: {e}"))
+    }
+
+    const PING: &str = r#"{"v":"pml-serve/v1","id":77,"op":"ping"}"#;
+
+    /// The connection must still answer: a ping comes back as a pong.
+    fn assert_still_open(client: &mut UnixStream, reader: &mut BufReader<UnixStream>) {
+        client.write_all(format!("{PING}\n").as_bytes()).unwrap();
+        let pong = read_reply(reader);
+        assert_eq!(obj_get(&pong, "pong").and_then(Value::as_bool), Some(true));
+        assert_eq!(obj_get(&pong, "id").and_then(Value::as_u64), Some(77));
+    }
+
+    fn error_kind(reply: &Value) -> Option<&str> {
+        obj_get(obj_get(reply, "error")?, "kind")?.as_str()
+    }
+
     #[test]
     fn end_to_end_over_a_real_socket() {
-        let dir = std::env::temp_dir().join(format!("pml-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let socket = dir.join("pml.sock");
-        let server = Server::with_artifacts(
-            &socket,
-            LoadedArtifacts {
-                tuner: test_tuner(),
-                models: BTreeMap::new(),
-                warnings: Vec::new(),
-            },
-            BatchConfig::default(),
-            ObsConfig::default(),
-        )
-        .unwrap();
-        let term = Arc::new(AtomicBool::new(false));
-        let t = Arc::clone(&term);
-        let daemon = std::thread::spawn(move || server.run(&t));
-
-        let mut client = UnixStream::connect(&socket).unwrap();
-        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let daemon = Daemon::boot("test", BTreeMap::new(), BatchConfig::default());
+        let (mut client, mut reader) = daemon.connect();
         let mut ask = |line: &str| -> Value {
-            client.write_all(line.as_bytes()).unwrap();
-            client.write_all(b"\n").unwrap();
-            client.flush().unwrap();
-            let mut reply = String::new();
-            reader.read_line(&mut reply).unwrap();
-            serde_json::from_str(reply.trim()).unwrap()
+            client.write_all(format!("{line}\n").as_bytes()).unwrap();
+            read_reply(&mut reader)
         };
 
         let pong = ask(r#"{"v":"pml-serve/v1","id":1,"op":"ping"}"#);
@@ -1087,33 +1104,228 @@ mod tests {
             Some(true)
         );
 
-        daemon.join().unwrap().unwrap();
-        assert!(!socket.exists(), "socket file removed on clean shutdown");
-        std::fs::remove_dir_all(&dir).ok();
+        // The shutdown frame stopped the daemon; `stop` only collects it.
+        daemon.stop();
     }
 
     #[test]
     fn external_termination_flag_stops_run() {
-        let dir = std::env::temp_dir().join(format!("pml-serve-term-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let socket = dir.join("pml.sock");
-        let server = Server::with_artifacts(
-            &socket,
-            LoadedArtifacts {
-                tuner: test_tuner(),
-                models: BTreeMap::new(),
-                warnings: Vec::new(),
+        Daemon::boot("term", BTreeMap::new(), BatchConfig::default()).stop();
+    }
+
+    #[test]
+    fn invalid_utf8_gets_a_parse_error_and_the_connection_stays_open() {
+        let daemon = Daemon::boot("utf8", BTreeMap::new(), BatchConfig::default());
+        let (mut client, mut reader) = daemon.connect();
+        let in_string: &[u8] =
+            b"{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"predict\",\"cluster\":\"Fr\xffnt\"}\n";
+        for frame in [in_string, b"\xff\n"] {
+            client.write_all(frame).unwrap();
+            let reply = read_reply(&mut reader);
+            assert_eq!(error_kind(&reply), Some("parse"), "{reply:?}");
+            assert_still_open(&mut client, &mut reader);
+        }
+        // A two-byte character split across a read timeout is one character.
+        let frame = "{\"v\":\"pml-serve/v1\",\"id\":2,\"op\":\"predict\",\"cluster\":\"\u{e9}\",\"collective\":\"alltoall\",\"nodes\":2,\"ppn\":8,\"msg_size\":64}\n";
+        let cut = frame.find('\u{e9}').unwrap() + 1;
+        client.write_all(&frame.as_bytes()[..cut]).unwrap();
+        std::thread::sleep(Duration::from_millis(40));
+        client.write_all(&frame.as_bytes()[cut..]).unwrap();
+        let reply = read_reply(&mut reader);
+        assert_eq!(obj_get(&reply, "id").and_then(Value::as_u64), Some(2));
+        assert_eq!(
+            error_kind(&reply),
+            Some("unsupported"),
+            "no model is loaded"
+        );
+        assert_still_open(&mut client, &mut reader);
+        daemon.stop();
+    }
+
+    #[test]
+    fn connection_buffers_stay_within_their_two_constants() {
+        let shared = test_shared();
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let mut conn = Conn::new(&shared, ours);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut client = theirs.try_clone().unwrap();
+                let mut reader = BufReader::new(theirs);
+                // A frame sixteen times the cap: one error, then business
+                // as usual.
+                let mut flood = vec![b'a'; 1 << 20];
+                flood.push(b'\n');
+                client.write_all(&flood).unwrap();
+                client.write_all(format!("{PING}\n").as_bytes()).unwrap();
+                let reply = read_reply(&mut reader);
+                assert_eq!(error_kind(&reply), Some("parse"), "{reply:?}");
+                let message = obj_get(obj_get(&reply, "error").unwrap(), "message");
+                assert!(message.and_then(Value::as_str).unwrap().contains("65536"));
+                let pong = read_reply(&mut reader);
+                assert_eq!(obj_get(&pong, "id").and_then(Value::as_u64), Some(77));
+                // Pongs outweigh pings, so one read's worth of these passes
+                // the flush threshold before the buffer is drained.
+                let pings = r#"{"v":"pml-serve/v1","op":"ping"}"#.to_string() + "\n";
+                let writer = scope.spawn(move || {
+                    client.write_all(pings.repeat(20_000).as_bytes()).unwrap();
+                    client.shutdown(std::net::Shutdown::Write).unwrap();
+                });
+                // (`conn` outlives the scope, so there is no EOF to read to.)
+                let pongs = reader.lines().take(20_000).filter(|l| l.is_ok()).count();
+                assert_eq!(pongs, 20_000, "one pong per ping");
+                writer.join().unwrap();
+            });
+            conn.run();
+        });
+        assert!(conn.out.capacity() <= 2 * OUT_FLUSH_BYTES);
+        // `pending` holds one entry per reply in `out`, 43 bytes at least.
+        assert!(conn.pending.capacity() <= 2 * OUT_FLUSH_BYTES / 43);
+        assert_eq!(shared.counts.get(), (20_002, 1));
+    }
+
+    /// 64 frames — selects, pings, an unknown op and broken JSON in turn —
+    /// each carrying its position as its id where it can.
+    fn mixed_burst() -> String {
+        (0..64)
+            .map(|i| match i % 4 {
+                0 => format!("{{\"v\":\"pml-serve/v1\",\"id\":{i},\"op\":\"ping\"}}\n"),
+                1 => format!("{{\"v\":\"pml-serve/v1\",\"id\":{i},\"op\":\"dance\"}}\n"),
+                2 => format!("{{\"id\":{i},nope\r\n"),
+                _ => format!(
+                    "{{\"v\":\"pml-serve/v1\",\"id\":{i},\"op\":\"select\",\"collective\":\"alltoall\",\"nodes\":2,\"ppn\":8,\"msg_size\":{}}}\n",
+                    64 << (i % 11)
+                ),
+            })
+            .collect()
+    }
+
+    fn read_lines(reader: &mut BufReader<UnixStream>, count: usize) -> Vec<String> {
+        (0..count)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_is_answered_in_order_however_it_is_delivered() {
+        let daemon = Daemon::boot("burst", BTreeMap::new(), BatchConfig::default());
+        let burst = mixed_burst();
+        let (mut client, mut reader) = daemon.connect();
+        client.write_all(burst.as_bytes()).unwrap();
+        let at_once = read_lines(&mut reader, 64);
+        for (i, line) in at_once.iter().enumerate() {
+            let reply: Value = serde_json::from_str(line.trim()).unwrap();
+            let (id, ok) = (obj_get(&reply, "id"), obj_get(&reply, "ok"));
+            match i % 4 {
+                // Broken JSON carries no recoverable id.
+                2 => assert_eq!((id, error_kind(&reply)), (None, Some("parse"))),
+                1 => assert_eq!(error_kind(&reply), Some("op")),
+                _ => assert_eq!(ok.and_then(Value::as_bool), Some(true), "{line}"),
+            }
+            if i % 4 != 2 {
+                assert_eq!(id.and_then(Value::as_u64), Some(i as u64), "{line}");
+            }
+        }
+        // The same bytes, one `write` each, on a fresh connection.
+        let (mut client, mut reader) = daemon.connect();
+        for byte in burst.as_bytes() {
+            client.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        assert_eq!(read_lines(&mut reader, 64), at_once);
+        daemon.stop();
+    }
+
+    #[test]
+    fn a_frame_cut_off_by_eof_is_still_answered() {
+        let daemon = Daemon::boot("eof", BTreeMap::new(), BatchConfig::default());
+        for (frame, pong) in [(PING, true), (&PING[..20], false)] {
+            let (mut client, mut reader) = daemon.connect();
+            client.write_all(frame.as_bytes()).unwrap();
+            client.shutdown(std::net::Shutdown::Write).unwrap();
+            let reply = read_reply(&mut reader);
+            assert_eq!(obj_get(&reply, "pong").is_some(), pong, "{reply:?}");
+            assert_eq!(error_kind(&reply).is_some(), !pong, "{reply:?}");
+            assert_eq!(reader.lines().count(), 0, "then the connection closes");
+        }
+        daemon.stop();
+    }
+
+    fn mini_model(collective: Collective) -> Arc<PretrainedModel> {
+        use pml_core::{EngineConfig, SelectionEngine, TrainConfig};
+        let mut cluster = pml_clusters::by_name("RI").expect("zoo cluster").clone();
+        cluster.node_grid = vec![1, 2];
+        cluster.ppn_grid = vec![2, 8];
+        cluster.msg_grid = vec![16, 65536];
+        let cfg = EngineConfig {
+            datagen: pml_clusters::DatagenConfig::noiseless(),
+            train: TrainConfig {
+                forest: pml_mlcore::ForestParams {
+                    n_estimators: 5,
+                    seed: 3,
+                    ..Default::default()
+                },
+                top_k_features: Some(5),
             },
-            BatchConfig::default(),
-            ObsConfig::default(),
-        )
-        .unwrap();
-        let term = Arc::new(AtomicBool::new(false));
-        let t = Arc::clone(&term);
-        let daemon = std::thread::spawn(move || server.run(&t));
-        term.store(true, Ordering::SeqCst);
-        daemon.join().unwrap().unwrap();
-        assert!(!socket.exists());
-        std::fs::remove_dir_all(&dir).ok();
+            cache_dir: None,
+        };
+        SelectionEngine::with_clusters(vec![cluster], cfg)
+            .train(collective)
+            .expect("mini training succeeds")
+    }
+
+    #[test]
+    fn replies_leave_before_the_thread_blocks() {
+        let window = Duration::from_millis(300);
+        let daemon = Daemon::boot(
+            "flush",
+            BTreeMap::from([(Collective::Alltoall, mini_model(Collective::Alltoall))]),
+            BatchConfig {
+                window,
+                ..BatchConfig::default()
+            },
+        );
+        let (mut client, mut reader) = daemon.connect();
+        let shape = r#""collective":"alltoall","nodes":2,"ppn":8,"msg_size":64"#;
+        let pair = format!(
+            "{{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"select\",{shape}}}\n\
+             {{\"v\":\"pml-serve/v1\",\"id\":2,\"op\":\"predict\",\"cluster\":\"RI\",{shape}}}\n"
+        );
+        let sent = std::time::Instant::now();
+        client.write_all(pair.as_bytes()).unwrap();
+        let select = read_reply(&mut reader);
+        let waited = sent.elapsed();
+        assert_eq!(obj_get(&select, "id").and_then(Value::as_u64), Some(1));
+        assert!(
+            waited < Duration::from_millis(100),
+            "select reply held for {waited:?} behind the batch window"
+        );
+        let predict = read_reply(&mut reader);
+        assert_eq!(obj_get(&predict, "id").and_then(Value::as_u64), Some(2));
+        assert_eq!(obj_get(&predict, "ok").and_then(Value::as_bool), Some(true));
+        assert!(sent.elapsed() >= window, "predict waits out its window");
+
+        // A watch tick is written directly: everything pipelined before it
+        // must already be out, and what follows it comes after.
+        let mut burst: String = (10..20)
+            .map(|id| format!("{{\"v\":\"pml-serve/v1\",\"id\":{id},\"op\":\"select\",{shape}}}\n"))
+            .collect();
+        burst +=
+            "{\"v\":\"pml-serve/v1\",\"id\":20,\"op\":\"watch\",\"interval_ms\":0,\"count\":1}\n";
+        burst += &format!("{PING}\n");
+        client.write_all(burst.as_bytes()).unwrap();
+        let replies: Vec<Value> = (0..12).map(|_| read_reply(&mut reader)).collect();
+        let ids: Vec<u64> = replies
+            .iter()
+            .map(|r| obj_get(r, "id").and_then(Value::as_u64).unwrap())
+            .collect();
+        assert_eq!(ids, (10..=20).chain([77]).collect::<Vec<u64>>());
+        assert_eq!(
+            obj_get(&replies[10], "seq").and_then(Value::as_u64),
+            Some(1)
+        );
+        daemon.stop();
     }
 }

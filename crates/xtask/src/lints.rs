@@ -198,6 +198,9 @@ impl LintConfig {
                 "crates/obs/src/".into(),
                 // Tuner memo hit/miss counters, read after threads join.
                 "crates/core/src/tuner.rs".into(),
+                // The serve daemon's request/error/slow-capture counts and
+                // the request ids drawn from them: read by `stats`/`watch`.
+                "crates/serve/src/reqtrace.rs".into(),
             ],
             // The compiled forest kernel, its exact-walk oracle, and
             // everything the selection path routes through them.

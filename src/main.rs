@@ -32,6 +32,7 @@ use pml_mpi::clusters::measure_cell;
 use pml_mpi::core::{parse_ibstat, parse_lscpu, parse_lspci_link};
 use pml_mpi::obs;
 use pml_mpi::obs::span;
+use pml_mpi::serve::{encode_request, Op, Request};
 use pml_mpi::simnet::{InterconnectSpec, PcieVersion};
 use pml_mpi::{
     by_name, Algorithm, AlgorithmSelector, Collective, EngineConfig, JobConfig, MvapichDefault,
@@ -1187,9 +1188,10 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn Error>> {
         .map_err(|e| format!("connecting to {socket}: {e}"))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let frame = format!(
-        r#"{{"v":"pml-serve/v1","id":1,"op":"watch","interval_ms":{interval_ms},"count":{count}}}"#
-    );
+    let frame = encode_request(&Request {
+        id: Some(1),
+        op: Op::Watch { interval_ms, count },
+    });
     writer.write_all(frame.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()?;
@@ -1362,7 +1364,6 @@ fn loadgen_worker(
     let mut writer = stream;
     let mut rng = StdRng::seed_from_u64(seed);
     let zoo = pml_mpi::zoo();
-    let coll = pml_mpi::serve::collective_wire_name(collective);
     let mut latencies = Vec::with_capacity(count);
     let mut bad_replies = 0u64;
     let mut reply = String::with_capacity(256);
@@ -1377,15 +1378,18 @@ fn loadgen_worker(
         if rng.gen_bool(0.25) {
             msg += 3;
         }
-        let line = match op {
-            "predict" => format!(
-                r#"{{"v":"pml-serve/v1","id":{id},"op":"predict","cluster":"{}","collective":"{coll}","nodes":{nodes},"ppn":{ppn},"msg_size":{msg}}}"#,
-                entry.name()
-            ),
-            _ => format!(
-                r#"{{"v":"pml-serve/v1","id":{id},"op":"select","collective":"{coll}","nodes":{nodes},"ppn":{ppn},"msg_size":{msg}}}"#
-            ),
-        };
+        let job = JobConfig::new(nodes, ppn, msg);
+        let line = encode_request(&Request {
+            id: Some(id as u64),
+            op: match op {
+                "predict" => Op::Predict {
+                    cluster: entry.name().to_string(),
+                    collective,
+                    job,
+                },
+                _ => Op::Select { collective, job },
+            },
+        });
         let t0 = std::time::Instant::now();
         writer
             .write_all(line.as_bytes())
@@ -1422,8 +1426,15 @@ fn fetch_watch_stages(socket: &str) -> serde_json::JsonValue {
         let stream = std::os::unix::net::UnixStream::connect(socket).map_err(|e| e.to_string())?;
         let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
         let mut writer = stream;
+        let frame = encode_request(&Request {
+            id: Some(0),
+            op: Op::Watch {
+                interval_ms: 0,
+                count: 1,
+            },
+        });
         writer
-            .write_all(br#"{"v":"pml-serve/v1","id":0,"op":"watch","interval_ms":0,"count":1}"#)
+            .write_all(frame.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .map_err(|e| e.to_string())?;
