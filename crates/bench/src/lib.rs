@@ -1,10 +1,10 @@
 //! # pml-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's per-experiment index) plus criterion micro-benchmarks.
-//! This library holds the shared plumbing: dataset/model caching, the
-//! selector-vs-selector runtime comparison loop, and plain-text table
-//! printing that mirrors the paper's rows.
+//! DESIGN.md's per-experiment index). This library holds the shared
+//! plumbing: dataset/model caching, the selector-vs-selector runtime
+//! comparison loop, and plain-text table printing that mirrors the
+//! paper's rows.
 
 #![deny(rust_2018_idioms, missing_debug_implementations)]
 #![deny(clippy::dbg_macro, clippy::todo)]

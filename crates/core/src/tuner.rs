@@ -150,10 +150,10 @@ impl Tuner {
 
     /// Load every `*.json` tuning table in a directory, routing each
     /// through the static verifier ([`crate::verify::verify_table`]) — grid
-    /// totality, collective consistency, fallback termination. Files that
-    /// fail to parse or verify are skipped, not fatal — the warnings list
-    /// says which and why (a deployment with one damaged table still serves
-    /// the rest).
+    /// totality, collective consistency, fallback termination. Entries that
+    /// cannot be read, parsed or verified are skipped, not fatal — the
+    /// warnings list says which and why (a deployment with one damaged
+    /// table still serves the rest). Only an unreadable `dir` is an error.
     pub fn from_dir(dir: &std::path::Path) -> Result<(Self, Vec<String>), PmlError> {
         let io_err = |e: std::io::Error, path: &std::path::Path| PmlError::Io {
             path: path.to_path_buf(),
@@ -164,8 +164,12 @@ impl Tuner {
         for entry in std::fs::read_dir(dir).map_err(|e| io_err(e, dir))? {
             let path = entry.map_err(|e| io_err(e, dir))?.path();
             if path.extension().is_some_and(|e| e == "json") {
-                let text = std::fs::read_to_string(&path).map_err(|e| io_err(e, &path))?;
-                match crate::verify::verify_table_json(&text) {
+                let table = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("read failed: {e}"))
+                    .and_then(|text| {
+                        crate::verify::verify_table_json(&text).map_err(|e| e.to_string())
+                    });
+                match table {
                     Ok(t) => tables.push(t),
                     Err(e) => warnings.push(format!("skipping table {}: {e}", path.display())),
                 }
@@ -342,10 +346,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("aa.json"), table().to_json().unwrap()).unwrap();
         std::fs::write(dir.join("junk.json"), "not json").unwrap();
-        let (tuner, warnings) = Tuner::from_dir(&dir).unwrap();
+        // Entries that cannot even be read as text are skipped the same way.
+        std::fs::write(dir.join("bad.json"), b"\xff\xfe").unwrap();
+        std::fs::create_dir(dir.join("dir.json")).unwrap();
+        let (tuner, mut warnings) = Tuner::from_dir(&dir).unwrap();
         assert_eq!(tuner.covered(), vec![Collective::Alltoall]);
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("junk.json"), "{warnings:?}");
+        warnings.sort();
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        for (w, name) in warnings.iter().zip(["bad.json", "dir.json", "junk.json"]) {
+            assert!(w.starts_with("skipping table ") && w.contains(name), "{w}");
+        }
+        assert!(warnings[0].contains(": read failed: "), "{warnings:?}");
+        assert!(warnings[1].contains(": read failed: "), "{warnings:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -25,16 +25,6 @@
 //! are *bitwise* identical to the exact kernel — the property tests here
 //! and in `tests/compiled_equivalence.rs` pin that over many seeds.
 //!
-//! Quantization also proves a stronger fact: the forest's whole output is
-//! a function of the code vector alone. When the code space is small —
-//! `∏(edges[f].len() + 1)` at most [`MAX_LUT_CELLS`], the common case for
-//! tuning-table models trained on small benchmark grids — compilation
-//! memoizes it outright by running the block kernel once over every code
-//! vector, so a table entry is bitwise what that kernel computes because
-//! that kernel computed it. Inference then reduces to quantizing each row
-//! and one table fetch, skipping tree traversal entirely. Forests with
-//! larger code spaces use the blockwise traversal above.
-//!
 //! This is the only batch inference path: `RandomForest::fit` and
 //! `RandomForest::verify` both end by compiling, so a forest that cannot
 //! be quantized ([`CompileError`]) is a typed error where it is made or
@@ -54,24 +44,6 @@ pub const MAX_EDGES: usize = 255;
 /// Trees at most this deep run the fixed-trip unrolled traversal loop;
 /// deeper trees fall back to a dynamic trip count.
 pub const MAX_UNROLLED_DEPTH: usize = 8;
-
-/// Largest quantized code space (`∏ per-feature code counts`) that
-/// compilation memoizes into a direct-mapped probability table.
-pub const MAX_LUT_CELLS: usize = 4096;
-
-/// Memory backstop for the memo table: at most this many f64 payload
-/// slots (`cells × n_classes`), i.e. 256 KiB.
-const MAX_LUT_VALUES: usize = 32_768;
-
-/// Memo of the full quantized code space: `proba[cell * k ..][..k]` is
-/// what the traversal kernel computed for the code vector of `cell` (and
-/// so for any row quantizing to it), and `class[cell]` its argmax. Cell
-/// indices are mixed-radix over per-feature codes, last feature fastest.
-#[derive(Debug, Clone, PartialEq)]
-struct CodeLut {
-    proba: Vec<f64>,
-    class: Vec<u32>,
-}
 
 /// Why a [`RandomForest`] could not be compiled — and therefore cannot
 /// serve batch predictions.
@@ -134,9 +106,6 @@ pub struct CompiledForest {
     tree_roots: Vec<u32>,
     /// Traversal trip count per tree (deepest leaf's level).
     tree_depths: Vec<u32>,
-    /// Code-space memo when the space is small, `None` past the cell
-    /// budget.
-    lut: Option<CodeLut>,
 }
 
 impl CompiledForest {
@@ -197,7 +166,6 @@ impl CompiledForest {
             leaf_values: Vec::new(),
             tree_roots: Vec::with_capacity(trees.len()),
             tree_depths: Vec::with_capacity(trees.len()),
-            lut: None,
         };
         let mut order: Vec<u32> = Vec::new();
         let mut new_id: Vec<u32> = Vec::new();
@@ -256,57 +224,7 @@ impl CompiledForest {
             }
             out.tree_depths.push(depth);
         }
-        out.lut = out.build_lut();
         Ok(out)
-    }
-
-    /// Memoize the full quantized code space when it fits the cell budget:
-    /// enumerate the code vectors a block at a time and let the traversal
-    /// kernel itself fill the table.
-    fn build_lut(&self) -> Option<CodeLut> {
-        let k = self.n_classes;
-        debug_assert!(
-            self.edges.iter().all(|e| e.len() <= MAX_EDGES),
-            "every code digit fits u8; classes fit u32 under MAX_LUT_VALUES"
-        );
-        let mut cells = 1usize;
-        for e in &self.edges {
-            cells *= e.len() + 1; // ≤ MAX_LUT_CELLS × 256: cannot overflow
-            if cells > MAX_LUT_CELLS {
-                return None;
-            }
-        }
-        if cells * k > MAX_LUT_VALUES {
-            return None;
-        }
-        let mut codes = vec![0u8; self.n_features * BLOCK];
-        let mut nodes = vec![0u32; BLOCK];
-        let mut proba = vec![0.0f64; cells * k];
-        for (blk, out) in proba.chunks_mut(BLOCK * k).enumerate() {
-            for j in 0..out.len() / k {
-                // Mixed-radix digits of the cell index, last feature fastest.
-                let mut cell = blk * BLOCK + j;
-                for (f, e) in self.edges.iter().enumerate().rev() {
-                    codes[f * BLOCK + j] = (cell % (e.len() + 1)) as u8;
-                    cell /= e.len() + 1;
-                }
-            }
-            self.accumulate_block(&codes, &mut nodes, out);
-        }
-        let class = proba.chunks(k).map(|p| argmax(p) as u32).collect();
-        Some(CodeLut { proba, class })
-    }
-
-    /// Mixed-radix cell index of one row's code vector (last feature
-    /// fastest — the enumeration order of [`CompiledForest::build_lut`]).
-    #[inline]
-    fn row_cell(&self, row: &[f64]) -> usize {
-        let mut idx = 0usize;
-        for (f, e) in self.edges.iter().enumerate() {
-            let v = row[f];
-            idx = idx * (e.len() + 1) + e.partition_point(|&t| v > t);
-        }
-        idx
     }
 
     pub fn n_classes(&self) -> usize {
@@ -328,12 +246,6 @@ impl CompiledForest {
     /// Per-feature quantization edges (sorted distinct split thresholds).
     pub fn edges(&self) -> &[Vec<f64>] {
         &self.edges
-    }
-
-    /// Cell count of the code-space memo, when one was built (the code
-    /// space fit [`MAX_LUT_CELLS`]); `None` means blockwise traversal.
-    pub fn lut_cells(&self) -> Option<usize> {
-        self.lut.as_ref().map(|l| l.class.len())
     }
 
     /// Quantize one block of rows: `codes[f * BLOCK + j]` is the count of
@@ -395,7 +307,9 @@ impl CompiledForest {
     }
 
     /// Average class probabilities for rows `base..base + out.len()/k`
-    /// into `out`: bin the block once, then accumulate from the codes.
+    /// into `out`, bitwise identical to the exact walk: bin the block
+    /// once, park every row of every tree on its leaf, accumulate leaf
+    /// payloads in tree order, divide by the tree count last.
     fn predict_proba_block(
         &self,
         x: &Matrix,
@@ -404,17 +318,9 @@ impl CompiledForest {
         nodes_buf: &mut [u32],
         out: &mut [f64],
     ) {
-        self.bin_block(x, base, out.len() / self.n_classes, codes);
-        self.accumulate_block(codes, nodes_buf, out);
-    }
-
-    /// Average class probabilities for the `out.len()/k` binned rows of
-    /// `codes` into `out`, bitwise identical to the exact walk: park every
-    /// row of every tree on its leaf, accumulate leaf payloads in tree
-    /// order, divide by the tree count last.
-    fn accumulate_block(&self, codes: &[u8], nodes_buf: &mut [u32], out: &mut [f64]) {
         let k = self.n_classes;
         let rows = out.len() / k;
+        self.bin_block(x, base, rows, codes);
         out.fill(0.0);
         for (t, &root) in self.tree_roots.iter().enumerate() {
             let nodes = &mut nodes_buf[..rows];
@@ -445,18 +351,6 @@ impl CompiledForest {
         if x.rows() == 0 {
             return;
         }
-        if let Some(lut) = &self.lut {
-            out.as_mut_slice()
-                .par_chunks_mut(BLOCK * k)
-                .enumerate()
-                .for_each(|(blk, chunk)| {
-                    for (j, orow) in chunk.chunks_mut(k).enumerate() {
-                        let cell = self.row_cell(x.row(blk * BLOCK + j));
-                        orow.copy_from_slice(&lut.proba[cell * k..(cell + 1) * k]);
-                    }
-                });
-            return;
-        }
         let blocks: Vec<()> = out
             .as_mut_slice()
             .par_chunks_mut(BLOCK * k)
@@ -476,17 +370,6 @@ impl CompiledForest {
     pub fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
         let k = self.n_classes;
         let n = x.rows();
-        if let Some(lut) = &self.lut {
-            let mut out = vec![0usize; n];
-            out.par_chunks_mut(BLOCK)
-                .enumerate()
-                .for_each(|(blk, chunk)| {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        *slot = lut.class[self.row_cell(x.row(blk * BLOCK + j))] as usize;
-                    }
-                });
-            return out;
-        }
         let blocks: Vec<usize> = (0..n.div_ceil(BLOCK)).collect();
         let nested: Vec<Vec<usize>> = blocks
             .into_par_iter()
@@ -610,52 +493,6 @@ mod tests {
             vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN],
         ];
         let q = Matrix::from_rows(rows);
-        let mut exact = Matrix::zeros(q.rows(), 3);
-        let mut fast = Matrix::zeros(q.rows(), 3);
-        f.predict_proba_batch_into_exact(&q, &mut exact);
-        c.predict_proba_batch_into(&q, &mut fast);
-        assert_eq!(exact, fast);
-        assert_eq!(f.predict_batch_exact(&q), c.predict_batch(&q));
-    }
-
-    /// Tuning-table-style training data (few distinct values per feature)
-    /// produces a small code space: the compile memoizes it, and the memo
-    /// path stays bitwise identical to the exact kernel — including on
-    /// query values never seen in training and on NaN.
-    #[test]
-    fn small_code_spaces_are_memoized_and_bitwise_exact() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let grid = [1.0, 2.0, 4.0, 8.0];
-        let mut rows = Vec::new();
-        let mut y = Vec::new();
-        for _ in 0..160 {
-            let a = grid[rng.gen_range(0..grid.len())];
-            let b = grid[rng.gen_range(0..grid.len())];
-            let c = grid[rng.gen_range(0..grid.len())];
-            rows.push(vec![a, b, c]);
-            y.push(usize::from(a > b) + usize::from(c > 2.0));
-        }
-        let mut f = RandomForest::new(ForestParams {
-            n_estimators: 40,
-            seed: 9,
-            ..Default::default()
-        });
-        f.fit(&Matrix::from_rows(rows), &y, 3).unwrap();
-        let c = CompiledForest::compile(&f).unwrap();
-        let cells = c
-            .lut_cells()
-            .expect("≤4 distinct values per feature memoizes");
-        assert!(cells <= MAX_LUT_CELLS, "{cells}");
-
-        let mut qrows = vec![
-            vec![f64::NAN, 3.0, 0.5],
-            vec![1e300, -1e300, f64::NAN],
-            vec![2.0, 2.0, 2.0], // exactly on edges
-        ];
-        for _ in 0..200 {
-            qrows.push((0..3).map(|_| rng.gen_range(-1.0..10.0)).collect());
-        }
-        let q = Matrix::from_rows(qrows);
         let mut exact = Matrix::zeros(q.rows(), 3);
         let mut fast = Matrix::zeros(q.rows(), 3);
         f.predict_proba_batch_into_exact(&q, &mut exact);

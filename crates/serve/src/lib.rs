@@ -27,8 +27,8 @@
 //!   parse → select / queue-wait → batch-assembly → predict → serialize →
 //!   reply into windowed histograms, with slow requests captured into a
 //!   bounded ring;
-//! * [`slo`] — latency targets read from the committed benchmark point
-//!   and burn-rate arithmetic for the `watch` op;
+//! * [`slo`] — latency targets read from a pinned `slo.json` and
+//!   burn-rate arithmetic for the `watch` op;
 //! * [`quality`] — the 1-in-K online quality monitor re-scoring served
 //!   selections through the analytic referee, off the reply path;
 //! * [`signal`] — the SIGTERM/SIGINT → atomic-flag bridge (no `libc`
@@ -55,4 +55,4 @@ pub use server::{
     load_artifacts, serve, LoadedArtifacts, ObsConfig, ServeConfig, ServeError, Server,
 };
 pub use signal::install_termination_flag;
-pub use slo::{targets_from_bench_json, SloTargets, DEFAULT_ERROR_BUDGET};
+pub use slo::{targets_from_json, SloTargets, DEFAULT_ERROR_BUDGET};

@@ -135,7 +135,9 @@ pub struct LoadedArtifacts {
 }
 
 /// Load and statically verify every artifact under `dir`: tuning tables
-/// from `dir/*.json`, pre-trained models from `dir/models/*.json`.
+/// from `dir/*.json`, pre-trained models from `dir/models/*.json`. An
+/// entry that cannot be read, parsed or verified becomes a warning; only
+/// an unreadable directory is an error.
 pub fn load_artifacts(dir: &Path) -> Result<LoadedArtifacts, ServeError> {
     let (tuner, mut warnings) = Tuner::from_dir(dir)?;
     let mut models = BTreeMap::new();
@@ -150,8 +152,10 @@ pub fn load_artifacts(dir: &Path) -> Result<LoadedArtifacts, ServeError> {
             if path.extension().is_none_or(|e| e != "json") {
                 continue;
             }
-            let text = std::fs::read_to_string(&path).map_err(|e| io_err(e, &path))?;
-            match pml_core::verify_model_json(&text) {
+            let model = std::fs::read_to_string(&path)
+                .map_err(|e| format!("read failed: {e}"))
+                .and_then(|text| pml_core::verify_model_json(&text).map_err(|e| e.to_string()));
+            match model {
                 Ok(model) => {
                     models.insert(model.collective, Arc::new(model));
                 }
@@ -804,13 +808,39 @@ mod tests {
     use pml_core::TuningTable;
     use std::io::{BufRead, BufReader};
 
-    fn test_tuner() -> Tuner {
+    fn test_table() -> TuningTable {
         let mut t = TuningTable::new("X", Collective::Alltoall);
         t.insert(2, 8, 64, Algorithm::Alltoall(AlltoallAlgo::Bruck))
             .unwrap();
         t.insert(2, 8, 65536, Algorithm::Alltoall(AlltoallAlgo::Pairwise))
             .unwrap();
-        Tuner::new([t])
+        t
+    }
+
+    fn test_tuner() -> Tuner {
+        Tuner::new([test_table()])
+    }
+
+    /// One unreadable artifact is a warning, not a failed boot: the good
+    /// table and the good model beside it are loaded.
+    #[test]
+    fn load_artifacts_skips_an_unreadable_model() {
+        let dir = std::env::temp_dir().join(format!("pmlserve-load-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("models")).unwrap();
+        std::fs::write(dir.join("aa.json"), test_table().to_json().unwrap()).unwrap();
+        let model = mini_model(Collective::Allgather);
+        std::fs::write(dir.join("models/ag.json"), model.to_json().unwrap()).unwrap();
+        std::fs::write(dir.join("models/bad.json"), b"\xff\xfe").unwrap();
+        let loaded = load_artifacts(&dir).unwrap();
+        assert_eq!(loaded.tuner.covered(), vec![Collective::Alltoall]);
+        assert_eq!(
+            loaded.models.keys().collect::<Vec<_>>(),
+            [&Collective::Allgather]
+        );
+        assert_eq!(loaded.warnings.len(), 1, "{:?}", loaded.warnings);
+        let w = &loaded.warnings[0];
+        assert!(w.starts_with("skipping model ") && w.contains("bad.json: read failed: "));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn test_shared() -> Shared {

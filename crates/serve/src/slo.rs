@@ -1,8 +1,8 @@
 //! SLO targets and burn-rate arithmetic for the `watch` surface.
 //!
-//! The daemon's latency objective comes from the committed benchmark
-//! point (`BENCH_serve.json`, written by `pml-mpi loadgen`): the p50/p99
-//! the serving stack demonstrably sustains become the targets live
+//! The daemon's latency objective is pinned in a committed file
+//! (`slo.json`: `{"target_p50_ns":…,"target_p99_ns":…}`) handed to
+//! `pml-mpi serve --slo`; those p50/p99 are the targets live
 //! traffic is judged against. `watch` reports, per live window, how many
 //! requests ran over each target and the **burn rate**: the fraction of
 //! windowed requests over the p99 target divided by the error budget
@@ -38,47 +38,23 @@ impl SloTargets {
     }
 }
 
-/// Read SLO targets out of a `BENCH_serve.json` document. Prefers an
-/// explicit `slo.target_p50_ns`/`slo.target_p99_ns` section (written by
-/// newer loadgen runs); otherwise falls back to the measured
-/// `latency_ns.p50`/`latency_ns.p99` point — the demonstrated latency
-/// *is* the objective.
-pub fn targets_from_bench_json(text: &str, source: &str) -> Result<SloTargets, String> {
+/// Read SLO targets out of a `{"target_p50_ns":…,"target_p99_ns":…}`
+/// document.
+pub fn targets_from_json(text: &str, source: &str) -> Result<SloTargets, String> {
     let doc: Value =
         serde_json::from_str(text).map_err(|e| format!("{source}: not valid JSON: {e}"))?;
     let obj = doc
         .as_object()
         .ok_or_else(|| format!("{source}: expected a JSON object"))?;
-    let get = |obj: &[(String, Value)], key: &str| -> Option<Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+    let target = |key: &str| -> Result<u64, String> {
+        obj.iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_u64())
+            .ok_or_else(|| format!("{source}: missing {key}"))
     };
-    let section = |key: &str| -> Option<Vec<(String, Value)>> {
-        get(obj, key).and_then(|v| v.as_object().map(|o| o.to_vec()))
-    };
-    if let Some(slo) = section("slo") {
-        if let (Some(p50), Some(p99)) = (
-            get(&slo, "target_p50_ns").and_then(|v| v.as_u64()),
-            get(&slo, "target_p99_ns").and_then(|v| v.as_u64()),
-        ) {
-            return Ok(SloTargets {
-                p50_ns: p50,
-                p99_ns: p99,
-                error_budget: DEFAULT_ERROR_BUDGET,
-                source: source.to_string(),
-            });
-        }
-    }
-    let lat = section("latency_ns")
-        .ok_or_else(|| format!("{source}: no \"slo\" or \"latency_ns\" section"))?;
-    let p50 = get(&lat, "p50")
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("{source}: missing latency_ns.p50"))?;
-    let p99 = get(&lat, "p99")
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("{source}: missing latency_ns.p99"))?;
     Ok(SloTargets {
-        p50_ns: p50,
-        p99_ns: p99,
+        p50_ns: target("target_p50_ns")?,
+        p99_ns: target("target_p99_ns")?,
         error_budget: DEFAULT_ERROR_BUDGET,
         source: source.to_string(),
     })
@@ -89,33 +65,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn targets_fall_back_to_the_measured_point() {
-        let t = targets_from_bench_json(
-            r#"{"latency_ns": {"p50": 64664, "p99": 208238}}"#,
-            "BENCH_serve.json",
+    fn targets_read_the_one_pinned_shape() {
+        let t = targets_from_json(
+            r#"{"target_p50_ns": 65554, "target_p99_ns": 255068}"#,
+            "slo.json",
         )
         .expect("parses");
-        assert_eq!(t.p50_ns, 64664);
-        assert_eq!(t.p99_ns, 208238);
+        assert_eq!((t.p50_ns, t.p99_ns), (65554, 255068));
         assert_eq!(t.error_budget, DEFAULT_ERROR_BUDGET);
-    }
-
-    #[test]
-    fn explicit_slo_section_wins_over_the_measured_point() {
-        let t = targets_from_bench_json(
-            r#"{"slo": {"target_p50_ns": 100, "target_p99_ns": 900},
-                "latency_ns": {"p50": 64664, "p99": 208238}}"#,
-            "x",
-        )
-        .expect("parses");
-        assert_eq!((t.p50_ns, t.p99_ns), (100, 900));
+        assert_eq!(t.source, "slo.json");
     }
 
     #[test]
     fn missing_sections_are_typed_errors() {
-        assert!(targets_from_bench_json("not json", "x").is_err());
-        assert!(targets_from_bench_json("{}", "x").is_err());
-        assert!(targets_from_bench_json(r#"{"latency_ns": {"p50": 1}}"#, "x").is_err());
+        assert!(targets_from_json("not json", "x").is_err());
+        assert!(targets_from_json("[]", "x").is_err());
+        assert!(targets_from_json(r#"{"target_p50_ns": 1}"#, "x").is_err());
+        // A measured point is not a target: nothing is read from it.
+        let e = targets_from_json(r#"{"latency_ns": {"p50": 64664, "p99": 208238}}"#, "x")
+            .expect_err("no targets");
+        assert_eq!(e, "x: missing target_p50_ns");
     }
 
     #[test]

@@ -5,9 +5,7 @@ use std::path::{Path, PathBuf};
 
 /// Directory names never scanned: test and fixture trees (the lints cover
 /// non-test library code only), vendored deps, and build output.
-const SKIP_DIRS: [&str; 6] = [
-    "tests", "benches", "examples", "fixtures", "target", "vendor",
-];
+const SKIP_DIRS: [&str; 5] = ["tests", "examples", "fixtures", "target", "vendor"];
 
 /// All lintable `.rs` files under `root`, repo-relative with `/`
 /// separators, sorted. Scans the root package `src/` and every

@@ -47,7 +47,13 @@ echo "==> obs-determinism lane"
 echo "==> serve smoke lane"
 ./scripts/serve_smoke.sh
 
-echo "==> cargo bench -- --test (smoke: each bench runs once)"
-cargo bench -p pml-bench -- --test
+echo "==> benchmark lane (quick sweep, harness unit tests, frozen files untouched)"
+benchmark/run.sh --quick
+(cd benchmark && cargo test --offline -q)
+[[ -z "$(git status --porcelain benchmark/)" ]] || {
+    echo "ci: the run changed files under benchmark/:" >&2
+    git status --porcelain benchmark/ >&2
+    exit 1
+}
 
 echo "CI gate passed."

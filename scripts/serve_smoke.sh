@@ -6,9 +6,6 @@
 # connection) — fires a short loadgen burst, round-trips the `watch` op
 # (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon and
 # asserts a clean shutdown: exit code 0 and the socket file removed.
-# Finally it boots the daemon twice more — request tracing on vs
-# `--no-request-trace` — and asserts the traced p50 stays within 10% of
-# the bare p50 (observability must not tax the request path).
 # Any mismatch exits nonzero. ci.sh runs this lane on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,7 +60,7 @@ EOF
 
 echo "==> starting daemon"
 "$bin" serve --socket "$sock" --model "$work/art" \
-    --slo BENCH_serve.json --quality-sample 1 --quality-cluster RI \
+    --slo slo.json --quality-sample 1 --quality-cluster RI \
     >"$work/serve.log" 2>&1 &
 pid=$!
 for _ in $(seq 1 100); do
@@ -129,47 +126,5 @@ pid=""
 [[ $rc -eq 0 ]] || fail "daemon exited $rc on SIGTERM (want 0)"
 [[ -S "$sock" ]] && fail "socket file survived shutdown"
 grep -q "clean shutdown" "$work/serve.log" || fail "daemon log missing clean-shutdown line"
-
-# `p50_of <bench.json>`: the round-trip p50 out of a loadgen document.
-p50_of() {
-    grep -o '"p50": *[0-9]*' "$1" | head -1 | grep -o '[0-9]*$'
-}
-
-# `timed_run <sock> <out.json> [extra serve flags...]`: boot a fresh
-# daemon, drive one loadgen burst against it, shut it down cleanly.
-timed_run() {
-    local s=$1 out=$2
-    shift 2
-    "$bin" serve --socket "$s" --model "$work/art" "$@" \
-        >>"$work/serve.log" 2>&1 &
-    pid=$!
-    for _ in $(seq 1 100); do
-        [[ -S "$s" ]] && break
-        sleep 0.05
-    done
-    [[ -S "$s" ]] || fail "overhead-check daemon never bound"
-    "$bin" loadgen --socket "$s" --requests 20000 --threads 4 --seed 7 \
-        --out "$out" >/dev/null 2>&1 || fail "overhead-check loadgen failed"
-    kill -TERM "$pid" && wait "$pid" || true
-    pid=""
-}
-
-echo "==> request-trace p50 overhead < 10%"
-overhead_ok=""
-for attempt in 1 2 3; do
-    timed_run "$work/traced.sock" "$work/traced.json"
-    timed_run "$work/bare.sock" "$work/bare.json" --no-request-trace
-    traced=$(p50_of "$work/traced.json")
-    bare=$(p50_of "$work/bare.json")
-    [[ -n "$traced" && -n "$bare" && "$bare" -gt 0 ]] \
-        || fail "could not read p50s (traced='$traced', bare='$bare')"
-    echo "    attempt $attempt: traced p50 ${traced}ns vs bare p50 ${bare}ns"
-    if (( traced * 100 <= bare * 110 )); then
-        overhead_ok=yes
-        break
-    fi
-done
-[[ -n "$overhead_ok" ]] \
-    || fail "request tracing costs >10% on p50 across 3 attempts (traced ${traced}ns vs bare ${bare}ns)"
 
 echo "serve smoke lane passed."

@@ -252,8 +252,8 @@ SERVE OPTIONS:
   --window-us US    batching window in microseconds (default 200)
   --no-request-trace       disable per-request stage attribution
   --slow-threshold-us US   slow-ring capture threshold (default 1000)
-  --slo FILE        SLO targets from a BENCH_serve.json document
-                    (default: ./BENCH_serve.json when present)
+  --slo FILE        SLO targets, {{\"target_p50_ns\":…,\"target_p99_ns\":…}}
+                    (the repo pins them in slo.json; default: none)
   --quality-sample K       re-score 1-in-K served decisions through the
                            analytic referee (default 32; 0 disables)
   --quality-cluster NAME   score against this zoo cluster's hardware
@@ -273,9 +273,7 @@ LOADGEN OPTIONS:
   --collective C    collective to query (default alltoall)
   --op OP           select | predict (default select)
   --seed N          job-shape sampling seed (default 42)
-  --out FILE        write the BENCH JSON document (default: stdout)
-  --date TS         ISO timestamp stamped into the JSON (default: null)
-  --rev REV         git revision stamped into the JSON (default: null)
+  --out FILE        write the JSON report (default: stdout)
 
 EXAMPLES:
   pml-mpi train allgather --out model_ag.json
@@ -292,7 +290,7 @@ EXAMPLES:
   pml-mpi serve --socket /tmp/pml.sock --model artifacts/
   printf '{{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"select\",\"collective\":\"alltoall\",\
 \"nodes\":4,\"ppn\":8,\"msg_size\":1024}}\\n' | pml-mpi client --socket /tmp/pml.sock
-  pml-mpi loadgen --socket /tmp/pml.sock --requests 100000 --threads 8 --out BENCH_serve.json
+  pml-mpi loadgen --socket /tmp/pml.sock --requests 100000 --threads 8 --out report.json
   pml-mpi watch --socket /tmp/pml.sock --interval-ms 1000"
     );
 }
@@ -672,7 +670,7 @@ fn engine_cfg_datagen() -> pml_mpi::DatagenConfig {
 fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     let opts = Opts::parse(
         args,
-        &["max-world", "blocks", "cluster", "expect", "params-out"],
+        &["max-world", "blocks", "cluster", "expect"],
         &["schedules", "costs"],
     )?;
     if opts.has("schedules") && opts.has("costs") {
@@ -682,21 +680,14 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
         return cmd_verify_costs(&opts);
     }
     if opts.has("schedules") {
-        if opts.has("cluster") || opts.has("expect") || opts.has("params-out") {
-            return Err("--cluster/--expect/--params-out only apply with --costs".into());
+        if opts.has("cluster") || opts.has("expect") {
+            return Err("--cluster/--expect only apply with --costs".into());
         }
         return cmd_verify_schedules(&opts);
     }
-    if opts.has("max-world")
-        || opts.has("blocks")
-        || opts.has("cluster")
-        || opts.has("expect")
-        || opts.has("params-out")
-    {
+    if opts.has("max-world") || opts.has("blocks") || opts.has("cluster") || opts.has("expect") {
         return Err(
-            "--max-world/--blocks/--cluster/--expect/--params-out only apply with \
-             --schedules or --costs"
-                .into(),
+            "--max-world/--blocks/--cluster/--expect only apply with --schedules or --costs".into(),
         );
     }
     if opts.positional.is_empty() {
@@ -916,56 +907,7 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
             fixture.cells.len()
         );
     }
-
-    // Optional machine-readable dump of the analytic-fallback
-    // configuration: the selector tier and the fitted α-β-γ constants of
-    // every zoo cluster, at the differential's two-ranks-per-node fit
-    // point. `scripts/bench.sh` stamps this into BENCH_train_infer.json
-    // so perf points record which cost constants selection ran on.
-    if let Some(path) = opts.get("params-out") {
-        let fitted_at_ppn = 2u32;
-        let doc = CostParamsDoc {
-            v: "pml-costparams/v1".into(),
-            selector_tier: TierDoc {
-                name: "analytic-cost-model".into(),
-                fallback_depth: pml_mpi::core::tuner::FallbackDepth::Analytic.as_u64(),
-            },
-            fitted_at_ppn,
-            clusters: pml_mpi::zoo()
-                .iter()
-                .map(|e| {
-                    (
-                        e.name().to_string(),
-                        schedcost::cached_params(&e.spec.node, fitted_at_ppn),
-                    )
-                })
-                .collect(),
-        };
-        let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("{path}: {e}"))?;
-        std::fs::write(path, json + "\n").map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "analytic-fallback configuration ({} cluster(s)) written to {path}",
-            doc.clusters.len()
-        );
-    }
     Ok(())
-}
-
-/// The `pml-costparams/v1` document `verify --costs --params-out` writes:
-/// which fallback tier the analytic selector occupies and the fitted
-/// α-β-γ constants per zoo cluster.
-#[derive(serde::Serialize)]
-struct CostParamsDoc {
-    v: String,
-    selector_tier: TierDoc,
-    fitted_at_ppn: u32,
-    clusters: BTreeMap<String, pml_mpi::simnet::CostParams>,
-}
-
-#[derive(serde::Serialize)]
-struct TierDoc {
-    name: String,
-    fallback_depth: u64,
 }
 
 /// Committed known-good analytic rankings (`pml-costs/v1`), checked by
@@ -1070,24 +1012,14 @@ fn batch_config_from(opts: &Opts) -> Result<pml_mpi::serve::BatchConfig, String>
     })
 }
 
-/// Resolve the daemon's SLO targets: an explicit `--slo FILE` must parse;
-/// without the flag, a committed `BENCH_serve.json` in the working
-/// directory is picked up automatically (and its absence is fine).
+/// The daemon's SLO targets: `--slo FILE` must exist and parse; without
+/// the flag the daemon tracks none.
 fn slo_from_opts(opts: &Opts) -> Result<Option<pml_mpi::serve::SloTargets>, String> {
-    let (path, required) = match opts.get("slo") {
-        Some(p) => (PathBuf::from(p), true),
-        None => (PathBuf::from("BENCH_serve.json"), false),
-    };
-    if !path.is_file() {
-        if required {
-            return Err(format!("--slo {}: file not found", path.display()));
-        }
+    let Some(path) = opts.get("slo") else {
         return Ok(None);
-    }
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let targets = pml_mpi::serve::targets_from_bench_json(&text, &path.display().to_string())?;
-    Ok(Some(targets))
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("--slo {path}: {e}"))?;
+    pml_mpi::serve::targets_from_json(&text, path).map(Some)
 }
 
 fn obs_config_from(opts: &Opts) -> Result<pml_mpi::serve::ObsConfig, String> {
@@ -1470,8 +1402,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
             "collective",
             "op",
             "out",
-            "date",
-            "rev",
         ],
         &[],
     )?;
@@ -1525,8 +1455,8 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
     latencies.sort_unstable();
     // One-shot watch snapshot right after the run: the daemon's windowed
     // per-stage breakdown (queue-wait / predict / reply p50/p99) rides
-    // along in the BENCH document, so the committed point says where the
-    // time went, not just the client-side totals.
+    // along in the report, so it says where the time went, not just the
+    // client-side totals.
     let stages = fetch_watch_stages(&socket);
 
     let pct = |q: f64| {
@@ -1535,14 +1465,8 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let sum_ns: u64 = latencies.iter().sum();
     let throughput = latencies.len() as f64 / wall_s.max(1e-9);
-    let stamp = |key: &str| match opts.get(key) {
-        Some(v) => serde_json::JsonValue::Str(v.to_string()),
-        None => serde_json::JsonValue::Null,
-    };
     let uint = |v: u64| serde_json::JsonValue::UInt(v);
     let doc = serde_json::JsonValue::Object(vec![
-        ("date".to_string(), stamp("date")),
-        ("rev".to_string(), stamp("rev")),
         (
             "socket".to_string(),
             serde_json::JsonValue::Str(socket.clone()),
@@ -1572,15 +1496,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
                 ("p999".to_string(), uint(pct(0.999))),
                 ("max".to_string(), uint(latencies[latencies.len() - 1])),
                 ("mean".to_string(), uint(sum_ns / latencies.len() as u64)),
-            ]),
-        ),
-        // The measured point doubles as the SLO: targets future daemon
-        // runs (serve --slo) and the bench gate judge burn against.
-        (
-            "slo".to_string(),
-            serde_json::JsonValue::Object(vec![
-                ("target_p50_ns".to_string(), uint(pct(0.50))),
-                ("target_p99_ns".to_string(), uint(pct(0.99))),
             ]),
         ),
         ("stages".to_string(), stages),

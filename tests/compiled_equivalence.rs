@@ -38,6 +38,23 @@ fn fitted(seed: u64, max_depth: Option<usize>) -> (RandomForest, Matrix) {
     (f, x)
 }
 
+/// Probabilities (bit for bit) and argmax of the compiled path equal the
+/// exact f64 walk's on `queries`.
+fn assert_bitwise_equal(f: &RandomForest, queries: &Matrix, ctx: &str) {
+    assert_eq!(
+        f.predict_batch_exact(queries),
+        f.predict_batch(queries),
+        "{ctx}"
+    );
+    let mut exact = Matrix::zeros(queries.rows(), f.n_classes());
+    f.predict_proba_batch_into_exact(queries, &mut exact);
+    let mut routed = Matrix::zeros(queries.rows(), f.n_classes());
+    f.predict_proba_batch_into(queries, &mut routed);
+    for (a, b) in exact.as_slice().iter().zip(routed.as_slice()) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}");
+    }
+}
+
 /// Probabilities and argmax agree bit-for-bit on fresh query rows, over 18
 /// seeds crossed with depths below, at, and above the unrolled boundary.
 #[test]
@@ -51,19 +68,7 @@ fn compiled_matches_exact_across_seeds_and_depths() {
         let (f, _) = fitted(seed, depth);
         assert!(f.compile().is_ok(), "seed {seed}");
         let (queries, _) = synthetic(173, seed ^ 0xbeef);
-
-        let mut exact = Matrix::zeros(queries.rows(), N_CLASSES);
-        f.predict_proba_batch_into_exact(&queries, &mut exact);
-        let mut routed = Matrix::zeros(queries.rows(), N_CLASSES);
-        f.predict_proba_batch_into(&queries, &mut routed);
-        for (a, b) in exact.as_slice().iter().zip(routed.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} depth {depth:?}");
-        }
-        assert_eq!(
-            f.predict_batch_exact(&queries),
-            f.predict_batch(&queries),
-            "seed {seed} depth {depth:?}"
-        );
+        assert_bitwise_equal(&f, &queries, &format!("seed {seed} depth {depth:?}"));
     }
 }
 
@@ -86,18 +91,7 @@ fn rows_on_exact_split_thresholds_match() {
             continue;
         }
         let queries = Matrix::from_rows(rows);
-        assert_eq!(
-            f.predict_batch_exact(&queries),
-            f.predict_batch(&queries),
-            "seed {seed}"
-        );
-        let mut exact = Matrix::zeros(queries.rows(), N_CLASSES);
-        f.predict_proba_batch_into_exact(&queries, &mut exact);
-        let mut routed = Matrix::zeros(queries.rows(), N_CLASSES);
-        f.predict_proba_batch_into(&queries, &mut routed);
-        for (a, b) in exact.as_slice().iter().zip(routed.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
-        }
+        assert_bitwise_equal(&f, &queries, &format!("seed {seed}"));
     }
 }
 
@@ -126,17 +120,54 @@ fn non_finite_and_out_of_range_features_match() {
             rows.push(row);
         }
         let queries = Matrix::from_rows(rows);
-        assert_eq!(
-            f.predict_batch_exact(&queries),
-            f.predict_batch(&queries),
-            "seed {seed}"
-        );
-        let mut exact = Matrix::zeros(queries.rows(), N_CLASSES);
-        f.predict_proba_batch_into_exact(&queries, &mut exact);
-        let mut routed = Matrix::zeros(queries.rows(), N_CLASSES);
-        f.predict_proba_batch_into(&queries, &mut routed);
-        for (a, b) in exact.as_slice().iter().zip(routed.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}");
+        assert_bitwise_equal(&f, &queries, &format!("seed {seed}"));
+    }
+}
+
+/// A model trained on a 3·2·3 grid (the shape of a small tuning table:
+/// 18 distinct rows, at most two thresholds a feature) goes through the
+/// same traversal as any other — on the grid, between and beyond its
+/// values, on its thresholds and on NaN.
+#[test]
+fn small_grid_models_match() {
+    let grid: [&[f64]; 3] = [&[1.0, 2.0, 4.0], &[8.0, 16.0], &[64.0, 1024.0, 65536.0]];
+    let mut rows = Vec::new();
+    let mut y = Vec::new();
+    for (i, &a) in grid[0].iter().enumerate() {
+        for &b in grid[1] {
+            for (k, &c) in grid[2].iter().enumerate() {
+                for _ in 0..4 {
+                    rows.push(vec![a, b, c]);
+                    y.push((i + k + usize::from(b > 8.0)) % N_CLASSES);
+                }
+            }
         }
     }
+    let mut f = RandomForest::new(ForestParams {
+        n_estimators: 12,
+        seed: 9,
+        ..Default::default()
+    });
+    f.fit(&Matrix::from_rows(rows.clone()), &y, N_CLASSES)
+        .unwrap();
+    let edges = f.compiled().expect("compiles").edges().to_vec();
+    assert!(edges.iter().zip(grid).all(|(e, g)| e.len() < g.len()));
+
+    let mut rng = StdRng::seed_from_u64(9);
+    rows.push(vec![f64::NAN, 12.0, 0.5]);
+    rows.push(vec![1e300, -1e300, f64::NAN]);
+    rows.push(
+        edges
+            .iter()
+            .map(|e| e.first().copied().unwrap_or(0.0))
+            .collect(),
+    );
+    for _ in 0..200 {
+        rows.push(vec![
+            rng.gen_range(-1.0..6.0),
+            rng.gen_range(0.0..32.0),
+            rng.gen_range(0.0..100000.0),
+        ]);
+    }
+    assert_bitwise_equal(&f, &Matrix::from_rows(rows), "3x2x3 grid");
 }
