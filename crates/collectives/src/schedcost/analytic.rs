@@ -12,7 +12,7 @@
 
 use super::extract::extract_poly;
 use super::fit::cached_params;
-use super::CostPoly;
+use super::{CostParams, CostPoly};
 use crate::algo::{Algorithm, Collective};
 use pml_obs::{span, Counter};
 use pml_simnet::{JobLayout, NodeSpec};
@@ -93,14 +93,18 @@ pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPo
 
 /// Predicted runtime of `algo` on `node` at this shape, in seconds.
 pub fn cost_for(algo: Algorithm, node: &NodeSpec, layout: JobLayout, msg: usize) -> Option<f64> {
+    cost_with(algo, &cached_params(node, layout.ppn), layout, msg)
+}
+
+/// [`cost_for`] with the node's fitted constants already in hand.
+fn cost_with(algo: Algorithm, params: &CostParams, layout: JobLayout, msg: usize) -> Option<f64> {
     let poly = poly_for(algo, layout, msg)?;
-    let params = cached_params(node, layout.ppn);
     let scale = if algo.scale_invariant() {
         msg.max(1) as f64
     } else {
         1.0
     };
-    Some(poly.eval(&params, scale))
+    Some(poly.eval(params, scale))
 }
 
 /// Every applicable algorithm for `collective` at this shape, cheapest
@@ -111,9 +115,11 @@ pub fn rank_static(
     layout: JobLayout,
     msg: usize,
 ) -> Vec<(Algorithm, f64)> {
+    // Once per ranking: every fetch serialises `node` for its cache key.
+    let params = cached_params(node, layout.ppn);
     let mut out: Vec<(Algorithm, f64)> = Algorithm::applicable_for(collective, layout.world_size())
         .into_iter()
-        .filter_map(|a| cost_for(a, node, layout, msg).map(|t| (a, t)))
+        .filter_map(|a| cost_with(a, &params, layout, msg).map(|t| (a, t)))
         .collect();
     out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.index().cmp(&b.0.index())));
     out

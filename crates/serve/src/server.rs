@@ -72,7 +72,7 @@ pub struct ServeConfig {
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Stage-attribute every request (windowed histograms, slow ring).
-    /// Off = the daemon never reads its clock on the request path.
+    /// Off = the clock is read only for the cumulative latency histograms.
     pub trace_requests: bool,
     /// Requests at least this slow land in the slow-request ring.
     pub slow_threshold_ns: u64,
@@ -506,7 +506,7 @@ impl<'a> Conn<'a> {
                 collective,
                 job,
             } => {
-                // `submit` blocks for the batch window.
+                // `submit` blocks until the batch worker answers.
                 if !self.flush() {
                     return false;
                 }
@@ -1024,21 +1024,28 @@ mod tests {
     }
 
     impl Daemon {
-        fn boot(
-            name: &str,
-            models: BTreeMap<Collective, Arc<PretrainedModel>>,
-            batch: BatchConfig,
-        ) -> Daemon {
+        /// A daemon with no models; `batcher`, when given, replaces the one
+        /// `with_artifacts` built (a gated one has no other way in).
+        fn boot(name: &str, batcher: Option<Batcher>) -> Daemon {
             let dir = std::env::temp_dir().join(format!("pml-serve-{name}-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let socket = dir.join("pml.sock");
             let artifacts = LoadedArtifacts {
                 tuner: test_tuner(),
-                models,
+                models: BTreeMap::new(),
                 warnings: Vec::new(),
             };
-            let server =
-                Server::with_artifacts(&socket, artifacts, batch, ObsConfig::default()).unwrap();
+            let mut server = Server::with_artifacts(
+                &socket,
+                artifacts,
+                BatchConfig::default(),
+                ObsConfig::default(),
+            )
+            .unwrap();
+            if let Some(batcher) = batcher {
+                let shared = Arc::get_mut(&mut server.shared).expect("no connection yet");
+                shared.batcher = batcher;
+            }
             let term = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&term);
             let thread = std::thread::spawn(move || server.run(&flag));
@@ -1092,7 +1099,7 @@ mod tests {
 
     #[test]
     fn end_to_end_over_a_real_socket() {
-        let daemon = Daemon::boot("test", BTreeMap::new(), BatchConfig::default());
+        let daemon = Daemon::boot("test", None);
         let (mut client, mut reader) = daemon.connect();
         let mut ask = |line: &str| -> Value {
             client.write_all(format!("{line}\n").as_bytes()).unwrap();
@@ -1140,12 +1147,12 @@ mod tests {
 
     #[test]
     fn external_termination_flag_stops_run() {
-        Daemon::boot("term", BTreeMap::new(), BatchConfig::default()).stop();
+        Daemon::boot("term", None).stop();
     }
 
     #[test]
     fn invalid_utf8_gets_a_parse_error_and_the_connection_stays_open() {
-        let daemon = Daemon::boot("utf8", BTreeMap::new(), BatchConfig::default());
+        let daemon = Daemon::boot("utf8", None);
         let (mut client, mut reader) = daemon.connect();
         let in_string: &[u8] =
             b"{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"predict\",\"cluster\":\"Fr\xffnt\"}\n";
@@ -1241,7 +1248,7 @@ mod tests {
 
     #[test]
     fn a_burst_is_answered_in_order_however_it_is_delivered() {
-        let daemon = Daemon::boot("burst", BTreeMap::new(), BatchConfig::default());
+        let daemon = Daemon::boot("burst", None);
         let burst = mixed_burst();
         let (mut client, mut reader) = daemon.connect();
         client.write_all(burst.as_bytes()).unwrap();
@@ -1270,7 +1277,7 @@ mod tests {
 
     #[test]
     fn a_frame_cut_off_by_eof_is_still_answered() {
-        let daemon = Daemon::boot("eof", BTreeMap::new(), BatchConfig::default());
+        let daemon = Daemon::boot("eof", None);
         for (frame, pong) in [(PING, true), (&PING[..20], false)] {
             let (mut client, mut reader) = daemon.connect();
             client.write_all(frame.as_bytes()).unwrap();
@@ -1308,34 +1315,36 @@ mod tests {
 
     #[test]
     fn replies_leave_before_the_thread_blocks() {
-        let window = Duration::from_millis(300);
-        let daemon = Daemon::boot(
-            "flush",
-            BTreeMap::from([(Collective::Alltoall, mini_model(Collective::Alltoall))]),
-            BatchConfig {
-                window,
-                ..BatchConfig::default()
-            },
-        );
+        // The batch worker answers nothing until `open` fires, so the
+        // connection thread stays blocked in `submit` for as long as the
+        // test likes.
+        let (open, gate) = std::sync::mpsc::channel();
+        let models = BTreeMap::from([(Collective::Alltoall, mini_model(Collective::Alltoall))]);
+        let batcher = Batcher::gated(models, BatchConfig::default(), gate);
+        let daemon = Daemon::boot("flush", Some(batcher));
         let (mut client, mut reader) = daemon.connect();
         let shape = r#""collective":"alltoall","nodes":2,"ppn":8,"msg_size":64"#;
         let pair = format!(
             "{{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"select\",{shape}}}\n\
              {{\"v\":\"pml-serve/v1\",\"id\":2,\"op\":\"predict\",\"cluster\":\"RI\",{shape}}}\n"
         );
-        let sent = std::time::Instant::now();
         client.write_all(pair.as_bytes()).unwrap();
+        // The select reply is out although the predict behind it cannot
+        // finish; the predict reply does not exist until the gate opens.
         let select = read_reply(&mut reader);
-        let waited = sent.elapsed();
         assert_eq!(obj_get(&select, "id").and_then(Value::as_u64), Some(1));
-        assert!(
-            waited < Duration::from_millis(100),
-            "select reply held for {waited:?} behind the batch window"
+        client.set_nonblocking(true).unwrap();
+        let early = reader.fill_buf().map(<[u8]>::len);
+        client.set_nonblocking(false).unwrap();
+        assert_eq!(
+            early.map_err(|e| e.kind()),
+            Err(std::io::ErrorKind::WouldBlock),
+            "predict answered through a closed gate"
         );
+        open.send(()).unwrap();
         let predict = read_reply(&mut reader);
         assert_eq!(obj_get(&predict, "id").and_then(Value::as_u64), Some(2));
         assert_eq!(obj_get(&predict, "ok").and_then(Value::as_bool), Some(true));
-        assert!(sent.elapsed() >= window, "predict waits out its window");
 
         // A watch tick is written directly: everything pipelined before it
         // must already be out, and what follows it comes after.

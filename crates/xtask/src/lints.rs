@@ -181,6 +181,7 @@ impl LintConfig {
                 "crates/core/src/tuner.rs".into(),
                 "crates/core/src/pipeline.rs".into(),
                 "crates/obs/src/".into(),
+                "crates/serve/src/batch.rs".into(),
             ],
             determinism_exempt: vec!["crates/obs/src/clock.rs".into()],
             dispatch_all_matches: vec!["crates/collectives/src/algo.rs".into()],

@@ -247,9 +247,6 @@ SERVE OPTIONS:
   --socket PATH     Unix domain socket to listen on (required)
   --model DIR       artifact dir: tuning tables as DIR/*.json, pre-trained
                     models as DIR/models/*.json (required)
-  --queue-depth N   predict batch queue bound (default 4096)
-  --max-batch N     rows per batched forest inference (default 128)
-  --window-us US    batching window in microseconds (default 200)
   --no-request-trace       disable per-request stage attribution
   --slow-threshold-us US   slow-ring capture threshold (default 1000)
   --slo FILE        SLO targets, {{\"target_p50_ns\":…,\"target_p99_ns\":…}}
@@ -273,7 +270,9 @@ LOADGEN OPTIONS:
   --collective C    collective to query (default alltoall)
   --op OP           select | predict (default select)
   --seed N          job-shape sampling seed (default 42)
-  --out FILE        write the JSON report (default: stdout)
+  --out FILE        write the JSON report (default: stdout); throughput_rps is
+                    timed requests / wall_s, first timed send to last timed
+                    reply over all connections (no connect, no warmup)
 
 EXAMPLES:
   pml-mpi train allgather --out model_ag.json
@@ -999,19 +998,6 @@ fn parse_flag_or<T: std::str::FromStr>(opts: &Opts, name: &str, default: T) -> R
     }
 }
 
-fn batch_config_from(opts: &Opts) -> Result<pml_mpi::serve::BatchConfig, String> {
-    let defaults = pml_mpi::serve::BatchConfig::default();
-    Ok(pml_mpi::serve::BatchConfig {
-        queue_depth: parse_flag_or(opts, "queue-depth", defaults.queue_depth)?,
-        max_batch: parse_flag_or(opts, "max-batch", defaults.max_batch)?,
-        window: std::time::Duration::from_micros(parse_flag_or(
-            opts,
-            "window-us",
-            defaults.window.as_micros() as u64,
-        )?),
-    })
-}
-
 /// The daemon's SLO targets: `--slo FILE` must exist and parse; without
 /// the flag the daemon tracks none.
 fn slo_from_opts(opts: &Opts) -> Result<Option<pml_mpi::serve::SloTargets>, String> {
@@ -1044,9 +1030,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         &[
             "socket",
             "model",
-            "queue-depth",
-            "max-batch",
-            "window-us",
             "slow-threshold-us",
             "slo",
             "quality-sample",
@@ -1066,7 +1049,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
     let cfg = pml_mpi::serve::ServeConfig {
         socket: socket.clone(),
         model_dir,
-        batch: batch_config_from(&opts)?,
+        batch: pml_mpi::serve::BatchConfig::default(),
         obs,
     };
     let term = pml_mpi::serve::install_termination_flag();
@@ -1275,7 +1258,8 @@ fn render_watch_tick(v: &serde_json::JsonValue) -> String {
 /// round-trips. Connection setup happens before any timing; the first
 /// `warmup` requests are sent and checked but not recorded, so the
 /// percentile ladder (and its max) measures the steady state, not the
-/// daemon's cold caches. Returns (per-request ns, non-ok reply count).
+/// daemon's cold caches. Returns (per-request ns, non-ok reply count, the
+/// instants of the first timed send and the last timed reply).
 fn loadgen_worker(
     socket: &str,
     count: usize,
@@ -1283,7 +1267,7 @@ fn loadgen_worker(
     seed: u64,
     collective: Collective,
     op: &str,
-) -> Result<(Vec<u64>, u64), String> {
+) -> Result<(Vec<u64>, u64, Option<TimedSpan>), String> {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use std::io::{BufRead, BufReader, Write};
     let stream = std::os::unix::net::UnixStream::connect(socket)
@@ -1298,6 +1282,7 @@ fn loadgen_worker(
     let zoo = pml_mpi::zoo();
     let mut latencies = Vec::with_capacity(count);
     let mut bad_replies = 0u64;
+    let mut span: Option<TimedSpan> = None;
     let mut reply = String::with_capacity(256);
     for id in 0..warmup + count {
         // Sample a job shape from a random zoo cluster's benchmark grids;
@@ -1332,13 +1317,15 @@ fn loadgen_worker(
         let n = reader
             .read_line(&mut reply)
             .map_err(|e| format!("request {id}: read: {e}"))?;
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let t1 = std::time::Instant::now();
+        let ns = u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
         if n == 0 {
             return Err(format!("daemon closed the connection at request {id}"));
         }
         if id >= warmup {
             latencies.push(ns);
             LOADGEN_LATENCY.observe(ns);
+            span = Some((span.map_or(t0, |(first, _)| first), t1));
         }
         // The compact renderer never inserts spaces, so this substring
         // check is an exact ok-flag probe without a per-reply JSON parse.
@@ -1346,7 +1333,23 @@ fn loadgen_worker(
             bad_replies += 1;
         }
     }
-    Ok((latencies, bad_replies))
+    Ok((latencies, bad_replies, span))
+}
+
+/// One worker's first timed send and last timed reply.
+type TimedSpan = (std::time::Instant, std::time::Instant);
+
+/// `(wall_s, throughput_rps)` of a run: the timed requests divided by the
+/// seconds from the earliest first timed send to the latest last timed
+/// reply. Connecting and the `--warmup` round-trips lie outside every span,
+/// so they cannot dilute the rate the way a clock around the whole run does.
+fn timed_throughput(requests: usize, spans: &[TimedSpan]) -> (f64, f64) {
+    let start = spans.iter().map(|s| s.0).min();
+    let end = spans.iter().map(|s| s.1).max();
+    let wall_s = start
+        .zip(end)
+        .map_or(0.0, |(a, b)| b.saturating_duration_since(a).as_secs_f64());
+    (wall_s, requests as f64 / wall_s.max(1e-9))
 }
 
 /// Fetch one `watch` snapshot's `window` section from the daemon, or
@@ -1421,7 +1424,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err(format!("--op expects select or predict, got {op:?}").into());
     }
 
-    let start = std::time::Instant::now();
     let workers: Vec<_> = (0..threads)
         .map(|i| {
             let socket = socket.clone();
@@ -1441,14 +1443,16 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
         .collect();
     let mut latencies: Vec<u64> = Vec::with_capacity(total);
     let mut bad_replies = 0u64;
+    let mut spans: Vec<TimedSpan> = Vec::with_capacity(threads);
     for handle in workers {
-        let (lat, bad) = handle
+        let (lat, bad, span) = handle
             .join()
             .map_err(|_| "loadgen worker panicked".to_string())??;
         latencies.extend(lat);
         bad_replies += bad;
+        spans.extend(span);
     }
-    let wall_s = start.elapsed().as_secs_f64();
+    let (wall_s, throughput) = timed_throughput(latencies.len(), &spans);
     if latencies.is_empty() {
         return Err("no requests completed".into());
     }
@@ -1464,7 +1468,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
         latencies[idx.min(latencies.len() - 1)]
     };
     let sum_ns: u64 = latencies.iter().sum();
-    let throughput = latencies.len() as f64 / wall_s.max(1e-9);
     let uint = |v: u64| serde_json::JsonValue::UInt(v);
     let doc = serde_json::JsonValue::Object(vec![
         (
@@ -1514,4 +1517,23 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err(format!("{bad_replies} request(s) got a non-ok reply").into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Two workers whose timed parts overlap: the span runs from the
+    /// earlier start to the later end, whatever order they are listed in
+    /// and however long either spent connecting and warming up before.
+    #[test]
+    fn loadgen_throughput_covers_only_the_timed_span() {
+        let t = Instant::now();
+        let at = |ms| t + Duration::from_millis(ms);
+        let (a, b) = ((at(1000), at(3000)), (at(2000), at(5000)));
+        assert_eq!(timed_throughput(8, &[a, b]), (4.0, 2.0));
+        assert_eq!(timed_throughput(8, &[b, a]), (4.0, 2.0));
+        assert_eq!(timed_throughput(8, &[a]), (2.0, 4.0));
+    }
 }
