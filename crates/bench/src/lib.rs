@@ -1,57 +1,194 @@
 //! # pml-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's per-experiment index). This library holds the shared
-//! plumbing: dataset/model caching, the selector-vs-selector runtime
-//! comparison loop, and plain-text table printing that mirrors the
-//! paper's rows.
+//! The experiment runner: every table and figure of the paper is one row of
+//! [`EXPERIMENTS`], a function from one shared [`Context`] (datasets and
+//! leave-out models, each built once per process, on first use) to a
+//! [`Report`]. `cargo run --release -p pml-bench -- [name…]` prints the
+//! reports and records them in `EXPERIMENTS.json` (see DESIGN.md §4).
 
 #![deny(rust_2018_idioms, missing_debug_implementations)]
 #![deny(clippy::dbg_macro, clippy::todo)]
-use pml_clusters::{ClusterEntry, DatagenConfig, TuningRecord};
+mod compare;
+mod experiments;
+mod report;
+
+pub use report::Report;
+
+use pml_clusters::{ClusterEntry, TuningRecord};
 use pml_collectives::Collective;
-use pml_core::{AlgorithmSelector, JobConfig, PmlError, PretrainedModel, TrainConfig};
+use pml_core::{AlgorithmSelector, JobConfig, MlSelector, PmlError, PretrainedModel, TrainConfig};
 use pml_mlcore::ForestParams;
+use serde_json::JsonValue;
+use std::cell::{OnceCell, RefCell};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use std::time::Instant;
 
-/// Repo-level `data/` directory used for dataset and model caches.
-pub fn data_dir() -> PathBuf {
-    // crates/bench → repo root.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("data")
+/// One experiment: its name on the command line, and the function behind it.
+pub type Experiment = (&'static str, fn(&Context) -> Result<Report, PmlError>);
+
+/// Every table and figure, in the order they run: the paper's, except that
+/// `fig07` comes before anything that extracts features for Frontera's job
+/// layouts, so the table generation it times is the cold one a new
+/// deployment pays (the cost polynomials are cached per process).
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig01", experiments::fig01),
+    ("fig02", experiments::fig02),
+    ("fig07", experiments::fig07),
+    ("fig05_06", experiments::fig05_06),
+    ("table1", experiments::table1),
+    ("table2", experiments::table2),
+    ("table3", experiments::table3),
+    ("fig08", |ctx| compare::figure(ctx, 8)),
+    ("fig09", |ctx| compare::figure(ctx, 9)),
+    ("fig10", |ctx| compare::figure(ctx, 10)),
+    ("fig11", |ctx| compare::figure(ctx, 11)),
+    ("fig12", |ctx| compare::figure(ctx, 12)),
+    ("fig13", experiments::fig13),
+    ("summary", compare::summary),
+    ("ablation_features", experiments::ablation_features),
+    ("ablation_forest_size", experiments::ablation_forest_size),
+    ("ext_collectives", experiments::ext_collectives),
+];
+
+/// The clusters the evaluation treats as new: no model that selects for
+/// them has seen their records (§VII-C).
+const HELD_OUT: [&str; 2] = ["Frontera", "MRI"];
+
+/// The repository root (crates/bench → two levels up).
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Dataset-generation settings shared by every experiment (the "one
-/// benchmarking campaign" the paper reuses throughout).
-pub fn standard_datagen() -> DatagenConfig {
-    DatagenConfig::default()
+/// A leave-out model is known by its collective and the clusters held out.
+type ModelKey = (Collective, Vec<String>);
+
+/// What the experiments share, each part built once per process, on first
+/// use: the two Table I datasets and the leave-out models.
+#[derive(Debug, Default)]
+pub struct Context {
+    /// Indexed by `Collective as usize`.
+    datasets: [OnceCell<Vec<TuningRecord>>; 4],
+    models: RefCell<BTreeMap<ModelKey, Rc<PretrainedModel>>>,
 }
 
-/// The full Table I dataset for one collective, from cache when possible.
-/// Cache damage is non-fatal: the dataset regenerates and the reason lands
-/// on stderr.
-pub fn full_dataset(collective: Collective) -> Result<Vec<TuningRecord>, PmlError> {
-    let file = match collective {
-        Collective::Allgather => "dataset_allgather.json",
-        Collective::Alltoall => "dataset_alltoall.json",
-        other => {
-            return Err(PmlError::InvalidInput(format!(
-                "the Table I dataset covers the paper collectives only, not {other}"
-            )))
+impl Context {
+    /// The full Table I dataset of one collective, from the cache under
+    /// `data/` when possible. Cache damage is non-fatal: the dataset
+    /// regenerates and the reason lands on stderr.
+    pub fn dataset(&self, collective: Collective) -> Result<&[TuningRecord], PmlError> {
+        let cell = &self.datasets[collective as usize];
+        if let Some(records) = cell.get() {
+            return Ok(records);
         }
-    };
-    let load = pml_clusters::load_or_generate(
-        &data_dir().join(file),
-        pml_clusters::zoo(),
-        collective,
-        &standard_datagen(),
-    )
-    .map_err(PmlError::from)?;
-    for ev in &load.events {
-        eprintln!("warning: {}", ev.message);
+        let name = collective.name().trim_start_matches("MPI_").to_lowercase();
+        let load = pml_clusters::load_or_generate(
+            &repo_root().join(format!("data/dataset_{name}.json")),
+            pml_clusters::zoo(),
+            collective,
+            &pml_clusters::DatagenConfig::default(),
+        )?;
+        for ev in &load.events {
+            eprintln!("warning: {}", ev.message);
+        }
+        Ok(cell.get_or_init(|| load.records))
     }
-    Ok(load.records)
+
+    /// The standard forest trained on every record except the named
+    /// clusters' (the paper's leave-cluster-out protocol).
+    pub fn model_excluding(
+        &self,
+        collective: Collective,
+        exclude: &[&str],
+    ) -> Result<Rc<PretrainedModel>, PmlError> {
+        let key = (collective, exclude.iter().map(|c| c.to_string()).collect());
+        if let Some(model) = self.models.borrow().get(&key) {
+            return Ok(Rc::clone(model));
+        }
+        let kept = |r: &&TuningRecord| !exclude.contains(&r.cluster.as_str());
+        let train: Vec<TuningRecord> = self
+            .dataset(collective)?
+            .iter()
+            .filter(kept)
+            .cloned()
+            .collect();
+        let model = Rc::new(PretrainedModel::train(
+            &train,
+            collective,
+            &standard_train(),
+        )?);
+        self.models.borrow_mut().insert(key, Rc::clone(&model));
+        Ok(model)
+    }
+
+    /// The proposed selector on `entry`, Frontera and MRI held out of both
+    /// of its models.
+    pub fn proposed(&self, entry: &ClusterEntry) -> Result<MlSelector, PmlError> {
+        let model = |c| Ok::<_, PmlError>(Some((*self.model_excluding(c, &HELD_OUT)?).clone()));
+        MlSelector::new(
+            entry.spec.node.clone(),
+            model(Collective::Allgather)?,
+            model(Collective::Alltoall)?,
+        )
+    }
+}
+
+/// The table rows named on the command line, in table order; all of them
+/// for no name.
+pub fn select(names: &[String]) -> Result<Vec<Experiment>, PmlError> {
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    if let Some(name) = names.iter().find(|n| !known.contains(&n.as_str())) {
+        let known = known.join(" ");
+        let why = format!("unknown experiment `{name}`; the experiments are: {known}");
+        return Err(PmlError::InvalidInput(why));
+    }
+    let named = |e: &&Experiment| names.is_empty() || names.iter().any(|n| n == e.0);
+    Ok(EXPERIMENTS.iter().filter(named).copied().collect())
+}
+
+/// Run the named experiments (all for no name) over one [`Context`], print
+/// their reports, and record them in `EXPERIMENTS.json`; the entries of
+/// experiments that did not run are kept as they are.
+pub fn run(names: &[String]) -> Result<(), PmlError> {
+    let chosen = select(names)?;
+    let ctx = Context::default();
+    let mut reports = BTreeMap::new();
+    for (name, experiment) in chosen {
+        let t0 = Instant::now();
+        let report = experiment(&ctx)?;
+        report.print();
+        eprintln!("-- {name}: {:.1} s", t0.elapsed().as_secs_f64());
+        reports.insert(name, report);
+    }
+    let path = repo_root().join("EXPERIMENTS.json");
+    let old: Option<JsonValue> = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|text| serde_json::from_str(&text).ok());
+    let kept = |half: &str, name: &str| {
+        let entries = field(old.as_ref()?, half)?;
+        field(entries, name).cloned()
+    };
+    let half = |key: &str, wall_clock: bool| {
+        let entries = EXPERIMENTS.iter().filter_map(|(name, _)| {
+            let entry = match reports.get(name) {
+                Some(report) => report.to_json(wall_clock),
+                None => kept(key, name),
+            };
+            Some((name.to_string(), entry?))
+        });
+        (key.to_string(), JsonValue::Object(entries.collect()))
+    };
+    // `wall_clock` is the one part that is not a pure function of the tree.
+    let doc = JsonValue::Object(vec![half("experiments", false), half("wall_clock", true)]);
+    let text = serde_json::to_string_pretty(&doc)? + "\n";
+    std::fs::write(&path, text).map_err(|source| PmlError::Io { path, source })
+}
+
+/// The value of `key` in a JSON object.
+fn field<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+    let pairs = v.as_object()?;
+    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// The paper's standard forest settings (100 trees, √d features).
@@ -64,62 +201,6 @@ pub fn standard_train() -> TrainConfig {
         },
         top_k_features: Some(5),
     }
-}
-
-/// Train a model on all records except the named clusters' (the paper's
-/// leave-cluster-out protocol), caching the trained artifact on disk.
-pub fn cached_model_excluding(
-    collective: Collective,
-    exclude: &[&str],
-    records: &[TuningRecord],
-) -> Result<PretrainedModel, PmlError> {
-    let tag: String = if exclude.is_empty() {
-        "all".into()
-    } else {
-        exclude.join("_").replace(' ', "-").to_lowercase()
-    };
-    let train: Vec<TuningRecord> = records
-        .iter()
-        .filter(|r| !exclude.contains(&r.cluster.as_str()))
-        .cloned()
-        .collect();
-    // Key the cache by the training data's content, not just its size, so
-    // a regenerated dataset can never resurrect a stale model.
-    let mut h = 0xcbf29ce484222325u64;
-    for r in &train {
-        for b in [
-            r.nodes as u64,
-            r.ppn as u64,
-            r.msg_size as u64,
-            r.best.index() as u64,
-        ] {
-            h = (h ^ b).wrapping_mul(0x100000001b3);
-        }
-    }
-    let path = data_dir().join(format!(
-        "model_{}_excl_{tag}_{h:016x}.json",
-        match collective {
-            Collective::Allgather => "allgather",
-            Collective::Alltoall => "alltoall",
-            other =>
-                return Err(PmlError::InvalidInput(format!(
-                    "no cached models for extension collective {other}"
-                ))),
-        }
-    ));
-    if let Ok(s) = std::fs::read_to_string(&path) {
-        if let Ok(m) = PretrainedModel::from_json(&s) {
-            if m.collective == collective && m.n_training_records == train.len() {
-                return Ok(m);
-            }
-        }
-    }
-    let model = PretrainedModel::train(&train, collective, &standard_train())?;
-    std::fs::create_dir_all(data_dir()).ok();
-    if let Ok(json) = model.to_json() {
-        std::fs::write(&path, json).ok();
-    }
-    Ok(model)
 }
 
 /// One point of a selector-vs-selector runtime comparison.
@@ -189,26 +270,26 @@ pub fn geomean_speedup(rows: &[ComparisonRow], over_idx: usize) -> f64 {
 }
 
 /// Fixed-width plain-text table, paper style.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+pub fn format_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = format!("\n== {title} ==\n");
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
         for (w, c) in widths.iter().zip(cells) {
-            s.push_str(&format!("{c:>w$}  ", w = w));
+            s.push_str(&format!("{c:>w$}  "));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
+    line(headers);
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
+    rows.iter().for_each(|row| line(row));
+    out
 }
 
 /// Format seconds as microseconds with 2 decimals.
@@ -218,7 +299,12 @@ pub fn us(t: f64) -> String {
 
 /// Format a ratio as a percentage speedup ("+12.3%" / "-4.5%").
 pub fn pct(speedup: f64) -> String {
-    format!("{:+.2}%", (speedup - 1.0) * 100.0)
+    format!("{:+.2}%", pct_points(speedup))
+}
+
+/// A ratio as the percentage points [`pct`] prints.
+pub fn pct_points(speedup: f64) -> f64 {
+    (speedup - 1.0) * 100.0
 }
 
 /// The message-size sweep of the evaluation figures (powers of two).
@@ -226,15 +312,90 @@ pub fn msg_sweep(max_log2: u32) -> Vec<usize> {
     (0..=max_log2).map(|i| 1usize << i).collect()
 }
 
-/// Shorthand: a zoo entry that must exist.
-pub fn cluster(name: &str) -> &'static ClusterEntry {
-    pml_clusters::by_name(name).unwrap_or_else(|| panic!("cluster {name} not in zoo"))
+/// A zoo entry by name.
+pub fn cluster(name: &str) -> Result<&'static ClusterEntry, PmlError> {
+    pml_clusters::by_name(name).ok_or_else(|| PmlError::UnknownCluster(name.into()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pml_core::{MvapichDefault, RandomSelector};
+
+    #[test]
+    fn experiment_names_are_unique() {
+        let names: std::collections::BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert_eq!(names.len(), EXPERIMENTS.len());
+    }
+
+    /// The names heading the table rows (`| \`name\` | …`) of one `## `
+    /// section of a document at the repository root.
+    fn names_listed_in(doc: &str, heading: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(repo_root().join(doc)).unwrap();
+        let section = text.split_once(heading).expect(heading).1;
+        let section = section.split("\n## ").next().unwrap();
+        let rows = section.lines().filter_map(|l| l.strip_prefix("| `"));
+        rows.map(|l| l.split('`').next().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn readme_and_design_list_exactly_the_table() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        let readme = names_listed_in("README.md", "## Reproducing the paper's tables and figures");
+        assert_eq!(readme, names);
+        assert_eq!(
+            names_listed_in("DESIGN.md", "## 4. Per-experiment index"),
+            names
+        );
+    }
+
+    #[test]
+    fn an_unknown_name_is_an_error_listing_the_names() {
+        let err = select(&["fig02".into(), "fig99".into()]).unwrap_err();
+        assert!(matches!(err, PmlError::InvalidInput(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("`fig99`"), "{message}");
+        for (name, _) in EXPERIMENTS {
+            assert!(message.contains(name), "{name} missing from: {message}");
+        }
+        let picked = select(&["summary".into(), "fig01".into()]).unwrap();
+        assert_eq!(
+            picked.iter().map(|e| e.0).collect::<Vec<_>>(),
+            ["fig01", "summary"]
+        );
+        assert_eq!(select(&[]).unwrap().len(), EXPERIMENTS.len());
+    }
+
+    #[test]
+    fn a_context_trains_each_leave_out_model_once() {
+        let mut records = Vec::new();
+        for name in ["RI", "RI2", "Haswell"] {
+            let mut entry = cluster(name).unwrap().clone();
+            entry.node_grid.truncate(2);
+            entry.ppn_grid.truncate(2);
+            let cfg = pml_clusters::DatagenConfig::default();
+            records.extend(
+                pml_clusters::generate_cluster(&entry, Collective::Allgather, &cfg).unwrap(),
+            );
+        }
+        let kept = records.iter().filter(|r| r.cluster != "RI2").count();
+        let ctx = Context::default();
+        ctx.datasets[Collective::Allgather as usize]
+            .set(records)
+            .unwrap();
+        let first = ctx
+            .model_excluding(Collective::Allgather, &["RI2"])
+            .unwrap();
+        let again = ctx
+            .model_excluding(Collective::Allgather, &["RI2"])
+            .unwrap();
+        assert!(Rc::ptr_eq(&first, &again), "the second request retrained");
+        assert_eq!(first.n_training_records, kept);
+        let other = ctx.model_excluding(Collective::Allgather, &["RI"]).unwrap();
+        assert!(!Rc::ptr_eq(&first, &other));
+        assert_eq!(ctx.models.borrow().len(), 2);
+    }
 
     #[test]
     fn msg_sweep_is_powers_of_two() {
@@ -255,7 +416,7 @@ mod tests {
 
     #[test]
     fn compare_selectors_prices_every_size() {
-        let entry = cluster("RI");
+        let entry = cluster("RI").unwrap();
         let mvapich = MvapichDefault;
         let random = RandomSelector::new(1);
         let sels: [&dyn pml_core::AlgorithmSelector; 2] = [&mvapich, &random];

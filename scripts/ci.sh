@@ -41,6 +41,19 @@ cargo xtask verify-costs
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> experiments lane (fig01, fig02: all virtual time, no dataset, no model)"
+# Their EXPERIMENTS.json entries must come out as committed; the runner keeps
+# every other entry, so the file is compared whole, up to `wall_clock`.
+deterministic() { sed '/^  "wall_clock": {/,$d' "$1"; }
+committed=$(mktemp)
+cp EXPERIMENTS.json "$committed"
+cargo run --release -q -p pml-bench -- fig01 fig02 >/dev/null
+diff <(deterministic "$committed") <(deterministic EXPERIMENTS.json) >&2 || {
+    echo "ci: fig01/fig02 no longer reproduce EXPERIMENTS.json (diff above)" >&2
+    exit 1
+}
+rm -f "$committed"
+
 echo "==> obs-determinism lane"
 ./scripts/obs_determinism.sh
 
