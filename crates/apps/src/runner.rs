@@ -5,11 +5,11 @@
 //! local compute or a collective call. For every collective call the
 //! selector picks an algorithm, the virtual-time executor prices it on the
 //! target hardware, and the runner accumulates communication vs compute
-//! time. Unit schedules are cached per algorithm so repeated calls at
-//! different sizes stay cheap.
+//! time. One plan of the unit schedule is cached per algorithm so repeated
+//! calls at different sizes stay cheap.
 
 use pml_collectives::exec::sim;
-use pml_collectives::{Algorithm, Collective, CommSchedule};
+use pml_collectives::{Algorithm, Collective};
 use pml_core::{applicable_or_fallback, AlgorithmSelector, JobConfig, MvapichDefault};
 use pml_simnet::{CostModel, JobLayout, NodeSpec};
 use std::collections::hash_map::Entry;
@@ -55,7 +55,7 @@ pub fn run_app(
     selector: &dyn AlgorithmSelector,
 ) -> AppReport {
     let cost = CostModel::new(node.clone(), layout.ppn);
-    let mut schedules: HashMap<Algorithm, CommSchedule> = HashMap::new();
+    let mut plans: HashMap<Algorithm, sim::Plan> = HashMap::new();
     let mut report = AppReport {
         app: workload.name().to_string(),
         selector: selector.name().to_string(),
@@ -82,16 +82,20 @@ pub fn run_app(
                 if !algo.supports(world) {
                     algo = MvapichDefault.select(coll, job);
                 }
-                if let Entry::Vacant(slot) = schedules.entry(algo) {
-                    // Supported at this world (checked above), so generation
-                    // cannot fail; skip the phase rather than panic if it ever
-                    // does.
-                    let Ok(s) = algo.schedule(world, 1) else {
+                if let Entry::Vacant(slot) = plans.entry(algo) {
+                    // Supported at this world (checked above), so neither
+                    // generation nor planning can fail; skip the phase
+                    // rather than panic if one ever does.
+                    let Some(plan) = algo
+                        .schedule(world, 1)
+                        .ok()
+                        .and_then(|s| sim::Plan::new(&s).ok())
+                    else {
                         continue;
                     };
-                    slot.insert(s);
+                    slot.insert(plan);
                 }
-                let t = sim::run_scaled(&schedules[&algo], layout, &cost, msg.max(1)).time_s;
+                let t = plans[&algo].run(layout, &cost, msg.max(1)).time_s;
                 report.comm_s += t;
                 report.total_s += t;
                 report.collective_calls += 1;

@@ -226,8 +226,7 @@ pub fn compare_selectors(
     use std::collections::HashMap;
     let layout = pml_simnet::JobLayout::new(nodes, ppn);
     let cost = pml_simnet::CostModel::new(entry.spec.node.clone(), ppn);
-    let mut schedules: HashMap<pml_collectives::Algorithm, pml_collectives::CommSchedule> =
-        HashMap::new();
+    let mut plans: HashMap<pml_collectives::Algorithm, sim::Plan> = HashMap::new();
     msg_sizes
         .iter()
         .map(|&m| {
@@ -236,15 +235,16 @@ pub fn compare_selectors(
                 .iter()
                 .map(|s| {
                     let algo = s.select(collective, job);
-                    if let Entry::Vacant(slot) = schedules.entry(algo) {
-                        if let Ok(sch) = algo.schedule(layout.world_size(), 1) {
-                            slot.insert(sch);
+                    if let Entry::Vacant(slot) = plans.entry(algo) {
+                        let unit = algo.schedule(layout.world_size(), 1).ok();
+                        if let Some(plan) = unit.and_then(|sch| sim::Plan::new(&sch).ok()) {
+                            slot.insert(plan);
                         }
                     }
                     // A selector picking an algorithm undefined at this world
                     // size scores as "never finishes" instead of panicking.
-                    let t = match schedules.get(&algo) {
-                        Some(schedule) => sim::run_scaled(schedule, layout, &cost, m).time_s,
+                    let t = match plans.get(&algo) {
+                        Some(plan) => plan.run(layout, &cost, m).time_s,
                         None => f64::INFINITY,
                     };
                     (s.name().to_string(), algo.name().to_string(), t)

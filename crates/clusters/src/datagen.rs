@@ -10,9 +10,7 @@
 use crate::error::ClustersError;
 use crate::record::TuningRecord;
 use crate::zoo::ClusterEntry;
-use pml_collectives::{
-    measure, measure_noisy, measure_sweep, Algorithm, Collective, MeasureConfig,
-};
+use pml_collectives::{measure_sweep, Algorithm, Collective};
 use pml_obs::{span, Counter};
 use pml_simnet::{JobLayout, NoiseModel};
 
@@ -86,7 +84,7 @@ fn cell_seed(master: u64, cluster: &str, collective: Collective, n: u32, p: u32,
 }
 
 /// Measure one grid cell: every applicable algorithm, averaged noisy
-/// runtimes, sorted fastest first.
+/// runtimes, sorted fastest first — a one-column [`generate_cluster`].
 pub fn measure_cell(
     entry: &ClusterEntry,
     collective: Collective,
@@ -97,37 +95,12 @@ pub fn measure_cell(
 ) -> Result<TuningRecord, ClustersError> {
     cfg.validate()?;
     let layout = JobLayout::new(nodes, ppn);
-    let mcfg = MeasureConfig { layout, msg_size };
-    let world = layout.world_size();
-    let mut rng = StdRng::seed_from_u64(cell_seed(
-        cfg.seed,
-        entry.name(),
-        collective,
-        nodes,
-        ppn,
-        msg_size,
-    ));
-    let mut runtimes: Vec<(Algorithm, f64)> = Algorithm::applicable_for(collective, world)
-        .into_iter()
-        .map(|a| {
-            let t = if cfg.noise.is_disabled() && cfg.iters == 1 {
-                measure(a, &entry.spec.node, mcfg)
-            } else {
-                measure_noisy(a, &entry.spec.node, mcfg, &cfg.noise, cfg.iters, &mut rng)
-            };
-            (a, t)
-        })
-        .collect();
-    runtimes.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Ok(TuningRecord {
-        cluster: entry.name().to_string(),
-        collective,
-        nodes,
-        ppn,
-        msg_size,
-        best: runtimes[0].0,
-        runtimes,
-    })
+    let base = measure_sweep(collective, &entry.spec.node, layout, &[msg_size])
+        .pop()
+        .unwrap_or_default();
+    Ok(finish_cell(
+        entry, collective, nodes, ppn, msg_size, base, cfg,
+    ))
 }
 
 /// All grid cells of one cluster for one collective, in deterministic grid
@@ -135,9 +108,8 @@ pub fn measure_cell(
 ///
 /// Job shapes fan out over rayon; within a shape, every algorithm's
 /// schedule is generated once and re-simulated across the message-size
-/// sweep (`measure_sweep`), then per-cell noise is applied exactly as
-/// [`measure_cell`] would — the two paths produce identical records, which
-/// the tests assert.
+/// sweep (`measure_sweep`), then per-cell noise is applied — the records
+/// [`measure_cell`] produces one at a time, which the tests assert.
 pub fn generate_cluster(
     entry: &ClusterEntry,
     collective: Collective,
@@ -169,9 +141,9 @@ pub fn generate_cluster(
     Ok(records)
 }
 
-/// Apply the per-cell noise protocol to noise-free base runtimes and build
-/// the record. Must sample noise in the same (registry) order as
-/// `measure_cell` so both paths agree bit-for-bit.
+/// Apply the per-cell noise protocol to noise-free base runtimes (in
+/// registry order: each algorithm draws its `iters` samples in turn from
+/// the cell's own generator) and build the record.
 fn finish_cell(
     entry: &ClusterEntry,
     collective: Collective,
@@ -284,21 +256,29 @@ mod tests {
     fn sweep_path_matches_cell_path() {
         let e = small_entry();
         let cfg = DatagenConfig::default();
-        for coll in [Collective::Allgather, Collective::Alltoall] {
-            let recs = generate_cluster(&e, coll, &cfg).unwrap();
-            for r in &recs {
-                let direct = measure_cell(&e, coll, r.nodes, r.ppn, r.msg_size, &cfg).unwrap();
-                assert_eq!(
-                    r.best,
-                    direct.best,
-                    "{coll} {:?}",
-                    (r.nodes, r.ppn, r.msg_size)
-                );
-                for ((a1, t1), (a2, t2)) in r.runtimes.iter().zip(&direct.runtimes) {
-                    assert_eq!(a1, a2);
-                    assert!((t1 - t2).abs() <= t2.abs() * 1e-9, "{t1} vs {t2}");
+        for cfg in [cfg, DatagenConfig::noiseless()] {
+            for coll in Collective::ALL {
+                for r in generate_cluster(&e, coll, &cfg).unwrap() {
+                    let cell = measure_cell(&e, coll, r.nodes, r.ppn, r.msg_size, &cfg);
+                    assert_eq!(cell.unwrap(), r);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn noisy_average_converges_to_base() {
+        let e = small_entry();
+        let many = DatagenConfig {
+            iters: 400,
+            ..DatagenConfig::default()
+        };
+        let noisy = measure_cell(&e, Collective::Allgather, 2, 4, 512, &many).unwrap();
+        let clean = DatagenConfig::noiseless();
+        let base = measure_cell(&e, Collective::Allgather, 2, 4, 512, &clean).unwrap();
+        for &(a, t) in &base.runtimes {
+            let avg = noisy.runtime_of(a).unwrap();
+            assert!((avg / t - 1.0).abs() < 0.05, "{a}: {avg} vs {t}");
         }
     }
 

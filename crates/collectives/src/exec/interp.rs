@@ -73,11 +73,11 @@ impl RankState {
 /// Execute `schedule` with the given per-rank input buffers; returns each
 /// rank's `Work` buffer after completion.
 ///
-/// Fails with an [`ExecError`] if the schedule is structurally invalid for
-/// the inputs (wrong buffer sizes) or if execution cannot make progress
-/// (both of which
+/// Fails with an [`ExecError`] if the inputs do not fit the schedule
+/// (count, buffer sizes) or if execution cannot make progress: a receive
+/// nobody sends to, which
 /// [`CommSchedule::validate`](crate::schedule::CommSchedule::validate)
-/// would have ruled out).
+/// would have rejected, or a wait cycle.
 #[allow(clippy::needless_range_loop)] // ranks is indexed mutably at several sites
 pub fn run(schedule: &CommSchedule, inputs: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, ExecError> {
     let world = schedule.world as usize;

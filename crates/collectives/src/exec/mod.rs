@@ -1,4 +1,11 @@
 //! Schedule executors: three backends consuming the same IR.
+//!
+//! [`interp`] and [`threaded`] move real bytes and pair messages as they
+//! fly, through a mailbox keyed by `(src, dst, tag)` — [`interp`] is the
+//! reference [`crate::verify`] compares every algorithm against,
+//! [`threaded`] runs the same programs on one OS thread per rank. [`sim`]
+//! moves nothing: it prices the matched message graph
+//! [`crate::schedcheck`] builds, in virtual time.
 
 pub mod interp;
 pub mod sim;
@@ -36,7 +43,8 @@ pub enum ExecError {
     /// Two in-flight messages carried the same (src, dst, tag).
     DuplicateMessage { src: u32, dst: u32, tag: u32 },
     /// No rank can make progress: the schedule receives a message nobody
-    /// sends (which `validate` would have rejected).
+    /// sends (which `validate` would have rejected) or its ranks wait on
+    /// each other in a cycle.
     Deadlock,
     /// Execution completed but sent messages were never received.
     UnconsumedMessages { count: usize },

@@ -16,51 +16,19 @@
 //! * intra-node messages go through the memory system at the L3/DRAM-share
 //!   bandwidth from the cost model.
 //!
-//! Steps are processed in start-time order from a priority queue, so results
-//! are deterministic. Because sends never wait on receivers, any schedule
-//! that passes [`CommSchedule::validate`] terminates.
+//! Which receive a send meets is not discovered here: [`Plan::new`] takes
+//! the matched graph [`crate::schedcheck`] and [`crate::schedcost`] read
+//! and proves it free of wait cycles, once; [`Plan::run`] then prices it on
+//! any layout of its world at any block scale. Steps are processed in
+//! start-time order from a priority queue, so results are deterministic,
+//! and every step of a planned schedule completes.
 
+use crate::schedcheck::{self, Messages, SchedError};
 use crate::schedule::{CommSchedule, Op};
 use pml_simnet::{CostModel, JobLayout};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FxHash-style multiply-xor hasher: the sim's hot maps are keyed by dense
-/// integer message ids, where SipHash costs more than the rest of the
-/// event loop.
-#[derive(Debug, Default)]
-pub struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        // Fold the high bits down: hashbrown derives bucket indices from
-        // the hash's low bits, and a bare multiply leaves them determined
-        // by the key's low bits alone — message keys that differ only in
-        // src/dst (high bits) would otherwise cluster into few buckets.
-        let h = self.0;
-        h ^ (h >> 29) ^ (h >> 47)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517cc1b727220a95);
-    }
-}
-
-type FxMap<V> = HashMap<u64, V, BuildHasherDefault<FxHasher>>;
-
-/// Message key: (src, dst, tag) packed into 64 bits. World sizes and
-/// per-pair tag counts far exceed anything the zoo generates.
-fn msg_key(src: u32, dst: u32, tag: u32) -> u64 {
-    debug_assert!(src < (1 << 21) && dst < (1 << 21) && tag < (1 << 22));
-    ((src as u64) << 43) | ((dst as u64) << 22) | tag as u64
-}
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Outcome of one simulated collective execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,12 +43,26 @@ pub struct SimResult {
     pub messages: u64,
 }
 
-/// Heap key ordered by (time, rank): deterministic pops.
+impl SimResult {
+    /// "Never finishes": the answer for a schedule that does not plan and
+    /// for a layout of another world size.
+    fn never(world: usize) -> SimResult {
+        SimResult {
+            time_s: f64::INFINITY,
+            per_rank_end: vec![f64::INFINITY; world],
+            wire_bytes: 0,
+            messages: 0,
+        }
+    }
+}
+
+/// Heap key ordered by (time, global step): deterministic pops. Global
+/// steps number the ranks' programs back to back, so this is (time, rank,
+/// step).
 #[derive(PartialEq)]
 struct StartEvent {
     time: f64,
-    rank: u32,
-    step: usize,
+    step: u32,
 }
 
 impl Eq for StartEvent {}
@@ -95,23 +77,23 @@ impl Ord for StartEvent {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.time
             .total_cmp(&other.time)
-            .then(self.rank.cmp(&other.rank))
             .then(self.step.cmp(&other.step))
     }
 }
 
-/// Per-(rank, step) bookkeeping while in flight. Most steps have at most
-/// two receives (all the p-round algorithms have exactly one), so arrivals
+/// Per-step bookkeeping while in flight. Most steps have at most two
+/// receives (all the p-round algorithms have exactly one), so arrivals
 /// are stored inline and only spill to the heap for wait-all steps like
 /// Scatter-Dest's.
 #[derive(Default, Clone)]
 struct StepState {
+    /// Posted: its sends' arrivals are known, its receives are registered.
     started: bool,
     /// Completion floor from posting (copies + send CPU) and from
     /// rendezvous-send wire drain.
     local_floor: f64,
     post_end: f64,
-    /// Receives not yet matched to an arrival.
+    /// Receives whose send had not been posted when the step started.
     missing_recvs: usize,
     /// (arrival time, completion CPU cost) of matched receives.
     n_inline: u8,
@@ -158,97 +140,130 @@ impl StepState {
     }
 }
 
-/// Simulate one collective execution. `layout.world_size()` must equal the
-/// schedule's world size.
-pub fn run(schedule: &CommSchedule, layout: JobLayout, cost: &CostModel) -> SimResult {
-    run_scaled(schedule, layout, cost, 1)
-}
-
-/// Simulate with every region length multiplied by `scale`.
+/// A schedule ready to be priced: its matched message graph, proven free
+/// of wait cycles, and what each step charges, flattened in program order
+/// so the schedule itself need not outlive the plan.
 ///
 /// Every generator in this crate produces schedules whose structure depends
 /// only on the world size — all offsets and lengths are multiples of the
-/// block size. A schedule generated at `block = 1` therefore stands for the
-/// whole message-size sweep: simulating it at `scale = msg` is exactly
-/// equivalent to simulating `schedule(p, msg)`, and dataset generation
-/// exploits that to build each schedule once per job shape instead of once
-/// per grid cell.
-pub fn run_scaled(
-    schedule: &CommSchedule,
-    layout: JobLayout,
-    cost: &CostModel,
-    scale: usize,
-) -> SimResult {
-    assert!(scale >= 1, "scale must be positive");
-    assert_eq!(
-        layout.world_size(),
-        schedule.world,
-        "layout world size must match schedule world size"
-    );
-    let world = schedule.world as usize;
-    let nodes = layout.nodes as usize;
+/// block size. A plan of the schedule generated at `block = 1` therefore
+/// stands for the whole message-size sweep: running it at `scale = msg` is
+/// exactly running `schedule(p, msg)`, and dataset generation exploits that
+/// to build and match each schedule once per job shape instead of once per
+/// grid cell.
+#[derive(Debug)]
+pub struct Plan {
+    msgs: Messages,
+    /// Where each global step's copies and reductions start in `local`,
+    /// plus the total.
+    local_off: Vec<u32>,
+    /// Per copy or reduction: its bytes and whether it reduces.
+    local: Vec<(usize, bool)>,
+    /// Per send: its bytes (the graph knows where it goes).
+    send_len: Vec<usize>,
+}
 
-    // Message arrival registry: msg_key -> arrival time.
-    let mut arrival: FxMap<f64> = FxMap::default();
-    // Receives that were processed before their arrival was known:
-    // msg_key -> (rank, step).
-    let mut waiting: FxMap<(u32, usize)> = FxMap::default();
+/// A global step's slice of an array laid out by `off`.
+fn span(off: &[u32], step: usize) -> Range<usize> {
+    off[step] as usize..off[step + 1] as usize
+}
 
-    let mut states: Vec<Vec<StepState>> = schedule
-        .ranks
-        .iter()
-        .map(|prog| vec![StepState::default(); prog.len()])
-        .collect();
-    let mut rank_end = vec![0.0f64; world];
-
-    let mut nic_tx = vec![0.0f64; nodes];
-    let mut nic_rx = vec![0.0f64; nodes];
-
-    let mut wire_bytes: u64 = 0;
-    let mut messages: u64 = 0;
-
-    let mut heap: BinaryHeap<Reverse<StartEvent>> = BinaryHeap::new();
-    for r in 0..world {
-        if !schedule.ranks[r].is_empty() {
-            heap.push(Reverse(StartEvent {
-                time: 0.0,
-                rank: r as u32,
-                step: 0,
-            }));
-        }
-    }
-
-    // Steps whose last arrival just landed and that may now complete.
-    let mut completable: Vec<(u32, usize)> = Vec::new();
-
-    while let Some(Reverse(ev)) = heap.pop() {
-        let rank = ev.rank as usize;
-        let step_idx = ev.step;
-        let step = &schedule.ranks[rank][step_idx];
-        let my_node = layout.node_of(ev.rank) as usize;
-
-        let mut t = ev.time;
-        // Phase 1: copies and reductions.
-        for op in &step.ops {
-            match op {
-                Op::Copy { src, .. } => t += cost.copy_s(src.len * scale),
-                Op::Combine { src, .. } => t += cost.combine_s(src.len * scale),
-                _ => {}
+impl Plan {
+    /// Check `schedule` op by op, match every send to its receive and look
+    /// for a wait cycle: whatever [`Plan::run`] could trip over is the
+    /// typed error here.
+    pub fn new(schedule: &CommSchedule) -> Result<Plan, SchedError> {
+        schedcheck::structural(schedule)?;
+        let msgs = schedcheck::match_messages(schedule)?;
+        msgs.sweep(schedule, |_, _, _| {})?;
+        let mut plan = Plan {
+            local_off: Vec::with_capacity(msgs.steps() + 1),
+            local: Vec::new(),
+            send_len: Vec::with_capacity(msgs.meets.len()),
+            msgs,
+        };
+        for step in schedule.ranks.iter().flatten() {
+            plan.local_off.push(plan.local.len() as u32);
+            for op in &step.ops {
+                match op {
+                    Op::Copy { src, .. } => plan.local.push((src.len, false)),
+                    Op::Combine { src, .. } => plan.local.push((src.len, true)),
+                    Op::Send { region, .. } => plan.send_len.push(region.len),
+                    Op::Recv { .. } => {}
+                }
             }
         }
-        // Phase 2: sends.
-        let mut local_floor = t;
-        for op in &step.ops {
-            if let Op::Send { to, tag, region } = op {
-                let dst_node = layout.node_of(*to) as usize;
-                t += if dst_node != my_node {
-                    cost.per_msg_net_s()
+        plan.local_off.push(plan.local.len() as u32);
+        Ok(plan)
+    }
+
+    /// Simulate one execution on `layout` with every region length
+    /// multiplied by `scale`. A layout of another world size than the
+    /// schedule's never finishes.
+    pub fn run(&self, layout: JobLayout, cost: &CostModel, scale: usize) -> SimResult {
+        let m = &self.msgs;
+        let world = m.base.len() - 1;
+        if layout.world_size() as usize != world {
+            return SimResult::never(world);
+        }
+        let node_of: Vec<usize> = (0..world as u32)
+            .map(|r| layout.node_of(r) as usize)
+            .collect();
+        let per_msg_s = |a: usize, b: usize| {
+            if a != b {
+                cost.per_msg_net_s()
+            } else {
+                cost.per_msg_shm_s()
+            }
+        };
+
+        // Arrival time per receive, known once its send's step has posted.
+        let mut arrival = vec![0.0f64; m.pred.len()];
+        let mut states = vec![StepState::default(); m.steps()];
+        let mut rank_end = vec![0.0f64; world];
+
+        let mut nic_tx = vec![0.0f64; layout.nodes as usize];
+        let mut nic_rx = vec![0.0f64; layout.nodes as usize];
+
+        let mut wire_bytes: u64 = 0;
+
+        let mut heap: BinaryHeap<Reverse<StartEvent>> = m
+            .base
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| {
+                Reverse(StartEvent {
+                    time: 0.0,
+                    step: w[0],
+                })
+            })
+            .collect();
+
+        // Steps whose last arrival just landed and that may now complete.
+        let mut completable: Vec<u32> = Vec::new();
+
+        while let Some(Reverse(ev)) = heap.pop() {
+            let g = ev.step as usize;
+            let my_node = node_of[m.rank_of[g] as usize];
+
+            let mut t = ev.time;
+            // Phase 1: copies and reductions.
+            for &(len, reduces) in &self.local[span(&self.local_off, g)] {
+                t += if reduces {
+                    cost.combine_s(len * scale)
                 } else {
-                    cost.per_msg_shm_s()
+                    cost.copy_s(len * scale)
                 };
+            }
+            // Phase 2: sends.
+            let mut local_floor = t;
+            for i in span(&m.send_off, g) {
+                let (recv, waiter) = m.meets[i];
+                let dst_node = node_of[m.rank_of[waiter as usize] as usize];
+                let len = self.send_len[i] * scale;
+                let cpu = per_msg_s(my_node, dst_node);
+                t += cpu;
                 let ready = t;
-                messages += 1;
-                let len = region.len * scale;
                 let (arr, sender_hold) = if dst_node != my_node {
                     wire_bytes += len as u64;
                     let wire = cost.net_serialize_s(len) + cost.nic_msg_occupancy_s();
@@ -267,92 +282,78 @@ pub fn run_scaled(
                     (ready + cost.intra_node_msg_s(len), ready)
                 };
                 local_floor = local_floor.max(sender_hold);
-                let key = msg_key(ev.rank, *to, *tag);
-                let recv_cpu = if dst_node != my_node {
-                    cost.per_msg_net_s()
-                } else {
-                    cost.per_msg_shm_s()
-                };
-                arrival.insert(key, arr);
-                if let Some(&(wr, ws)) = waiting.get(&key) {
-                    waiting.remove(&key);
-                    let st = &mut states[wr as usize][ws];
-                    st.push_arrival((arr, recv_cpu));
+                arrival[recv as usize] = arr;
+                // A receiver that started first has been waiting on this.
+                let st = &mut states[waiter as usize];
+                if st.started {
+                    st.push_arrival((arr, cpu));
                     st.missing_recvs -= 1;
-                    if st.started && st.missing_recvs == 0 {
-                        completable.push((wr, ws));
+                    if st.missing_recvs == 0 {
+                        completable.push(waiter);
                     }
                 }
             }
-        }
-        let post_end = t;
+            let post_end = t;
 
-        // Phase 3: register receives.
-        let st = &mut states[rank][step_idx];
-        st.started = true;
-        st.local_floor = local_floor.max(post_end);
-        st.post_end = post_end;
-        for op in &step.ops {
-            if let Op::Recv { from, tag, .. } = op {
-                let key = msg_key(*from, ev.rank, *tag);
-                let recv_cpu = if layout.node_of(*from) as usize != my_node {
-                    cost.per_msg_net_s()
+            // Phase 3: register receives — those whose sender has posted
+            // have arrived (in virtual time, possibly later than now).
+            let mut missing_recvs = 0;
+            for r in span(&m.recv_off, g) {
+                let sender = m.pred[r] as usize / 2;
+                if states[sender].started {
+                    let cpu = per_msg_s(node_of[m.rank_of[sender] as usize], my_node);
+                    states[g].push_arrival((arrival[r], cpu));
                 } else {
-                    cost.per_msg_shm_s()
-                };
-                if let Some(&arr) = arrival.get(&key) {
-                    st.push_arrival((arr, recv_cpu));
-                } else {
-                    st.missing_recvs += 1;
-                    let prev = waiting.insert(key, (ev.rank, step_idx));
-                    assert!(prev.is_none(), "two receives for one message {key:?}");
+                    missing_recvs += 1;
+                }
+            }
+            let st = &mut states[g];
+            st.started = true;
+            st.local_floor = local_floor.max(post_end);
+            st.post_end = post_end;
+            st.missing_recvs = missing_recvs;
+            if missing_recvs == 0 {
+                completable.push(ev.step);
+            }
+
+            // Finalize every step that became completable.
+            while let Some(done) = completable.pop() {
+                let st = &mut states[done as usize];
+                let end = st.recv_completion().max(st.local_floor);
+                let rank = m.rank_of[done as usize] as usize;
+                rank_end[rank] = rank_end[rank].max(end);
+                if done + 1 < m.base[rank + 1] {
+                    heap.push(Reverse(StartEvent {
+                        time: end,
+                        step: done + 1,
+                    }));
                 }
             }
         }
-        if st.missing_recvs == 0 {
-            completable.push((ev.rank, step_idx));
-        }
 
-        // Finalize every step that became completable.
-        while let Some((cr, cs)) = completable.pop() {
-            let st = &mut states[cr as usize][cs];
-            debug_assert!(st.started && st.missing_recvs == 0);
-            let end = st.recv_completion().max(st.local_floor);
-            rank_end[cr as usize] = rank_end[cr as usize].max(end);
-            let next = cs + 1;
-            if next < schedule.ranks[cr as usize].len() {
-                heap.push(Reverse(StartEvent {
-                    time: end,
-                    rank: cr,
-                    step: next,
-                }));
-            }
+        SimResult {
+            time_s: rank_end.iter().copied().fold(0.0, f64::max),
+            per_rank_end: rank_end,
+            wire_bytes,
+            messages: self.send_len.len() as u64,
         }
     }
+}
 
-    for (r, prog) in schedule.ranks.iter().enumerate() {
-        for (s, st) in states[r].iter().enumerate() {
-            assert!(
-                st.started && st.missing_recvs == 0,
-                "rank {r} step {s} never completed (deadlock — schedule invalid); \
-                 program has {} steps",
-                prog.len()
-            );
-        }
-    }
-
-    let time_s = rank_end.iter().copied().fold(0.0, f64::max);
-    SimResult {
-        time_s,
-        per_rank_end: rank_end,
-        wire_bytes,
-        messages,
+/// Plan `schedule` and simulate it once, as generated. A schedule that does
+/// not plan never finishes: `time_s` is infinite.
+pub fn run(schedule: &CommSchedule, layout: JobLayout, cost: &CostModel) -> SimResult {
+    match Plan::new(schedule) {
+        Ok(plan) => plan.run(layout, cost, 1),
+        Err(_) => SimResult::never(schedule.ranks.len()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::{Algorithm, Collective};
+    use crate::schedcheck::oracle::corpus;
     use crate::schedule::{Region, ScheduleBuilder};
     use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, NodeSpec, PcieVersion};
 
@@ -462,13 +463,144 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
     fn missing_sender_detected() {
         let b = 8;
         let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
         sb.step(1, |s| s.recv(0, Region::work(0, b)));
         let sch = sb.finish();
+        let err = Plan::new(&sch).unwrap_err();
+        assert!(
+            matches!(err, SchedError::UnmatchedRecv { from: 0, .. }),
+            "{err:?}"
+        );
         let cost = CostModel::new(test_node(), 1);
-        run(&sch, JobLayout::new(1, 2), &cost);
+        assert!(run(&sch, JobLayout::new(1, 2), &cost).time_s.is_infinite());
+    }
+
+    #[test]
+    fn wait_cycle_is_the_typed_deadlock_with_its_witness() {
+        let sch = corpus::wait_cycle();
+        match Plan::new(&sch).unwrap_err() {
+            SchedError::Deadlock { cycle } => assert!(cycle.len() >= 4, "{cycle:?}"),
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+        let cost = CostModel::new(test_node(), 1);
+        assert!(run(&sch, JobLayout::new(2, 1), &cost).time_s.is_infinite());
+    }
+
+    #[test]
+    fn another_world_size_and_zero_scale_do_not_panic() {
+        let plan = Plan::new(&exchange(64)).unwrap();
+        let cost = CostModel::new(test_node(), 2);
+        let res = plan.run(JobLayout::new(2, 2), &cost, 1);
+        assert!(res.time_s.is_infinite());
+        assert_eq!(res.per_rank_end.len(), 2);
+        // Zero-byte messages still pay their per-message costs.
+        let empty = plan.run(JobLayout::new(1, 2), &cost, 0);
+        assert!(
+            empty.time_s > 0.0 && empty.time_s < plan.run(JobLayout::new(1, 2), &cost, 1).time_s
+        );
+        assert_eq!((empty.messages, empty.wire_bytes), (2, 0));
+    }
+
+    /// `s` with every length and offset multiplied by `k`.
+    fn scaled(s: &CommSchedule, k: usize) -> CommSchedule {
+        let mut out = s.clone();
+        out.block *= k;
+        out.input_len *= k;
+        out.work_len *= k;
+        out.aux_len *= k;
+        for op in out.ranks.iter_mut().flatten().flat_map(|st| &mut st.ops) {
+            let (a, b) = match op {
+                Op::Send { region, .. } | Op::Recv { region, .. } => (region, None),
+                Op::Copy { src, dst } | Op::Combine { src, dst } => (src, Some(dst)),
+            };
+            for r in std::iter::once(a).chain(b) {
+                r.offset *= k;
+                r.len *= k;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_plan_run_many_times_equals_fresh_one_shots() {
+        // Every registered algorithm (the power-of-two-only ones at 16
+        // ranks), one plan per schedule, run at several scales on two
+        // layouts of its world: each run must equal, bit for bit, planning
+        // and running the scaled schedule from scratch.
+        let bits = |r: &SimResult| {
+            let ends: Vec<u64> = r.per_rank_end.iter().map(|t| t.to_bits()).collect();
+            (r.time_s.to_bits(), ends, r.wire_bytes, r.messages)
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for (p, layouts) in [
+            (12u32, [JobLayout::new(3, 4), JobLayout::new(12, 1)]),
+            (16, [JobLayout::new(2, 8), JobLayout::new(4, 4)]),
+        ] {
+            for algo in Collective::ALL
+                .into_iter()
+                .flat_map(|c| Algorithm::applicable_for(c, p))
+            {
+                seen.insert(algo.to_string());
+                let base = algo.schedule(p, 3).unwrap();
+                let plan = Plan::new(&base).unwrap();
+                for scale in [1usize, 2, 341, 21846] {
+                    let fresh = scaled(&base, scale);
+                    if algo.scale_invariant() {
+                        assert_eq!(fresh, algo.schedule(p, 3 * scale).unwrap(), "{algo}");
+                    }
+                    for layout in layouts {
+                        let cost = CostModel::new(test_node(), layout.ppn);
+                        let got = plan.run(layout, &cost, scale);
+                        assert!(got.time_s > 0.0 && got.time_s.is_finite());
+                        assert_eq!(
+                            bits(&got),
+                            bits(&run(&fresh, layout, &cost)),
+                            "{algo} p={p} scale={scale} {layout:?}"
+                        );
+                    }
+                }
+            }
+        }
+        let registered: usize = Collective::ALL.iter().map(|c| c.algo_count()).sum();
+        assert_eq!(seen.len(), registered, "{seen:?}");
+    }
+
+    #[test]
+    fn every_mutant_is_a_typed_error_or_runs() {
+        // What the matcher rejects, `Plan::new` and `validate` reject with
+        // the same error; what it accepts either plans and runs, or is the
+        // deadlock only the plan looks for. Nothing panics.
+        let cost = CostModel::new(test_node(), 1);
+        let (mut rejected, mut deadlocked, mut ran) = (0, 0, 0);
+        for base in corpus::mutation_bases() {
+            for m in corpus::mutants(&base) {
+                let layout = JobLayout::new(m.ranks.len() as u32, 1);
+                let planned = Plan::new(&m);
+                assert_eq!(
+                    run(&m, layout, &cost).time_s.is_infinite(),
+                    planned.is_err(),
+                    "{m:?}"
+                );
+                if schedcheck::match_messages(&m).is_err() {
+                    assert_eq!(planned.err(), m.validate().err(), "{m:?}");
+                    rejected += 1;
+                    continue;
+                }
+                match planned {
+                    Ok(_) => ran += 1,
+                    Err(SchedError::Deadlock { .. }) => {
+                        assert_eq!(m.validate(), Ok(()), "{m:?}");
+                        deadlocked += 1;
+                    }
+                    Err(other) => assert_eq!(m.validate(), Err(other), "{m:?}"),
+                }
+            }
+        }
+        assert!(
+            rejected > 500 && deadlocked > 0 && ran > 0,
+            "{rejected} {deadlocked} {ran}"
+        );
     }
 }

@@ -12,10 +12,11 @@
 //! * [`exec::threaded`] — one thread per rank over crossbeam channels
 //!   (real parallel execution);
 //! * [`exec::sim`] — virtual time against a [`pml_simnet::CostModel`]
-//!   (the measurement backend for the ML dataset).
+//!   (the measurement backend for the ML dataset), walking the matched
+//!   message graph [`schedcheck`] and [`schedcost`] read.
 //!
-//! [`mod@measure`] wraps the sim executor into the micro-benchmark API used by
-//! dataset generation, and [`verify`] holds the correctness oracles.
+//! [`mod@measure`] wraps the sim executor into the micro-benchmark sweep
+//! dataset generation runs, and [`verify`] holds the correctness oracles.
 
 #![deny(rust_2018_idioms, missing_debug_implementations)]
 #![deny(clippy::dbg_macro, clippy::todo)]
@@ -35,7 +36,7 @@ pub mod verify;
 pub use algo::{Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, Collective};
 pub use exec::SimResult;
 pub use hierarchical::two_level_allgather;
-pub use measure::{measure, measure_noisy, measure_sweep, rank_algorithms, MeasureConfig};
+pub use measure::measure_sweep;
 pub use schedcheck::{
     check_algorithm, check_schedule, sweep_grid, SchedError, ScheduleDoc, Spec, SCHED_DOC_VERSION,
 };

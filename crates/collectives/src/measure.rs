@@ -1,53 +1,32 @@
-//! High-level measurement entry point: "run this algorithm on this cluster
-//! at this job shape and message size, tell me how long it takes".
+//! The micro-benchmark sweep: "run every applicable algorithm on this
+//! cluster at this job shape over these message sizes, tell me how long
+//! each takes".
 //!
 //! This is the in-house micro-benchmark the paper's Table I dataset was
 //! gathered with, in simulated form: schedules are generated on demand,
-//! executed in virtual time, and optionally perturbed by the noise model
-//! with results averaged over iterations (§III: "performance results by
-//! averaging multiple iterations of experiments").
+//! matched once and executed in virtual time. Noise and the averaging over
+//! iterations (§III: "performance results by averaging multiple iterations
+//! of experiments") are applied per cell by `pml-clusters`' datagen; one
+//! algorithm at one point is [`crate::schedcost::sim_time`].
 
-use crate::algo::Algorithm;
+use crate::algo::{Algorithm, Collective};
 use crate::exec::sim;
 use pml_obs::Counter;
-use pml_simnet::{CostModel, JobLayout, NodeSpec, NoiseModel};
-use rand::Rng;
+use pml_simnet::{CostModel, JobLayout, NodeSpec};
 
 /// Message-size sweeps simulated (one per (shape, collective) pair).
 static MEASURE_SWEEPS: Counter = Counter::new("measure.sweeps");
 /// Individual (algorithm, message size) points simulated.
 static MEASURE_POINTS: Counter = Counter::new("measure.points");
 
-/// One micro-benchmark point: a collective algorithm at a job shape and
-/// message size.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeasureConfig {
-    pub layout: JobLayout,
-    /// Per-rank block size in bytes ("message size" in the paper's sense).
-    pub msg_size: usize,
-}
-
-/// Noise-free modelled runtime in seconds. Panics if the algorithm does not
-/// support the world size.
-pub fn measure(algo: Algorithm, node: &NodeSpec, cfg: MeasureConfig) -> f64 {
-    let p = cfg.layout.world_size();
-    assert!(algo.supports(p), "{algo} does not support {p} ranks");
-    // `supports` was just asserted, so generation cannot fail; an infinite
-    // runtime ("never finishes") keeps the unreachable arm panic-free.
-    let Ok(schedule) = algo.schedule(p, cfg.msg_size) else {
-        return f64::INFINITY;
-    };
-    let cost = CostModel::new(node.clone(), cfg.layout.ppn);
-    sim::run(&schedule, cfg.layout, &cost).time_s
-}
-
 /// Noise-free runtimes for every applicable algorithm across a message-size
-/// sweep at one job shape. Each algorithm's schedule is generated **once**
-/// (at unit block size) and re-simulated scaled — the fast path dataset
-/// generation runs on. Returns, per message size, the (algorithm, runtime)
-/// pairs in registry order (unsorted).
+/// sweep at one job shape. Each algorithm's schedule is generated and
+/// planned **once** (at unit block size) and re-simulated scaled — the fast
+/// path dataset generation runs on. Returns, per message size, the
+/// (algorithm, runtime) pairs in registry order (unsorted). A schedule that
+/// does not generate or plan never finishes: its runtime is infinite.
 pub fn measure_sweep(
-    collective: crate::algo::Collective,
+    collective: Collective,
     node: &NodeSpec,
     layout: JobLayout,
     msg_sizes: &[usize],
@@ -59,76 +38,36 @@ pub fn measure_sweep(
     MEASURE_POINTS.add((algos.len() * msg_sizes.len()) as u64);
     let mut out = vec![Vec::with_capacity(algos.len()); msg_sizes.len()];
     for algo in algos {
-        // Generation cannot fail for an algorithm `applicable_for` returned;
-        // an infinite runtime keeps the unreachable arm panic-free.
-        if algo.scale_invariant() {
-            let Ok(unit) = algo.schedule(p, 1) else {
-                for slot in out.iter_mut() {
-                    slot.push((algo, f64::INFINITY));
-                }
-                continue;
-            };
-            for (slot, &msg) in out.iter_mut().zip(msg_sizes) {
-                let t = sim::run_scaled(&unit, layout, &cost, msg).time_s;
-                slot.push((algo, t));
-            }
+        // One plan of the unit schedule prices the whole sweep. Where chunk
+        // boundaries depend on the message size there is no such shortcut:
+        // generate and plan per size.
+        let plan = |block: usize| {
+            let schedule = algo.schedule(p, block).ok()?;
+            sim::Plan::new(&schedule).ok()
+        };
+        let unit = if algo.scale_invariant() {
+            plan(1)
         } else {
-            // Chunk boundaries depend on the message size: no unit-schedule
-            // shortcut, generate per size.
-            for (slot, &msg) in out.iter_mut().zip(msg_sizes) {
-                let t = match algo.schedule(p, msg) {
-                    Ok(s) => sim::run(&s, layout, &cost).time_s,
-                    Err(_) => f64::INFINITY,
-                };
-                slot.push((algo, t));
-            }
+            None
+        };
+        for (slot, &msg) in out.iter_mut().zip(msg_sizes) {
+            let run = if algo.scale_invariant() {
+                unit.as_ref().map(|unit| unit.run(layout, &cost, msg))
+            } else {
+                plan(msg).map(|exact| exact.run(layout, &cost, 1))
+            };
+            slot.push((algo, run.map_or(f64::INFINITY, |r| r.time_s)));
         }
     }
-    out
-}
-
-/// Noisy measurement averaged over `iters` iterations, like the paper's
-/// benchmarking protocol. Deterministic given the RNG state.
-pub fn measure_noisy<R: Rng + ?Sized>(
-    algo: Algorithm,
-    node: &NodeSpec,
-    cfg: MeasureConfig,
-    noise: &NoiseModel,
-    iters: u32,
-    rng: &mut R,
-) -> f64 {
-    assert!(iters >= 1, "need at least one iteration");
-    let base = measure(algo, node, cfg);
-    let mut acc = 0.0;
-    for _ in 0..iters {
-        acc += base * noise.sample(rng);
-    }
-    acc / iters as f64
-}
-
-/// Run every applicable algorithm at `cfg` and return (algorithm, runtime)
-/// pairs, noise-free, sorted fastest first.
-pub fn rank_algorithms(
-    collective: crate::algo::Collective,
-    node: &NodeSpec,
-    cfg: MeasureConfig,
-) -> Vec<(Algorithm, f64)> {
-    let p = cfg.layout.world_size();
-    let mut out: Vec<(Algorithm, f64)> = Algorithm::applicable_for(collective, p)
-        .into_iter()
-        .map(|a| (a, measure(a, node, cfg)))
-        .collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{AllgatherAlgo, AlltoallAlgo, Collective};
+    use crate::algo::{AllgatherAlgo, AlltoallAlgo};
+    use crate::schedcost::sim_time;
     use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, PcieVersion};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn frontera_like() -> NodeSpec {
         NodeSpec {
@@ -150,51 +89,17 @@ mod tests {
     #[test]
     fn all_algorithms_measurable_at_pow2() {
         let node = frontera_like();
-        let cfg = MeasureConfig {
-            layout: JobLayout::new(2, 8),
-            msg_size: 1024,
-        };
-        for a in AllgatherAlgo::ALL {
-            assert!(measure(Algorithm::Allgather(a), &node, cfg) > 0.0);
+        let layout = JobLayout::new(2, 8);
+        for (coll, registered) in [
+            (Collective::Allgather, AllgatherAlgo::ALL.len()),
+            (Collective::Alltoall, AlltoallAlgo::ALL.len()),
+        ] {
+            let column = &measure_sweep(coll, &node, layout, &[1024])[0];
+            assert_eq!(column.len(), registered);
+            for &(a, t) in column {
+                assert!(t > 0.0 && t.is_finite(), "{a}: {t}");
+            }
         }
-        for a in AlltoallAlgo::ALL {
-            assert!(measure(Algorithm::Alltoall(a), &node, cfg) > 0.0);
-        }
-    }
-
-    #[test]
-    fn ranking_is_sorted_and_complete() {
-        let node = frontera_like();
-        let cfg = MeasureConfig {
-            layout: JobLayout::new(2, 4),
-            msg_size: 4096,
-        };
-        let ranked = rank_algorithms(Collective::Alltoall, &node, cfg);
-        assert_eq!(ranked.len(), AlltoallAlgo::ALL.len());
-        for w in ranked.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
-    fn noisy_average_converges_to_base() {
-        let node = frontera_like();
-        let cfg = MeasureConfig {
-            layout: JobLayout::new(2, 4),
-            msg_size: 512,
-        };
-        let a = Algorithm::Allgather(AllgatherAlgo::Ring);
-        let base = measure(a, &node, cfg);
-        let mut rng = StdRng::seed_from_u64(3);
-        let noisy = measure_noisy(
-            a,
-            &node,
-            cfg,
-            &pml_simnet::NoiseModel::typical(),
-            400,
-            &mut rng,
-        );
-        assert!((noisy / base - 1.0).abs() < 0.05);
     }
 
     #[test]
@@ -206,16 +111,10 @@ mod tests {
             let sweep = measure_sweep(coll, &node, layout, &sizes);
             for (col, &msg) in sweep.iter().zip(&sizes) {
                 for &(a, t) in col {
-                    let direct = measure(
-                        a,
-                        &node,
-                        MeasureConfig {
-                            layout,
-                            msg_size: msg,
-                        },
-                    );
-                    assert!(
-                        (t - direct).abs() < 1e-15_f64.max(direct * 1e-12),
+                    let direct = sim_time(a, &node, layout, msg).unwrap();
+                    assert_eq!(
+                        t.to_bits(),
+                        direct.to_bits(),
                         "{a} msg {msg}: sweep {t} vs direct {direct}"
                     );
                 }
@@ -226,11 +125,9 @@ mod tests {
     #[test]
     fn different_algorithms_get_different_times() {
         let node = frontera_like();
-        let cfg = MeasureConfig {
-            layout: JobLayout::new(4, 8),
-            msg_size: 65536,
-        };
-        let ranked = rank_algorithms(Collective::Alltoall, &node, cfg);
-        assert!(ranked[0].1 < ranked.last().unwrap().1);
+        let layout = JobLayout::new(4, 8);
+        let column = &measure_sweep(Collective::Alltoall, &node, layout, &[65536])[0];
+        let times = column.iter().map(|&(_, t)| t);
+        assert!(times.clone().fold(f64::INFINITY, f64::min) < times.fold(0.0, f64::max));
     }
 }

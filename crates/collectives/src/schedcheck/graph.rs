@@ -1,8 +1,8 @@
 //! Message matching and the global step-dependency graph.
 //!
 //! Matching is by exact `(src, dst, tag)` triple — the interpreter's
-//! mailbox key — with two extra static obligations the executors only
-//! discover dynamically: every send needs exactly one receive of the same
+//! mailbox key — with two extra static obligations the byte-moving
+//! executors only discover dynamically: every send needs exactly one receive of the same
 //! size, and per directed pair the k-th posted send must match the k-th
 //! posted receive (MPI non-overtaking / FIFO discipline, which the
 //! [`crate::schedule::ScheduleBuilder`] guarantees by construction).
@@ -18,8 +18,10 @@
 //! Both halves are built for schedules of 10⁵–10⁶ messages, where the
 //! cost is memory latency: the matcher works on 24-byte records it moves
 //! once (a counting sort of the receives by source) and then only reads
-//! in order, and the edges it hands on are two `u32` arrays laid out in
-//! program order, so [`Messages::sweep`] needs no adjacency build at all.
+//! in order, and the edges it hands on are `u32` arrays laid out in
+//! program order, so [`Messages::sweep`] needs no adjacency build at all —
+//! and the virtual-time executor ([`crate::exec::sim::Plan`]) prices a
+//! schedule by walking the same arrays instead of pairing messages again.
 
 use super::{OpRef, Phase, SchedError, StepRef};
 use crate::schedule::{CommSchedule, Op};
@@ -50,19 +52,22 @@ struct Rec {
 #[derive(Debug, Default)]
 pub(crate) struct Messages {
     /// First global step of each rank, plus the total (`world + 1`).
-    base: Vec<u32>,
+    pub(crate) base: Vec<u32>,
     /// Rank of each global step.
-    rank_of: Vec<u32>,
-    /// Where each global step's sends start in `succ` / its receives in
-    /// `pred`, plus the totals.
-    send_off: Vec<u32>,
-    recv_off: Vec<u32>,
+    pub(crate) rank_of: Vec<u32>,
+    /// Where each global step's sends start in `succ` and `meets` / its
+    /// receives in `pred`, plus the totals.
+    pub(crate) send_off: Vec<u32>,
+    pub(crate) recv_off: Vec<u32>,
     /// Per send: the Complete node that waits on it — within a step in
     /// ascending node order, not op order, so [`Messages::sweep`]'s order
     /// does not depend on how an algorithm happens to list its sends.
     succ: Vec<u32>,
+    /// Per send, in op order: the receive it meets (its index among the
+    /// receives in program order) and that receive's global step.
+    pub(crate) meets: Vec<(u32, u32)>,
     /// Per receive, in op order: the Post node that feeds it.
-    pred: Vec<u32>,
+    pub(crate) pred: Vec<u32>,
 }
 
 /// Match every send to its receive and enforce the FIFO tag discipline.
@@ -143,6 +148,7 @@ pub(crate) fn match_messages(s: &CommSchedule) -> Result<Messages, SchedError> {
     }
 
     let (mut succ, mut pred) = (vec![0; sends.len()], vec![0; recvs.len()]);
+    let mut meets = vec![(0, 0); sends.len()];
     // Per destination: the next unmatched receive of the current bucket
     // and the end of that destination's run (both 0 outside a bucket).
     let (mut next, mut end) = (vec![0usize; world], vec![0usize; world]);
@@ -170,6 +176,7 @@ pub(crate) fn match_messages(s: &CommSchedule) -> Result<Messages, SchedError> {
             }
             unordered_tags |= k > 0 && before.peer == rcv.peer && before.tag >= rcv.tag;
             succ[i] = 2 * rcv.step + 1;
+            meets[i] = (rcv.idx, rcv.step);
             pred[rcv.idx as usize] = 2 * snd.step;
         }
         for r in bucket {
@@ -189,7 +196,12 @@ pub(crate) fn match_messages(s: &CommSchedule) -> Result<Messages, SchedError> {
     for w in m.send_off.windows(2) {
         succ[w[0] as usize..w[1] as usize].sort_unstable();
     }
-    Ok(Messages { succ, pred, ..m })
+    Ok(Messages {
+        succ,
+        meets,
+        pred,
+        ..m
+    })
 }
 
 /// Which error a mismatched schedule reports — the slow, exact half of

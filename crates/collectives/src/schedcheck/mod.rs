@@ -13,10 +13,11 @@
 //! 2. **Structural hazards** — out-of-bounds or overflowing regions, bad
 //!    peers, length mismatches, writes to the read-only Input, and two
 //!    receives of one step racing on overlapping bytes;
-//! 3. **Deadlock** — the cross-rank wait graph has a cycle (reported
-//!    with a witness), a strictly stronger check than
-//!    [`CommSchedule::validate`]'s pairwise matching, which also covers
-//!    FIFO tag discipline per directed pair;
+//! 3. **Mismatched messages and deadlock** — a send without exactly one
+//!    receive of its size, tags out of FIFO order within a directed pair
+//!    (both also [`CommSchedule::validate`]'s verdicts: it runs this
+//!    module's matcher), or a cycle in the cross-rank wait graph (reported
+//!    with a witness);
 //! 4. **Dead operations** — sends/copies/reductions none of whose bytes
 //!    reach any rank's final Work buffer;
 //! 5. **Postcondition mismatch** — the final abstract Work state differs
@@ -40,11 +41,12 @@ mod spec;
 pub use domain::{AbsByte, RankAbs, SourceByte};
 pub use spec::Spec;
 
-// The static cost analyzer (`crate::schedcost`) reuses the message
-// matcher and the sweep over the Post/Complete dependency graph.
-pub(crate) use graph::match_messages;
+// The static cost analyzer (`crate::schedcost`) and the virtual-time
+// executor (`crate::exec::sim`) read the same matched messages and sweep
+// the same Post/Complete dependency graph.
 #[cfg(test)]
 pub(crate) use graph::oracle;
+pub(crate) use graph::{match_messages, Messages};
 
 use crate::algo::{Algorithm, Collective};
 use crate::schedule::{Buf, CommSchedule, Op, Region};
@@ -329,9 +331,9 @@ impl fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
-/// Per-op structural checks: a typed superset of
-/// [`CommSchedule::validate`]'s local rules, plus explicit
-/// `offset + len` overflow rejection.
+/// Per-op structural checks — the first half of
+/// [`CommSchedule::validate`] — with `offset + len` overflow rejected
+/// explicitly.
 pub(crate) fn structural(s: &CommSchedule) -> Result<(), SchedError> {
     if s.ranks.len() != s.world as usize {
         return Err(SchedError::WorldMismatch {

@@ -634,6 +634,30 @@ mod tests {
                 assert_eq!(got, &want[..], "step {g} of {s:?}");
             }
             assert_eq!(new.pred, feeds, "{s:?}");
+            // Per send in program order: the receive it meets is the one
+            // posted for it (same pair, tag and size), at the step named.
+            let ops = |want_send: bool| {
+                let ranks = s.ranks.iter().enumerate();
+                ranks.flat_map(move |(rank, prog)| {
+                    let ops = prog.iter().flat_map(|step| &step.ops);
+                    ops.filter_map(move |op| match op {
+                        Op::Send { to, tag, region } if want_send => {
+                            Some((rank as u32, *to, *tag, region.len))
+                        }
+                        Op::Recv { from, tag, region } if !want_send => {
+                            Some((*from, rank as u32, *tag, region.len))
+                        }
+                        _ => None,
+                    })
+                })
+            };
+            let recvs: Vec<_> = ops(false).collect();
+            assert_eq!(new.meets.len(), ops(true).count());
+            for (send, &(recv, step)) in ops(true).zip(&new.meets) {
+                assert_eq!(send, recvs[recv as usize], "{s:?}");
+                let of_step = new.recv_off[step as usize]..new.recv_off[step as usize + 1];
+                assert!(of_step.contains(&recv), "{s:?}");
+            }
             // Same visit order, or the same cycle.
             assert_eq!(old_topo_order(s, &old), topo_order(s, &new), "{s:?}");
         }

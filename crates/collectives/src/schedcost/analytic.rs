@@ -2,8 +2,8 @@
 //!
 //! The polynomial for a scale-invariant algorithm is extracted **once**
 //! per (algorithm, layout) at unit block and reused across the whole
-//! message-size sweep (the same trick `measure_sweep` plays with
-//! `run_scaled`); the chunked bcast/allreduce variants, whose schedule
+//! message-size sweep (the same trick `measure_sweep` plays with one
+//! `sim::Plan`); the chunked bcast/allreduce variants, whose schedule
 //! shape depends on `msg mod p`, are keyed by the actual size — and only
 //! the most recent few thousand of those are kept. Ties break by
 //! registry index, so rankings are bit-identical run to run — the

@@ -18,7 +18,7 @@
 use super::analytic::rank_static;
 use crate::algo::{Algorithm, Collective};
 use crate::exec::sim;
-use crate::measure::{measure_sweep, MeasureConfig};
+use crate::measure::measure_sweep;
 use pml_simnet::{CostModel, JobLayout, NodeSpec};
 use std::collections::BTreeMap;
 
@@ -177,17 +177,14 @@ pub fn differential_report(node: &NodeSpec, max_world: u32, sizes: &[usize]) -> 
     report
 }
 
-/// Convenience for tests and the CLI: price one algorithm by simulation
-/// at a differential cell's layout.
+/// The one-shot measurement: price one algorithm at one message size by
+/// generating its schedule at that size and simulating it. `None` when the
+/// algorithm is not defined at the layout's world size.
 pub fn sim_time(algo: Algorithm, node: &NodeSpec, layout: JobLayout, msg: usize) -> Option<f64> {
-    let cfg = MeasureConfig {
-        layout,
-        msg_size: msg,
-    };
     if !algo.supports(layout.world_size()) {
         return None;
     }
-    let schedule = algo.schedule(layout.world_size(), cfg.msg_size).ok()?;
+    let schedule = algo.schedule(layout.world_size(), msg).ok()?;
     let cost = CostModel::new(node.clone(), layout.ppn);
     Some(sim::run(&schedule, layout, &cost).time_s)
 }

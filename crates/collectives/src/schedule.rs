@@ -3,7 +3,7 @@
 //! Every collective algorithm in this crate is expressed as a
 //! [`CommSchedule`]: for each rank, an ordered list of [`Step`]s, each
 //! containing local copies, sends, and receives. The same schedule is then
-//! consumed by three executors:
+//! read by three executors and two static analyses:
 //!
 //! * the sequential interpreter ([`crate::exec::interp`]) — moves real bytes,
 //!   used to prove algorithm correctness;
@@ -11,7 +11,10 @@
 //!   rank over crossbeam channels, real parallel execution;
 //! * the virtual-time executor ([`crate::exec::sim`]) — charges each
 //!   operation against a [`pml_simnet::CostModel`] to produce the modelled
-//!   runtime the ML dataset is built from.
+//!   runtime the ML dataset is built from;
+//! * [`crate::schedcheck`] (dataflow proof) and [`crate::schedcost`] (cost
+//!   polynomial), which share one send/receive matcher with the
+//!   virtual-time executor and with [`CommSchedule::validate`].
 //!
 //! ## Step semantics
 //!
@@ -21,9 +24,11 @@
 //! 3. all [`Op::Recv`] operations complete (wait-all).
 //!
 //! A copy that consumes received data therefore belongs in the *next* step.
-//! Because sends never wait on receives, a schedule whose sends and receives
-//! pairwise match can never deadlock — [`CommSchedule::validate`] checks the
-//! matching.
+//! Sends never wait on receives, so the only way to hang is a cycle of
+//! ranks each completing a receive before the step that posts the matching
+//! send: [`CommSchedule::validate`] checks the matching, and the wait graph
+//! is checked where it is walked ([`crate::exec::sim::Plan::new`],
+//! [`crate::schedcheck::check_schedule`]).
 //!
 //! ## Tag discipline
 //!
@@ -31,9 +36,8 @@
 //! to rank `j` matches the k-th receive at `j` from `i` (MPI non-overtaking
 //! semantics). The [`ScheduleBuilder`] assigns sequence tags automatically.
 
+use crate::schedcheck::{self, SchedError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
 
 /// Which per-rank buffer a region refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,11 +80,6 @@ impl Region {
     /// rejects it explicitly rather than letting the sum wrap.
     pub fn end(&self) -> usize {
         self.offset.saturating_add(self.len)
-    }
-
-    /// Whether `offset + len` overflows `usize` — always invalid.
-    pub fn overflows(&self) -> bool {
-        self.offset.checked_add(self.len).is_none()
     }
 
     pub fn overlaps(&self, other: &Region) -> bool {
@@ -157,18 +156,6 @@ pub struct CommSchedule {
     pub ranks: Vec<Vec<Step>>,
 }
 
-/// Error produced by [`CommSchedule::validate`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleError(pub String);
-
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid schedule: {}", self.0)
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
 impl CommSchedule {
     /// Total bytes a given rank sends over all steps.
     pub fn bytes_sent_by(&self, rank: u32) -> usize {
@@ -199,121 +186,15 @@ impl CommSchedule {
         self.ranks.iter().map(|p| p.len()).max().unwrap_or(0)
     }
 
-    /// Structural validation: region bounds, copy length agreement,
-    /// same-buffer copy overlap, rank indices, and pairwise send/recv
-    /// matching (count and sizes per directed pair, in FIFO order).
-    pub fn validate(&self) -> Result<(), ScheduleError> {
-        if self.ranks.len() != self.world as usize {
-            return Err(ScheduleError(format!(
-                "world is {} but schedule has {} rank programs",
-                self.world,
-                self.ranks.len()
-            )));
-        }
-        let buf_len = |b: Buf| match b {
-            Buf::Input => self.input_len,
-            Buf::Work => self.work_len,
-            Buf::Aux => self.aux_len,
-        };
-        let check_region = |r: &Region, what: &str| -> Result<(), ScheduleError> {
-            if r.overflows() {
-                return Err(ScheduleError(format!(
-                    "{what}: region {:?}+{} len {} overflows usize",
-                    r.buf, r.offset, r.len
-                )));
-            }
-            if r.end() > buf_len(r.buf) {
-                return Err(ScheduleError(format!(
-                    "{what}: region {:?}+{}..{} exceeds buffer length {}",
-                    r.buf,
-                    r.offset,
-                    r.end(),
-                    buf_len(r.buf)
-                )));
-            }
-            Ok(())
-        };
-        // Per directed pair: ordered list of send sizes / recv sizes.
-        let mut sent: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
-        let mut recvd: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
-        for (rank, prog) in self.ranks.iter().enumerate() {
-            let rank = rank as u32;
-            for (si, step) in prog.iter().enumerate() {
-                for op in &step.ops {
-                    match op {
-                        Op::Send { to, region, .. } => {
-                            if *to >= self.world || *to == rank {
-                                return Err(ScheduleError(format!(
-                                    "rank {rank} step {si}: bad send target {to}"
-                                )));
-                            }
-                            check_region(region, &format!("rank {rank} step {si} send"))?;
-                            sent.entry((rank, *to)).or_default().push(region.len);
-                        }
-                        Op::Recv { from, region, .. } => {
-                            if *from >= self.world || *from == rank {
-                                return Err(ScheduleError(format!(
-                                    "rank {rank} step {si}: bad recv source {from}"
-                                )));
-                            }
-                            check_region(region, &format!("rank {rank} step {si} recv"))?;
-                            recvd.entry((*from, rank)).or_default().push(region.len);
-                        }
-                        Op::Copy { src, dst } | Op::Combine { src, dst } => {
-                            check_region(src, &format!("rank {rank} step {si} copy src"))?;
-                            check_region(dst, &format!("rank {rank} step {si} copy dst"))?;
-                            if src.len != dst.len {
-                                return Err(ScheduleError(format!(
-                                    "rank {rank} step {si}: copy length mismatch {} vs {}",
-                                    src.len, dst.len
-                                )));
-                            }
-                            if src.overlaps(dst) {
-                                return Err(ScheduleError(format!(
-                                    "rank {rank} step {si}: overlapping same-buffer copy"
-                                )));
-                            }
-                            if dst.buf == Buf::Input {
-                                return Err(ScheduleError(format!(
-                                    "rank {rank} step {si}: copy writes the read-only input"
-                                )));
-                            }
-                        }
-                    }
-                }
-                for (_, _, region) in step.recvs() {
-                    if region.buf == Buf::Input {
-                        return Err(ScheduleError(format!(
-                            "rank {rank} step {si}: recv writes the read-only input"
-                        )));
-                    }
-                }
-            }
-        }
-        for (pair, sends) in &sent {
-            let recvs = recvd.get(pair).map(Vec::as_slice).unwrap_or(&[]);
-            if sends.len() != recvs.len() {
-                return Err(ScheduleError(format!(
-                    "pair {:?}: {} sends but {} recvs",
-                    pair,
-                    sends.len(),
-                    recvs.len()
-                )));
-            }
-            for (k, (s, r)) in sends.iter().zip(recvs).enumerate() {
-                if s != r {
-                    return Err(ScheduleError(format!(
-                        "pair {pair:?} message {k}: send {s} bytes but recv {r} bytes"
-                    )));
-                }
-            }
-        }
-        for (pair, recvs) in &recvd {
-            if !sent.contains_key(pair) && !recvs.is_empty() {
-                return Err(ScheduleError(format!("pair {pair:?}: recvs with no sends")));
-            }
-        }
-        Ok(())
+    /// Every per-op rule (region bounds, copy lengths and overlap, peers,
+    /// the read-only Input) and every send matched to exactly one receive
+    /// of its size in per-pair FIFO order: what [`crate::schedcheck`] and
+    /// the executors take for granted, with schedcheck's typed errors.
+    /// Wait cycles are not looked for — [`crate::exec::sim::Plan::new`] and
+    /// [`crate::schedcheck::check_schedule`] do that.
+    pub fn validate(&self) -> Result<(), SchedError> {
+        schedcheck::structural(self)?;
+        schedcheck::match_messages(self).map(drop)
     }
 }
 
@@ -466,6 +347,7 @@ impl StepBuilder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn two_rank_exchange() -> CommSchedule {
         let b = 8;
@@ -559,12 +441,20 @@ mod tests {
         assert!(sends.keys().filter(|k| k.0 == 0).count() > FEW_PEERS);
     }
 
+    /// The error `validate` reports, checked against the expected variant.
+    macro_rules! assert_rejects {
+        ($schedule:expr, $variant:pat) => {
+            let err = $schedule.validate().unwrap_err();
+            assert!(matches!(err, $variant), "{err:?}");
+        };
+    }
+
     #[test]
     fn unmatched_send_fails() {
         let b = 4;
         let mut sb = ScheduleBuilder::new(2, b, b, 2 * b, 0);
         sb.step(0, |s| s.send(1, Region::input(0, b)));
-        assert!(sb.finish().validate().is_err());
+        assert_rejects!(sb.finish(), SchedError::UnmatchedSend { to: 1, tag: 0, .. });
     }
 
     #[test]
@@ -573,7 +463,14 @@ mod tests {
         let mut sb = ScheduleBuilder::new(2, b, b, 2 * b, 0);
         sb.step(0, |s| s.send(1, Region::input(0, b)));
         sb.step(1, |s| s.recv(0, Region::work(0, 2)));
-        assert!(sb.finish().validate().is_err());
+        assert_rejects!(
+            sb.finish(),
+            SchedError::MessageSizeMismatch {
+                send_len: 4,
+                recv_len: 2,
+                ..
+            }
+        );
     }
 
     #[test]
@@ -582,22 +479,35 @@ mod tests {
         let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
         sb.step(0, |s| s.send(1, Region::input(0, b)));
         sb.step(1, |s| s.recv(0, Region::work(b, b))); // past end of work
-        assert!(sb.finish().validate().is_err());
+        assert_rejects!(
+            sb.finish(),
+            SchedError::RegionOutOfBounds {
+                buf: Buf::Work,
+                buf_len: 4,
+                ..
+            }
+        );
     }
 
     #[test]
     fn overflowing_region_fails_instead_of_wrapping() {
         // offset + len wraps usize; a naive `offset + len > buf_len` bound
         // check would accept this region (the wrapped end is tiny).
+        const OVERFLOWING: usize = usize::MAX - 1;
         let b = 4;
         let mut sch = two_rank_exchange();
         sch.ranks[0][0].ops[0] = Op::Copy {
             src: Region::input(0, b),
-            dst: Region::new(Buf::Work, usize::MAX - 1, b),
+            dst: Region::new(Buf::Work, OVERFLOWING, b),
         };
-        let err = sch.validate().unwrap_err();
-        assert!(err.0.contains("overflows"), "{err}");
-        assert_eq!(Region::new(Buf::Work, usize::MAX - 1, b).end(), usize::MAX);
+        assert_rejects!(
+            sch,
+            SchedError::RegionOutOfBounds {
+                offset: OVERFLOWING,
+                ..
+            }
+        );
+        assert_eq!(Region::new(Buf::Work, OVERFLOWING, b).end(), usize::MAX);
     }
 
     #[test]
@@ -605,7 +515,7 @@ mod tests {
         let b = 4;
         let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
         sb.step(0, |s| s.send(0, Region::input(0, b)));
-        assert!(sb.finish().validate().is_err());
+        assert_rejects!(sb.finish(), SchedError::BadPeer { peer: 0, .. });
     }
 
     #[test]
@@ -613,7 +523,7 @@ mod tests {
         let b = 8;
         let mut sb = ScheduleBuilder::new(1, b, b, 2 * b, 0);
         sb.step(0, |s| s.copy(Region::work(0, b), Region::work(4, b)));
-        assert!(sb.finish().validate().is_err());
+        assert_rejects!(sb.finish(), SchedError::OverlappingCopy { .. });
     }
 
     #[test]
@@ -622,7 +532,7 @@ mod tests {
         let mut sb = ScheduleBuilder::new(2, b, b, b, 0);
         sb.step(0, |s| s.send(1, Region::input(0, b)));
         sb.step(1, |s| s.recv(0, Region::input(0, b)));
-        assert!(sb.finish().validate().is_err());
+        assert_rejects!(sb.finish(), SchedError::ReadOnlyInputWrite { .. });
     }
 
     #[test]

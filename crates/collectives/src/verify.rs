@@ -64,15 +64,20 @@ pub fn alltoall_expected(p: u32, block: usize, rank: u32) -> Vec<u8> {
         .collect()
 }
 
-/// Structurally validate `schedule` and check it implements allgather with
-/// the given block size.
-pub fn check_allgather(schedule: &CommSchedule, block: usize) -> Result<(), VerifyError> {
+/// Validate `schedule` and move `inputs` through the interpreter: every
+/// rank's final Work buffer.
+fn outputs_of(schedule: &CommSchedule, inputs: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, VerifyError> {
     schedule
         .validate()
         .map_err(|e| VerifyError(format!("structural: {e}")))?;
+    interp::run(schedule, inputs).map_err(|e| VerifyError(format!("execution: {e}")))
+}
+
+/// Structurally validate `schedule` and check it implements allgather with
+/// the given block size.
+pub fn check_allgather(schedule: &CommSchedule, block: usize) -> Result<(), VerifyError> {
     let p = schedule.world;
-    let outputs = interp::run(schedule, &allgather_inputs(p, block))
-        .map_err(|e| VerifyError(format!("execution: {e}")))?;
+    let outputs = outputs_of(schedule, &allgather_inputs(p, block))?;
     let expected = allgather_expected(p, block);
     for (r, out) in outputs.iter().enumerate() {
         if *out != expected {
@@ -123,12 +128,8 @@ pub fn allreduce_expected(p: u32, msg: usize) -> Vec<u8> {
 /// Structurally validate `schedule` and check it implements broadcast from
 /// rank 0 with the given payload size.
 pub fn check_bcast(schedule: &CommSchedule, msg: usize) -> Result<(), VerifyError> {
-    schedule
-        .validate()
-        .map_err(|e| VerifyError(format!("structural: {e}")))?;
     let p = schedule.world;
-    let outputs = interp::run(schedule, &bcast_inputs(p, msg))
-        .map_err(|e| VerifyError(format!("execution: {e}")))?;
+    let outputs = outputs_of(schedule, &bcast_inputs(p, msg))?;
     let expected = bcast_expected(msg);
     for (r, out) in outputs.iter().enumerate() {
         if *out != expected {
@@ -144,12 +145,8 @@ pub fn check_bcast(schedule: &CommSchedule, msg: usize) -> Result<(), VerifyErro
 /// Structurally validate `schedule` and check it implements allreduce
 /// (wrapping byte sum) with the given vector size.
 pub fn check_allreduce(schedule: &CommSchedule, msg: usize) -> Result<(), VerifyError> {
-    schedule
-        .validate()
-        .map_err(|e| VerifyError(format!("structural: {e}")))?;
     let p = schedule.world;
-    let outputs = interp::run(schedule, &allreduce_inputs(p, msg))
-        .map_err(|e| VerifyError(format!("execution: {e}")))?;
+    let outputs = outputs_of(schedule, &allreduce_inputs(p, msg))?;
     let expected = allreduce_expected(p, msg);
     for (r, out) in outputs.iter().enumerate() {
         if *out != expected {
@@ -165,12 +162,8 @@ pub fn check_allreduce(schedule: &CommSchedule, msg: usize) -> Result<(), Verify
 /// Structurally validate `schedule` and check it implements alltoall with
 /// the given block size.
 pub fn check_alltoall(schedule: &CommSchedule, block: usize) -> Result<(), VerifyError> {
-    schedule
-        .validate()
-        .map_err(|e| VerifyError(format!("structural: {e}")))?;
     let p = schedule.world;
-    let outputs = interp::run(schedule, &alltoall_inputs(p, block))
-        .map_err(|e| VerifyError(format!("execution: {e}")))?;
+    let outputs = outputs_of(schedule, &alltoall_inputs(p, block))?;
     for (r, out) in outputs.iter().enumerate() {
         let expected = alltoall_expected(p, block, r as u32);
         if *out != expected {

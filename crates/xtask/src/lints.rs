@@ -56,15 +56,13 @@ pub enum LintKind {
     RelaxedAtomic,
     /// The `unsafe` keyword in the compiled-inference scope. The quantized
     /// forest kernels earn their speed from layout (u8 codes, breadth-first
-    /// arenas, fixed-trip loops), never from eliding checks — this lint is
-    /// zero-allowlist: the allowlist parser rejects entries for it, so the
-    /// only way past the gate is to not write `unsafe`.
+    /// arenas, fixed-trip loops), never from eliding checks.
     UnsafeCode,
     /// Two metric registrations sharing one name, anywhere in the
     /// workspace. The pml-obs registry keys exports by name, so a
     /// collision silently merges two series into one line of the dump —
-    /// both become unreadable. Cross-file (the only cross-file lint) and
-    /// zero-allowlist: renaming either side is always available.
+    /// both become unreadable. Cross-file (the only cross-file lint);
+    /// renaming either side is always available.
     MetricNameCollision,
 }
 
@@ -84,29 +82,6 @@ impl LintKind {
             LintKind::MetricNameCollision => "metric-name-collision",
         }
     }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "forbidden-panic" => Some(LintKind::ForbiddenPanic),
-            "nondeterminism" => Some(LintKind::Nondeterminism),
-            "wildcard-algorithm-match" => Some(LintKind::WildcardAlgoMatch),
-            "cast-truncation" => Some(LintKind::CastTruncation),
-            "unchecked-indexing" => Some(LintKind::UncheckedIndexing),
-            "float-reduction-order" => Some(LintKind::FloatReductionOrder),
-            "swallowed-result" => Some(LintKind::SwallowedResult),
-            "lock-across-await-free-unwrap" => Some(LintKind::LockUnwrap),
-            "relaxed-atomic-outside-counter" => Some(LintKind::RelaxedAtomic),
-            "unsafe-code" => Some(LintKind::UnsafeCode),
-            "metric-name-collision" => Some(LintKind::MetricNameCollision),
-            _ => None,
-        }
-    }
-
-    /// Whether the allowlist may carry a budget for this lint. Zero-allowlist
-    /// lints can only ever be fixed at the site, never tolerated.
-    pub fn allowlistable(self) -> bool {
-        !matches!(self, LintKind::UnsafeCode | LintKind::MetricNameCollision)
-    }
 }
 
 impl fmt::Display for LintKind {
@@ -119,19 +94,11 @@ impl fmt::Display for LintKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     pub lint: LintKind,
-    /// Repo-relative path with `/` separators (the allowlist key).
+    /// Repo-relative path with `/` separators.
     pub file: String,
     pub line: usize,
     /// The offending token, for the human reading the report.
     pub what: String,
-}
-
-impl Violation {
-    /// Allowlist key: `lint:file` (line-independent, so unrelated edits
-    /// never invalidate the list). The allowlist stores a per-key budget.
-    pub fn key(&self) -> String {
-        format!("{}:{}", self.lint, self.file)
-    }
 }
 
 impl fmt::Display for Violation {
@@ -164,9 +131,8 @@ pub struct LintConfig {
     /// Path prefixes (the metric/counter modules) where `Ordering::Relaxed`
     /// is legitimate; everywhere else it is a violation.
     pub relaxed_counter_scope: Vec<String>,
-    /// Path prefixes where the `unsafe` keyword is forbidden outright
-    /// (zero-allowlist): the compiled-inference path and everything it
-    /// traverses.
+    /// Path prefixes where the `unsafe` keyword is forbidden outright: the
+    /// compiled-inference path and everything it traverses.
     pub unsafe_scope: Vec<String>,
 }
 
@@ -182,6 +148,10 @@ impl LintConfig {
                 "crates/core/src/pipeline.rs".into(),
                 "crates/obs/src/".into(),
                 "crates/serve/src/batch.rs".into(),
+                // What datagen's numbers come from: the virtual-time
+                // executor and the sweep that drives it.
+                "crates/collectives/src/exec/sim.rs".into(),
+                "crates/collectives/src/measure.rs".into(),
             ],
             determinism_exempt: vec!["crates/obs/src/clock.rs".into()],
             dispatch_all_matches: vec!["crates/collectives/src/algo.rs".into()],
@@ -402,9 +372,7 @@ fn unsafe_code(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Violatio
                 rel,
                 masked,
                 t.start,
-                "`unsafe` in the compiled-inference scope (zero-allowlist: \
-                 keep the kernels bounds-checked)"
-                    .into(),
+                "`unsafe` in the compiled-inference scope (keep the kernels bounds-checked)".into(),
             );
         }
     }

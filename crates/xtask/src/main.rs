@@ -1,9 +1,8 @@
 //! `cargo xtask` — correctness-tooling entry point.
 //!
 //! ```text
-//! cargo xtask lint                      # run pml-lint against the allowlist
-//! cargo xtask lint --list               # print every current violation
-//! cargo xtask lint --update-allowlist   # rewrite the allowlist after a burn-down
+//! cargo xtask lint                      # run pml-lint: any violation fails
+//! cargo xtask lint --list               # print every current violation, exit 0
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
 //! cargo xtask verify-costs              # static cost polynomials vs simnet + pinned rankings
@@ -17,9 +16,7 @@
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use xtask::lints::LintConfig;
-use xtask::{allowlist, scan_workspace};
-
-const ALLOWLIST_REL: &str = "crates/xtask/lint-allowlist.toml";
+use xtask::scan_workspace;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,7 +30,7 @@ fn main() -> ExitCode {
         "tsan" => cmd_tsan(rest),
         "miri" => cmd_miri(rest),
         "help" | "--help" | "-h" => {
-            eprintln!("usage: cargo xtask [lint [--list|--update-allowlist] | verify-artifacts | verify-schedules | verify-costs | tsan [filter] | miri [filter]]");
+            eprintln!("usage: cargo xtask [lint [--list] | verify-artifacts | verify-schedules | verify-costs | tsan [filter] | miri [filter]]");
             Ok(())
         }
         other => Err(format!(
@@ -72,17 +69,12 @@ fn find_root() -> Result<PathBuf, String> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let list = args.iter().any(|a| a == "--list");
-    let update = args.iter().any(|a| a == "--update-allowlist");
-    if let Some(bad) = args
-        .iter()
-        .find(|a| *a != "--list" && *a != "--update-allowlist")
-    {
+    if let Some(bad) = args.iter().find(|a| *a != "--list") {
         return Err(format!("unknown lint flag `{bad}`"));
     }
+    let list = !args.is_empty();
     let root = find_root()?;
     let violations = scan_workspace(&root, &LintConfig::for_repo())?;
-
     if list {
         for v in &violations {
             println!("{v}");
@@ -90,56 +82,15 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         println!("pml-lint: {} violation(s) total", violations.len());
         return Ok(());
     }
-
-    let allow_path = root.join(ALLOWLIST_REL);
-    if update {
-        std::fs::write(&allow_path, allowlist::render(&violations))
-            .map_err(|e| format!("writing {}: {e}", allow_path.display()))?;
-        println!(
-            "pml-lint: allowlist rewritten with {} entries",
-            violations.len()
-        );
+    if violations.is_empty() {
+        println!("pml-lint: clean");
         return Ok(());
     }
-
-    let text = std::fs::read_to_string(&allow_path).map_err(|e| {
-        format!(
-            "reading {} (seed it with --update-allowlist): {e}",
-            allow_path.display()
-        )
-    })?;
-    let allow = allowlist::parse(&text).map_err(|e| format!("{ALLOWLIST_REL}: {e}"))?;
-    let gate = allowlist::gate(&violations, &allow);
-
-    if !gate.new.is_empty() {
-        eprintln!("pml-lint: {} new violation(s):", gate.new.len());
-        for v in &gate.new {
-            eprintln!("  {v}");
-        }
-        eprintln!(
-            "fix them or (exceptionally, with review) add allowlist entries in {ALLOWLIST_REL}"
-        );
+    eprintln!("pml-lint: {} violation(s):", violations.len());
+    for v in &violations {
+        eprintln!("  {v}");
     }
-    if !gate.stale.is_empty() {
-        eprintln!("pml-lint: stale allowlist entries (the ratchet only shrinks — delete them):");
-        for (key, n) in &gate.stale {
-            eprintln!(
-                "  {key} ({n} unused entr{})",
-                if *n == 1 { "y" } else { "ies" }
-            );
-        }
-        eprintln!("run `cargo xtask lint --update-allowlist` to rewrite");
-    }
-    if gate.is_clean() {
-        println!(
-            "pml-lint: clean ({} of {} allowlisted site(s) remaining in the burn-down)",
-            gate.allowed,
-            allow.total_entries()
-        );
-        Ok(())
-    } else {
-        Err("pml-lint gate failed".into())
-    }
+    Err("pml-lint gate failed".into())
 }
 
 /// Static artifact-verification lane: run `pml-mpi verify` over every

@@ -1,6 +1,6 @@
 //! pml-lint's own test suite: deliberately-bad fixture files the lints
-//! must flag (with exact lines), clean files they must pass, allowlist
-//! ratchet semantics, and the mask layer's corner cases.
+//! must flag (with exact lines), clean files they must pass, the mask
+//! layer's corner cases, and the repo itself.
 //!
 //! The fixtures under `tests/fixtures/` are plain text to the lint — cargo
 //! never compiles them (only top-level `tests/*.rs` become test binaries),
@@ -8,7 +8,6 @@
 //! the real gate either.
 
 use std::path::Path;
-use xtask::allowlist::{self, Allowlist};
 use xtask::lints::{
     lint_file, metric_collisions, metric_registrations, LintConfig, LintKind, Violation,
 };
@@ -257,7 +256,7 @@ fn flags_unsafe_in_compiled_scope_only() {
     // identifier containing the word, and the test module all pass.
     assert_eq!(kinds(&vs), vec![LintKind::UnsafeCode], "{vs:?}");
     assert_eq!(vs[0].line, 5);
-    assert!(vs[0].what.contains("zero-allowlist"), "{}", vs[0].what);
+    assert!(vs[0].what.contains("bounds-checked"), "{}", vs[0].what);
     // Outside the scoped paths the lint stays silent.
     let vs = lint_file("elsewhere/raw.rs", &fixture(rel), &fixture_config());
     assert!(vs.is_empty(), "{vs:?}");
@@ -313,116 +312,6 @@ fn metric_collision_across_files_flags_every_site() {
 }
 
 #[test]
-fn metric_collision_entries_cannot_be_allowlisted() {
-    // Zero-allowlist, same as unsafe-code: a budget line for the lint
-    // fails to parse, so a collision can only ever be fixed by renaming.
-    let err = allowlist::parse("allow = [\"metric-name-collision:src/a.rs:1\"]")
-        .expect_err("metric-name-collision budget must not parse");
-    assert!(err.contains("zero-allowlist"), "{err}");
-}
-
-#[test]
-fn unsafe_code_entries_cannot_be_allowlisted() {
-    // The zero-allowlist property is structural: a budget line for the
-    // lint fails to parse, and rendering a violation produces exactly
-    // such a line — so `--update-allowlist` cannot launder it either.
-    let err = allowlist::parse("allow = [\"unsafe-code:crates/mlcore/src/compiled.rs:1\"]")
-        .expect_err("unsafe-code budget must not parse");
-    assert!(err.contains("zero-allowlist"), "{err}");
-
-    let v = Violation {
-        lint: LintKind::UnsafeCode,
-        file: "crates/mlcore/src/compiled.rs".into(),
-        line: 1,
-        what: "unsafe".into(),
-    };
-    assert!(allowlist::parse(&allowlist::render(&[v])).is_err());
-}
-
-#[test]
-fn allowlist_budget_tolerates_then_ratchets() {
-    let rel = "bad/stray_unwrap.rs";
-    let vs = lint_file(rel, &fixture(rel), &fixture_config());
-    assert_eq!(vs.len(), 4);
-
-    // Seeded exactly: clean gate.
-    let seeded = allowlist::parse(&allowlist::render(&vs)).expect("render parses");
-    assert_eq!(seeded.total_entries(), 4);
-    let gate = allowlist::gate(&vs, &seeded);
-    assert!(gate.is_clean(), "{gate:?}");
-    assert_eq!(gate.allowed, 4);
-
-    // One budget entry short: the overflow site fails as new.
-    let mut short = seeded.clone();
-    if let Some(n) = short.budgets.values_mut().next() {
-        *n -= 1;
-    }
-    let gate = allowlist::gate(&vs, &short);
-    assert_eq!(gate.new.len(), 1);
-
-    // One fixed site with the entry still present: stale, gate fails.
-    let gate = allowlist::gate(&vs[..3], &seeded);
-    assert!(!gate.is_clean());
-    assert_eq!(gate.stale.values().sum::<usize>(), 1);
-
-    // Unknown violations (empty allowlist): all new.
-    let gate = allowlist::gate(&vs, &Allowlist::default());
-    assert_eq!(gate.new.len(), 4);
-}
-
-#[test]
-fn allowlist_parser_accepts_comments_and_rejects_junk() {
-    let good = "# header\nallow = [\n  \"forbidden-panic:src/a.rs\", # tail comment\n  \"forbidden-panic:src/a.rs\",\n]\n";
-    let parsed = allowlist::parse(good).expect("well-formed allowlist");
-    assert_eq!(
-        parsed.budgets.get("forbidden-panic:src/a.rs").copied(),
-        Some(2)
-    );
-    assert!(allowlist::parse("allow = [ bare-entry ]").is_err());
-    assert!(allowlist::parse("deny = [\"x:y\"]").is_err());
-    assert!(allowlist::parse("allow = [\"no-colon\"]").is_err());
-}
-
-#[test]
-fn allowlist_count_keys_parse_and_render() {
-    // `lint:path:count` carries a budget; the legacy per-site form still
-    // means one per line.
-    let text = "allow = [\n  \"forbidden-panic:src/a.rs:3\",\n  \"nondeterminism:src/b.rs\",\n]\n";
-    let parsed = allowlist::parse(text).expect("count-keyed allowlist");
-    assert_eq!(
-        parsed.budgets.get("forbidden-panic:src/a.rs").copied(),
-        Some(3)
-    );
-    assert_eq!(
-        parsed.budgets.get("nondeterminism:src/b.rs").copied(),
-        Some(1)
-    );
-    assert_eq!(parsed.total_entries(), 4);
-
-    // A path whose last segment is not numeric stays a whole key.
-    let legacy = allowlist::parse("allow = [\"forbidden-panic:src/a.rs\"]").unwrap();
-    assert_eq!(
-        legacy.budgets.get("forbidden-panic:src/a.rs").copied(),
-        Some(1)
-    );
-
-    // Render folds duplicate sites into one count-keyed line.
-    let v = Violation {
-        lint: LintKind::ForbiddenPanic,
-        file: "src/a.rs".into(),
-        line: 1,
-        what: "x".into(),
-    };
-    let rendered = allowlist::render(&[v.clone(), v]);
-    assert!(
-        rendered.contains("\"forbidden-panic:src/a.rs:2\""),
-        "{rendered}"
-    );
-    let roundtrip = allowlist::parse(&rendered).expect("rendered list parses");
-    assert_eq!(roundtrip.total_entries(), 2);
-}
-
-#[test]
 fn mask_blanks_strings_comments_and_test_mods() {
     let src = r####"
 // has unwrap() in a comment
@@ -456,25 +345,15 @@ fn mask_handles_lifetimes_and_char_literals() {
     assert!(masked.ends_with("c }"), "{masked}");
 }
 
-/// The real repo gate end-to-end: the workspace scan matches the
-/// checked-in allowlist exactly (no new violations, no stale entries).
-/// This is the same check CI runs via `cargo xtask lint`.
+/// The real repo gate end-to-end: the workspace scan finds nothing. This
+/// is the same check CI runs via `cargo xtask lint`.
 #[test]
-fn repo_allowlist_is_exact() {
+fn repo_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("workspace root")
         .to_path_buf();
     let vs = xtask::scan_workspace(&root, &LintConfig::for_repo()).expect("scan");
-    let text = std::fs::read_to_string(root.join("crates/xtask/lint-allowlist.toml"))
-        .expect("allowlist present");
-    let allow = allowlist::parse(&text).expect("allowlist parses");
-    let gate = allowlist::gate(&vs, &allow);
-    assert!(
-        gate.is_clean(),
-        "repo gate dirty — new: {:#?}, stale: {:?}",
-        gate.new,
-        gate.stale
-    );
+    assert!(vs.is_empty(), "repo gate dirty: {vs:#?}");
 }

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # The full CI gate, runnable locally: formatting, lints-as-errors, the
-# repo's own static-analysis pass (pml-lint), release build, and the test
-# suite. CI (.github/workflows/ci.yml) runs exactly this script, so a
-# clean local run means a green check.
+# repo's own static-analysis pass (pml-lint: any violation fails, there is
+# no list of tolerated sites; its determinism scope covers the virtual-time
+# executor and the measurement sweep that feed datagen), release build, the
+# static artifact/schedule/cost lanes, the test suite, the fig01/fig02
+# reproduction of EXPERIMENTS.json, the obs-determinism and serve smoke
+# lanes, and a quick run of the frozen benchmark. CI
+# (.github/workflows/ci.yml) runs exactly this script, so a clean local run
+# means a green check.
 #
 # Nightly-only dynamic-analysis lanes are separate (see the workflow):
 #   cargo xtask tsan    # ThreadSanitizer on the threaded executor
