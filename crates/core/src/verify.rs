@@ -15,8 +15,9 @@
 //!   within the u8 code budget — the one step that builds rather than
 //!   only inspects, and the result stays cached for prediction), and
 //!   every class index maps to a real [`Algorithm`] of the model's
-//!   collective. v1 artifacts are migrated during parse, so this pass
-//!   doubles as the post-migration re-check.
+//!   collective. The text is read once, straight into the forest's arrays
+//!   (`PretrainedModel::read_json`); nothing is trusted until this pass
+//!   has run over what that produced.
 //! * **Tuning tables** — every entry's algorithm belongs to the table's
 //!   collective, the (nodes × ppn × msg) grid is total (no missing or
 //!   duplicate cells), and the static fallback chain terminates in an
@@ -191,10 +192,8 @@ fn forest_issue(e: ForestIssue) -> VerifyErrorKind {
     }
 }
 
-/// Structurally verify a parsed model. Since v1 artifacts are migrated to
-/// the SoA layout inside deserialization, running this after parse is
-/// exactly the post-migration re-check: the migrated topology has to
-/// satisfy the same invariants as a natively written v2 artifact.
+/// Structurally verify a parsed model: reading checks parse shape only, so
+/// this is where every invariant prediction relies on is proved.
 pub fn verify_model(model: &PretrainedModel) -> Result<(), VerifyErrorKind> {
     let forest = model.forest();
     forest.verify().map_err(forest_issue)?;
@@ -321,8 +320,8 @@ pub fn verify_table(table: &TuningTable) -> Result<(), VerifyErrorKind> {
 /// — `PretrainedModel::from_json`, `Tuner::from_dir`, the serve daemon —
 /// starts batch prediction without a first-call stall.
 pub fn verify_model_json(s: &str) -> Result<PretrainedModel, VerifyErrorKind> {
-    let mut model: PretrainedModel =
-        serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
+    let mut model =
+        PretrainedModel::read_json(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
     model.migrate_features();
     verify_model(&model)?;
     Ok(model)
@@ -340,12 +339,21 @@ pub fn verify_table_json(s: &str) -> Result<TuningTable, VerifyErrorKind> {
 /// matching verifier — the engine behind `pml verify <path>`.
 pub fn verify_artifact_str(s: &str) -> Result<ArtifactKind, VerifyErrorKind> {
     let sniff = || -> Result<ArtifactKind, VerifyErrorKind> {
-        let value: serde_json::JsonValue =
-            serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
-        let Some(pairs) = value.as_object() else {
-            return Err(VerifyErrorKind::UnrecognizedArtifact);
-        };
-        let has = |key: &str| pairs.iter().any(|(k, _)| k == key);
+        // Keys only: every value is stepped over (and held to the grammar),
+        // none is built — the matching verifier reads the document once.
+        let mut keys = Vec::new();
+        let mut r = serde_json::Reader::new(s);
+        if r.at_object() {
+            r.object(|r, key| {
+                keys.push(key);
+                r.skip_value()
+            })
+        } else {
+            r.skip_value()
+        }
+        .and_then(|()| r.end())
+        .map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
+        let has = |key: &str| keys.iter().any(|k| k == key);
         if has("forest") && has("collective") {
             verify_model_json(s).map(|_| ArtifactKind::Model)
         } else if has("entries") && has("cluster") {

@@ -18,7 +18,8 @@ use pml_obs::{span, Counter, Histogram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use serde_json::{Reader, Writer};
 use std::sync::OnceLock;
 
 /// Trees fitted across every forest trained in this process.
@@ -66,8 +67,8 @@ impl Default for ForestParams {
 /// Carries its [`CompiledForest`] twin (quantized branchless batch
 /// kernel), built by `fit` and `verify` and otherwise on first use; the
 /// cache is invisible to equality and serialization — both are
-/// hand-written below to stay byte-identical to the pre-cache derived
-/// forms.
+/// hand-written below, the serialized form byte-identical to the derived
+/// one it replaced.
 #[derive(Debug)]
 pub struct RandomForest {
     params: ForestParams,
@@ -105,36 +106,6 @@ impl PartialEq for RandomForest {
             && self.n_classes == other.n_classes
             && self.n_features == other.n_features
             && self.oob_score == other.oob_score
-    }
-}
-
-impl Serialize for RandomForest {
-    fn to_value(&self) -> Value {
-        // Field order and encoding match the derived impl this replaced
-        // byte for byte (the determinism tests pin model JSON).
-        Value::Object(vec![
-            ("params".to_string(), self.params.to_value()),
-            ("trees".to_string(), self.trees.to_value()),
-            ("n_classes".to_string(), self.n_classes.to_value()),
-            ("n_features".to_string(), self.n_features.to_value()),
-            ("oob_score".to_string(), self.oob_score.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RandomForest {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("struct RandomForest", v))?;
-        Ok(RandomForest {
-            params: serde::__get_field(pairs, "params")?,
-            trees: serde::__get_field(pairs, "trees")?,
-            n_classes: serde::__get_field(pairs, "n_classes")?,
-            n_features: serde::__get_field(pairs, "n_features")?,
-            oob_score: serde::__get_field(pairs, "oob_score")?,
-            compiled: OnceLock::new(),
-        })
     }
 }
 
@@ -241,12 +212,65 @@ impl RandomForest {
         }
     }
 
+    /// Append the forest to `w` as one object. Field order and number
+    /// forms are the derived printer's, byte for byte (the determinism
+    /// tests and the benchmark's artifact digests pin model JSON).
+    pub fn write_json(&self, w: &mut Writer) {
+        // Five bytes a number on trained models; six, so the one allocation
+        // is almost always the last without being much more than is used.
+        let numbers: usize = self.trees.iter().map(DecisionTree::json_numbers).sum();
+        w.reserve(256 + 6 * numbers);
+        w.begin_object();
+        w.key("params");
+        w.value(&self.params);
+        w.key("trees");
+        w.begin_array();
+        for t in &self.trees {
+            t.write_json(w);
+        }
+        w.end_array();
+        w.key("n_classes");
+        w.value(&self.n_classes);
+        w.key("n_features");
+        w.value(&self.n_features);
+        w.key("oob_score");
+        w.value(&self.oob_score);
+        w.end_object();
+    }
+
+    /// Read the forest object `r` stands at, every tree's arrays going
+    /// straight from the text into its SoA store. Parse shape only: the
+    /// result has crossed a trust boundary and is not to predict before
+    /// [`Self::verify`] passes.
+    pub fn read_json(r: &mut Reader<'_>) -> Result<Self, serde_json::Error> {
+        let (mut params, mut trees, mut n_classes) = (None, None, None);
+        let (mut n_features, mut oob_score) = (None, None);
+        r.object(|r, key| match &*key {
+            "params" => r.once(&mut params, Reader::parse),
+            "trees" => r.once(&mut trees, |r| r.elements(DecisionTree::read_json)),
+            "n_classes" => r.once(&mut n_classes, Reader::number),
+            "n_features" => r.once(&mut n_features, Reader::number),
+            "oob_score" => r.once(&mut oob_score, Reader::parse),
+            _ => r.skip_value(),
+        })?;
+        Ok(RandomForest {
+            params: serde_json::required(params, "params")?,
+            trees: serde_json::required(trees, "trees")?,
+            n_classes: serde_json::required(n_classes, "n_classes")?,
+            n_features: serde_json::required(n_features, "n_features")?,
+            oob_score: oob_score.flatten(),
+            compiled: OnceLock::new(),
+        })
+    }
+
     /// Parse a serialized forest and structurally verify it — the
     /// trust-boundary load path. Corrupt artifacts come back as typed
     /// errors instead of indexing out of bounds during descent.
     pub fn from_json(s: &str) -> Result<Self, ForestLoadError> {
-        let forest: RandomForest =
-            serde_json::from_str(s).map_err(|e| ForestLoadError::Parse(e.to_string()))?;
+        let mut r = Reader::new(s);
+        let forest = Self::read_json(&mut r)
+            .and_then(|forest| r.end().map(|()| forest))
+            .map_err(|e| ForestLoadError::Parse(e.to_string()))?;
         forest.verify().map_err(ForestLoadError::Structure)?;
         Ok(forest)
     }
@@ -511,6 +535,9 @@ impl Classifier for RandomForest {
         self.n_classes
     }
 }
+
+#[cfg(test)]
+mod value_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -36,13 +36,13 @@ impl Default for GBoostParams {
 }
 
 /// One boosting round: one regression tree per class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Round {
     trees: Vec<RegressionTree>,
 }
 
 /// Softmax gradient-boosted trees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoosting {
     params: GBoostParams,
     rounds: Vec<Round>,

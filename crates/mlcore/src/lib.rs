@@ -9,8 +9,9 @@
 //! building blocks (Gini classification + MSE regression trees, with
 //! Gini-decrease feature importances). [`metrics`] and [`model_selection`]
 //! provide accuracy / macro one-vs-rest ROC AUC, stratified k-fold CV, and
-//! grid search. Every fitted model serializes with serde — that is how the
-//! "pre-trained model shipped with the MPI library" workflow is realized.
+//! grid search. The forest serializes to JSON ([`RandomForest::write_json`] /
+//! [`RandomForest::from_json`]) — that is how the "pre-trained model
+//! shipped with the MPI library" workflow is realized.
 
 #![deny(rust_2018_idioms, missing_debug_implementations)]
 #![deny(clippy::dbg_macro, clippy::todo)]

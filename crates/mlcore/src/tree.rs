@@ -17,7 +17,8 @@ use crate::matrix::Matrix;
 use crate::verify::StructureIssue;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize};
+use serde_json::{Reader, Writer};
 
 /// How many candidate features each split considers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -173,82 +174,16 @@ pub struct TreeScratch {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: versioned, hand-rolled
+// Serialization: versioned, hand-rolled, streamed
 //
-// v2 (written by this code) stores the SoA arrays directly. v1 — the layout
-// before the flattening — stored an externally tagged `Node` enum per
-// element under a "nodes" key; `migrate_v1` rebuilds it index for index, so
-// artifacts serialized by older builds keep their exact topology and
-// predictions.
+// A tree is written as its SoA arrays under a `"version"` key and read back
+// array by array (`DecisionTree::{write_json, read_json}`), each number
+// going between the text and its typed vector with no `serde::Value` in
+// between; `tree/value_oracle.rs` keeps the `Value`-tree reader and printer
+// this replaced, for the tests to hold it to. The layout before the
+// flattening — a tagged `Node` enum per element under `"nodes"`, no
+// `"version"` — is no longer read.
 // ---------------------------------------------------------------------------
-
-fn nodes_to_pairs(nodes: &TreeNodes) -> Vec<(String, Value)> {
-    vec![
-        ("version".to_string(), Value::UInt(2)),
-        ("feature".to_string(), nodes.feature.to_value()),
-        ("threshold".to_string(), nodes.threshold.to_value()),
-        ("children".to_string(), nodes.children.to_value()),
-        ("leaf_values".to_string(), nodes.leaf_values.to_value()),
-    ]
-}
-
-fn nodes_from_pairs(pairs: &[(String, Value)], leaf_len: usize) -> Result<TreeNodes, DeError> {
-    let nodes = if pairs.iter().any(|(k, _)| k == "version") {
-        TreeNodes {
-            feature: serde::__get_field(pairs, "feature")?,
-            threshold: serde::__get_field(pairs, "threshold")?,
-            children: serde::__get_field(pairs, "children")?,
-            leaf_values: serde::__get_field(pairs, "leaf_values")?,
-        }
-    } else {
-        let v1: Vec<Value> = serde::__get_field(pairs, "nodes")?;
-        migrate_v1(&v1, leaf_len)?
-    };
-    validate_nodes(&nodes, leaf_len)?;
-    Ok(nodes)
-}
-
-fn migrate_v1(nodes: &[Value], leaf_len: usize) -> Result<TreeNodes, DeError> {
-    let mut out = TreeNodes::default();
-    for v in nodes {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("tree node object", v))?;
-        match pairs {
-            [(tag, body)] if tag == "Leaf" => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| DeError::expected("Leaf body", body))?;
-                let value: Vec<f64> = serde::__get_field(fields, "value")?;
-                if value.len() != leaf_len {
-                    return Err(DeError(format!(
-                        "leaf payload has {} values, expected {leaf_len}",
-                        value.len()
-                    )));
-                }
-                out.push_leaf(&value);
-            }
-            [(tag, body)] if tag == "Split" => {
-                let fields = body
-                    .as_object()
-                    .ok_or_else(|| DeError::expected("Split body", body))?;
-                let feature: u64 = serde::__get_field(fields, "feature")?;
-                let threshold: f64 = serde::__get_field(fields, "threshold")?;
-                let left: u32 = serde::__get_field(fields, "left")?;
-                let right: u32 = serde::__get_field(fields, "right")?;
-                if feature >= u64::from(LEAF) {
-                    return Err(DeError(format!(
-                        "split feature {feature} exceeds the u16 node layout"
-                    )));
-                }
-                let me = out.push_placeholder();
-                out.set_split(me, feature as usize, threshold, left, right);
-            }
-            _ => return Err(DeError::expected("externally tagged Leaf/Split", v)),
-        }
-    }
-    Ok(out)
-}
 
 /// Parse-shape consistency only: the parallel arrays must agree on the
 /// node count. Deeper structural invariants (child bounds, topological
@@ -389,35 +324,77 @@ fn gini(counts: &[f64], total: f64) -> f64 {
         .sum::<f64>()
 }
 
-impl Serialize for DecisionTree {
-    fn to_value(&self) -> Value {
-        let mut pairs = nodes_to_pairs(&self.nodes);
-        pairs.push(("n_classes".to_string(), self.n_classes.to_value()));
-        pairs.push(("raw_importance".to_string(), self.raw_importance.to_value()));
-        Value::Object(pairs)
+impl DecisionTree {
+    /// Append the tree to `w` as one object, keys in the order (and numbers
+    /// in the form) the derived printer gave them.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("version");
+        w.value(&2u64);
+        w.key("feature");
+        w.numbers(&self.nodes.feature);
+        w.key("threshold");
+        w.numbers(&self.nodes.threshold);
+        w.key("children");
+        w.numbers(&self.nodes.children);
+        w.key("leaf_values");
+        w.numbers(&self.nodes.leaf_values);
+        w.key("n_classes");
+        w.value(&self.n_classes);
+        w.key("raw_importance");
+        w.numbers(&self.raw_importance);
+        w.end_object();
     }
-}
 
-impl Deserialize for DecisionTree {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("DecisionTree object", v))?;
-        let n_classes: usize = serde::__get_field(pairs, "n_classes")?;
-        if n_classes == 0 {
-            return Err(DeError("n_classes must be at least 1".to_string()));
+    /// How many numbers [`Self::write_json`] writes, to size the buffer by.
+    pub(crate) fn json_numbers(&self) -> usize {
+        4 * self.nodes.len() + self.nodes.leaf_values.len() + self.raw_importance.len()
+    }
+
+    /// Read the tree object `r` stands at: keys in any order, the first
+    /// occurrence of each taken, unknown ones skipped. Parse shape only —
+    /// see [`validate_nodes`].
+    pub(crate) fn read_json(r: &mut Reader<'_>) -> Result<Self, serde_json::Error> {
+        let mut versioned = false;
+        let (mut feature, mut threshold, mut children) = (None, None, None);
+        let (mut leaf_values, mut n_classes, mut raw_importance) = (None, None, None);
+        r.object(|r, key| match &*key {
+            "version" => {
+                versioned = true;
+                r.skip_value()
+            }
+            "feature" => r.once(&mut feature, Reader::numbers),
+            "threshold" => r.once(&mut threshold, Reader::numbers),
+            "children" => r.once(&mut children, Reader::numbers),
+            "leaf_values" => r.once(&mut leaf_values, Reader::numbers),
+            "n_classes" => r.once(&mut n_classes, Reader::number::<usize>),
+            "raw_importance" => r.once(&mut raw_importance, Reader::numbers),
+            _ => r.skip_value(),
+        })?;
+        if !versioned {
+            return Err(serde_json::Error::custom(
+                "missing field `version`: not an SoA tree (the per-node `nodes` layout \
+                 written before it is unsupported — this build no longer migrates it)",
+            ));
         }
-        let raw_importance: Vec<f64> = serde::__get_field(pairs, "raw_importance")?;
-        let nodes = nodes_from_pairs(pairs, n_classes)?;
+        let n_classes = serde_json::required(n_classes, "n_classes")?;
+        if n_classes == 0 {
+            return Err(serde_json::Error::custom("n_classes must be at least 1"));
+        }
+        let nodes = TreeNodes {
+            feature: serde_json::required(feature, "feature")?,
+            threshold: serde_json::required(threshold, "threshold")?,
+            children: serde_json::required(children, "children")?,
+            leaf_values: serde_json::required(leaf_values, "leaf_values")?,
+        };
+        validate_nodes(&nodes, n_classes).map_err(serde_json::Error::custom)?;
         Ok(DecisionTree {
             nodes,
             n_classes,
-            raw_importance,
+            raw_importance: serde_json::required(raw_importance, "raw_importance")?,
         })
     }
-}
 
-impl DecisionTree {
     /// Fit over `rows` (indices into the shared binned matrix, duplicates
     /// allowed — a bootstrap sample) with histogram split finding. No row
     /// data is copied; `scratch` buffers are reused across fits.
@@ -702,28 +679,6 @@ pub struct RegressionTree {
     raw_importance: Vec<f64>,
 }
 
-impl Serialize for RegressionTree {
-    fn to_value(&self) -> Value {
-        let mut pairs = nodes_to_pairs(&self.nodes);
-        pairs.push(("raw_importance".to_string(), self.raw_importance.to_value()));
-        Value::Object(pairs)
-    }
-}
-
-impl Deserialize for RegressionTree {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("RegressionTree object", v))?;
-        let raw_importance: Vec<f64> = serde::__get_field(pairs, "raw_importance")?;
-        let nodes = nodes_from_pairs(pairs, 1)?;
-        Ok(RegressionTree {
-            nodes,
-            raw_importance,
-        })
-    }
-}
-
 impl RegressionTree {
     /// Fit over `rows` (indices into the shared binned matrix) with
     /// histogram split finding; `y` is indexed by original row id.
@@ -924,6 +879,8 @@ pub fn normalize(mut v: Vec<f64>) -> Vec<f64> {
 
 #[cfg(test)]
 mod oracle;
+#[cfg(test)]
+mod value_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1066,62 +1023,43 @@ mod tests {
     }
 
     #[test]
-    fn regression_tree_serde_roundtrip() {
-        let x = Matrix::from_rows([[0.0], [1.0], [2.0], [10.0], [11.0]]);
-        let y = vec![1.0, 1.0, 1.5, 5.0, 5.0];
-        let t = fit_reg(&x, &y, &TreeParams::default(), &mut rng());
-        let json = serde_json::to_string(&t).unwrap();
-        let back: RegressionTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn v1_node_enum_layout_migrates() {
-        // A hand-written pre-SoA artifact: root split, two leaves.
-        let json = r#"{
-            "nodes": [
-                {"Split": {"feature": 0, "threshold": 1.5, "left": 1, "right": 2}},
-                {"Leaf": {"value": [1.0, 0.0]}},
-                {"Leaf": {"value": [0.0, 1.0]}}
-            ],
-            "n_classes": 2,
-            "raw_importance": [0.5]
-        }"#;
-        let t: DecisionTree = serde_json::from_str(json).unwrap();
-        assert_eq!(t.node_count(), 3);
-        assert_eq!(t.predict_row(&[0.0]), 0);
-        assert_eq!(t.predict_row(&[9.0]), 1);
-        assert_eq!(t.predict_proba_row(&[9.0]), vec![0.0, 1.0]);
-        // Re-serializing writes the v2 layout, which round-trips.
-        let back: DecisionTree = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
     fn corrupt_artifacts_are_rejected_not_panics() {
-        // Leaf payload length mismatching n_classes.
-        let bad_leaf = r#"{"nodes": [{"Leaf": {"value": [1.0]}}],
+        // The streamed reader and the `Value`-tree oracle, which must agree.
+        let read = |json: &str| {
+            let mut r = Reader::new(json);
+            let tree = DecisionTree::read_json(&mut r).and_then(|t| r.end().map(|()| t));
+            assert_eq!(tree.as_ref().ok(), serde_json::from_str(json).ok().as_ref());
+            tree
+        };
+        // Leaf payload length mismatching n_classes, and a split child out
+        // of range: both parse (the arrays agree on the node count), and
+        // the typed verify pass names the corruption before any descent.
+        let bad_leaf = r#"{"version": 2, "feature": [65535], "threshold": [0.0],
+                           "children": [0, 0], "leaf_values": [1.0],
                            "n_classes": 2, "raw_importance": []}"#;
-        assert!(serde_json::from_str::<DecisionTree>(bad_leaf).is_err());
-        // Split child out of range: parses (shape is consistent), but the
-        // typed verify pass names the corruption before any descent.
-        let bad_child = r#"{"nodes": [{"Split": {"feature": 0, "threshold": 0.0,
-                            "left": 7, "right": 8}}],
+        assert_eq!(
+            read(bad_leaf).unwrap().verify(),
+            Err(StructureIssue::ArenaLength {
+                expected: 2,
+                actual: 1
+            })
+        );
+        let bad_child = r#"{"version": 2, "feature": [0], "threshold": [0.0],
+                            "children": [7, 8], "leaf_values": [],
                             "n_classes": 2, "raw_importance": [0.5]}"#;
-        let t: DecisionTree = serde_json::from_str(bad_child).unwrap();
         assert!(matches!(
-            t.verify(),
+            read(bad_child).unwrap().verify(),
             Err(StructureIssue::ChildOutOfBounds {
                 node: 0,
                 child: 7,
                 n_nodes: 1
             })
         ));
-        // v2 arrays of inconsistent lengths.
+        // Arrays of inconsistent lengths.
         let bad_soa = r#"{"version": 2, "feature": [65535], "threshold": [],
                           "children": [0, 0], "leaf_values": [0.5, 0.5],
                           "n_classes": 2, "raw_importance": []}"#;
-        assert!(serde_json::from_str::<DecisionTree>(bad_soa).is_err());
+        assert!(read(bad_soa).is_err());
     }
 
     /// Exercise `verify` against one hand-built violation per invariant

@@ -122,7 +122,8 @@ fn cmd_verify_artifacts(args: &[String]) -> Result<(), String> {
     pml(&["train", "allgather", "--out", &model])?;
     pml(&["table", "RI", "alltoall", "--out", &table])?;
 
-    // Committed artifact fixtures (currently the v1 migration model).
+    // Committed artifact fixtures (currently the first-generation model
+    // `tests/model_migration.rs` pins: 14-feature schema, SoA trees).
     let fixtures = root.join("tests/fixtures");
     let mut targets: Vec<String> = std::fs::read_dir(&fixtures)
         .map_err(|e| format!("reading {}: {e}", fixtures.display()))?

@@ -3,7 +3,9 @@
 # repo's own static-analysis pass (pml-lint: any violation fails, there is
 # no list of tolerated sites; its determinism scope covers the virtual-time
 # executor and the measurement sweep that feed datagen), release build, the
-# static artifact/schedule/cost lanes, the test suite, the fig01/fig02
+# static artifact/schedule/cost lanes, the test suite (and the vendored
+# serde_json's own, which holds its streaming reader and writer to its tree
+# parser and printer), the fig01/fig02
 # reproduction of EXPERIMENTS.json, the obs-determinism and serve smoke
 # lanes, and a quick run of the frozen benchmark. CI
 # (.github/workflows/ci.yml) runs exactly this script, so a clean local run
@@ -45,6 +47,9 @@ cargo xtask verify-costs
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> vendored serde_json tests (the model artifact's reader and writer)"
+(cd vendor/serde_json && cargo test --offline -q)
 
 echo "==> experiments lane (fig01, fig02: all virtual time, no dataset, no model)"
 # Their EXPERIMENTS.json entries must come out as committed; the runner keeps

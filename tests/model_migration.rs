@@ -1,15 +1,24 @@
 //! Shipped model artifacts outlive the code that wrote them. The fixture
-//! here was serialized by the pre-SoA tree layout (per-node `Leaf`/`Split`
-//! enum, the first generation of forest params); loading it through the
-//! current deserializer must reproduce the predictions the original model
-//! made, recorded alongside it at capture time.
+//! here was trained under the first generation of forest params and the
+//! 14-feature schema; loading it through the current reader must reproduce
+//! the predictions the original model made, recorded alongside it at
+//! capture time. It was first serialized in the pre-SoA tree layout
+//! (per-node `Leaf`/`Split` enum under `"nodes"`); PR 23 rewrote its trees
+//! in the SoA layout, token for token, when the reader stopped migrating
+//! that one — the shorter importance vector is still as captured, so the
+//! schema padding of `migrate_features` is still what every test here
+//! loads through.
 
-use pml_mpi::{by_name, obs, JobConfig, PretrainedModel};
+use pml_mpi::core::{VerifyErrorKind, N_FEATURES};
+use pml_mpi::{by_name, obs, JobConfig, PmlError, PretrainedModel};
 
 #[test]
 fn v1_model_artifact_loads_and_predicts_identically() {
     let json = include_str!("fixtures/model_v1_allgather.json");
     let model = PretrainedModel::from_json(json).expect("v1 artifact loads");
+    // Captured with 14 importances; the three newer features pad as zero.
+    assert_eq!(model.full_importances().len(), N_FEATURES);
+    assert_eq!(model.full_importances()[14..], [0.0; 3]);
 
     let frontera = by_name("Frontera").expect("zoo cluster");
     let jobs: Vec<JobConfig> = [1u32, 2, 3, 8, 16]
@@ -40,8 +49,8 @@ fn migrated_model_reserializes_in_current_layout() {
     let json = include_str!("fixtures/model_v1_allgather.json");
     let model = PretrainedModel::from_json(json).expect("v1 artifact loads");
 
-    // Re-serializing writes the current (SoA, versioned) layout, and that
-    // round-trips to an equal model.
+    // Re-serializing writes the current (SoA, versioned) layout with the
+    // padded importances, and that round-trips to an equal model.
     let rewritten = model.to_json().expect("model serializes");
     assert!(rewritten.contains("\"version\""));
     assert!(!rewritten.contains("\"Split\""));
@@ -88,4 +97,33 @@ fn model_without_analytic_features_never_pays_for_extraction() {
     .flat_map(|&(algo, n)| std::iter::repeat_n(format!("MPI_Allgather:{algo}"), n))
     .collect();
     assert_eq!(preds, expected);
+}
+
+/// The per-node layout is no longer migrated: a tree with `"nodes"` and no
+/// `"version"` is a typed `Malformed` error that says which layout it is.
+#[test]
+fn v1_node_enum_layout_is_a_typed_error_naming_the_layout() {
+    let current = include_str!("fixtures/model_v1_allgather.json");
+    let at = current.find("{\"version\":2,").expect("first tree");
+    let end = at
+        + current[at..]
+            .find("\"n_classes\"")
+            .expect("first tree's tail");
+    let v1 = format!(
+        "{}{{\"nodes\":[{{\"Leaf\":{{\"value\":[1.0,0.0,0.0,0.0]}}}}],{}",
+        &current[..at],
+        &current[end..]
+    );
+    match PretrainedModel::from_json(&v1) {
+        Err(PmlError::Verify(e)) => match &e.kind {
+            VerifyErrorKind::Malformed(why) => {
+                assert!(
+                    why.contains("`nodes`") && why.contains("unsupported"),
+                    "{why}"
+                );
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        },
+        other => panic!("expected a verify error, got {other:?}"),
+    }
 }

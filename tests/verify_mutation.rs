@@ -1,8 +1,8 @@
 //! Mutation harness for pml-verify: corrupt model / table JSON one
 //! invariant at a time and check that verification reports the
 //! matching typed error — and that no corruption class panics. The model
-//! base artifact is the committed v1 fixture migrated to the current
-//! layout, so the mutations also exercise the post-migration re-check.
+//! base artifact is the committed first-generation fixture as the current
+//! writer prints it (its importance vector padded to today's schema).
 
 use pml_mpi::collectives::AlltoallAlgo;
 use pml_mpi::core::{verify_artifact_str, verify_model_json, ArtifactKind, VerifyErrorKind};
@@ -32,7 +32,7 @@ fn arr(v: &mut JsonValue) -> &mut Vec<JsonValue> {
     }
 }
 
-/// The v1 fixture migrated to the current (v2 SoA) serialization: the
+/// The first-generation fixture re-serialized by the current writer: the
 /// base every model mutation perturbs.
 fn v2_model_json() -> String {
     let v1 = include_str!("fixtures/model_v1_allgather.json");
