@@ -115,7 +115,6 @@ pub fn rank_static(
     layout: JobLayout,
     msg: usize,
 ) -> Vec<(Algorithm, f64)> {
-    // Once per ranking: every fetch serialises `node` for its cache key.
     let params = cached_params(node, layout.ppn);
     let mut out: Vec<(Algorithm, f64)> = Algorithm::applicable_for(collective, layout.world_size())
         .into_iter()

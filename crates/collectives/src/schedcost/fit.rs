@@ -130,27 +130,26 @@ pub fn fit_params(node: &NodeSpec, ppn: u32) -> CostParams {
     }
 }
 
-/// Process-wide fitted-parameter cache, keyed by the node's serialized
-/// spec and the PPN. Write-only observability; reads never mutate
-/// selection state, so memoization cannot break determinism.
-static PARAMS: OnceLock<RwLock<BTreeMap<(String, u32), CostParams>>> = OnceLock::new();
+/// Process-wide fitted-parameter cache: per PPN, the node types fitted so
+/// far beside their constants, found by comparing specs by value. Reads
+/// never mutate selection state, so memoization cannot break determinism.
+type Fitted = BTreeMap<u32, Vec<(NodeSpec, CostParams)>>;
+static PARAMS: OnceLock<RwLock<Fitted>> = OnceLock::new();
 
 /// [`fit_params`] with process-wide memoization.
 pub fn cached_params(node: &NodeSpec, ppn: u32) -> CostParams {
-    let key = (
-        serde_json::to_string(node).unwrap_or_else(|_| format!("{node:?}")),
-        ppn,
-    );
-    let cache = PARAMS.get_or_init(|| RwLock::new(BTreeMap::new()));
-    if let Ok(guard) = cache.read() {
-        if let Some(p) = guard.get(&key) {
-            PARAM_HITS.inc();
-            return *p;
-        }
+    let find = |fitted: &Fitted| Some(fitted.get(&ppn)?.iter().find(|(n, _)| n == node)?.1);
+    let cache = PARAMS.get_or_init(Default::default);
+    if let Some(params) = cache.read().ok().and_then(|guard| find(&guard)) {
+        PARAM_HITS.inc();
+        return params;
     }
     let fitted = fit_params(node, ppn);
     if let Ok(mut guard) = cache.write() {
-        guard.insert(key, fitted);
+        // A thread that raced this fit already stored the same constants.
+        if find(&guard).is_none() {
+            guard.entry(ppn).or_default().push((node.clone(), fitted));
+        }
     }
     fitted
 }

@@ -7,7 +7,7 @@
 //! * [`pipeline`] — offline training (Fig. 3) producing a serializable
 //!   [`pipeline::PretrainedModel`], and online inference (Fig. 4) emitting
 //!   JSON tuning tables for unseen clusters in constant time;
-//! * [`tuning_table`] — the JSON artifact + the compile-time table cache;
+//! * [`tuning_table`] — the JSON artifact, its index, the table cache;
 //! * [`hwdetect`] — the feature-extraction "script": parsers for
 //!   `lscpu`/`ibstat`/`lspci` captures producing a ready
 //!   [`pml_simnet::NodeSpec`];
@@ -15,7 +15,7 @@
 //!   ML selector, MVAPICH2/Open MPI-style static defaults, random
 //!   selection, and the exhaustive-micro-benchmark oracle;
 //! * [`overhead`] — the core-hour models of Figs. 1 and 7;
-//! * [`tuner`] — the runtime-side facade an MPI library links: memoized
+//! * [`tuner`] — the runtime-side facade an MPI library links: indexed
 //!   tuning-table lookups graded down through analytic-cost and
 //!   static-rule fallback tiers;
 //! * [`verify`] — static structural verification of shipped artifacts
@@ -44,8 +44,8 @@ pub use selectors::{
     OpenMpiDefault, OracleSelector, RandomSelector,
 };
 pub use tuner::{FallbackDepth, Tuner};
-pub use tuning_table::{TableEntry, TableStore, TuningTable};
+pub use tuning_table::{TableEntry, TableIndex, TableStore, TuningTable};
 pub use verify::{
-    verify_artifact_file, verify_artifact_str, verify_model, verify_model_json, verify_table,
-    verify_table_json, ArtifactKind, VerifyError, VerifyErrorKind,
+    load_verified_dir, verify_artifact_file, verify_artifact_str, verify_model, verify_model_json,
+    verify_table, verify_table_json, ArtifactKind, VerifyError, VerifyErrorKind,
 };

@@ -13,6 +13,7 @@
 //! * [`AnalyticSelector`] — static α-β-γ cost polynomials fitted per node
 //!   type (hardware-aware, model-free; the tuner's graded fallback tier).
 
+use crate::tuning_table::{TableEntry, TableIndex};
 use pml_clusters::TuningRecord;
 use pml_collectives::{
     Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, Collective,
@@ -20,7 +21,7 @@ use pml_collectives::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A job configuration to select an algorithm for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -256,32 +257,40 @@ impl AlgorithmSelector for RandomSelector {
 #[derive(Debug, Clone)]
 pub struct OracleSelector {
     name: String,
-    /// (collective, nodes, ppn, msg) -> best algorithm.
-    table: HashMap<(Collective, u32, u32, usize), Algorithm>,
+    /// Per measured collective: (nodes, ppn, msg) -> best algorithm.
+    tables: BTreeMap<Collective, TableIndex>,
 }
 
 impl OracleSelector {
     /// Build from measured tuning records (usually
     /// [`pml_clusters::generate_cluster`] output for one cluster).
     pub fn from_records(cluster: &str, records: &[TuningRecord]) -> Self {
-        let mut table = HashMap::new();
-        for r in records {
-            if r.cluster == cluster {
-                table.insert((r.collective, r.nodes, r.ppn, r.msg_size), r.best);
-            }
+        let mut cells: BTreeMap<Collective, Vec<TableEntry>> = BTreeMap::new();
+        // Latest first: of two records for one cell the index keeps the
+        // first, and the later measurement is the one that counts.
+        for r in records.iter().rev().filter(|r| r.cluster == cluster) {
+            cells.entry(r.collective).or_default().push(TableEntry {
+                nodes: r.nodes,
+                ppn: r.ppn,
+                msg_size: r.msg_size as u64,
+                algorithm: r.best,
+            });
         }
         OracleSelector {
             name: format!("oracle-microbenchmark[{cluster}]"),
-            table,
+            tables: cells
+                .iter()
+                .map(|(&c, entries)| (c, TableIndex::new(entries)))
+                .collect(),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.tables.values().map(TableIndex::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.tables.is_empty()
     }
 }
 
@@ -291,34 +300,14 @@ impl AlgorithmSelector for OracleSelector {
     }
 
     fn select(&self, collective: Collective, job: JobConfig) -> Algorithm {
-        if let Some(&a) = self
-            .table
-            .get(&(collective, job.nodes, job.ppn, job.msg_size))
-        {
-            return a;
-        }
-        // Nearest bucket on the log grid.
-        fn lg(x: f64) -> f64 {
-            x.max(1.0).log2()
-        }
-        let best = self
-            .table
-            .iter()
-            .filter(|((c, ..), _)| *c == collective)
-            .map(|((_, n, p, m), a)| {
-                let d = 4.0 * (lg(*n as f64) - lg(job.nodes as f64)).abs()
-                    + 4.0 * (lg(*p as f64) - lg(job.ppn as f64)).abs()
-                    + (lg(*m as f64) - lg(job.msg_size as f64)).abs();
-                (d, *a)
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|(_, a)| a);
-        match best {
-            Some(a) => applicable_or_fallback(a, job.world_size()),
-            // No measurements for this collective at all: behave like the
-            // library default rather than dying mid-benchmark.
-            None => MvapichDefault.select(collective, job),
-        }
+        let (nodes, ppn, msg, world) = (job.nodes, job.ppn, job.msg_size as u64, job.world_size());
+        let measured = self.tables.get(&collective).and_then(|t| {
+            let nearest = || Some(applicable_or_fallback(t.nearest(nodes, ppn, msg)?, world));
+            t.get(nodes, ppn, msg).or_else(nearest)
+        });
+        // No measurements for this collective at all: behave like the
+        // library default rather than dying mid-benchmark.
+        measured.unwrap_or_else(|| MvapichDefault.select(collective, job))
     }
 }
 

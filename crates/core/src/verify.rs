@@ -28,6 +28,7 @@
 //! route through this module, so corrupt inputs degrade into errors (or
 //! skip-warnings) instead of indexing out of bounds mid-collective.
 
+use crate::error::PmlError;
 use crate::features::N_FEATURES;
 use crate::pipeline::PretrainedModel;
 use crate::selectors::{applicable_or_fallback, AlgorithmSelector, JobConfig, MvapichDefault};
@@ -333,6 +334,33 @@ pub fn verify_table_json(s: &str) -> Result<TuningTable, VerifyErrorKind> {
         serde_json::from_str(s).map_err(|e| VerifyErrorKind::Malformed(e.to_string()))?;
     verify_table(&table)?;
     Ok(table)
+}
+
+/// Every `*.json` file of `dir` that `verify` accepts, and a `skipping
+/// {what} {path}: {why}` warning for each it could not read or `verify`
+/// turned down: a damaged artifact costs that artifact, and only an
+/// unreadable `dir` is an error.
+pub fn load_verified_dir<T>(
+    dir: &Path,
+    what: &str,
+    verify: impl Fn(&str) -> Result<T, VerifyErrorKind>,
+) -> Result<(Vec<T>, Vec<String>), PmlError> {
+    let io_err = |source| PmlError::Io {
+        path: dir.to_path_buf(),
+        source,
+    };
+    let (mut loaded, mut warnings) = (Vec::new(), Vec::new());
+    for entry in std::fs::read_dir(dir).map_err(io_err)? {
+        let path = entry.map_err(io_err)?.path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("read failed: {e}"));
+            match text.and_then(|text| verify(&text).map_err(|e| e.to_string())) {
+                Ok(artifact) => loaded.push(artifact),
+                Err(e) => warnings.push(format!("skipping {what} {}: {e}", path.display())),
+            }
+        }
+    }
+    Ok((loaded, warnings))
 }
 
 /// Sniff the artifact kind from the document's top-level keys and run the

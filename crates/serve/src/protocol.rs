@@ -22,7 +22,7 @@
 //! {"v":"pml-serve/v1","id":6,"op":"shutdown"}
 //! ```
 //!
-//! `select` answers from the pre-computed tuning tables (memoized, the
+//! `select` answers from the pre-computed tuning tables (the indexed,
 //! constant-time path); `predict` runs the pre-trained forest through the
 //! request batcher for job shapes no table covers. `watch` streams
 //! periodic live-observability snapshots (windowed stage latencies, SLO
@@ -103,7 +103,7 @@ pub struct Request {
 /// The operations `pml-serve/v1` defines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
-    /// Tuning-table lookup (memoized constant-time path).
+    /// Tuning-table lookup (indexed constant-time path).
     Select {
         collective: Collective,
         job: JobConfig,

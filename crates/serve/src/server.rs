@@ -3,7 +3,7 @@
 //! One process loads the tuning tables and pre-trained models once, then
 //! any number of clients connect over a Unix domain socket and speak
 //! [`crate::protocol`]. Every connection gets a thread; all threads share
-//! one [`Tuner`] (`select`, the memoized constant-time path) and one
+//! one [`Tuner`] (`select`, the indexed table lookup) and one
 //! [`Batcher`] (`predict`, batched forest inference). Shutdown is
 //! cooperative: SIGTERM/SIGINT (via [`crate::signal`]) or a `shutdown`
 //! frame flips a flag, the accept loop stops, connection threads drain and
@@ -44,7 +44,7 @@ use std::time::Duration;
 static REQUESTS: Counter = Counter::new("serve.requests");
 static ERRORS: Counter = Counter::new("serve.errors");
 static CONNECTIONS: Counter = Counter::new("serve.connections");
-/// Daemon-side handling latency of the memoized `select` path.
+/// Daemon-side handling latency of the `select` path.
 static SELECT_LATENCY: Histogram = Histogram::new("serve.select.latency_ns", &LATENCY_NS_BOUNDS);
 /// Daemon-side handling latency of the batched `predict` path.
 static PREDICT_LATENCY: Histogram = Histogram::new("serve.predict.latency_ns", &LATENCY_NS_BOUNDS);
@@ -143,25 +143,10 @@ pub fn load_artifacts(dir: &Path) -> Result<LoadedArtifacts, ServeError> {
     let mut models = BTreeMap::new();
     let models_dir = dir.join("models");
     if models_dir.is_dir() {
-        let io_err = |e: std::io::Error, path: &Path| ServeError::Io {
-            path: path.to_path_buf(),
-            source: e,
-        };
-        for entry in std::fs::read_dir(&models_dir).map_err(|e| io_err(e, &models_dir))? {
-            let path = entry.map_err(|e| io_err(e, &models_dir))?.path();
-            if path.extension().is_none_or(|e| e != "json") {
-                continue;
-            }
-            let model = std::fs::read_to_string(&path)
-                .map_err(|e| format!("read failed: {e}"))
-                .and_then(|text| pml_core::verify_model_json(&text).map_err(|e| e.to_string()));
-            match model {
-                Ok(model) => {
-                    models.insert(model.collective, Arc::new(model));
-                }
-                Err(e) => warnings.push(format!("skipping model {}: {e}", path.display())),
-            }
-        }
+        let (loaded, skipped) =
+            pml_core::load_verified_dir(&models_dir, "model", pml_core::verify_model_json)?;
+        models.extend(loaded.into_iter().map(|m| (m.collective, Arc::new(m))));
+        warnings.extend(skipped);
     }
     Ok(LoadedArtifacts {
         tuner,
@@ -760,7 +745,6 @@ fn watch_fields(shared: &Shared) -> Vec<(String, Value)> {
 }
 
 fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
-    let (hits, misses) = shared.tuner.stats();
     let (requests, errors) = shared.counts.get();
     let names = |cs: &[Collective]| {
         Value::Array(
@@ -772,12 +756,6 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
     vec![
         ("requests".to_string(), Value::UInt(requests)),
         ("errors".to_string(), Value::UInt(errors)),
-        ("cache_hits".to_string(), Value::UInt(hits)),
-        ("cache_misses".to_string(), Value::UInt(misses)),
-        (
-            "cached_decisions".to_string(),
-            Value::UInt(shared.tuner.cached_decisions() as u64),
-        ),
         ("tables".to_string(), names(&shared.tuner.covered())),
         ("models".to_string(), names(&shared.model_coverage)),
         (
@@ -941,6 +919,15 @@ mod tests {
         assert!(shared.shutdown.load(Ordering::SeqCst));
         let v: Value = serde_json::from_str(&reply).unwrap();
         assert_eq!(obj_get(&v, "ok").and_then(Value::as_bool), Some(true));
+    }
+
+    /// All of a `stats` reply past the envelope, in the order sent.
+    #[test]
+    fn stats_reply_has_exactly_these_fields() {
+        let fields = stats_fields(&test_shared());
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| &**k).collect();
+        let want = "requests errors tables models trace_requests slow_captured";
+        assert_eq!(keys.join(" "), want);
     }
 
     #[test]

@@ -167,8 +167,6 @@ impl LintConfig {
                 // The metrics registry (counters, gauges, histograms) and
                 // the span-id/tick counters around it.
                 "crates/obs/src/".into(),
-                // Tuner memo hit/miss counters, read after threads join.
-                "crates/core/src/tuner.rs".into(),
                 // The serve daemon's request/error/slow-capture counts and
                 // the request ids drawn from them: read by `stats`/`watch`.
                 "crates/serve/src/reqtrace.rs".into(),

@@ -93,6 +93,8 @@ expect "unknown op"            '"kind":"op"'         "${r[5]}"
 expect "unknown op echoes id"  '"id":6'              "${r[5]}"
 expect "stats after errors"    '"ok":true'           "${r[6]}"
 expect "stats counts requests" '"requests":'         "${r[6]}"
+expect "stats lists tables"    '"tables":'           "${r[6]}"
+expect "stats lists models"    '"models":'           "${r[6]}"
 
 echo "==> loadgen burst"
 "$bin" loadgen --socket "$sock" --requests 2000 --threads 4 \

@@ -942,17 +942,16 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
     let table = engine.tuning_table(cluster, coll)?;
 
     // Exercise the runtime path too: probe the fresh table on-grid (exact
-    // cell), repeated (memo hit), off-grid (nearest bucket), and at an odd
-    // shape, so the tuner counters and the fallback-depth histogram fill.
+    // cell, twice), off-grid (nearest bucket), and at an odd shape, so the
+    // fallback-depth histogram fills.
     let tuner = Tuner::new([table.clone()]);
+    let mut depths: BTreeMap<pml_mpi::FallbackDepth, usize> = BTreeMap::new();
     for &(nodes, ppn, msg) in &[(2u32, 4u32, 64usize), (2, 4, 64), (2, 4, 100), (3, 5, 777)] {
-        tuner.select(coll, JobConfig::new(nodes, ppn, msg));
+        let (_, depth) = tuner.select_traced(coll, JobConfig::new(nodes, ppn, msg));
+        *depths.entry(depth).or_default() += 1;
     }
-    let (hits, misses) = tuner.stats();
-    println!(
-        "{cluster} {coll}: {} table cells; tuner memo {hits} hit(s) / {misses} miss(es)",
-        table.len()
-    );
+    let cells = table.len();
+    println!("{cluster} {coll}: {cells} table cells; probes by fallback depth: {depths:?}");
 
     // Events the pipeline emitted (cache recoveries and the like) — the
     // structured view behind `SelectionEngine::warnings()`.

@@ -4,7 +4,7 @@
 
 mod common;
 
-use pml_mpi::{Collective, TuningTable};
+use pml_mpi::{core::TableIndex, Collective, TuningTable};
 
 #[test]
 fn json_round_trip_is_lossless() {
@@ -26,13 +26,14 @@ fn nearest_bucket_lookup_is_total() {
         .tuning_table("Haswell", Collective::Alltoall)
         .expect("table generates")
         .clone();
+    let index = TableIndex::new(table.entries());
     // Every query — on-grid, off-grid, absurdly large — must resolve to an
     // algorithm of the right collective that supports the queried world.
     for nodes in [1u32, 2, 3, 4, 7, 16, 100] {
         for ppn in [1u32, 2, 5, 8, 56, 200] {
             for msg in [1u64, 17, 1024, 65536, 1 << 22, 1 << 30] {
-                let algo = table
-                    .lookup(nodes, ppn, msg)
+                let algo = index
+                    .nearest(nodes, ppn, msg)
                     .expect("non-empty table answers every query");
                 assert_eq!(algo.collective(), Collective::Alltoall);
             }
@@ -41,7 +42,7 @@ fn nearest_bucket_lookup_is_total() {
     // Exact grid points must return their own entry, not a neighbour.
     for e in table.entries() {
         assert_eq!(
-            table.lookup(e.nodes, e.ppn, e.msg_size),
+            index.nearest(e.nodes, e.ppn, e.msg_size),
             Some(e.algorithm),
             "grid point ({}, {}, {}) resolved elsewhere",
             e.nodes,
@@ -54,7 +55,7 @@ fn nearest_bucket_lookup_is_total() {
 #[test]
 fn empty_table_is_the_only_none() {
     let table = TuningTable::new("Nowhere", Collective::Bcast);
-    assert_eq!(table.lookup(4, 8, 1024), None);
+    assert_eq!(TableIndex::new(table.entries()).nearest(4, 8, 1024), None);
 }
 
 #[test]
