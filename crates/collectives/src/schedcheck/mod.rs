@@ -25,12 +25,13 @@
 //!    multiset equality proves every rank's contribution is reduced
 //!    exactly once).
 //!
-//! Where [`crate::verify`] moves real bytes through the interpreter,
-//! this module answers in microseconds from the IR alone — the admission
-//! gate schedule *synthesis* (ROADMAP item 3) runs before paying for
-//! threaded execution, and a second, independent proof for every named
-//! algorithm the registry ships (`pml-mpi verify --schedules` sweeps the
-//! full grid in CI).
+//! It answers from the IR alone, without moving a byte — the admission
+//! gate a schedule synthesizer would run before simulating a candidate,
+//! and the proof for every named algorithm the registry ships
+//! (`pml-mpi verify --schedules` sweeps the full grid in CI). Its tests
+//! hold it to the crate's test-only byte oracle (`verify` over the
+//! interpreter): on the standard grid and on mutated schedules, a static
+//! pass implies an oracle pass.
 
 mod analyze;
 mod domain;
@@ -412,9 +413,9 @@ pub(crate) fn structural(s: &CommSchedule) -> Result<(), SchedError> {
 }
 
 /// Statically verify `schedule` against `spec`. `Ok(())` is a proof (up
-/// to the analyzer's own correctness) that every execution the three
-/// executors can produce terminates and leaves every rank's Work buffer
-/// exactly as the collective's specification demands.
+/// to the analyzer's own correctness) that every execution the step
+/// semantics allow terminates and leaves every rank's Work buffer exactly
+/// as the collective's specification demands.
 pub fn check_schedule(schedule: &CommSchedule, spec: &Spec) -> Result<(), SchedError> {
     structural(schedule)?;
     spec.check_shape(schedule)?;
@@ -463,6 +464,9 @@ pub fn sweep_grid(max_world: u32, sizes: &[usize]) -> Vec<(Algorithm, u32, usize
 mod tests {
     use super::*;
     use crate::schedule::ScheduleBuilder;
+    use crate::verify::{
+        check_allgather, check_allreduce, check_alltoall, check_bcast, VerifyError,
+    };
 
     /// The canonical two-rank allgather exchange from schedule.rs's tests.
     fn two_rank_allgather(b: usize) -> CommSchedule {
@@ -575,5 +579,128 @@ mod tests {
         for m in &msgs {
             assert!(m.contains("rank 1 step 2"), "{m}");
         }
+    }
+
+    /// The byte oracle's verdict on `sch` as an implementation of `c`.
+    fn oracle(sch: &CommSchedule, c: Collective, size: usize) -> Result<(), VerifyError> {
+        match c {
+            Collective::Allgather => check_allgather(sch, size),
+            Collective::Alltoall => check_alltoall(sch, size),
+            Collective::Bcast => check_bcast(sch, size),
+            Collective::Allreduce => check_allreduce(sch, size),
+        }
+    }
+
+    #[test]
+    fn every_registered_algorithm_passes_both_verifiers() {
+        let grid = sweep_grid(12, &[16, 21]);
+        assert!(grid.len() > 100, "grid unexpectedly small: {}", grid.len());
+        for (algo, p, size) in grid {
+            let st = check_algorithm(algo, p, size);
+            assert!(st.is_ok(), "static {algo:?} p={p} size={size}: {st:?}");
+            let sch = algo.schedule(p, size).unwrap();
+            let dy = oracle(&sch, algo.collective(), size);
+            assert!(dy.is_ok(), "oracle {algo:?} p={p} size={size}: {dy:?}");
+        }
+    }
+
+    /// Generic schedule mutations applicable to any algorithm's output.
+    /// Each returns false if the schedule has no site for the mutation.
+    fn drop_last_recv(sch: &mut CommSchedule) -> bool {
+        for prog in sch.ranks.iter_mut().rev() {
+            for step in prog.iter_mut().rev() {
+                if let Some(i) = step
+                    .ops
+                    .iter()
+                    .rposition(|op| matches!(op, Op::Recv { .. }))
+                {
+                    step.ops.remove(i);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// The first op (in rank, step, op order) for which `mutate` reports a
+    /// change.
+    fn mutate_first(sch: &mut CommSchedule, mutate: impl Fn(&mut Op) -> bool) -> bool {
+        sch.ranks
+            .iter_mut()
+            .flat_map(|prog| prog.iter_mut())
+            .flat_map(|step| step.ops.iter_mut())
+            .any(mutate)
+    }
+
+    fn shrink_first_recv(sch: &mut CommSchedule) -> bool {
+        mutate_first(sch, |op| match op {
+            Op::Recv { region, .. } if region.len > 1 => {
+                region.len -= 1;
+                true
+            }
+            _ => false,
+        })
+    }
+
+    fn retarget_first_combine(sch: &mut CommSchedule) -> bool {
+        let work_len = sch.work_len;
+        mutate_first(sch, |op| match op {
+            Op::Combine { dst, .. } if dst.len > 0 && dst.len < work_len => {
+                dst.offset = (dst.offset + dst.len) % work_len;
+                true
+            }
+            _ => false,
+        })
+    }
+
+    fn zero_first_send_tag(sch: &mut CommSchedule) -> bool {
+        mutate_first(sch, |op| match op {
+            Op::Send { tag, .. } if *tag != 0 => {
+                *tag = 0;
+                true
+            }
+            _ => false,
+        })
+    }
+
+    #[test]
+    fn static_pass_implies_oracle_pass_on_mutants() {
+        type Mutation = (&'static str, fn(&mut CommSchedule) -> bool);
+        let mutations: [Mutation; 4] = [
+            ("drop_last_recv", drop_last_recv),
+            ("shrink_first_recv", shrink_first_recv),
+            ("retarget_first_combine", retarget_first_combine),
+            ("zero_first_send_tag", zero_first_send_tag),
+        ];
+        let mut applied = 0usize;
+        let mut caught_static = 0usize;
+        for (algo, p, size) in sweep_grid(8, &[16]) {
+            let spec = Spec::for_collective(algo.collective(), size);
+            for (name, mutate) in &mutations {
+                let mut sch = algo.schedule(p, size).unwrap();
+                if !mutate(&mut sch) {
+                    continue;
+                }
+                applied += 1;
+                if check_schedule(&sch, &spec).is_err() {
+                    caught_static += 1;
+                    continue;
+                }
+                // Soundness direction: schedcheck accepted the mutant, so
+                // the execution must be indistinguishable from correct.
+                let dy = oracle(&sch, algo.collective(), size);
+                assert!(
+                    dy.is_ok(),
+                    "{name} on {algo:?} p={p} size={size}: static passed but oracle failed: {dy:?}"
+                );
+            }
+        }
+        assert!(applied > 50, "too few mutants applied: {applied}");
+        // Dropping a receive always strands its send; at minimum those must
+        // all be caught statically, so the static catch rate can't be tiny.
+        assert!(
+            caught_static * 4 >= applied,
+            "static analyzer caught only {caught_static}/{applied} mutants"
+        );
     }
 }

@@ -3,18 +3,17 @@
 //! Every collective algorithm in this crate is expressed as a
 //! [`CommSchedule`]: for each rank, an ordered list of [`Step`]s, each
 //! containing local copies, sends, and receives. The same schedule is then
-//! read by three executors and two static analyses:
+//! read by one simulator, two static analyses and, in the crate's tests,
+//! one byte oracle:
 //!
-//! * the sequential interpreter ([`crate::exec::interp`]) — moves real bytes,
-//!   used to prove algorithm correctness;
-//! * the threaded executor ([`crate::exec::threaded`]) — one OS thread per
-//!   rank over crossbeam channels, real parallel execution;
 //! * the virtual-time executor ([`crate::exec::sim`]) — charges each
 //!   operation against a [`pml_simnet::CostModel`] to produce the modelled
 //!   runtime the ML dataset is built from;
 //! * [`crate::schedcheck`] (dataflow proof) and [`crate::schedcost`] (cost
 //!   polynomial), which share one send/receive matcher with the
-//!   virtual-time executor and with [`CommSchedule::validate`].
+//!   virtual-time executor and with [`CommSchedule::validate`];
+//! * the test-only sequential interpreter, which moves real bytes and is
+//!   the reference every algorithm's tests compare against.
 //!
 //! ## Step semantics
 //!

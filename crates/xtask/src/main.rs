@@ -6,7 +6,6 @@
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
 //! cargo xtask verify-costs              # static cost polynomials vs simnet + pinned rankings
-//! cargo xtask tsan [filter]             # ThreadSanitizer lane (nightly) on the threaded executor
 //! cargo xtask miri [filter]             # Miri lane (nightly) on mlcore + collectives unit tests
 //! ```
 
@@ -27,10 +26,9 @@ fn main() -> ExitCode {
         "verify-artifacts" => cmd_verify_artifacts(rest),
         "verify-schedules" => cmd_verify_schedules(rest),
         "verify-costs" => cmd_verify_costs(rest),
-        "tsan" => cmd_tsan(rest),
         "miri" => cmd_miri(rest),
         "help" | "--help" | "-h" => {
-            eprintln!("usage: cargo xtask [lint [--list] | verify-artifacts | verify-schedules | verify-costs | tsan [filter] | miri [filter]]");
+            eprintln!("usage: cargo xtask [lint [--list] | verify-artifacts | verify-schedules | verify-costs | miri [filter]]");
             Ok(())
         }
         other => Err(format!(
@@ -229,34 +227,6 @@ fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// ThreadSanitizer lane: the threaded executor's test suite under
-/// `-Zsanitizer=thread`. Needs the nightly toolchain + rust-src (sanitizers
-/// instrument std, so the target is rebuilt with `-Zbuild-std`).
-fn cmd_tsan(args: &[String]) -> Result<(), String> {
-    let root = find_root()?;
-    require_nightly_component("rust-src", "tsan")?;
-    let filter = args.first().map(String::as_str).unwrap_or("threaded");
-    let target = host_target()?;
-    let mut c = Command::new("cargo");
-    c.current_dir(&root)
-        .env("RUSTFLAGS", "-Zsanitizer=thread")
-        // TSan intercepts at libc level; keep one test thread so rank
-        // threads are the only concurrency under test.
-        .env("RUST_TEST_THREADS", "1")
-        .args([
-            "+nightly",
-            "test",
-            "-p",
-            "pml-collectives",
-            "-Zbuild-std",
-            "--target",
-            &target,
-            "--",
-            filter,
-        ]);
-    run(c, "tsan lane")
-}
-
 /// Miri lane: interpreter-checked unit tests for the ML core and the
 /// collectives crate (UB, leaks, and — with weak-memory emulation —
 /// some data-race classes the type system can't rule out in unsafe deps).
@@ -299,18 +269,6 @@ fn require_nightly_component(component: &str, lane: &str) -> Result<(), String> 
          (rustup component add --toolchain nightly {component}); \
          it is not installed here — this lane normally runs in CI"
     ))
-}
-
-fn host_target() -> Result<String, String> {
-    let out = Command::new("rustc")
-        .args(["-vV"])
-        .output()
-        .map_err(|e| format!("running rustc -vV: {e}"))?;
-    let text = String::from_utf8_lossy(&out.stdout);
-    text.lines()
-        .find_map(|l| l.strip_prefix("host: "))
-        .map(str::to_string)
-        .ok_or_else(|| "rustc -vV did not report a host target".into())
 }
 
 fn run(mut c: Command, what: &str) -> Result<(), String> {

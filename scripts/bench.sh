@@ -22,12 +22,25 @@ record() {
     done
     printf '}}\n'
 }
-[[ "${BASH_SOURCE[0]}" == "$0" ]] || return 0 # sourced: tests/bench_history.rs calls record
 
-rev=$(git rev-parse --short HEAD)
-git diff --quiet HEAD || rev+=+
-cpu=$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | tr -d '"\\' | xargs)
-machine="{\"cpu\":\"$cpu\",\"nproc\":$(nproc),\"kernel\":\"$(uname -r)\"}"
+# This checkout's short rev, `+` if it has uncommitted changes.
+checkout_rev() {
+    local rev
+    rev=$(git rev-parse --short HEAD)
+    git diff --quiet HEAD || rev+=+
+    echo "$rev"
+}
+
+# The `machine` object of a history line.
+machine_json() {
+    local cpu
+    cpu=$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | tr -d '"\\' | xargs)
+    printf '{"cpu":"%s","nproc":%d,"kernel":"%s"}' "$cpu" "$(nproc)" "$(uname -r)"
+}
+[[ "${BASH_SOURCE[0]}" == "$0" ]] || return 0 # sourced: by scripts/ab.sh and tests/bench_history.rs
+
+rev=$(checkout_rev)
+machine=$(machine_json)
 (cd benchmark && cargo build --release --offline --quiet)
 lines=()
 for w in "${workloads[@]}"; do

@@ -11,8 +11,7 @@
 # (.github/workflows/ci.yml) runs exactly this script, so a clean local run
 # means a green check.
 #
-# Nightly-only dynamic-analysis lanes are separate (see the workflow):
-#   cargo xtask tsan    # ThreadSanitizer on the threaded executor
+# The nightly-only dynamic-analysis lane is separate (see the workflow):
 #   cargo xtask miri    # Miri on mlcore + collectives unit tests
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -314,6 +314,9 @@ impl Opts {
                     None => (name, None),
                 };
                 if switches.contains(&name) {
+                    if inline.is_some() {
+                        return Err(format!("--{name} takes no value"));
+                    }
                     flags.insert(name.to_string(), String::new());
                 } else if known.contains(&name) {
                     let v = match inline {
@@ -1534,5 +1537,19 @@ mod tests {
         assert_eq!(timed_throughput(8, &[a, b]), (4.0, 2.0));
         assert_eq!(timed_throughput(8, &[b, a]), (4.0, 2.0));
         assert_eq!(timed_throughput(8, &[a]), (2.0, 4.0));
+    }
+
+    /// `--no-cache=0` must not read as the bare switch (which would turn
+    /// the cache *off*): a switch given a value is an error.
+    #[test]
+    fn switch_given_a_value_is_an_error() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for bad in ["--no-cache=0", "--no-cache=false", "--no-cache="] {
+            let err = Opts::parse(&args(&[bad]), &["out"], &["no-cache"]).err();
+            assert_eq!(err.as_deref(), Some("--no-cache takes no value"), "{bad}");
+        }
+        let ok = Opts::parse(&args(&["--no-cache", "--out=x"]), &["out"], &["no-cache"]).unwrap();
+        assert!(ok.has("no-cache"));
+        assert_eq!(ok.get("out"), Some("x"));
     }
 }

@@ -1,7 +1,10 @@
-//! `BENCH_history.jsonl` holds what `BENCHMARK.json` declares: every line
-//! `scripts/bench.sh` assembles — and every line already committed — is one
-//! JSON object carrying each declared workload with the seven declared
-//! end-to-end metrics and a per-layer ledger.
+//! `BENCH_history.jsonl` holds what `BENCHMARK.json` declares, in two
+//! record kinds. Every line `scripts/bench.sh` assembles is one JSON object
+//! carrying each declared workload with the seven declared end-to-end
+//! metrics and a per-layer ledger; every line `scripts/ab.sh` assembles
+//! (`"kind":"ab"`) carries, per workload it ran, each declared end-to-end
+//! metric's parent and change medians and the change's wins. Every line
+//! already committed is one of the two.
 
 use serde_json::JsonValue;
 use std::path::Path;
@@ -35,10 +38,15 @@ fn declared(section: &str) -> Vec<String> {
     items.iter().map(name).collect()
 }
 
-/// One history line against the contract: every declared workload, each
-/// with the declared end-to-end metrics and the `layers` ledger rows.
+/// One history line against the contract: a paired line (see
+/// [`check_ab_line`]) or a single run's, which carries every declared
+/// workload, each with the declared end-to-end metrics and the `layers`
+/// ledger rows.
 fn check_line(line: &str, layers: &[String]) {
     let rec: JsonValue = serde_json::from_str(line).expect("a history line is one JSON value");
+    if keys(&rec).first() == Some(&"kind") {
+        return check_ab_line(&rec);
+    }
     assert_eq!(keys(&rec), ["rev", "date", "machine", "workloads"]);
     assert_eq!(keys(get(&rec, "machine")), ["cpu", "nproc", "kernel"]);
     let workloads = get(&rec, "workloads");
@@ -49,6 +57,102 @@ fn check_line(line: &str, layers: &[String]) {
         assert_eq!(keys(get(w, "end_to_end")), declared("end_to_end"));
         assert_eq!(keys(get(w, "per_layer")), layers, "{name}");
     }
+}
+
+/// A paired line: both revs, the pair count, and for each workload it ran
+/// (declared ones, in declared order) every declared end-to-end metric's
+/// two medians and wins, the failed ops and whether the digests agreed.
+fn check_ab_line(rec: &JsonValue) {
+    let fields = [
+        "kind",
+        "parent",
+        "change",
+        "date",
+        "machine",
+        "pairs",
+        "workloads",
+    ];
+    assert_eq!(keys(rec), fields);
+    assert_eq!(get(rec, "kind").as_str(), Some("ab"));
+    assert_eq!(keys(get(rec, "machine")), ["cpu", "nproc", "kernel"]);
+    let pairs = get(rec, "pairs").as_u64().expect("a pair count");
+    let ran = keys(get(rec, "workloads"));
+    let declared_workloads = declared("workloads");
+    assert!(!ran.is_empty());
+    assert!(ran.windows(2).all(|w| {
+        let at = |n| declared_workloads.iter().position(|d| d == n);
+        at(w[0]) < at(w[1])
+    }));
+    for name in ran {
+        assert!(declared_workloads.iter().any(|d| d == name), "{name}");
+        let w = get(get(rec, "workloads"), name);
+        assert_eq!(keys(w), ["end_to_end", "failed", "fnv_equal"], "{name}");
+        assert!(get(w, "failed").as_u64().is_some() && get(w, "fnv_equal").as_bool().is_some());
+        let e2e = get(w, "end_to_end");
+        assert_eq!(keys(e2e), declared("end_to_end"), "{name}");
+        for metric in declared("end_to_end") {
+            let m = get(e2e, &metric);
+            assert_eq!(keys(m), ["parent", "change", "wins"], "{name} {metric}");
+            assert!(get(m, "parent").as_f64().is_some() && get(m, "change").as_f64().is_some());
+            assert!(get(m, "wins").as_u64().is_some_and(|w| w <= pairs));
+        }
+    }
+}
+
+#[test]
+fn ab_sh_assembles_one_paired_line_matching_the_contract() {
+    // Three pairs of every workload: the quality metrics read 1 in every
+    // run, the timings 10, 11, 12 — except `op_p50_ms` reading 9, 12, 8 on
+    // the change side (two wins, lower being better, and a median of 9).
+    let mut readings = String::new();
+    for w in declared("workloads") {
+        for side in ["parent", "change"] {
+            for (i, (p, c)) in [(10, 9), (11, 12), (12, 8)].into_iter().enumerate() {
+                let i = i + 1;
+                readings += &format!("{w} {side} {i} failed 0\n{w} {side} {i} fnv ab12,cd34\n");
+                for m in declared("end_to_end") {
+                    let v = match m.as_str() {
+                        "top1_acc" | "mean_slowdown" => 1,
+                        "op_p50_ms" if side == "change" => c,
+                        _ => p,
+                    };
+                    readings += &format!("{w} {side} {i} {m} {v}\n");
+                }
+            }
+        }
+    }
+    let record = std::env::temp_dir().join(format!("ab_record_{}.jsonl", std::process::id()));
+    let machine = r#"{"cpu":"Some CPU @ 2.20GHz","nproc":2,"kernel":"6.1.0"}"#;
+    let mut child = Command::new("bash")
+        .current_dir(std::env::temp_dir())
+        .arg("-c")
+        .arg(r#"source "$1" && summarize 3 "$2" abc1234 def5678+ 2026-01-01T00:00:00Z "$3""#)
+        .arg("bench_history")
+        .arg(root().join("scripts/ab.sh"))
+        .arg(&record)
+        .arg(machine)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("bash runs");
+    use std::io::Write;
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(readings.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&record).expect("summarize writes the record");
+    std::fs::remove_file(&record).ok();
+    assert_eq!(text.matches('\n').count(), 1, "one line: {text}");
+    check_line(&text, &[]);
+    assert!(text.starts_with(
+        r#"{"kind":"ab","parent":"abc1234","change":"def5678+","date":"2026-01-01T00:00:00Z","machine":{"cpu":"Some CPU @ 2.20GHz","nproc":2,"kernel":"6.1.0"},"pairs":3,"workloads":{"pretrain":{"end_to_end":{"setup_s":{"parent":11,"change":11,"wins":0},"#
+    ));
+    assert!(text.contains(r#""op_p50_ms":{"parent":11,"change":9,"wins":2}"#));
+    assert!(text.ends_with("},\"failed\":0,\"fnv_equal\":true}}}\n"));
 }
 
 #[test]

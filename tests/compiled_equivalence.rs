@@ -72,6 +72,30 @@ fn compiled_matches_exact_across_seeds_and_depths() {
     }
 }
 
+/// Batch predictions are the same bits at any worker count. Each worker
+/// reuses one compiled-block scratch across the blocks it happens to pull,
+/// so 1, 2, 3 and 8 workers over ten 64-row blocks hand every scratch a
+/// different mix of blocks; a block that reads what the previous one left
+/// behind disagrees here.
+#[test]
+fn batch_predictions_are_identical_at_any_thread_count() {
+    let (f, _) = fitted(31, Some(MAX_UNROLLED_DEPTH + 1));
+    let (queries, _) = synthetic(630, 0x5eed);
+    let predict = || {
+        let mut proba = Matrix::zeros(queries.rows(), f.n_classes());
+        f.predict_proba_batch_into(&queries, &mut proba);
+        let bits: Vec<u64> = proba.as_slice().iter().map(|p| p.to_bits()).collect();
+        (f.predict_batch(&queries), bits)
+    };
+    let serial = rayon::with_threads(1, predict);
+    for n in [2, 3, 8] {
+        assert!(
+            rayon::with_threads(n, predict) == serial,
+            "{n} worker threads predict differently from one"
+        );
+    }
+}
+
 /// Rows placed *exactly* on split thresholds — the `>` vs `>=` knife edge
 /// where a binning off-by-one would flip the routing — still agree.
 #[test]
