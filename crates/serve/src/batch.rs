@@ -10,12 +10,16 @@
 //! whatever else is already queued (up to the batch cap), groups the batch
 //! by (collective, cluster), and runs one batched inference per group. It
 //! never waits for more — the queue fills while the worker predicts, so
-//! concurrent submitters coalesce and a lone one is answered at once.
+//! concurrent submitters coalesce and a lone one is answered at once. One
+//! connection's pipelined `predict`s coalesce as well: it enqueues every
+//! one it has read before it waits for any answer (see [`crate::server`]),
+//! so a burst that arrived in one read is answered by one flush.
 //!
-//! Only answerable work is queued: [`Batcher::submit`] resolves the model
-//! and the cluster first, so either one missing is a typed `unsupported`
-//! error at once. A full queue is a typed `overload` error, also at once —
-//! the client sees `{"error":{"kind":"overload"}}` and can back off.
+//! Only answerable work is queued: [`Batcher::submit`] and its
+//! non-blocking half resolve the model and the cluster first, so either
+//! one missing is a typed `unsupported` error at once. A full queue is a
+//! typed `overload` error, also at once — the client sees
+//! `{"error":{"kind":"overload"}}` and can back off.
 
 use crate::protocol::{collective_wire_name, ErrorKind, ProtoError};
 use crate::reqtrace::{STAGE_BATCH_ASSEMBLY, STAGE_PREDICT, STAGE_QUEUE_WAIT};
@@ -56,15 +60,16 @@ impl Default for BatchConfig {
 /// was built without a trace clock).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchTiming {
-    /// Submit → the worker dequeued the item.
+    /// Queued → the worker dequeued the item.
     pub queue_wait_ns: u64,
     /// Dequeue → the queue was drained and flushing began.
     pub batch_assembly_ns: u64,
-    /// The batched forest inference for the item's group.
+    /// An equal share of the batched forest inference of the item's group.
     pub predict_ns: u64,
 }
 
-type Answer = Result<(Algorithm, BatchTiming), ProtoError>;
+/// What comes back on an enqueued lookup's channel.
+pub(crate) type Answer = Result<(Algorithm, BatchTiming), ProtoError>;
 
 /// One queued lookup plus the channel its answer goes back on.
 struct WorkItem {
@@ -72,7 +77,7 @@ struct WorkItem {
     entry: &'static ClusterEntry,
     collective: Collective,
     job: JobConfig,
-    /// Clock reading at submit (0 when tracing is off).
+    /// Clock reading when it was queued (0 when tracing is off).
     enqueued_ns: u64,
     reply: mpsc::Sender<Answer>,
 }
@@ -84,6 +89,9 @@ pub struct Batcher {
     models: BTreeMap<Collective, Arc<PretrainedModel>>,
     tx: Option<mpsc::SyncSender<WorkItem>>,
     worker: Option<JoinHandle<()>>,
+    /// `BatchConfig::max_batch`, which connections also cap their
+    /// in-flight `predict`s at.
+    max_batch: usize,
     /// When set, stage timings are measured and recorded into the
     /// windowed stage histograms; `None` keeps the batcher clock-free.
     trace: Option<Arc<dyn Clock>>,
@@ -101,13 +109,20 @@ impl Batcher {
     ) -> Batcher {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
         let clock = trace.clone();
-        let worker = std::thread::spawn(move || work(&rx, cfg.max_batch, clock.as_deref()));
+        let max_batch = cfg.max_batch;
+        let worker = std::thread::spawn(move || work(&rx, max_batch, clock.as_deref()));
         Batcher {
             models,
             tx: Some(tx),
             worker: Some(worker),
+            max_batch,
             trace,
         }
+    }
+
+    /// The most items one flush takes, as configured.
+    pub(crate) fn max_batch(&self) -> usize {
+        self.max_batch
     }
 
     /// Enqueue one lookup and wait for its batched answer plus the stage
@@ -126,7 +141,7 @@ impl Batcher {
 
     /// The non-blocking half of [`Batcher::submit`]: validate, queue, and
     /// hand back the channel the answer will arrive on.
-    fn enqueue(
+    pub(crate) fn enqueue(
         &self,
         cluster: &str,
         collective: Collective,
@@ -161,7 +176,8 @@ impl Batcher {
     }
 }
 
-fn worker_gone() -> ProtoError {
+/// The answer to a lookup whose worker exited before answering.
+pub(crate) fn worker_gone() -> ProtoError {
     ProtoError::new(ErrorKind::Internal, "batch worker is gone")
 }
 
@@ -169,18 +185,29 @@ fn worker_gone() -> ProtoError {
 /// queued, flush — waiting for more is never worth a lone request's time.
 /// Returns when every sender (the Batcher) is gone.
 fn work(rx: &mpsc::Receiver<WorkItem>, max_batch: usize, clock: Option<&dyn Clock>) {
+    while let Ok(first) = rx.recv() {
+        drain(first, rx, max_batch, clock);
+    }
+}
+
+/// Flush `first` together with what is already queued behind it, up to
+/// `max_batch` items.
+fn drain(
+    first: WorkItem,
+    rx: &mpsc::Receiver<WorkItem>,
+    max_batch: usize,
+    clock: Option<&dyn Clock>,
+) {
     // Each item is paired with the clock reading at dequeue time.
     let stamp = |item| (item, clock.map_or(0, |c| c.now_nanos()));
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![stamp(first)];
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(item) => batch.push(stamp(item)),
-                Err(_) => break, // queue empty or senders gone
-            }
+    let mut batch = vec![stamp(first)];
+    while batch.len() < max_batch {
+        match rx.try_recv() {
+            Ok(item) => batch.push(stamp(item)),
+            Err(_) => break, // queue empty or senders gone
         }
-        flush(batch, clock);
     }
+    flush(batch, clock);
 }
 
 impl Drop for Batcher {
@@ -197,6 +224,8 @@ impl Drop for Batcher {
 /// Answer one collected batch: group by (collective, cluster), one
 /// [`PretrainedModel::predict_batch`] call per group. Send failures are
 /// ignored — a disconnected client just stops caring about its answer.
+/// Each item's `predict` stage is an equal share of its group's inference,
+/// so the stage adds up per request however many rows a group carried.
 fn flush(batch: Vec<(WorkItem, u64)>, clock: Option<&dyn Clock>) {
     BATCH_ROWS.observe(batch.len() as u64);
     let flush_start = clock.map(|c| c.now_nanos());
@@ -225,12 +254,13 @@ fn flush(batch: Vec<(WorkItem, u64)>, clock: Option<&dyn Clock>) {
         let t0 = clock.map(|c| c.now_nanos());
         let algos = first.model.predict_batch(&first.entry.spec.node, &jobs);
         let t1 = clock.map(|c| c.now_nanos());
+        let share = t0
+            .zip(t1)
+            .map(|(t0, t1)| (t1.saturating_sub(t0) / items.len() as u64, t1));
         for ((item, mut timing), algo) in items.into_iter().zip(algos) {
-            // The group shares one inference; each item carries the
-            // group's duration, mirroring what it actually waited on.
-            if let Some((t0, t1)) = t0.zip(t1) {
-                timing.predict_ns = t1.saturating_sub(t0);
-                STAGE_PREDICT.observe(timing.predict_ns, t1);
+            if let Some((share, t1)) = share {
+                timing.predict_ns = share;
+                STAGE_PREDICT.observe(share, t1);
             }
             item.reply.send(Ok((algo, timing))).ok();
         }
@@ -246,41 +276,67 @@ fn loaded_names(models: &BTreeMap<Collective, Arc<PretrainedModel>>) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pml_core::{EngineConfig, SelectionEngine, TrainConfig};
     use pml_mlcore::ForestParams;
+    use pml_obs::FakeClock;
     use std::sync::Mutex;
 
     impl Batcher {
         /// [`Batcher::new`], except that the worker takes nothing off the
-        /// queue until `gate` receives a message (or its sender is dropped),
-        /// so a test decides what is queued when the first drain happens.
+        /// queue until `gate` receives a message, and from then on holds
+        /// each drain's first item until `gate` receives another — so a
+        /// test decides what is queued when each drain happens. Once the
+        /// gate's sender is dropped, nothing is held.
         pub(crate) fn gated(
             models: BTreeMap<Collective, Arc<PretrainedModel>>,
             cfg: BatchConfig,
             gate: mpsc::Receiver<()>,
         ) -> Batcher {
             let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
+            let max_batch = cfg.max_batch;
             let worker = std::thread::spawn(move || {
                 gate.recv().ok();
-                work(&rx, cfg.max_batch, None)
+                let mut opened = true;
+                while let Ok(first) = rx.recv() {
+                    if !std::mem::take(&mut opened) {
+                        gate.recv().ok();
+                    }
+                    drain(first, &rx, max_batch, None);
+                }
             });
             Batcher {
                 models,
                 tx: Some(tx),
                 worker: Some(worker),
+                max_batch,
                 trace: None,
             }
         }
     }
 
     /// Held by every test in the crate that can flush more than one row at
-    /// a time, so the coalescing test can count `serve.batch.rows` flushes.
+    /// a time, so a test can count `serve.batch.rows` flushes.
     static FLUSHES: Mutex<()> = Mutex::new(());
 
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
         FLUSHES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Run `f` and count the flushes of more than one row it caused, by
+    /// `serve.batch.rows` bucket: ≤2, ≤4, ≤8, ≤16, then the rest together.
+    /// Single-row tests run beside the caller and land in ≤1, which is left
+    /// out; the caller holds [`serial`].
+    pub(crate) fn multi_row_flushes<T>(f: impl FnOnce() -> T) -> (T, [u64; 5]) {
+        let before = BATCH_ROWS.bucket_counts();
+        let out = f();
+        let after = BATCH_ROWS.bucket_counts();
+        let mut delta = [0; 5];
+        for (i, (a, b)) in after.iter().zip(&before).enumerate().skip(1) {
+            delta[(i - 1).min(4)] += a - b;
+        }
+        (out, delta)
     }
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -375,30 +431,26 @@ mod tests {
         let model = mini_model(Collective::Alltoall);
         let jobs = frontera_jobs(8);
         let direct = frontera_direct(&model, &jobs);
-        // Buckets of `serve.batch.rows` past ≤1 (single-request tests run
-        // beside this one and land there): ≤2, ≤4, ≤8, then the rest.
-        for (max_batch, gained) in [(128, [0, 0, 1]), (3, [1, 2, 0])] {
-            let (open, gate) = mpsc::channel();
+        for (max_batch, gained) in [(128, [0, 0, 1, 0, 0]), (3, [1, 2, 0, 0, 0])] {
+            let (open, gate) = mpsc::channel::<()>();
             let cfg = BatchConfig {
                 max_batch,
                 ..BatchConfig::default()
             };
             let batcher = Batcher::gated(alltoall_only(&model), cfg, gate);
-            let before = BATCH_ROWS.bucket_counts();
-            let answers: Vec<_> = jobs
-                .iter()
-                .map(|&job| batcher.enqueue("Frontera", Collective::Alltoall, job))
-                .collect();
-            open.send(()).expect("worker is waiting on the gate");
-            let got: Vec<Algorithm> = answers
-                .into_iter()
-                .map(|a| a.expect("queued").recv().expect("answered").expect("ok").0)
-                .collect();
+            let (got, flushes) = multi_row_flushes(|| {
+                let answers: Vec<_> = jobs
+                    .iter()
+                    .map(|&job| batcher.enqueue("Frontera", Collective::Alltoall, job))
+                    .collect();
+                drop(open); // every drain may go now
+                answers
+                    .into_iter()
+                    .map(|a| a.expect("queued").recv().expect("answered").expect("ok").0)
+                    .collect::<Vec<Algorithm>>()
+            });
             assert_eq!(got, direct, "max_batch {max_batch}");
-            let after = BATCH_ROWS.bucket_counts();
-            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-            assert_eq!(delta[1..4], gained, "max_batch {max_batch}");
-            assert_eq!(delta[4..].iter().sum::<u64>(), 0, "max_batch {max_batch}");
+            assert_eq!(flushes, gained, "max_batch {max_batch}");
         }
     }
 
@@ -419,7 +471,7 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::Overload);
         assert_eq!(err.message, "batch queue full; retry after a backoff");
 
-        open.send(()).expect("worker is waiting on the gate");
+        drop(open); // every drain may go now
         for answer in queued {
             answer.recv().expect("answered").expect("ok");
         }
@@ -464,6 +516,39 @@ mod tests {
         for answer in queued {
             answer.recv().expect("answered").expect("ok");
         }
+    }
+
+    /// A group's one inference is split equally over its rows, so the
+    /// `predict` stage adds up per request: two groups of 3 and 1 rows,
+    /// timed on a clock that advances 1 200 ns a reading.
+    #[test]
+    fn a_groups_inference_time_is_shared_by_its_rows() {
+        let _serial = serial();
+        let model = mini_model(Collective::Alltoall);
+        let entries = ["Frontera", "Frontera", "RI", "Frontera"]
+            .map(|name| pml_clusters::by_name(name).expect("zoo cluster"));
+        let (answers, batch): (Vec<_>, Vec<_>) = entries
+            .into_iter()
+            .zip(frontera_jobs(4))
+            .map(|(entry, job)| {
+                let (reply, answer) = mpsc::channel();
+                let item = WorkItem {
+                    model: Arc::clone(&model),
+                    entry,
+                    collective: Collective::Alltoall,
+                    job,
+                    enqueued_ns: 0,
+                    reply,
+                };
+                (answer, (item, 0))
+            })
+            .unzip();
+        flush(batch, Some(&FakeClock::with_step(1_200)));
+        let predict_ns: Vec<u64> = answers
+            .iter()
+            .map(|a| a.recv().expect("answered").expect("ok").1.predict_ns)
+            .collect();
+        assert_eq!(predict_ns, [400, 400, 1_200, 400]);
     }
 
     #[test]

@@ -45,7 +45,10 @@ pub static STAGE_PARSE: WindowedHistogram =
 /// Memoized tuning-table lookup (the `select` op's entire work).
 pub static STAGE_SELECT: WindowedHistogram =
     WindowedHistogram::new("serve.stage.select_ns", &LATENCY_NS_BOUNDS, DEFAULT_SLOT_NS);
-/// `predict` only: submit → the batch worker dequeued the item.
+/// `predict` only: queued → the batch worker dequeued the item. In a
+/// pipelined burst this includes the time the connection spends parsing
+/// and queueing the burst's later frames before it waits for any answer, so
+/// the stages of such a request add up to more than its share of the burst.
 pub static STAGE_QUEUE_WAIT: WindowedHistogram = WindowedHistogram::new(
     "serve.stage.queue_wait_ns",
     &LATENCY_NS_BOUNDS,
@@ -57,7 +60,8 @@ pub static STAGE_BATCH_ASSEMBLY: WindowedHistogram = WindowedHistogram::new(
     &LATENCY_NS_BOUNDS,
     DEFAULT_SLOT_NS,
 );
-/// `predict` only: the batched forest inference itself.
+/// `predict` only: an equal share of the one batched forest inference that
+/// answered the request's (collective, cluster) group.
 pub static STAGE_PREDICT: WindowedHistogram = WindowedHistogram::new(
     "serve.stage.predict_ns",
     &LATENCY_NS_BOUNDS,

@@ -4,7 +4,10 @@
 //! any number of clients connect over a Unix domain socket and speak
 //! [`crate::protocol`]. Every connection gets a thread; all threads share
 //! one [`Tuner`] (`select`, the indexed table lookup) and one
-//! [`Batcher`] (`predict`, batched forest inference). Shutdown is
+//! [`Batcher`] (`predict`, batched forest inference). A connection queues
+//! every `predict` it has read before it waits for any answer, so one
+//! client's pipelined predicts coalesce into one batch, and a lone one is
+//! still answered at once. Shutdown is
 //! cooperative: SIGTERM/SIGINT (via [`crate::signal`]) or a `shutdown`
 //! frame flips a flag, the accept loop stops, connection threads drain and
 //! join, and the socket file is removed — a supervisor sees exit code 0.
@@ -19,7 +22,7 @@
 //! Damaged files are skipped with a warning, not fatal — a deployment with
 //! one bad table still serves the rest (mirroring [`Tuner::from_dir`]).
 
-use crate::batch::{BatchConfig, Batcher};
+use crate::batch::{worker_gone, Answer, BatchConfig, Batcher};
 use crate::protocol::{self, Op, ProtoError, Request};
 use crate::quality::{QualityMonitor, QualitySample};
 use crate::reqtrace::{
@@ -29,7 +32,7 @@ use crate::reqtrace::{
 use crate::signal;
 use crate::slo::SloTargets;
 use pml_collectives::Collective;
-use pml_core::{PretrainedModel, Tuner};
+use pml_core::{JobConfig, PretrainedModel, Tuner};
 use pml_obs::{Clock, Counter, Histogram, MonotonicClock, LATENCY_NS_BOUNDS};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -38,7 +41,7 @@ use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 static REQUESTS: Counter = Counter::new("serve.requests");
@@ -301,15 +304,33 @@ const OUT_FLUSH_BYTES: usize = 64 << 10;
 
 /// One connection. Each wake-up is one `read`; every complete frame in the
 /// buffer is answered in order and the partial tail waits for the next
-/// read. Replies collect in `out` and leave in one `write_all` right before
-/// the thread blocks or the connection ends, so a burst that arrived in one
-/// read is answered in one write and nothing is held across a blocking call.
+/// read. A `predict` is queued with the batcher and its answer collected
+/// later (see [`Conn::settle`]), so the predicts of a pipelined burst share
+/// one batch while a lone one is still answered at once. Replies collect in
+/// `out` and leave in one `write_all` right before the thread blocks or the
+/// connection ends, so a burst that arrived in one read is answered in one
+/// write and nothing is held across a blocking call.
 struct Conn<'a> {
     shared: &'a Shared,
     stream: UnixStream,
     out: Vec<u8>,
     /// The traced requests whose replies are in `out`, settled by `flush`.
     pending: Vec<(RequestTrace, bool)>,
+    /// Queued predicts whose replies are not in `out` yet, in request order.
+    in_flight: Vec<InFlight>,
+}
+
+/// A `predict` the batcher has queued: what its reply needs once the answer
+/// arrives.
+struct InFlight {
+    id: Option<u64>,
+    trace: Option<RequestTrace>,
+    /// Clock reading before it was queued.
+    t0: u64,
+    cluster: String,
+    collective: Collective,
+    job: JobConfig,
+    answer: mpsc::Receiver<Answer>,
 }
 
 impl<'a> Conn<'a> {
@@ -319,6 +340,7 @@ impl<'a> Conn<'a> {
             stream,
             out: Vec::new(),
             pending: Vec::new(),
+            in_flight: Vec::new(),
         }
     }
 
@@ -358,18 +380,17 @@ impl<'a> Conn<'a> {
                 tail = 0;
             }
             seen = tail;
-            // Nothing is left to answer: flush, and only then block.
-            if !self.flush() || self.shared.shutdown.load(Ordering::SeqCst) {
+            // Nothing is left to answer: settle, flush, and only then block.
+            if !self.settle() || !self.flush() || self.shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
             match self.stream.read(buf.get_mut(tail..).unwrap_or(&mut [])) {
                 // EOF. A frame truncated mid-line by the disconnect is still
                 // answered (typed error or not) before closing.
                 Ok(0) => {
-                    if !skipping {
-                        self.answer(buf.get(..tail).unwrap_or(&[]));
+                    if (skipping || self.answer(buf.get(..tail).unwrap_or(&[]))) && self.settle() {
+                        self.flush();
                     }
-                    self.flush();
                     return;
                 }
                 Ok(n) => tail += n,
@@ -419,8 +440,12 @@ impl<'a> Conn<'a> {
         self.out.len() < OUT_FLUSH_BYTES || self.flush()
     }
 
-    /// Append a typed error reply and count it.
+    /// Append a typed error reply, behind the predicts before it, and count
+    /// it.
     fn reject(&mut self, id: Option<u64>, err: &ProtoError, trace: Option<RequestTrace>) -> bool {
+        if !self.settle() {
+            return false;
+        }
         self.shared.counts.error();
         ERRORS.inc();
         self.out
@@ -429,9 +454,10 @@ impl<'a> Conn<'a> {
     }
 
     /// One frame, end to end: assign the daemon-side request id, open the
-    /// trace (when tracing is on), dispatch, append the reply. With tracing
-    /// off the clock is read only for the cumulative latency histograms.
-    /// Returns whether the connection stays open.
+    /// trace (when tracing is on), dispatch, append the reply — or, for a
+    /// `predict`, queue it to be settled later. With tracing off the clock
+    /// is read only for the cumulative latency histograms. Returns whether
+    /// the connection stays open.
     fn answer(&mut self, frame: &[u8]) -> bool {
         let frame = protocol::trim_frame(frame);
         if frame.is_empty() {
@@ -453,13 +479,18 @@ impl<'a> Conn<'a> {
             Ok(req) => req,
             Err((id, err)) => return self.reject(id, &err, trace),
         };
-        // `serialize` runs from the end of the stage before it.
-        let serialized = |trace: &mut Option<RequestTrace>, since: u64| {
-            if let Some(tr) = trace.as_mut() {
-                let t = shared.clock.now_nanos();
-                tr.stage("serialize", t.saturating_sub(since), t);
-            }
-        };
+        if let Op::Predict {
+            cluster,
+            collective,
+            job,
+        } = op
+        {
+            return self.enqueue(id, trace, cluster, collective, job);
+        }
+        // Every other reply goes behind the predicts read before it.
+        if !self.settle() {
+            return false;
+        }
         match op {
             Op::Ping => protocol::write_pong(&mut self.out, id),
             Op::Select { collective, job } => {
@@ -484,44 +515,10 @@ impl<'a> Conn<'a> {
                     });
                 }
                 protocol::write_select(&mut self.out, id, algo, depth);
-                serialized(&mut trace, t1);
+                serialized(shared, &mut trace, t1);
             }
-            Op::Predict {
-                cluster,
-                collective,
-                job,
-            } => {
-                // `submit` blocks until the batch worker answers.
-                if !self.flush() {
-                    return false;
-                }
-                let t0 = shared.clock.now_nanos();
-                let outcome = shared.batcher.submit(&cluster, collective, job);
-                let t1 = shared.clock.now_nanos();
-                PREDICT_LATENCY.observe(t1.saturating_sub(t0));
-                let (algo, timing) = match outcome {
-                    Ok(picked) => picked,
-                    Err(err) => return self.reject(id, &err, trace),
-                };
-                if let Some(tr) = trace.as_mut() {
-                    // Measured worker-side and already in the windowed
-                    // histograms; copy into the trace without re-observing.
-                    tr.push("queue_wait", timing.queue_wait_ns);
-                    tr.push("batch_assembly", timing.batch_assembly_ns);
-                    tr.push("predict", timing.predict_ns);
-                }
-                if let Some(q) = shared.quality.as_ref() {
-                    q.observe(|| QualitySample {
-                        cluster,
-                        collective,
-                        job,
-                        algo,
-                        depth: None,
-                    });
-                }
-                protocol::write_predict(&mut self.out, id, algo);
-                serialized(&mut trace, t1);
-            }
+            // Queued above.
+            Op::Predict { .. } => {}
             Op::Stats => self
                 .out
                 .extend_from_slice(protocol::render_ok(id, stats_fields(shared)).as_bytes()),
@@ -545,6 +542,93 @@ impl<'a> Conn<'a> {
             }
         }
         self.sent(trace, false)
+    }
+
+    /// Queue one `predict` with the batcher without waiting for its answer.
+    /// A request the batcher refuses (no model, unknown cluster, a full
+    /// queue) is answered at once, in its place. At `max_batch` queued
+    /// predicts the connection settles, so one client never holds more of
+    /// the shared queue than one flush takes.
+    fn enqueue(
+        &mut self,
+        id: Option<u64>,
+        trace: Option<RequestTrace>,
+        cluster: String,
+        collective: Collective,
+        job: JobConfig,
+    ) -> bool {
+        let shared = self.shared;
+        let t0 = shared.clock.now_nanos();
+        let answer = match shared.batcher.enqueue(&cluster, collective, job) {
+            Ok(answer) => answer,
+            Err(err) => {
+                PREDICT_LATENCY.observe(shared.clock.now_nanos().saturating_sub(t0));
+                return self.reject(id, &err, trace);
+            }
+        };
+        self.in_flight.push(InFlight {
+            id,
+            trace,
+            t0,
+            cluster,
+            collective,
+            job,
+            answer,
+        });
+        self.in_flight.len() < shared.batcher.max_batch() || self.settle()
+    }
+
+    /// Wait for the queued predicts' answers, in request order, and append
+    /// their replies. `out` is written before the first wait, so no earlier
+    /// reply waits on the batcher; the replies appended here leave with the
+    /// next flush. Returns whether the connection stays open.
+    fn settle(&mut self) -> bool {
+        if self.in_flight.is_empty() {
+            return true;
+        }
+        if !self.flush() {
+            return false;
+        }
+        let shared = self.shared;
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        for mut p in in_flight.drain(..) {
+            let outcome = p.answer.recv().unwrap_or_else(|_| Err(worker_gone()));
+            let t1 = shared.clock.now_nanos();
+            PREDICT_LATENCY.observe(t1.saturating_sub(p.t0));
+            let (algo, timing) = match outcome {
+                Ok(picked) => picked,
+                Err(err) => {
+                    if !self.reject(p.id, &err, p.trace) {
+                        return false;
+                    }
+                    continue;
+                }
+            };
+            if let Some(tr) = p.trace.as_mut() {
+                // Measured worker-side and already in the windowed
+                // histograms; copy into the trace without re-observing.
+                tr.push("queue_wait", timing.queue_wait_ns);
+                tr.push("batch_assembly", timing.batch_assembly_ns);
+                tr.push("predict", timing.predict_ns);
+            }
+            if let Some(q) = shared.quality.as_ref() {
+                q.observe(|| QualitySample {
+                    cluster: p.cluster,
+                    collective: p.collective,
+                    job: p.job,
+                    algo,
+                    depth: None,
+                });
+            }
+            protocol::write_predict(&mut self.out, p.id, algo);
+            serialized(shared, &mut p.trace, t1);
+            if !self.sent(p.trace, false) {
+                return false;
+            }
+        }
+        // Keep the allocation for the next burst.
+        self.in_flight = in_flight;
+        true
     }
 
     /// Stream observability snapshots: one `ok` frame per tick with a `seq`
@@ -586,6 +670,15 @@ impl<'a> Conn<'a> {
                 left -= chunk;
             }
         }
+    }
+}
+
+/// Close out a traced request's `serialize` stage, which runs from the end
+/// of the stage before it (`since`) to now.
+fn serialized(shared: &Shared, trace: &mut Option<RequestTrace>, since: u64) {
+    if let Some(tr) = trace.as_mut() {
+        let t = shared.clock.now_nanos();
+        tr.stage("serialize", t.saturating_sub(since), t);
     }
 }
 
@@ -851,7 +944,7 @@ mod tests {
     fn handle(shared: &Shared, line: &str) -> (String, bool) {
         let (ours, theirs) = UnixStream::pair().unwrap();
         let mut conn = Conn::new(shared, ours);
-        let stop = !(conn.answer(line.as_bytes()) && conn.flush());
+        let stop = !(conn.answer(line.as_bytes()) && conn.settle() && conn.flush());
         drop(conn);
         let mut reply = String::new();
         BufReader::new(theirs).read_line(&mut reply).unwrap();
@@ -1233,13 +1326,24 @@ mod tests {
             .collect()
     }
 
+    /// Send `burst` on a fresh connection in one write, then on another one
+    /// byte per `write`: the `count` replies must come back the same.
+    fn answered_both_ways(daemon: &Daemon, burst: &str, count: usize) -> Vec<String> {
+        let (mut client, mut reader) = daemon.connect();
+        client.write_all(burst.as_bytes()).unwrap();
+        let at_once = read_lines(&mut reader, count);
+        let (mut client, mut reader) = daemon.connect();
+        for byte in burst.as_bytes() {
+            client.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        assert_eq!(read_lines(&mut reader, count), at_once);
+        at_once
+    }
+
     #[test]
     fn a_burst_is_answered_in_order_however_it_is_delivered() {
         let daemon = Daemon::boot("burst", None);
-        let burst = mixed_burst();
-        let (mut client, mut reader) = daemon.connect();
-        client.write_all(burst.as_bytes()).unwrap();
-        let at_once = read_lines(&mut reader, 64);
+        let at_once = answered_both_ways(&daemon, &mixed_burst(), 64);
         for (i, line) in at_once.iter().enumerate() {
             let reply: Value = serde_json::from_str(line.trim()).unwrap();
             let (id, ok) = (obj_get(&reply, "id"), obj_get(&reply, "ok"));
@@ -1253,12 +1357,6 @@ mod tests {
                 assert_eq!(id.and_then(Value::as_u64), Some(i as u64), "{line}");
             }
         }
-        // The same bytes, one `write` each, on a fresh connection.
-        let (mut client, mut reader) = daemon.connect();
-        for byte in burst.as_bytes() {
-            client.write_all(std::slice::from_ref(byte)).unwrap();
-        }
-        assert_eq!(read_lines(&mut reader, 64), at_once);
         daemon.stop();
     }
 
@@ -1352,6 +1450,160 @@ mod tests {
             obj_get(&replies[10], "seq").and_then(Value::as_u64),
             Some(1)
         );
+        daemon.stop();
+    }
+
+    /// The alltoall and allgather mini models, keyed as a daemon holds them.
+    fn two_models() -> BTreeMap<Collective, Arc<PretrainedModel>> {
+        [Collective::Alltoall, Collective::Allgather]
+            .into_iter()
+            .map(|c| (c, mini_model(c)))
+            .collect()
+    }
+
+    /// Request `i`'s shape: the two collectives in turn over RI's layouts.
+    fn predict_shape(i: u64) -> (Collective, JobConfig) {
+        let collective = [Collective::Alltoall, Collective::Allgather][i as usize % 2];
+        let i = i as u32;
+        (
+            collective,
+            JobConfig::new(1 + i % 4, 2 << (i % 3), 16 << (i % 13)),
+        )
+    }
+
+    /// A `predict` frame for `cluster` with id `id`, and the reply a one-row
+    /// `PretrainedModel::predict` renders to (newline included).
+    fn predict_frame(
+        models: &BTreeMap<Collective, Arc<PretrainedModel>>,
+        id: u64,
+        cluster: &str,
+    ) -> (String, String) {
+        let (collective, job) = predict_shape(id);
+        let frame = format!(
+            "{{\"v\":\"pml-serve/v1\",\"id\":{id},\"op\":\"predict\",\"cluster\":\"{cluster}\",\"collective\":\"{}\",\"nodes\":{},\"ppn\":{},\"msg_size\":{}}}\n",
+            protocol::collective_wire_name(collective),
+            job.nodes,
+            job.ppn,
+            job.msg_size
+        );
+        let reply = match pml_clusters::by_name(cluster) {
+            Some(entry) => {
+                let algo = models[&collective].predict(&entry.spec.node, job);
+                protocol::render_predict(Some(id), algo)
+            }
+            None => {
+                let msg = format!("unknown cluster {cluster:?} (see `pml-mpi zoo`)");
+                let err = ProtoError::new(protocol::ErrorKind::Unsupported, msg);
+                protocol::render_error(Some(id), &err)
+            }
+        };
+        (frame, reply + "\n")
+    }
+
+    /// Sixteen predicts behind a ping in one write: the pong leaves before
+    /// the connection waits, and the predicts leave the gated batcher as one
+    /// flush of 16 rows, answered in request order as one-row calls answer.
+    #[test]
+    fn pipelined_predicts_share_one_flush() {
+        let _serial = crate::batch::tests::serial();
+        let models = two_models();
+        let (open, gate) = std::sync::mpsc::channel();
+        let batcher = Batcher::gated(models.clone(), BatchConfig::default(), gate);
+        let daemon = Daemon::boot("coalesce", Some(batcher));
+        let (mut client, mut reader) = daemon.connect();
+        let (frames, want): (Vec<_>, Vec<_>) =
+            (0..16).map(|id| predict_frame(&models, id, "RI")).unzip();
+        let (got, flushes) = crate::batch::tests::multi_row_flushes(|| {
+            client
+                .write_all((format!("{PING}\n") + &frames.concat()).as_bytes())
+                .unwrap();
+            // Out before the wait: every predict has been queued by now.
+            let pong = read_reply(&mut reader);
+            assert_eq!(obj_get(&pong, "id").and_then(Value::as_u64), Some(77));
+            open.send(()).unwrap();
+            read_lines(&mut reader, 16)
+        });
+        assert_eq!(got, want);
+        assert_eq!(flushes, [0, 0, 0, 1, 0], "one flush of 16 rows");
+        daemon.stop();
+    }
+
+    /// Under `max_batch: 3` a connection waits once it has three predicts
+    /// queued, so eight pipelined predicts leave as flushes of 3 + 3 + 2 and
+    /// one client never holds more of the shared queue than a flush takes.
+    #[test]
+    fn a_connection_queues_at_most_max_batch_predicts() {
+        let _serial = crate::batch::tests::serial();
+        let models = two_models();
+        let (open, gate) = std::sync::mpsc::channel();
+        let cfg = BatchConfig {
+            max_batch: 3,
+            ..BatchConfig::default()
+        };
+        let batcher = Batcher::gated(models.clone(), cfg, gate);
+        let daemon = Daemon::boot("max-batch", Some(batcher));
+        let (mut client, mut reader) = daemon.connect();
+        let (frames, want): (Vec<_>, Vec<_>) =
+            (0..8).map(|id| predict_frame(&models, id, "RI")).unzip();
+        let (got, flushes) = crate::batch::tests::multi_row_flushes(|| {
+            client
+                .write_all((format!("{PING}\n") + &frames.concat()).as_bytes())
+                .unwrap();
+            read_reply(&mut reader);
+            // Each group's replies leave before the connection waits on the
+            // next group, so the next group is queued once they are read.
+            [3, 3, 2].map(|n| {
+                open.send(()).unwrap();
+                read_lines(&mut reader, n)
+            })
+        });
+        assert_eq!(got.concat(), want);
+        assert_eq!(flushes, [1, 2, 0, 0, 0], "flushes of 3, 3 and 2 rows");
+        daemon.stop();
+    }
+
+    /// Predicts interleaved with every other kind of frame: each reply in
+    /// its request's place, however the burst is delivered.
+    #[test]
+    fn predicts_among_other_frames_are_answered_in_order() {
+        let _serial = crate::batch::tests::serial();
+        let models = two_models();
+        let batcher = Batcher::new(models.clone(), BatchConfig::default(), None);
+        let daemon = Daemon::boot("mixed-predict", Some(batcher));
+        let tuner = test_tuner();
+        let (mut burst, mut want) = (String::new(), Vec::new());
+        for id in 0..36 {
+            let (frame, reply) = match id % 6 {
+                0 | 5 => predict_frame(&models, id, "RI"),
+                1 => {
+                    let job = JobConfig::new(2, 8, 64 << (id % 11));
+                    let (algo, depth) = tuner.select_traced(Collective::Alltoall, job);
+                    (
+                        format!("{{\"v\":\"pml-serve/v1\",\"id\":{id},\"op\":\"select\",\"collective\":\"alltoall\",\"nodes\":2,\"ppn\":8,\"msg_size\":{}}}\n", job.msg_size),
+                        protocol::render_select(Some(id), algo, depth) + "\n",
+                    )
+                }
+                2 => (
+                    format!("{{\"v\":\"pml-serve/v1\",\"id\":{id},\"op\":\"ping\"}}\n"),
+                    protocol::render_pong(Some(id)) + "\n",
+                ),
+                3 => (format!("{{\"id\":{id},nope\n"), String::new()),
+                _ => predict_frame(&models, id, "Atlantis"),
+            };
+            burst += &frame;
+            want.push(reply);
+        }
+        let got = answered_both_ways(&daemon, &burst, want.len());
+        for (id, (got, want)) in got.iter().zip(&want).enumerate() {
+            if id % 6 == 3 {
+                // Broken JSON carries no recoverable id.
+                let reply: Value = serde_json::from_str(got.trim()).unwrap();
+                assert_eq!(error_kind(&reply), Some("parse"), "{got}");
+                assert_eq!(obj_get(&reply, "id"), None, "{got}");
+            } else {
+                assert_eq!(got, want, "request {id}");
+            }
+        }
         daemon.stop();
     }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serve-lane smoke test: boots `pml-mpi serve` against a tiny hand-written
-# tuning-table artifact, drives the pml-serve/v1 protocol end to end
-# through `pml-mpi client` — good frames, a malformed frame, a truncated
-# frame (the daemon must answer with typed errors, never drop the
+# tuning-table artifact and the committed allgather model fixture, drives
+# the pml-serve/v1 protocol end to end through `pml-mpi client` — good
+# `select` and `predict` frames, a malformed frame, a truncated frame, an
+# unknown cluster (the daemon must answer with typed errors, never drop the
 # connection) — fires a short loadgen burst, round-trips the `watch` op
 # (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon and
 # asserts a clean shutdown: exit code 0 and the socket file removed.
@@ -57,6 +58,10 @@ cat > "$work/art/smoke_alltoall.json" <<'EOF'
 }
 EOF
 "$bin" verify "$work/art/smoke_alltoall.json" >/dev/null || fail "smoke artifact rejected by verifier"
+# A small committed allgather model (15 trees), so `predict` runs through the
+# batcher and the forest.
+mkdir -p "$work/art/models"
+cp tests/fixtures/model_v1_allgather.json "$work/art/models/"
 
 echo "==> starting daemon"
 "$bin" serve --socket "$sock" --model "$work/art" \
@@ -78,10 +83,12 @@ replies=$(printf '%s\n' \
     '{bad json' \
     '{"v":"pml-serve/v1","id":5,"op":"sel' \
     '{"v":"pml-serve/v1","id":6,"op":"frobnicate"}' \
-    '{"v":"pml-serve/v1","id":7,"op":"stats"}' \
+    '{"v":"pml-serve/v1","id":7,"op":"predict","cluster":"Frontera","collective":"allgather","nodes":4,"ppn":16,"msg_size":4096}' \
+    '{"v":"pml-serve/v1","id":8,"op":"predict","cluster":"Atlantis","collective":"allgather","nodes":4,"ppn":16,"msg_size":4096}' \
+    '{"v":"pml-serve/v1","id":9,"op":"stats"}' \
     | "$bin" client --socket "$sock")
 mapfile -t r <<< "$replies"
-[[ ${#r[@]} -eq 7 ]] || fail "expected 7 replies, got ${#r[@]}: $replies"
+[[ ${#r[@]} -eq 9 ]] || fail "expected 9 replies, got ${#r[@]}: $replies"
 expect "ping reply"            '"pong":true'        "${r[0]}"
 expect "exact small select"    '"algorithm":"bruck"' "${r[1]}"
 expect "exact small select"    '"depth":0'           "${r[1]}"
@@ -91,10 +98,15 @@ expect "malformed frame"       '"kind":"parse"'      "${r[3]}"
 expect "truncated frame"       '"kind":"parse"'      "${r[4]}"
 expect "unknown op"            '"kind":"op"'         "${r[5]}"
 expect "unknown op echoes id"  '"id":6'              "${r[5]}"
-expect "stats after errors"    '"ok":true'           "${r[6]}"
-expect "stats counts requests" '"requests":'         "${r[6]}"
-expect "stats lists tables"    '"tables":'           "${r[6]}"
-expect "stats lists models"    '"models":'           "${r[6]}"
+expect "model predict"         '"ok":true'           "${r[6]}"
+expect "model predict"         '"algorithm":'        "${r[6]}"
+expect "model predict echoes id" '"id":7'            "${r[6]}"
+expect "unknown-cluster predict" '"kind":"unsupported"' "${r[7]}"
+expect "unknown-cluster predict echoes id" '"id":8'  "${r[7]}"
+expect "stats after errors"    '"ok":true'           "${r[8]}"
+expect "stats counts requests" '"requests":'         "${r[8]}"
+expect "stats lists tables"    '"tables":'           "${r[8]}"
+expect "stats lists models"    '"models":["allgather"]' "${r[8]}"
 
 echo "==> loadgen burst"
 "$bin" loadgen --socket "$sock" --requests 2000 --threads 4 \
