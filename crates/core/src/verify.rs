@@ -371,7 +371,7 @@ pub fn verify_artifact_str(s: &str) -> Result<ArtifactKind, VerifyErrorKind> {
         // none is built — the matching verifier reads the document once.
         let mut keys = Vec::new();
         let mut r = serde_json::Reader::new(s);
-        if r.at_object() {
+        if r.next_byte() == Some(b'{') {
             r.object(|r, key| {
                 keys.push(key);
                 r.skip_value()

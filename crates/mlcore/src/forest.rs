@@ -292,34 +292,12 @@ impl RandomForest {
         normalize(acc)
     }
 
-    /// Average the ensemble's class probabilities for one row into `out`
-    /// (length `n_classes`) without allocating: every tree contributes a
-    /// borrowed leaf slice, nothing is cloned.
-    pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
-        debug_assert!(!self.trees.is_empty(), "predict before fit");
-        if self.trees.is_empty() {
-            // Unfit model: uniform distribution, never an abort.
-            out.fill(1.0 / self.n_classes.max(1) as f64);
-            return;
-        }
-        out.fill(0.0);
-        for t in &self.trees {
-            for (a, p) in out.iter_mut().zip(t.predict_proba_slice(row)) {
-                *a += p;
-            }
-        }
-        let k = self.trees.len() as f64;
-        for a in out.iter_mut() {
-            *a /= k;
-        }
-    }
-
     /// Class-probability matrix for a whole batch of rows, written into a
     /// caller-provided matrix of shape `x.rows() × n_classes`. This is the
-    /// inference hot path: tuning-table generation and the ML selector
-    /// push entire job grids through here instead of calling
-    /// [`Classifier::predict_proba_row`] per cell. A forest without a
-    /// compiled twin (see [`Self::compiled`]) answers the uniform
+    /// only inference path: tuning-table generation and the ML selector
+    /// push entire job grids through here, and
+    /// [`Classifier::predict_proba_row`] is a one-row batch. A forest
+    /// without a compiled twin (see [`Self::compiled`]) answers the uniform
     /// distribution, like an unfit one.
     pub fn predict_proba_batch_into(&self, x: &Matrix, out: &mut Matrix) {
         match self.compiled() {
@@ -344,9 +322,28 @@ impl RandomForest {
             .for_each(|(blk, chunk)| {
                 let base = blk * BLOCK;
                 for (j, orow) in chunk.chunks_mut(k).enumerate() {
-                    self.predict_proba_into(x.row(base + j), orow);
+                    self.average_leaves(x.row(base + j), orow);
                 }
             });
+    }
+
+    /// The mean of every tree's leaf for `row`, written into `out`; the
+    /// uniform distribution for an unfit forest, never an abort.
+    fn average_leaves(&self, row: &[f64], out: &mut [f64]) {
+        if self.trees.is_empty() {
+            out.fill(1.0 / self.n_classes.max(1) as f64);
+            return;
+        }
+        out.fill(0.0);
+        for t in &self.trees {
+            for (a, p) in out.iter_mut().zip(t.predict_proba_slice(row)) {
+                *a += p;
+            }
+        }
+        let k = self.trees.len() as f64;
+        for a in out.iter_mut() {
+            *a /= k;
+        }
     }
 
     /// Class-probability matrix for a whole batch of rows.
@@ -515,10 +512,10 @@ impl Classifier for RandomForest {
         Ok(())
     }
 
+    /// A one-row batch through the compiled kernel.
     fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n_classes.max(1)];
-        self.predict_proba_into(row, &mut out);
-        out
+        let x = Matrix::from_vec(row.to_vec(), 1, row.len());
+        self.predict_proba_batch(&x).as_slice().to_vec()
     }
 
     /// Batched override of the default per-row loop.
@@ -640,13 +637,13 @@ mod tests {
             ..Default::default()
         });
         f.fit(&x, &y, 2).unwrap();
-        let per_row: Vec<usize> = (0..x.rows())
-            .map(|i| argmax(&f.predict_proba_row(x.row(i))))
-            .collect();
-        assert_eq!(f.predict_batch(&x), per_row);
+        assert_eq!(f.predict_batch(&x), f.predict_batch_exact(&x));
+        let mut exact = Matrix::zeros(x.rows(), 2);
+        f.predict_proba_batch_into_exact(&x, &mut exact);
         let batched = f.predict_proba_batch(&x);
         for i in 0..x.rows() {
-            assert_eq!(batched.row(i), f.predict_proba_row(x.row(i)));
+            assert_eq!(batched.row(i), exact.row(i));
+            assert_eq!(f.predict_proba_row(x.row(i)), exact.row(i));
         }
     }
 
@@ -658,14 +655,12 @@ mod tests {
             ..Default::default()
         });
         f.fit(&x, &y, 2).unwrap();
-        let mut buf = [0.0f64; 2];
-        for i in 0..x.rows() {
-            f.predict_proba_into(x.row(i), &mut buf);
-            assert_eq!(buf.to_vec(), f.predict_proba_row(x.row(i)));
-        }
         let mut out = Matrix::zeros(x.rows(), 2);
         f.predict_proba_batch_into(&x, &mut out);
         assert_eq!(out, f.predict_proba_batch(&x));
+        let mut exact = Matrix::zeros(x.rows(), 2);
+        f.predict_proba_batch_into_exact(&x, &mut exact);
+        assert_eq!(out, exact);
     }
 
     /// Artifacts written while `ForestParams` still carried a

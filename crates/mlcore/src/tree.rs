@@ -190,7 +190,7 @@ pub struct TreeScratch {
 /// order, arena layout, leaf simplices) are the typed [`verify_nodes`]
 /// pass — deserialization is the wrong layer to diagnose corruption, and
 /// every artifact load path runs `verify` before descending a node.
-fn validate_nodes(nodes: &TreeNodes, _leaf_len: usize) -> Result<(), DeError> {
+fn validate_nodes(nodes: &TreeNodes) -> Result<(), DeError> {
     let n = nodes.len();
     if nodes.threshold.len() != n || nodes.children.len() != 2 * n {
         return Err(DeError(format!(
@@ -387,7 +387,7 @@ impl DecisionTree {
             children: serde_json::required(children, "children")?,
             leaf_values: serde_json::required(leaf_values, "leaf_values")?,
         };
-        validate_nodes(&nodes, n_classes).map_err(serde_json::Error::custom)?;
+        validate_nodes(&nodes).map_err(serde_json::Error::custom)?;
         Ok(DecisionTree {
             nodes,
             n_classes,
@@ -613,17 +613,6 @@ impl DecisionTree {
     #[inline]
     pub fn predict_proba_slice(&self, row: &[f64]) -> &[f64] {
         self.nodes.descend(row, self.n_classes)
-    }
-
-    /// Write the class-probability vector for one sample into `out`
-    /// (length `n_classes`) without allocating.
-    pub fn predict_proba_into(&self, row: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(self.predict_proba_slice(row));
-    }
-
-    /// Class-probability vector for one sample.
-    pub fn predict_proba_row(&self, row: &[f64]) -> Vec<f64> {
-        self.predict_proba_slice(row).to_vec()
     }
 
     pub fn predict_row(&self, row: &[f64]) -> usize {
@@ -942,7 +931,7 @@ mod tests {
         let y = vec![1, 1, 1];
         let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         assert_eq!(t.node_count(), 1);
-        assert_eq!(t.predict_proba_row(&[5.0]), vec![0.0, 1.0]);
+        assert_eq!(t.predict_proba_slice(&[5.0]), [0.0, 1.0]);
     }
 
     #[test]
@@ -1133,17 +1122,6 @@ mod tests {
             raw_importance: vec![0.0],
         };
         assert_eq!(empty.verify(), Err(StructureIssue::Empty));
-    }
-
-    #[test]
-    fn predict_proba_into_matches_row() {
-        let (x, y) = blobs();
-        let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
-        let mut buf = [0.0f64; 2];
-        for i in 0..x.rows() {
-            t.predict_proba_into(x.row(i), &mut buf);
-            assert_eq!(buf.to_vec(), t.predict_proba_row(x.row(i)));
-        }
     }
 
     /// Random small dataset with duplicate-heavy columns (the regime the

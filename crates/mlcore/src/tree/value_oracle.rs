@@ -23,7 +23,7 @@ fn nodes_to_pairs(nodes: &TreeNodes) -> Vec<(String, Value)> {
 }
 
 #[cfg(test)]
-fn nodes_from_pairs(pairs: &[(String, Value)], leaf_len: usize) -> Result<TreeNodes, DeError> {
+fn nodes_from_pairs(pairs: &[(String, Value)]) -> Result<TreeNodes, DeError> {
     if !pairs.iter().any(|(k, _)| k == "version") {
         return Err(DeError("missing field `version`".to_string()));
     }
@@ -33,7 +33,7 @@ fn nodes_from_pairs(pairs: &[(String, Value)], leaf_len: usize) -> Result<TreeNo
         children: serde::__get_field(pairs, "children")?,
         leaf_values: serde::__get_field(pairs, "leaf_values")?,
     };
-    validate_nodes(&nodes, leaf_len)?;
+    validate_nodes(&nodes)?;
     Ok(nodes)
 }
 
@@ -58,7 +58,7 @@ impl Deserialize for DecisionTree {
             return Err(DeError("n_classes must be at least 1".to_string()));
         }
         let raw_importance: Vec<f64> = serde::__get_field(pairs, "raw_importance")?;
-        let nodes = nodes_from_pairs(pairs, n_classes)?;
+        let nodes = nodes_from_pairs(pairs)?;
         Ok(DecisionTree {
             nodes,
             n_classes,

@@ -203,13 +203,7 @@ impl HistogramSnapshot {
     /// holding the `q`-th observation. See
     /// [`crate::window::WindowHistogramSnapshot::quantile`].
     pub fn quantile(&self, q: f64) -> u64 {
-        crate::window::quantile_from_buckets(
-            &self.bounds,
-            &self.counts,
-            self.overflow,
-            self.count,
-            q,
-        )
+        crate::window::quantile_from_buckets(&self.bounds, &self.counts, self.count, q)
     }
 }
 

@@ -349,7 +349,7 @@ impl WindowHistogramSnapshot {
     /// the overflow bucket report the last finite bound — an admitted
     /// floor, visible as `overflow > 0`. Returns 0 for an empty window.
     pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.bounds, &self.counts, self.overflow, self.count, q)
+        quantile_from_buckets(&self.bounds, &self.counts, self.count, q)
     }
 }
 
@@ -357,13 +357,7 @@ impl WindowHistogramSnapshot {
 /// windowed and since-boot histogram snapshots). Pure integer state plus
 /// one multiply, so the result is identical across runs for identical
 /// buckets.
-pub(crate) fn quantile_from_buckets(
-    bounds: &[u64],
-    counts: &[u64],
-    _overflow: u64,
-    count: u64,
-    q: f64,
-) -> u64 {
+pub(crate) fn quantile_from_buckets(bounds: &[u64], counts: &[u64], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
     }

@@ -10,13 +10,15 @@
 //! newline-delimited JSON over a Unix domain socket, no network stack, no
 //! external dependencies.
 //!
-//! * [`protocol`] — the versioned `pml-serve/v1` frame format: a one-pass
-//!   request scanner with typed error replies (a malformed frame is
-//!   answered, never dropped), the request encoder clients use, and reply
-//!   rendering;
+//! * [`protocol`] — the versioned `pml-serve/v1` frame format: requests
+//!   read by one walk of the vendored `serde_json::Reader` with typed error
+//!   replies (a malformed frame is answered, never dropped), the request
+//!   encoder clients use, and reply rendering;
 //! * [`batch`] — the request batcher: concurrent `predict` lookups funnel
 //!   through a bounded queue into one batched forest inference
-//!   ([`pml_core::PretrainedModel::predict_batch`]) per time/size window;
+//!   ([`pml_core::PretrainedModel::predict_batch`]) per group of whatever
+//!   is already queued (up to the batch cap) — the worker never waits for
+//!   more;
 //! * [`server`] — artifact loading and the accept loop: per-connection
 //!   threads over a shared [`pml_core::Tuner`] that answer a burst of
 //!   frames per read and write its replies before they block, clean

@@ -33,6 +33,7 @@
 use pml_collectives::{Algorithm, Collective};
 use pml_core::{FallbackDepth, JobConfig};
 use serde::Value;
+use serde_json::Reader;
 use std::borrow::Cow;
 use std::io::Write;
 
@@ -116,7 +117,7 @@ pub enum Op {
     },
     /// Liveness probe.
     Ping,
-    /// Counters: requests served, cache hits/misses, loaded artifacts.
+    /// Counters (requests served, errors) and the loaded tables and models.
     Stats,
     /// Stream live-observability snapshots: one frame every `interval_ms`
     /// milliseconds, `count` frames total (`0` = until the connection
@@ -204,12 +205,13 @@ pub fn encode_request(req: &Request) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Request scanning
+// Request parsing
 //
-// A frame is one flat JSON object, read in a single pass that keeps borrowed
-// views of the fields the protocol knows and only checks the syntax of the
-// rest. The grammar is the tree parser's (`serde_json::from_str`), quirks
-// included; the fields are validated after the whole frame scanned, so a
+// A frame is one flat JSON object, walked once with `serde_json::Reader`:
+// the fields the protocol knows keep their first value, borrowed from the
+// frame unless escaped, and every other value is only held to the grammar.
+// That grammar is the tree parser's (`serde_json::from_str`), quirks
+// included; the fields are validated after the whole frame was read, so a
 // frame that is not JSON is always `parse` with no id. DESIGN.md §7 has
 // the grammar and the order of the checks.
 
@@ -230,14 +232,20 @@ const KEYS: [&str; 10] = [
 /// The first value each of [`KEYS`] had in the frame.
 type Fields<'a> = [Option<Val<'a>>; KEYS.len()];
 
-fn get<'a>(fields: &Fields<'a>, key: &str) -> Option<Val<'a>> {
-    let at = KEYS.iter().position(|k| *k == key)?;
-    fields.get(at).copied().flatten()
+/// What the field checks need of a value.
+enum Val<'a> {
+    Null,
+    /// A number `Value::as_u64` would accept.
+    UInt(u64),
+    Str(Cow<'a, str>),
+    /// Anything else: bool, negative or fractional number, array, object.
+    Other,
 }
 
-/// Containers deeper than this are a `parse` error instead of recursion
-/// the connection thread's stack would pay for.
-const MAX_DEPTH: u32 = 128;
+fn get<'f, 'a>(fields: &'f Fields<'a>, key: &str) -> Option<&'f Val<'a>> {
+    let at = KEYS.iter().position(|k| *k == key)?;
+    fields.get(at)?.as_ref()
+}
 
 /// Parse one NDJSON line into a [`Request`]. On failure the error comes
 /// back with whatever frame id could still be recovered, so even the error
@@ -247,21 +255,17 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, ProtoError)> {
     parse_frame(line.as_bytes())
 }
 
-/// [`parse_request`] on the bytes off the socket. UTF-8 is checked per
-/// string, so a stray byte is a typed `parse` error like any other.
+/// [`parse_request`] on the bytes off the socket. UTF-8 is checked once
+/// for the whole frame, so a stray byte is a typed `parse` error like any
+/// other.
 pub fn parse_frame(frame: &[u8]) -> Result<Request, (Option<u64>, ProtoError)> {
     let mut fields = Fields::default();
-    let mut scan = Scanner {
-        b: trim_frame(frame),
-        pos: 0,
-    };
-    if let Err(what) = scan.frame(&mut fields) {
-        let msg = format!("{what} at byte {}", scan.pos);
-        return Err((None, ProtoError::new(ErrorKind::Parse, msg)));
+    if let Err(e) = read_fields(trim_frame(frame), &mut fields) {
+        return Err((None, ProtoError::new(ErrorKind::Parse, e.to_string())));
     }
     let id = match get(&fields, "id") {
         None | Some(Val::Null) => None,
-        Some(Val::UInt(id)) => Some(id),
+        Some(Val::UInt(id)) => Some(*id),
         Some(_) => {
             let msg = "id must be a non-negative integer";
             return Err((None, ProtoError::new(ErrorKind::Field, msg)));
@@ -272,13 +276,39 @@ pub fn parse_frame(frame: &[u8]) -> Result<Request, (Option<u64>, ProtoError)> {
         .map_err(|e| (id, e))
 }
 
+/// Walk the frame, one object and nothing after it, keeping the first
+/// value of each of [`KEYS`] in `fields`.
+fn read_fields<'a>(frame: &'a [u8], fields: &mut Fields<'a>) -> Result<(), serde_json::Error> {
+    let text = std::str::from_utf8(frame).map_err(serde_json::Error::custom)?;
+    let mut r = Reader::new(text);
+    if r.next_byte() != Some(b'{') {
+        return Err(serde_json::Error::custom("frame must be a JSON object"));
+    }
+    r.object(
+        |r, key| match KEYS.iter().zip(fields.iter_mut()).find(|(k, _)| **k == key) {
+            Some((_, slot)) => r.once(slot, read_val),
+            None => r.skip_value(),
+        },
+    )?;
+    r.end()
+}
+
+/// The value `r` stands at, as much of it as [`Val`] keeps.
+fn read_val<'a>(r: &mut Reader<'a>) -> Result<Val<'a>, serde_json::Error> {
+    Ok(match r.next_byte() {
+        Some(b'"') => Val::Str(r.string()?),
+        Some(b'-' | b'0'..=b'9') => r.uint()?.map_or(Val::Other, Val::UInt),
+        Some(b'n') => r.skip_value().map(|()| Val::Null)?,
+        _ => r.skip_value().map(|()| Val::Other)?,
+    })
+}
+
 /// The checks after the id, in the order a client sees them fail: `v`,
 /// `op`, then the op's own fields.
 fn request_op(fields: &Fields<'_>) -> Result<Op, ProtoError> {
     match get(fields, "v") {
-        Some(Val::Str(v)) if *v.bytes() == *PROTOCOL_VERSION.as_bytes() => {}
+        Some(Val::Str(v)) if v == PROTOCOL_VERSION => {}
         Some(Val::Str(v)) => {
-            let v = v.text();
             let msg =
                 format!("unsupported protocol version {v:?} (daemon speaks {PROTOCOL_VERSION})");
             return Err(ProtoError::new(ErrorKind::Version, msg));
@@ -291,25 +321,24 @@ fn request_op(fields: &Fields<'_>) -> Result<Op, ProtoError> {
     let Some(Val::Str(op)) = get(fields, "op") else {
         return Err(ProtoError::new(ErrorKind::Op, "missing \"op\" field"));
     };
-    Ok(match &*op.bytes() {
-        b"select" => Op::Select {
+    Ok(match &**op {
+        "select" => Op::Select {
             collective: field_collective(fields)?,
             job: field_job(fields)?,
         },
-        b"predict" => Op::Predict {
-            cluster: field_str(fields, "cluster")?.text().into_owned(),
+        "predict" => Op::Predict {
+            cluster: field_str(fields, "cluster")?.to_string(),
             collective: field_collective(fields)?,
             job: field_job(fields)?,
         },
-        b"ping" => Op::Ping,
-        b"stats" => Op::Stats,
-        b"watch" => Op::Watch {
+        "ping" => Op::Ping,
+        "stats" => Op::Stats,
+        "watch" => Op::Watch {
             interval_ms: field_u64(fields, "interval_ms", Some(WATCH_DEFAULT_INTERVAL_MS))?,
             count: field_u64(fields, "count", Some(0))?,
         },
-        b"shutdown" => Op::Shutdown,
-        _ => {
-            let op = op.text();
+        "shutdown" => Op::Shutdown,
+        op => {
             let msg = format!("unknown op {op:?} (select, predict, ping, stats, watch, shutdown)");
             return Err(ProtoError::new(ErrorKind::Op, msg));
         }
@@ -328,239 +357,7 @@ pub fn trim_frame(frame: &[u8]) -> &[u8] {
     frame.get(start..end).unwrap_or(&[])
 }
 
-/// One scanned value: what the field checks need of it, nothing owned.
-#[derive(Debug, Clone, Copy)]
-enum Val<'a> {
-    Null,
-    /// A number `Value::as_u64` would accept.
-    UInt(u64),
-    Str(Str<'a>),
-    /// Anything else: bool, negative or fractional number, array, object.
-    Other,
-}
-
-/// A string's body as it stands in the frame (valid UTF-8); `escaped` when
-/// it holds a backslash and must be decoded before it is compared or kept.
-#[derive(Debug, Clone, Copy)]
-struct Str<'a> {
-    raw: &'a [u8],
-    escaped: bool,
-}
-
-impl<'a> Str<'a> {
-    fn text(self) -> Cow<'a, str> {
-        let raw = String::from_utf8_lossy(self.raw);
-        if !self.escaped {
-            return raw;
-        }
-        let mut scan = Scanner {
-            b: self.raw,
-            pos: 0,
-        };
-        let mut out = String::with_capacity(raw.len());
-        while let Some(rest) = raw.get(scan.pos..).filter(|r| !r.is_empty()) {
-            let (run, tail) = rest.split_once('\\').unwrap_or((rest, ""));
-            out.push_str(run);
-            scan.pos += run.len() + 1;
-            if !tail.is_empty() {
-                out.extend(scan.escape().ok());
-            }
-        }
-        Cow::Owned(out)
-    }
-
-    /// The decoded bytes, to compare without checking UTF-8 a second time.
-    fn bytes(self) -> Cow<'a, [u8]> {
-        match self.escaped {
-            false => Cow::Borrowed(self.raw),
-            true => Cow::Owned(self.text().into_owned().into_bytes()),
-        }
-    }
-}
-
-/// What a scan stopped on; [`parse_frame`] adds where.
-type Scan<T> = Result<T, &'static str>;
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
-    }
-
-    /// The next byte that is not JSON whitespace, left in place.
-    fn next(&mut self) -> Option<u8> {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-        self.peek()
-    }
-
-    /// Take `c` if it is what comes [`next`](Self::next).
-    fn eat(&mut self, c: u8) -> bool {
-        let hit = self.next() == Some(c);
-        self.pos += usize::from(hit);
-        hit
-    }
-
-    /// The whole frame: one object and nothing after it.
-    fn frame(&mut self, fields: &mut Fields<'a>) -> Scan<()> {
-        if self.next() != Some(b'{') {
-            return Err("frame must be a JSON object");
-        }
-        self.members(b'}', Some(fields), 0)?;
-        match self.next() {
-            None => Ok(()),
-            Some(_) => Err("trailing characters"),
-        }
-    }
-
-    /// An object (`close` is `}`) or array whose opening bracket is at
-    /// `pos`. With `fields`, known keys keep their first value.
-    fn members(&mut self, close: u8, mut fields: Option<&mut Fields<'a>>, depth: u32) -> Scan<()> {
-        if depth >= MAX_DEPTH {
-            return Err("nesting too deep");
-        }
-        self.pos += 1;
-        if self.eat(close) {
-            return Ok(());
-        }
-        loop {
-            let mut slot = None;
-            if close == b'}' {
-                let key = self.string()?.bytes();
-                if !self.eat(b':') {
-                    return Err("expected `:`");
-                }
-                slot = fields.as_deref_mut().and_then(|fields| {
-                    let at = KEYS.iter().position(|k| k.as_bytes() == &*key)?;
-                    fields.get_mut(at)
-                });
-            }
-            let val = self.value(depth + 1)?;
-            if let Some(slot) = slot {
-                slot.get_or_insert(val);
-            }
-            if self.eat(close) {
-                return Ok(());
-            }
-            if !self.eat(b',') {
-                return Err("expected `,` or a closing bracket");
-            }
-        }
-    }
-
-    fn value(&mut self, depth: u32) -> Scan<Val<'a>> {
-        let literal = |scan: &mut Self, word: &str, val| {
-            let rest = scan.b.get(scan.pos..).unwrap_or(&[]);
-            scan.pos += word.len();
-            rest.starts_with(word.as_bytes())
-                .then_some(val)
-                .ok_or("expected a value")
-        };
-        match self.next() {
-            Some(b'"') => self.string().map(Val::Str),
-            Some(b'{') => self.members(b'}', None, depth).map(|()| Val::Other),
-            Some(b'[') => self.members(b']', None, depth).map(|()| Val::Other),
-            Some(b't') => literal(self, "true", Val::Other),
-            Some(b'f') => literal(self, "false", Val::Other),
-            Some(b'n') => literal(self, "null", Val::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err("expected a value"),
-        }
-    }
-
-    /// A number token, made what the tree parser made of it: a `u64`, else
-    /// an `i64`, else an `f64`.
-    fn number(&mut self) -> Scan<Val<'a>> {
-        let start = self.pos;
-        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
-            self.pos += 1;
-        }
-        let token = self.b.get(start..self.pos).unwrap_or(&[]);
-        let text = std::str::from_utf8(token).unwrap_or("");
-        if let Ok(n) = text.parse::<u64>() {
-            Ok(Val::UInt(n))
-        } else if let Ok(n) = text.parse::<i64>() {
-            Ok(u64::try_from(n).map_or(Val::Other, Val::UInt))
-        } else if text.parse::<f64>().is_ok() {
-            Ok(Val::Other)
-        } else {
-            Err("invalid number")
-        }
-    }
-
-    /// One string, its opening quote next: escapes and UTF-8 checked,
-    /// nothing decoded.
-    fn string(&mut self) -> Scan<Str<'a>> {
-        if !self.eat(b'"') {
-            return Err("expected a string");
-        }
-        let start = self.pos;
-        let mut escaped = false;
-        loop {
-            let rest = self.b.get(self.pos..).unwrap_or(&[]);
-            let stop = rest.iter().position(|&c| c == b'"' || c == b'\\');
-            self.pos += stop.map_or(rest.len(), |stop| stop + 1);
-            match stop.and_then(|stop| rest.get(stop)) {
-                None => return Err("unterminated string"),
-                Some(b'"') => break,
-                Some(_) => {
-                    self.escape()?;
-                    escaped = true;
-                }
-            }
-        }
-        let raw = self.b.get(start..self.pos - 1).unwrap_or(&[]);
-        if !raw.is_ascii() && std::str::from_utf8(raw).is_err() {
-            return Err("invalid UTF-8 in string");
-        }
-        Ok(Str { raw, escaped })
-    }
-
-    /// The escape whose backslash was just consumed, decoded.
-    fn escape(&mut self) -> Scan<char> {
-        const BAD: &str = "invalid escape";
-        let c = self.peek().ok_or(BAD)?;
-        self.pos += 1;
-        Ok(match c {
-            b'"' | b'\\' | b'/' => char::from(c),
-            b'b' => '\u{8}',
-            b'f' => '\u{c}',
-            b'n' => '\n',
-            b'r' => '\r',
-            b't' => '\t',
-            b'u' => {
-                let mut cp = self.hex4()?;
-                // A high surrogate must lead a `\uXXXX` low one.
-                if let hi @ 0xD800..0xDC00 = cp {
-                    if self.b.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                        return Err(BAD);
-                    }
-                    self.pos += 2;
-                    let lo = self.hex4()?.checked_sub(0xDC00).filter(|lo| *lo < 0x400);
-                    cp = 0x10000 + ((hi - 0xD800) << 10) + lo.ok_or(BAD)?;
-                }
-                char::from_u32(cp).ok_or(BAD)?
-            }
-            _ => return Err(BAD),
-        })
-    }
-
-    /// Four hex digits as `u32::from_str_radix` reads them.
-    fn hex4(&mut self) -> Scan<u32> {
-        let digits = self.b.get(self.pos..self.pos + 4);
-        self.pos += 4;
-        digits
-            .and_then(|d| u32::from_str_radix(std::str::from_utf8(d).ok()?, 16).ok())
-            .ok_or("invalid \\u escape")
-    }
-}
-
-fn field_str<'a>(fields: &Fields<'a>, key: &str) -> Result<Str<'a>, ProtoError> {
+fn field_str<'f>(fields: &'f Fields<'_>, key: &str) -> Result<&'f str, ProtoError> {
     match get(fields, key) {
         Some(Val::Str(s)) => Ok(s),
         _ => Err(ProtoError::new(
@@ -575,7 +372,7 @@ fn field_str<'a>(fields: &Fields<'a>, key: &str) -> Result<Str<'a>, ProtoError> 
 /// either way, never ignored.
 fn field_u64(fields: &Fields<'_>, key: &str, default: Option<u64>) -> Result<u64, ProtoError> {
     let msg = match (get(fields, key), default) {
-        (Some(Val::UInt(n)), _) => return Ok(n),
+        (Some(Val::UInt(n)), _) => return Ok(*n),
         (None | Some(Val::Null), Some(default)) => return Ok(default),
         (_, Some(_)) => format!("{key:?} must be a non-negative integer"),
         (_, None) => format!("missing non-negative integer field {key:?}"),
@@ -585,8 +382,7 @@ fn field_u64(fields: &Fields<'_>, key: &str, default: Option<u64>) -> Result<u64
 
 fn field_collective(fields: &Fields<'_>) -> Result<Collective, ProtoError> {
     let s = field_str(fields, "collective")?;
-    parse_collective(&s.bytes()).ok_or_else(|| {
-        let s = s.text();
+    parse_collective(s.as_bytes()).ok_or_else(|| {
         ProtoError::new(
             ErrorKind::Field,
             format!("unknown collective {s:?} (allgather, alltoall, bcast, allreduce)"),
@@ -718,9 +514,9 @@ pub fn render_pong(id: Option<u64>) -> String {
 mod tests {
     use super::*;
 
-    /// `parse_request` as it was before the scanner: the vendored tree
-    /// parser plus field lookups on the `Value`. Kept as the reference the
-    /// scanner is pinned to.
+    /// `parse_request` as it was before frames were walked: the vendored
+    /// tree parser plus field lookups on the `Value`. Kept as the reference
+    /// the walk is pinned to.
     mod oracle {
         use super::super::*;
 
@@ -874,6 +670,7 @@ mod tests {
     }
 
     use oracle::get;
+    use serde_json::MAX_DEPTH;
 
     /// Every frame the protocol tests in this file and
     /// `scripts/serve_smoke.sh` send, good and bad.
@@ -996,7 +793,7 @@ mod tests {
         "99999999999999999999999999",
     ];
 
-    /// The scanner must answer `line` as the tree parser does: the same
+    /// `parse_request` must answer `line` as the tree parser does: the same
     /// request, or the same recovered id and error kind — and, for every
     /// kind but `parse` (whose wording names the syntax error), the same
     /// message.

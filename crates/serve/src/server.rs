@@ -914,6 +914,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A document nested 100 000 deep, as a table (which used to overflow
+    /// the stack) and as a model, is skipped like any corrupt artifact, and
+    /// the daemon boots and serves without it.
+    #[test]
+    fn a_deeply_nested_artifact_is_skipped_and_the_daemon_boots() {
+        let dir = std::env::temp_dir().join(format!("pmlserve-deep-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("models")).unwrap();
+        std::fs::write(dir.join("aa.json"), test_table().to_json().unwrap()).unwrap();
+        let deep = format!(
+            r#"{{"forest":{}{}}}"#,
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        );
+        std::fs::write(dir.join("deep.json"), &deep).unwrap();
+        std::fs::write(dir.join("models/deep.json"), &deep).unwrap();
+        let cfg = ServeConfig {
+            socket: dir.join("pml.sock"),
+            model_dir: dir.clone(),
+            batch: BatchConfig::default(),
+            obs: ObsConfig::default(),
+        };
+        let server = Server::bind(&cfg).unwrap();
+        let [table, model] = server.warnings() else {
+            panic!("two warnings expected: {:?}", server.warnings());
+        };
+        assert!(table.starts_with("skipping table ") && table.contains("nested too deep"));
+        assert!(model.starts_with("skipping model ") && model.contains("deep.json: "));
+        let term = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&term);
+        let thread = std::thread::spawn(move || server.run(&flag));
+        let daemon = Daemon {
+            dir,
+            socket: cfg.socket,
+            term,
+            thread,
+        };
+        let (mut client, mut reader) = daemon.connect();
+        assert_still_open(&mut client, &mut reader);
+        daemon.stop();
+    }
+
     fn test_shared() -> Shared {
         test_shared_with(ObsConfig::default())
     }

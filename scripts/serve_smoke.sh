@@ -2,9 +2,10 @@
 # Serve-lane smoke test: boots `pml-mpi serve` against a tiny hand-written
 # tuning-table artifact and the committed allgather model fixture, drives
 # the pml-serve/v1 protocol end to end through `pml-mpi client` — good
-# `select` and `predict` frames, a malformed frame, a truncated frame, an
-# unknown cluster (the daemon must answer with typed errors, never drop the
-# connection) — fires a short loadgen burst, round-trips the `watch` op
+# `select` and `predict` frames, a malformed frame, a truncated frame, a
+# frame nested 200 deep, an unknown cluster (the daemon must answer with
+# typed errors, never drop the connection) — fires a short loadgen burst,
+# round-trips the `watch` op
 # (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon and
 # asserts a clean shutdown: exit code 0 and the socket file removed.
 # Any mismatch exits nonzero. ci.sh runs this lane on every push.
@@ -76,6 +77,9 @@ done
 [[ -S "$sock" ]] || fail "socket never appeared at $sock"
 
 echo "==> protocol round-trip"
+# A frame nested 200 deep: a typed `parse` error, never recursion, and the
+# ping after it on the same connection is still answered.
+deep="{\"v\":\"pml-serve/v1\",\"id\":10,\"op\":\"ping\",\"x\":$(printf '[%.0s' {1..200})$(printf ']%.0s' {1..200})}"
 replies=$(printf '%s\n' \
     '{"v":"pml-serve/v1","id":1,"op":"ping"}' \
     '{"v":"pml-serve/v1","id":2,"op":"select","collective":"alltoall","nodes":2,"ppn":4,"msg_size":1024}' \
@@ -86,9 +90,11 @@ replies=$(printf '%s\n' \
     '{"v":"pml-serve/v1","id":7,"op":"predict","cluster":"Frontera","collective":"allgather","nodes":4,"ppn":16,"msg_size":4096}' \
     '{"v":"pml-serve/v1","id":8,"op":"predict","cluster":"Atlantis","collective":"allgather","nodes":4,"ppn":16,"msg_size":4096}' \
     '{"v":"pml-serve/v1","id":9,"op":"stats"}' \
+    "$deep" \
+    '{"v":"pml-serve/v1","id":11,"op":"ping"}' \
     | "$bin" client --socket "$sock")
 mapfile -t r <<< "$replies"
-[[ ${#r[@]} -eq 9 ]] || fail "expected 9 replies, got ${#r[@]}: $replies"
+[[ ${#r[@]} -eq 11 ]] || fail "expected 11 replies, got ${#r[@]}: $replies"
 expect "ping reply"            '"pong":true'        "${r[0]}"
 expect "exact small select"    '"algorithm":"bruck"' "${r[1]}"
 expect "exact small select"    '"depth":0'           "${r[1]}"
@@ -107,6 +113,9 @@ expect "stats after errors"    '"ok":true'           "${r[8]}"
 expect "stats counts requests" '"requests":'         "${r[8]}"
 expect "stats lists tables"    '"tables":'           "${r[8]}"
 expect "stats lists models"    '"models":["allgather"]' "${r[8]}"
+expect "deeply nested frame"   '"kind":"parse"'      "${r[9]}"
+expect "ping after deep frame" '"pong":true'         "${r[10]}"
+expect "ping after deep frame" '"id":11'             "${r[10]}"
 
 echo "==> loadgen burst"
 "$bin" loadgen --socket "$sock" --requests 2000 --threads 4 \

@@ -139,6 +139,27 @@ fn each_corruption_class_exits_nonzero() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Nesting past the reader's bound is a malformed artifact, reported like
+/// any other, where it used to overflow the stack and abort the process.
+#[test]
+fn deeply_nested_artifact_fails_instead_of_aborting() {
+    let dir = scratch("deep");
+    let deep = dir.join("deep.json");
+    let doc = format!(
+        r#"{{"forest":{}{}}}"#,
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    std::fs::write(&deep, doc).unwrap();
+    let out = pml(&["verify", deep.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let fail = format!("FAIL {}: ", deep.display());
+    assert!(stderr.contains(&fail), "{stderr}");
+    assert!(stderr.contains("nested too deep"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn mixed_healthy_and_broken_exits_nonzero_but_reports_both() {
     let dir = scratch("mixed");
