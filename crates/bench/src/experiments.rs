@@ -2,6 +2,11 @@
 //! has those). What each reproduces, and how it came out, is in
 //! EXPERIMENTS.md under the same name.
 
+use crate::gboost::{GBoostParams, GradientBoosting};
+use crate::knn::{Knn, KnnParams};
+use crate::metrics::accuracy;
+use crate::model_selection::{grid_search, train_test_split, Scoring};
+use crate::svm::{LinearSvm, SvmParams};
 use crate::{
     cluster, compare_selectors, geomean_speedup, msg_sweep, pct, pct_points, standard_train, us,
     Context, Report, HELD_OUT,
@@ -14,12 +19,7 @@ use pml_core::{
     overhead, records_to_dataset, AlgorithmSelector, JobConfig, MlSelector, MvapichDefault,
     PmlError, PretrainedModel, RandomSelector, TrainConfig, FEATURE_NAMES,
 };
-use pml_mlcore::metrics::accuracy;
-use pml_mlcore::model_selection::{grid_search, train_test_split, Scoring};
-use pml_mlcore::{
-    Classifier, Dataset, ForestParams, GBoostParams, GradientBoosting, Knn, KnnParams, LinearSvm,
-    RandomForest, SvmParams,
-};
+use pml_mlcore::{Classifier, Dataset, ForestParams, RandomForest};
 use pml_simnet::JobLayout;
 use std::time::Instant;
 

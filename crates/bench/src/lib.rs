@@ -12,6 +12,21 @@ mod compare;
 mod experiments;
 mod report;
 
+// Table II's comparison learners and the model selection that tunes them
+// (§V-C, §VI): evaluation code, so no binary that loads a model links them.
+// One directory, so the lint scopes name them once; each mounted as a root
+// module (`crate::gboost`, `crate::metrics`, …).
+#[path = "learners/gboost.rs"]
+pub mod gboost;
+#[path = "learners/knn.rs"]
+pub mod knn;
+#[path = "learners/metrics.rs"]
+pub mod metrics;
+#[path = "learners/model_selection.rs"]
+pub mod model_selection;
+#[path = "learners/svm.rs"]
+pub mod svm;
+
 pub use report::Report;
 
 use pml_clusters::{ClusterEntry, TuningRecord};

@@ -14,7 +14,7 @@ use crate::matrix::Matrix;
 
 /// The bin budget every trainer uses: codes are `u8`, so at most 256 bins
 /// per feature.
-pub(crate) const MAX_BINS: u16 = 256;
+pub const MAX_BINS: u16 = 256;
 
 /// A feature matrix quantized for histogram split finding: one `u8` code
 /// per (row, feature), laid out column-major so a node's histogram pass

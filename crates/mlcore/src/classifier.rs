@@ -1,4 +1,5 @@
-//! The common classifier interface all four paper models implement.
+//! The common classifier interface: the Random Forest implements it here,
+//! and Table II's comparison learners in `pml-bench` do too.
 
 use crate::error::MlError;
 use crate::matrix::Matrix;
@@ -35,4 +36,31 @@ pub trait Classifier {
             .map(|i| argmax(&self.predict_proba_row(x.row(i))))
             .collect()
     }
+}
+
+/// The input checks [`Classifier::fit`] promises: one label per row, at
+/// least one row and one class, and every label below `n_classes`.
+pub fn validate_fit(rows: usize, y: &[usize], n_classes: usize) -> Result<(), MlError> {
+    if rows != y.len() {
+        return Err(MlError::ShapeMismatch {
+            rows,
+            labels: y.len(),
+        });
+    }
+    if rows == 0 {
+        return Err(MlError::EmptyTrainingSet);
+    }
+    if n_classes == 0 {
+        return Err(MlError::InvalidParam {
+            param: "n_classes",
+            why: "must be at least 1".into(),
+        });
+    }
+    if let Some(&bad) = y.iter().find(|&&c| c >= n_classes) {
+        return Err(MlError::LabelOutOfRange {
+            label: bad,
+            n_classes,
+        });
+    }
+    Ok(())
 }

@@ -77,25 +77,6 @@ impl Dataset {
     pub fn n_features(&self) -> usize {
         self.x.cols()
     }
-
-    /// Sub-dataset of the given rows (order preserved).
-    pub fn select(&self, idx: &[usize]) -> Dataset {
-        Dataset {
-            x: self.x.select_rows(idx),
-            y: idx.iter().map(|&i| self.y[i]).collect(),
-            n_classes: self.n_classes,
-            feature_names: self.feature_names.clone(),
-        }
-    }
-
-    /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_classes];
-        for &c in &self.y {
-            counts[c] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -116,14 +97,6 @@ mod tests {
         let d = toy();
         assert_eq!(d.len(), 3);
         assert_eq!(d.n_features(), 2);
-        assert_eq!(d.class_counts(), vec![1, 2]);
-    }
-
-    #[test]
-    fn select_subsets() {
-        let d = toy().select(&[2, 0]);
-        assert_eq!(d.y, vec![1, 0]);
-        assert_eq!(d.x.row(0), &[2.0, 2.0]);
     }
 
     #[cfg(debug_assertions)]

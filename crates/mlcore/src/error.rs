@@ -50,29 +50,3 @@ impl fmt::Display for MlError {
 }
 
 impl std::error::Error for MlError {}
-
-/// Shared fit-input validation used by every classifier.
-pub(crate) fn validate_fit(rows: usize, y: &[usize], n_classes: usize) -> Result<(), MlError> {
-    if rows != y.len() {
-        return Err(MlError::ShapeMismatch {
-            rows,
-            labels: y.len(),
-        });
-    }
-    if rows == 0 {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    if n_classes == 0 {
-        return Err(MlError::InvalidParam {
-            param: "n_classes",
-            why: "must be at least 1".into(),
-        });
-    }
-    if let Some(&bad) = y.iter().find(|&&c| c >= n_classes) {
-        return Err(MlError::LabelOutOfRange {
-            label: bad,
-            n_classes,
-        });
-    }
-    Ok(())
-}

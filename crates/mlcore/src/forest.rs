@@ -8,9 +8,9 @@
 //! [`CompiledForest`] twin — the only batch inference path.
 
 use crate::binned::{BinnedMatrix, MAX_BINS};
-use crate::classifier::Classifier;
+use crate::classifier::{validate_fit, Classifier};
 use crate::compiled::{CompileError, CompiledForest};
-use crate::error::{validate_fit, MlError};
+use crate::error::MlError;
 use crate::matrix::Matrix;
 use crate::tree::{argmax, normalize, DecisionTree, MaxFeatures, TreeParams, TreeScratch};
 use crate::verify::{ForestIssue, ForestLoadError, StructureIssue};
@@ -565,7 +565,8 @@ mod tests {
             ..Default::default()
         });
         f.fit(&x, &y, 2).unwrap();
-        let acc = crate::metrics::accuracy(&yt, &f.predict(&xt));
+        let hits = yt.iter().zip(f.predict(&xt)).filter(|(t, p)| **t == *p);
+        let acc = hits.count() as f64 / yt.len() as f64;
         assert!(acc > 0.9, "accuracy {acc}");
     }
 
@@ -719,6 +720,26 @@ mod tests {
         let inf = f64::INFINITY;
         let x = Matrix::from_rows([[0.0], [0.0], [1.0], [inf], [inf], [f64::NAN]]);
         assert_eq!(f.fit(&x, &y, 2), Ok(()));
+    }
+
+    /// With no feature columns there is nothing to split on, whatever the
+    /// per-split draw: every `MaxFeatures` fits to the same typed error
+    /// instead of a panic inside a worker thread.
+    #[test]
+    fn zero_column_fit_is_a_typed_error_for_every_max_features() {
+        let x = Matrix::zeros(4, 0);
+        for max_features in [MaxFeatures::All, MaxFeatures::Sqrt, MaxFeatures::Count(2)] {
+            let mut f = RandomForest::new(ForestParams {
+                n_estimators: 3,
+                max_features,
+                ..Default::default()
+            });
+            assert_eq!(
+                f.fit(&x, &[0, 1, 0, 1], 2),
+                Err(MlError::Compile(CompileError::Unfit)),
+                "{max_features:?}"
+            );
+        }
     }
 
     #[test]

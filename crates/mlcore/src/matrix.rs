@@ -110,34 +110,6 @@ impl Matrix {
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Iterator over row views.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1)).take(self.rows)
-    }
-
-    /// Per-column mean and standard deviation (population), used by the
-    /// distance/margin-based models that need standardized inputs.
-    pub fn column_stats(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut mean = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for (m, v) in mean.iter_mut().zip(row) {
-                *m += v;
-            }
-        }
-        let n = self.rows.max(1) as f64;
-        for m in &mut mean {
-            *m /= n;
-        }
-        let mut var = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for ((s, v), m) in var.iter_mut().zip(row).zip(&mean) {
-                *s += (v - m) * (v - m);
-            }
-        }
-        let std: Vec<f64> = var.iter().map(|s| (s / n).sqrt()).collect();
-        (mean, std)
-    }
 }
 
 #[cfg(test)]
@@ -159,15 +131,6 @@ mod tests {
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s.row(0), &[3.0]);
         assert_eq!(s.row(1), &[1.0]);
-    }
-
-    #[test]
-    fn column_stats() {
-        let m = Matrix::from_rows([[1.0, 10.0], [3.0, 10.0]]);
-        let (mean, std) = m.column_stats();
-        assert_eq!(mean, vec![2.0, 10.0]);
-        assert_eq!(std[0], 1.0);
-        assert_eq!(std[1], 0.0);
     }
 
     #[cfg(debug_assertions)]

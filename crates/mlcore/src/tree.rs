@@ -1,16 +1,17 @@
 //! CART decision trees: a Gini classification tree (the building block of
-//! the Random Forest) and an MSE regression tree (the weak learner inside
-//! Gradient Boosting).
+//! the Random Forest) and an MSE regression tree (the weak learner of
+//! Table II's gradient boosting, in `pml-bench`).
 //!
 //! Both tree kinds share a flattened struct-of-arrays node store
 //! ([`TreeNodes`]) — parallel `feature`/`threshold`/`children` arrays plus
 //! one contiguous leaf-payload arena — so descent touches three small hot
 //! arrays instead of chasing an enum per node, and prediction never
-//! allocates. Growth is histogram split finding over a [`BinnedMatrix`]:
-//! every candidate split of a feature is scored from one O(n) counting
-//! pass. The sort-based search it replaced survives as a test-only oracle
-//! (`tree/oracle.rs`); on lossless binnings both choose identical splits
-//! (see the equivalence tests at the bottom of this file).
+//! allocates. Both grow through one histogram grower ([`grow`]) over a
+//! [`BinnedMatrix`], which scores every candidate split of a feature from
+//! one O(n) counting pass; only their [`Criterion`] differs. The sort-based
+//! search it replaced survives as a test-only oracle (`tree/oracle.rs`); on
+//! lossless binnings both choose identical splits (see the equivalence
+//! tests at the bottom of this file).
 
 use crate::binned::{BinnedMatrix, MAX_BINS};
 use crate::matrix::Matrix;
@@ -27,9 +28,7 @@ pub enum MaxFeatures {
     All,
     /// ⌈√d⌉ random features — the Random Forest default.
     Sqrt,
-    /// ⌈log₂ d⌉ random features.
-    Log2,
-    /// Exactly this many random features.
+    /// Exactly this many random features (at least one, at most d).
     Count(usize),
 }
 
@@ -38,8 +37,7 @@ impl MaxFeatures {
         match self {
             MaxFeatures::All => d,
             MaxFeatures::Sqrt => (d as f64).sqrt().ceil() as usize,
-            MaxFeatures::Log2 => (d as f64).log2().ceil().max(1.0) as usize,
-            MaxFeatures::Count(k) => k.clamp(1, d),
+            MaxFeatures::Count(k) => k.max(1).min(d),
         }
     }
 }
@@ -87,11 +85,13 @@ impl TreeNodes {
         self.feature.len()
     }
 
-    fn push_leaf(&mut self, values: &[f64]) -> u32 {
-        debug_assert!(self.leaf_values.len() < u32::MAX as usize - values.len());
+    /// Append a leaf whose payload is `sums` divided by the node's sample
+    /// count `n`: class shares from class counts, or a mean from a sum.
+    fn push_leaf(&mut self, sums: &[f64], n: f64) -> u32 {
+        debug_assert!(self.leaf_values.len() < u32::MAX as usize - sums.len());
         debug_assert!(self.feature.len() < u32::MAX as usize);
         let off = self.leaf_values.len() as u32;
-        self.leaf_values.extend_from_slice(values);
+        self.leaf_values.extend(sums.iter().map(|s| s / n));
         self.feature.push(LEAF);
         self.threshold.push(0.0);
         self.children.extend([off, 0]);
@@ -152,25 +152,191 @@ pub struct TreeScratch {
     rows: Vec<u32>,
     /// Spill buffer for the right half during a stable in-place partition.
     part: Vec<u32>,
-    /// Per-(bin, class) counts (classification) or per-bin
-    /// (count, sum, sum²) stats (regression), wiped per feature pass —
-    /// the bin budget keeps it small enough that a plain fill beats any
+    /// The criterion's slots per bin, wiped per feature pass — the bin
+    /// budget keeps it small enough that a plain fill beats any
     /// touched-slot bookkeeping on this project's low-cardinality features.
     hist: Vec<f64>,
     /// Candidate feature indices for the current node.
     feats: Vec<usize>,
-    /// Node-local gather of the labels (classification) or targets
-    /// (regression), aligned with the node's `rows` window so every
-    /// histogram pass streams them sequentially instead of re-reading `y`
-    /// at random — one gather pays for `max_features` histogram passes.
-    labels: Vec<u32>,
-    yvals: Vec<f64>,
-    /// Per-class accumulators for the node being scanned (class counts and
-    /// the left/right sides of the candidate boundary) — only live between
-    /// a node's entry and its recursion, so one set serves the whole tree.
-    counts: Vec<f64>,
+}
+
+// ---------------------------------------------------------------------------
+// Growth: one grower, two criteria
+// ---------------------------------------------------------------------------
+
+/// What tells a Gini classification tree from an MSE regression tree. It
+/// sums `stride` slots per row — over a bin in the histogram, over a node
+/// in its `totals` — and scores a boundary from totals and left-side slots.
+trait Criterion {
+    /// One row's target, gathered per node so every histogram pass streams
+    /// it instead of re-reading `y` at random.
+    type Target: Copy;
+    /// How far a decrease must beat the best so far (or zero) to replace it.
+    const EPS: f64;
+    fn stride(&self) -> usize;
+    fn target(&self, row: u32) -> Self::Target;
+    /// One row's histogram update: add target `t` to the slots of `bin`.
+    fn add_row(&self, hist: &mut [f64], bin: usize, t: Self::Target);
+    /// The node's impurity, or `None` when it is pure and so a leaf.
+    fn impurity(totals: &[f64], n: usize) -> Option<f64>;
+    /// How many samples one bin's slots hold.
+    fn count(slots: &[f64]) -> f64;
+    /// The impurity decrease of a boundary with `nl` samples left, `nr` right.
+    fn decrease(impurity: f64, totals: &[f64], left: &[f64], nl: usize, nr: usize) -> f64;
+    /// The slots whose means over the node's samples are its leaf payload.
+    fn leaf(totals: &[f64]) -> &[f64];
+}
+
+/// What one tree's recursion shares.
+struct Grower<'a, C: Criterion> {
+    b: &'a BinnedMatrix,
+    params: &'a TreeParams,
+    rng: &'a mut StdRng,
+    scratch: &'a mut TreeScratch,
+    crit: C,
+    /// Live from a node's entry to its recursion: its targets and totals.
+    targets: Vec<C::Target>,
+    totals: Vec<f64>,
     left: Vec<f64>,
-    right: Vec<f64>,
+    nodes: TreeNodes,
+    raw_importance: Vec<f64>,
+}
+
+/// Grow one tree over `rows` (indices into the binned matrix, duplicates
+/// allowed): its node store and unnormalized importances.
+fn grow<C: Criterion>(
+    b: &BinnedMatrix,
+    rows: &[u32],
+    params: &TreeParams,
+    rng: &mut StdRng,
+    scratch: &mut TreeScratch,
+    crit: C,
+) -> (TreeNodes, Vec<f64>) {
+    debug_assert!(!rows.is_empty(), "cannot fit on an empty sample");
+    debug_assert!(rows.iter().all(|&r| (r as usize) < b.rows()));
+    debug_assert!(b.cols() < LEAF as usize, "feature index must fit u16");
+    let s = crit.stride();
+    scratch.rows.clear();
+    scratch.rows.extend_from_slice(rows);
+    scratch.hist.clear();
+    scratch.hist.resize(MAX_BINS as usize * s, 0.0);
+    let mut g = Grower {
+        b,
+        params,
+        rng,
+        scratch,
+        crit,
+        targets: Vec::new(),
+        totals: vec![0.0; s],
+        left: vec![0.0; s],
+        nodes: TreeNodes::default(),
+        raw_importance: vec![0.0; b.cols()],
+    };
+    g.node(0, rows.len(), 0);
+    (g.nodes, g.raw_importance)
+}
+
+impl<C: Criterion> Grower<'_, C> {
+    /// Grow the node over `scratch.rows[lo..hi]` and its subtree.
+    fn node(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
+        let n = hi - lo;
+        let (crit, scratch, targets) = (&self.crit, &mut *self.scratch, &mut self.targets);
+        let rows = &mut scratch.rows;
+        targets.clear();
+        targets.extend(rows[lo..hi].iter().map(|&r| crit.target(r)));
+        self.totals.fill(0.0);
+        for &t in targets.iter() {
+            crit.add_row(&mut self.totals, 0, t);
+        }
+        let depth_stop = self.params.max_depth.is_some_and(|d| depth >= d);
+        let impurity = match C::impurity(&self.totals, n) {
+            Some(imp) if n >= self.params.min_samples_split && !depth_stop => imp,
+            _ => return self.nodes.push_leaf(C::leaf(&self.totals), n as f64),
+        };
+
+        // Feature subset: same RNG consumption as the sort-based oracle, so
+        // both draw identical subsets at every node.
+        let d = self.b.cols();
+        let k = self.params.max_features.resolve(d);
+        let feats = &mut scratch.feats;
+        feats.clear();
+        feats.extend(0..d);
+        if k < d {
+            feats.shuffle(self.rng);
+            feats.truncate(k);
+            feats.sort_unstable();
+        }
+
+        let s = crit.stride();
+        let min_leaf = self.params.min_samples_leaf;
+        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, decrease)
+        for &f in feats.iter() {
+            let nb = self.b.n_bins(f);
+            if nb < 2 {
+                continue;
+            }
+            let col = self.b.column(f);
+            let hist = &mut scratch.hist[..nb * s];
+            hist.fill(0.0);
+            for (&r, &t) in rows[lo..hi].iter().zip(targets.iter()) {
+                crit.add_row(hist, col[r as usize] as usize, t);
+            }
+            // Prefix-scan bins ascending. An empty bin changes neither side
+            // nor the partition, so the boundary after it is no candidate
+            // (as in the oracle); the last populated bin exits on `nr == 0`.
+            self.left.fill(0.0);
+            let mut nl = 0usize;
+            for bin in 0..nb - 1 {
+                let slots = &hist[bin * s..(bin + 1) * s];
+                let in_bin = C::count(slots);
+                if in_bin == 0.0 {
+                    continue;
+                }
+                for (l, v) in self.left.iter_mut().zip(slots) {
+                    *l += v;
+                }
+                nl += in_bin as usize;
+                let nr = n - nl;
+                if nr == 0 {
+                    break;
+                }
+                if nl < min_leaf || nr < min_leaf {
+                    continue;
+                }
+                let decrease = C::decrease(impurity, &self.totals, &self.left, nl, nr);
+                if best.map_or(decrease > C::EPS, |(_, _, bd)| decrease > bd + C::EPS) {
+                    best = Some((f, bin, decrease));
+                }
+            }
+        }
+
+        let Some((feature, bin, decrease)) = best else {
+            return self.nodes.push_leaf(C::leaf(&self.totals), n as f64);
+        };
+        self.raw_importance[feature] += (n as f64 / rows.len() as f64) * decrease;
+        let threshold = self.b.threshold(feature, bin);
+
+        // Stable in-place partition of this node's index window.
+        let (col, part) = (self.b.column(feature), &mut scratch.part);
+        part.clear();
+        let mut mid = lo;
+        for read in lo..hi {
+            let r = rows[read];
+            if col[r as usize] as usize <= bin {
+                rows[mid] = r;
+                mid += 1;
+            } else {
+                part.push(r);
+            }
+        }
+        rows[mid..hi].copy_from_slice(part);
+
+        let me = self.nodes.push_placeholder();
+        let left = self.node(lo, mid, depth + 1);
+        let right = self.node(mid, hi, depth + 1);
+        self.nodes.set_split(me, feature, threshold, left, right);
+        me
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -179,10 +345,8 @@ pub struct TreeScratch {
 // A tree is written as its SoA arrays under a `"version"` key and read back
 // array by array (`DecisionTree::{write_json, read_json}`), each number
 // going between the text and its typed vector with no `serde::Value` in
-// between; `tree/value_oracle.rs` keeps the `Value`-tree reader and printer
-// this replaced, for the tests to hold it to. The layout before the
-// flattening — a tagged `Node` enum per element under `"nodes"`, no
-// `"version"` — is no longer read.
+// between; the tests hold both to the `Value`-tree reader and printer in
+// `tree/value_oracle.rs`. A tree without `"version"` is not read.
 // ---------------------------------------------------------------------------
 
 /// Parse-shape consistency only: the parallel arrays must agree on the
@@ -206,13 +370,12 @@ fn validate_nodes(nodes: &TreeNodes) -> Result<(), DeError> {
 /// consistency, child indices in-bounds and strictly parent-before-child
 /// (which rules out cycles and guarantees descent terminates), every
 /// non-root node referenced exactly once, leaf sentinel slots zeroed, leaf
-/// payloads laid out contiguously in node order, and — for classification
-/// trees (`simplex`) — each leaf a probability distribution within 1e-6.
+/// payloads laid out contiguously in node order, and each leaf a
+/// probability distribution within 1e-6.
 fn verify_nodes(
     nodes: &TreeNodes,
     leaf_len: usize,
     n_features: usize,
-    simplex: bool,
 ) -> Result<(), StructureIssue> {
     const EPS: f64 = 1e-6;
     let n = nodes.len();
@@ -248,17 +411,15 @@ fn verify_nodes(
                     actual: nodes.leaf_values.len(),
                 });
             }
-            if simplex {
-                let payload = &nodes.leaf_values[off..off + leaf_len];
-                for &v in payload {
-                    if !(-EPS..=1.0 + EPS).contains(&v) {
-                        return Err(StructureIssue::LeafValueOutOfRange { node: i, value: v });
-                    }
+            let payload = &nodes.leaf_values[off..off + leaf_len];
+            for &v in payload {
+                if !(-EPS..=1.0 + EPS).contains(&v) {
+                    return Err(StructureIssue::LeafValueOutOfRange { node: i, value: v });
                 }
-                let sum: f64 = payload.iter().sum();
-                if (sum - 1.0).abs() > EPS {
-                    return Err(StructureIssue::NotSimplex { node: i, sum });
-                }
+            }
+            let sum: f64 = payload.iter().sum();
+            if (sum - 1.0).abs() > EPS {
+                return Err(StructureIssue::NotSimplex { node: i, sum });
             }
         } else {
             let f = nodes.feature[i] as usize;
@@ -314,14 +475,59 @@ pub struct DecisionTree {
     raw_importance: Vec<f64>,
 }
 
-fn gini(counts: &[f64], total: f64) -> f64 {
+fn gini(counts: impl IntoIterator<Item = f64>, total: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
     1.0 - counts
-        .iter()
+        .into_iter()
         .map(|c| (c / total) * (c / total))
         .sum::<f64>()
+}
+
+/// Per-class counts in each bin, Gini decrease, a leaf of class shares.
+struct Gini<'a> {
+    y: &'a [usize],
+    n_classes: usize,
+}
+
+impl Criterion for Gini<'_> {
+    type Target = u32;
+    const EPS: f64 = 1e-12;
+
+    fn stride(&self) -> usize {
+        self.n_classes
+    }
+
+    fn target(&self, row: u32) -> u32 {
+        let label = self.y[row as usize];
+        debug_assert!(label < self.n_classes, "validated at the fit boundary");
+        label as u32
+    }
+
+    fn add_row(&self, hist: &mut [f64], bin: usize, lab: u32) {
+        hist[bin * self.n_classes + lab as usize] += 1.0;
+    }
+
+    fn impurity(counts: &[f64], n: usize) -> Option<f64> {
+        Some(gini(counts.iter().copied(), n as f64)).filter(|&g| g != 0.0)
+    }
+
+    fn count(slots: &[f64]) -> f64 {
+        slots.iter().sum()
+    }
+
+    fn decrease(impurity: f64, counts: &[f64], left: &[f64], nl: usize, nr: usize) -> f64 {
+        let right = counts.iter().zip(left).map(|(c, l)| c - l);
+        let w_impurity = (nl as f64 * gini(left.iter().copied(), nl as f64)
+            + nr as f64 * gini(right, nr as f64))
+            / (nl + nr) as f64;
+        impurity - w_impurity
+    }
+
+    fn leaf(counts: &[f64]) -> &[f64] {
+        counts
+    }
 }
 
 impl DecisionTree {
@@ -408,187 +614,13 @@ impl DecisionTree {
         scratch: &mut TreeScratch,
     ) -> Self {
         debug_assert!(n_classes >= 1);
-        debug_assert!(!rows.is_empty(), "cannot fit on an empty sample");
-        debug_assert!(rows.iter().all(|&r| (r as usize) < b.rows()));
-        debug_assert!(b.cols() < LEAF as usize, "feature index must fit u16");
-        let mut tree = DecisionTree {
-            nodes: TreeNodes::default(),
+        let gini = Gini { y, n_classes };
+        let (nodes, raw_importance) = grow(b, rows, params, rng, scratch, gini);
+        DecisionTree {
+            nodes,
             n_classes,
-            raw_importance: vec![0.0; b.cols()],
-        };
-        scratch.rows.clear();
-        scratch.rows.extend_from_slice(rows);
-        scratch.hist.clear();
-        scratch.hist.resize(MAX_BINS as usize * n_classes, 0.0);
-        let n = rows.len();
-        tree.grow_binned(b, y, params, rng, scratch, 0, n, 0, n as f64);
-        tree
-    }
-
-    /// Leaf from raw class counts: normalized into the arena directly.
-    fn push_dist_leaf(&mut self, dist: &[f64]) -> u32 {
-        debug_assert!(self.nodes.leaf_values.len() < u32::MAX as usize - dist.len());
-        debug_assert!(self.nodes.feature.len() < u32::MAX as usize);
-        let total: f64 = dist.iter().sum();
-        let off = self.nodes.leaf_values.len() as u32;
-        if total > 0.0 {
-            self.nodes
-                .leaf_values
-                .extend(dist.iter().map(|d| d / total));
-        } else {
-            self.nodes.leaf_values.extend_from_slice(dist);
+            raw_importance,
         }
-        self.nodes.feature.push(LEAF);
-        self.nodes.threshold.push(0.0);
-        self.nodes.children.extend([off, 0]);
-        (self.nodes.feature.len() - 1) as u32
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn grow_binned(
-        &mut self,
-        b: &BinnedMatrix,
-        y: &[usize],
-        params: &TreeParams,
-        rng: &mut StdRng,
-        scratch: &mut TreeScratch,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        n_total: f64,
-    ) -> u32 {
-        let n = hi - lo;
-        let nc = self.n_classes;
-        debug_assert!(
-            scratch.rows[lo..hi].iter().all(|&r| y[r as usize] < nc),
-            "labels exceed n_classes (validated at the fit boundary)"
-        );
-        scratch.labels.clear();
-        scratch
-            .labels
-            .extend(scratch.rows[lo..hi].iter().map(|&r| y[r as usize] as u32));
-        scratch.counts.clear();
-        scratch.counts.resize(nc, 0.0);
-        for &lab in &scratch.labels {
-            scratch.counts[lab as usize] += 1.0;
-        }
-        let impurity = gini(&scratch.counts, n as f64);
-        let depth_stop = params.max_depth.is_some_and(|d| depth >= d);
-        if impurity == 0.0 || n < params.min_samples_split || depth_stop {
-            return self.push_dist_leaf(&scratch.counts);
-        }
-
-        // Feature subset: same RNG consumption as the sort-based oracle, so
-        // both draw identical subsets at every node.
-        let d = b.cols();
-        let k = params.max_features.resolve(d);
-        scratch.feats.clear();
-        scratch.feats.extend(0..d);
-        if k < d {
-            scratch.feats.shuffle(rng);
-            scratch.feats.truncate(k);
-            scratch.feats.sort_unstable();
-        }
-
-        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, decrease)
-        {
-            let TreeScratch {
-                rows,
-                hist,
-                feats,
-                labels,
-                counts,
-                left,
-                right,
-                ..
-            } = &mut *scratch;
-            left.clear();
-            left.resize(nc, 0.0);
-            right.clear();
-            right.resize(nc, 0.0);
-            for &f in feats.iter() {
-                let nb = b.n_bins(f);
-                if nb < 2 {
-                    continue;
-                }
-                let col = b.column(f);
-                let hist = &mut hist[..nb * nc];
-                hist.fill(0.0);
-                for (&r, &lab) in rows[lo..hi].iter().zip(labels.iter()) {
-                    hist[col[r as usize] as usize * nc + lab as usize] += 1.0;
-                }
-                // Prefix-scan bins ascending; a boundary after bin `bin` is
-                // a candidate only when the bin holds samples of this node
-                // (matching the oracle's distinct-value candidates) —
-                // empty bins change neither `left` nor the partition.
-                for l in left.iter_mut() {
-                    *l = 0.0;
-                }
-                let mut n_left = 0usize;
-                for bin in 0..nb - 1 {
-                    let h = &hist[bin * nc..(bin + 1) * nc];
-                    let mut bc = 0.0f64;
-                    for (l, hv) in left.iter_mut().zip(h) {
-                        *l += hv;
-                        bc += hv;
-                    }
-                    if bc == 0.0 {
-                        continue; // same partition as the previous boundary
-                    }
-                    n_left += bc as usize;
-                    let nl = n_left;
-                    let nr = n - nl;
-                    if nr == 0 {
-                        break; // no samples to the right of any later boundary
-                    }
-                    if nl < params.min_samples_leaf || nr < params.min_samples_leaf {
-                        continue;
-                    }
-                    for ((rv, cv), lv) in right.iter_mut().zip(counts.iter()).zip(left.iter()) {
-                        *rv = cv - lv;
-                    }
-                    let w_impurity = (nl as f64 * gini(left, nl as f64)
-                        + nr as f64 * gini(right, nr as f64))
-                        / n as f64;
-                    let decrease = impurity - w_impurity;
-                    if best.map_or(decrease > 1e-12, |(_, _, bd)| decrease > bd + 1e-12) {
-                        best = Some((f, bin, decrease));
-                    }
-                }
-            }
-        }
-
-        let Some((feature, bin, decrease)) = best else {
-            return self.push_dist_leaf(&scratch.counts);
-        };
-        self.raw_importance[feature] += (n as f64 / n_total) * decrease;
-        let threshold = b.threshold(feature, bin);
-
-        // Stable in-place partition of this node's index window.
-        let mid = {
-            let TreeScratch { rows, part, .. } = &mut *scratch;
-            let col = b.column(feature);
-            part.clear();
-            let mut write = lo;
-            for read in lo..hi {
-                let r = rows[read];
-                if col[r as usize] as usize <= bin {
-                    rows[write] = r;
-                    write += 1;
-                } else {
-                    part.push(r);
-                }
-            }
-            rows[write..hi].copy_from_slice(part);
-            write
-        };
-
-        let me = self.nodes.push_placeholder();
-        let left_child = self.grow_binned(b, y, params, rng, scratch, lo, mid, depth + 1, n_total);
-        let right_child = self.grow_binned(b, y, params, rng, scratch, mid, hi, depth + 1, n_total);
-        self.nodes
-            .set_split(me, feature, threshold, left_child, right_child);
-        me
     }
 
     pub fn n_classes(&self) -> usize {
@@ -639,7 +671,7 @@ impl DecisionTree {
     /// checks parse shape — call this before predicting on a tree that
     /// crossed a trust boundary.
     pub fn verify(&self) -> Result<(), StructureIssue> {
-        verify_nodes(&self.nodes, self.n_classes, self.raw_importance.len(), true)
+        verify_nodes(&self.nodes, self.n_classes, self.raw_importance.len())
     }
 
     /// Borrow the SoA node arrays — `(feature, threshold, children,
@@ -665,7 +697,52 @@ impl DecisionTree {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: TreeNodes,
-    raw_importance: Vec<f64>,
+}
+
+/// (count, sum, sum²) of the targets in each bin, variance decrease, a
+/// leaf of the mean target.
+struct Mse<'a>(&'a [f64]);
+
+impl Criterion for Mse<'_> {
+    type Target = f64;
+    const EPS: f64 = 1e-15;
+
+    fn stride(&self) -> usize {
+        3
+    }
+
+    fn target(&self, row: u32) -> f64 {
+        self.0[row as usize]
+    }
+
+    fn add_row(&self, hist: &mut [f64], bin: usize, t: f64) {
+        let base = bin * 3;
+        hist[base] += 1.0;
+        hist[base + 1] += t;
+        hist[base + 2] += t * t;
+    }
+
+    fn impurity(totals: &[f64], n: usize) -> Option<f64> {
+        let (sum, sum2, n) = (totals[1], totals[2], n as f64);
+        // `max` maps a NaN to 0, so `var` is never NaN.
+        Some((sum2 - sum * sum / n).max(0.0) / n).filter(|&var| var > 1e-18)
+    }
+
+    fn count(slots: &[f64]) -> f64 {
+        slots[0]
+    }
+
+    fn decrease(var: f64, totals: &[f64], left: &[f64], nl: usize, nr: usize) -> f64 {
+        let (lsum, lsum2) = (left[1], left[2]);
+        let (rsum, rsum2) = (totals[1] - lsum, totals[2] - lsum2);
+        let (nl, nr) = (nl as f64, nr as f64);
+        let sse = (lsum2 - lsum * lsum / nl) + (rsum2 - rsum * rsum / nr);
+        var - sse / (nl + nr)
+    }
+
+    fn leaf(totals: &[f64]) -> &[f64] {
+        &totals[1..2]
+    }
 }
 
 impl RegressionTree {
@@ -679,168 +756,12 @@ impl RegressionTree {
         rng: &mut StdRng,
         scratch: &mut TreeScratch,
     ) -> Self {
-        debug_assert!(!rows.is_empty(), "cannot fit on an empty sample");
-        debug_assert!(rows.iter().all(|&r| (r as usize) < b.rows()));
-        debug_assert!(b.cols() < LEAF as usize, "feature index must fit u16");
-        let mut tree = RegressionTree {
-            nodes: TreeNodes::default(),
-            raw_importance: vec![0.0; b.cols()],
-        };
-        scratch.rows.clear();
-        scratch.rows.extend_from_slice(rows);
-        scratch.hist.clear();
-        scratch.hist.resize(MAX_BINS as usize * 3, 0.0);
-        let n = rows.len();
-        tree.grow_binned(b, y, params, rng, scratch, 0, n, 0, n as f64);
-        tree
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn grow_binned(
-        &mut self,
-        b: &BinnedMatrix,
-        y: &[f64],
-        params: &TreeParams,
-        rng: &mut StdRng,
-        scratch: &mut TreeScratch,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        n_total: f64,
-    ) -> u32 {
-        let n = hi - lo;
-        scratch.yvals.clear();
-        scratch
-            .yvals
-            .extend(scratch.rows[lo..hi].iter().map(|&r| y[r as usize]));
-        let mut sum = 0.0f64;
-        let mut sum2 = 0.0f64;
-        for &t in &scratch.yvals {
-            sum += t;
-            sum2 += t * t;
-        }
-        let var = (sum2 - sum * sum / n as f64).max(0.0) / n as f64;
-        let depth_stop = params.max_depth.is_some_and(|d| depth >= d);
-        if var <= 1e-18 || n < params.min_samples_split || depth_stop {
-            return self.nodes.push_leaf(&[sum / n as f64]);
-        }
-
-        let d = b.cols();
-        let k = params.max_features.resolve(d);
-        scratch.feats.clear();
-        scratch.feats.extend(0..d);
-        if k < d {
-            scratch.feats.shuffle(rng);
-            scratch.feats.truncate(k);
-            scratch.feats.sort_unstable();
-        }
-
-        let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, decrease)
-        {
-            let TreeScratch {
-                rows,
-                hist,
-                feats,
-                yvals,
-                ..
-            } = &mut *scratch;
-            for &f in feats.iter() {
-                let nb = b.n_bins(f);
-                if nb < 2 {
-                    continue;
-                }
-                let col = b.column(f);
-                let hist = &mut hist[..nb * 3];
-                hist.fill(0.0);
-                for (&r, &t) in rows[lo..hi].iter().zip(yvals.iter()) {
-                    let base = col[r as usize] as usize * 3;
-                    hist[base] += 1.0;
-                    hist[base + 1] += t;
-                    hist[base + 2] += t * t;
-                }
-                // Prefix-scan bins ascending; empty bins change nothing and
-                // are skipped, and the last populated bin exits via the
-                // `nr == 0` break (covering `bin == nb - 1`).
-                let mut lcnt = 0.0f64;
-                let mut lsum = 0.0f64;
-                let mut lsum2 = 0.0f64;
-                for bin in 0..nb - 1 {
-                    let base = bin * 3;
-                    if hist[base] == 0.0 {
-                        continue;
-                    }
-                    lcnt += hist[base];
-                    lsum += hist[base + 1];
-                    lsum2 += hist[base + 2];
-                    let nl = lcnt;
-                    let nr = n as f64 - nl;
-                    if nr == 0.0 {
-                        break;
-                    }
-                    if (nl as usize) < params.min_samples_leaf
-                        || (nr as usize) < params.min_samples_leaf
-                    {
-                        continue;
-                    }
-                    let rsum = sum - lsum;
-                    let rsum2 = sum2 - lsum2;
-                    let sse = (lsum2 - lsum * lsum / nl) + (rsum2 - rsum * rsum / nr);
-                    let decrease = var - sse / n as f64;
-                    if best.map_or(decrease > 1e-15, |(_, _, bd)| decrease > bd + 1e-15) {
-                        best = Some((f, bin, decrease));
-                    }
-                }
-            }
-        }
-
-        let Some((feature, bin, decrease)) = best else {
-            return self.nodes.push_leaf(&[sum / n as f64]);
-        };
-        self.raw_importance[feature] += (n as f64 / n_total) * decrease;
-        let threshold = b.threshold(feature, bin);
-
-        let mid = {
-            let TreeScratch { rows, part, .. } = &mut *scratch;
-            let col = b.column(feature);
-            part.clear();
-            let mut write = lo;
-            for read in lo..hi {
-                let r = rows[read];
-                if col[r as usize] as usize <= bin {
-                    rows[write] = r;
-                    write += 1;
-                } else {
-                    part.push(r);
-                }
-            }
-            rows[write..hi].copy_from_slice(part);
-            write
-        };
-
-        let me = self.nodes.push_placeholder();
-        let left_child = self.grow_binned(b, y, params, rng, scratch, lo, mid, depth + 1, n_total);
-        let right_child = self.grow_binned(b, y, params, rng, scratch, mid, hi, depth + 1, n_total);
-        self.nodes
-            .set_split(me, feature, threshold, left_child, right_child);
-        me
+        let (nodes, _) = grow(b, rows, params, rng, scratch, Mse(y));
+        RegressionTree { nodes }
     }
 
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         self.nodes.descend(row, 1).first().copied().unwrap_or(0.0)
-    }
-
-    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|i| self.predict_row(x.row(i))).collect()
-    }
-
-    pub fn raw_importance(&self) -> &[f64] {
-        &self.raw_importance
-    }
-
-    /// Prove the tree's structural invariants (see [`verify_nodes`]).
-    /// Regression leaves hold one mean each, so no simplex check applies.
-    pub fn verify(&self) -> Result<(), StructureIssue> {
-        verify_nodes(&self.nodes, 1, self.raw_importance.len(), false)
     }
 }
 
@@ -1052,19 +973,12 @@ mod tests {
     }
 
     /// Exercise `verify` against one hand-built violation per invariant
-    /// class, and confirm fitted trees of both kinds verify clean.
+    /// class, and confirm a fitted tree verifies clean.
     #[test]
     fn verify_catches_each_structural_corruption() {
         let (x, y) = blobs();
         let t = fit_tree(&x, &y, 2, &TreeParams::default(), &mut rng());
         assert_eq!(t.verify(), Ok(()));
-        let r = fit_reg(
-            &x,
-            &y.iter().map(|&c| c as f64).collect::<Vec<_>>(),
-            &TreeParams::default(),
-            &mut rng(),
-        );
-        assert_eq!(r.verify(), Ok(()));
 
         let corrupt = |f: &dyn Fn(&mut DecisionTree)| {
             let mut bad = t.clone();
@@ -1226,6 +1140,80 @@ mod tests {
         // Still separates the blobs.
         assert_eq!(t.predict_row(&[0.1, 1.1]), 0);
         assert_eq!(t.predict_row(&[5.1, 6.1]), 1);
+    }
+
+    /// FNV-1a over a tree's node count, SoA arrays and importances, every
+    /// `f64` by its bits.
+    fn digest(nodes: &TreeNodes, raw_importance: &[f64]) -> u64 {
+        let words = std::iter::once(nodes.len() as u64)
+            .chain(nodes.feature.iter().map(|&f| u64::from(f)))
+            .chain(nodes.threshold.iter().map(|t| t.to_bits()))
+            .chain(nodes.children.iter().map(|&c| u64::from(c)))
+            .chain(nodes.leaf_values.iter().map(|v| v.to_bits()))
+            .chain(raw_importance.iter().map(|v| v.to_bits()));
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Grown trees of both kinds, pinned bit for bit by digests recorded
+    /// before the two growers became one: any change to a criterion's
+    /// arithmetic, the feature draw or the node numbering fails here.
+    #[test]
+    fn grown_trees_match_recorded_digests() {
+        let (x, y) = random_dataset(29, 300, 6, 4);
+        // 32 bins: the continuous columns bin lossily (quantile edges).
+        let b = BinnedMatrix::from_matrix(&x, 32);
+        let mut r = StdRng::seed_from_u64(5);
+        let n = x.rows() as u32;
+        let rows: Vec<u32> = (0..n).map(|_| r.gen_range(0..n)).collect();
+        let target: Vec<f64> = (0..x.rows())
+            .map(|i| 1.5 * x.get(i, 0) - x.get(i, 2) + y[i] as f64)
+            .collect();
+        let subset = TreeParams {
+            max_depth: Some(9),
+            min_samples_leaf: 2,
+            max_features: MaxFeatures::Count(2),
+            ..Default::default()
+        };
+        let mut scratch = TreeScratch::default();
+        let mut fit = |params: &TreeParams, seed| {
+            let t = DecisionTree::fit_binned(
+                &b,
+                &y,
+                &rows,
+                4,
+                params,
+                &mut StdRng::seed_from_u64(seed),
+                &mut scratch,
+            );
+            (t.node_count(), digest(&t.nodes, &t.raw_importance))
+        };
+        let all = fit(&TreeParams::default(), 1);
+        let two = fit(&subset, 2);
+        let reg = RegressionTree::fit_binned(
+            &b,
+            &target,
+            &rows,
+            &TreeParams {
+                min_samples_leaf: 3,
+                max_features: MaxFeatures::Count(3),
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(3),
+            &mut scratch,
+        );
+        let reg = (reg.nodes.len(), digest(&reg.nodes, &[]));
+        assert_eq!(
+            [all, two, reg],
+            [
+                (187, 0x88df_a2c2_cb09_1f03),
+                (139, 0x9eeb_2fdd_757b_939a),
+                (155, 0xeb42_e077_a98e_ed7d)
+            ]
+        );
     }
 
     #[test]

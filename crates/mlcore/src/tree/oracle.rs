@@ -42,7 +42,7 @@ impl DecisionTree {
         for &i in idx {
             dist[y[i]] += 1.0;
         }
-        self.push_dist_leaf(&dist)
+        self.nodes.push_leaf(&dist, idx.len() as f64)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -61,7 +61,7 @@ impl DecisionTree {
         for &i in &idx {
             counts[y[i]] += 1.0;
         }
-        let impurity = gini(&counts, n as f64);
+        let impurity = gini(counts.iter().copied(), n as f64);
         let depth_stop = params.max_depth.is_some_and(|d| depth >= d);
         if impurity == 0.0 || n < params.min_samples_split || depth_stop {
             return self.leaf_from(y, &idx);
@@ -101,8 +101,8 @@ impl DecisionTree {
                 if nl < params.min_samples_leaf || nr < params.min_samples_leaf {
                     continue;
                 }
-                let w_impurity = (nl as f64 * gini(&left, nl as f64)
-                    + nr as f64 * gini(&right, nr as f64))
+                let w_impurity = (nl as f64 * gini(left.iter().copied(), nl as f64)
+                    + nr as f64 * gini(right.iter().copied(), nr as f64))
                     / n as f64;
                 let decrease = impurity - w_impurity;
                 if best.map_or(decrease > 1e-12, |(_, _, bd)| decrease > bd + 1e-12) {

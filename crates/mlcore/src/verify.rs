@@ -6,8 +6,8 @@
 //! probability vectors that are not distributions — none of which the
 //! parser alone can rule out without re-walking the whole structure.
 //! [`StructureIssue`] enumerates every invariant a well-formed tree
-//! ensemble satisfies; `DecisionTree::verify`, `RegressionTree::verify`
-//! and [`crate::RandomForest::verify`] prove them before inference ever
+//! ensemble satisfies; `DecisionTree::verify` and
+//! [`crate::RandomForest::verify`] prove them before inference ever
 //! descends a node. Deserialization itself only enforces parse-shape
 //! consistency — run `verify` on anything that crossed a trust boundary.
 

@@ -143,6 +143,8 @@ impl LintConfig {
             determinism_scope: vec![
                 "crates/clusters/src/datagen.rs".into(),
                 "crates/mlcore/src/".into(),
+                // Table II's learners, moved out of `pml-mlcore`.
+                "crates/bench/src/learners/".into(),
                 "crates/core/src/tuning_table.rs".into(),
                 "crates/core/src/tuner.rs".into(),
                 "crates/core/src/pipeline.rs".into(),
@@ -162,7 +164,11 @@ impl LintConfig {
                 "crates/collectives/src/measure.rs".into(),
                 "crates/collectives/src/exec/".into(),
             ],
-            cast_scope: vec!["crates/mlcore/src/".into(), "crates/core/src/".into()],
+            cast_scope: vec![
+                "crates/mlcore/src/".into(),
+                "crates/bench/src/learners/".into(),
+                "crates/core/src/".into(),
+            ],
             relaxed_counter_scope: vec![
                 // The metrics registry (counters, gauges, histograms) and
                 // the span-id/tick counters around it.
@@ -173,7 +179,11 @@ impl LintConfig {
             ],
             // The compiled forest kernel, its exact-walk oracle, and
             // everything the selection path routes through them.
-            unsafe_scope: vec!["crates/mlcore/src/".into(), "crates/core/src/".into()],
+            unsafe_scope: vec![
+                "crates/mlcore/src/".into(),
+                "crates/bench/src/learners/".into(),
+                "crates/core/src/".into(),
+            ],
         }
     }
 }
