@@ -6,8 +6,6 @@
 //! BenchMEM benchmark, both executed by [`runner::run_app`] under any
 //! algorithm-selection strategy.
 
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
 pub mod gromacs;
 pub mod minife;
 pub mod runner;

@@ -1,6 +1,9 @@
 //! Algorithm registry: the enumerations the rest of the system (dataset
 //! generation, classifiers, tuning tables) speaks in.
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 use crate::schedcheck::SchedError;
 use crate::schedule::CommSchedule;
 use crate::{allgather, allreduce, alltoall, bcast};

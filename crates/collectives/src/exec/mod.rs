@@ -6,6 +6,9 @@
 //! [`crate::schedcheck`]'s static proof; the byte interpreter the crate's
 //! tests compare against is the test-only `interp` module below.
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 pub mod sim;
 
 pub use sim::SimResult;

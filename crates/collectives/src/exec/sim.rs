@@ -23,6 +23,9 @@
 //! start-time order from a priority queue, so results are deterministic,
 //! and every step of a planned schedule completes.
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 use crate::schedcheck::{self, Messages, SchedError};
 use crate::schedule::{CommSchedule, Op};
 use pml_simnet::{CostModel, JobLayout};

@@ -22,8 +22,6 @@
 //! [`mod@measure`] wraps the simulator into the micro-benchmark sweep
 //! dataset generation runs.
 
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
 pub mod algo;
 pub mod allgather;
 pub mod allreduce;

@@ -9,6 +9,9 @@
 //! of experiments") are applied per cell by `pml-clusters`' datagen; one
 //! algorithm at one point is [`crate::schedcost::sim_time`].
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 use crate::algo::{Algorithm, Collective};
 use crate::exec::sim;
 use pml_obs::Counter;

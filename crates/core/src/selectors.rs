@@ -13,6 +13,9 @@
 //! * [`AnalyticSelector`] — static α-β-γ cost polynomials fitted per node
 //!   type (hardware-aware, model-free; the tuner's graded fallback tier).
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 use crate::tuning_table::{TableEntry, TableIndex};
 use pml_clusters::TuningRecord;
 use pml_collectives::{
@@ -84,7 +87,22 @@ pub fn applicable_or_fallback(preferred: Algorithm, world: u32) -> Algorithm {
         Algorithm::Allreduce(AllreduceAlgo::RecursiveDoubling) => {
             Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter)
         }
-        other => other,
+        // Defined at every world size, so `supports` never sent them here.
+        // Named one by one: a new variant needs its own arm (and, if it is
+        // not always applicable, a relative above).
+        Algorithm::Allgather(AllgatherAlgo::Ring | AllgatherAlgo::Bruck)
+        | Algorithm::Alltoall(
+            AlltoallAlgo::Bruck
+            | AlltoallAlgo::ScatterDest
+            | AlltoallAlgo::Pairwise
+            | AlltoallAlgo::Inplace,
+        )
+        | Algorithm::Bcast(
+            BcastAlgo::Binomial | BcastAlgo::ScatterAllgather | BcastAlgo::PipelinedRing,
+        )
+        | Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter | AllreduceAlgo::ReduceBroadcast) => {
+            preferred
+        }
     }
 }
 

@@ -10,6 +10,9 @@
 //! `Send + Sync`, and designed to live in an [`std::sync::Arc`] shared by
 //! every serving thread (see `pml-serve`).
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 use crate::error::PmlError;
 use crate::selectors::{
     applicable_or_fallback, AlgorithmSelector, AnalyticSelector, JobConfig, MvapichDefault,

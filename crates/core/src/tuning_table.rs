@@ -6,6 +6,9 @@
 //! Lookup is total: points between grid entries resolve to the geometrically
 //! nearest bucket (message sizes and node counts live on log-scale grids).
 
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+#![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
+
 use crate::error::PmlError;
 use pml_collectives::{Algorithm, Collective};
 use serde::{Deserialize, Serialize};

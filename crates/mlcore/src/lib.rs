@@ -13,8 +13,6 @@
 //! how the "pre-trained model shipped with the MPI library" workflow is
 //! realized.
 
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
 pub mod binned;
 pub mod classifier;
 pub mod compiled;

@@ -36,9 +36,6 @@
 //! what makes the byte-identical-artifacts guarantee (enforced by the
 //! `obs-determinism` CI lane) hold by construction.
 
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
-
 pub mod clock;
 pub mod events;
 pub mod export;

@@ -36,8 +36,6 @@
 //! * [`signal`] — the SIGTERM/SIGINT → atomic-flag bridge (no `libc`
 //!   dependency; one `extern "C"` declaration).
 
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
 pub mod batch;
 pub mod protocol;
 pub mod quality;
@@ -53,8 +51,6 @@ pub use protocol::{
 };
 pub use quality::{QualityCell, QualityMonitor, QualitySample};
 pub use reqtrace::{RequestTrace, SlowRequest, SlowRing, SLOW_RING_CAP, STAGE_NAMES};
-pub use server::{
-    load_artifacts, serve, LoadedArtifacts, ObsConfig, ServeConfig, ServeError, Server,
-};
+pub use server::{load_artifacts, LoadedArtifacts, ObsConfig, ServeConfig, ServeError, Server};
 pub use signal::install_termination_flag;
 pub use slo::{targets_from_json, SloTargets, DEFAULT_ERROR_BUDGET};

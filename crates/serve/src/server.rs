@@ -29,7 +29,6 @@ use crate::reqtrace::{
     RequestCounts, RequestTrace, SlowRequest, SlowRing, REQUEST_TOTAL, STAGE_NAMES, WINDOW_ERRORS,
     WINDOW_OVER_P50, WINDOW_OVER_P99, WINDOW_REQUESTS,
 };
-use crate::signal;
 use crate::slo::SloTargets;
 use pml_collectives::Collective;
 use pml_core::{JobConfig, PretrainedModel, Tuner};
@@ -254,7 +253,7 @@ impl Server {
     }
 
     /// Accept until `term` (e.g. the SIGTERM flag from
-    /// [`signal::install_termination_flag`]) or a `shutdown` frame fires,
+    /// [`crate::signal::install_termination_flag`]) or a `shutdown` frame fires,
     /// then drain: join every connection thread and remove the socket file.
     pub fn run(self, term: &AtomicBool) -> Result<(), ServeError> {
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -860,16 +859,6 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
             Value::UInt(shared.slow_ring.captured()),
         ),
     ]
-}
-
-/// Convenience for binaries: install signal handlers, bind, run.
-pub fn serve(cfg: &ServeConfig) -> Result<(), ServeError> {
-    let term = signal::install_termination_flag();
-    let server = Server::bind(cfg)?;
-    for w in server.warnings() {
-        eprintln!("warning: {w}");
-    }
-    server.run(term)
 }
 
 #[cfg(test)]

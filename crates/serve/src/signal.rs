@@ -27,6 +27,10 @@ extern "C" {
 
 /// Install the SIGTERM/SIGINT handler and return the flag it sets.
 /// Idempotent; safe to call once per process before serving.
+///
+/// The workspace's only `unsafe` (the lint table denies it everywhere
+/// else): one foreign call with no `libc` to wrap it.
+#[allow(unsafe_code)]
 pub fn install_termination_flag() -> &'static AtomicBool {
     let handler = flag_termination as extern "C" fn(i32) as usize;
     // SAFETY: `signal` is the POSIX entry point; the handler only performs

@@ -22,42 +22,21 @@ pub enum LintKind {
     /// tuning-table pipeline: identical seeds must reproduce identical
     /// models and tables byte-for-byte.
     Nondeterminism,
-    /// A wildcard `_ =>` arm in algorithm dispatch: adding an `Algorithm`
-    /// variant must be a compile error, never a silent fallback.
-    WildcardAlgoMatch,
     /// An `as u8`/`as u16`/`as u32` narrowing cast in an ML-core or core
     /// function with no visible range guard: silent truncation corrupts
     /// node indices and class labels instead of failing.
     CastTruncation,
-    /// `get_unchecked`/`get_unchecked_mut`: every slice access in this
-    /// workspace must be bounds-checked — the hot paths already avoid
-    /// checks via iterators, not via `unsafe`.
-    UncheckedIndexing,
     /// A float reduction (`.sum`/`.reduce`/`.fold`/`.product`) directly on
     /// a rayon parallel iterator in deterministic-pipeline code: float
     /// addition is not associative, so the result depends on the thread
     /// schedule. Collect first, reduce sequentially.
     FloatReductionOrder,
-    /// `let _ = some_call(...)`: discarding a call result (usually a
-    /// `Result`) silences the error path. Handle it or document why with
-    /// `.ok()`; plain variable discards (`let _ = x;`) are fine.
-    SwallowedResult,
-    /// `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` on a
-    /// poisonable guard in non-test code: one panicking holder turns every
-    /// later acquisition into a cascade panic. Use the poison-handling
-    /// idiom `unwrap_or_else(PoisonError::into_inner)` — the data is a
-    /// plain value and stays usable.
-    LockUnwrap,
     /// `Ordering::Relaxed` outside the designated metric/counter modules:
     /// Relaxed is correct for monotone counters read after a join, and
     /// silently wrong for flags, handshakes, or anything another load is
     /// ordered against. Everything else uses `SeqCst` until a measured
     /// need says otherwise.
     RelaxedAtomic,
-    /// The `unsafe` keyword in the compiled-inference scope. The quantized
-    /// forest kernels earn their speed from layout (u8 codes, breadth-first
-    /// arenas, fixed-trip loops), never from eliding checks.
-    UnsafeCode,
     /// Two metric registrations sharing one name, anywhere in the
     /// workspace. The pml-obs registry keys exports by name, so a
     /// collision silently merges two series into one line of the dump —
@@ -71,14 +50,9 @@ impl LintKind {
         match self {
             LintKind::ForbiddenPanic => "forbidden-panic",
             LintKind::Nondeterminism => "nondeterminism",
-            LintKind::WildcardAlgoMatch => "wildcard-algorithm-match",
             LintKind::CastTruncation => "cast-truncation",
-            LintKind::UncheckedIndexing => "unchecked-indexing",
             LintKind::FloatReductionOrder => "float-reduction-order",
-            LintKind::SwallowedResult => "swallowed-result",
-            LintKind::LockUnwrap => "lock-across-await-free-unwrap",
             LintKind::RelaxedAtomic => "relaxed-atomic-outside-counter",
-            LintKind::UnsafeCode => "unsafe-code",
             LintKind::MetricNameCollision => "metric-name-collision",
         }
     }
@@ -121,19 +95,11 @@ pub struct LintConfig {
     /// wall-clock sites (a `Clock` implementation reads `Instant::now`
     /// somewhere, exactly once, behind the trait).
     pub determinism_exempt: Vec<String>,
-    /// Files where every `match` is algorithm dispatch (the enum registry).
-    pub dispatch_all_matches: Vec<String>,
-    /// Files where a `match` counts as dispatch when its scrutinee
-    /// mentions `algo`/`Algorithm`.
-    pub dispatch_scope: Vec<String>,
     /// Path prefixes where narrowing casts must carry a range guard.
     pub cast_scope: Vec<String>,
     /// Path prefixes (the metric/counter modules) where `Ordering::Relaxed`
     /// is legitimate; everywhere else it is a violation.
     pub relaxed_counter_scope: Vec<String>,
-    /// Path prefixes where the `unsafe` keyword is forbidden outright: the
-    /// compiled-inference path and everything it traverses.
-    pub unsafe_scope: Vec<String>,
 }
 
 impl LintConfig {
@@ -156,14 +122,6 @@ impl LintConfig {
                 "crates/collectives/src/measure.rs".into(),
             ],
             determinism_exempt: vec!["crates/obs/src/clock.rs".into()],
-            dispatch_all_matches: vec!["crates/collectives/src/algo.rs".into()],
-            dispatch_scope: vec![
-                "crates/core/src/selectors.rs".into(),
-                "crates/core/src/tuning_table.rs".into(),
-                "crates/core/src/tuner.rs".into(),
-                "crates/collectives/src/measure.rs".into(),
-                "crates/collectives/src/exec/".into(),
-            ],
             cast_scope: vec![
                 "crates/mlcore/src/".into(),
                 "crates/bench/src/learners/".into(),
@@ -177,13 +135,6 @@ impl LintConfig {
                 // the request ids drawn from them: read by `stats`/`watch`.
                 "crates/serve/src/reqtrace.rs".into(),
             ],
-            // The compiled forest kernel, its exact-walk oracle, and
-            // everything the selection path routes through them.
-            unsafe_scope: vec![
-                "crates/mlcore/src/".into(),
-                "crates/bench/src/learners/".into(),
-                "crates/core/src/".into(),
-            ],
         }
     }
 }
@@ -194,9 +145,6 @@ pub fn lint_file(rel: &str, src: &str, cfg: &LintConfig) -> Vec<Violation> {
     let tokens = tokenize(&masked.chars().collect::<Vec<char>>());
     let mut out = Vec::new();
     forbidden_panic(rel, &masked, &tokens, &mut out);
-    unchecked_indexing(rel, &masked, &tokens, &mut out);
-    swallowed_result(rel, &masked, &tokens, &mut out);
-    lock_unwrap(rel, &masked, &tokens, &mut out);
     if !cfg.relaxed_counter_scope.iter().any(|p| rel.starts_with(p)) {
         relaxed_atomic(rel, &masked, &tokens, &mut out);
     }
@@ -207,13 +155,6 @@ pub fn lint_file(rel: &str, src: &str, cfg: &LintConfig) -> Vec<Violation> {
     }
     if cfg.cast_scope.iter().any(|p| rel.starts_with(p)) {
         cast_truncation(rel, &masked, &tokens, &mut out);
-    }
-    if cfg.unsafe_scope.iter().any(|p| rel.starts_with(p)) {
-        unsafe_code(rel, &masked, &tokens, &mut out);
-    }
-    let all_matches = cfg.dispatch_all_matches.iter().any(|p| rel == p);
-    if all_matches || cfg.dispatch_scope.iter().any(|p| rel.starts_with(p)) {
-        wildcard_algo_match(rel, &masked, &tokens, all_matches, &mut out);
     }
     out
 }
@@ -368,46 +309,6 @@ fn cast_truncation(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Viol
     }
 }
 
-/// Any occurrence of the `unsafe` keyword in the scoped paths — blocks,
-/// fns, impls, traits alike. The mask layer already blanked comments,
-/// strings, and test modules, so a surviving token is real code.
-fn unsafe_code(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for t in tokens {
-        if t.is_ident("unsafe") {
-            push(
-                out,
-                LintKind::UnsafeCode,
-                rel,
-                masked,
-                t.start,
-                "`unsafe` in the compiled-inference scope (keep the kernels bounds-checked)".into(),
-            );
-        }
-    }
-}
-
-const UNCHECKED_METHODS: [&str; 2] = ["get_unchecked", "get_unchecked_mut"];
-
-fn unchecked_indexing(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (k, t) in tokens.iter().enumerate() {
-        if t.kind == TokenKind::Ident
-            && UNCHECKED_METHODS.contains(&t.text.as_str())
-            && k > 0
-            && tokens[k - 1].is_punct('.')
-            && tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
-        {
-            push(
-                out,
-                LintKind::UncheckedIndexing,
-                rel,
-                masked,
-                t.start,
-                format!(".{}() bypasses bounds checks", t.text),
-            );
-        }
-    }
-}
-
 /// Rayon adapters that start a parallel chain.
 const PAR_SOURCES: [&str; 8] = [
     "par_iter",
@@ -468,45 +369,6 @@ fn float_reduction_order(rel: &str, masked: &str, tokens: &[Token], out: &mut Ve
     }
 }
 
-/// No-argument acquisition methods of the poisonable sync primitives.
-/// `.read()`/`.write()` with arguments (io traits) never match: the
-/// pattern requires an empty `()` directly followed by the panic method.
-const POISONABLE_ACQUIRES: [&str; 3] = ["lock", "read", "write"];
-
-fn lock_unwrap(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (k, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !POISONABLE_ACQUIRES.contains(&t.text.as_str()) {
-            continue;
-        }
-        if k == 0 || !tokens[k - 1].is_punct('.') {
-            continue;
-        }
-        let empty_call = tokens.get(k + 1).is_some_and(|n| n.is_punct('('))
-            && tokens.get(k + 2).is_some_and(|n| n.is_punct(')'));
-        if !empty_call || !tokens.get(k + 3).is_some_and(|n| n.is_punct('.')) {
-            continue;
-        }
-        let Some(m) = tokens.get(k + 4) else { continue };
-        if m.kind == TokenKind::Ident
-            && (m.text == "unwrap" || m.text == "expect")
-            && tokens.get(k + 5).is_some_and(|n| n.is_punct('('))
-        {
-            push(
-                out,
-                LintKind::LockUnwrap,
-                rel,
-                masked,
-                t.start,
-                format!(
-                    ".{}().{}() cascades poison into a second panic \
-                     (use unwrap_or_else(PoisonError::into_inner))",
-                    t.text, m.text
-                ),
-            );
-        }
-    }
-}
-
 fn relaxed_atomic(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Violation>) {
     for (k, t) in tokens.iter().enumerate() {
         if !t.is_ident("Relaxed") {
@@ -528,141 +390,6 @@ fn relaxed_atomic(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Viola
                     .into(),
             );
         }
-    }
-}
-
-fn swallowed_result(rel: &str, masked: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for (k, t) in tokens.iter().enumerate() {
-        if !t.is_ident("let") || !tokens.get(k + 1).is_some_and(|n| n.is_ident("_")) {
-            continue;
-        }
-        // Skip an optional `: Type` annotation to the `=`.
-        let mut j = k + 2;
-        while tokens
-            .get(j)
-            .is_some_and(|n| !n.is_punct('=') && !n.is_punct(';'))
-        {
-            j += 1;
-        }
-        if !tokens.get(j).is_some_and(|n| n.is_punct('=')) {
-            continue;
-        }
-        // A call in the RHS means a discarded return value; a bare
-        // `let _ = ident;` (silencing an unused binding) stays legal.
-        let mut depth = 0i32;
-        let mut has_call = false;
-        j += 1;
-        while let Some(n) = tokens.get(j) {
-            match n.kind {
-                TokenKind::Punct('(') => {
-                    depth += 1;
-                    has_call = true;
-                }
-                TokenKind::Punct('[') | TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct(']') | TokenKind::Punct('}') => depth -= 1,
-                TokenKind::Punct(';') if depth == 0 => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        if has_call {
-            push(
-                out,
-                LintKind::SwallowedResult,
-                rel,
-                masked,
-                t.start,
-                "`let _ = call(...)` discards the result (handle it or use .ok())".into(),
-            );
-        }
-    }
-}
-
-fn wildcard_algo_match(
-    rel: &str,
-    masked: &str,
-    tokens: &[Token],
-    all_matches: bool,
-    out: &mut Vec<Violation>,
-) {
-    for (k, t) in tokens.iter().enumerate() {
-        if !t.is_ident("match") {
-            continue;
-        }
-        // Scrutinee: tokens until the body `{` at bracket depth 0.
-        let mut depth = 0i32;
-        let mut j = k + 1;
-        let mut scrutinee = String::new();
-        while let Some(n) = tokens.get(j) {
-            match n.kind {
-                TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-                TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-                TokenKind::Punct('{') if depth == 0 => break,
-                _ => {}
-            }
-            scrutinee.push_str(&n.text);
-            j += 1;
-        }
-        if j >= tokens.len() {
-            continue;
-        }
-        if !all_matches && !scrutinee.to_lowercase().contains("algo") {
-            continue;
-        }
-        scan_arms_for_wildcard(rel, masked, tokens, j, out);
-    }
-}
-
-/// Within a match body opening at token index `open` (a `{`), flag `_`
-/// patterns at arm level: brace depth 1, bracket depth 0, preceded by
-/// `{`/`,`/`}`/`|` and followed by `=>`, `if`, or `|`.
-fn scan_arms_for_wildcard(
-    rel: &str,
-    masked: &str,
-    tokens: &[Token],
-    open: usize,
-    out: &mut Vec<Violation>,
-) {
-    let mut brace = 0i32;
-    let mut paren = 0i32;
-    let mut j = open;
-    while let Some(t) = tokens.get(j) {
-        match t.kind {
-            TokenKind::Punct('{') => brace += 1,
-            TokenKind::Punct('}') => {
-                brace -= 1;
-                if brace == 0 {
-                    return;
-                }
-            }
-            TokenKind::Punct('(') | TokenKind::Punct('[') => paren += 1,
-            TokenKind::Punct(')') | TokenKind::Punct(']') => paren -= 1,
-            TokenKind::Ident if t.text == "_" && brace == 1 && paren == 0 => {
-                let arm_head = j > 0
-                    && matches!(
-                        tokens[j - 1].kind,
-                        TokenKind::Punct('{')
-                            | TokenKind::Punct(',')
-                            | TokenKind::Punct('}')
-                            | TokenKind::Punct('|')
-                    );
-                let arm_body = tokens
-                    .get(j + 1)
-                    .is_some_and(|n| n.is_punct('=') || n.is_punct('|') || n.is_ident("if"));
-                if arm_head && arm_body {
-                    push(
-                        out,
-                        LintKind::WildcardAlgoMatch,
-                        rel,
-                        masked,
-                        t.start,
-                        "wildcard `_` arm in Algorithm dispatch (make the match exhaustive)".into(),
-                    );
-                }
-            }
-            _ => {}
-        }
-        j += 1;
     }
 }
 

@@ -6,11 +6,7 @@
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
 //! cargo xtask verify-costs              # static cost polynomials vs simnet + pinned rankings
-//! cargo xtask miri [filter]             # Miri lane (nightly) on mlcore + collectives unit tests
 //! ```
-
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
@@ -26,9 +22,8 @@ fn main() -> ExitCode {
         "verify-artifacts" => cmd_verify_artifacts(rest),
         "verify-schedules" => cmd_verify_schedules(rest),
         "verify-costs" => cmd_verify_costs(rest),
-        "miri" => cmd_miri(rest),
         "help" | "--help" | "-h" => {
-            eprintln!("usage: cargo xtask [lint [--list] | verify-artifacts | verify-schedules | verify-costs | miri [filter]]");
+            eprintln!("usage: cargo xtask [lint [--list] | verify-artifacts | verify-schedules | verify-costs]");
             Ok(())
         }
         other => Err(format!(
@@ -225,50 +220,6 @@ fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
         "verify-costs: polynomials derived statically, differential >=90%, pinned rankings stable"
     );
     Ok(())
-}
-
-/// Miri lane: interpreter-checked unit tests for the ML core and the
-/// collectives crate (UB, leaks, and — with weak-memory emulation —
-/// some data-race classes the type system can't rule out in unsafe deps).
-fn cmd_miri(args: &[String]) -> Result<(), String> {
-    let root = find_root()?;
-    require_nightly_component("miri", "miri")?;
-    let mut base = vec!["+nightly".to_string(), "miri".into(), "test".into()];
-    for p in ["pml-mlcore", "pml-collectives"] {
-        base.push("-p".into());
-        base.push(p.into());
-    }
-    base.push("--lib".into());
-    if let Some(filter) = args.first() {
-        base.push("--".into());
-        base.push(filter.clone());
-    }
-    let mut c = Command::new("cargo");
-    c.current_dir(&root)
-        // Dataset-cache tests touch the filesystem; keep isolation off so
-        // the lane exercises them rather than erroring on `open`.
-        .env("MIRIFLAGS", "-Zmiri-disable-isolation")
-        .args(&base);
-    run(c, "miri lane")
-}
-
-/// Fail fast with an actionable message when a nightly component the lane
-/// depends on is absent (offline dev containers can't download it; the
-/// lanes normally run in CI, which installs components up front).
-fn require_nightly_component(component: &str, lane: &str) -> Result<(), String> {
-    let out = Command::new("rustup")
-        .args(["component", "list", "--toolchain", "nightly", "--installed"])
-        .output()
-        .map_err(|e| format!("running rustup (needed by the {lane} lane): {e}"))?;
-    let listed = String::from_utf8_lossy(&out.stdout);
-    if out.status.success() && listed.lines().any(|l| l.starts_with(component)) {
-        return Ok(());
-    }
-    Err(format!(
-        "the {lane} lane needs the nightly `{component}` component \
-         (rustup component add --toolchain nightly {component}); \
-         it is not installed here — this lane normally runs in CI"
-    ))
 }
 
 fn run(mut c: Command, what: &str) -> Result<(), String> {

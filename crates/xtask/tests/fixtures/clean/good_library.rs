@@ -5,19 +5,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-pub enum Algorithm {
-    Ring,
-    Bruck,
-}
-
-/// Exhaustive dispatch: adding a variant is a compile error.
-pub fn cost(algo: &Algorithm, p: u32) -> u32 {
-    match algo {
-        Algorithm::Ring => p - 1,
-        Algorithm::Bruck => p.ilog2(),
-    }
-}
-
 /// Seeded entropy and ordered containers only.
 pub fn sample(seed: u64, xs: &[u32]) -> BTreeMap<u32, u32> {
     let _rng = StdRng::seed_from_u64(seed);

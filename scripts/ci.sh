@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
-# The full CI gate, runnable locally: formatting, lints-as-errors, the
-# repo's own static-analysis pass (pml-lint: any violation fails, there is
-# no list of tolerated sites; its determinism scope covers the virtual-time
-# executor and the measurement sweep that feed datagen), release build, the
-# static artifact/schedule/cost lanes, the test suite (and the vendored
+# The full CI gate, runnable locally: formatting; clippy with -D warnings,
+# which enforces the root manifest's [workspace.lints] table (unsafe_code,
+# let_underscore_must_use, ...) and the wildcard-match deny on the
+# algorithm-dispatch modules; the repo's own static-analysis pass (pml-lint:
+# the six checks the compiler cannot express; any violation fails, there is
+# no list of tolerated sites); release build, the static
+# artifact/schedule/cost lanes, the test suite (and the vendored
 # serde_json's own, which holds its streaming reader and writer to its tree
-# parser and printer), the fig01/fig02
-# reproduction of EXPERIMENTS.json, the obs-determinism and serve smoke
-# lanes, and a quick run of the frozen benchmark. CI
-# (.github/workflows/ci.yml) runs exactly this script, so a clean local run
-# means a green check.
-#
-# The nightly-only dynamic-analysis lane is separate (see the workflow):
-#   cargo xtask miri    # Miri on mlcore + collectives unit tests
+# parser and printer), the fig01/fig02 reproduction of EXPERIMENTS.json, the
+# obs-determinism and serve smoke lanes, and a quick run of the frozen
+# benchmark. CI (.github/workflows/ci.yml) runs exactly this script, so a
+# clean local run means a green check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

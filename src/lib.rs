@@ -37,8 +37,6 @@
 //! See `examples/quickstart.rs` for the full offline → online lifecycle
 //! and `src/main.rs` for the CLI that wraps it.
 
-#![deny(rust_2018_idioms, missing_debug_implementations)]
-#![deny(clippy::dbg_macro, clippy::todo)]
 pub use pml_apps as apps;
 pub use pml_clusters as clusters;
 pub use pml_collectives as collectives;

@@ -316,8 +316,8 @@ fn corrupted_bytes_never_panic() {
             let smashed = String::from_utf8(smashed).unwrap();
             // A smash inside a string value can still be a valid artifact
             // (e.g. the cluster name); it must simply never panic.
-            let _ = verify_artifact_str(&smashed);
-            let _ = PretrainedModel::from_json(&smashed);
+            verify_artifact_str(&smashed).ok();
+            PretrainedModel::from_json(&smashed).ok();
         }
     }
 }
