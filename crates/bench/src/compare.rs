@@ -4,13 +4,13 @@
 //! far the sweep goes, what to compare with — run by one function.
 
 use crate::{
-    cluster, compare_selectors, geomean_speedup, msg_sweep, pct, pct_points, standard_train, us,
-    ComparisonRow, Context, Report,
+    cluster, compare_selectors, geomean_speedup, msg_sweep, pct, pct_points, us, ComparisonRow,
+    Context, Report,
 };
 use pml_collectives::Collective;
 use pml_core::{
     AlgorithmSelector, MlSelector, MvapichDefault, OpenMpiDefault, OracleSelector, PmlError,
-    PretrainedModel, RandomSelector,
+    PretrainedModel, RandomSelector, TrainConfig,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -62,8 +62,8 @@ fn sweeps(ctx: &Context, row: &Versus) -> Result<Vec<Sweep>, PmlError> {
         None => ctx.proposed(entry)?,
         Some(max_nodes) => {
             let model = |coll| {
-                let (train, _) = pml_clusters::node_split(ctx.dataset(coll)?, max_nodes);
-                PretrainedModel::train(&train, coll, &standard_train()).map(Some)
+                let (train, _) = pml_clusters::node_split(ctx.engine.dataset(coll)?, max_nodes);
+                PretrainedModel::train(&train, coll, &TrainConfig::default()).map(Some)
             };
             let (allgather, alltoall) = (Collective::Allgather, Collective::Alltoall);
             MlSelector::new(entry.spec.node.clone(), model(allgather)?, model(alltoall)?)?
@@ -76,7 +76,7 @@ fn sweeps(ctx: &Context, row: &Versus) -> Result<Vec<Sweep>, PmlError> {
         Baseline::All => {
             let mut measured = Vec::new();
             for coll in Collective::PAPER {
-                let all = ctx.dataset(coll)?.iter();
+                let all = ctx.engine.dataset(coll)?.iter();
                 measured.extend(all.filter(|r| r.cluster == row.cluster).cloned());
             }
             let oracle = OracleSelector::from_records(row.cluster, &measured);

@@ -8,8 +8,8 @@ use crate::metrics::accuracy;
 use crate::model_selection::{grid_search, train_test_split, Scoring};
 use crate::svm::{LinearSvm, SvmParams};
 use crate::{
-    cluster, compare_selectors, geomean_speedup, msg_sweep, pct, pct_points, standard_train, us,
-    Context, Report, HELD_OUT,
+    cluster, compare_selectors, geomean_speedup, msg_sweep, pct, pct_points, us, Context, Report,
+    HELD_OUT,
 };
 use pml_apps::{run_app, Gromacs, MiniFe, Workload};
 use pml_clusters::{ClusterEntry, DatagenConfig, Split, TuningRecord};
@@ -42,7 +42,7 @@ fn score(
 
 /// The leave-clusters-out split of Table III and both ablations.
 fn unseen_clusters(ctx: &Context, coll: Collective) -> Result<Split, PmlError> {
-    let (split, held) = pml_clusters::cluster_split_auto(ctx.dataset(coll)?, 0.7, 7)?;
+    let (split, held) = pml_clusters::cluster_split_auto(ctx.engine.dataset(coll)?, 0.7, 7)?;
     eprintln!("{coll}: held-out clusters {held:?}");
     Ok(split)
 }
@@ -155,7 +155,7 @@ pub(crate) fn fig05_06(ctx: &Context) -> Result<Report, PmlError> {
                 if selected { "top-5 *" } else { "" }.to_string(),
             ]);
         }
-        let records = ctx.dataset(coll)?.len();
+        let records = ctx.engine.dataset(coll)?.len();
         report.table(
             &format!("Fig. {fig} — feature importance, {coll} ({records} records)"),
             "feature | gini importance | selected",
@@ -168,8 +168,8 @@ pub(crate) fn fig05_06(ctx: &Context) -> Result<Report, PmlError> {
 /// Table I: the zoo's processors, interconnects and grid sizes, with our
 /// generated record counts per collective.
 pub(crate) fn table1(ctx: &Context) -> Result<Report, PmlError> {
-    let ag = ctx.dataset(Collective::Allgather)?;
-    let aa = ctx.dataset(Collective::Alltoall)?;
+    let ag = ctx.engine.dataset(Collective::Allgather)?;
+    let aa = ctx.engine.dataset(Collective::Alltoall)?;
     let count = |recs: &[TuningRecord], name: &str| {
         let own = recs.iter().filter(|r| r.cluster == name);
         own.count().to_string()
@@ -238,7 +238,7 @@ pub(crate) fn table2(ctx: &Context) -> Result<Report, PmlError> {
     let mut report = Report::default();
     let mut rows = Vec::new();
     for coll in Collective::PAPER {
-        let data = records_to_dataset(ctx.dataset(coll)?, coll)?;
+        let data = records_to_dataset(ctx.engine.dataset(coll)?, coll)?;
         let split = train_test_split(&data, 0.3, 42)?;
         eprintln!("{coll}: {} train / {} test", split.0.len(), split.1.len());
         let rf_grid = [forest(60, None), forest(100, None), forest(100, Some(14))];
@@ -283,7 +283,7 @@ pub(crate) fn table3(ctx: &Context) -> Result<Report, PmlError> {
     let mut report = Report::default();
     let mut rows = Vec::new();
     for coll in Collective::PAPER {
-        let records = ctx.dataset(coll)?;
+        let records = ctx.engine.dataset(coll)?;
         let splits = [
             ("random", pml_clusters::random_split(records, 0.7, 42)?),
             ("cluster", unseen_clusters(ctx, coll)?),
@@ -291,7 +291,7 @@ pub(crate) fn table3(ctx: &Context) -> Result<Report, PmlError> {
         ];
         let mut row = vec![coll.to_string()];
         for (split, (train, test)) in splits {
-            let model = PretrainedModel::train(&train, coll, &standard_train())?;
+            let model = PretrainedModel::train(&train, coll, &TrainConfig::default())?;
             let acc = score(&model, &test, coll)?;
             report.finding(format!("{split}_pct.{coll}"), acc * 100.0);
             row.push(percent(acc));
@@ -422,7 +422,7 @@ fn slowdown(model: &PretrainedModel, test: &[TuningRecord]) -> f64 {
 pub(crate) fn ablation_features(ctx: &Context) -> Result<Report, PmlError> {
     let unselected = TrainConfig {
         top_k_features: None,
-        ..standard_train()
+        ..TrainConfig::default()
     };
     let mut report = Report::default();
     let mut rows = Vec::new();
@@ -431,7 +431,7 @@ pub(crate) fn ablation_features(ctx: &Context) -> Result<Report, PmlError> {
         let models = [
             (
                 "top5",
-                PretrainedModel::train(&train, coll, &standard_train())?,
+                PretrainedModel::train(&train, coll, &TrainConfig::default())?,
             ),
             ("all", PretrainedModel::train(&train, coll, &unselected)?),
             (
@@ -544,7 +544,7 @@ pub(crate) fn ext_collectives(_: &Context) -> Result<Report, PmlError> {
             records.extend(pml_clusters::generate_cluster(&entry, coll, &cfg)?);
         }
         let (train, test) = pml_clusters::cluster_split(&records, &HELD_OUT);
-        let model = PretrainedModel::train(&train, coll, &standard_train())?;
+        let model = PretrainedModel::train(&train, coll, &TrainConfig::default())?;
         let acc = score(&model, &test, coll)?;
 
         // Runtime effect on Frontera at 8x56 against the static default.

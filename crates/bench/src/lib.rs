@@ -29,10 +29,12 @@ pub use report::Report;
 
 use pml_clusters::{ClusterEntry, TuningRecord};
 use pml_collectives::Collective;
-use pml_core::{AlgorithmSelector, JobConfig, MlSelector, PmlError, PretrainedModel, TrainConfig};
-use pml_mlcore::ForestParams;
+use pml_core::{
+    AlgorithmSelector, EngineConfig, JobConfig, MlSelector, PmlError, PretrainedModel,
+    SelectionEngine, TrainConfig,
+};
 use serde_json::JsonValue;
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -78,36 +80,14 @@ fn repo_root() -> PathBuf {
 type ModelKey = (Collective, Vec<String>);
 
 /// What the experiments share, each part built once per process, on first
-/// use: the two Table I datasets and the leave-out models.
-#[derive(Debug, Default)]
+/// use: a [`SelectionEngine`]'s Table I datasets and the leave-out models.
+#[derive(Debug)]
 pub struct Context {
-    /// Indexed by `Collective as usize`.
-    datasets: [OnceCell<Vec<TuningRecord>>; 4],
+    engine: SelectionEngine,
     models: RefCell<BTreeMap<ModelKey, Rc<PretrainedModel>>>,
 }
 
 impl Context {
-    /// The full Table I dataset of one collective, from the cache under
-    /// `data/` when possible. Cache damage is non-fatal: the dataset
-    /// regenerates and the reason lands on stderr.
-    pub fn dataset(&self, collective: Collective) -> Result<&[TuningRecord], PmlError> {
-        let cell = &self.datasets[collective as usize];
-        if let Some(records) = cell.get() {
-            return Ok(records);
-        }
-        let name = collective.name().trim_start_matches("MPI_").to_lowercase();
-        let load = pml_clusters::load_or_generate(
-            &repo_root().join(format!("data/dataset_{name}.json")),
-            pml_clusters::zoo(),
-            collective,
-            &pml_clusters::DatagenConfig::default(),
-        )?;
-        for ev in &load.events {
-            eprintln!("warning: {}", ev.message);
-        }
-        Ok(cell.get_or_init(|| load.records))
-    }
-
     /// The standard forest trained on every record except the named
     /// clusters' (the paper's leave-cluster-out protocol).
     pub fn model_excluding(
@@ -121,6 +101,7 @@ impl Context {
         }
         let kept = |r: &&TuningRecord| !exclude.contains(&r.cluster.as_str());
         let train: Vec<TuningRecord> = self
+            .engine
             .dataset(collective)?
             .iter()
             .filter(kept)
@@ -129,7 +110,7 @@ impl Context {
         let model = Rc::new(PretrainedModel::train(
             &train,
             collective,
-            &standard_train(),
+            &TrainConfig::default(),
         )?);
         self.models.borrow_mut().insert(key, Rc::clone(&model));
         Ok(model)
@@ -165,15 +146,28 @@ pub fn select(names: &[String]) -> Result<Vec<Experiment>, PmlError> {
 /// experiments that did not run are kept as they are.
 pub fn run(names: &[String]) -> Result<(), PmlError> {
     let chosen = select(names)?;
-    let ctx = Context::default();
-    let mut reports = BTreeMap::new();
-    for (name, experiment) in chosen {
-        let t0 = Instant::now();
-        let report = experiment(&ctx)?;
-        report.print();
-        eprintln!("-- {name}: {:.1} s", t0.elapsed().as_secs_f64());
-        reports.insert(name, report);
+    let ctx = Context {
+        engine: SelectionEngine::new(EngineConfig {
+            cache_dir: Some(repo_root().join("data")),
+            ..EngineConfig::default()
+        }),
+        models: RefCell::default(),
+    };
+    let reports: Result<BTreeMap<_, _>, PmlError> = chosen
+        .into_iter()
+        .map(|(name, experiment)| {
+            let t0 = Instant::now();
+            let report = experiment(&ctx)?;
+            report.print();
+            eprintln!("-- {name}: {:.1} s", t0.elapsed().as_secs_f64());
+            Ok((name, report))
+        })
+        .collect();
+    // A damaged dataset cache was regenerated; say so even after a failure.
+    for warning in ctx.engine.warnings() {
+        eprintln!("warning: {warning}");
     }
+    let reports = reports?;
     let path = repo_root().join("EXPERIMENTS.json");
     let old: Option<JsonValue> = std::fs::read_to_string(&path)
         .ok()
@@ -202,18 +196,6 @@ pub fn run(names: &[String]) -> Result<(), PmlError> {
 fn field<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
     let pairs = v.as_object()?;
     pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// The paper's standard forest settings (100 trees, √d features).
-pub fn standard_train() -> TrainConfig {
-    TrainConfig {
-        forest: ForestParams {
-            n_estimators: 100,
-            seed: 42,
-            ..Default::default()
-        },
-        top_k_features: Some(5),
-    }
 }
 
 /// One point of a selector-vs-selector runtime comparison.
@@ -382,21 +364,18 @@ mod tests {
 
     #[test]
     fn a_context_trains_each_leave_out_model_once() {
-        let mut records = Vec::new();
-        for name in ["RI", "RI2", "Haswell"] {
+        let clusters = ["RI", "RI2", "Haswell"].map(|name| {
             let mut entry = cluster(name).unwrap().clone();
             entry.node_grid.truncate(2);
             entry.ppn_grid.truncate(2);
-            let cfg = pml_clusters::DatagenConfig::default();
-            records.extend(
-                pml_clusters::generate_cluster(&entry, Collective::Allgather, &cfg).unwrap(),
-            );
-        }
+            entry
+        });
+        let ctx = Context {
+            engine: SelectionEngine::with_clusters(clusters.to_vec(), EngineConfig::default()),
+            models: RefCell::default(),
+        };
+        let records = ctx.engine.dataset(Collective::Allgather).unwrap();
         let kept = records.iter().filter(|r| r.cluster != "RI2").count();
-        let ctx = Context::default();
-        ctx.datasets[Collective::Allgather as usize]
-            .set(records)
-            .unwrap();
         let first = ctx
             .model_excluding(Collective::Allgather, &["RI2"])
             .unwrap();

@@ -53,16 +53,6 @@ impl DiffReport {
         (of_c.iter().filter(|x| x.agree).count(), of_c.len())
     }
 
-    /// Top-1 agreement rate for one collective (1.0 when no cells).
-    pub fn top1_rate(&self, c: Collective) -> f64 {
-        let (agree, total) = self.top1(c);
-        if total == 0 {
-            1.0
-        } else {
-            agree as f64 / total as f64
-        }
-    }
-
     /// Mean Spearman rank correlation across all cells.
     pub fn mean_spearman(&self) -> f64 {
         if self.cells.is_empty() {

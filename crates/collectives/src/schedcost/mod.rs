@@ -102,11 +102,6 @@ impl CostPoly {
             + self.net_msgs as f64 * params.per_msg_net_s
             + self.shm_msgs as f64 * params.per_msg_shm_s
     }
-
-    /// Whether the schedule touches the fabric at all.
-    pub fn uses_network(&self) -> bool {
-        self.net_rounds > 0 || self.net_bytes > 0 || self.nic_bytes > 0
-    }
 }
 
 impl fmt::Display for CostPoly {

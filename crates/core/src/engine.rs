@@ -5,33 +5,33 @@
 //! (dataset generation in `pml-clusters`, training in [`crate::pipeline`],
 //! tables in [`crate::tuning_table`], runtime lookups in [`crate::tuner`]).
 //! The engine wires them together behind one facade with consistent
-//! caching: datasets are cached on disk (when a cache directory is
-//! configured), models are trained once per collective, and tuning tables
-//! are memoized per (cluster, collective) in a [`TableStore`]. This is the
-//! programmatic equivalent of the CLI's `train` → `table` → `predict`
-//! workflow, and what `examples/quickstart.rs` drives.
+//! caching: each collective's dataset is loaded (from the on-disk cache,
+//! when a cache directory is configured) or generated once per engine,
+//! models are trained once per collective, and tuning tables are memoized
+//! per (cluster, collective). This is the programmatic equivalent of the
+//! CLI's `train` → `table` → `predict` workflow, what `examples/quickstart.rs`
+//! drives, and what `pml-bench`'s experiments read their datasets from.
 //!
-//! Every method takes `&self`: the memo state (models, tables,
-//! diagnostics) lives behind read-mostly locks, so one engine can be
-//! shared — including in an [`std::sync::Arc`] across threads — by any
-//! number of concurrent callers. Models are handed out as
-//! [`Arc<PretrainedModel>`] so a serving loop can keep predicting from an
-//! engine-trained artifact without holding any engine lock.
+//! The memos are plain fields: the steps that train or build a table take
+//! `&mut self`, and only [`SelectionEngine::dataset`] fills a memo through
+//! `&self` (a [`OnceLock`] per collective). An engine is still `Send +
+//! Sync`; models are handed out as [`Arc<PretrainedModel>`] so a serving
+//! loop can keep predicting from an engine-trained artifact on its own.
 
 use crate::error::PmlError;
 use crate::pipeline::{PretrainedModel, TrainConfig};
 use crate::selectors::JobConfig;
 use crate::tuner::Tuner;
-use crate::tuning_table::{TableStore, TuningTable};
-use pml_clusters::{generate_full, load_or_generate, ClusterEntry, DatagenConfig, TuningRecord};
+use crate::tuning_table::TuningTable;
+use pml_clusters::{
+    generate_full, load_or_generate, CacheLoad, ClusterEntry, DatagenConfig, TuningRecord,
+};
 use pml_collectives::{Algorithm, Collective};
 use pml_obs::{span, Counter, Event};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
-static DATASET_CACHE_HIT: Counter = Counter::new("engine.dataset.cache.hit");
-static DATASET_CACHE_MISS: Counter = Counter::new("engine.dataset.cache.miss");
 static TABLE_HIT: Counter = Counter::new("engine.table.hit");
 static TABLE_MISS: Counter = Counter::new("engine.table.miss");
 
@@ -41,7 +41,7 @@ pub struct EngineConfig {
     pub datagen: DatagenConfig,
     pub train: TrainConfig,
     /// Directory for on-disk dataset caches (`dataset_<collective>.json`).
-    /// `None` regenerates in memory every time.
+    /// `None` generates each dataset in memory, once per engine.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -54,38 +54,17 @@ fn dataset_file(collective: Collective) -> String {
     )
 }
 
-/// Structured diagnostics plus their rendered compatibility view, under
-/// one small lock (append-mostly, read rarely).
-#[derive(Debug, Default)]
-struct Diagnostics {
-    events: Vec<Event>,
-    warnings: Vec<String>,
-}
-
-/// Recover from lock poisoning: every guarded value here is a plain memo
-/// (map of finished artifacts / list of diagnostics), so a panic in
-/// another thread cannot leave it semantically inconsistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Owns the full offline-training + online-inference lifecycle.
 /// `Send + Sync`: see the module docs.
 #[derive(Debug)]
 pub struct SelectionEngine {
     clusters: Vec<ClusterEntry>,
     cfg: EngineConfig,
-    models: RwLock<BTreeMap<Collective, Arc<PretrainedModel>>>,
-    store: RwLock<TableStore>,
-    diags: Mutex<Diagnostics>,
+    /// Indexed by `Collective as usize`; each load's cache events are the
+    /// engine's diagnostics.
+    datasets: [OnceLock<CacheLoad>; Collective::ALL.len()],
+    models: BTreeMap<Collective, Arc<PretrainedModel>>,
+    tables: BTreeMap<(String, Collective), TuningTable>,
 }
 
 impl SelectionEngine {
@@ -100,23 +79,15 @@ impl SelectionEngine {
         SelectionEngine {
             clusters,
             cfg,
-            models: RwLock::new(BTreeMap::new()),
-            store: RwLock::new(TableStore::new()),
-            diags: Mutex::new(Diagnostics::default()),
+            datasets: Default::default(),
+            models: BTreeMap::new(),
+            tables: BTreeMap::new(),
         }
     }
 
     /// This engine's training/benchmark configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// Record a structured diagnostic (and its rendered message for the
-    /// `warnings()` compatibility view).
-    fn note(&self, ev: Event) {
-        let mut d = lock(&self.diags);
-        d.warnings.push(ev.message.clone());
-        d.events.push(ev);
     }
 
     pub fn clusters(&self) -> &[ClusterEntry] {
@@ -131,89 +102,80 @@ impl SelectionEngine {
             .ok_or_else(|| PmlError::UnknownCluster(name.to_string()))
     }
 
-    /// Non-fatal diagnostics accumulated so far (e.g. a corrupt dataset
+    /// Non-fatal diagnostics of the dataset loads so far (e.g. a corrupt
     /// cache that was regenerated) — the rendered view of [`Self::events`].
     pub fn warnings(&self) -> Vec<String> {
-        lock(&self.diags).warnings.clone()
+        self.events().into_iter().map(|ev| ev.message).collect()
     }
 
-    /// Structured diagnostics accumulated so far.
+    /// Structured diagnostics of the dataset loads so far, by collective.
     pub fn events(&self) -> Vec<Event> {
-        lock(&self.diags).events.clone()
+        let loads = self.datasets.iter().filter_map(OnceLock::get);
+        loads.flat_map(|load| load.events.iter().cloned()).collect()
     }
 
-    /// The micro-benchmark dataset for one collective — from the on-disk
-    /// cache when configured and valid, regenerated otherwise.
-    pub fn dataset(&self, collective: Collective) -> Result<Vec<TuningRecord>, PmlError> {
+    /// The micro-benchmark dataset for one collective, loaded once per
+    /// engine — from the on-disk cache when configured and valid,
+    /// generated otherwise.
+    pub fn dataset(&self, collective: Collective) -> Result<&[TuningRecord], PmlError> {
+        let slot = &self.datasets[collective as usize];
+        if let Some(load) = slot.get() {
+            return Ok(&load.records);
+        }
         let _span = span!("datagen", collective = collective.name());
-        match &self.cfg.cache_dir {
+        let load = match &self.cfg.cache_dir {
             Some(dir) => {
                 let path = dir.join(dataset_file(collective));
-                let load = load_or_generate(&path, &self.clusters, collective, &self.cfg.datagen)?;
-                if load.cached {
-                    DATASET_CACHE_HIT.inc();
-                } else {
-                    DATASET_CACHE_MISS.inc();
-                }
-                for ev in load.events {
-                    self.note(ev);
-                }
-                Ok(load.records)
+                load_or_generate(&path, &self.clusters, collective, &self.cfg.datagen)?
             }
-            None => {
-                DATASET_CACHE_MISS.inc();
-                Ok(generate_full(
-                    &self.clusters,
-                    collective,
-                    &self.cfg.datagen,
-                )?)
-            }
-        }
+            None => CacheLoad {
+                records: generate_full(&self.clusters, collective, &self.cfg.datagen)?,
+                cached: false,
+                events: Vec::new(),
+            },
+        };
+        Ok(&slot.get_or_init(|| load).records)
     }
 
     /// Train (or fetch the already-trained) model for one collective.
-    ///
-    /// Concurrent first calls for the same collective may both train, but
-    /// training is deterministic so both produce identical artifacts; the
-    /// first to finish wins the memo slot and the other result is dropped.
-    /// No lock is held while benchmarking or fitting.
-    pub fn train(&self, collective: Collective) -> Result<Arc<PretrainedModel>, PmlError> {
-        if let Some(m) = read(&self.models).get(&collective) {
+    pub fn train(&mut self, collective: Collective) -> Result<Arc<PretrainedModel>, PmlError> {
+        if let Some(m) = self.models.get(&collective) {
             return Ok(Arc::clone(m));
         }
         let records = self.dataset(collective)?;
         let model = {
             let _span = span!("train", collective = collective.name());
             Arc::new(PretrainedModel::train(
-                &records,
+                records,
                 collective,
                 &self.cfg.train,
             )?)
         };
-        let mut models = write(&self.models);
-        Ok(Arc::clone(models.entry(collective).or_insert(model)))
+        self.models.insert(collective, Arc::clone(&model));
+        Ok(model)
     }
 
     /// A model trained earlier in this engine's lifetime, if any.
     pub fn model(&self, collective: Collective) -> Option<Arc<PretrainedModel>> {
-        read(&self.models).get(&collective).map(Arc::clone)
+        self.models.get(&collective).map(Arc::clone)
     }
 
     /// Adopt an externally trained/deserialized artifact (the shipped-model
     /// deployment path: no benchmarking, no training).
-    pub fn install_model(&self, model: PretrainedModel) {
-        write(&self.models).insert(model.collective, Arc::new(model));
+    pub fn install_model(&mut self, model: PretrainedModel) {
+        self.models.insert(model.collective, Arc::new(model));
     }
 
     /// The tuning table for one (cluster, collective), generating — and
     /// training first, if needed — on a miss. Tables are memoized, so the
     /// steady-state cost is a map probe plus one clone.
     pub fn tuning_table(
-        &self,
+        &mut self,
         cluster: &str,
         collective: Collective,
     ) -> Result<TuningTable, PmlError> {
-        if let Some(t) = read(&self.store).get(cluster, collective) {
+        let key = (cluster.to_string(), collective);
+        if let Some(t) = self.tables.get(&key) {
             TABLE_HIT.inc();
             return Ok(t.clone());
         }
@@ -224,17 +186,14 @@ impl SelectionEngine {
             let _span = span!("table", cluster = cluster, collective = collective.name());
             model.generate_tuning_table(&entry)?
         };
-        let mut store = write(&self.store);
-        if store.get(cluster, collective).is_none() {
-            store.put(table.clone());
-        }
+        self.tables.insert(key, table.clone());
         Ok(table)
     }
 
     /// Predict the algorithm for one job on one cluster (trains on first
     /// use; grid-independent — goes through the model, not the table).
     pub fn predict(
-        &self,
+        &mut self,
         cluster: &str,
         collective: Collective,
         job: JobConfig,
@@ -249,23 +208,17 @@ impl SelectionEngine {
     /// answers (an uncovered collective, say) fall back to the analytic
     /// α-β-γ tier fitted for the cluster's node type before the static
     /// default rules get a say.
-    pub fn tuner_for(&self, cluster: &str, collectives: &[Collective]) -> Result<Tuner, PmlError> {
+    pub fn tuner_for(
+        &mut self,
+        cluster: &str,
+        collectives: &[Collective],
+    ) -> Result<Tuner, PmlError> {
         let node = self.entry(cluster)?.spec.node.clone();
         let mut tables = Vec::with_capacity(collectives.len());
         for &c in collectives {
             tables.push(self.tuning_table(cluster, c)?);
         }
         Ok(Tuner::with_analytic(tables, node))
-    }
-
-    /// Like [`Self::tuner_for`], but wrapped for sharing across serving
-    /// threads.
-    pub fn shared_tuner_for(
-        &self,
-        cluster: &str,
-        collectives: &[Collective],
-    ) -> Result<Arc<Tuner>, PmlError> {
-        Ok(Arc::new(self.tuner_for(cluster, collectives)?))
     }
 }
 
@@ -303,7 +256,7 @@ mod tests {
 
     #[test]
     fn full_lifecycle_trains_tables_and_tuner() {
-        let eng = tiny_engine(None);
+        let mut eng = tiny_engine(None);
         assert!(eng.model(Collective::Alltoall).is_none());
         let table = eng.tuning_table("RI", Collective::Alltoall).unwrap();
         assert_eq!(table.len(), 2 * 2 * 3);
@@ -319,7 +272,7 @@ mod tests {
 
     #[test]
     fn tables_are_memoized() {
-        let eng = tiny_engine(None);
+        let mut eng = tiny_engine(None);
         let a = eng.tuning_table("RI", Collective::Allgather).unwrap();
         let b = eng.tuning_table("RI", Collective::Allgather).unwrap();
         assert_eq!(a, b);
@@ -327,7 +280,7 @@ mod tests {
 
     #[test]
     fn unknown_cluster_is_an_error() {
-        let eng = tiny_engine(None);
+        let mut eng = tiny_engine(None);
         assert!(eng.tuning_table("Atlantis", Collective::Allgather).is_err());
         assert!(eng
             .predict("Atlantis", Collective::Allgather, JobConfig::new(1, 2, 64))
@@ -352,8 +305,8 @@ mod tests {
         let eng = tiny_engine(None);
         let records = eng.dataset(Collective::Alltoall).unwrap();
         let model =
-            PretrainedModel::train(&records, Collective::Alltoall, &eng.config().train).unwrap();
-        let deploy = tiny_engine(None);
+            PretrainedModel::train(records, Collective::Alltoall, &eng.config().train).unwrap();
+        let mut deploy = tiny_engine(None);
         deploy.install_model(model.clone());
         // `train` must return the installed artifact untouched.
         let got = deploy.train(Collective::Alltoall).unwrap();
@@ -362,7 +315,7 @@ mod tests {
 
     #[test]
     fn predict_is_applicable() {
-        let eng = tiny_engine(None);
+        let mut eng = tiny_engine(None);
         let a = eng
             .predict("RI", Collective::Alltoall, JobConfig::new(3, 5, 777))
             .unwrap();
@@ -370,31 +323,30 @@ mod tests {
         assert_eq!(a.collective(), Collective::Alltoall);
     }
 
-    /// The engine is shareable across threads: concurrent `train` calls
-    /// for the same collective converge on one memoized artifact, and
-    /// concurrent `tuning_table` calls agree.
+    /// A cache that can be neither read nor written warns on every load,
+    /// so the warnings count the loads: training and building a table on a
+    /// loaded dataset add none.
     #[test]
-    fn engine_is_send_sync_and_concurrently_usable() {
+    fn a_dataset_loads_once_per_engine() {
+        let file = std::env::temp_dir().join(format!("pmlengine-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let mut eng = tiny_engine(Some(file.join("cache")));
+        assert!(!eng.dataset(Collective::Alltoall).unwrap().is_empty());
+        let first = eng.warnings();
+        assert!(
+            first.iter().any(|w| w.contains("could not persist")),
+            "{first:?}"
+        );
+        eng.train(Collective::Alltoall).unwrap();
+        eng.tuning_table("RI", Collective::Alltoall).unwrap();
+        assert_eq!(eng.warnings(), first);
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
+    fn engine_is_send_sync() {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<SelectionEngine>();
         assert_send_sync::<Arc<SelectionEngine>>();
-
-        let eng = Arc::new(tiny_engine(None));
-        let models: Vec<Arc<PretrainedModel>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let eng = Arc::clone(&eng);
-                    scope.spawn(move || eng.train(Collective::Alltoall).unwrap())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // All threads see the same memoized artifact (pointer-equal).
-        for m in &models[1..] {
-            assert!(Arc::ptr_eq(&models[0], m));
-        }
-        let t1 = eng.tuning_table("RI", Collective::Alltoall).unwrap();
-        let t2 = eng.tuning_table("RI", Collective::Alltoall).unwrap();
-        assert_eq!(t1, t2);
     }
 }

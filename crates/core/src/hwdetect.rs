@@ -200,16 +200,21 @@ pub fn parse_lspci_link(text: &str) -> Result<(PcieVersion, u32), HwDetectError>
     Ok((version, lanes))
 }
 
-/// Assemble a full [`NodeSpec`] from the three captures.
+/// Assemble a full [`NodeSpec`] from the captures. PCIe attachment is a
+/// second-order feature; without an `lspci` capture assume the era-typical
+/// Gen3 x16 slot.
 pub fn detect_node(
     lscpu: &str,
     ibstat: &str,
-    lspci: &str,
+    lspci: Option<&str>,
     mem_bw_gbs: Option<f64>,
 ) -> Result<NodeSpec, HwDetectError> {
     let cpu = parse_lscpu(lscpu, mem_bw_gbs)?;
     let (generation, link_width) = parse_ibstat(ibstat)?;
-    let (pcie_version, pcie_lanes) = parse_lspci_link(lspci)?;
+    let (pcie_version, pcie_lanes) = match lspci {
+        Some(text) => parse_lspci_link(text)?,
+        None => (PcieVersion::Gen3, 16),
+    };
     Ok(NodeSpec {
         cpu,
         nic: InterconnectSpec {
@@ -317,7 +322,7 @@ CA 'mlx5_0'
 
     #[test]
     fn assembles_node_and_feeds_feature_extraction() {
-        let node = detect_node(LSCPU_FRONTERA, IBSTAT_EDR, LSPCI_GEN3, Some(220.0)).unwrap();
+        let node = detect_node(LSCPU_FRONTERA, IBSTAT_EDR, Some(LSPCI_GEN3), Some(220.0)).unwrap();
         let v =
             crate::features::extract(&node, pml_collectives::Collective::Allgather, 16, 56, 4096);
         assert_eq!(v[12], 25.0); // EDR lane rate

@@ -42,7 +42,7 @@ pub use selectors::{
     OpenMpiDefault, OracleSelector, RandomSelector,
 };
 pub use tuner::{FallbackDepth, Tuner};
-pub use tuning_table::{TableEntry, TableIndex, TableStore, TuningTable};
+pub use tuning_table::{TableEntry, TableIndex, TuningTable};
 pub use verify::{
     load_verified_dir, verify_artifact_file, verify_artifact_str, verify_model, verify_model_json,
     verify_table, verify_table_json, ArtifactKind, VerifyError, VerifyErrorKind,

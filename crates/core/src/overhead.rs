@@ -17,7 +17,7 @@
 //!   formula at all, so the line is flat.
 
 use pml_clusters::ClusterEntry;
-use pml_collectives::{measure_sweep, Algorithm, Collective};
+use pml_collectives::{measure_sweep, Collective};
 use pml_simnet::JobLayout;
 
 /// ACCLAiM's published model overhead: 5.62 minutes at 128 nodes for
@@ -132,12 +132,6 @@ pub fn sweep_seconds(entry: &ClusterEntry, collective: Collective, nodes: u32, p
         &entry.msg_grid,
     );
     sweep.iter().flat_map(|s| s.iter().map(|(_, t)| t)).sum()
-}
-
-/// Count of algorithm runs in one sweep (diagnostics).
-pub fn sweep_points(entry: &ClusterEntry, collective: Collective, nodes: u32, ppn: u32) -> usize {
-    let world = nodes * ppn;
-    Algorithm::applicable_for(collective, world).len() * entry.msg_grid.len()
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 use crate::error::PmlError;
 use pml_collectives::{Algorithm, Collective};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One tuning-table row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -226,55 +225,6 @@ impl TableIndex {
     }
 }
 
-/// The compile-time table cache of Fig. 4: "the framework examines whether
-/// a tuning table for the current cluster exists … if present, bypasses the
-/// ML tuning process."
-#[derive(Debug, Default, Clone)]
-pub struct TableStore {
-    tables: BTreeMap<(String, Collective), TuningTable>,
-}
-
-impl TableStore {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn contains(&self, cluster: &str, collective: Collective) -> bool {
-        self.tables.contains_key(&(cluster.to_string(), collective))
-    }
-
-    pub fn get(&self, cluster: &str, collective: Collective) -> Option<&TuningTable> {
-        self.tables.get(&(cluster.to_string(), collective))
-    }
-
-    pub fn put(&mut self, table: TuningTable) {
-        self.tables
-            .insert((table.cluster.clone(), table.collective), table);
-    }
-
-    /// Fetch the cached table or build one with `make` and cache it.
-    /// Returns (table, was_cached).
-    pub fn get_or_insert_with(
-        &mut self,
-        cluster: &str,
-        collective: Collective,
-        make: impl FnOnce() -> TuningTable,
-    ) -> (&TuningTable, bool) {
-        let key = (cluster.to_string(), collective);
-        let cached = self.tables.contains_key(&key);
-        let t = self.tables.entry(key).or_insert_with(make);
-        (t, cached)
-    }
-
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,18 +419,5 @@ mod tests {
 
         assert_index_is_the_scan(&product(&[4], &[8], &[1024]));
         assert_index_is_the_scan(&TuningTable::new("X", Collective::Alltoall));
-    }
-
-    #[test]
-    fn store_caches() {
-        let mut store = TableStore::new();
-        assert!(!store.contains("X", Collective::Alltoall));
-        let (_, cached) = store.get_or_insert_with("X", Collective::Alltoall, table);
-        assert!(!cached);
-        let (_, cached) = store.get_or_insert_with("X", Collective::Alltoall, || {
-            panic!("must not rebuild a cached table")
-        });
-        assert!(cached);
-        assert_eq!(store.len(), 1);
     }
 }

@@ -235,10 +235,6 @@ impl CompiledForest {
         self.n_features
     }
 
-    pub fn n_trees(&self) -> usize {
-        self.tree_roots.len()
-    }
-
     pub fn node_count(&self) -> usize {
         self.feat.len()
     }

@@ -125,10 +125,6 @@ impl RandomForest {
         &self.params
     }
 
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
     /// Number of features the forest was fitted on (0 before fitting).
     pub fn n_features(&self) -> usize {
         self.n_features

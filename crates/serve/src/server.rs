@@ -32,7 +32,7 @@ use crate::reqtrace::{
 use crate::slo::SloTargets;
 use pml_collectives::Collective;
 use pml_core::{JobConfig, PretrainedModel, Tuner};
-use pml_obs::{Clock, Counter, Histogram, MonotonicClock, LATENCY_NS_BOUNDS};
+use pml_obs::{Clock, MonotonicClock};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,14 +42,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
-
-static REQUESTS: Counter = Counter::new("serve.requests");
-static ERRORS: Counter = Counter::new("serve.errors");
-static CONNECTIONS: Counter = Counter::new("serve.connections");
-/// Daemon-side handling latency of the `select` path.
-static SELECT_LATENCY: Histogram = Histogram::new("serve.select.latency_ns", &LATENCY_NS_BOUNDS);
-/// Daemon-side handling latency of the batched `predict` path.
-static PREDICT_LATENCY: Histogram = Histogram::new("serve.predict.latency_ns", &LATENCY_NS_BOUNDS);
 
 /// How often blocked loops re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -74,7 +66,7 @@ pub struct ServeConfig {
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Stage-attribute every request (windowed histograms, slow ring).
-    /// Off = the clock is read only for the cumulative latency histograms.
+    /// Off = a connection reads no clock.
     pub trace_requests: bool,
     /// Requests at least this slow land in the slow-request ring.
     pub slow_threshold_ns: u64,
@@ -266,7 +258,6 @@ impl Server {
             }
             match self.listener.accept() {
                 Ok((stream, _addr)) => {
-                    CONNECTIONS.inc();
                     let shared = Arc::clone(&self.shared);
                     conns.push(std::thread::spawn(move || Conn::new(&shared, stream).run()));
                     // Reap finished threads so a long-lived daemon's handle
@@ -324,8 +315,6 @@ struct Conn<'a> {
 struct InFlight {
     id: Option<u64>,
     trace: Option<RequestTrace>,
-    /// Clock reading before it was queued.
-    t0: u64,
     cluster: String,
     collective: Collective,
     job: JobConfig,
@@ -371,7 +360,6 @@ impl<'a> Conn<'a> {
             if tail == buf.len() {
                 if !std::mem::replace(&mut skipping, true) {
                     self.shared.counts.next_id();
-                    REQUESTS.inc();
                     let msg = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
                     let err = ProtoError::new(protocol::ErrorKind::Parse, msg);
                     self.reject(None, &err, None);
@@ -446,7 +434,6 @@ impl<'a> Conn<'a> {
             return false;
         }
         self.shared.counts.error();
-        ERRORS.inc();
         self.out
             .extend_from_slice(protocol::render_error(id, err).as_bytes());
         self.sent(trace, true)
@@ -454,9 +441,8 @@ impl<'a> Conn<'a> {
 
     /// One frame, end to end: assign the daemon-side request id, open the
     /// trace (when tracing is on), dispatch, append the reply — or, for a
-    /// `predict`, queue it to be settled later. With tracing off the clock
-    /// is read only for the cumulative latency histograms. Returns whether
-    /// the connection stays open.
+    /// `predict`, queue it to be settled later. With tracing off no clock is
+    /// read. Returns whether the connection stays open.
     fn answer(&mut self, frame: &[u8]) -> bool {
         let frame = protocol::trim_frame(frame);
         if frame.is_empty() {
@@ -464,7 +450,6 @@ impl<'a> Conn<'a> {
         }
         let shared = self.shared;
         let request_id = shared.counts.next_id();
-        REQUESTS.inc();
         let mut trace = shared
             .trace_requests
             .then(|| RequestTrace::new(request_id, shared.clock.now_nanos()));
@@ -493,10 +478,9 @@ impl<'a> Conn<'a> {
         match op {
             Op::Ping => protocol::write_pong(&mut self.out, id),
             Op::Select { collective, job } => {
-                let t0 = shared.clock.now_nanos();
+                let t0 = stamp(shared, &trace);
                 let (algo, depth) = shared.tuner.select_traced(collective, job);
-                let t1 = shared.clock.now_nanos();
-                SELECT_LATENCY.observe(t1.saturating_sub(t0));
+                let t1 = stamp(shared, &trace);
                 if let Some(tr) = trace.as_mut() {
                     tr.stage("select", t1.saturating_sub(t0), t1);
                 }
@@ -557,18 +541,13 @@ impl<'a> Conn<'a> {
         job: JobConfig,
     ) -> bool {
         let shared = self.shared;
-        let t0 = shared.clock.now_nanos();
         let answer = match shared.batcher.enqueue(&cluster, collective, job) {
             Ok(answer) => answer,
-            Err(err) => {
-                PREDICT_LATENCY.observe(shared.clock.now_nanos().saturating_sub(t0));
-                return self.reject(id, &err, trace);
-            }
+            Err(err) => return self.reject(id, &err, trace),
         };
         self.in_flight.push(InFlight {
             id,
             trace,
-            t0,
             cluster,
             collective,
             job,
@@ -592,8 +571,7 @@ impl<'a> Conn<'a> {
         let mut in_flight = std::mem::take(&mut self.in_flight);
         for mut p in in_flight.drain(..) {
             let outcome = p.answer.recv().unwrap_or_else(|_| Err(worker_gone()));
-            let t1 = shared.clock.now_nanos();
-            PREDICT_LATENCY.observe(t1.saturating_sub(p.t0));
+            let t1 = stamp(shared, &p.trace);
             let (algo, timing) = match outcome {
                 Ok(picked) => picked,
                 Err(err) => {
@@ -670,6 +648,11 @@ impl<'a> Conn<'a> {
             }
         }
     }
+}
+
+/// A clock reading for a traced request; an untraced one reads no clock.
+fn stamp(shared: &Shared, trace: &Option<RequestTrace>) -> u64 {
+    trace.as_ref().map_or(0, |_| shared.clock.now_nanos())
 }
 
 /// Close out a traced request's `serialize` stage, which runs from the end

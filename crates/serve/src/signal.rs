@@ -41,8 +41,3 @@ pub fn install_termination_flag() -> &'static AtomicBool {
     }
     &TERMINATE
 }
-
-/// The flag without installing handlers (tests flip it directly).
-pub fn termination_flag() -> &'static AtomicBool {
-    &TERMINATE
-}

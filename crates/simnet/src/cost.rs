@@ -79,10 +79,6 @@ impl CostModel {
         }
     }
 
-    pub fn node_spec(&self) -> &NodeSpec {
-        &self.node
-    }
-
     pub fn ppn(&self) -> u32 {
         self.ppn
     }
@@ -123,12 +119,6 @@ impl CostModel {
         } else {
             base
         }
-    }
-
-    /// NIC serialization rate, bytes/s. The executor models the NIC as a
-    /// shared per-node resource at this rate (concurrent senders queue).
-    pub fn net_bw_bytes_per_s(&self) -> f64 {
-        self.net_bw
     }
 
     /// Wire time for `bytes` once the NIC is free.
@@ -179,11 +169,6 @@ impl CostModel {
         }
         PER_COPY_CPU_S_GHZ / self.node.cpu.max_clock_ghz * self.numa_factor
             + 1.5 * bytes as f64 / self.mem_bw_bytes_per_s(bytes)
-    }
-
-    /// Per-rank L3 share in bytes (exposed for diagnostics and tests).
-    pub fn l3_share_bytes(&self) -> f64 {
-        self.l3_share
     }
 }
 

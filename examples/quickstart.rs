@@ -40,7 +40,7 @@ fn main() -> Result<(), PmlError> {
         },
         cache_dir: None,
     };
-    let engine = SelectionEngine::with_clusters(clusters, cfg);
+    let mut engine = SelectionEngine::with_clusters(clusters, cfg);
 
     // Offline: benchmark + train (memoized — later calls are free).
     let model = engine.train(Collective::Allgather)?;

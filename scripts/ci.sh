@@ -4,10 +4,10 @@
 # let_underscore_must_use, ...) and the wildcard-match deny on the
 # algorithm-dispatch modules; the repo's own static-analysis pass (pml-lint:
 # the six checks the compiler cannot express; any violation fails, there is
-# no list of tolerated sites); release build, the static
-# artifact/schedule/cost lanes, the test suite (and the vendored
-# serde_json's own, which holds its streaming reader and writer to its tree
-# parser and printer), the fig01/fig02 reproduction of EXPERIMENTS.json, the
+# no list of tolerated sites); release build and a run of the quickstart
+# example, the static artifact/schedule/cost lanes, the test suite (and the
+# vendored serde_json's own, which holds its streaming reader and writer to
+# its tree parser and printer), the fig01/fig02 reproduction of EXPERIMENTS.json, the
 # obs-determinism and serve smoke lanes, and a quick run of the frozen
 # benchmark. CI (.github/workflows/ci.yml) runs exactly this script, so a
 # clean local run means a green check.
@@ -32,6 +32,9 @@ fi
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> quickstart example (the engine's documented end-to-end caller)"
+cargo run --release -q --example quickstart >/dev/null
 
 echo "==> cargo xtask verify-artifacts"
 cargo xtask verify-artifacts

@@ -27,7 +27,7 @@
 //! ```no_run
 //! use pml_mpi::{Collective, EngineConfig, JobConfig, SelectionEngine};
 //!
-//! let engine = SelectionEngine::new(EngineConfig::default());
+//! let mut engine = SelectionEngine::new(EngineConfig::default());
 //! let algo = engine
 //!     .predict("Frontera", Collective::Allgather, JobConfig::new(16, 56, 4096))
 //!     .expect("known cluster");
@@ -52,7 +52,7 @@ pub use pml_collectives::{Algorithm, Collective};
 pub use pml_core::{
     applicable_or_fallback, detect_node, AlgorithmSelector, ArtifactKind, EngineConfig,
     FallbackDepth, JobConfig, MlSelector, MvapichDefault, OpenMpiDefault, OracleSelector, PmlError,
-    PretrainedModel, RandomSelector, SelectionEngine, TableStore, TrainConfig, Tuner, TuningTable,
-    VerifyError, VerifyErrorKind, FEATURE_NAMES,
+    PretrainedModel, RandomSelector, SelectionEngine, TrainConfig, Tuner, TuningTable, VerifyError,
+    VerifyErrorKind, FEATURE_NAMES,
 };
 pub use pml_simnet::NodeSpec;

@@ -29,14 +29,13 @@
 //! panic.
 
 use pml_mpi::clusters::measure_cell;
-use pml_mpi::core::{parse_ibstat, parse_lscpu, parse_lspci_link};
 use pml_mpi::obs;
 use pml_mpi::obs::span;
 use pml_mpi::serve::{encode_request, Op, Request};
-use pml_mpi::simnet::{InterconnectSpec, PcieVersion};
 use pml_mpi::{
-    by_name, Algorithm, AlgorithmSelector, Collective, EngineConfig, JobConfig, MvapichDefault,
-    NodeSpec, OpenMpiDefault, PretrainedModel, SelectionEngine, Tuner, FEATURE_NAMES,
+    by_name, detect_node, Algorithm, AlgorithmSelector, Collective, EngineConfig, JobConfig,
+    MvapichDefault, NodeSpec, OpenMpiDefault, PretrainedModel, SelectionEngine, Tuner,
+    FEATURE_NAMES,
 };
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -440,7 +439,7 @@ fn cmd_dataset(args: &[String]) -> Result<(), Box<dyn Error>> {
     let records = engine.dataset(coll)?;
     report_warnings(&engine);
     let mut per_cluster: BTreeMap<&str, usize> = BTreeMap::new();
-    for r in &records {
+    for r in records {
         *per_cluster.entry(r.cluster.as_str()).or_default() += 1;
     }
     eprintln!(
@@ -466,7 +465,7 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err("usage: pml-mpi train <collective> [--out FILE]".into());
     };
     let coll = parse_collective(coll)?;
-    let engine = build_engine(&opts);
+    let mut engine = build_engine(&opts);
     let model = engine.train(coll)?;
     report_warnings(&engine);
     let features: Vec<&str> = model
@@ -501,30 +500,13 @@ fn resolve_node(opts: &Opts) -> Result<NodeSpec, Box<dyn Error>> {
         );
     };
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
-    let mem_bw = match opts.get("mem-bw") {
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|_| format!("--mem-bw expects a number, got {v:?}"))?,
-        ),
-        None => None,
-    };
-    let cpu = parse_lscpu(&read(lscpu_path)?, mem_bw)?;
-    let (generation, link_width) = parse_ibstat(&read(ibstat_path)?)?;
-    // PCIe attachment is a second-order feature; without a capture assume
-    // the era-typical Gen3 x16 slot.
-    let (pcie_version, pcie_lanes) = match opts.get("lspci") {
-        Some(p) => parse_lspci_link(&read(p)?)?,
-        None => (PcieVersion::Gen3, 16),
-    };
-    Ok(NodeSpec {
-        cpu,
-        nic: InterconnectSpec {
-            generation,
-            link_width,
-            pcie_version,
-            pcie_lanes,
-        },
-    })
+    let mem_bw = opts
+        .has("mem-bw")
+        .then(|| parse_flag_or(opts, "mem-bw", 0.0))
+        .transpose()?;
+    let (lscpu, ibstat) = (read(lscpu_path)?, read(ibstat_path)?);
+    let lspci = opts.get("lspci").map(read).transpose()?;
+    Ok(detect_node(&lscpu, &ibstat, lspci.as_deref(), mem_bw)?)
 }
 
 fn cmd_predict(args: &[String]) -> Result<(), Box<dyn Error>> {
@@ -571,7 +553,7 @@ fn cmd_predict(args: &[String]) -> Result<(), Box<dyn Error>> {
             std::sync::Arc::new(model)
         }
         None => {
-            let engine = build_engine(&opts);
+            let mut engine = build_engine(&opts);
             let model = engine.train(coll)?;
             report_warnings(&engine);
             model
@@ -595,7 +577,7 @@ fn cmd_table(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err("usage: pml-mpi table <cluster> <collective> [--out FILE]".into());
     };
     let coll = parse_collective(coll)?;
-    let engine = build_engine(&opts);
+    let mut engine = build_engine(&opts);
     let table = engine.tuning_table(cluster, coll)?;
     report_warnings(&engine);
     eprintln!("{cluster} {coll}: {} table entries", table.len());
@@ -616,7 +598,7 @@ fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
         Some(_) => vec![opts.require_usize("msg")?],
         None => (0..21).map(|i| 1usize << i).collect(),
     };
-    let engine = build_engine(&opts);
+    let mut engine = build_engine(&opts);
     let entry = engine.entry(cluster)?.clone();
     let model = engine.train(coll)?;
     report_warnings(&engine);
@@ -941,7 +923,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
         _ => return Err("usage: pml-mpi stats [<collective>] [--cluster NAME]".into()),
     };
     let cluster = opts.get("cluster").unwrap_or("RI");
-    let engine = build_engine(&opts);
+    let mut engine = build_engine(&opts);
     let table = engine.tuning_table(cluster, coll)?;
 
     // Exercise the runtime path too: probe the fresh table on-grid (exact
@@ -984,12 +966,6 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 // ---------------------------------------------------------------------------
 // Serving: the selection path as a daemon (crates/serve)
-
-/// Per-request client-side latency of `loadgen` round-trips, through the
-/// shared metrics registry so `--metrics-out` captures the distribution
-/// next to the daemon-side histograms.
-static LOADGEN_LATENCY: obs::Histogram =
-    obs::Histogram::new("loadgen.rtt.latency_ns", &obs::LATENCY_NS_BOUNDS);
 
 fn parse_flag_or<T: std::str::FromStr>(opts: &Opts, name: &str, default: T) -> Result<T, String> {
     match opts.get(name) {
@@ -1326,7 +1302,6 @@ fn loadgen_worker(
         }
         if id >= warmup {
             latencies.push(ns);
-            LOADGEN_LATENCY.observe(ns);
             span = Some((span.map_or(t0, |(first, _)| first), t1));
         }
         // The compact renderer never inserts spaces, so this substring

@@ -38,7 +38,7 @@ pub fn mini_engine() -> SelectionEngine {
 }
 
 pub fn mini_model(collective: Collective) -> PretrainedModel {
-    let engine = mini_engine();
+    let mut engine = mini_engine();
     let model = engine.train(collective).expect("training succeeds");
     (*model).clone()
 }

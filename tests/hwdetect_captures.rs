@@ -4,7 +4,7 @@
 
 mod common;
 
-use pml_mpi::simnet::HcaGeneration;
+use pml_mpi::simnet::{HcaGeneration, PcieVersion};
 use pml_mpi::{detect_node, Collective, JobConfig};
 use std::path::Path;
 
@@ -20,7 +20,7 @@ fn committed_captures_drive_a_prediction() {
     let node = detect_node(
         &capture("lscpu_frontera.txt"),
         &capture("ibstat_edr.txt"),
-        &capture("lspci_gen3.txt"),
+        Some(&capture("lspci_gen3.txt")),
         None,
     )
     .expect("captures parse");
@@ -34,4 +34,17 @@ fn committed_captures_drive_a_prediction() {
     let pick = model.predict(&node, job);
     assert!(pick.supports(job.world_size()));
     assert_eq!(pick.collective(), Collective::Allgather);
+}
+
+#[test]
+fn without_an_lspci_capture_the_slot_is_gen3_x16() {
+    let node = detect_node(
+        &capture("lscpu_frontera.txt"),
+        &capture("ibstat_edr.txt"),
+        None,
+        None,
+    )
+    .expect("captures parse");
+    assert_eq!(node.nic.pcie_version, PcieVersion::Gen3);
+    assert_eq!(node.nic.pcie_lanes, 16);
 }

@@ -36,7 +36,7 @@ fn engine_install_model_serves_the_artifact() {
     let model = common::mini_model(Collective::Alltoall);
     let json = model.to_json().expect("model serializes");
 
-    let engine = common::mini_engine();
+    let mut engine = common::mini_engine();
     engine.install_model(PretrainedModel::from_json(&json).expect("model JSON parses"));
     let job = JobConfig::new(4, 8, 4096);
     let from_engine = engine

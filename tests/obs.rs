@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 static TRACER: Mutex<()> = Mutex::new(());
 
 fn ri_alltoall_table_json() -> String {
-    let engine = common::mini_engine();
+    let mut engine = common::mini_engine();
     engine
         .tuning_table("RI", Collective::Alltoall)
         .expect("tuning table")
@@ -51,7 +51,7 @@ fn artifacts_are_byte_identical_with_observability_on_or_off() {
 
 #[test]
 fn one_train_table_flow_populates_at_least_ten_metrics() {
-    let engine = common::mini_engine();
+    let mut engine = common::mini_engine();
     engine.train(Collective::Alltoall).expect("train");
     engine
         .tuning_table("RI", Collective::Alltoall)
@@ -105,7 +105,7 @@ fn cold_extraction_shows_under_table_generate_and_a_warm_run_has_none() {
         },
         cache_dir: None,
     };
-    let engine = SelectionEngine::with_clusters(vec![cluster.clone()], cfg);
+    let mut engine = SelectionEngine::with_clusters(vec![cluster.clone()], cfg);
     let model = engine.train(Collective::Alltoall).expect("train");
     cluster.spec.name = "obs-cold-5x7".to_string();
     cluster.node_grid = vec![5];

@@ -8,7 +8,7 @@ use pml_mpi::{core::TableIndex, Collective, TuningTable};
 
 #[test]
 fn json_round_trip_is_lossless() {
-    let engine = common::mini_engine();
+    let mut engine = common::mini_engine();
     let table = engine
         .tuning_table("RI", Collective::Allgather)
         .expect("table generates")
@@ -21,7 +21,7 @@ fn json_round_trip_is_lossless() {
 
 #[test]
 fn nearest_bucket_lookup_is_total() {
-    let engine = common::mini_engine();
+    let mut engine = common::mini_engine();
     let table = engine
         .tuning_table("Haswell", Collective::Alltoall)
         .expect("table generates")
@@ -60,7 +60,7 @@ fn empty_table_is_the_only_none() {
 
 #[test]
 fn cross_collective_json_is_rejected() {
-    let engine = common::mini_engine();
+    let mut engine = common::mini_engine();
     let table = engine
         .tuning_table("RI", Collective::Allgather)
         .expect("table generates")
