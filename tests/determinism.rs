@@ -6,7 +6,7 @@
 
 mod common;
 
-use pml_mpi::clusters::generate_cluster;
+use pml_mpi::clusters::{generate_cluster, measure_cell};
 use pml_mpi::{by_name, Collective, DatagenConfig};
 
 /// Worker counts every artifact must come out identical at: one (the
@@ -56,6 +56,41 @@ fn datagen_is_identical_across_runs() {
         let json = serde_json::to_string(&records).expect("records serialize");
         (records, json)
     });
+}
+
+/// Worlds of 3 to 24 ranks, most not powers of two: recursive doubling
+/// drops out of some shapes' algorithm lists and not others, and two
+/// shapes (2×6 and 4×3) tie on world size.
+fn uneven_entry() -> pml_mpi::ClusterEntry {
+    let mut e = by_name("RI").expect("zoo cluster").clone();
+    e.node_grid = vec![1, 2, 4];
+    e.ppn_grid = vec![3, 4, 6];
+    e.msg_grid = vec![16, 1000, 65536];
+    e
+}
+
+#[test]
+fn datagen_on_uneven_worlds_is_the_cell_path_at_every_thread_count() {
+    let entry = uneven_entry();
+    for cfg in [noisy_cfg(), DatagenConfig::noiseless()] {
+        for coll in Collective::ALL {
+            let build = || generate_cluster(&entry, coll, &cfg).expect("datagen");
+            let records = build();
+            assert_eq!(records.len(), entry.grid_size());
+            for r in &records {
+                let cell = measure_cell(&entry, coll, r.nodes, r.ppn, r.msg_size, &cfg);
+                assert_eq!(
+                    &cell.expect("cell"),
+                    r,
+                    "{coll} {}x{} {}",
+                    r.nodes,
+                    r.ppn,
+                    r.msg_size
+                );
+            }
+            same_at_every_thread_count(&format!("{coll} datagen records"), build);
+        }
+    }
 }
 
 #[test]
