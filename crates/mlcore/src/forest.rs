@@ -364,10 +364,29 @@ impl RandomForest {
         self.predict_proba_batch_into_exact(x, &mut proba);
         (0..x.rows()).map(|i| argmax(proba.row(i))).collect()
     }
-}
 
-impl Classifier for RandomForest {
-    fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<(), MlError> {
+    /// [`Classifier::fit`] without the out-of-bag pass, so
+    /// [`Self::oob_score`] is `None`: for a forest read only for its
+    /// [`Self::feature_importances`]. Trees and compiled twin are `fit`'s.
+    pub fn fit_without_oob(
+        &mut self,
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+    ) -> Result<(), MlError> {
+        self.grow(x, y, n_classes, false)
+    }
+
+    /// The growth step both fits share: grow every tree over one binning,
+    /// score the ensemble out of bag when `oob` is set and the trees are
+    /// bootstrapped, keep the trees and compile them.
+    fn grow(
+        &mut self,
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        oob: bool,
+    ) -> Result<(), MlError> {
         validate_fit(x.rows(), y, n_classes)?;
         if self.params.n_estimators < 1 {
             return Err(MlError::InvalidParam {
@@ -435,16 +454,16 @@ impl Classifier for RandomForest {
             })
             .collect();
 
-        // OOB score: vote each sample with the trees that never saw it.
-        // Fixed-size tree chunks fan out over rayon (one in-bag buffer per
-        // worker); partial votes merge back in chunk order so the float
-        // summation order never depends on thread count.
         TRAIN_TREES.add(fitted.len() as u64);
         for (tree, _) in &fitted {
             TRAIN_TREE_NODES.observe(tree.node_count() as u64);
         }
 
-        self.oob_score = if bootstrap {
+        // OOB score: vote each sample with the trees that never saw it.
+        // Fixed-size tree chunks fan out over rayon (one in-bag buffer per
+        // worker); partial votes merge back in chunk order so the float
+        // summation order never depends on thread count.
+        self.oob_score = if bootstrap && oob {
             let _span = span!("fit.oob", trees = fitted.len());
             let chunks: Vec<&[(DecisionTree, Vec<u32>)]> = fitted.chunks(OOB_CHUNK).collect();
             let partials: Vec<(Vec<f64>, Vec<bool>)> = chunks
@@ -506,6 +525,12 @@ impl Classifier for RandomForest {
         self.compile_cached()
             .map_err(|e| MlError::Compile(e.clone()))?;
         Ok(())
+    }
+}
+
+impl Classifier for RandomForest {
+    fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) -> Result<(), MlError> {
+        self.grow(x, y, n_classes, true)
     }
 
     /// A one-row batch through the compiled kernel.

@@ -150,11 +150,12 @@ pub struct TreeScratch {
     /// Row indices of the tree being grown, recursively partitioned in
     /// place — each node owns a `[lo, hi)` window of this buffer.
     rows: Vec<u32>,
-    /// Spill buffer for the right half during a stable in-place partition.
+    /// Spill buffer for a stable in-place partition, one slot a sampled row.
     part: Vec<u32>,
-    /// The criterion's slots per bin, wiped per feature pass — the bin
-    /// budget keeps it small enough that a plain fill beats any
-    /// touched-slot bookkeeping on this project's low-cardinality features.
+    /// The criterion's slots per bin, all zero between feature passes: a
+    /// pass fills, scans and zeroes only its node's occupied bin range.
+    /// Most features bin to 1–21 bins, but the analytic-cost ones to
+    /// 149–242, more than a deep node has rows to fill.
     hist: Vec<f64>,
     /// Candidate feature indices for the current node.
     feats: Vec<usize>,
@@ -218,7 +219,8 @@ fn grow<C: Criterion>(
     let s = crit.stride();
     scratch.rows.clear();
     scratch.rows.extend_from_slice(rows);
-    scratch.hist.clear();
+    scratch.part.resize(rows.len(), 0);
+    // All zero already: every feature pass clears the bins it filled.
     scratch.hist.resize(MAX_BINS as usize * s, 0.0);
     let mut g = Grower {
         b,
@@ -277,16 +279,19 @@ impl<C: Criterion> Grower<'_, C> {
             }
             let col = self.b.column(f);
             let hist = &mut scratch.hist[..nb * s];
-            hist.fill(0.0);
+            let (mut first, mut last) = (u8::MAX, 0u8);
             for (&r, &t) in rows[lo..hi].iter().zip(targets.iter()) {
-                crit.add_row(hist, col[r as usize] as usize, t);
+                let bin = col[r as usize];
+                (first, last) = (first.min(bin), last.max(bin));
+                crit.add_row(hist, bin as usize, t);
             }
-            // Prefix-scan bins ascending. An empty bin changes neither side
-            // nor the partition, so the boundary after it is no candidate
-            // (as in the oracle); the last populated bin exits on `nr == 0`.
+            let (first, last) = (first as usize, last as usize);
+            // Prefix-scan the occupied bins ascending. An empty bin changes
+            // neither side nor the partition, so the boundary after it is no
+            // candidate (as in the oracle); nor is the one after the last.
             self.left.fill(0.0);
             let mut nl = 0usize;
-            for bin in 0..nb - 1 {
+            for bin in first..last {
                 let slots = &hist[bin * s..(bin + 1) * s];
                 let in_bin = C::count(slots);
                 if in_bin == 0.0 {
@@ -297,9 +302,6 @@ impl<C: Criterion> Grower<'_, C> {
                 }
                 nl += in_bin as usize;
                 let nr = n - nl;
-                if nr == 0 {
-                    break;
-                }
                 if nl < min_leaf || nr < min_leaf {
                     continue;
                 }
@@ -308,6 +310,7 @@ impl<C: Criterion> Grower<'_, C> {
                     best = Some((f, bin, decrease));
                 }
             }
+            hist[first * s..(last + 1) * s].fill(0.0);
         }
 
         let Some((feature, bin, decrease)) = best else {
@@ -316,20 +319,20 @@ impl<C: Criterion> Grower<'_, C> {
         self.raw_importance[feature] += (n as f64 / rows.len() as f64) * decrease;
         let threshold = self.b.threshold(feature, bin);
 
-        // Stable in-place partition of this node's index window.
+        // Stable in-place partition of this node's index window, branch-free:
+        // each row goes both to the left cursor (never ahead of the read one)
+        // and to the spill buffer, and only its own side's cursor advances.
         let (col, part) = (self.b.column(feature), &mut scratch.part);
-        part.clear();
-        let mut mid = lo;
+        let (mut mid, mut spilled) = (lo, 0);
         for read in lo..hi {
             let r = rows[read];
-            if col[r as usize] as usize <= bin {
-                rows[mid] = r;
-                mid += 1;
-            } else {
-                part.push(r);
-            }
+            let left = usize::from(col[r as usize] as usize <= bin);
+            rows[mid] = r;
+            part[spilled] = r;
+            mid += left;
+            spilled += 1 - left;
         }
-        rows[mid..hi].copy_from_slice(part);
+        rows[mid..hi].copy_from_slice(&part[..spilled]);
 
         let me = self.nodes.push_placeholder();
         let left = self.node(lo, mid, depth + 1);
@@ -1214,6 +1217,103 @@ mod tests {
                 (155, 0xeb42_e077_a98e_ed7d)
             ]
         );
+
+        // The full bin budget, the shape the analytic-cost features have:
+        // one column bins losslessly into ≈ 240 bins, one quantile-bins
+        // past 256 distinct values, and most deep nodes see fewer rows
+        // than bins.
+        let (b, y, target, rows) = wide_bins();
+        let mut scratch = TreeScratch::default();
+        let sqrt = TreeParams {
+            max_features: MaxFeatures::Sqrt,
+            ..Default::default()
+        };
+        let gini = DecisionTree::fit_binned(
+            &b,
+            &y,
+            &rows,
+            4,
+            &sqrt,
+            &mut StdRng::seed_from_u64(7),
+            &mut scratch,
+        );
+        let reg = RegressionTree::fit_binned(
+            &b,
+            &target,
+            &rows,
+            &TreeParams {
+                min_samples_leaf: 2,
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(8),
+            &mut scratch,
+        );
+        assert_eq!(
+            [
+                (gini.node_count(), digest(&gini.nodes, &gini.raw_importance)),
+                (reg.nodes.len(), digest(&reg.nodes, &[]))
+            ],
+            [(1371, 0x6456_150d_4fbe_6c8e), (1863, 0x3240_e719_5286_6d10)]
+        );
+    }
+
+    /// A 2 400-row bootstrap over four columns binned at [`MAX_BINS`]:
+    /// 240 distinct integers (lossless), a continuous column (quantile
+    /// edges), and two small discrete ones. Gini labels in four classes and
+    /// an MSE target, both noisy.
+    fn wide_bins() -> (BinnedMatrix, Vec<usize>, Vec<f64>, Vec<u32>) {
+        let mut r = StdRng::seed_from_u64(34);
+        let n = 2_400;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                vec![
+                    r.gen_range(0..240) as f64,
+                    r.gen_range(0.0..100.0),
+                    r.gen_range(0..8) as f64,
+                    r.gen_range(0..3) as f64,
+                ]
+            })
+            .collect();
+        let y: Vec<usize> = rows
+            .iter()
+            .map(|v| (v[0] as usize / 60 + usize::from(v[1] > 50.0) + r.gen_range(0..2usize)) % 4)
+            .collect();
+        let target: Vec<f64> = rows
+            .iter()
+            .map(|v| v[0] * 0.1 - v[1] * v[2] * 0.01 + r.gen_range(-1.0..1.0))
+            .collect();
+        let x = Matrix::from_rows(rows);
+        let b = BinnedMatrix::from_matrix(&x, MAX_BINS);
+        // Column 1: 2 400 distinct values in equal-frequency bins of ten.
+        assert_eq!((b.n_bins(0), b.n_bins(1)), (240, 240));
+        let sample = (0..n).map(|_| r.gen_range(0..n as u32)).collect();
+        (b, y, target, sample)
+    }
+
+    /// A scratch that grew other trees grows the same tree as a fresh one:
+    /// every buffer it carries between trees is either overwritten or, the
+    /// histogram, left all-zero by each feature pass.
+    #[test]
+    fn reused_scratch_grows_the_same_trees_as_a_fresh_one() {
+        let (b, y, target, rows) = wide_bins();
+        let params = TreeParams {
+            max_features: MaxFeatures::Sqrt,
+            ..Default::default()
+        };
+        let gini = |scratch: &mut TreeScratch, seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            DecisionTree::fit_binned(&b, &y, &rows, 4, &params, &mut rng, scratch)
+        };
+        let reg = |scratch: &mut TreeScratch| {
+            let mut rng = StdRng::seed_from_u64(3);
+            RegressionTree::fit_binned(&b, &target, &rows[..900], &params, &mut rng, scratch)
+        };
+        let mut reused = TreeScratch::default();
+        gini(&mut reused, 1);
+        assert_eq!(gini(&mut reused, 2), gini(&mut TreeScratch::default(), 2));
+        // Three slots a bin after four, then four again.
+        assert_eq!(reg(&mut reused), reg(&mut TreeScratch::default()));
+        assert_eq!(gini(&mut reused, 5), gini(&mut TreeScratch::default(), 5));
     }
 
     #[test]

@@ -116,3 +116,23 @@ fn tuning_table_json_is_byte_identical_for_identical_seeds() {
             .expect("table serializes")
     });
 }
+
+/// FNV-1a, 64-bit, over a document's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The trained models' bytes, pinned to values recorded before the grower
+/// scanned only occupied bins: a change to a tree, the preliminary
+/// forest's importances (`full_importances`) or the final forest's
+/// `oob_score` fails here, not only in the benchmark's `artifact_fnv`.
+#[test]
+fn trained_model_json_matches_recorded_digests() {
+    let digest = |c| fnv1a(&common::mini_model(c).to_json().expect("model serializes"));
+    assert_eq!(
+        [digest(Collective::Allgather), digest(Collective::Alltoall)],
+        [0x36fe_242d_1b86_4181, 0x7c89_cf5f_3963_265b]
+    );
+}
