@@ -4,16 +4,12 @@
 //! A workload (MiniFE or the Gromacs proxy) is a sequence of [`Phase`]s —
 //! local compute or a collective call. For every collective call the
 //! selector picks an algorithm, the virtual-time executor prices it on the
-//! target hardware, and the runner accumulates communication vs compute
-//! time. One plan of the unit schedule is cached per algorithm so repeated
-//! calls at different sizes stay cheap.
+//! target hardware by the micro-benchmark's rule ([`Pricer`]), and the
+//! runner accumulates communication vs compute time.
 
-use pml_collectives::exec::sim;
-use pml_collectives::{Algorithm, Collective};
+use pml_collectives::{Algorithm, Collective, Pricer};
 use pml_core::{applicable_or_fallback, AlgorithmSelector, JobConfig, MvapichDefault};
 use pml_simnet::{CostModel, JobLayout, NodeSpec};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// One step of an application's execution trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +51,7 @@ pub fn run_app(
     selector: &dyn AlgorithmSelector,
 ) -> AppReport {
     let cost = CostModel::new(node.clone(), layout.ppn);
-    let mut plans: HashMap<Algorithm, sim::Plan> = HashMap::new();
+    let mut pricer = Pricer::new(&cost, layout);
     let mut report = AppReport {
         app: workload.name().to_string(),
         selector: selector.name().to_string(),
@@ -82,20 +78,13 @@ pub fn run_app(
                 if !algo.supports(world) {
                     algo = MvapichDefault.select(coll, job);
                 }
-                if let Entry::Vacant(slot) = plans.entry(algo) {
-                    // Supported at this world (checked above), so neither
-                    // generation nor planning can fail; skip the phase
-                    // rather than panic if one ever does.
-                    let Some(plan) = algo
-                        .schedule(world, 1)
-                        .ok()
-                        .and_then(|s| sim::Plan::new(&s).ok())
-                    else {
-                        continue;
-                    };
-                    slot.insert(plan);
+                // Supported at this world (checked above), so neither
+                // generation nor planning can fail; skip the phase rather
+                // than count a run that never finishes if one ever does.
+                let t = pricer.time(algo, msg.max(1));
+                if t.is_infinite() {
+                    continue;
                 }
-                let t = plans[&algo].run(layout, &cost, msg.max(1)).time_s;
                 report.comm_s += t;
                 report.total_s += t;
                 report.collective_calls += 1;
@@ -109,6 +98,7 @@ pub fn run_app(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pml_collectives::{measure_algo, AllgatherAlgo, AllreduceAlgo};
     use pml_core::MvapichDefault;
 
     struct TwoPhase;
@@ -157,6 +147,50 @@ mod tests {
         // world = 1: collectives degenerate to local copies but still count.
         assert_eq!(r.collective_calls, 2);
         assert!(r.total_s >= r.compute_s);
+    }
+
+    #[test]
+    fn prices_like_the_micro_benchmark() {
+        // Ring reduce-scatter's segments depend on the message size, so its
+        // unit plan scaled up is the wrong price.
+        struct Fixed(Algorithm);
+        impl AlgorithmSelector for Fixed {
+            fn name(&self) -> &str {
+                "fixed"
+            }
+            fn select(&self, _: Collective, _: JobConfig) -> Algorithm {
+                self.0
+            }
+        }
+        struct OneCall(Collective, usize);
+        impl Workload for OneCall {
+            fn name(&self) -> &str {
+                "one-call"
+            }
+            fn phases(&self, _node: &NodeSpec, _layout: JobLayout) -> Vec<Phase> {
+                vec![Phase::Collective(self.0, self.1)]
+            }
+        }
+        let node = pml_clusters_node();
+        let (layout, msg) = (JobLayout::new(2, 4), 65536);
+        let cost = CostModel::new(node.clone(), layout.ppn);
+        for algo in [
+            Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter),
+            Algorithm::Allgather(AllgatherAlgo::Ring),
+        ] {
+            let r = run_app(
+                &OneCall(algo.collective(), msg),
+                &node,
+                layout,
+                &Fixed(algo),
+            );
+            assert_eq!(r.picks, [(algo.collective(), msg, algo)]);
+            assert_eq!(
+                r.comm_s.to_bits(),
+                measure_algo(algo, &cost, layout, &[msg])[0].to_bits(),
+                "{algo}"
+            );
+        }
     }
 
     fn pml_clusters_node() -> NodeSpec {

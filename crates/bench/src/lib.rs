@@ -207,7 +207,8 @@ pub struct ComparisonRow {
 }
 
 /// Compare selection strategies on a cluster over a message-size sweep at
-/// one job shape, pricing each pick with the virtual-time executor.
+/// one job shape, pricing each pick as the micro-benchmark does
+/// ([`pml_collectives::Pricer`]).
 pub fn compare_selectors(
     entry: &ClusterEntry,
     collective: Collective,
@@ -216,12 +217,9 @@ pub fn compare_selectors(
     msg_sizes: &[usize],
     selectors: &[&dyn AlgorithmSelector],
 ) -> Vec<ComparisonRow> {
-    use pml_collectives::exec::sim;
-    use std::collections::hash_map::Entry;
-    use std::collections::HashMap;
     let layout = pml_simnet::JobLayout::new(nodes, ppn);
     let cost = pml_simnet::CostModel::new(entry.spec.node.clone(), ppn);
-    let mut plans: HashMap<pml_collectives::Algorithm, sim::Plan> = HashMap::new();
+    let mut pricer = pml_collectives::Pricer::new(&cost, layout);
     msg_sizes
         .iter()
         .map(|&m| {
@@ -229,19 +227,10 @@ pub fn compare_selectors(
             let outcomes = selectors
                 .iter()
                 .map(|s| {
-                    let algo = s.select(collective, job);
-                    if let Entry::Vacant(slot) = plans.entry(algo) {
-                        let unit = algo.schedule(layout.world_size(), 1).ok();
-                        if let Some(plan) = unit.and_then(|sch| sim::Plan::new(&sch).ok()) {
-                            slot.insert(plan);
-                        }
-                    }
                     // A selector picking an algorithm undefined at this world
                     // size scores as "never finishes" instead of panicking.
-                    let t = match plans.get(&algo) {
-                        Some(plan) => plan.run(layout, &cost, m).time_s,
-                        None => f64::INFINITY,
-                    };
+                    let algo = s.select(collective, job);
+                    let t = pricer.time(algo, m);
                     (s.name().to_string(), algo.name().to_string(), t)
                 })
                 .collect();
@@ -315,7 +304,9 @@ pub fn cluster(name: &str) -> Result<&'static ClusterEntry, PmlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pml_collectives::{measure_algo, Algorithm, AllgatherAlgo, AllreduceAlgo};
     use pml_core::{MvapichDefault, RandomSelector};
+    use pml_simnet::{CostModel, JobLayout};
 
     #[test]
     fn experiment_names_are_unique() {
@@ -418,6 +409,35 @@ mod tests {
         for r in &rows {
             assert_eq!(r.outcomes.len(), 2);
             assert!(r.outcomes.iter().all(|(_, _, t)| *t > 0.0));
+        }
+    }
+
+    #[test]
+    fn compare_selectors_prices_like_the_micro_benchmark() {
+        // Ring reduce-scatter's segments depend on the message size, so its
+        // unit plan scaled up is the wrong price.
+        struct Fixed(Algorithm);
+        impl AlgorithmSelector for Fixed {
+            fn name(&self) -> &str {
+                "fixed"
+            }
+            fn select(&self, _: Collective, _: JobConfig) -> Algorithm {
+                self.0
+            }
+        }
+        let entry = cluster("RI").unwrap();
+        let (layout, msg) = (JobLayout::new(2, 4), 65536);
+        let cost = CostModel::new(entry.spec.node.clone(), layout.ppn);
+        for algo in [
+            Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter),
+            Algorithm::Allgather(AllgatherAlgo::Ring),
+        ] {
+            let rows = compare_selectors(entry, algo.collective(), 2, 4, &[msg], &[&Fixed(algo)]);
+            assert_eq!(
+                rows[0].outcomes[0].2.to_bits(),
+                measure_algo(algo, &cost, layout, &[msg])[0].to_bits(),
+                "{algo}"
+            );
         }
     }
 

@@ -21,7 +21,10 @@
 //! and proves it free of wait cycles, once; [`Plan::run`] then prices it on
 //! any layout of its world at any block scale. Steps are processed in
 //! start-time order from a priority queue, so results are deterministic,
-//! and every step of a planned schedule completes.
+//! and every step of a planned schedule completes. A rank runs its steps
+//! in order and a step completes only once all its receives have arrived,
+//! so a run keeps one counter and one in-flight step per rank; the only
+//! schedule-sized state is one arrival time per receive.
 
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
@@ -84,76 +87,30 @@ impl Ord for StartEvent {
     }
 }
 
-/// Per-step bookkeeping while in flight. Most steps have at most two
-/// receives (all the p-round algorithms have exactly one), so arrivals
-/// are stored inline and only spill to the heap for wait-all steps like
-/// Scatter-Dest's.
+/// A rank's one in-flight step: a rank runs its steps in order and a step
+/// completes only once all its receives have arrived, so no other step of
+/// the rank needs state.
 #[derive(Default, Clone)]
-struct StepState {
-    /// Posted: its sends' arrivals are known, its receives are registered.
-    started: bool,
+struct InFlight {
     /// Completion floor from posting (copies + send CPU) and from
     /// rendezvous-send wire drain.
     local_floor: f64,
     post_end: f64,
     /// Receives whose send had not been posted when the step started.
     missing_recvs: usize,
-    /// (arrival time, completion CPU cost) of matched receives.
-    n_inline: u8,
-    inline: [(f64, f64); 2],
-    overflow: Vec<(f64, f64)>,
-}
-
-impl StepState {
-    #[inline]
-    fn push_arrival(&mut self, a: (f64, f64)) {
-        if (self.n_inline as usize) < self.inline.len() {
-            self.inline[self.n_inline as usize] = a;
-            self.n_inline += 1;
-        } else {
-            self.overflow.push(a);
-        }
-    }
-
-    /// Completion time of the wait-all over the registered receives,
-    /// starting from `post_end`: receives complete in arrival order, each
-    /// charging its CPU cost.
-    fn recv_completion(&mut self) -> f64 {
-        let mut tc = self.post_end;
-        if self.overflow.is_empty() {
-            match self.n_inline {
-                0 => {}
-                1 => tc = tc.max(self.inline[0].0) + self.inline[0].1,
-                _ => {
-                    let (a, b) = (self.inline[0], self.inline[1]);
-                    let (first, second) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-                    tc = tc.max(first.0) + first.1;
-                    tc = tc.max(second.0) + second.1;
-                }
-            }
-        } else {
-            let mut all: Vec<(f64, f64)> = self.inline[..self.n_inline as usize].to_vec();
-            all.append(&mut self.overflow);
-            all.sort_by(|x, y| x.0.total_cmp(&y.0));
-            for (a, cpu) in all {
-                tc = tc.max(a) + cpu;
-            }
-        }
-        tc
-    }
+    /// (arrival time, completion CPU cost) of matched receives, in the
+    /// order they became known; drained when the step completes.
+    arrivals: Vec<(f64, f64)>,
 }
 
 /// A schedule ready to be priced: its matched message graph, proven free
 /// of wait cycles, and what each step charges, flattened in program order
 /// so the schedule itself need not outlive the plan.
 ///
-/// Every generator in this crate produces schedules whose structure depends
-/// only on the world size — all offsets and lengths are multiples of the
-/// block size. A plan of the schedule generated at `block = 1` therefore
-/// stands for the whole message-size sweep: running it at `scale = msg` is
-/// exactly running `schedule(p, msg)`, and dataset generation exploits that
-/// to build and match each schedule once per job shape instead of once per
-/// grid cell.
+/// For a [scale-invariant](crate::Algorithm::scale_invariant) algorithm,
+/// whose offsets and lengths are all multiples of the block size, the plan
+/// at `block = 1` run at `scale = msg` is exactly `schedule(p, msg)`;
+/// [`crate::measure::Pricer`] decides which plan prices which size.
 #[derive(Debug)]
 pub struct Plan {
     msgs: Messages,
@@ -220,7 +177,10 @@ impl Plan {
 
         // Arrival time per receive, known once its send's step has posted.
         let mut arrival = vec![0.0f64; m.pred.len()];
-        let mut states = vec![StepState::default(); m.steps()];
+        // Per rank: its next step to start, so global step `w` has started
+        // iff `w < posted[rank_of[w]]`; and that rank's step in flight.
+        let mut posted: Vec<u32> = m.base[..world].to_vec();
+        let mut in_flight = vec![InFlight::default(); world];
         let mut rank_end = vec![0.0f64; world];
 
         let mut nic_tx = vec![0.0f64; layout.nodes as usize];
@@ -245,7 +205,8 @@ impl Plan {
 
         while let Some(Reverse(ev)) = heap.pop() {
             let g = ev.step as usize;
-            let my_node = node_of[m.rank_of[g] as usize];
+            let my_rank = m.rank_of[g] as usize;
+            let my_node = node_of[my_rank];
 
             let mut t = ev.time;
             // Phase 1: copies and reductions.
@@ -260,7 +221,8 @@ impl Plan {
             let mut local_floor = t;
             for i in span(&m.send_off, g) {
                 let (recv, waiter) = m.meets[i];
-                let dst_node = node_of[m.rank_of[waiter as usize] as usize];
+                let dst_rank = m.rank_of[waiter as usize] as usize;
+                let dst_node = node_of[dst_rank];
                 let len = self.send_len[i] * scale;
                 let cpu = per_msg_s(my_node, dst_node);
                 t += cpu;
@@ -284,10 +246,11 @@ impl Plan {
                 };
                 local_floor = local_floor.max(sender_hold);
                 arrival[recv as usize] = arr;
-                // A receiver that started first has been waiting on this.
-                let st = &mut states[waiter as usize];
-                if st.started {
-                    st.push_arrival((arr, cpu));
+                // A receiver that started first has been waiting on this;
+                // it is its rank's step in flight.
+                if waiter < posted[dst_rank] {
+                    let st = &mut in_flight[dst_rank];
+                    st.arrivals.push((arr, cpu));
                     st.missing_recvs -= 1;
                     if st.missing_recvs == 0 {
                         completable.push(waiter);
@@ -298,30 +261,37 @@ impl Plan {
 
             // Phase 3: register receives — those whose sender has posted
             // have arrived (in virtual time, possibly later than now).
-            let mut missing_recvs = 0;
+            let st = &mut in_flight[my_rank];
+            st.missing_recvs = 0;
             for r in span(&m.recv_off, g) {
-                let sender = m.pred[r] as usize / 2;
-                if states[sender].started {
-                    let cpu = per_msg_s(node_of[m.rank_of[sender] as usize], my_node);
-                    states[g].push_arrival((arrival[r], cpu));
+                let sender = m.pred[r] / 2;
+                let src_rank = m.rank_of[sender as usize] as usize;
+                if sender < posted[src_rank] {
+                    st.arrivals
+                        .push((arrival[r], per_msg_s(node_of[src_rank], my_node)));
                 } else {
-                    missing_recvs += 1;
+                    st.missing_recvs += 1;
                 }
             }
-            let st = &mut states[g];
-            st.started = true;
             st.local_floor = local_floor.max(post_end);
             st.post_end = post_end;
-            st.missing_recvs = missing_recvs;
-            if missing_recvs == 0 {
+            posted[my_rank] = ev.step + 1;
+            if st.missing_recvs == 0 {
                 completable.push(ev.step);
             }
 
-            // Finalize every step that became completable.
+            // Finalize every step that became completable: its receives
+            // complete in arrival order (ties in the order they became
+            // known), each charging its CPU cost.
             while let Some(done) = completable.pop() {
-                let st = &mut states[done as usize];
-                let end = st.recv_completion().max(st.local_floor);
                 let rank = m.rank_of[done as usize] as usize;
+                let st = &mut in_flight[rank];
+                st.arrivals.sort_by(|x, y| x.0.total_cmp(&y.0));
+                let mut end = st.post_end;
+                for (a, cpu) in st.arrivals.drain(..) {
+                    end = end.max(a) + cpu;
+                }
+                let end = end.max(st.local_floor);
                 rank_end[rank] = rank_end[rank].max(end);
                 if done + 1 < m.base[rank + 1] {
                     heap.push(Reverse(StartEvent {
@@ -566,6 +536,63 @@ mod tests {
         }
         let registered: usize = Collective::ALL.iter().map(|c| c.algo_count()).sum();
         assert_eq!(seen.len(), registered, "{seen:?}");
+    }
+
+    #[test]
+    fn virtual_times_match_recorded_digests() {
+        // FNV-1a 64 over every registered algorithm's runs (time, per-rank
+        // ends, wire bytes, messages) at three scales of its block-4 plan,
+        // one digest per layout, recorded before the executor kept one
+        // in-flight step per rank: any change to how a run prices a
+        // schedule moves a digest. The layouts are a non-power-of-two world
+        // on three nodes, one node (intra-node only), one rank a node
+        // (inter-node only) and a power-of-two world mixing both; the
+        // largest scale sends rendezvous-sized messages; Scatter-Dest's
+        // steps wait on three or more receives.
+        const RECORDED: [(u32, u32, u64); 4] = [
+            (3, 4, 0x2d52_650f_1141_6888),
+            (1, 8, 0x4396_94b9_5b3b_e37d),
+            (5, 1, 0x9f12_d1e5_4074_728a),
+            (4, 4, 0x29bc_0ec3_7693_862d),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        let (mut rendezvous, mut wait_all) = (false, false);
+        let mut got = Vec::new();
+        for (nodes, ppn, _) in RECORDED {
+            let layout = JobLayout::new(nodes, ppn);
+            let p = layout.world_size();
+            let cost = CostModel::new(test_node(), ppn);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |x: u64| {
+                for b in x.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            };
+            for algo in Collective::ALL
+                .into_iter()
+                .flat_map(|c| Algorithm::applicable_for(c, p))
+            {
+                seen.insert(algo.to_string());
+                let plan = Plan::new(&algo.schedule(p, 4).unwrap()).unwrap();
+                let recvs = plan.msgs.recv_off.windows(2).map(|w| w[1] - w[0]);
+                wait_all |= algo.name() == "scatter_dest" && recvs.max() >= Some(3);
+                for scale in [1usize, 5, 8192] {
+                    let longest = plan.send_len.iter().max().map_or(0, |l| l * scale);
+                    rendezvous |= longest >= cost.rendezvous_threshold();
+                    let r = plan.run(layout, &cost, scale);
+                    eat(r.time_s.to_bits());
+                    r.per_rank_end.iter().for_each(|t| eat(t.to_bits()));
+                    eat(r.wire_bytes);
+                    eat(r.messages);
+                }
+            }
+            got.push((nodes, ppn, h));
+        }
+        let registered: usize = Collective::ALL.iter().map(|c| c.algo_count()).sum();
+        assert_eq!(seen.len(), registered, "{seen:?}");
+        assert!(rendezvous && wait_all);
+        assert_eq!(got, RECORDED, "{got:x?}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod schedule;
 
 pub use algo::{Algorithm, AllgatherAlgo, AllreduceAlgo, AlltoallAlgo, BcastAlgo, Collective};
 pub use exec::SimResult;
-pub use measure::{measure_algo, measure_sweep, shape_setup};
+pub use measure::{measure_algo, measure_sweep, shape_setup, Pricer};
 pub use schedcheck::{
     check_algorithm, check_schedule, sweep_grid, SchedError, ScheduleDoc, Spec, SCHED_DOC_VERSION,
 };

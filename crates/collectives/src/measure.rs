@@ -4,13 +4,15 @@
 //!
 //! This is the in-house micro-benchmark the paper's Table I dataset was
 //! gathered with, in simulated form: schedules are generated on demand,
-//! matched once and executed in virtual time. The unit of work is one
-//! algorithm's column, [`measure_algo`]: dataset generation fans those out
-//! one (job shape, algorithm) pair at a time, and [`measure_sweep`] is
-//! every applicable algorithm's column at one shape. Noise and the
-//! averaging over iterations (§III: "performance results by averaging
-//! multiple iterations of experiments") are applied per cell by
-//! `pml-clusters`' datagen; one algorithm at one point is
+//! matched once and executed in virtual time, planned and scaled by
+//! [`Pricer`]'s rule, which datagen, the app proxies and the selector
+//! comparisons share. The unit of work is one algorithm's column,
+//! [`measure_algo`]: dataset generation fans those out one (job shape,
+//! algorithm) pair at a time, and [`measure_sweep`] is every applicable
+//! algorithm's column at one shape. Noise and the averaging over
+//! iterations (§III: "performance results by averaging multiple iterations
+//! of experiments") are applied per cell by `pml-clusters`' datagen; one
+//! algorithm at one point, planned afresh, is
 //! [`crate::schedcost::sim_time`].
 
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
@@ -20,39 +22,65 @@ use crate::algo::{Algorithm, Collective};
 use crate::exec::sim;
 use pml_simnet::{CostModel, JobLayout, NodeSpec};
 
+/// Noise-free runtimes of algorithms at one layout on one cost model, by
+/// the one plan-and-scale rule: a scale-invariant algorithm's schedule is
+/// generated and planned **once**, at unit block size, and run at
+/// `scale = msg`; any other is generated and planned at each message size,
+/// because its chunk boundaries depend on it. A schedule that does not
+/// generate or plan never finishes: its runtime is infinite.
+#[derive(Debug)]
+pub struct Pricer<'a> {
+    cost: &'a CostModel,
+    layout: JobLayout,
+    /// (algorithm, block, plan): every scale-invariant algorithm's unit
+    /// plan priced so far, and at most one per-size plan, the latest.
+    plans: Vec<(Algorithm, usize, Option<sim::Plan>)>,
+}
+
+impl<'a> Pricer<'a> {
+    pub fn new(cost: &'a CostModel, layout: JobLayout) -> Pricer<'a> {
+        let plans = Vec::new();
+        Pricer {
+            cost,
+            layout,
+            plans,
+        }
+    }
+
+    /// Runtime of `algo` at `msg` bytes a block.
+    pub fn time(&mut self, algo: Algorithm, msg: usize) -> f64 {
+        let invariant = algo.scale_invariant();
+        let (block, scale) = if invariant { (1, msg) } else { (msg, 1) };
+        let at = match self.plans.iter().position(|p| (p.0, p.1) == (algo, block)) {
+            Some(at) => at,
+            None => {
+                self.plans.retain(|p| p.0.scale_invariant());
+                let schedule = algo.schedule(self.layout.world_size(), block);
+                let plan = schedule.ok().and_then(|s| sim::Plan::new(&s).ok());
+                self.plans.push((algo, block, plan));
+                self.plans.len() - 1
+            }
+        };
+        let plan = self.plans[at].2.as_ref();
+        plan.map_or(f64::INFINITY, |plan| {
+            plan.run(self.layout, self.cost, scale).time_s
+        })
+    }
+}
+
 /// Noise-free runtimes of one algorithm across a message-size sweep at one
-/// layout, in `msg_sizes` order. A scale-invariant algorithm's schedule is
-/// generated and planned **once**, at unit block size, and re-simulated
-/// scaled. A schedule that does not generate or plan never finishes: its
-/// runtime is infinite.
+/// layout, in `msg_sizes` order, priced by [`Pricer`].
 pub fn measure_algo(
     algo: Algorithm,
     cost: &CostModel,
     layout: JobLayout,
     msg_sizes: &[usize],
 ) -> Vec<f64> {
-    let p = layout.world_size();
-    let plan = |block: usize| {
-        let schedule = algo.schedule(p, block).ok()?;
-        sim::Plan::new(&schedule).ok()
-    };
-    let time = |plan: Option<&sim::Plan>, scale: usize| {
-        plan.map_or(f64::INFINITY, |plan| plan.run(layout, cost, scale).time_s)
-    };
-    if algo.scale_invariant() {
-        let unit = plan(1);
-        msg_sizes
-            .iter()
-            .map(|&msg| time(unit.as_ref(), msg))
-            .collect()
-    } else {
-        // Chunk boundaries depend on the message size: no shortcut,
-        // generate and plan per size.
-        msg_sizes
-            .iter()
-            .map(|&msg| time(plan(msg).as_ref(), 1))
-            .collect()
-    }
+    let mut pricer = Pricer::new(cost, layout);
+    msg_sizes
+        .iter()
+        .map(|&msg| pricer.time(algo, msg))
+        .collect()
 }
 
 /// What measuring one job shape needs: the cost model at its PPN and the
@@ -149,6 +177,28 @@ mod tests {
                             "{a} {layout:?} msg {msg}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pricer_repeats_and_interleavings_match_one_shots() {
+        // A repeated call reuses the kept per-size plan; another size or
+        // algorithm replaces it. Every answer is the one-shot's.
+        let node = frontera_like();
+        let layout = JobLayout::new(2, 6);
+        let cost = CostModel::new(node.clone(), layout.ppn);
+        let mut pricer = Pricer::new(&cost, layout);
+        for coll in [
+            Collective::Bcast,
+            Collective::Allreduce,
+            Collective::Allgather,
+        ] {
+            for a in Algorithm::applicable_for(coll, layout.world_size()) {
+                for msg in [4096usize, 4096, 7, 4096] {
+                    let direct = sim_time(a, &node, layout, msg).unwrap();
+                    assert_eq!(pricer.time(a, msg).to_bits(), direct.to_bits(), "{a} {msg}");
                 }
             }
         }

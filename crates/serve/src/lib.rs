@@ -46,8 +46,8 @@ pub mod slo;
 
 pub use batch::{BatchConfig, BatchTiming, Batcher};
 pub use protocol::{
-    collective_wire_name, encode_request, parse_request, ErrorKind, Op, ProtoError, Request,
-    PROTOCOL_VERSION, WATCH_DEFAULT_INTERVAL_MS,
+    collective_wire_name, encode_request, parse_collective, parse_request, ErrorKind, Op,
+    ProtoError, Request, PROTOCOL_VERSION, WATCH_DEFAULT_INTERVAL_MS,
 };
 pub use quality::{QualityCell, QualityMonitor, QualitySample};
 pub use reqtrace::{RequestTrace, SlowRequest, SlowRing, SLOW_RING_CAP, STAGE_NAMES};

@@ -155,7 +155,12 @@ pub fn collective_wire_name(c: Collective) -> &'static str {
     }
 }
 
-fn parse_collective(mut want: &[u8]) -> Option<Collective> {
+/// The collective a name denotes: a wire name, case-insensitive, after any
+/// number of `mpi_` prefixes (`"MPI_Allgather"`, `"mpi_mpi_bcast"`). The
+/// one grammar for collective names, shared by the `collective` request
+/// field and the command line.
+pub fn parse_collective(name: &str) -> Option<Collective> {
+    let mut want = name.as_bytes();
     while let Some((prefix, rest)) = want.split_at_checked(4) {
         if !prefix.eq_ignore_ascii_case(b"mpi_") {
             break;
@@ -382,7 +387,7 @@ fn field_u64(fields: &Fields<'_>, key: &str, default: Option<u64>) -> Result<u64
 
 fn field_collective(fields: &Fields<'_>) -> Result<Collective, ProtoError> {
     let s = field_str(fields, "collective")?;
-    parse_collective(s.as_bytes()).ok_or_else(|| {
+    parse_collective(s).ok_or_else(|| {
         ProtoError::new(
             ErrorKind::Field,
             format!("unknown collective {s:?} (allgather, alltoall, bcast, allreduce)"),

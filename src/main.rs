@@ -362,15 +362,9 @@ impl Opts {
 }
 
 fn parse_collective(s: &str) -> Result<Collective, String> {
-    let want = s.to_ascii_lowercase();
-    let want = want.trim_start_matches("mpi_");
-    Collective::ALL
-        .iter()
-        .copied()
-        .find(|c| c.name().trim_start_matches("MPI_").to_ascii_lowercase() == want)
-        .ok_or_else(|| {
-            format!("unknown collective {s:?} (expected allgather, alltoall, bcast, or allreduce)")
-        })
+    pml_mpi::serve::parse_collective(s).ok_or_else(|| {
+        format!("unknown collective {s:?} (expected allgather, alltoall, bcast, or allreduce)")
+    })
 }
 
 /// The engine every subcommand shares: default config, dataset cache in
