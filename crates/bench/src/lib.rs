@@ -172,10 +172,7 @@ pub fn run(names: &[String]) -> Result<(), PmlError> {
     let old: Option<JsonValue> = std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| serde_json::from_str(&text).ok());
-    let kept = |half: &str, name: &str| {
-        let entries = field(old.as_ref()?, half)?;
-        field(entries, name).cloned()
-    };
+    let kept = |half: &str, name: &str| old.as_ref()?.get(half)?.get(name).cloned();
     let half = |key: &str, wall_clock: bool| {
         let entries = EXPERIMENTS.iter().filter_map(|(name, _)| {
             let entry = match reports.get(name) {
@@ -190,12 +187,6 @@ pub fn run(names: &[String]) -> Result<(), PmlError> {
     let doc = JsonValue::Object(vec![half("experiments", false), half("wall_clock", true)]);
     let text = serde_json::to_string_pretty(&doc)? + "\n";
     std::fs::write(&path, text).map_err(|source| PmlError::Io { path, source })
-}
-
-/// The value of `key` in a JSON object.
-fn field<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
-    let pairs = v.as_object()?;
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// One point of a selector-vs-selector runtime comparison.

@@ -46,12 +46,26 @@ struct PolyCache {
 
 static POLYS: OnceLock<RwLock<PolyCache>> = OnceLock::new();
 
+/// The largest world a polynomial is extracted at. Extraction builds the
+/// whole schedule, so its work and memory grow with the world (an alltoall
+/// has `p²` messages); above this bound a shape has no polynomial and so
+/// no analytic ranking. The largest zoo world (16 × 68 KNL ranks), so every
+/// shape the datasets, experiments and tables price is within it. A cold
+/// `rank_static` at 1 088 ranks took 0.8–2.1 s and peaked at 0.3–0.65 GB
+/// per collective on a 2-core x86-64 host; at 2 048 ranks, 3.6–13 s and
+/// 1.0–2.6 GB (alltoall the largest), too much for one request.
+pub const MAX_EXTRACT_WORLD: u32 = 1088;
+
 /// The cost polynomial of `algo` at this layout and message size, from
-/// cache when possible. `None` when the algorithm is undefined at the
-/// layout's world size (or its schedule fails extraction, which the
-/// schedcheck CI grid rules out for every registered algorithm).
+/// cache when possible. `None` above [`MAX_EXTRACT_WORLD`] ranks, when the
+/// algorithm is undefined at the layout's world size, or when its schedule
+/// fails extraction (which the schedcheck CI grid rules out for every
+/// registered algorithm).
 pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPoly> {
-    let p = layout.world_size();
+    let world = u64::from(layout.nodes) * u64::from(layout.ppn);
+    let p = u32::try_from(world)
+        .ok()
+        .filter(|&p| p <= MAX_EXTRACT_WORLD)?;
     if !algo.supports(p) {
         return None;
     }
@@ -164,6 +178,17 @@ mod tests {
         let algo = Algorithm::Allgather(AllgatherAlgo::RecursiveDoubling);
         assert!(poly_for(algo, JobLayout::new(3, 2), 64).is_none());
         assert!(cost_for(algo, &test_node(), JobLayout::new(3, 2), 64).is_none());
+    }
+
+    #[test]
+    fn no_polynomial_above_the_world_bound() {
+        let algo = Algorithm::Bcast(BcastAlgo::Binomial);
+        let (at, above) = (JobLayout::new(544, 2), JobLayout::new(1089, 1));
+        assert_eq!(at.world_size(), MAX_EXTRACT_WORLD);
+        assert!(poly_for(algo, above, 64).is_none());
+        assert!(poly_for(algo, JobLayout::new(65536, 65536), 64).is_none());
+        assert!(rank_static(Collective::Bcast, &test_node(), above, 64).is_empty());
+        assert!(poly_for(algo, at, 64).is_some());
     }
 
     #[test]

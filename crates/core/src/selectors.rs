@@ -43,6 +43,33 @@ impl JobConfig {
         }
     }
 
+    /// The job shape a request or a command line names, each field checked
+    /// as `field` reads it: `nodes`, `ppn` (each a `u32` ≥ 1), `msg_size` (a
+    /// `usize`); then a world of at most `u32::MAX` ranks, so `world_size`
+    /// cannot wrap. `wrap` makes a message naming the field the caller's
+    /// error. The one check the daemon's `field` errors and CLI flags share.
+    pub fn read<E>(
+        mut field: impl FnMut(&str) -> Result<u64, E>,
+        wrap: impl Fn(String) -> E,
+    ) -> Result<Self, E> {
+        let mut ranks = |key: &str| match u32::try_from(field(key)?) {
+            Ok(0) => Err(wrap(format!("{key:?} must be >= 1"))),
+            Ok(v) => Ok(v),
+            Err(_) => Err(wrap(format!("{key:?} out of range"))),
+        };
+        let (nodes, ppn) = (ranks("nodes")?, ranks("ppn")?);
+        let msg_size = usize::try_from(field("msg_size")?)
+            .map_err(|_| wrap("\"msg_size\" out of range".to_string()))?;
+        if nodes.checked_mul(ppn).is_none() {
+            return Err(wrap(format!(
+                "\"nodes\" x \"ppn\" = {} ranks, above {}",
+                u64::from(nodes) * u64::from(ppn),
+                u32::MAX
+            )));
+        }
+        Ok(JobConfig::new(nodes, ppn, msg_size))
+    }
+
     pub fn world_size(&self) -> u32 {
         self.nodes * self.ppn
     }

@@ -159,11 +159,17 @@ pub fn events_snapshot() -> EventsSnapshot {
 mod tests {
     use super::*;
 
+    /// The two tests that drain or overfill the process-global sink take
+    /// turns: a drain in the middle of the fill left it short of the cap,
+    /// and a full sink drops the other test's events.
+    static SINK_TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     // The sink is process-global and other tests in this binary may emit;
     // assertions therefore check only this test's own events, found by
     // target.
     #[test]
     fn emit_and_drain_roundtrip() {
+        let _turn = SINK_TURN.lock().unwrap_or_else(|e| e.into_inner());
         emit(Event::warn("test-sink", "first"));
         emit(Event::error("test-sink", "second"));
         let drained = drain();
@@ -193,6 +199,7 @@ mod tests {
     /// share the global sink.
     #[test]
     fn overflow_past_sink_cap_is_counted_and_exported() {
+        let _turn = SINK_TURN.lock().unwrap_or_else(|e| e.into_inner());
         let dropped_before = dropped();
         const EXTRA: usize = 37;
         for i in 0..SINK_CAP + EXTRA {

@@ -215,13 +215,8 @@ mod tests {
     use crate::trace::{SpanForest, SpanRecord};
     use crate::window::{WindowCounterSnapshot, WindowHistogramSnapshot};
 
-    // The vendored serde `Value` has no `Index` impls; look keys up in the
-    // object's pair list directly.
     fn get<'a>(v: &'a serde_json::JsonValue, key: &str) -> &'a serde_json::JsonValue {
-        v.as_object()
-            .and_then(|pairs| pairs.iter().find(|(k, _)| k == key))
-            .map(|(_, val)| val)
-            .unwrap_or_else(|| panic!("missing key `{key}`"))
+        v.get(key).unwrap_or_else(|| panic!("missing key `{key}`"))
     }
 
     fn sample_snapshot() -> MetricsSnapshot {

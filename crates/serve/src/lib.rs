@@ -19,6 +19,10 @@
 //!   ([`pml_core::PretrainedModel::predict_batch`]) per group of whatever
 //!   is already queued (up to the batch cap) — the worker never waits for
 //!   more;
+//! * [`client`] — the client end of a connection (connect, send a frame,
+//!   read a reply line) the CLI and the tests share;
+//! * [`watch`] — the `watch` tick and `stats` reply: built from the
+//!   daemon's state, read off a socket, rendered for a terminal;
 //! * [`server`] — artifact loading and the accept loop: per-connection
 //!   threads over a shared [`pml_core::Tuner`] that answer a burst of
 //!   frames per read and write its replies before they block, clean
@@ -37,14 +41,17 @@
 //!   dependency; one `extern "C"` declaration).
 
 pub mod batch;
+pub mod client;
 pub mod protocol;
 pub mod quality;
 pub mod reqtrace;
 pub mod server;
 pub mod signal;
 pub mod slo;
+pub mod watch;
 
 pub use batch::{BatchConfig, BatchTiming, Batcher};
+pub use client::Client;
 pub use protocol::{
     collective_wire_name, encode_request, parse_collective, parse_request, ErrorKind, Op,
     ProtoError, Request, PROTOCOL_VERSION, WATCH_DEFAULT_INTERVAL_MS,

@@ -395,23 +395,13 @@ fn field_collective(fields: &Fields<'_>) -> Result<Collective, ProtoError> {
     })
 }
 
+/// The job shape: three integer fields, each checked as it is read by
+/// [`JobConfig::read`].
 fn field_job(fields: &Fields<'_>) -> Result<JobConfig, ProtoError> {
-    let ranged_u32 = |key: &str| -> Result<u32, ProtoError> {
-        let v = u32::try_from(field_u64(fields, key, None)?)
-            .map_err(|_| ProtoError::new(ErrorKind::Field, format!("{key:?} out of range")))?;
-        if v == 0 {
-            return Err(ProtoError::new(
-                ErrorKind::Field,
-                format!("{key:?} must be >= 1"),
-            ));
-        }
-        Ok(v)
-    };
-    let nodes = ranged_u32("nodes")?;
-    let ppn = ranged_u32("ppn")?;
-    let msg = usize::try_from(field_u64(fields, "msg_size", None)?)
-        .map_err(|_| ProtoError::new(ErrorKind::Field, "\"msg_size\" out of range"))?;
-    Ok(JobConfig::new(nodes, ppn, msg))
+    JobConfig::read(
+        |key| field_u64(fields, key, None),
+        |msg| ProtoError::new(ErrorKind::Field, msg),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +518,7 @@ mod tests {
         pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, ProtoError)> {
             let value: Value = serde_json::from_str(line.trim())
                 .map_err(|e| (None, ProtoError::new(ErrorKind::Parse, e.to_string())))?;
-            let obj = value.as_object().ok_or_else(|| {
+            value.as_object().ok_or_else(|| {
                 (
                     None,
                     ProtoError::new(
@@ -537,8 +527,9 @@ mod tests {
                     ),
                 )
             })?;
+            let obj = &value;
             // The id is recovered first so every later error can echo it.
-            let id = match get(obj, "id") {
+            let id = match obj.get("id") {
                 None | Some(Value::Null) => None,
                 Some(v) => Some(v.as_u64().ok_or_else(|| {
                     (
@@ -548,7 +539,7 @@ mod tests {
                 })?),
             };
             let fail = |kind, msg: String| (id, ProtoError::new(kind, msg));
-            match get(obj, "v").and_then(Value::as_str) {
+            match obj.get("v").and_then(Value::as_str) {
                 Some(PROTOCOL_VERSION) => {}
                 Some(other) => {
                     let msg = format!(
@@ -563,7 +554,7 @@ mod tests {
                     ))
                 }
             }
-            let op = match get(obj, "op").and_then(Value::as_str) {
+            let op = match obj.get("op").and_then(Value::as_str) {
                 Some(op) => op,
                 None => return Err(fail(ErrorKind::Op, "missing \"op\" field".to_string())),
             };
@@ -606,18 +597,14 @@ mod tests {
                 .find(|c| collective_wire_name(*c) == want)
         }
 
-        pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-            obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-
-        fn field_str<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a str, ProtoError> {
-            get(obj, key).and_then(Value::as_str).ok_or_else(|| {
+        fn field_str<'a>(obj: &'a Value, key: &str) -> Result<&'a str, ProtoError> {
+            obj.get(key).and_then(Value::as_str).ok_or_else(|| {
                 ProtoError::new(ErrorKind::Field, format!("missing string field {key:?}"))
             })
         }
 
-        fn field_u64(obj: &[(String, Value)], key: &str) -> Result<u64, ProtoError> {
-            get(obj, key).and_then(Value::as_u64).ok_or_else(|| {
+        fn field_u64(obj: &Value, key: &str) -> Result<u64, ProtoError> {
+            obj.get(key).and_then(Value::as_u64).ok_or_else(|| {
                 ProtoError::new(
                     ErrorKind::Field,
                     format!("missing non-negative integer field {key:?}"),
@@ -625,12 +612,8 @@ mod tests {
             })
         }
 
-        fn field_u64_or(
-            obj: &[(String, Value)],
-            key: &str,
-            default: u64,
-        ) -> Result<u64, ProtoError> {
-            match get(obj, key) {
+        fn field_u64_or(obj: &Value, key: &str, default: u64) -> Result<u64, ProtoError> {
+            match obj.get(key) {
                 None | Some(Value::Null) => Ok(default),
                 Some(v) => v.as_u64().ok_or_else(|| {
                     ProtoError::new(
@@ -641,7 +624,7 @@ mod tests {
             }
         }
 
-        fn field_collective(obj: &[(String, Value)]) -> Result<Collective, ProtoError> {
+        fn field_collective(obj: &Value) -> Result<Collective, ProtoError> {
             let s = field_str(obj, "collective")?;
             parse_collective(s).ok_or_else(|| {
                 ProtoError::new(
@@ -651,7 +634,7 @@ mod tests {
             })
         }
 
-        fn field_job(obj: &[(String, Value)]) -> Result<JobConfig, ProtoError> {
+        fn field_job(obj: &Value) -> Result<JobConfig, ProtoError> {
             let ranged_u32 = |key: &str| -> Result<u32, ProtoError> {
                 let raw = field_u64(obj, key)?;
                 let v = u32::try_from(raw).map_err(|_| {
@@ -670,11 +653,17 @@ mod tests {
             let msg = field_u64(obj, "msg_size")?;
             let msg = usize::try_from(msg)
                 .map_err(|_| ProtoError::new(ErrorKind::Field, "\"msg_size\" out of range"))?;
+            let world = u64::from(nodes) * u64::from(ppn);
+            if world > u64::from(u32::MAX) {
+                return Err(ProtoError::new(
+                    ErrorKind::Field,
+                    format!("\"nodes\" x \"ppn\" = {world} ranks, above 4294967295"),
+                ));
+            }
             Ok(JobConfig::new(nodes, ppn, msg))
         }
     }
 
-    use oracle::get;
     use serde_json::MAX_DEPTH;
 
     /// Every frame the protocol tests in this file and
@@ -709,6 +698,7 @@ mod tests {
         r#"{"v":"pml-serve/v1","id":5,"op":"sel"#,
         r#"{"v":"pml-serve/v1","id":6,"op":"frobnicate"}"#,
         r#"{"v":"pml-serve/v1","id":7,"op":"stats"}"#,
+        r#"{"v":"pml-serve/v1","id":12,"op":"select","collective":"alltoall","nodes":65536,"ppn":65536,"msg_size":1024}"#,
     ];
 
     /// Frames for the corners of the grammar: key order, duplicates,
@@ -760,6 +750,14 @@ mod tests {
         r#"{"v":"pml-serve/v1","op":"select","collective":"bcasté","nodes":1,"ppn":1,"msg_size":0}"#,
         r#"{"v":"pml-serve/v1","op":"select","collective":7,"nodes":1,"ppn":1,"msg_size":0}"#,
         r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":4294967296,"ppn":1,"msg_size":0}"#,
+        // Each job field is checked as it is read; the world check is last.
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":0}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":4294967296,"ppn":1}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":2,"ppn":0}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":65536,"ppn":65536}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":65536,"ppn":65536,"msg_size":-1}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":65537,"ppn":65535,"msg_size":0}"#,
+        r#"{"v":"pml-serve/v1","id":3,"op":"select","collective":"bcast","nodes":4294967295,"ppn":1,"msg_size":0}"#,
         r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":1,"ppn":"8","msg_size":0}"#,
         r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":1,"ppn":1}"#,
         r#"{"v":"pml-serve/v1","op":"predict","collective":"bcast","nodes":1,"ppn":1,"msg_size":1}"#,
@@ -951,7 +949,8 @@ mod tests {
         let jobs = [
             JobConfig::new(1, 1, 0),
             JobConfig::new(16, 56, 4096),
-            JobConfig::new(u32::MAX, u32::MAX, usize::MAX),
+            JobConfig::new(u32::MAX, 1, usize::MAX),
+            JobConfig::new(65535, 65537, 0),
         ];
         let clusters = [
             "Frontera",
@@ -994,6 +993,32 @@ mod tests {
                 assert_eq!(parse_request(&frame), Ok(req), "frame: {frame}");
             }
         }
+    }
+
+    /// A world above `u32::MAX` ranks is a `field` error that echoes the
+    /// id, however the two factors are split; one rank fewer is a job.
+    #[test]
+    fn a_world_above_u32_max_ranks_is_a_field_error() {
+        for (nodes, ppn) in [(u32::MAX, u32::MAX), (65536, 65536), (2, 1 << 31)] {
+            let select = Op::Select {
+                collective: Collective::Bcast,
+                job: JobConfig::new(nodes, ppn, 1),
+            };
+            let frame = encode_request(&Request {
+                id: Some(4),
+                op: select,
+            });
+            let (id, err) = must_fail(&frame);
+            assert_eq!((id, err.kind), (Some(4), ErrorKind::Field), "{frame}");
+            assert!(err.message.contains("ranks, above 4294967295"), "{err:?}");
+        }
+        // Each field is checked as it is read: a bad `nodes` is reported
+        // before a missing `ppn`.
+        let (_, err) =
+            must_fail(r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":0}"#);
+        assert_eq!(err.message, "\"nodes\" must be >= 1");
+        let top = r#"{"v":"pml-serve/v1","op":"select","collective":"bcast","nodes":65535,"ppn":65537,"msg_size":1}"#;
+        assert!(must_parse(top).op.name() == "select");
     }
 
     #[test]
@@ -1185,21 +1210,16 @@ mod tests {
         for r in &replies {
             assert!(!r.contains('\n'), "reply must be one line: {r}");
             let v: Value = serde_json::from_str(r).expect("reply is valid JSON");
-            let obj = v.as_object().expect("reply is an object");
-            assert_eq!(
-                get(obj, "v").and_then(Value::as_str),
-                Some(PROTOCOL_VERSION)
-            );
-            assert!(get(obj, "ok").and_then(Value::as_bool).is_some());
+            assert!(v.as_object().is_some(), "reply is an object: {r}");
+            assert_eq!(v.get("v").and_then(Value::as_str), Some(PROTOCOL_VERSION));
+            assert!(v.get("ok").and_then(Value::as_bool).is_some());
         }
         let sel: Value = serde_json::from_str(&replies[0]).expect("select reply parses");
-        let obj = sel.as_object().expect("object");
-        assert_eq!(get(obj, "algorithm").and_then(Value::as_str), Some("bruck"));
-        assert_eq!(get(obj, "depth").and_then(Value::as_u64), Some(0));
+        assert_eq!(sel.get("algorithm").and_then(Value::as_str), Some("bruck"));
+        assert_eq!(sel.get("depth").and_then(Value::as_u64), Some(0));
         let err: Value = serde_json::from_str(&replies[3]).expect("error reply parses");
-        let obj = err.as_object().expect("object");
-        assert_eq!(get(obj, "ok").and_then(Value::as_bool), Some(false));
-        let inner = get(obj, "error").and_then(Value::as_object).expect("error");
-        assert_eq!(get(inner, "kind").and_then(Value::as_str), Some("overload"));
+        assert_eq!(err.get("ok").and_then(Value::as_bool), Some(false));
+        let inner = err.get("error").expect("error");
+        assert_eq!(inner.get("kind").and_then(Value::as_str), Some("overload"));
     }
 }

@@ -26,10 +26,11 @@ use crate::batch::{worker_gone, Answer, BatchConfig, Batcher};
 use crate::protocol::{self, Op, ProtoError, Request};
 use crate::quality::{QualityMonitor, QualitySample};
 use crate::reqtrace::{
-    RequestCounts, RequestTrace, SlowRequest, SlowRing, REQUEST_TOTAL, STAGE_NAMES, WINDOW_ERRORS,
+    RequestCounts, RequestTrace, SlowRequest, SlowRing, REQUEST_TOTAL, WINDOW_ERRORS,
     WINDOW_OVER_P50, WINDOW_OVER_P99, WINDOW_REQUESTS,
 };
 use crate::slo::SloTargets;
+use crate::watch;
 use pml_collectives::Collective;
 use pml_core::{JobConfig, PretrainedModel, Tuner};
 use pml_obs::{Clock, MonotonicClock};
@@ -150,21 +151,21 @@ pub fn load_artifacts(dir: &Path) -> Result<LoadedArtifacts, ServeError> {
 }
 
 /// State every connection thread shares.
-struct Shared {
-    tuner: Tuner,
+pub(crate) struct Shared {
+    pub(crate) tuner: Tuner,
     batcher: Batcher,
     /// Which collectives have a loaded model (for `stats`).
-    model_coverage: Vec<Collective>,
+    pub(crate) model_coverage: Vec<Collective>,
     /// Set by the `shutdown` op or the signal flag; read everywhere.
     shutdown: AtomicBool,
-    counts: RequestCounts,
+    pub(crate) counts: RequestCounts,
     clock: Arc<dyn Clock>,
     /// Immutable after bind: whether requests carry a [`RequestTrace`].
-    trace_requests: bool,
-    slow_threshold_ns: u64,
-    slow_ring: SlowRing,
-    slo: Option<SloTargets>,
-    quality: Option<QualityMonitor>,
+    pub(crate) trace_requests: bool,
+    pub(crate) slow_threshold_ns: u64,
+    pub(crate) slow_ring: SlowRing,
+    pub(crate) slo: Option<SloTargets>,
+    pub(crate) quality: Option<QualityMonitor>,
 }
 
 /// A bound, not-yet-running daemon. [`Server::run`] blocks until shutdown.
@@ -504,7 +505,7 @@ impl<'a> Conn<'a> {
             Op::Predict { .. } => {}
             Op::Stats => self
                 .out
-                .extend_from_slice(protocol::render_ok(id, stats_fields(shared)).as_bytes()),
+                .extend_from_slice(protocol::render_ok(id, watch::stats(shared)).as_bytes()),
             Op::Watch { interval_ms, count } => {
                 // The watch handshake itself is one (cheap) traced request;
                 // the streamed ticks are not requests.
@@ -622,10 +623,9 @@ impl<'a> Conn<'a> {
         let mut seq: u64 = 0;
         loop {
             seq += 1;
-            let mut fields = vec![("seq".to_string(), Value::UInt(seq))];
-            fields.extend(watch_fields(self.shared));
+            let tick = watch::tick(self.shared, seq);
             self.out
-                .extend_from_slice(protocol::render_ok(id, fields).as_bytes());
+                .extend_from_slice(protocol::render_ok(id, tick).as_bytes());
             self.out.push(b'\n');
             if !self.flush() {
                 return false;
@@ -693,163 +693,12 @@ fn finish_trace(shared: &Shared, mut tr: RequestTrace, is_error: bool, now: u64)
     }
 }
 
-/// One `watch` tick's payload: windowed per-stage latency quantiles, SLO
-/// burn rate, the quality monitor's per-cell verdicts, and the most
-/// recent slow requests.
-fn watch_fields(shared: &Shared) -> Vec<(String, Value)> {
-    let mut window = Vec::new();
-    for name in STAGE_NAMES {
-        let Some(h) = crate::reqtrace::stage_histogram(name) else {
-            continue;
-        };
-        let snap = h.snap();
-        window.push((
-            name.to_string(),
-            Value::Object(vec![
-                ("count".to_string(), Value::UInt(snap.count)),
-                ("p50_ns".to_string(), Value::UInt(snap.quantile(0.5))),
-                ("p99_ns".to_string(), Value::UInt(snap.quantile(0.99))),
-            ]),
-        ));
-    }
-    let requests = WINDOW_REQUESTS.total();
-    let errors = WINDOW_ERRORS.total();
-    let slo = match shared.slo.as_ref() {
-        None => Value::Null,
-        Some(t) => {
-            let over_p50 = WINDOW_OVER_P50.total();
-            let over_p99 = WINDOW_OVER_P99.total();
-            Value::Object(vec![
-                ("source".to_string(), Value::Str(t.source.clone())),
-                ("target_p50_ns".to_string(), Value::UInt(t.p50_ns)),
-                ("target_p99_ns".to_string(), Value::UInt(t.p99_ns)),
-                ("error_budget".to_string(), Value::Float(t.error_budget)),
-                ("over_p50".to_string(), Value::UInt(over_p50)),
-                ("over_p99".to_string(), Value::UInt(over_p99)),
-                (
-                    "burn_rate".to_string(),
-                    Value::Float(t.burn_rate(over_p99, requests)),
-                ),
-            ])
-        }
-    };
-    let quality = match shared.quality.as_ref() {
-        None => Value::Null,
-        Some(q) => {
-            let cells: Vec<Value> = q
-                .cells()
-                .into_iter()
-                .map(|((collective, cluster), c)| {
-                    Value::Object(vec![
-                        ("collective".to_string(), Value::Str(collective)),
-                        ("cluster".to_string(), Value::Str(cluster)),
-                        ("samples".to_string(), Value::UInt(c.samples)),
-                        ("scored".to_string(), Value::UInt(c.scored)),
-                        ("unscored".to_string(), Value::UInt(c.unscored)),
-                        ("agreements".to_string(), Value::UInt(c.agreements)),
-                        (
-                            "agreement_rate".to_string(),
-                            Value::Float(c.agreement_rate()),
-                        ),
-                        ("mean_cost_gap".to_string(), Value::Float(c.mean_cost_gap())),
-                        (
-                            "fallback".to_string(),
-                            Value::Array(c.fallback.iter().map(|&n| Value::UInt(n)).collect()),
-                        ),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("sample_every".to_string(), Value::UInt(q.every())),
-                ("seen".to_string(), Value::UInt(q.seen())),
-                ("dropped".to_string(), Value::UInt(q.dropped())),
-                ("cells".to_string(), Value::Array(cells)),
-            ])
-        }
-    };
-    let slow_entries: Vec<Value> = shared
-        .slow_ring
-        .recent(5)
-        .into_iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("id".to_string(), Value::UInt(s.id)),
-                ("op".to_string(), Value::Str(s.op.to_string())),
-                ("total_ns".to_string(), Value::UInt(s.total_ns)),
-                (
-                    "stages".to_string(),
-                    Value::Object(
-                        s.stages
-                            .iter()
-                            .map(|&(n, d)| (n.to_string(), Value::UInt(d)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    vec![
-        (
-            "trace_requests".to_string(),
-            Value::Bool(shared.trace_requests),
-        ),
-        (
-            "window_ns".to_string(),
-            Value::UInt(REQUEST_TOTAL.window_ns()),
-        ),
-        ("window_requests".to_string(), Value::UInt(requests)),
-        ("window_errors".to_string(), Value::UInt(errors)),
-        ("window".to_string(), Value::Object(window)),
-        ("slo".to_string(), slo),
-        ("quality".to_string(), quality),
-        (
-            "slow".to_string(),
-            Value::Object(vec![
-                (
-                    "threshold_ns".to_string(),
-                    Value::UInt(shared.slow_threshold_ns),
-                ),
-                (
-                    "captured".to_string(),
-                    Value::UInt(shared.slow_ring.captured()),
-                ),
-                ("recent".to_string(), Value::Array(slow_entries)),
-            ]),
-        ),
-    ]
-}
-
-fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
-    let (requests, errors) = shared.counts.get();
-    let names = |cs: &[Collective]| {
-        Value::Array(
-            cs.iter()
-                .map(|c| Value::Str(protocol::collective_wire_name(*c).to_string()))
-                .collect(),
-        )
-    };
-    vec![
-        ("requests".to_string(), Value::UInt(requests)),
-        ("errors".to_string(), Value::UInt(errors)),
-        ("tables".to_string(), names(&shared.tuner.covered())),
-        ("models".to_string(), names(&shared.model_coverage)),
-        (
-            "trace_requests".to_string(),
-            Value::Bool(shared.trace_requests),
-        ),
-        (
-            "slow_captured".to_string(),
-            Value::UInt(shared.slow_ring.captured()),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use pml_collectives::{Algorithm, AlltoallAlgo};
     use pml_core::TuningTable;
-    use std::io::{BufRead, BufReader};
 
     fn test_table() -> TuningTable {
         let mut t = TuningTable::new("X", Collective::Alltoall);
@@ -922,8 +771,7 @@ mod tests {
             term,
             thread,
         };
-        let (mut client, mut reader) = daemon.connect();
-        assert_still_open(&mut client, &mut reader);
+        assert_still_open(&mut daemon.connect());
         daemon.stop();
     }
 
@@ -960,15 +808,8 @@ mod tests {
         let stop = !(conn.answer(line.as_bytes()) && conn.settle() && conn.flush());
         drop(conn);
         let mut reply = String::new();
-        BufReader::new(theirs).read_line(&mut reply).unwrap();
+        Client::from(theirs).recv(&mut reply).unwrap();
         (reply.trim_end().to_string(), stop)
-    }
-
-    fn obj_get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-        v.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
     }
 
     #[test]
@@ -980,12 +821,9 @@ mod tests {
         );
         assert!(!stop);
         let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(obj_get(&v, "ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(
-            obj_get(&v, "algorithm").and_then(Value::as_str),
-            Some("bruck")
-        );
-        assert_eq!(obj_get(&v, "depth").and_then(Value::as_u64), Some(0));
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("algorithm").and_then(Value::as_str), Some("bruck"));
+        assert_eq!(v.get("depth").and_then(Value::as_u64), Some(0));
     }
 
     #[test]
@@ -995,8 +833,8 @@ mod tests {
             let (reply, stop) = handle(&shared, line);
             assert!(!stop, "an error never closes the connection");
             let v: Value = serde_json::from_str(&reply).unwrap();
-            assert_eq!(obj_get(&v, "ok").and_then(Value::as_bool), Some(false));
-            assert!(obj_get(&v, "error").is_some());
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+            assert!(v.get("error").is_some());
         }
         assert_eq!(shared.counts.get(), (2, 2));
     }
@@ -1009,12 +847,9 @@ mod tests {
             r#"{"v":"pml-serve/v1","id":9,"op":"predict","cluster":"Frontera","collective":"alltoall","nodes":2,"ppn":8,"msg_size":64}"#,
         );
         let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(obj_get(&v, "ok").and_then(Value::as_bool), Some(false));
-        let err = obj_get(&v, "error").unwrap();
-        assert_eq!(
-            obj_get(err, "kind").and_then(Value::as_str),
-            Some("unsupported")
-        );
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+        let err = v.get("error").unwrap();
+        assert_eq!(err.get("kind").and_then(Value::as_str), Some("unsupported"));
     }
 
     #[test]
@@ -1024,13 +859,13 @@ mod tests {
         assert!(stop);
         assert!(shared.shutdown.load(Ordering::SeqCst));
         let v: Value = serde_json::from_str(&reply).unwrap();
-        assert_eq!(obj_get(&v, "ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
     }
 
     /// All of a `stats` reply past the envelope, in the order sent.
     #[test]
     fn stats_reply_has_exactly_these_fields() {
-        let fields = stats_fields(&test_shared());
+        let fields = watch::stats(&test_shared());
         let keys: Vec<&str> = fields.iter().map(|(k, _)| &**k).collect();
         let want = "requests errors tables models trace_requests slow_captured";
         assert_eq!(keys.join(" "), want);
@@ -1081,30 +916,39 @@ mod tests {
         );
         assert!(!stop, "a finished watch leaves the connection open");
         let v: Value = serde_json::from_str(&tick).unwrap();
-        assert_eq!(obj_get(&v, "id").and_then(Value::as_u64), Some(2));
-        assert_eq!(obj_get(&v, "seq").and_then(Value::as_u64), Some(1));
-        let rendered = protocol::render_ok(Some(2), watch_fields(&shared));
-        let v: Value = serde_json::from_str(&rendered).unwrap();
-        for key in [
-            "window",
-            "window_requests",
-            "window_errors",
-            "slo",
-            "quality",
-            "slow",
-            "trace_requests",
-        ] {
-            assert!(obj_get(&v, key).is_some(), "missing watch field {key}");
-        }
-        let slo = obj_get(&v, "slo").unwrap();
-        assert!(obj_get(slo, "over_p99").and_then(Value::as_u64).unwrap() >= 1);
+        assert_eq!(v.get("id").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("seq").and_then(Value::as_u64), Some(1));
+        let keys: Vec<&str> = v.as_object().unwrap().iter().map(|(k, _)| &**k).collect();
+        let want = "v id ok seq trace_requests window_ns window_requests window_errors \
+                    window slo quality slow";
+        assert_eq!(keys.join(" "), want);
+        let slo = v.get("slo").unwrap();
+        assert!(slo.get("over_p99").and_then(Value::as_u64).unwrap() >= 1);
         assert!(matches!(
-            obj_get(slo, "burn_rate"),
+            slo.get("burn_rate"),
             Some(Value::Float(f)) if *f > 0.0
         ));
-        let window = obj_get(&v, "window").unwrap();
-        let total = obj_get(window, "total").expect("total stage present");
-        assert!(obj_get(total, "count").and_then(Value::as_u64).unwrap() >= 1);
+        let window = v.get("window").unwrap();
+        let total = window.get("total").expect("total stage present");
+        assert!(total.get("count").and_then(Value::as_u64).unwrap() >= 1);
+        // What `pml-mpi watch` prints of it: every line the serve smoke
+        // lane looks for.
+        let text = watch::render(&v);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].starts_with("tick 1: "), "{text}");
+        let stage = |name: &str| {
+            lines
+                .iter()
+                .any(|l| l.split_whitespace().next() == Some(name))
+        };
+        assert!(
+            ["stage", "select", "total"].map(stage) == [true; 3],
+            "{text}"
+        );
+        assert!(lines.iter().any(|l| l.contains("p99")), "{text}");
+        assert!(text.contains("  slo: p99 target 0ns ("), "{text}");
+        assert!(text.contains("  quality: 1-in-1 sampling, "), "{text}");
+        assert!(text.contains("  slow: "), "{text}");
     }
 
     /// A daemon on a socket in its own temp directory, stopped (and its
@@ -1150,13 +994,11 @@ mod tests {
             }
         }
 
-        fn connect(&self) -> (UnixStream, BufReader<UnixStream>) {
-            let stream = UnixStream::connect(&self.socket).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            (stream, reader)
+        fn connect(&self) -> Client {
+            let client = Client::connect(&self.socket).unwrap();
+            let timeout = Some(Duration::from_secs(10));
+            client.stream().set_read_timeout(timeout).unwrap();
+            client
         }
 
         fn stop(self) {
@@ -1170,69 +1012,66 @@ mod tests {
         }
     }
 
-    fn read_reply(reader: &mut BufReader<UnixStream>) -> Value {
+    fn read_reply(client: &mut Client) -> Value {
         let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
+        client.recv(&mut reply).unwrap();
         serde_json::from_str(reply.trim()).unwrap_or_else(|e| panic!("reply {reply:?}: {e}"))
     }
 
     const PING: &str = r#"{"v":"pml-serve/v1","id":77,"op":"ping"}"#;
 
     /// The connection must still answer: a ping comes back as a pong.
-    fn assert_still_open(client: &mut UnixStream, reader: &mut BufReader<UnixStream>) {
-        client.write_all(format!("{PING}\n").as_bytes()).unwrap();
-        let pong = read_reply(reader);
-        assert_eq!(obj_get(&pong, "pong").and_then(Value::as_bool), Some(true));
-        assert_eq!(obj_get(&pong, "id").and_then(Value::as_u64), Some(77));
+    fn assert_still_open(client: &mut Client) {
+        client.send(PING).unwrap();
+        let pong = read_reply(client);
+        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+        assert_eq!(pong.get("id").and_then(Value::as_u64), Some(77));
     }
 
     fn error_kind(reply: &Value) -> Option<&str> {
-        obj_get(obj_get(reply, "error")?, "kind")?.as_str()
+        reply.get("error")?.get("kind")?.as_str()
     }
 
     #[test]
     fn end_to_end_over_a_real_socket() {
         let daemon = Daemon::boot("test", None);
-        let (mut client, mut reader) = daemon.connect();
+        let mut client = daemon.connect();
         let mut ask = |line: &str| -> Value {
-            client.write_all(format!("{line}\n").as_bytes()).unwrap();
-            read_reply(&mut reader)
+            client.send(line).unwrap();
+            read_reply(&mut client)
         };
 
         let pong = ask(r#"{"v":"pml-serve/v1","id":1,"op":"ping"}"#);
-        assert_eq!(obj_get(&pong, "pong").and_then(Value::as_bool), Some(true));
+        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
 
         let sel = ask(
             r#"{"v":"pml-serve/v1","id":2,"op":"select","collective":"alltoall","nodes":2,"ppn":8,"msg_size":65536}"#,
         );
         assert_eq!(
-            obj_get(&sel, "algorithm").and_then(Value::as_str),
+            sel.get("algorithm").and_then(Value::as_str),
             Some("pairwise")
         );
 
         // Malformed frame: typed error, connection survives.
         let bad = ask("{nope");
-        assert_eq!(obj_get(&bad, "ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(bad.get("ok").and_then(Value::as_bool), Some(false));
         let still = ask(r#"{"v":"pml-serve/v1","id":3,"op":"ping"}"#);
-        assert_eq!(obj_get(&still, "id").and_then(Value::as_u64), Some(3));
+        assert_eq!(still.get("id").and_then(Value::as_u64), Some(3));
 
         let stats = ask(r#"{"v":"pml-serve/v1","op":"stats"}"#);
-        assert!(obj_get(&stats, "requests").and_then(Value::as_u64).unwrap() >= 4);
+        assert!(stats.get("requests").and_then(Value::as_u64).unwrap() >= 4);
 
         // One-shot watch: a single snapshot frame on the same connection,
         // which stays usable afterwards.
         let snap = ask(r#"{"v":"pml-serve/v1","id":8,"op":"watch","interval_ms":0,"count":1}"#);
-        assert_eq!(obj_get(&snap, "ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(obj_get(&snap, "seq").and_then(Value::as_u64), Some(1));
-        assert!(obj_get(&snap, "window").is_some());
+        assert_eq!(snap.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(snap.get("seq").and_then(Value::as_u64), Some(1));
+        assert!(snap.get("window").is_some());
         let after = ask(r#"{"v":"pml-serve/v1","id":9,"op":"ping"}"#);
-        assert_eq!(obj_get(&after, "id").and_then(Value::as_u64), Some(9));
+        assert_eq!(after.get("id").and_then(Value::as_u64), Some(9));
 
         let bye = ask(r#"{"v":"pml-serve/v1","op":"shutdown"}"#);
-        assert_eq!(
-            obj_get(&bye, "stopping").and_then(Value::as_bool),
-            Some(true)
-        );
+        assert_eq!(bye.get("stopping").and_then(Value::as_bool), Some(true));
 
         // The shutdown frame stopped the daemon; `stop` only collects it.
         daemon.stop();
@@ -1246,29 +1085,29 @@ mod tests {
     #[test]
     fn invalid_utf8_gets_a_parse_error_and_the_connection_stays_open() {
         let daemon = Daemon::boot("utf8", None);
-        let (mut client, mut reader) = daemon.connect();
+        let mut client = daemon.connect();
         let in_string: &[u8] =
             b"{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"predict\",\"cluster\":\"Fr\xffnt\"}\n";
         for frame in [in_string, b"\xff\n"] {
-            client.write_all(frame).unwrap();
-            let reply = read_reply(&mut reader);
+            client.stream().write_all(frame).unwrap();
+            let reply = read_reply(&mut client);
             assert_eq!(error_kind(&reply), Some("parse"), "{reply:?}");
-            assert_still_open(&mut client, &mut reader);
+            assert_still_open(&mut client);
         }
         // A two-byte character split across a read timeout is one character.
         let frame = "{\"v\":\"pml-serve/v1\",\"id\":2,\"op\":\"predict\",\"cluster\":\"\u{e9}\",\"collective\":\"alltoall\",\"nodes\":2,\"ppn\":8,\"msg_size\":64}\n";
         let cut = frame.find('\u{e9}').unwrap() + 1;
-        client.write_all(&frame.as_bytes()[..cut]).unwrap();
+        client.stream().write_all(&frame.as_bytes()[..cut]).unwrap();
         std::thread::sleep(Duration::from_millis(40));
-        client.write_all(&frame.as_bytes()[cut..]).unwrap();
-        let reply = read_reply(&mut reader);
-        assert_eq!(obj_get(&reply, "id").and_then(Value::as_u64), Some(2));
+        client.stream().write_all(&frame.as_bytes()[cut..]).unwrap();
+        let reply = read_reply(&mut client);
+        assert_eq!(reply.get("id").and_then(Value::as_u64), Some(2));
         assert_eq!(
             error_kind(&reply),
             Some("unsupported"),
             "no model is loaded"
         );
-        assert_still_open(&mut client, &mut reader);
+        assert_still_open(&mut client);
         daemon.stop();
     }
 
@@ -1280,7 +1119,7 @@ mod tests {
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let mut client = theirs.try_clone().unwrap();
-                let mut reader = BufReader::new(theirs);
+                let mut reader = Client::from(theirs);
                 // A frame sixteen times the cap: one error, then business
                 // as usual.
                 let mut flood = vec![b'a'; 1 << 20];
@@ -1289,10 +1128,10 @@ mod tests {
                 client.write_all(format!("{PING}\n").as_bytes()).unwrap();
                 let reply = read_reply(&mut reader);
                 assert_eq!(error_kind(&reply), Some("parse"), "{reply:?}");
-                let message = obj_get(obj_get(&reply, "error").unwrap(), "message");
+                let message = reply.get("error").unwrap().get("message");
                 assert!(message.and_then(Value::as_str).unwrap().contains("65536"));
                 let pong = read_reply(&mut reader);
-                assert_eq!(obj_get(&pong, "id").and_then(Value::as_u64), Some(77));
+                assert_eq!(pong.get("id").and_then(Value::as_u64), Some(77));
                 // Pongs outweigh pings, so one read's worth of these passes
                 // the flush threshold before the buffer is drained.
                 let pings = r#"{"v":"pml-serve/v1","op":"ping"}"#.to_string() + "\n";
@@ -1301,7 +1140,10 @@ mod tests {
                     client.shutdown(std::net::Shutdown::Write).unwrap();
                 });
                 // (`conn` outlives the scope, so there is no EOF to read to.)
-                let pongs = reader.lines().take(20_000).filter(|l| l.is_ok()).count();
+                let mut line = String::new();
+                let pongs = (0..20_000)
+                    .filter(|_| reader.recv(&mut line).unwrap_or(false))
+                    .count();
                 assert_eq!(pongs, 20_000, "one pong per ping");
                 writer.join().unwrap();
             });
@@ -1329,11 +1171,11 @@ mod tests {
             .collect()
     }
 
-    fn read_lines(reader: &mut BufReader<UnixStream>, count: usize) -> Vec<String> {
+    fn read_lines(client: &mut Client, count: usize) -> Vec<String> {
         (0..count)
             .map(|_| {
                 let mut line = String::new();
-                reader.read_line(&mut line).unwrap();
+                client.recv(&mut line).unwrap();
                 line
             })
             .collect()
@@ -1342,14 +1184,17 @@ mod tests {
     /// Send `burst` on a fresh connection in one write, then on another one
     /// byte per `write`: the `count` replies must come back the same.
     fn answered_both_ways(daemon: &Daemon, burst: &str, count: usize) -> Vec<String> {
-        let (mut client, mut reader) = daemon.connect();
-        client.write_all(burst.as_bytes()).unwrap();
-        let at_once = read_lines(&mut reader, count);
-        let (mut client, mut reader) = daemon.connect();
+        let mut client = daemon.connect();
+        client.stream().write_all(burst.as_bytes()).unwrap();
+        let at_once = read_lines(&mut client, count);
+        let mut client = daemon.connect();
         for byte in burst.as_bytes() {
-            client.write_all(std::slice::from_ref(byte)).unwrap();
+            client
+                .stream()
+                .write_all(std::slice::from_ref(byte))
+                .unwrap();
         }
-        assert_eq!(read_lines(&mut reader, count), at_once);
+        assert_eq!(read_lines(&mut client, count), at_once);
         at_once
     }
 
@@ -1359,7 +1204,7 @@ mod tests {
         let at_once = answered_both_ways(&daemon, &mixed_burst(), 64);
         for (i, line) in at_once.iter().enumerate() {
             let reply: Value = serde_json::from_str(line.trim()).unwrap();
-            let (id, ok) = (obj_get(&reply, "id"), obj_get(&reply, "ok"));
+            let (id, ok) = (reply.get("id"), reply.get("ok"));
             match i % 4 {
                 // Broken JSON carries no recoverable id.
                 2 => assert_eq!((id, error_kind(&reply)), (None, Some("parse"))),
@@ -1377,13 +1222,14 @@ mod tests {
     fn a_frame_cut_off_by_eof_is_still_answered() {
         let daemon = Daemon::boot("eof", None);
         for (frame, pong) in [(PING, true), (&PING[..20], false)] {
-            let (mut client, mut reader) = daemon.connect();
-            client.write_all(frame.as_bytes()).unwrap();
-            client.shutdown(std::net::Shutdown::Write).unwrap();
-            let reply = read_reply(&mut reader);
-            assert_eq!(obj_get(&reply, "pong").is_some(), pong, "{reply:?}");
+            let mut client = daemon.connect();
+            client.stream().write_all(frame.as_bytes()).unwrap();
+            client.stream().shutdown(std::net::Shutdown::Write).unwrap();
+            let reply = read_reply(&mut client);
+            assert_eq!(reply.get("pong").is_some(), pong, "{reply:?}");
             assert_eq!(error_kind(&reply).is_some(), !pong, "{reply:?}");
-            assert_eq!(reader.lines().count(), 0, "then the connection closes");
+            let closed = !client.recv(&mut String::new()).unwrap();
+            assert!(closed, "then the connection closes");
         }
         daemon.stop();
     }
@@ -1420,29 +1266,29 @@ mod tests {
         let models = BTreeMap::from([(Collective::Alltoall, mini_model(Collective::Alltoall))]);
         let batcher = Batcher::gated(models, BatchConfig::default(), gate);
         let daemon = Daemon::boot("flush", Some(batcher));
-        let (mut client, mut reader) = daemon.connect();
+        let mut client = daemon.connect();
         let shape = r#""collective":"alltoall","nodes":2,"ppn":8,"msg_size":64"#;
         let pair = format!(
             "{{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"select\",{shape}}}\n\
              {{\"v\":\"pml-serve/v1\",\"id\":2,\"op\":\"predict\",\"cluster\":\"RI\",{shape}}}\n"
         );
-        client.write_all(pair.as_bytes()).unwrap();
+        client.stream().write_all(pair.as_bytes()).unwrap();
         // The select reply is out although the predict behind it cannot
         // finish; the predict reply does not exist until the gate opens.
-        let select = read_reply(&mut reader);
-        assert_eq!(obj_get(&select, "id").and_then(Value::as_u64), Some(1));
-        client.set_nonblocking(true).unwrap();
-        let early = reader.fill_buf().map(<[u8]>::len);
-        client.set_nonblocking(false).unwrap();
+        let select = read_reply(&mut client);
+        assert_eq!(select.get("id").and_then(Value::as_u64), Some(1));
+        client.stream().set_nonblocking(true).unwrap();
+        let early = client.recv(&mut String::new());
+        client.stream().set_nonblocking(false).unwrap();
         assert_eq!(
             early.map_err(|e| e.kind()),
             Err(std::io::ErrorKind::WouldBlock),
             "predict answered through a closed gate"
         );
         open.send(()).unwrap();
-        let predict = read_reply(&mut reader);
-        assert_eq!(obj_get(&predict, "id").and_then(Value::as_u64), Some(2));
-        assert_eq!(obj_get(&predict, "ok").and_then(Value::as_bool), Some(true));
+        let predict = read_reply(&mut client);
+        assert_eq!(predict.get("id").and_then(Value::as_u64), Some(2));
+        assert_eq!(predict.get("ok").and_then(Value::as_bool), Some(true));
 
         // A watch tick is written directly: everything pipelined before it
         // must already be out, and what follows it comes after.
@@ -1452,17 +1298,14 @@ mod tests {
         burst +=
             "{\"v\":\"pml-serve/v1\",\"id\":20,\"op\":\"watch\",\"interval_ms\":0,\"count\":1}\n";
         burst += &format!("{PING}\n");
-        client.write_all(burst.as_bytes()).unwrap();
-        let replies: Vec<Value> = (0..12).map(|_| read_reply(&mut reader)).collect();
+        client.stream().write_all(burst.as_bytes()).unwrap();
+        let replies: Vec<Value> = (0..12).map(|_| read_reply(&mut client)).collect();
         let ids: Vec<u64> = replies
             .iter()
-            .map(|r| obj_get(r, "id").and_then(Value::as_u64).unwrap())
+            .map(|r| r.get("id").and_then(Value::as_u64).unwrap())
             .collect();
         assert_eq!(ids, (10..=20).chain([77]).collect::<Vec<u64>>());
-        assert_eq!(
-            obj_get(&replies[10], "seq").and_then(Value::as_u64),
-            Some(1)
-        );
+        assert_eq!(replies[10].get("seq").and_then(Value::as_u64), Some(1));
         daemon.stop();
     }
 
@@ -1523,18 +1366,19 @@ mod tests {
         let (open, gate) = std::sync::mpsc::channel();
         let batcher = Batcher::gated(models.clone(), BatchConfig::default(), gate);
         let daemon = Daemon::boot("coalesce", Some(batcher));
-        let (mut client, mut reader) = daemon.connect();
+        let mut client = daemon.connect();
         let (frames, want): (Vec<_>, Vec<_>) =
             (0..16).map(|id| predict_frame(&models, id, "RI")).unzip();
         let (got, flushes) = crate::batch::tests::multi_row_flushes(|| {
             client
+                .stream()
                 .write_all((format!("{PING}\n") + &frames.concat()).as_bytes())
                 .unwrap();
             // Out before the wait: every predict has been queued by now.
-            let pong = read_reply(&mut reader);
-            assert_eq!(obj_get(&pong, "id").and_then(Value::as_u64), Some(77));
+            let pong = read_reply(&mut client);
+            assert_eq!(pong.get("id").and_then(Value::as_u64), Some(77));
             open.send(()).unwrap();
-            read_lines(&mut reader, 16)
+            read_lines(&mut client, 16)
         });
         assert_eq!(got, want);
         assert_eq!(flushes, [0, 0, 0, 1, 0], "one flush of 16 rows");
@@ -1555,19 +1399,20 @@ mod tests {
         };
         let batcher = Batcher::gated(models.clone(), cfg, gate);
         let daemon = Daemon::boot("max-batch", Some(batcher));
-        let (mut client, mut reader) = daemon.connect();
+        let mut client = daemon.connect();
         let (frames, want): (Vec<_>, Vec<_>) =
             (0..8).map(|id| predict_frame(&models, id, "RI")).unzip();
         let (got, flushes) = crate::batch::tests::multi_row_flushes(|| {
             client
+                .stream()
                 .write_all((format!("{PING}\n") + &frames.concat()).as_bytes())
                 .unwrap();
-            read_reply(&mut reader);
+            read_reply(&mut client);
             // Each group's replies leave before the connection waits on the
             // next group, so the next group is queued once they are read.
             [3, 3, 2].map(|n| {
                 open.send(()).unwrap();
-                read_lines(&mut reader, n)
+                read_lines(&mut client, n)
             })
         });
         assert_eq!(got.concat(), want);
@@ -1612,7 +1457,7 @@ mod tests {
                 // Broken JSON carries no recoverable id.
                 let reply: Value = serde_json::from_str(got.trim()).unwrap();
                 assert_eq!(error_kind(&reply), Some("parse"), "{got}");
-                assert_eq!(obj_get(&reply, "id"), None, "{got}");
+                assert_eq!(reply.get("id"), None, "{got}");
             } else {
                 assert_eq!(got, want, "request {id}");
             }

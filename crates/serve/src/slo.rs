@@ -43,14 +43,12 @@ impl SloTargets {
 pub fn targets_from_json(text: &str, source: &str) -> Result<SloTargets, String> {
     let doc: Value =
         serde_json::from_str(text).map_err(|e| format!("{source}: not valid JSON: {e}"))?;
-    let obj = doc
-        .as_object()
-        .ok_or_else(|| format!("{source}: expected a JSON object"))?;
+    if doc.as_object().is_none() {
+        return Err(format!("{source}: expected a JSON object"));
+    }
     let target = |key: &str| -> Result<u64, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
-            .ok_or_else(|| format!("{source}: missing {key}"))
+        let v = doc.get(key).and_then(Value::as_u64);
+        v.ok_or_else(|| format!("{source}: missing {key}"))
     };
     Ok(SloTargets {
         p50_ns: target("target_p50_ns")?,

@@ -7,10 +7,9 @@
 use pml_collectives::{Algorithm, AlltoallAlgo, Collective};
 use pml_core::{Tuner, TuningTable};
 use pml_serve::reqtrace::stage_histogram;
-use pml_serve::{BatchConfig, LoadedArtifacts, ObsConfig, Server};
+use pml_serve::{BatchConfig, Client, LoadedArtifacts, ObsConfig, Server};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -45,8 +44,7 @@ fn every_pipelined_request_is_observed_once_per_stage() {
     let flag = Arc::clone(&term);
     let daemon = std::thread::spawn(move || server.run(&flag));
 
-    let mut client = UnixStream::connect(&socket).unwrap();
-    let mut reader = BufReader::new(client.try_clone().unwrap());
+    let mut client = Client::connect(&socket).unwrap();
     const N: u64 = 200;
     let burst: String = (0..N)
         .map(|id| {
@@ -56,16 +54,15 @@ fn every_pipelined_request_is_observed_once_per_stage() {
         })
         .collect();
     let before = counts();
-    client.write_all(burst.as_bytes()).unwrap();
+    client.stream().write_all(burst.as_bytes()).unwrap();
     let mut line = String::new();
     for id in 0..N {
-        line.clear();
-        reader.read_line(&mut line).unwrap();
+        client.recv(&mut line).unwrap();
         assert!(line.contains(&format!("\"id\":{id},\"ok\":true")), "{line}");
     }
     // The daemon settles a write's requests right after it, on its own
     // thread; once that thread is joined the counts are final.
-    drop((client, reader));
+    drop(client);
     term.store(true, Ordering::SeqCst);
     daemon.join().unwrap().unwrap();
     let gained: Vec<u64> = counts().iter().zip(before).map(|(a, b)| a - b).collect();

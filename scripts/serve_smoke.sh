@@ -3,8 +3,8 @@
 # tuning-table artifact and the committed allgather model fixture, drives
 # the pml-serve/v1 protocol end to end through `pml-mpi client` — good
 # `select` and `predict` frames, a malformed frame, a truncated frame, a
-# frame nested 200 deep, an unknown cluster (the daemon must answer with
-# typed errors, never drop the connection) — fires a short loadgen burst,
+# frame nested 200 deep, an unknown cluster, a job of 65536 x 65536 ranks
+# (the daemon must answer with typed errors, never drop the connection) — fires a short loadgen burst,
 # round-trips the `watch` op
 # (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon and
 # asserts a clean shutdown: exit code 0 and the socket file removed.
@@ -92,9 +92,11 @@ replies=$(printf '%s\n' \
     '{"v":"pml-serve/v1","id":9,"op":"stats"}' \
     "$deep" \
     '{"v":"pml-serve/v1","id":11,"op":"ping"}' \
+    '{"v":"pml-serve/v1","id":12,"op":"select","collective":"alltoall","nodes":65536,"ppn":65536,"msg_size":1024}' \
+    '{"v":"pml-serve/v1","id":13,"op":"ping"}' \
     | "$bin" client --socket "$sock")
 mapfile -t r <<< "$replies"
-[[ ${#r[@]} -eq 11 ]] || fail "expected 11 replies, got ${#r[@]}: $replies"
+[[ ${#r[@]} -eq 13 ]] || fail "expected 13 replies, got ${#r[@]}: $replies"
 expect "ping reply"            '"pong":true'        "${r[0]}"
 expect "exact small select"    '"algorithm":"bruck"' "${r[1]}"
 expect "exact small select"    '"depth":0'           "${r[1]}"
@@ -116,6 +118,10 @@ expect "stats lists models"    '"models":["allgather"]' "${r[8]}"
 expect "deeply nested frame"   '"kind":"parse"'      "${r[9]}"
 expect "ping after deep frame" '"pong":true'         "${r[10]}"
 expect "ping after deep frame" '"id":11'             "${r[10]}"
+expect "world above u32::MAX"  '"kind":"field"'      "${r[11]}"
+expect "world above u32::MAX echoes id" '"id":12'    "${r[11]}"
+expect "ping after big world"  '"pong":true'         "${r[12]}"
+expect "ping after big world"  '"id":13'             "${r[12]}"
 
 echo "==> loadgen burst"
 "$bin" loadgen --socket "$sock" --requests 2000 --threads 4 \

@@ -1,21 +1,6 @@
-//! `pml-mpi` — command-line front end for the selection framework.
-//!
-//! Twelve subcommands cover the offline → online lifecycle:
-//!
-//! ```text
-//! zoo       list the 18-cluster benchmark zoo
-//! dataset   generate (or load cached) micro-benchmark records
-//! train     train a model for one collective
-//! predict   pick an algorithm for a job (zoo cluster or captured hw files)
-//! table     emit the JSON tuning table for a (cluster, collective)
-//! compare   ML pick vs library defaults vs oracle over a message sweep
-//! verify    statically verify model / tuning-table artifacts
-//! stats     run a small pipeline and dump spans, metrics, and events
-//! serve     answer selection queries over a Unix domain socket (pml-serve/v1)
-//! loadgen   replay synthetic requests against a daemon, record latency
-//! client    pipe stdin NDJSON frames to a daemon, replies to stdout
-//! watch     stream a daemon's live observability snapshots
-//! ```
+//! `pml-mpi` — command-line front end for the selection framework: the
+//! offline → online lifecycle, one subcommand per step (`pml-mpi help`
+//! lists them).
 //!
 //! Two global options work on every subcommand: `--trace` renders the span
 //! tree (per-stage total/self times) to stderr after the command finishes,
@@ -31,7 +16,7 @@
 use pml_mpi::clusters::measure_cell;
 use pml_mpi::obs;
 use pml_mpi::obs::span;
-use pml_mpi::serve::{encode_request, Op, Request};
+use pml_mpi::serve::{encode_request, watch, Client, Op, Request};
 use pml_mpi::{
     by_name, detect_node, Algorithm, AlgorithmSelector, Collective, EngineConfig, JobConfig,
     MvapichDefault, NodeSpec, OpenMpiDefault, PretrainedModel, SelectionEngine, Tuner,
@@ -39,7 +24,9 @@ use pml_mpi::{
 };
 use std::collections::BTreeMap;
 use std::error::Error;
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -183,6 +170,7 @@ fn finish_obs(opts: &ObsOpts, stats_run: bool) {
 }
 
 fn print_help() {
+    let bar = pml_mpi::collectives::schedcost::TOP1_BAR_PERCENT;
     println!(
         "\
 pml-mpi — pre-trained ML selection of MPI collective algorithms
@@ -202,7 +190,7 @@ SUBCOMMANDS:
                                    over the (world, size) grid — zero execution)
   verify --costs                   derive every grid cell's symbolic α-β-γ cost
                                    polynomial statically, then hold the analytic
-                                   ranking against simnet virtual time (≥90%
+                                   ranking against simnet virtual time (≥{bar}%
                                    top-1 agreement per collective)
   stats [<collective>]             run a small pipeline, dump spans/metrics/events
   serve --socket PATH --model DIR  selection daemon over a Unix domain socket
@@ -344,21 +332,34 @@ impl Opts {
         self.flags.contains_key(name)
     }
 
-    fn require_u32(&self, name: &str) -> Result<u32, String> {
-        let v = self
-            .get(name)
-            .ok_or_else(|| format!("missing required --{name}"))?;
-        v.parse()
-            .map_err(|_| format!("--{name} expects an integer, got {v:?}"))
+    /// `--name`'s value as a `T`, or `default` when the flag is absent;
+    /// absent without a default, or not a `T`, is an error.
+    fn value<T: FromStr>(&self, name: &str, default: Option<T>) -> Result<T, String> {
+        match (self.get(name), default) {
+            (Some(v), _) => v
+                .parse()
+                .map_err(|_| format!("--{name} expects a number, got {v:?}")),
+            (None, Some(default)) => Ok(default),
+            (None, None) => Err(format!("missing required --{name}")),
+        }
     }
 
-    fn require_usize(&self, name: &str) -> Result<usize, String> {
-        let v = self
-            .get(name)
-            .ok_or_else(|| format!("missing required --{name}"))?;
-        v.parse()
-            .map_err(|_| format!("--{name} expects an integer, got {v:?}"))
+    /// `--socket PATH`, which every client subcommand requires.
+    fn socket(&self) -> Result<&str, &'static str> {
+        self.get("socket").ok_or("missing required --socket PATH")
     }
+}
+
+/// `--nodes`, `--ppn` and `--msg` (`msg` when that flag is absent), held
+/// to the job check the daemon's `field` errors come from.
+fn job_flags(opts: &Opts, msg: Option<u64>) -> Result<JobConfig, String> {
+    JobConfig::read(
+        |key| match key {
+            "msg_size" => opts.value("msg", msg),
+            _ => opts.value(key, None),
+        },
+        |e| e,
+    )
 }
 
 fn parse_collective(s: &str) -> Result<Collective, String> {
@@ -496,7 +497,7 @@ fn resolve_node(opts: &Opts) -> Result<NodeSpec, Box<dyn Error>> {
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
     let mem_bw = opts
         .has("mem-bw")
-        .then(|| parse_flag_or(opts, "mem-bw", 0.0))
+        .then(|| opts.value::<f64>("mem-bw", None))
         .transpose()?;
     let (lscpu, ibstat) = (read(lscpu_path)?, read(ibstat_path)?);
     let lspci = opts.get("lspci").map(read).transpose()?;
@@ -528,11 +529,7 @@ fn cmd_predict(args: &[String]) -> Result<(), Box<dyn Error>> {
         );
     };
     let coll = parse_collective(coll)?;
-    let job = JobConfig::new(
-        opts.require_u32("nodes")?,
-        opts.require_u32("ppn")?,
-        opts.require_usize("msg")?,
-    );
+    let job = job_flags(&opts, None)?;
     let node = resolve_node(&opts)?;
     let model = match opts.get("model") {
         Some(path) => {
@@ -586,10 +583,10 @@ fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
         );
     };
     let coll = parse_collective(coll)?;
-    let nodes = opts.require_u32("nodes")?;
-    let ppn = opts.require_u32("ppn")?;
+    // Without --msg the sweep runs; its first size stands in for the check.
+    let job = job_flags(&opts, Some(1))?;
     let sizes: Vec<usize> = match opts.get("msg") {
-        Some(_) => vec![opts.require_usize("msg")?],
+        Some(_) => vec![job.msg_size],
         None => (0..21).map(|i| 1usize << i).collect(),
     };
     let mut engine = build_engine(&opts);
@@ -608,8 +605,11 @@ fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let short = |a: Algorithm| a.name().to_string();
     for &msg in &sizes {
-        let job = JobConfig::new(nodes, ppn, msg);
-        let record = measure_cell(&entry, coll, nodes, ppn, msg, &engine_cfg_datagen())?;
+        let job = JobConfig {
+            msg_size: msg,
+            ..job
+        };
+        let record = measure_cell(&entry, coll, job.nodes, job.ppn, msg, &engine_cfg_datagen())?;
         let ml = model.predict(&entry.spec.node, job);
         let m = mva.select(coll, job);
         let o = ompi.select(coll, job);
@@ -754,10 +754,7 @@ fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
 /// and `verify --costs`: world 2..=`--max-world` (default 16) at each
 /// size in `--blocks` (default 16,21).
 fn grid_opts(opts: &Opts) -> Result<(u32, Vec<usize>), Box<dyn Error>> {
-    let max_world = match opts.get("max-world") {
-        Some(_) => opts.require_u32("max-world")?,
-        None => 16,
-    };
+    let max_world = opts.value("max-world", Some(16))?;
     if max_world < 2 {
         return Err("--max-world must be at least 2".into());
     }
@@ -822,22 +819,24 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let _diff = span!("verify.costs.differential");
     let report = schedcost::differential_report(&entry.spec.node, max_world, &sizes);
     drop(_diff);
-    let mut failures = 0usize;
+    let (bar, mut failures) = (schedcost::TOP1_BAR_PERCENT, 0usize);
     for c in Collective::ALL {
         let (agree, total) = report.top1(c);
         if total == 0 {
             continue;
         }
-        let ok = agree * 10 >= total * 9;
+        let ok = report.meets_top1_bar(c);
+        let below = if ok {
+            String::new()
+        } else {
+            format!("  << below {bar}%")
+        };
         println!(
-            "{}: top-1 agreement {agree}/{total} ({:.1}%){}",
+            "{}: top-1 agreement {agree}/{total} ({:.1}%){below}",
             c.name(),
             100.0 * agree as f64 / total as f64,
-            if ok { "" } else { "  << below 90%" },
         );
-        if !ok {
-            failures += 1;
-        }
+        failures += usize::from(!ok);
     }
     println!(
         "{} differential cells on {cluster}, mean Spearman rho {:.3}",
@@ -845,7 +844,7 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
         report.mean_spearman()
     );
     if failures > 0 {
-        return Err(format!("{failures} collective(s) below 90% top-1 agreement").into());
+        return Err(format!("{failures} collective(s) below {bar}% top-1 agreement").into());
     }
 
     // Optional pinned fixture: the committed known-good rankings must
@@ -961,15 +960,6 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
 // ---------------------------------------------------------------------------
 // Serving: the selection path as a daemon (crates/serve)
 
-fn parse_flag_or<T: std::str::FromStr>(opts: &Opts, name: &str, default: T) -> Result<T, String> {
-    match opts.get(name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects a number, got {v:?}")),
-        None => Ok(default),
-    }
-}
-
 /// The daemon's SLO targets: `--slo FILE` must exist and parse; without
 /// the flag the daemon tracks none.
 fn slo_from_opts(opts: &Opts) -> Result<Option<pml_mpi::serve::SloTargets>, String> {
@@ -984,14 +974,14 @@ fn obs_config_from(opts: &Opts) -> Result<pml_mpi::serve::ObsConfig, String> {
     let defaults = pml_mpi::serve::ObsConfig::default();
     Ok(pml_mpi::serve::ObsConfig {
         trace_requests: opts.get("no-request-trace").is_none(),
-        slow_threshold_ns: parse_flag_or(
-            opts,
-            "slow-threshold-us",
-            defaults.slow_threshold_ns / 1_000,
-        )?
-        .saturating_mul(1_000),
+        slow_threshold_ns: opts
+            .value(
+                "slow-threshold-us",
+                Some(defaults.slow_threshold_ns / 1_000),
+            )?
+            .saturating_mul(1_000),
         slo: slo_from_opts(opts)?,
-        quality_sample: parse_flag_or(opts, "quality-sample", defaults.quality_sample)?,
+        quality_sample: opts.value("quality-sample", Some(defaults.quality_sample))?,
         quality_cluster: opts.get("quality-cluster").map(str::to_string),
     })
 }
@@ -1009,7 +999,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         ],
         &["no-request-trace"],
     )?;
-    let socket = PathBuf::from(opts.get("socket").ok_or("missing required --socket PATH")?);
+    let socket = PathBuf::from(opts.socket()?);
     let model_dir = PathBuf::from(opts.get("model").ok_or("missing required --model DIR")?);
     let obs = obs_config_from(&opts)?;
     if let Some(slo) = obs.slo.as_ref() {
@@ -1039,23 +1029,17 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_client(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::BufRead;
     let opts = Opts::parse(args, &["socket"], &[])?;
-    let socket = opts.get("socket").ok_or("missing required --socket PATH")?;
-    let stream = std::os::unix::net::UnixStream::connect(socket)
-        .map_err(|e| format!("connecting to {socket}: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut client = Client::connect(opts.socket()?)?;
+    let mut reply = String::new();
     for line in std::io::stdin().lock().lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut reply = String::new();
-        if reader.read_line(&mut reply)? == 0 {
+        client.send(&line)?;
+        if !client.recv(&mut reply)? {
             return Err("daemon closed the connection".into());
         }
         print!("{reply}");
@@ -1065,165 +1049,20 @@ fn cmd_client(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 /// `watch`: stream live daemon observability snapshots to the terminal.
 fn cmd_watch(args: &[String]) -> Result<(), Box<dyn Error>> {
-    use std::io::{BufRead, BufReader, Write};
     let opts = Opts::parse(args, &["socket", "interval-ms", "count"], &["raw"])?;
-    let socket = opts.get("socket").ok_or("missing required --socket PATH")?;
-    let interval_ms: u64 = parse_flag_or(&opts, "interval-ms", 1000)?;
-    let count: u64 = parse_flag_or(&opts, "count", 0)?;
-    let raw = opts.get("raw").is_some();
-    let stream = std::os::unix::net::UnixStream::connect(socket)
-        .map_err(|e| format!("connecting to {socket}: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let frame = encode_request(&Request {
-        id: Some(1),
-        op: Op::Watch { interval_ms, count },
-    });
-    writer.write_all(frame.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    let mut line = String::new();
-    let mut seen = 0u64;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            // Daemon shut down (or an endless watch was interrupted).
-            return Ok(());
-        }
-        if raw {
-            print!("{line}");
+    let socket = Path::new(opts.socket()?);
+    let interval_ms = opts.value("interval-ms", Some(1000))?;
+    let count = opts.value("count", Some(0))?;
+    watch::frames(socket, interval_ms, count, |frame| {
+        if opts.has("raw") {
+            print!("{frame}");
         } else {
-            let v: serde_json::JsonValue = serde_json::from_str(line.trim())
-                .map_err(|e| format!("unparseable watch frame: {e}"))?;
-            if jget(&v, "ok").and_then(serde_json::JsonValue::as_bool) != Some(true) {
-                return Err(format!("daemon refused watch: {}", line.trim()).into());
-            }
-            print!("{}", render_watch_tick(&v));
+            print!("{}", watch::render(&watch::parse_tick(frame)?));
         }
-        use std::io::Write as _;
         std::io::stdout().flush().ok();
-        seen += 1;
-        if count > 0 && seen >= count {
-            return Ok(());
-        }
-    }
-}
-
-fn jget<'a>(v: &'a serde_json::JsonValue, key: &str) -> Option<&'a serde_json::JsonValue> {
-    v.as_object()?
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-}
-
-/// `123456` → `"123.5µs"`: watch output stays eyeball-friendly.
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}µs", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
-
-/// One human-readable `watch` tick: the windowed stage ladder, SLO burn,
-/// quality-monitor verdicts, and the slow-request ring headline.
-fn render_watch_tick(v: &serde_json::JsonValue) -> String {
-    use std::fmt::Write as _;
-    let u = |x: Option<&serde_json::JsonValue>| x.and_then(serde_json::JsonValue::as_u64);
-    let f = |x: Option<&serde_json::JsonValue>| x.and_then(serde_json::JsonValue::as_f64);
-    let mut out = String::new();
-    let window_s = u(jget(v, "window_ns")).unwrap_or(0) / 1_000_000_000;
-    writeln!(
-        out,
-        "tick {}: {} request(s), {} error(s) in the last {}s",
-        u(jget(v, "seq")).unwrap_or(0),
-        u(jget(v, "window_requests")).unwrap_or(0),
-        u(jget(v, "window_errors")).unwrap_or(0),
-        window_s,
-    )
-    .ok();
-    if let Some(stages) = jget(v, "window").and_then(serde_json::JsonValue::as_object) {
-        writeln!(
-            out,
-            "  {:<16} {:>8} {:>10} {:>10}",
-            "stage", "count", "p50", "p99"
-        )
-        .ok();
-        for (name, stage) in stages {
-            let n = u(jget(stage, "count")).unwrap_or(0);
-            if n == 0 {
-                continue;
-            }
-            writeln!(
-                out,
-                "  {:<16} {:>8} {:>10} {:>10}",
-                name,
-                n,
-                fmt_ns(u(jget(stage, "p50_ns")).unwrap_or(0)),
-                fmt_ns(u(jget(stage, "p99_ns")).unwrap_or(0)),
-            )
-            .ok();
-        }
-    }
-    match jget(v, "slo") {
-        Some(serde_json::JsonValue::Object(_)) => {
-            let slo = jget(v, "slo").unwrap_or(&serde_json::JsonValue::Null);
-            writeln!(
-                out,
-                "  slo: p99 target {} ({} over, burn {:.2}x of budget) [{}]",
-                fmt_ns(u(jget(slo, "target_p99_ns")).unwrap_or(0)),
-                u(jget(slo, "over_p99")).unwrap_or(0),
-                f(jget(slo, "burn_rate")).unwrap_or(0.0),
-                jget(slo, "source")
-                    .and_then(serde_json::JsonValue::as_str)
-                    .unwrap_or("?"),
-            )
-            .ok();
-        }
-        _ => {
-            writeln!(out, "  slo: no targets loaded (serve --slo FILE)").ok();
-        }
-    }
-    if let Some(q) = jget(v, "quality") {
-        if let Some(cells) = jget(q, "cells").and_then(serde_json::JsonValue::as_array) {
-            writeln!(
-                out,
-                "  quality: 1-in-{} sampling, {} decision(s) seen, {} sample(s) dropped",
-                u(jget(q, "sample_every")).unwrap_or(0),
-                u(jget(q, "seen")).unwrap_or(0),
-                u(jget(q, "dropped")).unwrap_or(0),
-            )
-            .ok();
-            for cell in cells {
-                writeln!(
-                    out,
-                    "    {}/{}: {} scored, agreement {:.1}%, mean cost gap {:.1}% when apart",
-                    jget(cell, "collective")
-                        .and_then(serde_json::JsonValue::as_str)
-                        .unwrap_or("?"),
-                    jget(cell, "cluster")
-                        .and_then(serde_json::JsonValue::as_str)
-                        .unwrap_or("?"),
-                    u(jget(cell, "scored")).unwrap_or(0),
-                    f(jget(cell, "agreement_rate")).unwrap_or(0.0) * 100.0,
-                    f(jget(cell, "mean_cost_gap")).unwrap_or(0.0) * 100.0,
-                )
-                .ok();
-            }
-        }
-    }
-    if let Some(slow) = jget(v, "slow") {
-        writeln!(
-            out,
-            "  slow: {} captured over {} (ring keeps the most recent {})",
-            u(jget(slow, "captured")).unwrap_or(0),
-            fmt_ns(u(jget(slow, "threshold_ns")).unwrap_or(0)),
-            pml_mpi::serve::SLOW_RING_CAP,
-        )
-        .ok();
-    }
-    out
+        Ok(())
+    })?;
+    Ok(())
 }
 
 /// One loadgen worker: its own connection, its own seeded rng, synchronous
@@ -1241,15 +1080,7 @@ fn loadgen_worker(
     op: &str,
 ) -> Result<(Vec<u64>, u64, Option<TimedSpan>), String> {
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use std::io::{BufRead, BufReader, Write};
-    let stream = std::os::unix::net::UnixStream::connect(socket)
-        .map_err(|e| format!("connecting to {socket}: {e}"))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("cloning stream: {e}"))?,
-    );
-    let mut writer = stream;
+    let mut client = Client::connect(socket).map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(seed);
     let zoo = pml_mpi::zoo();
     let mut latencies = Vec::with_capacity(count);
@@ -1280,18 +1111,15 @@ fn loadgen_worker(
             },
         });
         let t0 = std::time::Instant::now();
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
+        client
+            .send(&line)
             .map_err(|e| format!("request {id}: write: {e}"))?;
-        reply.clear();
-        let n = reader
-            .read_line(&mut reply)
+        let open = client
+            .recv(&mut reply)
             .map_err(|e| format!("request {id}: read: {e}"))?;
         let t1 = std::time::Instant::now();
         let ns = u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
-        if n == 0 {
+        if !open {
             return Err(format!("daemon closed the connection at request {id}"));
         }
         if id >= warmup {
@@ -1323,47 +1151,6 @@ fn timed_throughput(requests: usize, spans: &[TimedSpan]) -> (f64, f64) {
     (wall_s, requests as f64 / wall_s.max(1e-9))
 }
 
-/// Fetch one `watch` snapshot's `window` section from the daemon, or
-/// `Null` (with a stderr note) when the daemon cannot answer — an old
-/// daemon without the `watch` op must not fail the whole loadgen run.
-fn fetch_watch_stages(socket: &str) -> serde_json::JsonValue {
-    use std::io::{BufRead, BufReader, Write};
-    let attempt = || -> Result<serde_json::JsonValue, String> {
-        let stream = std::os::unix::net::UnixStream::connect(socket).map_err(|e| e.to_string())?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-        let mut writer = stream;
-        let frame = encode_request(&Request {
-            id: Some(0),
-            op: Op::Watch {
-                interval_ms: 0,
-                count: 1,
-            },
-        });
-        writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| e.to_string())?;
-        let mut line = String::new();
-        reader.read_line(&mut line).map_err(|e| e.to_string())?;
-        let v: serde_json::JsonValue =
-            serde_json::from_str(line.trim()).map_err(|e| e.to_string())?;
-        if jget(&v, "ok").and_then(serde_json::JsonValue::as_bool) != Some(true) {
-            return Err("daemon refused the watch op".to_string());
-        }
-        jget(&v, "window")
-            .cloned()
-            .ok_or_else(|| "watch frame carries no window section".to_string())
-    };
-    match attempt() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("note: no daemon-side stage breakdown in the report ({e})");
-            serde_json::JsonValue::Null
-        }
-    }
-}
-
 fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
     let opts = Opts::parse(
         args,
@@ -1379,16 +1166,13 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
         ],
         &[],
     )?;
-    let socket = opts
-        .get("socket")
-        .ok_or("missing required --socket PATH")?
-        .to_string();
-    let total: usize = parse_flag_or(&opts, "requests", 100_000)?;
-    let threads: usize = parse_flag_or::<usize>(&opts, "threads", 4)?.clamp(1, 256);
+    let socket = opts.socket()?.to_string();
+    let total: usize = opts.value("requests", Some(100_000))?;
+    let threads = opts.value::<usize>("threads", Some(4))?.clamp(1, 256);
     // Untimed per-connection warmup round-trips: enough to pull the
     // daemon's lazily-built state hot before any latency is recorded.
-    let warmup: usize = parse_flag_or(&opts, "warmup", 32)?;
-    let seed: u64 = parse_flag_or(&opts, "seed", 42)?;
+    let warmup: usize = opts.value("warmup", Some(32))?;
+    let seed: u64 = opts.value("seed", Some(42))?;
     let collective = parse_collective(opts.get("collective").unwrap_or("alltoall"))?;
     let op = opts.get("op").unwrap_or("select").to_string();
     if op != "select" && op != "predict" {
@@ -1431,8 +1215,12 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
     // One-shot watch snapshot right after the run: the daemon's windowed
     // per-stage breakdown (queue-wait / predict / reply p50/p99) rides
     // along in the report, so it says where the time went, not just the
-    // client-side totals.
-    let stages = fetch_watch_stages(&socket);
+    // client-side totals. A daemon that cannot answer (one without the
+    // `watch` op) does not fail the run.
+    let stages = watch::stages(Path::new(&socket)).unwrap_or_else(|e| {
+        eprintln!("note: no daemon-side stage breakdown in the report ({e})");
+        serde_json::JsonValue::Null
+    });
 
     let pct = |q: f64| {
         let idx = ((latencies.len() - 1) as f64 * q).round() as usize;

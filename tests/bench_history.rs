@@ -26,8 +26,7 @@ fn keys(v: &JsonValue) -> Vec<&str> {
 }
 
 fn get<'a>(v: &'a JsonValue, key: &str) -> &'a JsonValue {
-    let hit = v.as_object().and_then(|o| o.iter().find(|(k, _)| k == key));
-    &hit.unwrap_or_else(|| panic!("no {key:?} field")).1
+    v.get(key).unwrap_or_else(|| panic!("no {key:?} field"))
 }
 
 /// The `name`s listed under `section` of `BENCHMARK.json`, in order.

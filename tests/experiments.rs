@@ -14,11 +14,6 @@ fn committed() -> JsonValue {
     serde_json::from_str(&read("EXPERIMENTS.json")).expect("EXPERIMENTS.json parses")
 }
 
-fn get<'a>(v: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
-    let hit = v.as_object()?.iter().find(|(k, _)| k == key);
-    hit.map(|(_, v)| v)
-}
-
 fn keys(v: &JsonValue) -> Vec<&str> {
     let obj = v.as_object().expect("an object");
     obj.iter().map(|(k, _)| k.as_str()).collect()
@@ -26,7 +21,13 @@ fn keys(v: &JsonValue) -> Vec<&str> {
 
 /// A finding of one experiment, from whichever half of the file has it.
 fn finding(doc: &JsonValue, name: &str, key: &str) -> f64 {
-    let lookup = |half| get(get(get(get(doc, half)?, name)?, "findings")?, key)?.as_f64();
+    let lookup = |half| {
+        doc.get(half)?
+            .get(name)?
+            .get("findings")?
+            .get(key)?
+            .as_f64()
+    };
     lookup("experiments")
         .or_else(|| lookup("wall_clock"))
         .unwrap_or_else(|| panic!("EXPERIMENTS.json has no finding {name}:{key}"))
@@ -37,11 +38,11 @@ fn the_file_has_exactly_one_entry_per_experiment() {
     let doc = committed();
     assert_eq!(keys(&doc), ["experiments", "wall_clock"]);
     let names: Vec<&str> = pml_bench::EXPERIMENTS.iter().map(|e| e.0).collect();
-    assert_eq!(keys(get(&doc, "experiments").unwrap()), names);
-    for (name, entry) in get(&doc, "experiments").unwrap().as_object().unwrap() {
+    assert_eq!(keys(doc.get("experiments").unwrap()), names);
+    for (name, entry) in doc.get("experiments").unwrap().as_object().unwrap() {
         assert_eq!(keys(entry), ["tables", "findings"], "{name}");
     }
-    for name in keys(get(&doc, "wall_clock").unwrap()) {
+    for name in keys(doc.get("wall_clock").unwrap()) {
         assert!(names.contains(&name), "wall_clock entry {name}");
     }
 }
@@ -74,11 +75,11 @@ fn every_number_experiments_md_quotes_is_a_committed_finding() {
     }
     // Nothing that has findings goes unquoted.
     for (name, _) in pml_bench::EXPERIMENTS {
-        let halves = ["experiments", "wall_clock"].map(|half| get(get(&doc, half)?, name));
+        let halves = ["experiments", "wall_clock"].map(|half| doc.get(half)?.get(name));
         let has_findings = halves
             .iter()
             .flatten()
-            .any(|entry| !keys(get(entry, "findings").unwrap()).is_empty());
+            .any(|entry| !keys(entry.get("findings").unwrap()).is_empty());
         assert_eq!(quoted.contains(*name), has_findings, "{name}");
     }
 }
@@ -103,9 +104,9 @@ fn the_verdicts_shape_claims_hold_on_the_committed_numbers() {
         assert!(finding(&doc, "fig08", &key) >= 2.0, "{key}");
     }
     // Fig. 7: the proposed framework's core-hours do not depend on node count.
-    let fig07 = get(get(&doc, "wall_clock").unwrap(), "fig07").unwrap();
-    let table = &get(fig07, "tables").unwrap().as_array().unwrap()[0];
-    let rows = get(table, "rows").unwrap().as_array().unwrap();
+    let fig07 = doc.get("wall_clock").unwrap().get("fig07").unwrap();
+    let table = &fig07.get("tables").unwrap().as_array().unwrap()[0];
+    let rows = table.get("rows").unwrap().as_array().unwrap();
     let proposed: Vec<&JsonValue> = rows
         .iter()
         .map(|row| row.as_array().unwrap().last().unwrap())
