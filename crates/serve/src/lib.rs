@@ -26,8 +26,9 @@
 //! * [`server`] — artifact loading and the accept loop: per-connection
 //!   threads over a shared [`pml_core::Tuner`] that answer a burst of
 //!   frames per read and write its replies before they block, clean
-//!   shutdown on SIGTERM or the `shutdown` op (socket file removed,
-//!   connections joined);
+//!   shutdown on SIGTERM or the `shutdown` op (every live socket shut
+//!   down, so no connection thread stays blocked; threads joined, socket
+//!   file removed);
 //! * [`reqtrace`] — request-level stage attribution: every request gets a
 //!   monotonic id and (when tracing is on) timestamps through
 //!   parse → select / queue-wait → batch-assembly → predict → serialize →
@@ -58,6 +59,6 @@ pub use protocol::{
 };
 pub use quality::{QualityCell, QualityMonitor, QualitySample};
 pub use reqtrace::{RequestTrace, SlowRequest, SlowRing, SLOW_RING_CAP, STAGE_NAMES};
-pub use server::{load_artifacts, LoadedArtifacts, ObsConfig, ServeConfig, ServeError, Server};
+pub use server::{load_artifacts, LoadedArtifacts, ObsConfig, ServeError, Server};
 pub use signal::install_termination_flag;
 pub use slo::{targets_from_json, SloTargets, DEFAULT_ERROR_BUDGET};

@@ -30,7 +30,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 
 /// Bound on samples in flight to the scoring thread.
 const SAMPLE_QUEUE_DEPTH: usize = 1024;
@@ -94,15 +93,16 @@ impl QualityCell {
 
 type QualityState = BTreeMap<(String, String), QualityCell>;
 
-/// The sampling monitor. Owned by the server's shared state; dropping it
-/// drains and joins the scoring thread (mirroring the batcher).
+/// The sampling monitor. Owned by the server's shared state. Dropping it
+/// discards the scoring backlog, which nothing reads once the monitor is
+/// gone: the scoring thread ends at its next sample, so a shutdown never
+/// waits for up to a queue's worth of scoring.
 #[derive(Debug)]
 pub struct QualityMonitor {
     every: u64,
     seq: AtomicU64,
     dropped: AtomicU64,
-    tx: Option<mpsc::SyncSender<QualitySample>>,
-    worker: Option<JoinHandle<()>>,
+    tx: mpsc::SyncSender<QualitySample>,
     state: Arc<Mutex<QualityState>>,
 }
 
@@ -114,18 +114,18 @@ impl QualityMonitor {
     pub fn new(every: u64, referee_cluster: Option<String>) -> QualityMonitor {
         let (tx, rx) = mpsc::sync_channel::<QualitySample>(SAMPLE_QUEUE_DEPTH);
         let state: Arc<Mutex<QualityState>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let scoring_state = Arc::clone(&state);
-        let worker = std::thread::spawn(move || {
-            while let Ok(sample) = rx.recv() {
-                score(&scoring_state, sample, referee_cluster.as_deref());
+        let scoring_state = Arc::downgrade(&state);
+        // Detached: it ends at the first sample after the monitor is gone.
+        std::thread::spawn(move || {
+            while let (Ok(sample), Some(state)) = (rx.recv(), scoring_state.upgrade()) {
+                score(&state, sample, referee_cluster.as_deref());
             }
         });
         QualityMonitor {
             every: every.max(1),
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            tx: Some(tx),
-            worker: Some(worker),
+            tx,
             state,
         }
     }
@@ -153,8 +153,7 @@ impl QualityMonitor {
         if !n.is_multiple_of(self.every) {
             return;
         }
-        let Some(tx) = self.tx.as_ref() else { return };
-        if tx.try_send(sample()).is_err() {
+        if self.tx.try_send(sample()).is_err() {
             self.dropped.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -165,15 +164,6 @@ impl QualityMonitor {
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
-    }
-}
-
-impl Drop for QualityMonitor {
-    fn drop(&mut self) {
-        self.tx.take();
-        if let Some(worker) = self.worker.take() {
-            worker.join().ok();
-        }
     }
 }
 

@@ -7,10 +7,13 @@
 //! [`Batcher`] (`predict`, batched forest inference). A connection queues
 //! every `predict` it has read before it waits for any answer, so one
 //! client's pipelined predicts coalesce into one batch, and a lone one is
-//! still answered at once. Shutdown is
-//! cooperative: SIGTERM/SIGINT (via [`crate::signal`]) or a `shutdown`
-//! frame flips a flag, the accept loop stops, connection threads drain and
-//! join, and the socket file is removed — a supervisor sees exit code 0.
+//! still answered at once. Nothing wakes up to look at a flag: connection
+//! threads block in `read` and `write` with no timeout, and shutdown
+//! (SIGTERM/SIGINT via [`crate::signal`], a `shutdown` frame, or an accept
+//! error) closes what they wait on. Every live socket is shut down, so a
+//! blocked read sees EOF and a blocked write `EPIPE`, a `watch` stream's
+//! wait ends, the threads are joined and the socket file is removed — a
+//! supervisor sees exit code 0.
 //!
 //! Artifact directory layout (`--model DIR`):
 //!
@@ -38,27 +41,19 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::Duration;
 
-/// How often blocked loops re-check the shutdown flag.
+/// How long the accept loop waits for the stop signal before it looks at
+/// `term` again. `term` is a plain flag that a signal handler or an
+/// embedding thread sets; `signal(2)` restarts a blocked `accept`, and
+/// without `libc` nothing else can wake one for that flag. A `shutdown`
+/// frame ends the wait at once.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// Everything `Server::bind` needs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Unix-domain socket path to listen on (created, removed on exit).
-    pub socket: PathBuf,
-    /// Artifact directory: tables at the top level, models under `models/`.
-    pub model_dir: PathBuf,
-    /// Batcher sizing for the `predict` path.
-    pub batch: BatchConfig,
-    /// Request-observability knobs (tracing, SLO, quality sampling).
-    pub obs: ObsConfig,
-}
 
 /// Request-observability configuration: stage tracing, the slow-request
 /// threshold, SLO targets for `watch`, and quality-monitor sampling. All
@@ -156,8 +151,7 @@ pub(crate) struct Shared {
     batcher: Batcher,
     /// Which collectives have a loaded model (for `stats`).
     pub(crate) model_coverage: Vec<Collective>,
-    /// Set by the `shutdown` op or the signal flag; read everywhere.
-    shutdown: AtomicBool,
+    stop: Stop,
     pub(crate) counts: RequestCounts,
     clock: Arc<dyn Clock>,
     /// Immutable after bind: whether requests carry a [`RequestTrace`].
@@ -168,12 +162,57 @@ pub(crate) struct Shared {
     pub(crate) quality: Option<QualityMonitor>,
 }
 
+impl Shared {
+    fn new(artifacts: LoadedArtifacts, batch: BatchConfig, obs: ObsConfig) -> Shared {
+        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
+        let batch_trace = obs.trace_requests.then(|| Arc::clone(&clock));
+        Shared {
+            tuner: artifacts.tuner,
+            model_coverage: artifacts.models.keys().copied().collect(),
+            batcher: Batcher::new(artifacts.models, batch, batch_trace),
+            stop: Stop::default(),
+            counts: RequestCounts::default(),
+            clock,
+            trace_requests: obs.trace_requests,
+            slow_threshold_ns: obs.slow_threshold_ns,
+            slow_ring: SlowRing::new(),
+            slo: obs.slo,
+            quality: (obs.quality_sample > 0)
+                .then(|| QualityMonitor::new(obs.quality_sample, obs.quality_cluster)),
+        }
+    }
+}
+
+/// The daemon's stop signal, set by a `shutdown` frame or by
+/// [`Server::run`]'s teardown and waited on by the accept loop and by
+/// `watch` streams.
+#[derive(Default)]
+struct Stop {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Stop {
+    fn set(&self) {
+        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.wake.notify_all();
+    }
+
+    /// Wait at most `limit` for the signal. Returns whether it is set.
+    fn wait(&self, limit: Duration) -> bool {
+        let stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
+        let waited = self
+            .wake
+            .wait_timeout_while(stopped, limit, |stopped| !*stopped);
+        *waited.unwrap_or_else(PoisonError::into_inner).0
+    }
+}
+
 /// A bound, not-yet-running daemon. [`Server::run`] blocks until shutdown.
 pub struct Server {
-    shared: Arc<Shared>,
+    shared: Shared,
     listener: UnixListener,
     socket: PathBuf,
-    warnings: Vec<String>,
 }
 
 impl fmt::Debug for Server {
@@ -185,14 +224,9 @@ impl fmt::Debug for Server {
 }
 
 impl Server {
-    /// Load artifacts from `cfg.model_dir` and bind `cfg.socket`. A stale
-    /// socket file from a previous unclean exit is replaced.
-    pub fn bind(cfg: &ServeConfig) -> Result<Server, ServeError> {
-        let artifacts = load_artifacts(&cfg.model_dir)?;
-        Server::with_artifacts(&cfg.socket, artifacts, cfg.batch.clone(), cfg.obs.clone())
-    }
-
-    /// Bind with already-loaded artifacts (tests and embedders).
+    /// Bind `socket` and serve `artifacts` (see [`load_artifacts`]; their
+    /// warnings are the caller's to surface). A stale socket file from a
+    /// previous unclean exit is replaced.
     pub fn with_artifacts(
         socket: &Path,
         artifacts: LoadedArtifacts,
@@ -210,78 +244,58 @@ impl Server {
         }
         let listener = UnixListener::bind(socket).map_err(io_err)?;
         listener.set_nonblocking(true).map_err(io_err)?;
-        let model_coverage: Vec<Collective> = artifacts.models.keys().copied().collect();
-        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let batch_trace = obs.trace_requests.then(|| Arc::clone(&clock));
-        let quality = (obs.quality_sample > 0)
-            .then(|| QualityMonitor::new(obs.quality_sample, obs.quality_cluster.clone()));
         Ok(Server {
-            shared: Arc::new(Shared {
-                tuner: artifacts.tuner,
-                batcher: Batcher::new(artifacts.models, batch, batch_trace),
-                model_coverage,
-                shutdown: AtomicBool::new(false),
-                counts: RequestCounts::default(),
-                clock,
-                trace_requests: obs.trace_requests,
-                slow_threshold_ns: obs.slow_threshold_ns,
-                slow_ring: SlowRing::new(),
-                slo: obs.slo,
-                quality,
-            }),
+            shared: Shared::new(artifacts, batch, obs),
             listener,
             socket: socket.to_path_buf(),
-            warnings: artifacts.warnings,
         })
     }
 
-    /// Artifact-loading warnings (skipped files), for the CLI to surface.
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
-    }
-
-    /// (requests, errors) handled so far.
-    pub fn counts(&self) -> (u64, u64) {
-        self.shared.counts.get()
-    }
-
     /// Accept until `term` (e.g. the SIGTERM flag from
-    /// [`crate::signal::install_termination_flag`]) or a `shutdown` frame fires,
-    /// then drain: join every connection thread and remove the socket file.
+    /// [`crate::signal::install_termination_flag`]) is set, a `shutdown`
+    /// frame arrives or `accept` fails. Every way out takes the same
+    /// teardown: set the stop signal, shut down every live connection's
+    /// socket, join the connection threads, remove the socket file.
+    ///
+    /// A connection thread that panicked makes this panic once the others
+    /// are joined.
     pub fn run(self, term: &AtomicBool) -> Result<(), ServeError> {
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if term.load(Ordering::SeqCst) {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _addr)) => {
-                    let shared = Arc::clone(&self.shared);
-                    conns.push(std::thread::spawn(move || Conn::new(&shared, stream).run()));
-                    // Reap finished threads so a long-lived daemon's handle
-                    // list stays bounded by its live connections.
-                    conns.retain(|h| !h.is_finished());
+        let shared = &self.shared;
+        let accepted = std::thread::scope(|scope| {
+            // Each connection's `Conn` owns the only strong reference to its
+            // stream, so the socket closes the moment the connection ends;
+            // this list only reaches the live ones at shutdown.
+            let mut live: Vec<Weak<UnixStream>> = Vec::new();
+            let accepted = loop {
+                match self.listener.accept() {
+                    Ok((stream, _addr)) => {
+                        live.retain(|s| s.strong_count() > 0);
+                        let stream = Arc::new(stream);
+                        live.push(Arc::downgrade(&stream));
+                        scope.spawn(move || Conn::new(shared, stream).run());
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        if shared.stop.wait(POLL_INTERVAL) || term.load(Ordering::SeqCst) {
+                            break Ok(());
+                        }
+                    }
+                    Err(e) => break Err(e),
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => {
-                    return Err(ServeError::Io {
-                        path: self.socket.clone(),
-                        source: e,
-                    })
-                }
+            };
+            // Wakes `watch` waits; a blocked read returns EOF and a blocked
+            // write `EPIPE`.
+            shared.stop.set();
+            for stream in live.iter().filter_map(Weak::upgrade) {
+                stream.shutdown(Shutdown::Both).ok();
             }
-        }
-        for handle in conns {
-            handle.join().ok();
-        }
+            accepted
+        });
         // Best effort: the file may already be gone if the directory was.
         std::fs::remove_file(&self.socket).ok();
-        Ok(())
+        accepted.map_err(|source| ServeError::Io {
+            path: self.socket,
+            source,
+        })
     }
 }
 
@@ -303,7 +317,7 @@ const OUT_FLUSH_BYTES: usize = 64 << 10;
 /// write and nothing is held across a blocking call.
 struct Conn<'a> {
     shared: &'a Shared,
-    stream: UnixStream,
+    stream: Arc<UnixStream>,
     out: Vec<u8>,
     /// The traced requests whose replies are in `out`, settled by `flush`.
     pending: Vec<(RequestTrace, bool)>,
@@ -323,7 +337,7 @@ struct InFlight {
 }
 
 impl<'a> Conn<'a> {
-    fn new(shared: &'a Shared, stream: UnixStream) -> Self {
+    fn new(shared: &'a Shared, stream: Arc<UnixStream>) -> Self {
         Conn {
             shared,
             stream,
@@ -333,10 +347,9 @@ impl<'a> Conn<'a> {
         }
     }
 
-    /// Serve until EOF, a transport error, or daemon shutdown. Read timeouts
-    /// keep the thread responsive to the shutdown flag without busy-waiting.
+    /// Serve until EOF or a transport error. Shutdown reaches a blocked
+    /// thread as one of those: [`Server::run`] shuts the socket down.
     fn run(&mut self) {
-        self.stream.set_read_timeout(Some(POLL_INTERVAL)).ok();
         // `buf[head..tail]` is read but unanswered, and holds no newline
         // before `seen`. `skipping` is set inside an over-long frame, whose
         // bytes are dropped up to its newline.
@@ -369,10 +382,10 @@ impl<'a> Conn<'a> {
             }
             seen = tail;
             // Nothing is left to answer: settle, flush, and only then block.
-            if !self.settle() || !self.flush() || self.shared.shutdown.load(Ordering::SeqCst) {
+            if !self.settle() || !self.flush() {
                 return;
             }
-            match self.stream.read(buf.get_mut(tail..).unwrap_or(&mut [])) {
+            match (&*self.stream).read(buf.get_mut(tail..).unwrap_or(&mut [])) {
                 // EOF. A frame truncated mid-line by the disconnect is still
                 // answered (typed error or not) before closing.
                 Ok(0) => {
@@ -382,13 +395,7 @@ impl<'a> Conn<'a> {
                     return;
                 }
                 Ok(n) => tail += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
         }
@@ -407,7 +414,7 @@ impl<'a> Conn<'a> {
         } else {
             clock.now_nanos()
         };
-        let sent = self.stream.write_all(&self.out).is_ok();
+        let sent = (&*self.stream).write_all(&self.out).is_ok();
         self.out.clear();
         if !self.pending.is_empty() {
             let t1 = clock.now_nanos();
@@ -485,6 +492,8 @@ impl<'a> Conn<'a> {
                 if let Some(tr) = trace.as_mut() {
                     tr.stage("select", t1.saturating_sub(t0), t1);
                 }
+                protocol::write_select(&mut self.out, id, algo, depth);
+                serialized(shared, &mut trace, t1);
                 if let Some(q) = shared.quality.as_ref() {
                     q.observe(|| QualitySample {
                         cluster: shared
@@ -498,8 +507,6 @@ impl<'a> Conn<'a> {
                         depth: Some(depth),
                     });
                 }
-                protocol::write_select(&mut self.out, id, algo, depth);
-                serialized(shared, &mut trace, t1);
             }
             // Queued above.
             Op::Predict { .. } => {}
@@ -516,12 +523,13 @@ impl<'a> Conn<'a> {
                 return flushed && self.watch(id, interval_ms, count);
             }
             Op::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
                 let stopping = vec![("stopping".to_string(), Value::Bool(true))];
                 self.out
                     .extend_from_slice(protocol::render_ok(id, stopping).as_bytes());
                 self.sent(trace, false);
                 self.flush();
+                // Only now: the teardown shuts this socket down too.
+                shared.stop.set();
                 return false;
             }
         }
@@ -589,6 +597,8 @@ impl<'a> Conn<'a> {
                 tr.push("batch_assembly", timing.batch_assembly_ns);
                 tr.push("predict", timing.predict_ns);
             }
+            protocol::write_predict(&mut self.out, p.id, algo);
+            serialized(shared, &mut p.trace, t1);
             if let Some(q) = shared.quality.as_ref() {
                 q.observe(|| QualitySample {
                     cluster: p.cluster,
@@ -598,8 +608,6 @@ impl<'a> Conn<'a> {
                     depth: None,
                 });
             }
-            protocol::write_predict(&mut self.out, p.id, algo);
-            serialized(shared, &mut p.trace, t1);
             if !self.sent(p.trace, false) {
                 return false;
             }
@@ -633,18 +641,8 @@ impl<'a> Conn<'a> {
             if count > 0 && seq >= count {
                 return true;
             }
-            // Sleep in poll-interval chunks so shutdown interrupts the stream.
-            let mut left = Duration::from_millis(interval);
-            loop {
-                if self.shared.shutdown.load(Ordering::SeqCst) {
-                    return false;
-                }
-                if left.is_zero() {
-                    break;
-                }
-                let chunk = left.min(POLL_INTERVAL);
-                std::thread::sleep(chunk);
-                left -= chunk;
+            if self.shared.stop.wait(Duration::from_millis(interval)) {
+                return false;
             }
         }
     }
@@ -750,27 +748,21 @@ mod tests {
         );
         std::fs::write(dir.join("deep.json"), &deep).unwrap();
         std::fs::write(dir.join("models/deep.json"), &deep).unwrap();
-        let cfg = ServeConfig {
-            socket: dir.join("pml.sock"),
-            model_dir: dir.clone(),
-            batch: BatchConfig::default(),
-            obs: ObsConfig::default(),
-        };
-        let server = Server::bind(&cfg).unwrap();
-        let [table, model] = server.warnings() else {
-            panic!("two warnings expected: {:?}", server.warnings());
+        let artifacts = load_artifacts(&dir).unwrap();
+        let [table, model] = &artifacts.warnings[..] else {
+            panic!("two warnings expected: {:?}", artifacts.warnings);
         };
         assert!(table.starts_with("skipping table ") && table.contains("nested too deep"));
         assert!(model.starts_with("skipping model ") && model.contains("deep.json: "));
-        let term = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&term);
-        let thread = std::thread::spawn(move || server.run(&flag));
-        let daemon = Daemon {
-            dir,
-            socket: cfg.socket,
-            term,
-            thread,
-        };
+        let socket = dir.join("pml.sock");
+        let server = Server::with_artifacts(
+            &socket,
+            artifacts,
+            BatchConfig::default(),
+            ObsConfig::default(),
+        )
+        .unwrap();
+        let daemon = Daemon::run(dir, server);
         assert_still_open(&mut daemon.connect());
         daemon.stop();
     }
@@ -780,22 +772,15 @@ mod tests {
     }
 
     fn test_shared_with(obs: ObsConfig) -> Shared {
-        let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let batch_trace = obs.trace_requests.then(|| Arc::clone(&clock));
-        let quality = (obs.quality_sample > 0)
-            .then(|| QualityMonitor::new(obs.quality_sample, obs.quality_cluster.clone()));
-        Shared {
+        Shared::new(test_artifacts(), BatchConfig::default(), obs)
+    }
+
+    /// The test table and no models.
+    fn test_artifacts() -> LoadedArtifacts {
+        LoadedArtifacts {
             tuner: test_tuner(),
-            batcher: Batcher::new(BTreeMap::new(), BatchConfig::default(), batch_trace),
-            model_coverage: Vec::new(),
-            shutdown: AtomicBool::new(false),
-            counts: RequestCounts::default(),
-            clock,
-            trace_requests: obs.trace_requests,
-            slow_threshold_ns: obs.slow_threshold_ns,
-            slow_ring: SlowRing::new(),
-            slo: obs.slo,
-            quality,
+            models: BTreeMap::new(),
+            warnings: Vec::new(),
         }
     }
 
@@ -804,7 +789,7 @@ mod tests {
     /// would now close.
     fn handle(shared: &Shared, line: &str) -> (String, bool) {
         let (ours, theirs) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(shared, ours);
+        let mut conn = Conn::new(shared, Arc::new(ours));
         let stop = !(conn.answer(line.as_bytes()) && conn.settle() && conn.flush());
         drop(conn);
         let mut reply = String::new();
@@ -857,7 +842,7 @@ mod tests {
         let shared = test_shared();
         let (reply, stop) = handle(&shared, r#"{"v":"pml-serve/v1","op":"shutdown"}"#);
         assert!(stop);
-        assert!(shared.shutdown.load(Ordering::SeqCst));
+        assert!(shared.stop.wait(Duration::ZERO));
         let v: Value = serde_json::from_str(&reply).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
     }
@@ -957,7 +942,8 @@ mod tests {
         dir: PathBuf,
         socket: PathBuf,
         term: Arc<AtomicBool>,
-        thread: std::thread::JoinHandle<Result<(), ServeError>>,
+        /// What `Server::run` returned, once it has.
+        done: mpsc::Receiver<Result<(), ServeError>>,
     }
 
     impl Daemon {
@@ -966,31 +952,31 @@ mod tests {
         fn boot(name: &str, batcher: Option<Batcher>) -> Daemon {
             let dir = std::env::temp_dir().join(format!("pml-serve-{name}-{}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
-            let socket = dir.join("pml.sock");
-            let artifacts = LoadedArtifacts {
-                tuner: test_tuner(),
-                models: BTreeMap::new(),
-                warnings: Vec::new(),
-            };
             let mut server = Server::with_artifacts(
-                &socket,
-                artifacts,
+                &dir.join("pml.sock"),
+                test_artifacts(),
                 BatchConfig::default(),
                 ObsConfig::default(),
             )
             .unwrap();
             if let Some(batcher) = batcher {
-                let shared = Arc::get_mut(&mut server.shared).expect("no connection yet");
-                shared.batcher = batcher;
+                server.shared.batcher = batcher;
             }
+            Daemon::run(dir, server)
+        }
+
+        /// Run `server`, whose socket is in `dir`, on a thread of its own.
+        fn run(dir: PathBuf, server: Server) -> Daemon {
+            let socket = server.socket.clone();
             let term = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&term);
-            let thread = std::thread::spawn(move || server.run(&flag));
+            let (send, done) = mpsc::channel();
+            std::thread::spawn(move || send.send(server.run(&flag)).ok());
             Daemon {
                 dir,
                 socket,
                 term,
-                thread,
+                done,
             }
         }
 
@@ -1002,8 +988,16 @@ mod tests {
         }
 
         fn stop(self) {
+            self.stop_within(Duration::from_secs(10));
+        }
+
+        /// Set `term`; `run` must return `Ok` within `limit`, without a
+        /// panic.
+        fn stop_within(self, limit: Duration) {
             self.term.store(true, Ordering::SeqCst);
-            self.thread.join().unwrap().unwrap();
+            let ran = self.done.recv_timeout(limit);
+            ran.unwrap_or_else(|e| panic!("no clean return within {limit:?}: {e}"))
+                .unwrap();
             assert!(
                 !self.socket.exists(),
                 "socket file removed on clean shutdown"
@@ -1082,6 +1076,66 @@ mod tests {
         Daemon::boot("term", None).stop();
     }
 
+    /// A client pipelines selects and never reads, so its connection thread
+    /// blocks writing replies. Shutdown must not wait for it to read.
+    #[test]
+    fn shutdown_does_not_wait_for_a_client_that_never_reads() {
+        let daemon = Daemon::boot("never-reads", None);
+        let client = daemon.connect();
+        let select = r#"{"v":"pml-serve/v1","op":"select","collective":"alltoall","nodes":2,"ppn":8,"msg_size":64}"#;
+        // The daemon reads whenever it is not writing, so once this write
+        // stalls its connection thread is blocked in `write_all`.
+        let stall = Some(Duration::from_millis(200));
+        client.stream().set_write_timeout(stall).unwrap();
+        let flood = (select.to_string() + "\n").repeat(20_000);
+        let stalled = client.stream().write_all(flood.as_bytes());
+        assert!(
+            matches!(
+                stalled.map_err(|e| e.kind()),
+                Err(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+            ),
+            "the daemon read 20 000 frames without blocking"
+        );
+        daemon.stop();
+    }
+
+    /// Endless `watch` streams whose next tick is ten minutes away, or
+    /// `u64::MAX` milliseconds, end within a second of shutdown.
+    #[test]
+    fn a_watch_waiting_for_its_next_tick_ends_at_shutdown() {
+        let daemon = Daemon::boot("watch-wait", None);
+        let watchers = [600_000, u64::MAX].map(|interval_ms| {
+            let mut client = daemon.connect();
+            let frame = format!(
+                "{{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"watch\",\"interval_ms\":{interval_ms},\"count\":0}}"
+            );
+            client.send(&frame).unwrap();
+            // The first tick is out, so the stream is waiting for the next.
+            let tick = read_reply(&mut client);
+            assert_eq!(tick.get("seq").and_then(Value::as_u64), Some(1));
+            client
+        });
+        daemon.stop_within(Duration::from_secs(1));
+        for mut client in watchers {
+            assert!(!client.recv(&mut String::new()).unwrap(), "stream ended");
+        }
+    }
+
+    #[test]
+    fn a_shutdown_frame_closes_an_idle_connection() {
+        let daemon = Daemon::boot("close-idle", None);
+        let mut idle = daemon.connect();
+        assert_still_open(&mut idle);
+        let mut first = daemon.connect();
+        first
+            .send(r#"{"v":"pml-serve/v1","op":"shutdown"}"#)
+            .unwrap();
+        let bye = read_reply(&mut first);
+        assert_eq!(bye.get("stopping").and_then(Value::as_bool), Some(true));
+        assert!(!idle.recv(&mut String::new()).unwrap(), "idle one closed");
+        daemon.stop();
+    }
+
     #[test]
     fn invalid_utf8_gets_a_parse_error_and_the_connection_stays_open() {
         let daemon = Daemon::boot("utf8", None);
@@ -1094,7 +1148,7 @@ mod tests {
             assert_eq!(error_kind(&reply), Some("parse"), "{reply:?}");
             assert_still_open(&mut client);
         }
-        // A two-byte character split across a read timeout is one character.
+        // A two-byte character split across two reads is one character.
         let frame = "{\"v\":\"pml-serve/v1\",\"id\":2,\"op\":\"predict\",\"cluster\":\"\u{e9}\",\"collective\":\"alltoall\",\"nodes\":2,\"ppn\":8,\"msg_size\":64}\n";
         let cut = frame.find('\u{e9}').unwrap() + 1;
         client.stream().write_all(&frame.as_bytes()[..cut]).unwrap();
@@ -1115,7 +1169,7 @@ mod tests {
     fn connection_buffers_stay_within_their_two_constants() {
         let shared = test_shared();
         let (ours, theirs) = UnixStream::pair().unwrap();
-        let mut conn = Conn::new(&shared, ours);
+        let mut conn = Conn::new(&shared, Arc::new(ours));
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let mut client = theirs.try_clone().unwrap();

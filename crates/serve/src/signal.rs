@@ -3,13 +3,14 @@
 //! The build is air-gapped, so instead of pulling in `libc` for one
 //! symbol, the POSIX `signal(2)` entry point is declared directly. The
 //! handler does the only thing that is async-signal-safe here: a relaxed
-//! store into a static [`AtomicBool`] the accept loop polls. Process
+//! store into a static [`AtomicBool`] the accept loop checks. Process
 //! managers (and `scripts/serve_smoke.sh`) stop the daemon with SIGTERM
 //! and expect a clean exit: socket file removed, exit code 0.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by [`crate::server::Server::run`].
+/// Set by the signal handler; checked by [`crate::server::Server::run`]'s
+/// accept loop between waits for a connection.
 static TERMINATE: AtomicBool = AtomicBool::new(false);
 
 const SIGINT: i32 = 2;

@@ -6,8 +6,10 @@
 # frame nested 200 deep, an unknown cluster, a job of 65536 x 65536 ranks
 # (the daemon must answer with typed errors, never drop the connection) — fires a short loadgen burst,
 # round-trips the `watch` op
-# (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon and
-# asserts a clean shutdown: exit code 0 and the socket file removed.
+# (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon while
+# an endless `watch` waits a minute for its next tick and an idle client
+# holds a connection, and asserts a clean shutdown within 5 s: exit code 0,
+# the socket file removed and the `watch` ended.
 # Any mismatch exits nonzero. ci.sh runs this lane on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,9 +19,11 @@ bin=target/release/pml-mpi
 
 work=$(mktemp -d)
 sock="$work/pml.sock"
-pid=""
 cleanup() {
-    [[ -n "$pid" ]] && kill "$pid" 2>/dev/null || true
+    # The daemon, the `watch` and the idle client's `sleep` (the client
+    # ends with its stdin), whichever are still running.
+    # shellcheck disable=SC2046
+    kill $(jobs -p) 2>/dev/null || true
     rm -rf "$work"
 }
 trap cleanup EXIT
@@ -28,6 +32,15 @@ fail() {
     echo "serve_smoke: FAIL: $*" >&2
     [[ -s "$work/serve.log" ]] && sed 's/^/serve_smoke: daemon: /' "$work/serve.log" >&2
     exit 1
+}
+
+# `ends_within <pid> <seconds>`: whether the process exits within that long.
+ends_within() {
+    for _ in $(seq 1 $(($2 * 20))); do
+        kill -0 "$1" 2>/dev/null || return 0
+        sleep 0.05
+    done
+    return 1
 }
 
 # `expect <desc> <needle> <actual>`: substring assertion with context.
@@ -147,13 +160,23 @@ expect "watch select stage"  'select'           "$watch_out"
 expect "watch slo burn"      'slo: p99 target'  "$watch_out"
 expect "watch quality line"  'quality: 1-in-1'  "$watch_out"
 
-echo "==> clean shutdown on SIGTERM"
+echo "==> clean shutdown on SIGTERM, a minute before the next watch tick"
+"$bin" watch --socket "$sock" --interval-ms 60000 >"$work/watch.log" 2>&1 &
+watch_pid=$!
+sleep 60 | "$bin" client --socket "$sock" >/dev/null 2>&1 &
+for _ in $(seq 1 100); do
+    grep -q "tick 1:" "$work/watch.log" && break
+    sleep 0.05
+done
+grep -q "tick 1:" "$work/watch.log" || fail "endless watch printed no first tick"
 kill -TERM "$pid"
+ends_within "$pid" 5 || fail "daemon still running 5 s after SIGTERM"
 rc=0
 wait "$pid" || rc=$?
-pid=""
 [[ $rc -eq 0 ]] || fail "daemon exited $rc on SIGTERM (want 0)"
 [[ -S "$sock" ]] && fail "socket file survived shutdown"
+ends_within "$watch_pid" 1 || fail "watch still running after the daemon exited"
+wait "$watch_pid" || fail "watch exited nonzero when the daemon stopped: $(cat "$work/watch.log")"
 grep -q "clean shutdown" "$work/serve.log" || fail "daemon log missing clean-shutdown line"
 
 echo "serve smoke lane passed."

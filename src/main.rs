@@ -1008,17 +1008,13 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
             slo.source, slo.p50_ns, slo.p99_ns
         );
     }
-    let cfg = pml_mpi::serve::ServeConfig {
-        socket: socket.clone(),
-        model_dir,
-        batch: pml_mpi::serve::BatchConfig::default(),
-        obs,
-    };
     let term = pml_mpi::serve::install_termination_flag();
-    let server = pml_mpi::serve::Server::bind(&cfg)?;
-    for w in server.warnings() {
+    let artifacts = pml_mpi::serve::load_artifacts(&model_dir)?;
+    for w in &artifacts.warnings {
         eprintln!("warning: {w}");
     }
+    let batch = pml_mpi::serve::BatchConfig::default();
+    let server = pml_mpi::serve::Server::with_artifacts(&socket, artifacts, batch, obs)?;
     eprintln!(
         "pml-serve/v1 listening on {} (SIGTERM or a shutdown frame stops it)",
         socket.display()
