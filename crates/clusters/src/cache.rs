@@ -8,14 +8,14 @@
 //!
 //! Cache corruption is never fatal: a truncated, unparsable, or
 //! version-mismatched file simply triggers regeneration, and the reason is
-//! reported in [`CacheLoad::events`] so callers can log it.
+//! reported in [`CacheLoad::warnings`] so callers can log it.
 
 use crate::datagen::{generate_full, DatagenConfig};
 use crate::error::ClustersError;
 use crate::record::TuningRecord;
 use crate::zoo::ClusterEntry;
 use pml_collectives::Collective;
-use pml_obs::{Counter, Event};
+use pml_obs::Counter;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -44,33 +44,17 @@ fn fingerprint(clusters: &[ClusterEntry]) -> Vec<(String, usize)> {
 }
 
 /// Outcome of a cache lookup: the records, whether they came from disk, and
-/// structured diagnostics about any damaged or stale cache file that was
-/// discarded along the way.
+/// warnings about any damaged or stale cache file that was discarded along
+/// the way.
 #[derive(Debug)]
 pub struct CacheLoad {
     pub records: Vec<TuningRecord>,
     /// True when the records were read from a valid cache file.
     pub cached: bool,
-    /// Events recorded when an existing cache file could not be used
-    /// (corrupt, truncated, version mismatch) or a fresh cache could not be
-    /// written. Regeneration already happened; this is purely diagnostic.
-    /// Each event is also emitted to the global `pml-obs` sink.
-    pub events: Vec<Event>,
-}
-
-impl CacheLoad {
-    /// The first warning message, if any — a convenience for callers that
-    /// only log one line.
-    pub fn warning(&self) -> Option<&str> {
-        self.events.first().map(|e| e.message.as_str())
-    }
-}
-
-/// Record a cache diagnostic both structurally (for the caller) and in the
-/// global event sink (for `--metrics-out` / `stats`).
-fn note(events: &mut Vec<Event>, ev: Event) {
-    pml_obs::events::emit(ev.clone());
-    events.push(ev);
+    /// Why an existing cache file could not be used (corrupt, truncated,
+    /// version mismatch) or a fresh cache could not be written, one line
+    /// each. Regeneration already happened; this is purely diagnostic.
+    pub warnings: Vec<String>,
 }
 
 /// Load records from `path` if it matches (version, config, zoo); otherwise
@@ -86,22 +70,16 @@ pub fn load_or_generate(
     cfg: &DatagenConfig,
 ) -> Result<CacheLoad, ClustersError> {
     let fp = fingerprint(clusters);
-    let mut events = Vec::new();
+    let mut warnings = Vec::new();
     match std::fs::read(path) {
         Ok(bytes) => match serde_json::from_slice::<CacheFile>(&bytes) {
             Ok(file) => {
                 if file.version != CACHE_VERSION {
-                    note(
-                        &mut events,
-                        Event::warn(
-                            "cache",
-                            format!(
-                                "cache {}: version {} != {CACHE_VERSION}, regenerating",
-                                path.display(),
-                                file.version
-                            ),
-                        ),
-                    );
+                    warnings.push(format!(
+                        "cache {}: version {} != {CACHE_VERSION}, regenerating",
+                        path.display(),
+                        file.version
+                    ));
                 } else if file.config != *cfg
                     || file.collective != collective
                     || file.zoo_fingerprint != fp
@@ -112,29 +90,23 @@ pub fn load_or_generate(
                     return Ok(CacheLoad {
                         records: file.records,
                         cached: true,
-                        events,
+                        warnings,
                     });
                 }
             }
             Err(e) => {
-                note(
-                    &mut events,
-                    Event::warn(
-                        "cache",
-                        format!("cache {}: corrupt ({e}), regenerating", path.display()),
-                    ),
-                );
+                warnings.push(format!(
+                    "cache {}: corrupt ({e}), regenerating",
+                    path.display()
+                ));
             }
         },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => {
-            note(
-                &mut events,
-                Event::warn(
-                    "cache",
-                    format!("cache {}: unreadable ({e}), regenerating", path.display()),
-                ),
-            );
+            warnings.push(format!(
+                "cache {}: unreadable ({e}), regenerating",
+                path.display()
+            ));
         }
     }
 
@@ -149,41 +121,29 @@ pub fn load_or_generate(
     };
     if let Some(dir) = path.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {
-            note(
-                &mut events,
-                Event::warn(
-                    "cache",
-                    format!("cache {}: could not create directory ({e})", dir.display()),
-                ),
-            );
+            warnings.push(format!(
+                "cache {}: could not create directory ({e})",
+                dir.display()
+            ));
         }
     }
     match serde_json::to_vec(&file) {
         Ok(json) => {
             if let Err(e) = std::fs::write(path, json) {
-                note(
-                    &mut events,
-                    Event::warn(
-                        "cache",
-                        format!("cache {}: could not persist ({e})", path.display()),
-                    ),
-                );
+                warnings.push(format!("cache {}: could not persist ({e})", path.display()));
             }
         }
         Err(e) => {
-            note(
-                &mut events,
-                Event::warn(
-                    "cache",
-                    format!("cache {}: could not serialize ({e})", path.display()),
-                ),
-            );
+            warnings.push(format!(
+                "cache {}: could not serialize ({e})",
+                path.display()
+            ));
         }
     }
     Ok(CacheLoad {
         records,
         cached: false,
-        events,
+        warnings,
     })
 }
 
@@ -208,7 +168,7 @@ mod tests {
         assert!(!a.cached);
         let b = load_or_generate(&path, &clusters, Collective::Allgather, &cfg).unwrap();
         assert!(b.cached);
-        assert!(b.events.is_empty());
+        assert!(b.warnings.is_empty());
         assert_eq!(a.records, b.records);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -232,7 +192,7 @@ mod tests {
         let out = load_or_generate(&path, &clusters, Collective::Allgather, &other).unwrap();
         assert!(!out.cached);
         // A config change is routine invalidation, not damage.
-        assert!(out.events.is_empty());
+        assert!(out.warnings.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -260,8 +220,8 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let out = load_or_generate(&path, &clusters, Collective::Allgather, &cfg).unwrap();
         assert!(!out.cached);
-        assert!(out.warning().unwrap().contains("corrupt"));
-        assert_eq!(out.events[0].level, pml_obs::Level::Warn);
+        assert_eq!(out.warnings.len(), 1);
+        assert!(out.warnings[0].contains("corrupt"));
         assert_eq!(out.records, fresh.records);
         // The rewritten cache hits again.
         let again = load_or_generate(&path, &clusters, Collective::Allgather, &cfg).unwrap();
@@ -282,7 +242,7 @@ mod tests {
         std::fs::write(&path, stale).unwrap();
         let out = load_or_generate(&path, &clusters, Collective::Allgather, &cfg).unwrap();
         assert!(!out.cached);
-        assert!(out.warning().unwrap().contains("version"));
+        assert!(out.warnings[0].contains("version"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -296,7 +256,7 @@ mod tests {
         let cfg = DatagenConfig::noiseless();
         let out = load_or_generate(&path, &clusters, Collective::Allgather, &cfg).unwrap();
         assert!(!out.cached);
-        assert!(out.warning().is_some());
+        assert!(!out.warnings.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -27,7 +27,7 @@ use pml_clusters::{
     generate_full, load_or_generate, CacheLoad, ClusterEntry, DatagenConfig, TuningRecord,
 };
 use pml_collectives::{Algorithm, Collective};
-use pml_obs::{span, Counter, Event};
+use pml_obs::{span, Counter};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -60,7 +60,7 @@ fn dataset_file(collective: Collective) -> String {
 pub struct SelectionEngine {
     clusters: Vec<ClusterEntry>,
     cfg: EngineConfig,
-    /// Indexed by `Collective as usize`; each load's cache events are the
+    /// Indexed by `Collective as usize`; each load's cache warnings are the
     /// engine's diagnostics.
     datasets: [OnceLock<CacheLoad>; Collective::ALL.len()],
     models: BTreeMap<Collective, Arc<PretrainedModel>>,
@@ -103,15 +103,12 @@ impl SelectionEngine {
     }
 
     /// Non-fatal diagnostics of the dataset loads so far (e.g. a corrupt
-    /// cache that was regenerated) — the rendered view of [`Self::events`].
+    /// cache that was regenerated), by collective.
     pub fn warnings(&self) -> Vec<String> {
-        self.events().into_iter().map(|ev| ev.message).collect()
-    }
-
-    /// Structured diagnostics of the dataset loads so far, by collective.
-    pub fn events(&self) -> Vec<Event> {
         let loads = self.datasets.iter().filter_map(OnceLock::get);
-        loads.flat_map(|load| load.events.iter().cloned()).collect()
+        loads
+            .flat_map(|load| load.warnings.iter().cloned())
+            .collect()
     }
 
     /// The micro-benchmark dataset for one collective, loaded once per
@@ -131,7 +128,7 @@ impl SelectionEngine {
             None => CacheLoad {
                 records: generate_full(&self.clusters, collective, &self.cfg.datagen)?,
                 cached: false,
-                events: Vec::new(),
+                warnings: Vec::new(),
             },
         };
         Ok(&slot.get_or_init(|| load).records)

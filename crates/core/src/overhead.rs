@@ -94,46 +94,6 @@ pub fn measure_inference_seconds(
     Ok(dt)
 }
 
-/// One row of the Fig. 1 / Fig. 7 series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadRow {
-    pub nodes: u32,
-    pub microbench_core_hours: f64,
-    pub acclaim_core_hours: f64,
-    pub proposed_core_hours: f64,
-}
-
-/// Build the full overhead comparison over doubling node counts.
-pub fn overhead_series(
-    entry: &ClusterEntry,
-    collective: Collective,
-    node_counts: &[u32],
-    ppn: u32,
-    inference_seconds: f64,
-) -> Vec<OverheadRow> {
-    node_counts
-        .iter()
-        .map(|&n| OverheadRow {
-            nodes: n,
-            microbench_core_hours: microbench_core_hours_cumulative(entry, collective, n, ppn),
-            acclaim_core_hours: acclaim_core_hours(n, ppn),
-            proposed_core_hours: proposed_core_hours(inference_seconds),
-        })
-        .collect()
-}
-
-/// Convenience: total seconds the whole Table-I-style sweep would take on
-/// the machine (used to sanity-check the micro-benchmark numbers).
-pub fn sweep_seconds(entry: &ClusterEntry, collective: Collective, nodes: u32, ppn: u32) -> f64 {
-    let sweep = measure_sweep(
-        collective,
-        &entry.spec.node,
-        JobLayout::new(nodes, ppn),
-        &entry.msg_grid,
-    );
-    sweep.iter().flat_map(|s| s.iter().map(|(_, t)| t)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,19 +129,5 @@ mod tests {
     fn proposed_is_constant_in_node_count() {
         assert_eq!(proposed_core_hours(0.5), proposed_core_hours(0.5));
         assert!(proposed_core_hours(1.0) < 1e-3);
-    }
-
-    #[test]
-    fn series_has_expected_ordering() {
-        let mut e = by_name("RI2").unwrap().clone();
-        e.msg_grid = vec![64, 4096];
-        let rows = overhead_series(&e, Collective::Allgather, &[2, 8], 4, 0.2);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.proposed_core_hours < r.acclaim_core_hours);
-        }
-        assert!(rows[1].microbench_core_hours > rows[0].microbench_core_hours);
-        assert!(rows[1].acclaim_core_hours > rows[0].acclaim_core_hours);
-        assert_eq!(rows[0].proposed_core_hours, rows[1].proposed_core_hours);
     }
 }

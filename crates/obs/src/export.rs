@@ -6,16 +6,15 @@
 //! unsigned integers. Maps come from `BTreeMap`s, so key order — and
 //! therefore the whole document — is deterministic for a given snapshot.
 //!
-//! Schema (`"schema": "pml-obs/v2"`) — a strict superset of `pml-obs/v1`:
-//! every v1 key (`metrics_total`, `counters`, `gauges`, `histograms`,
-//! optional `spans`) is unchanged, and v2 adds `window_counters`,
-//! `window_histograms` (live-window aggregates from
-//! [`crate::window`], with bucket-bound `p50`/`p99` precomputed) and an
-//! always-present `events` section (sink depth and drop accounting):
+//! Schema `pml-obs/v3`: the metric count, one object per metric kind
+//! keyed by metric name, and the span aggregates when a [`SpanForest`] is
+//! supplied (tracing was enabled for the run). Every histogram, since-boot
+//! or windowed, carries the same five bucket fields; a windowed one adds
+//! its ring shape and bucket-bound `p50`/`p99`:
 //!
 //! ```json
 //! {
-//!   "schema": "pml-obs/v2",
+//!   "schema": "pml-obs/v3",
 //!   "metrics_total": 12,
 //!   "counters": {"tuner.cache.hit": 3},
 //!   "gauges": {"train.model.features": 5},
@@ -27,7 +26,7 @@
 //!     }
 //!   },
 //!   "window_counters": {
-//!     "serve.window.requests": {"slot_ns": 1000000000, "slots": 10, "total": 412}
+//!     "serve.window.errors": {"slot_ns": 1000000000, "slots": 10, "total": 2}
 //!   },
 //!   "window_histograms": {
 //!     "serve.stage.predict_ns": {
@@ -36,18 +35,15 @@
 //!       "overflow": 0, "sum": 1350, "count": 4, "p50": 250, "p99": 500
 //!     }
 //!   },
-//!   "events": {"buffered": 2, "dropped": 0, "info": 1, "warn": 1, "error": 0},
 //!   "spans": [
 //!     {"name": "table", "count": 1, "total_ns": 52000, "self_ns": 1000}
 //!   ]
 //! }
 //! ```
-//!
-//! The `spans` section is present only when a [`SpanForest`] is supplied
-//! (tracing was enabled for the run).
 
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
 use crate::trace::SpanForest;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escape a string for a JSON string literal.
@@ -80,108 +76,86 @@ fn write_u64_list(out: &mut String, values: &[u64]) {
     out.push(']');
 }
 
-/// Render a metrics snapshot (and optional span aggregates) as the
-/// `pml-obs/v2` JSON document (a strict superset of v1).
-pub fn metrics_json(snapshot: &MetricsSnapshot, spans: Option<&SpanForest>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"schema\": \"pml-obs/v2\",").ok();
-    writeln!(out, "  \"metrics_total\": {},", snapshot.total_metrics()).ok();
-
-    out.push_str("  \"counters\": {");
-    for (i, (name, v)) in snapshot.counters.iter().enumerate() {
+/// One metric kind's object: `,`, then `"<kind>": {` with one
+/// `"<name>": <value>` line per metric, rendered by `value`.
+fn section<V>(
+    out: &mut String,
+    kind: &str,
+    metrics: &BTreeMap<String, V>,
+    value: impl Fn(&mut String, &V),
+) {
+    write!(out, ",\n  \"{kind}\": {{").ok();
+    for (i, (name, v)) in metrics.iter().enumerate() {
         let sep = if i > 0 { "," } else { "" };
-        write!(out, "{sep}\n    \"{}\": {v}", escape(name)).ok();
+        write!(out, "{sep}\n    \"{}\": ", escape(name)).ok();
+        value(out, v);
     }
-    if !snapshot.counters.is_empty() {
+    if !metrics.is_empty() {
         out.push_str("\n  ");
     }
-    out.push_str("},\n");
+    out.push('}');
+}
 
-    out.push_str("  \"gauges\": {");
-    for (i, (name, v)) in snapshot.gauges.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        write!(out, "{sep}\n    \"{}\": {v}", escape(name)).ok();
-    }
-    if !snapshot.gauges.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"histograms\": {");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        write!(out, "{sep}\n    \"{}\": {{\"bounds\": ", escape(name)).ok();
-        write_u64_list(&mut out, &h.bounds);
-        out.push_str(", \"counts\": ");
-        write_u64_list(&mut out, &h.counts);
-        write!(
-            out,
-            ", \"overflow\": {}, \"sum\": {}, \"count\": {}}}",
-            h.overflow, h.sum, h.count
-        )
-        .ok();
-    }
-    if !snapshot.histograms.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"window_counters\": {");
-    for (i, (name, w)) in snapshot.window_counters.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        write!(
-            out,
-            "{sep}\n    \"{}\": {{\"slot_ns\": {}, \"slots\": {}, \"total\": {}}}",
-            escape(name),
-            w.slot_ns,
-            w.slots,
-            w.total
-        )
-        .ok();
-    }
-    if !snapshot.window_counters.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"window_histograms\": {");
-    for (i, (name, w)) in snapshot.window_histograms.iter().enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        write!(
-            out,
-            "{sep}\n    \"{}\": {{\"slot_ns\": {}, \"slots\": {}, \"bounds\": ",
-            escape(name),
-            w.slot_ns,
-            w.slots
-        )
-        .ok();
-        write_u64_list(&mut out, &w.bounds);
-        out.push_str(", \"counts\": ");
-        write_u64_list(&mut out, &w.counts);
-        write!(
-            out,
-            ", \"overflow\": {}, \"sum\": {}, \"count\": {}, \"p50\": {}, \"p99\": {}}}",
-            w.overflow,
-            w.sum,
-            w.count,
-            w.quantile(0.5),
-            w.quantile(0.99)
-        )
-        .ok();
-    }
-    if !snapshot.window_histograms.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("},\n");
-
-    let ev = &snapshot.events;
+/// The bucket fields every histogram carries.
+fn histogram_body(out: &mut String, h: &HistogramSnapshot) {
+    out.push_str("\"bounds\": ");
+    write_u64_list(out, &h.bounds);
+    out.push_str(", \"counts\": ");
+    write_u64_list(out, &h.counts);
     write!(
         out,
-        "  \"events\": {{\"buffered\": {}, \"dropped\": {}, \"info\": {}, \"warn\": {}, \"error\": {}}}",
-        ev.buffered, ev.dropped, ev.info, ev.warn, ev.error
+        ", \"overflow\": {}, \"sum\": {}, \"count\": {}",
+        h.overflow, h.sum, h.count
     )
     .ok();
+}
+
+/// Render a metrics snapshot (and optional span aggregates) as the
+/// `pml-obs/v3` JSON document.
+pub fn metrics_json(snapshot: &MetricsSnapshot, spans: Option<&SpanForest>) -> String {
+    let mut out = String::new();
+    out.push_str("{\n  \"schema\": \"pml-obs/v3\",\n");
+    write!(out, "  \"metrics_total\": {}", snapshot.total_metrics()).ok();
+    section(&mut out, "counters", &snapshot.counters, |out, v| {
+        write!(out, "{v}").ok();
+    });
+    section(&mut out, "gauges", &snapshot.gauges, |out, v| {
+        write!(out, "{v}").ok();
+    });
+    section(&mut out, "histograms", &snapshot.histograms, |out, h| {
+        out.push('{');
+        histogram_body(out, h);
+        out.push('}');
+    });
+    section(
+        &mut out,
+        "window_counters",
+        &snapshot.window_counters,
+        |out, w| {
+            let (slot_ns, slots, total) = (w.slot_ns, w.slots, w.total);
+            write!(
+                out,
+                "{{\"slot_ns\": {slot_ns}, \"slots\": {slots}, \"total\": {total}}}"
+            )
+            .ok();
+        },
+    );
+    section(
+        &mut out,
+        "window_histograms",
+        &snapshot.window_histograms,
+        |out, w| {
+            write!(
+                out,
+                "{{\"slot_ns\": {}, \"slots\": {}, ",
+                w.slot_ns, w.slots
+            )
+            .ok();
+            histogram_body(out, w);
+            let (p50, p99) = (w.quantile(0.5), w.quantile(0.99));
+            write!(out, ", \"p50\": {p50}, \"p99\": {p99}}}").ok();
+        },
+    );
 
     if let Some(forest) = spans {
         out.push_str(",\n  \"spans\": [");
@@ -210,13 +184,37 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, spans: Option<&SpanForest>) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventsSnapshot;
     use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
     use crate::trace::{SpanForest, SpanRecord};
     use crate::window::{WindowCounterSnapshot, WindowHistogramSnapshot};
 
     fn get<'a>(v: &'a serde_json::JsonValue, key: &str) -> &'a serde_json::JsonValue {
         v.get(key).unwrap_or_else(|| panic!("missing key `{key}`"))
+    }
+
+    fn u(v: &serde_json::JsonValue, field: &str) -> u64 {
+        get(v, field)
+            .as_u64()
+            .unwrap_or_else(|| panic!("{field} u64"))
+    }
+
+    /// The five bucket fields of an exported histogram, either kind.
+    fn histogram(h: &serde_json::JsonValue) -> HistogramSnapshot {
+        let nums = |field: &str| -> Vec<u64> {
+            get(h, field)
+                .as_array()
+                .expect("array")
+                .iter()
+                .map(|x| x.as_u64().expect("u64"))
+                .collect()
+        };
+        HistogramSnapshot {
+            bounds: nums("bounds"),
+            counts: nums("counts"),
+            overflow: u(h, "overflow"),
+            sum: u(h, "sum"),
+            count: u(h, "count"),
+        }
     }
 
     fn sample_snapshot() -> MetricsSnapshot {
@@ -235,7 +233,7 @@ mod tests {
             },
         );
         snap.window_counters.insert(
-            "serve.window.requests".into(),
+            "serve.window.errors".into(),
             WindowCounterSnapshot {
                 slot_ns: 1_000_000_000,
                 slots: 10,
@@ -247,20 +245,15 @@ mod tests {
             WindowHistogramSnapshot {
                 slot_ns: 1_000_000_000,
                 slots: 10,
-                bounds: vec![250, 500],
-                counts: vec![3, 1],
-                overflow: 0,
-                sum: 1350,
-                count: 4,
+                histogram: HistogramSnapshot {
+                    bounds: vec![250, 500],
+                    counts: vec![3, 1],
+                    overflow: 0,
+                    sum: 1350,
+                    count: 4,
+                },
             },
         );
-        snap.events = EventsSnapshot {
-            buffered: 2,
-            dropped: 7,
-            info: 1,
-            warn: 1,
-            error: 0,
-        };
         snap
     }
 
@@ -278,8 +271,9 @@ mod tests {
         let snap = sample_snapshot();
         let json = metrics_json(&snap, None);
         let v: serde_json::JsonValue = serde_json::from_str(&json).expect("valid JSON");
-        assert_eq!(get(&v, "schema").as_str(), Some("pml-obs/v2"));
+        assert_eq!(get(&v, "schema").as_str(), Some("pml-obs/v3"));
         assert_eq!(get(&v, "metrics_total").as_u64(), Some(6));
+        assert!(v.get("events").is_none());
 
         let mut back = MetricsSnapshot::default();
         for (k, val) in get(&v, "counters").as_object().expect("counters object") {
@@ -294,30 +288,8 @@ mod tests {
             .as_object()
             .expect("histograms object")
         {
-            let nums = |field: &str| -> Vec<u64> {
-                get(h, field)
-                    .as_array()
-                    .expect("array")
-                    .iter()
-                    .map(|x| x.as_u64().expect("u64"))
-                    .collect()
-            };
-            back.histograms.insert(
-                k.clone(),
-                HistogramSnapshot {
-                    bounds: nums("bounds"),
-                    counts: nums("counts"),
-                    overflow: get(h, "overflow").as_u64().expect("overflow"),
-                    sum: get(h, "sum").as_u64().expect("sum"),
-                    count: get(h, "count").as_u64().expect("count"),
-                },
-            );
+            back.histograms.insert(k.clone(), histogram(h));
         }
-        let u = |v: &serde_json::JsonValue, field: &str| -> u64 {
-            get(v, field)
-                .as_u64()
-                .unwrap_or_else(|| panic!("{field} u64"))
-        };
         for (k, w) in get(&v, "window_counters")
             .as_object()
             .expect("window_counters object")
@@ -335,37 +307,17 @@ mod tests {
             .as_object()
             .expect("window_histograms object")
         {
-            let nums = |field: &str| -> Vec<u64> {
-                get(w, field)
-                    .as_array()
-                    .expect("array")
-                    .iter()
-                    .map(|x| x.as_u64().expect("u64"))
-                    .collect()
-            };
             // The exported p50/p99 are derived, not state: they must agree
             // with a recomputation from the buckets.
             let rebuilt = WindowHistogramSnapshot {
                 slot_ns: u(w, "slot_ns"),
                 slots: u(w, "slots"),
-                bounds: nums("bounds"),
-                counts: nums("counts"),
-                overflow: u(w, "overflow"),
-                sum: u(w, "sum"),
-                count: u(w, "count"),
+                histogram: histogram(w),
             };
             assert_eq!(u(w, "p50"), rebuilt.quantile(0.5));
             assert_eq!(u(w, "p99"), rebuilt.quantile(0.99));
             back.window_histograms.insert(k.clone(), rebuilt);
         }
-        let ev = get(&v, "events");
-        back.events = EventsSnapshot {
-            buffered: u(ev, "buffered"),
-            dropped: u(ev, "dropped"),
-            info: u(ev, "info"),
-            warn: u(ev, "warn"),
-            error: u(ev, "error"),
-        };
         assert_eq!(back, snap);
     }
 

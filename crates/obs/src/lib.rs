@@ -1,7 +1,7 @@
 //! # pml-obs
 //!
 //! Zero-dependency observability for the selection stack: structured
-//! tracing, a metrics registry, and a leveled event sink.
+//! tracing and one metrics registry.
 //!
 //! The paper's headline claim is an *overhead* argument (constant-time
 //! inference vs. core-hours of micro-benchmarking), so the reproduction
@@ -19,17 +19,21 @@
 //!   Tracing is off by default and every disabled span is one atomic load.
 //! * [`metrics`] — named counters, gauges, and fixed-bucket histograms as
 //!   `static` items ([`metrics::Counter::new`] is `const`), registered
-//!   into a process-wide registry on first touch and exported as a sorted
-//!   [`metrics::MetricsSnapshot`].
+//!   into the one process-wide registry on first touch and exported as a
+//!   sorted [`metrics::MetricsSnapshot`].
 //! * [`window`] — windowed live metrics ([`window::WindowedCounter`],
 //!   [`window::WindowedHistogram`]): a ring of epoch-stamped slots rotated
 //!   by caller-supplied clock readings, so the serve daemon can answer
-//!   "p99 over the last 10 s" deterministically under a `FakeClock`.
-//! * [`events`] — leveled structured events replacing ad-hoc `eprintln!`
-//!   warnings. Emission buffers into a bounded global sink that the engine
-//!   (or the CLI) drains.
+//!   "p99 over the last 10 s" deterministically under a `FakeClock`. They
+//!   join the same registry, and a windowed histogram's slots are the
+//!   since-boot histogram's bucket store.
 //! * [`export`] — hand-rolled JSON rendering of the metrics snapshot and
-//!   aggregated span stats (`--metrics-out`); no serde, no dependencies.
+//!   aggregated span stats (`--metrics-out`, schema `pml-obs/v3`); no
+//!   serde, no dependencies.
+//!
+//! Diagnostics are not metrics: a damaged dataset cache, say, is reported
+//! as a warning string on the value that met it (`CacheLoad::warnings` in
+//! `pml-clusters`), and the caller prints it.
 //!
 //! Nothing in this crate feeds back into computation: metrics and spans
 //! are strictly write-only from the pipeline's point of view, which is
@@ -37,14 +41,12 @@
 //! `obs-determinism` CI lane) hold by construction.
 
 pub mod clock;
-pub mod events;
 pub mod export;
 pub mod metrics;
 pub mod trace;
 pub mod window;
 
 pub use clock::{Clock, FakeClock, MonotonicClock, NullClock};
-pub use events::{Event, EventsSnapshot, Level};
 pub use export::metrics_json;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, LATENCY_NS_BOUNDS, SIZE_BOUNDS,
@@ -77,20 +79,4 @@ macro_rules! span {
         )*
         __pml_obs_guard
     }};
-}
-
-/// Emit a leveled structured event into the global sink.
-///
-/// ```
-/// pml_obs::event!(Warn, "cache", "cache {}: corrupt, regenerating", "data/x.json");
-/// ```
-#[macro_export]
-macro_rules! event {
-    ($level:ident, $target:expr, $($fmt:tt)+) => {
-        $crate::events::emit($crate::Event::new(
-            $crate::Level::$level,
-            $target,
-            format!($($fmt)+),
-        ))
-    };
 }

@@ -21,6 +21,9 @@
 //! `train.tree.nodes`). Snapshots sort by name, so exported JSON is stable
 //! for a given set of touched metrics.
 
+use crate::window::{
+    WindowCounterSnapshot, WindowHistogramSnapshot, WindowedCounter, WindowedHistogram,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -31,20 +34,87 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// latencies are single-digit microseconds) with a little headroom.
 pub const MAX_BUCKETS: usize = 24;
 
-/// Recover from lock poisoning: metric state is plain atomics, so a panic
-/// elsewhere cannot leave it semantically inconsistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Recover from lock poisoning: metric and span state stays consistent
+/// whatever panicked while holding the lock.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 static REGISTRY: Mutex<Vec<MetricRef>> = Mutex::new(Vec::new());
 
-/// A registered metric: a `'static` reference to the declaring item.
+/// A registered metric of any kind: a `'static` reference to the
+/// declaring item.
 #[derive(Debug, Clone, Copy)]
-enum MetricRef {
+pub(crate) enum MetricRef {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
+    WindowedCounter(&'static WindowedCounter),
+    WindowedHistogram(&'static WindowedHistogram),
+}
+
+/// Put `metric` in the registry on its first touch, the one that flips
+/// `registered`; every later touch is a single load.
+pub(crate) fn register(registered: &AtomicBool, metric: MetricRef) {
+    if !registered.load(Ordering::Relaxed) && !registered.swap(true, Ordering::Relaxed) {
+        lock(&REGISTRY).push(metric);
+    }
+}
+
+/// The first [`MAX_BUCKETS`] of `bounds`: the ones a histogram uses.
+pub(crate) const fn capped(bounds: &'static [u64]) -> &'static [u64] {
+    if bounds.len() > MAX_BUCKETS {
+        bounds.split_at(MAX_BUCKETS).0
+    } else {
+        bounds
+    }
+}
+
+/// The bucket store of every histogram, since-boot or one windowed slot:
+/// a count per finite bound, the overflow count past the last, and the sum.
+#[derive(Debug)]
+pub(crate) struct Buckets {
+    counts: [AtomicU64; MAX_BUCKETS + 1],
+    sum: AtomicU64,
+}
+
+impl Buckets {
+    pub(crate) const fn new() -> Self {
+        Buckets {
+            counts: [const { AtomicU64::new(0) }; MAX_BUCKETS + 1],
+            sum: AtomicU64::new(0),
+        }
+    }
+
+    /// Count `value` in the first bucket whose bound is `>= value`, or in
+    /// overflow past the last.
+    pub(crate) fn record(&self, bounds: &[u64], value: u64) {
+        let idx = bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(bounds.len());
+        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    pub(crate) fn clear(&self) {
+        for c in &self.counts {
+            c.store(0, Ordering::Relaxed);
+        }
+        self.sum.store(0, Ordering::Relaxed);
+    }
+
+    /// Add these buckets into `snap`, whose `bounds` they were recorded
+    /// against.
+    pub(crate) fn add_to(&self, snap: &mut HistogramSnapshot) {
+        let load = |i: usize| self.counts[i].load(Ordering::Relaxed);
+        for (i, c) in snap.counts.iter_mut().enumerate() {
+            *c += load(i);
+        }
+        snap.overflow += load(snap.bounds.len());
+        snap.sum += self.sum.load(Ordering::Relaxed);
+        snap.count = snap.counts.iter().sum::<u64>() + snap.overflow;
+    }
 }
 
 /// Monotonically increasing event count.
@@ -73,9 +143,7 @@ impl Counter {
     }
 
     pub fn add(&'static self, n: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&REGISTRY).push(MetricRef::Counter(self));
-        }
+        register(&self.registered, MetricRef::Counter(self));
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -106,9 +174,7 @@ impl Gauge {
     }
 
     pub fn set(&'static self, v: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&REGISTRY).push(MetricRef::Gauge(self));
-        }
+        register(&self.registered, MetricRef::Gauge(self));
         self.value.store(v, Ordering::Relaxed);
     }
 
@@ -128,8 +194,7 @@ impl Gauge {
 pub struct Histogram {
     name: &'static str,
     bounds: &'static [u64],
-    counts: [AtomicU64; MAX_BUCKETS + 1],
-    sum: AtomicU64,
+    buckets: Buckets,
     registered: AtomicBool,
 }
 
@@ -137,9 +202,8 @@ impl Histogram {
     pub const fn new(name: &'static str, bounds: &'static [u64]) -> Self {
         Histogram {
             name,
-            bounds,
-            counts: [const { AtomicU64::new(0) }; MAX_BUCKETS + 1],
-            sum: AtomicU64::new(0),
+            bounds: capped(bounds),
+            buckets: Buckets::new(),
             registered: AtomicBool::new(false),
         }
     }
@@ -150,43 +214,24 @@ impl Histogram {
 
     /// The finite bucket bounds in use (capped at [`MAX_BUCKETS`]).
     pub fn bounds(&self) -> &'static [u64] {
-        &self.bounds[..self.bounds.len().min(MAX_BUCKETS)]
+        self.bounds
     }
 
     pub fn observe(&'static self, value: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&REGISTRY).push(MetricRef::Histogram(self));
-        }
-        let bounds = self.bounds();
-        let idx = bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        register(&self.registered, MetricRef::Histogram(self));
+        self.buckets.record(self.bounds, value);
     }
 
-    /// Per-bucket counts; the final element is the overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        let n = self.bounds().len();
-        (0..=n)
-            .map(|i| self.counts[i].load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.bucket_counts().iter().sum()
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+    /// Point-in-time copy of the buckets.
+    pub fn snap(&self) -> HistogramSnapshot {
+        let mut snap = HistogramSnapshot::empty(self.bounds);
+        self.buckets.add_to(&mut snap);
+        snap
     }
 }
 
 /// Point-in-time copy of one histogram, used in snapshots and exports.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Finite upper bounds, ascending.
     pub bounds: Vec<u64>,
@@ -199,11 +244,33 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    pub(crate) fn empty(bounds: &[u64]) -> Self {
+        HistogramSnapshot {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len()],
+            ..HistogramSnapshot::default()
+        }
+    }
+
     /// Bucket-bound quantile: the inclusive upper bound of the bucket
-    /// holding the `q`-th observation. See
-    /// [`crate::window::WindowHistogramSnapshot::quantile`].
+    /// holding the `q`-th observation (`0.0 < q <= 1.0`). Observations in
+    /// the overflow bucket report the last finite bound — an admitted
+    /// floor, visible as `overflow > 0`. Returns 0 for an empty histogram.
+    /// Integer state plus one multiply, so identical buckets give identical
+    /// quantiles.
     pub fn quantile(&self, q: f64) -> u64 {
-        crate::window::quantile_from_buckets(&self.bounds, &self.counts, self.count, q)
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cum = 0u64;
+        for (bound, c) in self.bounds.iter().zip(&self.counts) {
+            cum += c;
+            if cum >= rank {
+                return *bound;
+            }
+        }
+        self.bounds.last().copied().unwrap_or(0)
     }
 }
 
@@ -213,13 +280,10 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, u64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Windowed counters (`pml-obs/v2`): totals over the live window.
-    pub window_counters: BTreeMap<String, crate::window::WindowCounterSnapshot>,
-    /// Windowed histograms (`pml-obs/v2`): live-window bucket aggregates.
-    pub window_histograms: BTreeMap<String, crate::window::WindowHistogramSnapshot>,
-    /// Event-sink accounting (`pml-obs/v2`): always present, so sink
-    /// drops are visible even before the drop counter's first touch.
-    pub events: crate::events::EventsSnapshot,
+    /// Windowed counters: totals over the live window.
+    pub window_counters: BTreeMap<String, WindowCounterSnapshot>,
+    /// Windowed histograms: live-window bucket aggregates.
+    pub window_histograms: BTreeMap<String, WindowHistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -233,51 +297,32 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshot every metric touched so far, merged by name (duplicate
-/// counters sum; duplicate histograms with identical bounds merge
-/// bucket-wise; a duplicate gauge keeps the last registration's value).
+/// Snapshot every metric touched so far, sorted by name within its kind.
+/// A name registered twice reports its last-registered metric (the xtask
+/// `metric-collision` lint keeps the workspace free of such names).
 pub fn snapshot() -> MetricsSnapshot {
     let registry = lock(&REGISTRY).clone();
     let mut snap = MetricsSnapshot::default();
-    for m in registry {
-        match m {
-            MetricRef::Counter(c) => {
-                *snap.counters.entry(c.name.to_string()).or_insert(0) += c.get();
+    for metric in registry {
+        match metric {
+            MetricRef::Counter(m) => {
+                snap.counters.insert(m.name.to_string(), m.get());
             }
-            MetricRef::Gauge(g) => {
-                snap.gauges.insert(g.name.to_string(), g.get());
+            MetricRef::Gauge(m) => {
+                snap.gauges.insert(m.name.to_string(), m.get());
             }
-            MetricRef::Histogram(h) => {
-                let mut counts = h.bucket_counts();
-                let overflow = counts.pop().unwrap_or(0);
-                let fresh = HistogramSnapshot {
-                    bounds: h.bounds().to_vec(),
-                    counts,
-                    overflow,
-                    sum: h.sum(),
-                    count: h.count(),
-                };
-                match snap.histograms.entry(h.name.to_string()) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(fresh);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        let have = e.get_mut();
-                        if have.bounds == fresh.bounds {
-                            for (a, b) in have.counts.iter_mut().zip(&fresh.counts) {
-                                *a += b;
-                            }
-                            have.overflow += fresh.overflow;
-                            have.sum += fresh.sum;
-                            have.count += fresh.count;
-                        }
-                    }
-                }
+            MetricRef::Histogram(m) => {
+                snap.histograms.insert(m.name.to_string(), m.snap());
+            }
+            MetricRef::WindowedCounter(m) => {
+                snap.window_counters.insert(m.name().to_string(), m.snap());
+            }
+            MetricRef::WindowedHistogram(m) => {
+                snap.window_histograms
+                    .insert(m.name().to_string(), m.snap());
             }
         }
     }
-    crate::window::collect_into(&mut snap.window_counters, &mut snap.window_histograms);
-    snap.events = crate::events::events_snapshot();
     snap
 }
 
@@ -286,9 +331,7 @@ pub fn snapshot() -> MetricsSnapshot {
 /// Sub-millisecond values get power-of-two resolution (250 ns, 500 ns,
 /// 1 µs, 2 µs, … 500 µs) because that is where serve-path selection
 /// latencies live; above 1 ms the spacing widens to the original
-/// exponential ladder. Superset of the pre-serve 15-bound layout — the
-/// `pml-obs/v1` export shape (`bounds`/`counts`/`overflow`/`sum`/`count`)
-/// is unchanged, the arrays are just longer.
+/// exponential ladder.
 pub const LATENCY_NS_BOUNDS: [u64; 21] = [
     250,
     500,
@@ -367,8 +410,6 @@ mod tests {
         H.observe(1000); // bucket 2
         H.observe(1001); // overflow
         H.observe(u64::MAX); // overflow
-        assert_eq!(H.bucket_counts(), vec![2, 2, 2, 2]);
-        assert_eq!(H.count(), 8);
         let snap = snapshot();
         let hs = &snap.histograms["test.hist.bounds"];
         assert_eq!(hs.bounds, vec![10, 100, 1000]);
@@ -387,10 +428,10 @@ mod tests {
         assert_eq!(H.bounds().len(), MAX_BUCKETS);
         H.observe(MAX_BUCKETS as u64 + 1); // past the usable bounds -> overflow
         H.observe(MAX_BUCKETS as u64); // last usable bucket
-        let counts = H.bucket_counts();
-        assert_eq!(counts.len(), MAX_BUCKETS + 1);
-        assert_eq!(counts[MAX_BUCKETS - 1], 1);
-        assert_eq!(counts[MAX_BUCKETS], 1);
+        let snap = H.snap();
+        assert_eq!(snap.counts.len(), MAX_BUCKETS);
+        assert_eq!(snap.counts[MAX_BUCKETS - 1], 1);
+        assert_eq!(snap.overflow, 1);
     }
 
     /// The serve path observes µs-scale latencies: the shared latency
@@ -407,7 +448,7 @@ mod tests {
         H.observe(400);
         H.observe(3_000);
         H.observe(40_000);
-        let counts = H.bucket_counts();
+        let counts = H.snap().counts;
         assert_eq!(counts.iter().filter(|&&c| c == 1).count(), 3);
     }
 
@@ -416,7 +457,7 @@ mod tests {
         static H: Histogram = Histogram::new("test.hist.sum", &[5]);
         H.observe(2);
         H.observe(9);
-        assert_eq!(H.sum(), 11);
+        assert_eq!(H.snap().sum, 11);
     }
 
     #[test]
@@ -432,10 +473,30 @@ mod tests {
             }
         });
         assert_eq!(C.get(), 160_000);
-        assert_eq!(H.count(), 160_000);
+        let snap = H.snap();
+        assert_eq!(snap.count, 160_000);
         // 160k observations uniform over 0..16: 5 values per bucket of
         // width 5,4,4 and 3 overflow values (13,14,15).
-        assert_eq!(H.bucket_counts(), vec![50_000, 40_000, 40_000, 30_000]);
+        assert_eq!(snap.counts, vec![50_000, 40_000, 40_000]);
+        assert_eq!(snap.overflow, 30_000);
+    }
+
+    /// One rule for every kind: a name registered twice reports its
+    /// last-registered metric.
+    #[test]
+    fn a_duplicate_name_reports_its_last_registration() {
+        static FIRST: Counter = Counter::new("test.dup.counter");
+        static SECOND: Counter = Counter::new("test.dup.counter");
+        static H1: Histogram = Histogram::new("test.dup.hist", &[10]);
+        static H2: Histogram = Histogram::new("test.dup.hist", &[10]);
+        FIRST.add(3);
+        SECOND.add(5);
+        H1.observe(1);
+        H2.observe(1);
+        H2.observe(100);
+        let snap = snapshot();
+        assert_eq!(snap.counters["test.dup.counter"], 5);
+        assert_eq!(snap.histograms["test.dup.hist"].count, 2);
     }
 
     #[test]

@@ -13,20 +13,16 @@
 //! (the CLI, a test) calls [`Tracer::enable`] with a real clock.
 
 use crate::clock::{Clock, NullClock};
-use crate::metrics::Counter;
+use crate::metrics::{lock, Counter};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Spans recorded process-wide (visible in `--metrics-out` exports).
 static SPANS_RECORDED: Counter = Counter::new("obs.spans.recorded");
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One finished span.
 #[derive(Debug, Clone, PartialEq, Eq)]

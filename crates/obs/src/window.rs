@@ -21,15 +21,15 @@
 //! stream keeps its windows current in practice.
 //!
 //! Like the since-boot metrics in [`crate::metrics`], windowed metrics
-//! are `const`-constructible `static` items that self-register on first
-//! touch and appear in [`crate::metrics::snapshot`] under the
-//! `window_counters` / `window_histograms` sections of the `pml-obs/v2`
-//! export.
+//! are `const`-constructible `static` items that join the one registry on
+//! first touch and appear in [`crate::metrics::snapshot`] under
+//! `window_counters` / `window_histograms`. A windowed histogram's slots
+//! are the since-boot histogram's bucket store, so both bucket the same
+//! way and snapshot into the same [`HistogramSnapshot`] shape.
 
-use crate::metrics::MAX_BUCKETS;
-use std::collections::BTreeMap;
+use crate::metrics::{capped, register, Buckets, HistogramSnapshot, MetricRef};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of ring slots per windowed metric. With the default 1-second
 /// slot width this yields a 10-second live window.
@@ -38,86 +38,73 @@ pub const WINDOW_SLOTS: usize = 10;
 /// Default slot width: 1 second, so the default window spans 10 s.
 pub const DEFAULT_SLOT_NS: u64 = 1_000_000_000;
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-static WINDOW_REGISTRY: Mutex<Vec<WindowRef>> = Mutex::new(Vec::new());
-
-#[derive(Debug, Clone, Copy)]
-enum WindowRef {
-    Counter(&'static WindowedCounter),
-    Histogram(&'static WindowedHistogram),
-}
-
-/// One ring slot of a [`WindowedCounter`]: the epoch it currently covers
-/// (`0` = never written) and the count accumulated within that epoch.
+/// The ring both windowed kinds keep: [`WINDOW_SLOTS`] slots of `S`, each
+/// stamped with the epoch it covers (`0` = never written), and the newest
+/// epoch written.
 #[derive(Debug)]
-struct CounterSlot {
-    epoch: AtomicU64,
-    value: AtomicU64,
+struct Ring<S> {
+    slot_ns: u64,
+    slots: [(AtomicU64, S); WINDOW_SLOTS],
+    last_epoch: AtomicU64,
 }
 
-impl CounterSlot {
-    const fn new() -> Self {
-        CounterSlot {
-            epoch: AtomicU64::new(0),
-            value: AtomicU64::new(0),
+impl<S> Ring<S> {
+    const fn new(slot_ns: u64, slots: [(AtomicU64, S); WINDOW_SLOTS]) -> Self {
+        Ring {
+            slot_ns,
+            slots,
+            last_epoch: AtomicU64::new(0),
         }
     }
-}
 
-/// One ring slot of a [`WindowedHistogram`].
-#[derive(Debug)]
-struct HistogramSlot {
-    epoch: AtomicU64,
-    counts: [AtomicU64; MAX_BUCKETS + 1],
-    sum: AtomicU64,
-}
+    /// Width of one ring slot in nanoseconds (a zero width counts as 1).
+    fn slot_ns(&self) -> u64 {
+        self.slot_ns.max(1)
+    }
 
-impl HistogramSlot {
-    const fn new() -> Self {
-        HistogramSlot {
-            epoch: AtomicU64::new(0),
-            counts: [const { AtomicU64::new(0) }; MAX_BUCKETS + 1],
-            sum: AtomicU64::new(0),
+    /// The slot for clock reading `now_nanos`, rotated forward to its epoch
+    /// (emptied by `clear`) if it held an older one. `None` for a straggler
+    /// older than the slot's current tenant: it is dropped rather than
+    /// pollute a newer epoch.
+    ///
+    /// The rotation is not atomic with respect to concurrent writers: an
+    /// observation racing the emptying thread can be lost. Windowed metrics
+    /// are load-shedding telemetry, not ledgers, so a lost sample at a
+    /// rotation edge is acceptable; the deterministic tests drive rotations
+    /// single-threaded where the race cannot occur.
+    fn slot(&self, now_nanos: u64, clear: impl FnOnce(&S)) -> Option<&S> {
+        // `+ 1` keeps epoch 0 free as the "never written" stamp.
+        let epoch = now_nanos / self.slot_ns() + 1;
+        let (stamp, data) = &self.slots[(epoch % WINDOW_SLOTS as u64) as usize];
+        let cur = stamp.load(Ordering::Relaxed);
+        if cur < epoch
+            && stamp
+                .compare_exchange(cur, epoch, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        {
+            clear(data);
         }
+        // Whoever rotated, the slot is ours only if it now holds `epoch`.
+        if stamp.load(Ordering::Relaxed) != epoch {
+            return None;
+        }
+        if self.last_epoch.load(Ordering::Relaxed) < epoch {
+            self.last_epoch.fetch_max(epoch, Ordering::Relaxed);
+        }
+        Some(data)
     }
-}
 
-/// Epoch number for a clock reading. `+ 1` keeps `0` free as the
-/// "never written" sentinel in slot state.
-fn epoch_of(now_nanos: u64, slot_ns: u64) -> u64 {
-    now_nanos / slot_ns.max(1) + 1
-}
-
-/// Rotate `slot_epoch` forward to `epoch` if it is older, zeroing the
-/// slot via `reset`. Returns `false` when the observation is older than
-/// the slot's current tenant (a straggler beyond the window): the caller
-/// must drop it rather than pollute a newer slot.
-///
-/// The reset is not atomic with respect to concurrent writers: an
-/// observation racing the zeroing thread can be lost. Windowed metrics
-/// are load-shedding telemetry, not ledgers, so a lost sample at a
-/// rotation edge is acceptable; the deterministic tests drive rotations
-/// single-threaded where the race cannot occur.
-fn rotate(slot_epoch: &AtomicU64, epoch: u64, reset: impl FnOnce()) -> bool {
-    let cur = slot_epoch.load(Ordering::Relaxed);
-    if cur == epoch {
-        return true;
+    /// The slots of the live window: the [`WINDOW_SLOTS`] epochs ending at
+    /// the newest one written. Clock-free, so identical observation
+    /// sequences yield identical windows.
+    fn live(&self) -> impl Iterator<Item = &S> {
+        let last = self.last_epoch.load(Ordering::Relaxed);
+        let low = last.saturating_sub(WINDOW_SLOTS as u64 - 1).max(1);
+        self.slots
+            .iter()
+            .filter(move |(stamp, _)| (low..=last).contains(&stamp.load(Ordering::Relaxed)))
+            .map(|(_, data)| data)
     }
-    if cur > epoch {
-        return false;
-    }
-    if slot_epoch
-        .compare_exchange(cur, epoch, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        reset();
-    }
-    // On CAS failure another thread rotated (or a newer epoch won); fall
-    // through and re-check who owns the slot now.
-    slot_epoch.load(Ordering::Relaxed) == epoch
 }
 
 /// A counter over a sliding window: `total()` sums only the last
@@ -125,9 +112,7 @@ fn rotate(slot_epoch: &AtomicU64, epoch: u64, reset: impl FnOnce()) -> bool {
 #[derive(Debug)]
 pub struct WindowedCounter {
     name: &'static str,
-    slot_ns: u64,
-    slots: [CounterSlot; WINDOW_SLOTS],
-    last_epoch: AtomicU64,
+    ring: Ring<AtomicU64>,
     registered: AtomicBool,
 }
 
@@ -135,25 +120,16 @@ impl WindowedCounter {
     pub const fn new(name: &'static str, slot_ns: u64) -> Self {
         WindowedCounter {
             name,
-            slot_ns,
-            slots: [const { CounterSlot::new() }; WINDOW_SLOTS],
-            last_epoch: AtomicU64::new(0),
+            ring: Ring::new(
+                slot_ns,
+                [const { (AtomicU64::new(0), AtomicU64::new(0)) }; WINDOW_SLOTS],
+            ),
             registered: AtomicBool::new(false),
         }
     }
 
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// Width of one ring slot in nanoseconds.
-    pub fn slot_ns(&self) -> u64 {
-        self.slot_ns.max(1)
-    }
-
-    /// Total clock time the live window spans.
-    pub fn window_ns(&self) -> u64 {
-        self.slot_ns().saturating_mul(WINDOW_SLOTS as u64)
     }
 
     pub fn inc(&'static self, now_nanos: u64) {
@@ -163,57 +139,34 @@ impl WindowedCounter {
     /// Record `n` at clock reading `now_nanos` (from an injected
     /// [`Clock`](crate::clock::Clock) — this type never reads time).
     pub fn add(&'static self, n: u64, now_nanos: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&WINDOW_REGISTRY).push(WindowRef::Counter(self));
-        }
-        let epoch = epoch_of(now_nanos, self.slot_ns);
-        let slot = &self.slots[(epoch % WINDOW_SLOTS as u64) as usize];
-        if rotate(&slot.epoch, epoch, || {
-            slot.value.store(0, Ordering::Relaxed)
-        }) {
-            slot.value.fetch_add(n, Ordering::Relaxed);
-            self.last_epoch.fetch_max(epoch, Ordering::Relaxed);
+        register(&self.registered, MetricRef::WindowedCounter(self));
+        if let Some(value) = self.ring.slot(now_nanos, |v| v.store(0, Ordering::Relaxed)) {
+            value.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Sum over the live window (the [`WINDOW_SLOTS`] epochs ending at
-    /// the newest observation). Clock-free and deterministic.
+    /// Sum over the live window.
     pub fn total(&self) -> u64 {
-        let last = self.last_epoch.load(Ordering::Relaxed);
-        if last == 0 {
-            return 0;
-        }
-        let low = last.saturating_sub(WINDOW_SLOTS as u64 - 1).max(1);
-        self.slots
-            .iter()
-            .filter(|s| {
-                let e = s.epoch.load(Ordering::Relaxed);
-                e >= low && e <= last
-            })
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .sum()
+        self.ring.live().map(|v| v.load(Ordering::Relaxed)).sum()
     }
 
     /// Point-in-time copy for snapshots.
     pub fn snap(&self) -> WindowCounterSnapshot {
         WindowCounterSnapshot {
-            slot_ns: self.slot_ns(),
+            slot_ns: self.ring.slot_ns(),
             slots: WINDOW_SLOTS as u64,
             total: self.total(),
         }
     }
 }
 
-/// A fixed-bucket histogram over a sliding window. Bucket semantics
-/// match [`crate::metrics::Histogram`]: `bounds` are inclusive upper
-/// bounds, one implicit overflow bucket past the last.
+/// A fixed-bucket histogram over a sliding window, bucketing exactly like
+/// [`crate::metrics::Histogram`].
 #[derive(Debug)]
 pub struct WindowedHistogram {
     name: &'static str,
     bounds: &'static [u64],
-    slot_ns: u64,
-    slots: [HistogramSlot; WINDOW_SLOTS],
-    last_epoch: AtomicU64,
+    ring: Ring<Buckets>,
     registered: AtomicBool,
 }
 
@@ -221,10 +174,11 @@ impl WindowedHistogram {
     pub const fn new(name: &'static str, bounds: &'static [u64], slot_ns: u64) -> Self {
         WindowedHistogram {
             name,
-            bounds,
-            slot_ns,
-            slots: [const { HistogramSlot::new() }; WINDOW_SLOTS],
-            last_epoch: AtomicU64::new(0),
+            bounds: capped(bounds),
+            ring: Ring::new(
+                slot_ns,
+                [const { (AtomicU64::new(0), Buckets::new()) }; WINDOW_SLOTS],
+            ),
             registered: AtomicBool::new(false),
         }
     }
@@ -233,81 +187,36 @@ impl WindowedHistogram {
         self.name
     }
 
-    /// The finite bucket bounds in use (capped at [`MAX_BUCKETS`]).
+    /// The finite bucket bounds in use (capped at
+    /// [`MAX_BUCKETS`](crate::metrics::MAX_BUCKETS)).
     pub fn bounds(&self) -> &'static [u64] {
-        &self.bounds[..self.bounds.len().min(MAX_BUCKETS)]
-    }
-
-    /// Width of one ring slot in nanoseconds.
-    pub fn slot_ns(&self) -> u64 {
-        self.slot_ns.max(1)
+        self.bounds
     }
 
     /// Total clock time the live window spans.
     pub fn window_ns(&self) -> u64 {
-        self.slot_ns().saturating_mul(WINDOW_SLOTS as u64)
+        self.ring.slot_ns().saturating_mul(WINDOW_SLOTS as u64)
     }
 
     /// Record `value` at clock reading `now_nanos` (from an injected
     /// [`Clock`](crate::clock::Clock) — this type never reads time).
     pub fn observe(&'static self, value: u64, now_nanos: u64) {
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            lock(&WINDOW_REGISTRY).push(WindowRef::Histogram(self));
+        register(&self.registered, MetricRef::WindowedHistogram(self));
+        if let Some(buckets) = self.ring.slot(now_nanos, Buckets::clear) {
+            buckets.record(self.bounds, value);
         }
-        let epoch = epoch_of(now_nanos, self.slot_ns);
-        let slot = &self.slots[(epoch % WINDOW_SLOTS as u64) as usize];
-        let fresh = rotate(&slot.epoch, epoch, || {
-            for c in &slot.counts {
-                c.store(0, Ordering::Relaxed);
-            }
-            slot.sum.store(0, Ordering::Relaxed);
-        });
-        if !fresh {
-            return; // straggler older than the whole ring
-        }
-        let bounds = self.bounds();
-        let idx = bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(bounds.len());
-        slot.counts[idx].fetch_add(1, Ordering::Relaxed);
-        slot.sum.fetch_add(value, Ordering::Relaxed);
-        self.last_epoch.fetch_max(epoch, Ordering::Relaxed);
     }
 
-    /// Aggregate the live window into a snapshot. Clock-free: the window
-    /// is anchored at the newest epoch observed, so identical observation
-    /// sequences yield identical snapshots.
+    /// Aggregate the live window into a snapshot.
     pub fn snap(&self) -> WindowHistogramSnapshot {
-        let bounds = self.bounds().to_vec();
-        let n = bounds.len();
-        let mut counts = vec![0u64; n];
-        let mut overflow = 0u64;
-        let mut sum = 0u64;
-        let last = self.last_epoch.load(Ordering::Relaxed);
-        if last > 0 {
-            let low = last.saturating_sub(WINDOW_SLOTS as u64 - 1).max(1);
-            for slot in &self.slots {
-                let e = slot.epoch.load(Ordering::Relaxed);
-                if e < low || e > last {
-                    continue;
-                }
-                for (i, c) in counts.iter_mut().enumerate() {
-                    *c += slot.counts[i].load(Ordering::Relaxed);
-                }
-                overflow += slot.counts[n].load(Ordering::Relaxed);
-                sum += slot.sum.load(Ordering::Relaxed);
-            }
+        let mut histogram = HistogramSnapshot::empty(self.bounds);
+        for buckets in self.ring.live() {
+            buckets.add_to(&mut histogram);
         }
-        let count = counts.iter().sum::<u64>() + overflow;
         WindowHistogramSnapshot {
-            slot_ns: self.slot_ns(),
+            slot_ns: self.ring.slot_ns(),
             slots: WINDOW_SLOTS as u64,
-            bounds,
-            counts,
-            overflow,
-            sum,
-            count,
+            histogram,
         }
     }
 }
@@ -323,72 +232,23 @@ pub struct WindowCounterSnapshot {
     pub total: u64,
 }
 
-/// Point-in-time copy of one windowed histogram: the live-window
-/// aggregate in the same bucket shape as
-/// [`crate::metrics::HistogramSnapshot`].
+/// Point-in-time copy of one windowed histogram: the ring's shape and the
+/// live window's buckets. It derefs to those buckets, so `count`, `sum`
+/// and `quantile` read as on a since-boot [`HistogramSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowHistogramSnapshot {
     /// Width of one ring slot in nanoseconds.
     pub slot_ns: u64,
     /// Number of ring slots (the window spans `slot_ns * slots`).
     pub slots: u64,
-    /// Finite upper bounds, ascending.
-    pub bounds: Vec<u64>,
-    /// Per-bucket counts over the live window, index-aligned with
-    /// `bounds`.
-    pub counts: Vec<u64>,
-    /// Observations above the last bound.
-    pub overflow: u64,
-    pub sum: u64,
-    pub count: u64,
+    pub histogram: HistogramSnapshot,
 }
 
-impl WindowHistogramSnapshot {
-    /// Bucket-bound quantile: the inclusive upper bound of the bucket
-    /// holding the `q`-th observation (`0.0 < q <= 1.0`). Observations in
-    /// the overflow bucket report the last finite bound — an admitted
-    /// floor, visible as `overflow > 0`. Returns 0 for an empty window.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.bounds, &self.counts, self.count, q)
-    }
-}
+impl Deref for WindowHistogramSnapshot {
+    type Target = HistogramSnapshot;
 
-/// Shared quantile walk over cumulative bucket counts (used by both the
-/// windowed and since-boot histogram snapshots). Pure integer state plus
-/// one multiply, so the result is identical across runs for identical
-/// buckets.
-pub(crate) fn quantile_from_buckets(bounds: &[u64], counts: &[u64], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut cum = 0u64;
-    for (i, c) in counts.iter().enumerate() {
-        cum += c;
-        if cum >= rank {
-            return bounds.get(i).copied().unwrap_or(0);
-        }
-    }
-    // Rank landed in the overflow bucket: report the last finite bound.
-    bounds.last().copied().unwrap_or(0)
-}
-
-/// Copy every touched windowed metric into the two snapshot maps
-/// (called by [`crate::metrics::snapshot`]).
-pub(crate) fn collect_into(
-    counters: &mut BTreeMap<String, WindowCounterSnapshot>,
-    histograms: &mut BTreeMap<String, WindowHistogramSnapshot>,
-) {
-    let registry = lock(&WINDOW_REGISTRY).clone();
-    for m in registry {
-        match m {
-            WindowRef::Counter(c) => {
-                counters.insert(c.name.to_string(), c.snap());
-            }
-            WindowRef::Histogram(h) => {
-                histograms.insert(h.name.to_string(), h.snap());
-            }
-        }
+    fn deref(&self) -> &HistogramSnapshot {
+        &self.histogram
     }
 }
 
@@ -476,7 +336,7 @@ mod tests {
     fn zero_slot_width_is_clamped_not_divided_by() {
         static C: WindowedCounter = WindowedCounter::new("test.window.zeroslot", 0);
         C.add(4, 123);
-        assert_eq!(C.slot_ns(), 1);
+        assert_eq!(C.snap().slot_ns, 1);
         assert!(C.total() >= 1);
     }
 }

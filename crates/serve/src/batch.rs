@@ -329,9 +329,13 @@ pub(crate) mod tests {
     /// Single-row tests run beside the caller and land in ≤1, which is left
     /// out; the caller holds [`serial`].
     pub(crate) fn multi_row_flushes<T>(f: impl FnOnce() -> T) -> (T, [u64; 5]) {
-        let before = BATCH_ROWS.bucket_counts();
+        let counts = || {
+            let snap = BATCH_ROWS.snap();
+            [snap.counts, vec![snap.overflow]].concat()
+        };
+        let before = counts();
         let out = f();
-        let after = BATCH_ROWS.bucket_counts();
+        let after = counts();
         let mut delta = [0; 5];
         for (i, (a, b)) in after.iter().zip(&before).enumerate().skip(1) {
             delta[(i - 1).min(4)] += a - b;

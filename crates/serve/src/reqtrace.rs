@@ -78,16 +78,14 @@ pub static STAGE_SERIALIZE: WindowedHistogram = WindowedHistogram::new(
 pub static STAGE_REPLY: WindowedHistogram =
     WindowedHistogram::new("serve.stage.reply_ns", &LATENCY_NS_BOUNDS, DEFAULT_SLOT_NS);
 /// End-to-end daemon-side latency: frame taken from the read buffer → the
-/// write carrying its reply returned.
+/// write carrying its reply returned. Its live-window count is the number
+/// of requests finished within the window.
 pub static REQUEST_TOTAL: WindowedHistogram = WindowedHistogram::new(
     "serve.request.total_ns",
     &LATENCY_NS_BOUNDS,
     DEFAULT_SLOT_NS,
 );
 
-/// Requests finished within the live window.
-pub static WINDOW_REQUESTS: WindowedCounter =
-    WindowedCounter::new("serve.window.requests", DEFAULT_SLOT_NS);
 /// Error replies within the live window.
 pub static WINDOW_ERRORS: WindowedCounter =
     WindowedCounter::new("serve.window.errors", DEFAULT_SLOT_NS);
@@ -209,7 +207,7 @@ pub const SLOW_RING_CAP: usize = 64;
 /// Bounded ring of the most recent slow requests (newest kept, oldest
 /// evicted). `captured` counts every capture ever, so eviction is
 /// visible as `captured > len`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SlowRing {
     entries: Mutex<VecDeque<SlowRequest>>,
     captured: AtomicU64,
@@ -220,13 +218,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl SlowRing {
-    pub const fn new() -> Self {
-        SlowRing {
-            entries: Mutex::new(VecDeque::new()),
-            captured: AtomicU64::new(0),
-        }
-    }
-
     pub fn push(&self, slow: SlowRequest) {
         self.captured.fetch_add(1, Ordering::Relaxed);
         let mut entries = lock(&self.entries);
@@ -247,12 +238,6 @@ impl SlowRing {
     }
 }
 
-impl Default for SlowRing {
-    fn default() -> Self {
-        SlowRing::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +253,7 @@ mod tests {
 
     #[test]
     fn slow_ring_is_bounded_and_newest_first() {
-        let ring = SlowRing::new();
+        let ring = SlowRing::default();
         for i in 0..(SLOW_RING_CAP as u64 + 10) {
             ring.push(slow(i, 1_000 + i));
         }

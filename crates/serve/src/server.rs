@@ -8,12 +8,13 @@
 //! every `predict` it has read before it waits for any answer, so one
 //! client's pipelined predicts coalesce into one batch, and a lone one is
 //! still answered at once. Nothing wakes up to look at a flag: connection
-//! threads block in `read` and `write` with no timeout, and shutdown
+//! threads block in `read` and `write` with no timeout (a `watch` stream's
+//! read times out at its next tick), and shutdown
 //! (SIGTERM/SIGINT via [`crate::signal`], a `shutdown` frame, or an accept
 //! error) closes what they wait on. Every live socket is shut down, so a
-//! blocked read sees EOF and a blocked write `EPIPE`, a `watch` stream's
-//! wait ends, the threads are joined and the socket file is removed — a
-//! supervisor sees exit code 0.
+//! blocked read — a `watch` stream's wait for its next tick included —
+//! sees EOF and a blocked write `EPIPE`, the threads are joined and the
+//! socket file is removed — a supervisor sees exit code 0.
 //!
 //! Artifact directory layout (`--model DIR`):
 //!
@@ -30,7 +31,7 @@ use crate::protocol::{self, Op, ProtoError, Request};
 use crate::quality::{QualityMonitor, QualitySample};
 use crate::reqtrace::{
     RequestCounts, RequestTrace, SlowRequest, SlowRing, REQUEST_TOTAL, WINDOW_ERRORS,
-    WINDOW_OVER_P50, WINDOW_OVER_P99, WINDOW_REQUESTS,
+    WINDOW_OVER_P50, WINDOW_OVER_P99,
 };
 use crate::slo::SloTargets;
 use crate::watch;
@@ -42,17 +43,17 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, Weak};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::Duration;
 
-/// How long the accept loop waits for the stop signal before it looks at
-/// `term` again. `term` is a plain flag that a signal handler or an
-/// embedding thread sets; `signal(2)` restarts a blocked `accept`, and
-/// without `libc` nothing else can wake one for that flag. A `shutdown`
-/// frame ends the wait at once.
+/// How long the accept loop sleeps before it looks at `term` and the
+/// `shutdown` frame's flag again. `term` is a plain flag that a signal
+/// handler or an embedding thread sets; `signal(2)` restarts a blocked
+/// `accept`, and without `libc` nothing else can wake one for that flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Request-observability configuration: stage tracing, the slow-request
@@ -151,7 +152,8 @@ pub(crate) struct Shared {
     batcher: Batcher,
     /// Which collectives have a loaded model (for `stats`).
     pub(crate) model_coverage: Vec<Collective>,
-    stop: Stop,
+    /// Set by a `shutdown` frame; the accept loop polls it beside `term`.
+    stopping: AtomicBool,
     pub(crate) counts: RequestCounts,
     clock: Arc<dyn Clock>,
     /// Immutable after bind: whether requests carry a [`RequestTrace`].
@@ -170,41 +172,16 @@ impl Shared {
             tuner: artifacts.tuner,
             model_coverage: artifacts.models.keys().copied().collect(),
             batcher: Batcher::new(artifacts.models, batch, batch_trace),
-            stop: Stop::default(),
+            stopping: AtomicBool::new(false),
             counts: RequestCounts::default(),
             clock,
             trace_requests: obs.trace_requests,
             slow_threshold_ns: obs.slow_threshold_ns,
-            slow_ring: SlowRing::new(),
+            slow_ring: SlowRing::default(),
             slo: obs.slo,
             quality: (obs.quality_sample > 0)
                 .then(|| QualityMonitor::new(obs.quality_sample, obs.quality_cluster)),
         }
-    }
-}
-
-/// The daemon's stop signal, set by a `shutdown` frame or by
-/// [`Server::run`]'s teardown and waited on by the accept loop and by
-/// `watch` streams.
-#[derive(Default)]
-struct Stop {
-    stopped: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl Stop {
-    fn set(&self) {
-        *self.stopped.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.wake.notify_all();
-    }
-
-    /// Wait at most `limit` for the signal. Returns whether it is set.
-    fn wait(&self, limit: Duration) -> bool {
-        let stopped = self.stopped.lock().unwrap_or_else(PoisonError::into_inner);
-        let waited = self
-            .wake
-            .wait_timeout_while(stopped, limit, |stopped| !*stopped);
-        *waited.unwrap_or_else(PoisonError::into_inner).0
     }
 }
 
@@ -254,8 +231,8 @@ impl Server {
     /// Accept until `term` (e.g. the SIGTERM flag from
     /// [`crate::signal::install_termination_flag`]) is set, a `shutdown`
     /// frame arrives or `accept` fails. Every way out takes the same
-    /// teardown: set the stop signal, shut down every live connection's
-    /// socket, join the connection threads, remove the socket file.
+    /// teardown: shut down every live connection's socket, join the
+    /// connection threads, remove the socket file.
     ///
     /// A connection thread that panicked makes this panic once the others
     /// are joined.
@@ -275,16 +252,15 @@ impl Server {
                         scope.spawn(move || Conn::new(shared, stream).run());
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if shared.stop.wait(POLL_INTERVAL) || term.load(Ordering::SeqCst) {
+                        std::thread::sleep(POLL_INTERVAL);
+                        if shared.stopping.load(Ordering::SeqCst) || term.load(Ordering::SeqCst) {
                             break Ok(());
                         }
                     }
                     Err(e) => break Err(e),
                 }
             };
-            // Wakes `watch` waits; a blocked read returns EOF and a blocked
-            // write `EPIPE`.
-            shared.stop.set();
+            // A blocked read returns EOF and a blocked write `EPIPE`.
             for stream in live.iter().filter_map(Weak::upgrade) {
                 stream.shutdown(Shutdown::Both).ok();
             }
@@ -309,9 +285,10 @@ const OUT_FLUSH_BYTES: usize = 64 << 10;
 
 /// One connection. Each wake-up is one `read`; every complete frame in the
 /// buffer is answered in order and the partial tail waits for the next
-/// read. A `predict` is queued with the batcher and its answer collected
-/// later (see [`Conn::settle`]), so the predicts of a pipelined burst share
-/// one batch while a lone one is still answered at once. Replies collect in
+/// read; a `watch` stream reads between its ticks too (see [`Conn::wait`]).
+/// A `predict` is queued with the batcher and its answer collected later
+/// (see [`Conn::settle`]), so the predicts of a pipelined burst share one
+/// batch while a lone one is still answered at once. Replies collect in
 /// `out` and leave in one `write_all` right before the thread blocks or the
 /// connection ends, so a burst that arrived in one read is answered in one
 /// write and nothing is held across a blocking call.
@@ -323,6 +300,9 @@ struct Conn<'a> {
     pending: Vec<(RequestTrace, bool)>,
     /// Queued predicts whose replies are not in `out` yet, in request order.
     in_flight: Vec<InFlight>,
+    /// The read buffer; `buf[..tail]` is read (see [`Conn::run`]).
+    buf: Vec<u8>,
+    tail: usize,
 }
 
 /// A `predict` the batcher has queued: what its reply needs once the answer
@@ -344,6 +324,8 @@ impl<'a> Conn<'a> {
             out: Vec::new(),
             pending: Vec::new(),
             in_flight: Vec::new(),
+            buf: vec![0u8; MAX_FRAME_BYTES],
+            tail: 0,
         }
     }
 
@@ -351,16 +333,17 @@ impl<'a> Conn<'a> {
     /// thread as one of those: [`Server::run`] shuts the socket down.
     fn run(&mut self) {
         // `buf[head..tail]` is read but unanswered, and holds no newline
-        // before `seen`. `skipping` is set inside an over-long frame, whose
-        // bytes are dropped up to its newline.
-        let mut buf = vec![0u8; MAX_FRAME_BYTES];
-        let (mut head, mut seen, mut tail, mut skipping) = (0, 0, 0, false);
+        // before `seen`; a `watch` may read more past `tail` while it is
+        // answered. `skipping` is set inside an over-long frame, whose bytes
+        // are dropped up to its newline.
+        let (mut head, mut seen, mut skipping) = (0, 0, false);
         loop {
-            while let Some(len) = buf
-                .get(seen..tail)
+            while let Some(len) = self
+                .buf
+                .get(seen..self.tail)
                 .and_then(|b| b.iter().position(|&c| c == b'\n'))
             {
-                let frame = buf.get(head..seen + len).unwrap_or(&[]);
+                let frame = head..seen + len;
                 head = seen + len + 1;
                 seen = head;
                 if !std::mem::take(&mut skipping) && !self.answer(frame) {
@@ -368,33 +351,34 @@ impl<'a> Conn<'a> {
                 }
             }
             if head > 0 {
-                buf.copy_within(head..tail, 0);
+                self.buf.copy_within(head..self.tail, 0);
             }
-            (head, tail) = (0, tail - head);
-            if tail == buf.len() {
+            (head, self.tail) = (0, self.tail - head);
+            if self.tail == self.buf.len() {
                 if !std::mem::replace(&mut skipping, true) {
                     self.shared.counts.next_id();
                     let msg = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
                     let err = ProtoError::new(protocol::ErrorKind::Parse, msg);
                     self.reject(None, &err, None);
                 }
-                tail = 0;
+                self.tail = 0;
             }
-            seen = tail;
+            seen = self.tail;
             // Nothing is left to answer: settle, flush, and only then block.
             if !self.settle() || !self.flush() {
                 return;
             }
-            match (&*self.stream).read(buf.get_mut(tail..).unwrap_or(&mut [])) {
+            let room = self.buf.get_mut(self.tail..).unwrap_or(&mut []);
+            match (&*self.stream).read(room) {
                 // EOF. A frame truncated mid-line by the disconnect is still
                 // answered (typed error or not) before closing.
                 Ok(0) => {
-                    if (skipping || self.answer(buf.get(..tail).unwrap_or(&[]))) && self.settle() {
+                    if (skipping || self.answer(0..self.tail)) && self.settle() {
                         self.flush();
                     }
                     return;
                 }
-                Ok(n) => tail += n,
+                Ok(n) => self.tail += n,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
@@ -451,8 +435,8 @@ impl<'a> Conn<'a> {
     /// trace (when tracing is on), dispatch, append the reply — or, for a
     /// `predict`, queue it to be settled later. With tracing off no clock is
     /// read. Returns whether the connection stays open.
-    fn answer(&mut self, frame: &[u8]) -> bool {
-        let frame = protocol::trim_frame(frame);
+    fn answer(&mut self, frame: Range<usize>) -> bool {
+        let frame = protocol::trim_frame(self.buf.get(frame).unwrap_or(&[]));
         if frame.is_empty() {
             return true; // blank keep-alive line
         }
@@ -529,7 +513,7 @@ impl<'a> Conn<'a> {
                 self.sent(trace, false);
                 self.flush();
                 // Only now: the teardown shuts this socket down too.
-                shared.stop.set();
+                shared.stopping.store(true, Ordering::SeqCst);
                 return false;
             }
         }
@@ -639,10 +623,41 @@ impl<'a> Conn<'a> {
                 return false;
             }
             if count > 0 && seq >= count {
-                return true;
+                return self.stream.set_read_timeout(None).is_ok();
             }
-            if self.shared.stop.wait(Duration::from_millis(interval)) {
+            if !self.wait(interval) {
                 return false;
+            }
+        }
+    }
+
+    /// Wait `interval_ms` for the next `watch` tick by reading the socket;
+    /// what arrives is answered after the watch, in order. Returns `false`
+    /// when the connection ends: at EOF (the client hung up, or the
+    /// teardown shut the socket down), on a transport error, or with the
+    /// read buffer full.
+    fn wait(&mut self, interval_ms: u64) -> bool {
+        let clock = &self.shared.clock;
+        let deadline = clock
+            .now_nanos()
+            .saturating_add(interval_ms.saturating_mul(1_000_000));
+        loop {
+            let left = deadline.saturating_sub(clock.now_nanos());
+            let room = self.buf.get_mut(self.tail..).unwrap_or(&mut []);
+            if left == 0 || room.is_empty() {
+                return left == 0;
+            }
+            let mut stream = &*self.stream;
+            let timeout = Some(Duration::from_nanos(left));
+            let read = stream
+                .set_read_timeout(timeout)
+                .and_then(|()| stream.read(room));
+            match read.map_err(|e| e.kind()) {
+                Ok(0) => return false,
+                Ok(n) => self.tail += n,
+                // A timeout is the next tick.
+                Err(io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {}
+                Err(_) => return false,
             }
         }
     }
@@ -668,7 +683,6 @@ fn serialized(shared: &Shared, trace: &mut Option<RequestTrace>, since: u64) {
 fn finish_trace(shared: &Shared, mut tr: RequestTrace, is_error: bool, now: u64) {
     let total = now.saturating_sub(tr.started_ns);
     REQUEST_TOTAL.observe(total, now);
-    WINDOW_REQUESTS.inc(now);
     if is_error {
         WINDOW_ERRORS.inc(now);
     }
@@ -790,7 +804,9 @@ mod tests {
     fn handle(shared: &Shared, line: &str) -> (String, bool) {
         let (ours, theirs) = UnixStream::pair().unwrap();
         let mut conn = Conn::new(shared, Arc::new(ours));
-        let stop = !(conn.answer(line.as_bytes()) && conn.settle() && conn.flush());
+        conn.buf[..line.len()].copy_from_slice(line.as_bytes());
+        conn.tail = line.len();
+        let stop = !(conn.answer(0..line.len()) && conn.settle() && conn.flush());
         drop(conn);
         let mut reply = String::new();
         Client::from(theirs).recv(&mut reply).unwrap();
@@ -842,7 +858,7 @@ mod tests {
         let shared = test_shared();
         let (reply, stop) = handle(&shared, r#"{"v":"pml-serve/v1","op":"shutdown"}"#);
         assert!(stop);
-        assert!(shared.stop.wait(Duration::ZERO));
+        assert!(shared.stopping.load(Ordering::SeqCst));
         let v: Value = serde_json::from_str(&reply).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
     }
@@ -1119,6 +1135,57 @@ mod tests {
         for mut client in watchers {
             assert!(!client.recv(&mut String::new()).unwrap(), "stream ended");
         }
+    }
+
+    fn watch_frame(interval_ms: u64, count: u64) -> String {
+        format!(
+            "{{\"v\":\"pml-serve/v1\",\"id\":5,\"op\":\"watch\",\"interval_ms\":{interval_ms},\"count\":{count}}}"
+        )
+    }
+
+    /// A ping pipelined behind a finite watch, in the same write or while
+    /// the watch waits for its next tick, is answered after the last tick.
+    #[test]
+    fn a_finite_watch_and_a_pipelined_ping_are_answered_in_order() {
+        let daemon = Daemon::boot("watch-pipelined", None);
+        let mut client = daemon.connect();
+        for (interval_ms, count) in [(0, 3), (50, 2)] {
+            client
+                .send(&format!("{}\n{PING}", watch_frame(interval_ms, count)))
+                .unwrap();
+            for seq in 1..=count {
+                let tick = read_reply(&mut client);
+                assert_eq!(tick.get("seq").and_then(Value::as_u64), Some(seq));
+            }
+            let pong = read_reply(&mut client);
+            assert_eq!(pong.get("id").and_then(Value::as_u64), Some(77));
+        }
+        client.send(&watch_frame(200, 2)).unwrap();
+        let first = read_reply(&mut client);
+        assert_eq!(first.get("seq").and_then(Value::as_u64), Some(1));
+        client.send(PING).unwrap();
+        let second = read_reply(&mut client);
+        assert_eq!(second.get("seq").and_then(Value::as_u64), Some(2));
+        let pong = read_reply(&mut client);
+        assert_eq!(pong.get("id").and_then(Value::as_u64), Some(77));
+        daemon.stop();
+    }
+
+    /// A client that hangs up while its watch waits for the next tick, ten
+    /// minutes or `u64::MAX` milliseconds away, ends the stream and its
+    /// connection at once: the daemon closes its end.
+    #[test]
+    fn a_watch_ends_when_its_client_hangs_up() {
+        let daemon = Daemon::boot("watch-hangup", None);
+        for (interval_ms, count) in [(600_000, 0), (u64::MAX, 2)] {
+            let mut client = daemon.connect();
+            client.send(&watch_frame(interval_ms, count)).unwrap();
+            let tick = read_reply(&mut client);
+            assert_eq!(tick.get("seq").and_then(Value::as_u64), Some(1));
+            client.stream().shutdown(Shutdown::Write).unwrap();
+            assert!(!client.recv(&mut String::new()).unwrap(), "stream ended");
+        }
+        daemon.stop();
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::client::Client;
 use crate::protocol::{collective_wire_name, encode_request, Op, Request};
 use crate::reqtrace::{
     stage_histogram, REQUEST_TOTAL, SLOW_RING_CAP, STAGE_NAMES, WINDOW_ERRORS, WINDOW_OVER_P50,
-    WINDOW_OVER_P99, WINDOW_REQUESTS,
+    WINDOW_OVER_P99,
 };
 use crate::server::Shared;
 use pml_collectives::Collective;
@@ -57,7 +57,7 @@ pub(crate) fn tick(shared: &Shared, seq: u64) -> Vec<(String, Value)> {
         ]);
         Some((name.to_string(), stage))
     });
-    let requests = WINDOW_REQUESTS.total();
+    let requests = REQUEST_TOTAL.snap().count;
     let slo = shared.slo.as_ref().map_or(Value::Null, |t| {
         let (over_p50, over_p99) = (WINDOW_OVER_P50.total(), WINDOW_OVER_P99.total());
         object(vec![

@@ -6,10 +6,13 @@
 # frame nested 200 deep, an unknown cluster, a job of 65536 x 65536 ranks
 # (the daemon must answer with typed errors, never drop the connection) — fires a short loadgen burst,
 # round-trips the `watch` op
-# (stage ladder, SLO burn, quality monitor), then SIGTERMs the daemon while
-# an endless `watch` waits a minute for its next tick and an idle client
-# holds a connection, and asserts a clean shutdown within 5 s: exit code 0,
-# the socket file removed and the `watch` ended.
+# (stage ladder, SLO burn, quality monitor), kills a `watch` client whose
+# next tick is ten minutes away and asserts that the daemon is back to its
+# idle thread count within 1 s, then SIGTERMs the daemon while an endless
+# `watch` waits a minute for its next tick and an idle client holds a
+# connection, and asserts a clean shutdown within 5 s: exit code 0, the
+# socket file removed, and the `watch` and the idle client ended within 1 s
+# of the daemon.
 # Any mismatch exits nonzero. ci.sh runs this lane on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -160,15 +163,44 @@ expect "watch select stage"  'select'           "$watch_out"
 expect "watch slo burn"      'slo: p99 target'  "$watch_out"
 expect "watch quality line"  'quality: 1-in-1'  "$watch_out"
 
-echo "==> clean shutdown on SIGTERM, a minute before the next watch tick"
-"$bin" watch --socket "$sock" --interval-ms 60000 >"$work/watch.log" 2>&1 &
-watch_pid=$!
-sleep 60 | "$bin" client --socket "$sock" >/dev/null 2>&1 &
-for _ in $(seq 1 100); do
-    grep -q "tick 1:" "$work/watch.log" && break
+# `threads`: the daemon's thread count; `settled_threads`: the same, once two
+# readings 100 ms apart agree.
+threads() { awk '/^Threads:/ { print $2 }' "/proc/$pid/status"; }
+settled_threads() {
+    local now next
+    now=$(threads)
+    while sleep 0.1; next=$(threads); [[ $next != "$now" ]]; do now=$next; done
+    echo "$now"
+}
+
+# `start_watch <interval-ms> <log>`: an endless `watch` whose first tick is
+# out; sets `watch_pid`.
+start_watch() {
+    "$bin" watch --socket "$sock" --interval-ms "$1" >"$2" 2>&1 &
+    watch_pid=$!
+    for _ in $(seq 1 100); do
+        grep -q "tick 1:" "$2" && return 0
+        sleep 0.05
+    done
+    fail "endless watch printed no first tick"
+}
+
+echo "==> a killed watch client leaves no daemon thread behind"
+idle=$(settled_threads)
+start_watch 600000 "$work/abandoned.log"
+[[ $(threads) -gt $idle ]] || fail "no connection thread for the watch (idle $idle)"
+kill -KILL "$watch_pid"
+wait "$watch_pid" 2>/dev/null || true
+for _ in $(seq 1 20); do
+    [[ $(threads) -eq $idle ]] && break
     sleep 0.05
 done
-grep -q "tick 1:" "$work/watch.log" || fail "endless watch printed no first tick"
+[[ $(threads) -eq $idle ]] || fail "daemon has $(threads) threads 1 s after the watch client died (idle $idle)"
+
+echo "==> clean shutdown on SIGTERM, a minute before the next watch tick"
+start_watch 60000 "$work/watch.log"
+sleep 60 | "$bin" client --socket "$sock" >/dev/null 2>&1 &
+client_pid=$!
 kill -TERM "$pid"
 ends_within "$pid" 5 || fail "daemon still running 5 s after SIGTERM"
 rc=0
@@ -176,6 +208,7 @@ wait "$pid" || rc=$?
 [[ $rc -eq 0 ]] || fail "daemon exited $rc on SIGTERM (want 0)"
 [[ -S "$sock" ]] && fail "socket file survived shutdown"
 ends_within "$watch_pid" 1 || fail "watch still running after the daemon exited"
+ends_within "$client_pid" 1 || fail "idle client still running 1 s after the daemon exited"
 wait "$watch_pid" || fail "watch exited nonzero when the daemon stopped: $(cat "$work/watch.log")"
 grep -q "clean shutdown" "$work/serve.log" || fail "daemon log missing clean-shutdown line"
 

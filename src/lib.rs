@@ -15,8 +15,8 @@
 //!   generation;
 //! - [`core`] — feature extraction, training pipeline, selectors, tuning
 //!   tables, and the [`SelectionEngine`] facade;
-//! - [`obs`] — structured tracing, the metrics registry, and the leveled
-//!   event sink behind `--trace` / `--metrics-out`;
+//! - [`obs`] — structured tracing and the metrics registry behind
+//!   `--trace` / `--metrics-out`;
 //! - [`apps`] — mini-app communication patterns used for end-to-end
 //!   evaluation;
 //! - [`serve`] — the selection path as a daemon: NDJSON over a Unix

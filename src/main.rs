@@ -4,7 +4,7 @@
 //!
 //! Two global options work on every subcommand: `--trace` renders the span
 //! tree (per-stage total/self times) to stderr after the command finishes,
-//! and `--metrics-out FILE` writes the `pml-obs/v2` metrics JSON document.
+//! and `--metrics-out FILE` writes the `pml-obs/v3` metrics JSON document.
 //! Both are observability-only: the tracer is enabled here at the CLI edge
 //! with a monotonic clock, and artifacts stay byte-identical with or
 //! without them (the `obs-determinism` CI lane holds that line).
@@ -50,62 +50,33 @@ fn main() {
     }
 }
 
+type Subcommand = fn(&[String]) -> Result<(), Box<dyn Error>>;
+
+/// Dispatch to a subcommand, inside its `cmd.<name>` root span.
 fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
-    match args.first().map(String::as_str) {
+    let (span, cmd): (&'static str, Subcommand) = match args.first().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => {
             print_help();
-            Ok(())
+            return Ok(());
         }
-        Some("zoo") => {
-            let _span = span!("cmd.zoo");
-            cmd_zoo()
+        Some("zoo") => ("cmd.zoo", |_| cmd_zoo()),
+        Some("dataset") => ("cmd.dataset", cmd_dataset),
+        Some("train") => ("cmd.train", cmd_train),
+        Some("predict") => ("cmd.predict", cmd_predict),
+        Some("table") => ("cmd.table", cmd_table),
+        Some("compare") => ("cmd.compare", cmd_compare),
+        Some("verify") => ("cmd.verify", cmd_verify),
+        Some("stats") => ("cmd.stats", cmd_stats),
+        Some("serve") => ("cmd.serve", cmd_serve),
+        Some("loadgen") => ("cmd.loadgen", cmd_loadgen),
+        Some("client") => ("cmd.client", cmd_client),
+        Some("watch") => ("cmd.watch", cmd_watch),
+        Some(other) => {
+            return Err(format!("unknown subcommand {other:?} — run `pml-mpi help`").into())
         }
-        Some("dataset") => {
-            let _span = span!("cmd.dataset");
-            cmd_dataset(&args[1..])
-        }
-        Some("train") => {
-            let _span = span!("cmd.train");
-            cmd_train(&args[1..])
-        }
-        Some("predict") => {
-            let _span = span!("cmd.predict");
-            cmd_predict(&args[1..])
-        }
-        Some("table") => {
-            let _span = span!("cmd.table");
-            cmd_table(&args[1..])
-        }
-        Some("compare") => {
-            let _span = span!("cmd.compare");
-            cmd_compare(&args[1..])
-        }
-        Some("verify") => {
-            let _span = span!("cmd.verify");
-            cmd_verify(&args[1..])
-        }
-        Some("stats") => {
-            let _span = span!("cmd.stats");
-            cmd_stats(&args[1..])
-        }
-        Some("serve") => {
-            let _span = span!("cmd.serve");
-            cmd_serve(&args[1..])
-        }
-        Some("loadgen") => {
-            let _span = span!("cmd.loadgen");
-            cmd_loadgen(&args[1..])
-        }
-        Some("client") => {
-            let _span = span!("cmd.client");
-            cmd_client(&args[1..])
-        }
-        Some("watch") => {
-            let _span = span!("cmd.watch");
-            cmd_watch(&args[1..])
-        }
-        Some(other) => Err(format!("unknown subcommand {other:?} — run `pml-mpi help`").into()),
-    }
+    };
+    let _span = span!(span);
+    cmd(&args[1..])
 }
 
 /// Global observability flags, stripped before subcommand dispatch so the
@@ -201,7 +172,7 @@ SUBCOMMANDS:
 
 GLOBAL OPTIONS (any subcommand):
   --trace              print the span tree (stage timings) to stderr on exit
-  --metrics-out FILE   write the pml-obs/v2 metrics JSON document to FILE
+  --metrics-out FILE   write the pml-obs/v3 metrics JSON document to FILE
 
 COMMON OPTIONS:
   --cache-dir DIR   dataset cache directory (default: ./data when present)
@@ -905,9 +876,9 @@ struct CostsCell {
 }
 
 /// Observability showcase: drive a small dataset → train → table → tuner
-/// pipeline and dump everything the instrumentation collected — drained
-/// events, the metrics registry, and (via `main`'s exit path) the span
-/// tree. Tracing is always on for this subcommand.
+/// pipeline and dump everything the instrumentation collected — the
+/// dataset cache's warnings, the metrics registry, and (via `main`'s exit
+/// path) the span tree. Tracing is always on for this subcommand.
 fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
     let opts = Opts::parse(args, &["cache-dir", "cluster"], &["no-cache"])?;
     let coll = match opts.positional.as_slice() {
@@ -931,12 +902,11 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
     let cells = table.len();
     println!("{cluster} {coll}: {cells} table cells; probes by fallback depth: {depths:?}");
 
-    // Events the pipeline emitted (cache recoveries and the like) — the
-    // structured view behind `SelectionEngine::warnings()`.
-    let events = obs::events::drain();
-    println!("\nEVENTS ({}):", events.len());
-    for e in &events {
-        println!("  {e}");
+    // The dataset loads' warnings (cache recoveries), one line each.
+    let warnings = engine.warnings();
+    println!("\nEVENTS ({}):", warnings.len());
+    for w in &warnings {
+        println!("  [warn] cache: {w}");
     }
 
     let snap = obs::metrics::snapshot();
@@ -1028,19 +998,41 @@ fn cmd_client(args: &[String]) -> Result<(), Box<dyn Error>> {
     use std::io::BufRead;
     let opts = Opts::parse(args, &["socket"], &[])?;
     let mut client = Client::connect(opts.socket()?)?;
-    let mut reply = String::new();
-    for line in std::io::stdin().lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        client.send(&line)?;
-        if !client.recv(&mut reply)? {
-            return Err("daemon closed the connection".into());
-        }
+    let mut sender = Client::from(client.stream().try_clone()?);
+    // Replies are read here and frames sent from a thread of their own, so
+    // the daemon's hang-up ends the client even while stdin is idle (the
+    // thread is left detached in a stdin read nothing can interrupt). At
+    // stdin's end it reports how many frames it sent, then half-closes: the
+    // daemon answers them all and closes its end.
+    let (ended, stdin_end) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let sent = (|| -> std::io::Result<usize> {
+            let mut sent = 0;
+            for line in std::io::stdin().lock().lines() {
+                let line = line?;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                sent += 1;
+                if sender.send(&line).is_err() {
+                    break; // the daemon is gone, as the reads will find
+                }
+            }
+            Ok(sent)
+        })();
+        ended.send(sent).ok();
+        sender.stream().shutdown(std::net::Shutdown::Write).ok();
+    });
+    let (mut reply, mut received) = (String::new(), 0);
+    while client.recv(&mut reply)? {
         print!("{reply}");
+        received += 1;
     }
-    Ok(())
+    match stdin_end.try_recv() {
+        Ok(Ok(sent)) if received >= sent => Ok(()),
+        Ok(Err(e)) => Err(e.into()),
+        _ => Err("daemon closed the connection".into()),
+    }
 }
 
 /// `watch`: stream live daemon observability snapshots to the terminal.
