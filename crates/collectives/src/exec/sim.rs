@@ -321,14 +321,15 @@ pub fn run(schedule: &CommSchedule, layout: JobLayout, cost: &CostModel) -> SimR
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algo::{Algorithm, Collective};
     use crate::schedcheck::oracle::corpus;
     use crate::schedule::{Region, ScheduleBuilder};
     use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, NodeSpec, PcieVersion};
 
-    fn test_node() -> NodeSpec {
+    /// The node the crate's unit tests price schedules on.
+    pub(crate) fn test_node() -> NodeSpec {
         NodeSpec {
             cpu: CpuSpec {
                 model: "t".into(),

@@ -52,6 +52,7 @@ pub(crate) use graph::{match_messages, Messages};
 use crate::algo::{Algorithm, Collective};
 use crate::schedule::{Buf, CommSchedule, Op, Region};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Version string every on-disk schedule document must carry.
@@ -458,6 +459,43 @@ pub fn sweep_grid(max_world: u32, sizes: &[usize]) -> Vec<(Algorithm, u32, usize
         }
     }
     out
+}
+
+/// A grid sweep's outcome: how many cells of each algorithm passed, keyed
+/// by algorithm name, and each cell that failed with why, in sweep order.
+#[derive(Debug)]
+pub struct GridTally<E> {
+    pub passed: BTreeMap<&'static str, usize>,
+    pub failed: Vec<((Algorithm, u32, usize), E)>,
+}
+
+impl<E> GridTally<E> {
+    /// Run `check` on every [`sweep_grid`] cell.
+    pub fn sweep(
+        max_world: u32,
+        sizes: &[usize],
+        mut check: impl FnMut(Algorithm, u32, usize) -> Result<(), E>,
+    ) -> Self {
+        let (mut passed, mut failed) = (BTreeMap::new(), Vec::new());
+        for (algo, p, size) in sweep_grid(max_world, sizes) {
+            match check(algo, p, size) {
+                Ok(()) => *passed.entry(algo.name()).or_default() += 1,
+                Err(e) => failed.push(((algo, p, size), e)),
+            }
+        }
+        GridTally { passed, failed }
+    }
+
+    /// The cells swept.
+    pub fn cells(&self) -> usize {
+        self.passed.values().sum::<usize>() + self.failed.len()
+    }
+}
+
+/// Statically verify every cell of the standard grid (`pml-mpi verify
+/// --schedules` with no files).
+pub fn check_grid(max_world: u32, sizes: &[usize]) -> GridTally<SchedError> {
+    GridTally::sweep(max_world, sizes, check_algorithm)
 }
 
 #[cfg(test)]

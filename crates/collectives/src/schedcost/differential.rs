@@ -15,10 +15,11 @@
 //! `pml-mpi verify --costs` runs this over the full grid and CI holds
 //! the per-collective top-1 rate above its threshold.
 
-use super::analytic::rank_static;
+use super::analytic::{poly_for, rank_static};
 use crate::algo::{Algorithm, Collective};
 use crate::exec::sim;
 use crate::measure::measure_sweep;
+use crate::schedcheck::GridTally;
 use pml_simnet::{CostModel, JobLayout, NodeSpec};
 use std::collections::BTreeMap;
 
@@ -127,6 +128,14 @@ pub fn cell_layout(p: u32) -> JobLayout {
     }
 }
 
+/// Derive the cost polynomial of every schedcheck grid cell statically
+/// (`pml-mpi verify --costs`' first pass); a cell without one fails.
+pub fn derive_grid(max_world: u32, sizes: &[usize]) -> GridTally<()> {
+    GridTally::sweep(max_world, sizes, |algo, p, size| {
+        poly_for(algo, cell_layout(p), size).map(drop).ok_or(())
+    })
+}
+
 /// Run the differential over the schedcheck grid (`sweep_grid(max_world,
 /// sizes)` cells, grouped by (collective, world, size)) on one node
 /// type. The static side never executes a schedule; the simulated side
@@ -193,24 +202,7 @@ pub fn sim_time(algo: Algorithm, node: &NodeSpec, layout: JobLayout, msg: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, PcieVersion};
-
-    fn test_node() -> NodeSpec {
-        NodeSpec {
-            cpu: CpuSpec {
-                model: "t".into(),
-                family: CpuFamily::IntelXeon,
-                max_clock_ghz: 2.7,
-                l3_cache_mib: 38.5,
-                mem_bw_gbs: 140.0,
-                cores: 28,
-                threads: 56,
-                sockets: 2,
-                numa_nodes: 2,
-            },
-            nic: InterconnectSpec::new(HcaGeneration::Edr, PcieVersion::Gen3),
-        }
-    }
+    use crate::exec::sim::tests::test_node;
 
     #[test]
     fn spearman_of_identical_order_is_one() {

@@ -157,24 +157,7 @@ pub fn cached_params(node: &NodeSpec, ppn: u32) -> CostParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, PcieVersion};
-
-    fn test_node() -> NodeSpec {
-        NodeSpec {
-            cpu: CpuSpec {
-                model: "t".into(),
-                family: CpuFamily::IntelXeon,
-                max_clock_ghz: 2.7,
-                l3_cache_mib: 38.5,
-                mem_bw_gbs: 140.0,
-                cores: 28,
-                threads: 56,
-                sockets: 2,
-                numa_nodes: 2,
-            },
-            nic: InterconnectSpec::new(HcaGeneration::Edr, PcieVersion::Gen3),
-        }
-    }
+    use crate::exec::sim::tests::test_node;
 
     #[test]
     fn fitted_params_are_sane_and_ordered() {

@@ -47,7 +47,7 @@ mod fit;
 
 pub use analytic::{best_static, cost_for, poly_for, rank_static};
 pub use differential::{
-    cell_layout, differential_report, sim_time, DiffCell, DiffReport, TOP1_BAR_PERCENT,
+    cell_layout, derive_grid, differential_report, sim_time, DiffCell, DiffReport, TOP1_BAR_PERCENT,
 };
 pub use extract::{doc_cost, extract_poly};
 pub use fit::{cached_params, fit_params};

@@ -22,6 +22,13 @@ pub struct TableEntry {
     pub algorithm: Algorithm,
 }
 
+impl TableEntry {
+    /// The grid point, which entries are ordered and matched by.
+    fn key(&self) -> (u32, u32, u64) {
+        (self.nodes, self.ppn, self.msg_size)
+    }
+}
+
 /// A per-(cluster, collective) tuning table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TuningTable {
@@ -40,7 +47,9 @@ impl TuningTable {
     }
 
     /// Insert or replace the entry for a grid point. Rejects algorithms of
-    /// a different collective than the table's.
+    /// a different collective than the table's. A point past the last
+    /// entry's, as when a table is built in order, is appended without a
+    /// scan.
     pub fn insert(
         &mut self,
         nodes: u32,
@@ -54,11 +63,12 @@ impl TuningTable {
                 got: algorithm.collective(),
             });
         }
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.nodes == nodes && e.ppn == ppn && e.msg_size == msg_size)
-        {
+        let key = (nodes, ppn, msg_size);
+        let found = match self.entries.last() {
+            Some(last) if last.key() < key => None,
+            _ => self.entries.iter_mut().find(|e| e.key() == key),
+        };
+        match found {
             Some(e) => e.algorithm = algorithm,
             None => self.entries.push(TableEntry {
                 nodes,
@@ -103,11 +113,6 @@ impl TuningTable {
         }
         Ok(table)
     }
-
-    /// Sort entries for stable output (nodes, ppn, msg).
-    pub fn normalize(&mut self) {
-        self.entries.sort_by_key(|e| (e.nodes, e.ppn, e.msg_size));
-    }
 }
 
 /// One axis value on the log scale the nearest-bucket distance is taken in.
@@ -147,8 +152,8 @@ impl TableIndex {
     pub fn new(entries: &[TableEntry]) -> Self {
         let mut keyed: Vec<(usize, &TableEntry)> = entries.iter().enumerate().collect();
         // Stable, so of a repeated key `dedup` keeps the entry listed first.
-        keyed.sort_by_key(|&(_, e)| (e.nodes, e.ppn, e.msg_size));
-        keyed.dedup_by_key(|&mut (_, e)| (e.nodes, e.ppn, e.msg_size));
+        keyed.sort_by_key(|&(_, e)| e.key());
+        keyed.dedup_by_key(|&mut (_, e)| e.key());
         let mut shapes = Vec::<Shape>::new();
         for (at, (_, e)) in keyed.iter().enumerate() {
             match shapes.last_mut() {
@@ -316,8 +321,7 @@ mod tests {
     fn cross_collective_json_rejected() {
         // A table whose declared collective disagrees with its entries must
         // not deserialize into an inconsistent value.
-        let mut t = table();
-        t.normalize();
+        let t = table();
         let json = t
             .to_json()
             .unwrap()
@@ -328,8 +332,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let mut t = table();
-        t.normalize();
+        let t = table();
         let back = TuningTable::from_json(&t.to_json().unwrap()).unwrap();
         assert_eq!(t, back);
     }

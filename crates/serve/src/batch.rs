@@ -12,7 +12,7 @@
 //! never waits for more — the queue fills while the worker predicts, so
 //! concurrent submitters coalesce and a lone one is answered at once. One
 //! connection's pipelined `predict`s coalesce as well: it enqueues every
-//! one it has read before it waits for any answer (see [`crate::server`]),
+//! one it has read before it waits for any answer (see [`crate::conn`]),
 //! so a burst that arrived in one read is answered by one flush.
 //!
 //! Only answerable work is queued: [`Batcher::submit`] and its
@@ -110,7 +110,14 @@ impl Batcher {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
         let clock = trace.clone();
         let max_batch = cfg.max_batch;
-        let worker = std::thread::spawn(move || work(&rx, max_batch, clock.as_deref()));
+        // Block for the first item, take what else is already queued, flush
+        // — waiting for more is never worth a lone request's time. It ends
+        // when the Batcher drops its sender.
+        let worker = std::thread::spawn(move || {
+            while let Ok(first) = rx.recv() {
+                drain(first, &rx, max_batch, clock.as_deref());
+            }
+        });
         Batcher {
             models,
             tx: Some(tx),
@@ -179,15 +186,6 @@ impl Batcher {
 /// The answer to a lookup whose worker exited before answering.
 pub(crate) fn worker_gone() -> ProtoError {
     ProtoError::new(ErrorKind::Internal, "batch worker is gone")
-}
-
-/// The worker loop: block for the first item, take what else is already
-/// queued, flush — waiting for more is never worth a lone request's time.
-/// Returns when every sender (the Batcher) is gone.
-fn work(rx: &mpsc::Receiver<WorkItem>, max_batch: usize, clock: Option<&dyn Clock>) {
-    while let Ok(first) = rx.recv() {
-        drain(first, rx, max_batch, clock);
-    }
 }
 
 /// Flush `first` together with what is already queued behind it, up to
@@ -321,7 +319,7 @@ pub(crate) mod tests {
     static FLUSHES: Mutex<()> = Mutex::new(());
 
     pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
-        FLUSHES.lock().unwrap_or_else(|e| e.into_inner())
+        crate::reqtrace::lock(&FLUSHES)
     }
 
     /// Run `f` and count the flushes of more than one row it caused, by

@@ -23,12 +23,10 @@
 //!   read a reply line) the CLI and the tests share;
 //! * [`watch`] — the `watch` tick and `stats` reply: built from the
 //!   daemon's state, read off a socket, rendered for a terminal;
-//! * [`server`] — artifact loading and the accept loop: per-connection
-//!   threads over a shared [`pml_core::Tuner`] that answer a burst of
-//!   frames per read and write its replies before they block, clean
-//!   shutdown on SIGTERM or the `shutdown` op (every live socket shut
-//!   down, so no connection thread stays blocked; threads joined, socket
-//!   file removed);
+//! * [`server`] — artifact loading, the accept loop (a thread per
+//!   connection) and clean shutdown on SIGTERM or the `shutdown` op;
+//! * [`conn`] — one connection: framing, dispatch, the `predict` settle,
+//!   the reply flush and the `watch` wait;
 //! * [`reqtrace`] — request-level stage attribution: every request gets a
 //!   monotonic id and (when tracing is on) timestamps through
 //!   parse → select / queue-wait → batch-assembly → predict → serialize →
@@ -43,6 +41,7 @@
 
 pub mod batch;
 pub mod client;
+pub mod conn;
 pub mod protocol;
 pub mod quality;
 pub mod reqtrace;

@@ -23,20 +23,17 @@
 //! job shape into a bounded channel (full channel → sample dropped and
 //! counted, never blocked). The scoring thread does the analytic work.
 
+use crate::reqtrace::lock;
 use pml_collectives::{schedcost, Algorithm, Collective};
 use pml_core::{AnalyticSelector, FallbackDepth, JobConfig};
 use pml_simnet::JobLayout;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Bound on samples in flight to the scoring thread.
 const SAMPLE_QUEUE_DEPTH: usize = 1024;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One sampled decision, as served.
 #[derive(Debug, Clone)]

@@ -213,7 +213,8 @@ pub struct SlowRing {
     captured: AtomicU64,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock `m`, taking the guard back from a thread that panicked holding it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -5,7 +5,7 @@
 //! cargo xtask lint --list               # print every current violation, exit 0
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
-//! cargo xtask verify-costs              # static cost polynomials vs simnet + pinned rankings
+//! cargo xtask verify-costs              # static cost polynomials vs simnet virtual time
 //! ```
 
 use std::path::PathBuf;
@@ -198,27 +198,20 @@ fn cmd_verify_schedules(args: &[String]) -> Result<(), String> {
 
 /// Static cost-analysis lane: `pml-mpi verify --costs` derives the
 /// symbolic α-β-γ polynomial of every schedcheck grid cell with zero
-/// schedule execution, holds the analytic ranking against simnet
-/// virtual time at ≥90% top-1 agreement per collective, and pins the
-/// committed known-good rankings so silent cost-model drift fails CI
-/// even while agreement stays above the bar.
+/// schedule execution and holds the analytic ranking against simnet
+/// virtual time at the per-collective top-1 agreement bar. The committed
+/// known-good rankings, which catch cost-model drift that stays above the
+/// bar, are pinned by `tests/schedcost_golden.rs` on every `cargo test`.
 fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
     if let Some(bad) = args.first() {
         return Err(format!("unknown verify-costs flag `{bad}`"));
     }
-    let root = find_root()?;
-    let fixture = root
-        .join("tests/fixtures/costs/ri_ranking.json")
-        .display()
-        .to_string();
     let mut c = Command::new("cargo");
-    c.current_dir(&root)
+    c.current_dir(find_root()?)
         .args(["run", "--release", "-q", "-p", "pml-mpi", "--"])
-        .args(["verify", "--costs", "--cluster", "RI", "--expect", &fixture]);
+        .args(["verify", "--costs", "--cluster", "RI"]);
     run(c, "cost differential")?;
-    println!(
-        "verify-costs: polynomials derived statically, differential >=90%, pinned rankings stable"
-    );
+    println!("verify-costs: polynomials derived statically, differential at the top-1 bar");
     Ok(())
 }
 

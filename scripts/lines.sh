@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Print the line counts CHANGES.md and ROADMAP.md quote: each crate's shipped
-# lines, then the workspace `.rs` total under `crates src tests examples`.
+# lines, the shipped lines of the two files ROADMAP item 8 budgets, then the
+# workspace `.rs` total under `crates src tests examples`.
 # A crate's shipped lines are those of every `.rs` file under its `src/`, each
 # counted up to its first `#[cfg(test)]` at column 0. A test-only module file
 # (one whose `mod` declaration sits under a column-0 `#[cfg(test)]`, with or
 # without a `#[path]` attribute) is not shipped and not counted. The root
-# package is `src`.
+# package is `src`. A single file is counted the same way.
 # Usage: scripts/lines.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,8 +43,8 @@ shipped() {
         awk '{ s += $1 } END { print s + 0 }'
 }
 
-for src in crates/*/src src; do
-    printf '%-18s %6d\n' "${src%/src}" "$(shipped "$src")"
+for src in crates/*/src src src/main.rs crates/serve/src/server.rs; do
+    printf '%-26s %6d\n' "${src%/src}" "$(shipped "$src")"
 done
-printf '%-18s %6d\n' "workspace .rs" \
+printf '%-26s %6d\n' "workspace .rs" \
     "$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"

@@ -1,13 +1,10 @@
 //! `pml-mpi` — command-line front end for the selection framework: the
-//! offline → online lifecycle, one subcommand per step (`pml-mpi help`
-//! lists them).
-//!
-//! Two global options work on every subcommand: `--trace` renders the span
-//! tree (per-stage total/self times) to stderr after the command finishes,
-//! and `--metrics-out FILE` writes the `pml-obs/v3` metrics JSON document.
-//! Both are observability-only: the tracer is enabled here at the CLI edge
-//! with a monotonic clock, and artifacts stay byte-identical with or
-//! without them (the `obs-determinism` CI lane holds that line).
+//! offline → online lifecycle, one subcommand per step. [`SUBCOMMANDS`]
+//! declares each one and [`GLOBAL`] the flags every subcommand takes;
+//! `help`, the usage errors and the flags accepted all come from there.
+//! The global flags are observability-only: the tracer is enabled here at
+//! the CLI edge with a monotonic clock, and artifacts stay byte-identical
+//! with or without them (the `obs-determinism` CI lane holds that line).
 //!
 //! Argument parsing is hand rolled (the build is offline — no clap); every
 //! user error surfaces as a message on stderr and exit code 1, never a
@@ -18,7 +15,7 @@ use pml_mpi::obs;
 use pml_mpi::obs::span;
 use pml_mpi::serve::{encode_request, watch, Client, Op, Request};
 use pml_mpi::{
-    by_name, detect_node, Algorithm, AlgorithmSelector, Collective, EngineConfig, JobConfig,
+    by_name, detect_node, AlgorithmSelector, Collective, DatagenConfig, EngineConfig, JobConfig,
     MvapichDefault, NodeSpec, OpenMpiDefault, PretrainedModel, SelectionEngine, Tuner,
     FEATURE_NAMES,
 };
@@ -29,213 +26,165 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (args, obs_opts) = match extract_obs_opts(&raw) {
-        Ok(split) => split,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = Opts::parse(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
     // `stats` is the observability showcase: it always traces, flags or not.
-    let stats_run = args.first().is_some_and(|a| a == "stats");
-    if obs_opts.enabled() || stats_run {
+    let stats_run = opts.cmd.name() == "stats";
+    if opts.has("trace") || opts.has("metrics-out") || stats_run {
         obs::tracer().enable(std::sync::Arc::new(obs::MonotonicClock::new()));
     }
-    let result = run(&args);
-    finish_obs(&obs_opts, stats_run);
+    let result = {
+        let _span = span!(opts.cmd.span);
+        (opts.cmd.run)(&opts)
+    };
+    finish_obs(&opts, stats_run);
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
-type Subcommand = fn(&[String]) -> Result<(), Box<dyn Error>>;
-
-/// Dispatch to a subcommand, inside its `cmd.<name>` root span.
-fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let (span, cmd): (&'static str, Subcommand) = match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => {
-            print_help();
-            return Ok(());
-        }
-        Some("zoo") => ("cmd.zoo", |_| cmd_zoo()),
-        Some("dataset") => ("cmd.dataset", cmd_dataset),
-        Some("train") => ("cmd.train", cmd_train),
-        Some("predict") => ("cmd.predict", cmd_predict),
-        Some("table") => ("cmd.table", cmd_table),
-        Some("compare") => ("cmd.compare", cmd_compare),
-        Some("verify") => ("cmd.verify", cmd_verify),
-        Some("stats") => ("cmd.stats", cmd_stats),
-        Some("serve") => ("cmd.serve", cmd_serve),
-        Some("loadgen") => ("cmd.loadgen", cmd_loadgen),
-        Some("client") => ("cmd.client", cmd_client),
-        Some("watch") => ("cmd.watch", cmd_watch),
-        Some(other) => {
-            return Err(format!("unknown subcommand {other:?} — run `pml-mpi help`").into())
-        }
-    };
-    let _span = span!(span);
-    cmd(&args[1..])
+/// One subcommand: its root span `cmd.<name>` (the name is what follows
+/// `cmd.`), what follows the name in `help` and in its usage error, a
+/// one-line summary, its flags, and the function that runs it.
+struct Subcommand {
+    span: &'static str,
+    synopsis: &'static str,
+    summary: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Opts) -> Result<(), Box<dyn Error>>,
 }
 
-/// Global observability flags, stripped before subcommand dispatch so the
-/// per-subcommand parsers never see them.
-struct ObsOpts {
-    trace: bool,
-    metrics_out: Option<String>,
+/// One `--flag`: its name, what its value stands for in `help` (empty for
+/// a switch, which takes no value), and its help text (a `\n` continues
+/// it on the next line; `{bar}` is the top-1 agreement bar).
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
 }
 
-impl ObsOpts {
-    fn enabled(&self) -> bool {
-        self.trace || self.metrics_out.is_some()
+const fn flag(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag { name, value, help }
+}
+
+impl Subcommand {
+    fn name(&self) -> &'static str {
+        self.span.trim_start_matches("cmd.")
+    }
+
+    fn usage(&self) -> String {
+        let line = format!("pml-mpi {} {}", self.name(), self.synopsis);
+        line.trim_end().to_string()
     }
 }
 
-/// Split `--trace` / `--metrics-out FILE` (or `--metrics-out=FILE`) out of
-/// the raw argument list; everything else passes through untouched.
-fn extract_obs_opts(args: &[String]) -> Result<(Vec<String>, ObsOpts), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut opts = ObsOpts {
-        trace: false,
-        metrics_out: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--trace" {
-            opts.trace = true;
-        } else if a == "--metrics-out" {
-            let v = it
-                .next()
-                .cloned()
-                .ok_or_else(|| "--metrics-out needs a value".to_string())?;
-            opts.metrics_out = Some(v);
-        } else if let Some(v) = a.strip_prefix("--metrics-out=") {
-            opts.metrics_out = Some(v.to_string());
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((rest, opts))
+#[rustfmt::skip]
+mod flags {
+    use super::{flag, Flag};
+    pub const TRACE: Flag = flag("trace", "", "print the span tree (stage timings) to stderr on exit");
+    pub const METRICS_OUT: Flag = flag("metrics-out", "FILE", "write the pml-obs/v3 metrics JSON document to FILE");
+    pub const CACHE_DIR: Flag = flag("cache-dir", "DIR", "dataset cache directory (default: ./data when present)");
+    pub const NO_CACHE: Flag = flag("no-cache", "", "regenerate datasets in memory, ignore any cache");
+    pub const NODES: Flag = flag("nodes", "N", "nodes in the job (required)");
+    pub const PPN: Flag = flag("ppn", "P", "processes per node (required)");
+    pub const SOCKET: Flag = flag("socket", "PATH", "the daemon's Unix domain socket (required)");
 }
+use flags::*;
 
-/// After the subcommand returns (even on error): render the span tree to
-/// stderr (`--trace`, or always for `stats`) and write the metrics JSON
-/// (`--metrics-out`).
-fn finish_obs(opts: &ObsOpts, stats_run: bool) {
-    let tracer = obs::tracer();
-    if !tracer.is_enabled() {
-        return;
-    }
-    let forest = tracer.finish();
-    if (opts.trace || stats_run) && !forest.is_empty() {
-        eprint!("{}", forest.render());
-    }
-    if let Some(path) = &opts.metrics_out {
-        let json = obs::metrics_json(&obs::metrics::snapshot(), Some(&forest));
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("metrics written to {path}"),
-            Err(e) => eprintln!("error: writing {path}: {e}"),
-        }
-    }
-}
+/// Accepted by every subcommand, before or after its name.
+const GLOBAL: &[Flag] = &[TRACE, METRICS_OUT];
 
-fn print_help() {
-    let bar = pml_mpi::collectives::schedcost::TOP1_BAR_PERCENT;
-    println!(
-        "\
-pml-mpi — pre-trained ML selection of MPI collective algorithms
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand { span: "cmd.zoo", synopsis: "", summary: "list the 18-cluster benchmark zoo", run: cmd_zoo, flags: &[] },
+    Subcommand { span: "cmd.dataset", synopsis: "<collective> [--out FILE]", run: cmd_dataset,
+        summary: "generate or load the micro-benchmark dataset", flags: &[
+        CACHE_DIR, NO_CACHE, flag("out", "FILE", "write the records as JSON to FILE (default: per-cluster counts)"),
+    ] },
+    Subcommand { span: "cmd.train", synopsis: "<collective> [--out FILE]", run: cmd_train,
+        summary: "train the Random Forest for one collective", flags: &[
+        CACHE_DIR, NO_CACHE, flag("out", "FILE", "write the model JSON to FILE"),
+    ] },
+    Subcommand { span: "cmd.predict", synopsis: "<collective> --nodes N --ppn P --msg BYTES (--cluster NAME | --lscpu F --ibstat F)", run: cmd_predict,
+        summary: "pick an algorithm for one job", flags: &[
+        CACHE_DIR, NO_CACHE, NODES, PPN,
+        flag("msg", "BYTES", "message size in bytes (required)"),
+        flag("cluster", "NAME", "use a zoo cluster's hardware"),
+        flag("lscpu", "FILE", "captured `lscpu` output (with --ibstat; instead of --cluster)"),
+        flag("ibstat", "FILE", "captured `ibstat` output"),
+        flag("lspci", "FILE", "captured `lspci -vv` link status (optional; Gen3 x16 assumed)"),
+        flag("mem-bw", "GBS", "measured STREAM bandwidth (optional with --lscpu)"),
+        flag("model", "FILE", "load a trained model JSON instead of training"),
+    ] },
+    Subcommand { span: "cmd.table", synopsis: "<cluster> <collective> [--out FILE]", run: cmd_table,
+        summary: "emit a cluster's JSON tuning table", flags: &[
+        CACHE_DIR, NO_CACHE, flag("out", "FILE", "write the table to FILE (default: stdout)"),
+    ] },
+    Subcommand { span: "cmd.compare", synopsis: "<cluster> <collective> --nodes N --ppn P [--msg BYTES]", run: cmd_compare,
+        summary: "ML vs library defaults vs oracle", flags: &[
+        CACHE_DIR, NO_CACHE, NODES, PPN,
+        flag("msg", "BYTES", "one message size; without it a 1 B … 1 MiB power-of-two sweep runs"),
+    ] },
+    Subcommand { span: "cmd.verify", synopsis: "<FILE>... | verify --schedules [FILE]... | verify --costs", run: cmd_verify,
+        summary: "statically verify artifacts (models, tables, binned matrices), schedules or costs", flags: &[
+        flag("schedules", "", "verify pml-sched/v1 schedule files instead; with none, prove every\nregistered algorithm over the (world, size) grid — zero execution"),
+        flag("costs", "", "derive every grid cell's symbolic α-β-γ cost polynomial statically,\nthen hold the analytic ranking against simnet virtual time\n(≥{bar}% top-1 agreement per collective)"),
+        flag("max-world", "N", "largest world size in the sweep (default 16)"),
+        flag("blocks", "CSV", "comma-separated block/message sizes in bytes (default 16,21)"),
+        flag("cluster", "NAME", "zoo cluster whose hardware prices the polynomials\n(--costs only; default: RI)"),
+    ] },
+    Subcommand { span: "cmd.stats", synopsis: "[<collective>] [--cluster NAME]", run: cmd_stats,
+        summary: "run a small pipeline, dump spans/metrics/events", flags: &[
+        CACHE_DIR, NO_CACHE, flag("cluster", "NAME", "zoo cluster to pipeline (default: RI)"),
+    ] },
+    Subcommand { span: "cmd.serve", synopsis: "--socket PATH --model DIR", run: cmd_serve,
+        summary: "selection daemon over a Unix domain socket", flags: &[
+        flag("socket", "PATH", "Unix domain socket to listen on (required)"),
+        flag("model", "DIR", "artifact dir: tuning tables as DIR/*.json, pre-trained\nmodels as DIR/models/*.json (required)"),
+        flag("no-request-trace", "", "disable per-request stage attribution"),
+        flag("slow-threshold-us", "US", "slow-ring capture threshold (default 1000)"),
+        flag("slo", "FILE", "SLO targets, {\"target_p50_ns\":…,\"target_p99_ns\":…}\n(the repo pins them in slo.json; default: none)"),
+        flag("quality-sample", "K", "re-score 1-in-K served decisions through the\nanalytic referee (default 32; 0 disables)"),
+        flag("quality-cluster", "NAME", "score against this zoo cluster's hardware\ninstead of each request's own cluster label"),
+    ] },
+    Subcommand { span: "cmd.loadgen", synopsis: "--socket PATH", run: cmd_loadgen,
+        summary: "replay synthetic requests, record latency", flags: &[
+        SOCKET,
+        flag("requests", "N", "total requests across all threads (default 100000)"),
+        flag("threads", "T", "concurrent client connections (default 4)"),
+        flag("warmup", "N", "untimed warmup requests per connection (default 32)"),
+        flag("collective", "C", "collective to query (default alltoall)"),
+        flag("op", "OP", "select | predict (default select)"),
+        flag("seed", "N", "job-shape sampling seed (default 42)"),
+        flag("out", "FILE", "write the JSON report (default: stdout); throughput_rps is\ntimed requests / wall_s, first timed send to last timed\nreply over all connections (no connect, no warmup)"),
+    ] },
+    Subcommand { span: "cmd.client", synopsis: "--socket PATH", summary: "stdin NDJSON frames -> socket -> stdout", run: cmd_client, flags: &[SOCKET] },
+    Subcommand { span: "cmd.watch", synopsis: "--socket PATH", run: cmd_watch,
+        summary: "stream live daemon observability snapshots", flags: &[
+        SOCKET,
+        flag("interval-ms", "MS", "snapshot spacing (default 1000)"),
+        flag("count", "N", "stop after N snapshots (default 0 = stream forever)"),
+        flag("raw", "", "print the NDJSON frames instead of the rendered view"),
+    ] },
+    HELP,
+];
 
-USAGE: pml-mpi <SUBCOMMAND> [OPTIONS]
+/// What runs when the line names no subcommand.
+const HELP: Subcommand = Subcommand {
+    span: "cmd.help",
+    synopsis: "",
+    summary: "show this message",
+    run: cmd_help,
+    flags: &[],
+};
 
-SUBCOMMANDS:
-  zoo                              list the 18-cluster benchmark zoo
-  dataset <collective>             generate or load the micro-benchmark dataset
-  train <collective>               train the Random Forest for one collective
-  predict <collective>             pick an algorithm for one job
-  table <cluster> <collective>     emit a cluster's JSON tuning table
-  compare <cluster> <collective>   ML vs library defaults vs oracle
-  verify <FILE>...                 statically verify artifact files
-  verify --schedules [FILE]...     statically verify communication schedules
-                                   (no files: prove every registered algorithm
-                                   over the (world, size) grid — zero execution)
-  verify --costs                   derive every grid cell's symbolic α-β-γ cost
-                                   polynomial statically, then hold the analytic
-                                   ranking against simnet virtual time (≥{bar}%
-                                   top-1 agreement per collective)
-  stats [<collective>]             run a small pipeline, dump spans/metrics/events
-  serve --socket PATH --model DIR  selection daemon over a Unix domain socket
-  loadgen --socket PATH            replay synthetic requests, record latency
-  client --socket PATH             stdin NDJSON frames -> socket -> stdout
-  watch --socket PATH              stream live daemon observability snapshots
-  help                             show this message
-
-GLOBAL OPTIONS (any subcommand):
-  --trace              print the span tree (stage timings) to stderr on exit
-  --metrics-out FILE   write the pml-obs/v3 metrics JSON document to FILE
-
-COMMON OPTIONS:
-  --cache-dir DIR   dataset cache directory (default: ./data when present)
-  --no-cache        regenerate datasets in memory, ignore any cache
-  --out FILE        write the command's JSON artifact to FILE
-
-VERIFY --schedules / --costs OPTIONS:
-  --max-world N     largest world size in the sweep (default 16)
-  --blocks CSV      comma-separated block/message sizes in bytes (default 16,21)
-  --cluster NAME    zoo cluster whose hardware prices the polynomials
-                    (--costs only; default: RI)
-
-STATS OPTIONS:
-  --cluster NAME    zoo cluster to pipeline (default: RI)
-
-PREDICT OPTIONS:
-  --cluster NAME    use a zoo cluster's hardware
-  --lscpu FILE      captured `lscpu` output (with --ibstat; instead of --cluster)
-  --ibstat FILE     captured `ibstat` output
-  --lspci FILE      captured `lspci -vv` link status (optional; Gen3 x16 assumed)
-  --mem-bw GBS      measured STREAM bandwidth (optional with --lscpu)
-  --model FILE      load a trained model JSON instead of training
-  --nodes N --ppn P --msg BYTES    the job (required)
-
-COMPARE OPTIONS:
-  --nodes N --ppn P [--msg BYTES]  fixed job shape; without --msg a
-                                   1 B … 1 MiB power-of-two sweep runs
-
-SERVE OPTIONS:
-  --socket PATH     Unix domain socket to listen on (required)
-  --model DIR       artifact dir: tuning tables as DIR/*.json, pre-trained
-                    models as DIR/models/*.json (required)
-  --no-request-trace       disable per-request stage attribution
-  --slow-threshold-us US   slow-ring capture threshold (default 1000)
-  --slo FILE        SLO targets, {{\"target_p50_ns\":…,\"target_p99_ns\":…}}
-                    (the repo pins them in slo.json; default: none)
-  --quality-sample K       re-score 1-in-K served decisions through the
-                           analytic referee (default 32; 0 disables)
-  --quality-cluster NAME   score against this zoo cluster's hardware
-                           instead of each request's own cluster label
-
-WATCH OPTIONS:
-  --socket PATH     daemon socket to watch (required)
-  --interval-ms MS  snapshot spacing (default 1000)
-  --count N         stop after N snapshots (default 0 = stream forever)
-  --raw             print the NDJSON frames instead of the rendered view
-
-LOADGEN OPTIONS:
-  --socket PATH     daemon socket to replay against (required)
-  --requests N      total requests across all threads (default 100000)
-  --threads T       concurrent client connections (default 4)
-  --warmup N        untimed warmup requests per connection (default 32)
-  --collective C    collective to query (default alltoall)
-  --op OP           select | predict (default select)
-  --seed N          job-shape sampling seed (default 42)
-  --out FILE        write the JSON report (default: stdout); throughput_rps is
-                    timed requests / wall_s, first timed send to last timed
-                    reply over all connections (no connect, no warmup)
-
-EXAMPLES:
-  pml-mpi train allgather --out model_ag.json
+const EXAMPLES: &str = r#"  pml-mpi train allgather --out model_ag.json
   pml-mpi predict allgather --cluster Frontera --nodes 16 --ppn 56 --msg 4096
-  pml-mpi predict alltoall --lscpu examples/captures/lscpu_frontera.txt \\
+  pml-mpi predict alltoall --lscpu examples/captures/lscpu_frontera.txt \
       --ibstat examples/captures/ibstat_edr.txt --nodes 8 --ppn 56 --msg 65536
   pml-mpi table Frontera allgather --out frontera_allgather.json
   pml-mpi table RI alltoall --trace --metrics-out metrics.json
@@ -245,54 +194,106 @@ EXAMPLES:
   pml-mpi verify --costs --cluster RI
   pml-mpi stats alltoall --cluster RI
   pml-mpi serve --socket /tmp/pml.sock --model artifacts/
-  printf '{{\"v\":\"pml-serve/v1\",\"id\":1,\"op\":\"select\",\"collective\":\"alltoall\",\
-\"nodes\":4,\"ppn\":8,\"msg_size\":1024}}\\n' | pml-mpi client --socket /tmp/pml.sock
+  printf '{"v":"pml-serve/v1","id":1,"op":"select","collective":"alltoall",\
+"nodes":4,"ppn":8,"msg_size":1024}\n' | pml-mpi client --socket /tmp/pml.sock
   pml-mpi loadgen --socket /tmp/pml.sock --requests 100000 --threads 8 --out report.json
-  pml-mpi watch --socket /tmp/pml.sock --interval-ms 1000"
-    );
+  pml-mpi watch --socket /tmp/pml.sock --interval-ms 1000"#;
+
+fn cmd_help(_: &Opts) -> Result<(), Box<dyn Error>> {
+    println!("{}", help_text());
+    Ok(())
 }
 
-/// Hand-rolled `--flag value` / positional splitter. Unknown flags are an
-/// error so typos do not silently change behaviour.
+fn help_text() -> String {
+    let mut out = "pml-mpi — pre-trained ML selection of MPI collective algorithms\n\n\
+                   USAGE: pml-mpi <SUBCOMMAND> [OPTIONS]\n\nGLOBAL OPTIONS (any subcommand):\n"
+        .to_string();
+    write_flags(&mut out, GLOBAL);
+    out += "\nSUBCOMMANDS:\n";
+    for cmd in SUBCOMMANDS {
+        out += &format!("  {}\n      {}\n", cmd.usage(), cmd.summary);
+        write_flags(&mut out, cmd.flags);
+    }
+    out + "\nEXAMPLES:\n" + EXAMPLES
+}
+
+/// `flags` as `help` lists them: a `--name VALUE` column, then the text.
+fn write_flags(out: &mut String, flags: &[Flag]) {
+    for f in flags {
+        let name = format!("--{} {}", f.name, f.value);
+        let bar = pml_mpi::collectives::schedcost::TOP1_BAR_PERCENT.to_string();
+        let help = f
+            .help
+            .replace("{bar}", &bar)
+            .replace('\n', &format!("\n{:30}", ""));
+        *out += &format!("      {name:<24}{help}\n");
+    }
+}
+
+/// The command line, read once: the subcommand (the first word that is
+/// not a flag or a flag's value), its positional arguments, and every
+/// flag given, each one the subcommand or [`GLOBAL`] declares. Unknown
+/// flags are an error so typos do not silently change behaviour.
 struct Opts {
+    cmd: &'static Subcommand,
     positional: Vec<String>,
-    flags: BTreeMap<String, String>,
+    flags: BTreeMap<&'static str, String>,
 }
 
 impl Opts {
-    /// `switches` take no value; every other `--flag` consumes one.
-    fn parse(args: &[String], known: &[&str], switches: &[&str]) -> Result<Opts, String> {
-        let mut positional = Vec::new();
-        let mut flags = BTreeMap::new();
+    fn parse(args: &[String]) -> Result<Opts, String> {
+        let (mut cmd, mut positional, mut flags) = (None, Vec::new(), BTreeMap::new());
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let (name, inline) = match name.split_once('=') {
-                    Some((n, v)) => (n, Some(v.to_string())),
-                    None => (name, None),
-                };
-                if switches.contains(&name) {
-                    if inline.is_some() {
-                        return Err(format!("--{name} takes no value"));
-                    }
-                    flags.insert(name.to_string(), String::new());
-                } else if known.contains(&name) {
-                    let v = match inline {
-                        Some(v) => v,
-                        None => it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| format!("--{name} needs a value"))?,
-                    };
-                    flags.insert(name.to_string(), v);
-                } else {
-                    return Err(format!("unknown option --{name}"));
-                }
-            } else {
-                positional.push(a.clone());
+            let flag = a.strip_prefix("--");
+            if cmd.is_none() && (flag.is_none() || a == "--help") {
+                let help = a == "-h" || a == "--help";
+                let named = SUBCOMMANDS
+                    .iter()
+                    .find(|c| c.name() == a || (help && c.name() == "help"));
+                let unknown = || format!("unknown subcommand {a:?} — run `pml-mpi help`");
+                cmd = Some(named.ok_or_else(unknown)?);
+                continue;
             }
+            let Some(name) = flag else {
+                positional.push(a.clone());
+                continue;
+            };
+            let (name, inline) = match name.split_once('=') {
+                Some((n, v)) => (n, Some(v.to_string())),
+                None => (name, None),
+            };
+            let declared = cmd.map_or(&[][..], |c: &Subcommand| c.flags);
+            let Some(flag) = GLOBAL.iter().chain(declared).find(|f| f.name == name) else {
+                return Err(format!("unknown option --{name}"));
+            };
+            let value = match (flag.value.is_empty(), inline) {
+                (true, Some(_)) => return Err(format!("--{name} takes no value")),
+                (true, None) => String::new(),
+                (false, Some(v)) => v,
+                (false, None) => it
+                    .next()
+                    .cloned()
+                    .ok_or_else(|| format!("--{name} needs a value"))?,
+            };
+            flags.insert(flag.name, value);
         }
-        Ok(Opts { positional, flags })
+        let cmd = cmd.unwrap_or(&HELP);
+        Ok(Opts {
+            cmd,
+            positional,
+            flags,
+        })
+    }
+
+    /// Exactly `N` positional arguments, or the subcommand's usage error.
+    fn args<const N: usize>(&self) -> Result<[&str; N], String> {
+        let args: Vec<&str> = self.positional.iter().map(String::as_str).collect();
+        args.try_into().map_err(|_| self.usage())
+    }
+
+    fn usage(&self) -> String {
+        format!("usage: {}", self.cmd.usage())
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -321,6 +322,27 @@ impl Opts {
     }
 }
 
+/// After the subcommand returns (even on error): render the span tree to
+/// stderr (`--trace`, or always for `stats`) and write the metrics JSON
+/// (`--metrics-out`).
+fn finish_obs(opts: &Opts, stats_run: bool) {
+    let tracer = obs::tracer();
+    if !tracer.is_enabled() {
+        return;
+    }
+    let forest = tracer.finish();
+    if (opts.has("trace") || stats_run) && !forest.is_empty() {
+        eprint!("{}", forest.render());
+    }
+    if let Some(path) = opts.get("metrics-out") {
+        let json = obs::metrics_json(&obs::metrics::snapshot(), Some(&forest));
+        match std::fs::write(path, json) {
+            Ok(()) => eprintln!("metrics written to {path}"),
+            Err(e) => eprintln!("error: writing {path}: {e}"),
+        }
+    }
+}
+
 /// `--nodes`, `--ppn` and `--msg` (`msg` when that flag is absent), held
 /// to the job check the daemon's `field` errors come from.
 fn job_flags(opts: &Opts, msg: Option<u64>) -> Result<JobConfig, String> {
@@ -343,13 +365,10 @@ fn parse_collective(s: &str) -> Result<Collective, String> {
 /// `--cache-dir`, falling back to the repo's committed `./data` when it
 /// exists (so `train`/`predict` do not re-benchmark the whole zoo).
 fn build_engine(opts: &Opts) -> SelectionEngine {
-    let cache_dir = if opts.has("no-cache") {
-        None
-    } else {
-        match opts.get("cache-dir") {
-            Some(d) => Some(PathBuf::from(d)),
-            None => Path::new("data").is_dir().then(|| PathBuf::from("data")),
-        }
+    let cache_dir = match opts.get("cache-dir") {
+        _ if opts.has("no-cache") => None,
+        Some(d) => Some(PathBuf::from(d)),
+        None => Path::new("data").is_dir().then(|| PathBuf::from("data")),
     };
     SelectionEngine::new(EngineConfig {
         cache_dir,
@@ -374,7 +393,7 @@ fn write_or_print(out: Option<&str>, json: &str, what: &str) -> Result<(), Box<d
     Ok(())
 }
 
-fn cmd_zoo() -> Result<(), Box<dyn Error>> {
+fn cmd_zoo(_: &Opts) -> Result<(), Box<dyn Error>> {
     println!(
         "{:<14} {:<40} {:>5} {:>6}  {:<10} {:>12}",
         "cluster", "processor", "cores", "clock", "fabric", "grid cells"
@@ -395,13 +414,10 @@ fn cmd_zoo() -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_dataset(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["cache-dir", "out"], &["no-cache"])?;
-    let [coll] = opts.positional.as_slice() else {
-        return Err("usage: pml-mpi dataset <collective> [--out FILE]".into());
-    };
+fn cmd_dataset(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let [coll] = opts.args()?;
     let coll = parse_collective(coll)?;
-    let engine = build_engine(&opts);
+    let engine = build_engine(opts);
     let records = engine.dataset(coll)?;
     report_warnings(&engine);
     let mut per_cluster: BTreeMap<&str, usize> = BTreeMap::new();
@@ -425,13 +441,10 @@ fn cmd_dataset(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["cache-dir", "out"], &["no-cache"])?;
-    let [coll] = opts.positional.as_slice() else {
-        return Err("usage: pml-mpi train <collective> [--out FILE]".into());
-    };
+fn cmd_train(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let [coll] = opts.args()?;
     let coll = parse_collective(coll)?;
-    let mut engine = build_engine(&opts);
+    let mut engine = build_engine(opts);
     let model = engine.train(coll)?;
     report_warnings(&engine);
     let features: Vec<&str> = model
@@ -475,33 +488,11 @@ fn resolve_node(opts: &Opts) -> Result<NodeSpec, Box<dyn Error>> {
     Ok(detect_node(&lscpu, &ibstat, lspci.as_deref(), mem_bw)?)
 }
 
-fn cmd_predict(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(
-        args,
-        &[
-            "cache-dir",
-            "cluster",
-            "lscpu",
-            "ibstat",
-            "lspci",
-            "mem-bw",
-            "model",
-            "nodes",
-            "ppn",
-            "msg",
-        ],
-        &["no-cache"],
-    )?;
-    let [coll] = opts.positional.as_slice() else {
-        return Err(
-            "usage: pml-mpi predict <collective> --nodes N --ppn P --msg BYTES \
-             (--cluster NAME | --lscpu F --ibstat F)"
-                .into(),
-        );
-    };
+fn cmd_predict(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let [coll] = opts.args()?;
     let coll = parse_collective(coll)?;
-    let job = job_flags(&opts, None)?;
-    let node = resolve_node(&opts)?;
+    let job = job_flags(opts, None)?;
+    let node = resolve_node(opts)?;
     let model = match opts.get("model") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -515,7 +506,7 @@ fn cmd_predict(args: &[String]) -> Result<(), Box<dyn Error>> {
             std::sync::Arc::new(model)
         }
         None => {
-            let mut engine = build_engine(&opts);
+            let mut engine = build_engine(opts);
             let model = engine.train(coll)?;
             report_warnings(&engine);
             model
@@ -533,34 +524,26 @@ fn cmd_predict(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_table(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["cache-dir", "out"], &["no-cache"])?;
-    let [cluster, coll] = opts.positional.as_slice() else {
-        return Err("usage: pml-mpi table <cluster> <collective> [--out FILE]".into());
-    };
+fn cmd_table(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let [cluster, coll] = opts.args()?;
     let coll = parse_collective(coll)?;
-    let mut engine = build_engine(&opts);
+    let mut engine = build_engine(opts);
     let table = engine.tuning_table(cluster, coll)?;
     report_warnings(&engine);
     eprintln!("{cluster} {coll}: {} table entries", table.len());
     write_or_print(opts.get("out"), &table.to_json()?, "tuning table")
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["cache-dir", "nodes", "ppn", "msg"], &["no-cache"])?;
-    let [cluster, coll] = opts.positional.as_slice() else {
-        return Err(
-            "usage: pml-mpi compare <cluster> <collective> --nodes N --ppn P [--msg BYTES]".into(),
-        );
-    };
+fn cmd_compare(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let [cluster, coll] = opts.args()?;
     let coll = parse_collective(coll)?;
     // Without --msg the sweep runs; its first size stands in for the check.
-    let job = job_flags(&opts, Some(1))?;
+    let job = job_flags(opts, Some(1))?;
     let sizes: Vec<usize> = match opts.get("msg") {
         Some(_) => vec![job.msg_size],
         None => (0..21).map(|i| 1usize << i).collect(),
     };
-    let mut engine = build_engine(&opts);
+    let mut engine = build_engine(opts);
     let entry = engine.entry(cluster)?.clone();
     let model = engine.train(coll)?;
     report_warnings(&engine);
@@ -574,28 +557,36 @@ fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
         Some(s) => format!("{:.1}", s * 1e6),
         None => "-".to_string(),
     };
-    let short = |a: Algorithm| a.name().to_string();
     for &msg in &sizes {
         let job = JobConfig {
             msg_size: msg,
             ..job
         };
-        let record = measure_cell(&entry, coll, job.nodes, job.ppn, msg, &engine_cfg_datagen())?;
+        // Measured as the engine's datasets are, so the oracle column
+        // matches the training distribution.
+        let record = measure_cell(
+            &entry,
+            coll,
+            job.nodes,
+            job.ppn,
+            msg,
+            &DatagenConfig::default(),
+        )?;
         let ml = model.predict(&entry.spec.node, job);
         let m = mva.select(coll, job);
         let o = ompi.select(coll, job);
         println!(
             "{:<9} {:<22} {:>9} {:<22} {:>9} {:<22} {:>9} {:<22}",
             msg,
-            short(ml),
+            ml.name(),
             fmt_us(record.runtime_of(ml)),
-            short(m),
+            m.name(),
             fmt_us(record.runtime_of(m)),
-            short(o),
+            o.name(),
             fmt_us(record.runtime_of(o)),
             format!(
                 "{} ({})",
-                short(record.best),
+                record.best.name(),
                 fmt_us(Some(record.best_runtime()))
             ),
         );
@@ -603,47 +594,26 @@ fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// `compare` re-measures cells with the same configuration the engine's
-/// datasets use, so its oracle column matches the training distribution.
-fn engine_cfg_datagen() -> pml_mpi::DatagenConfig {
-    pml_mpi::DatagenConfig::default()
-}
-
-/// Statically verify artifact files (models, tuning tables, binned
-/// matrices) without executing them; with `--schedules`, statically
-/// verify communication schedules via the schedcheck dataflow analyzer;
-/// with `--costs`, derive the symbolic α-β-γ cost polynomial of every
-/// grid cell and hold the static ranking against simnet virtual time.
 /// Prints one line per file; any failure is reported with its path and the
 /// command exits nonzero after checking every file.
-fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(
-        args,
-        &["max-world", "blocks", "cluster", "expect"],
-        &["schedules", "costs"],
-    )?;
+fn cmd_verify(opts: &Opts) -> Result<(), Box<dyn Error>> {
     if opts.has("schedules") && opts.has("costs") {
         return Err("--schedules and --costs are separate passes; pick one".into());
     }
     if opts.has("costs") {
-        return cmd_verify_costs(&opts);
+        return cmd_verify_costs(opts);
     }
     if opts.has("schedules") {
-        if opts.has("cluster") || opts.has("expect") {
-            return Err("--cluster/--expect only apply with --costs".into());
+        if opts.has("cluster") {
+            return Err("--cluster only applies with --costs".into());
         }
-        return cmd_verify_schedules(&opts);
+        return cmd_verify_schedules(opts);
     }
-    if opts.has("max-world") || opts.has("blocks") || opts.has("cluster") || opts.has("expect") {
-        return Err(
-            "--max-world/--blocks/--cluster/--expect only apply with --schedules or --costs".into(),
-        );
+    if opts.has("max-world") || opts.has("blocks") || opts.has("cluster") {
+        return Err("--max-world/--blocks/--cluster only apply with --schedules or --costs".into());
     }
     if opts.positional.is_empty() {
-        return Err(
-            "usage: pml-mpi verify <FILE>... | verify --schedules [FILE]... | verify --costs"
-                .into(),
-        );
+        return Err(opts.usage().into());
     }
     let mut failures = 0usize;
     for path in &opts.positional {
@@ -665,38 +635,26 @@ fn cmd_verify(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// `verify --schedules`: with no files, statically prove every registered
-/// algorithm over the full (world, size) grid — zero execution; with
-/// files, check each as a `pml-sched/v1` schedule document. The grid is
-/// world 2..=`--max-world` (default 16, non-powers-of-two included) at
-/// each size in `--blocks` (default 16,21).
 fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
     use pml_mpi::collectives::schedcheck;
 
-    let mut failures = 0usize;
-    let mut checked = 0usize;
-    if opts.positional.is_empty() {
+    let (failures, checked) = if opts.positional.is_empty() {
         let (max_world, sizes) = grid_opts(opts)?;
-        let mut by_algo: BTreeMap<String, usize> = BTreeMap::new();
-        for (algo, p, size) in schedcheck::sweep_grid(max_world, &sizes) {
-            checked += 1;
-            match schedcheck::check_algorithm(algo, p, size) {
-                Ok(()) => *by_algo.entry(algo.name().to_string()).or_insert(0) += 1,
-                Err(e) => {
-                    failures += 1;
-                    eprintln!("FAIL {} p={p} size={size}: {e}", algo.name());
-                }
-            }
+        let tally = schedcheck::check_grid(max_world, &sizes);
+        for ((algo, p, size), e) in &tally.failed {
+            eprintln!("FAIL {} p={p} size={size}: {e}", algo.name());
         }
-        for (name, n) in &by_algo {
+        for (name, n) in &tally.passed {
             println!("{name}: {n} cells OK");
         }
+        let (failures, checked) = (tally.failed.len(), tally.cells());
         println!(
             "verified {checked} (algorithm, world, size) cells statically, {failures} failure(s)"
         );
+        (failures, checked)
     } else {
+        let mut failures = 0usize;
         for path in &opts.positional {
-            checked += 1;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let verdict = serde_json::from_str::<schedcheck::ScheduleDoc>(&text)
                 .map_err(|e| format!("parse: {e}"))
@@ -714,16 +672,15 @@ fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
                 }
             }
         }
-    }
+        (failures, opts.positional.len())
+    };
     if failures > 0 {
         return Err(format!("{failures} of {checked} schedule check(s) failed").into());
     }
     Ok(())
 }
 
-/// The (max world, block sizes) sweep grid shared by `verify --schedules`
-/// and `verify --costs`: world 2..=`--max-world` (default 16) at each
-/// size in `--blocks` (default 16,21).
+/// The sweep grid `verify --schedules` and `verify --costs` share.
 fn grid_opts(opts: &Opts) -> Result<(u32, Vec<usize>), Box<dyn Error>> {
     let max_world = opts.value("max-world", Some(16))?;
     if max_world < 2 {
@@ -746,14 +703,10 @@ fn grid_opts(opts: &Opts) -> Result<(u32, Vec<usize>), Box<dyn Error>> {
     Ok((max_world, sizes))
 }
 
-/// `verify --costs`: two static passes over the schedcheck grid. First,
-/// derive the symbolic α-β-γ cost polynomial of every (algorithm, world,
-/// size) cell — pure IR analysis, zero schedule executions. Second, the
-/// differential: rank each cell's algorithms analytically and by simnet
-/// virtual time, and hold per-collective top-1 agreement at ≥90% (the
-/// bar the `verify-costs` CI lane enforces).
+/// `verify --costs`: the static derive pass, then the differential against
+/// simnet virtual time at the top-1 bar the `verify-costs` CI lane holds.
 fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
-    use pml_mpi::collectives::{schedcheck, schedcost};
+    use pml_mpi::collectives::schedcost;
 
     if !opts.positional.is_empty() {
         return Err("verify --costs takes no files; the grid is built in".into());
@@ -763,33 +716,27 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let entry = by_name(cluster).ok_or_else(|| format!("unknown cluster {cluster:?}"))?;
 
     // Pass 1: every grid cell must yield a polynomial statically.
-    let _derive = span!("verify.costs.derive");
-    let mut derived = 0usize;
-    let mut by_algo: BTreeMap<String, usize> = BTreeMap::new();
-    for (algo, p, size) in schedcheck::sweep_grid(max_world, &sizes) {
-        let layout = schedcost::cell_layout(p);
-        match schedcost::poly_for(algo, layout, size) {
-            Some(_) => {
-                derived += 1;
-                *by_algo.entry(algo.name().to_string()).or_insert(0) += 1;
-            }
-            None => {
-                return Err(
-                    format!("no cost polynomial for {} p={p} size={size}", algo.name()).into(),
-                )
-            }
-        }
+    let derived = {
+        let _derive = span!("verify.costs.derive");
+        schedcost::derive_grid(max_world, &sizes)
+    };
+    if let Some(((algo, p, size), ())) = derived.failed.first() {
+        let name = algo.name();
+        return Err(format!("no cost polynomial for {name} p={p} size={size}").into());
     }
-    drop(_derive);
-    for (name, n) in &by_algo {
+    for (name, n) in &derived.passed {
         println!("{name}: {n} polynomials derived");
     }
-    println!("derived {derived} cost polynomials statically (zero schedule executions)");
+    println!(
+        "derived {} cost polynomials statically (zero schedule executions)",
+        derived.cells()
+    );
 
     // Pass 2: the differential against simnet virtual time.
-    let _diff = span!("verify.costs.differential");
-    let report = schedcost::differential_report(&entry.spec.node, max_world, &sizes);
-    drop(_diff);
+    let report = {
+        let _diff = span!("verify.costs.differential");
+        schedcost::differential_report(&entry.spec.node, max_world, &sizes)
+    };
     let (bar, mut failures) = (schedcost::TOP1_BAR_PERCENT, 0usize);
     for c in Collective::ALL {
         let (agree, total) = report.top1(c);
@@ -797,15 +744,12 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
             continue;
         }
         let ok = report.meets_top1_bar(c);
-        let below = if ok {
-            String::new()
-        } else {
-            format!("  << below {bar}%")
-        };
+        let below = (!ok).then(|| format!("  << below {bar}%"));
         println!(
-            "{}: top-1 agreement {agree}/{total} ({:.1}%){below}",
+            "{}: top-1 agreement {agree}/{total} ({:.1}%){}",
             c.name(),
             100.0 * agree as f64 / total as f64,
+            below.unwrap_or_default(),
         );
         failures += usize::from(!ok);
     }
@@ -817,77 +761,21 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
     if failures > 0 {
         return Err(format!("{failures} collective(s) below {bar}% top-1 agreement").into());
     }
-
-    // Optional pinned fixture: the committed known-good rankings must
-    // reproduce exactly (catches silent cost-model drift that stays
-    // above the 90% bar).
-    if let Some(path) = opts.get("expect") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let fixture: CostsFixture =
-            serde_json::from_str(&text).map_err(|e| format!("{path}: parse: {e}"))?;
-        if fixture.v != "pml-costs/v1" {
-            return Err(format!("{path}: unknown fixture version {:?}", fixture.v).into());
-        }
-        if fixture.cluster != cluster {
-            return Err(format!(
-                "{path}: fixture is for cluster {:?}, run used {cluster:?}",
-                fixture.cluster
-            )
-            .into());
-        }
-        for cell in &fixture.cells {
-            let coll = parse_collective(&cell.collective)?;
-            let layout = schedcost::cell_layout(cell.world);
-            let got: Vec<&str> = schedcost::rank_static(coll, &entry.spec.node, layout, cell.size)
-                .iter()
-                .map(|(a, _)| a.name())
-                .collect();
-            if got != cell.ranking.iter().map(String::as_str).collect::<Vec<_>>() {
-                return Err(format!(
-                    "analytic ranking drifted for {} p={} size={}: fixture {:?}, got {got:?}",
-                    cell.collective, cell.world, cell.size, cell.ranking
-                )
-                .into());
-            }
-        }
-        println!(
-            "{} pinned ranking(s) from {path} reproduced exactly",
-            fixture.cells.len()
-        );
-    }
     Ok(())
-}
-
-/// Committed known-good analytic rankings (`pml-costs/v1`), checked by
-/// `verify --costs --expect FILE` / the `verify-costs` CI lane.
-#[derive(serde::Deserialize)]
-struct CostsFixture {
-    v: String,
-    cluster: String,
-    cells: Vec<CostsCell>,
-}
-
-#[derive(serde::Deserialize)]
-struct CostsCell {
-    collective: String,
-    world: u32,
-    size: usize,
-    ranking: Vec<String>,
 }
 
 /// Observability showcase: drive a small dataset → train → table → tuner
 /// pipeline and dump everything the instrumentation collected — the
 /// dataset cache's warnings, the metrics registry, and (via `main`'s exit
 /// path) the span tree. Tracing is always on for this subcommand.
-fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["cache-dir", "cluster"], &["no-cache"])?;
+fn cmd_stats(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let coll = match opts.positional.as_slice() {
         [] => Collective::Alltoall,
         [c] => parse_collective(c)?,
-        _ => return Err("usage: pml-mpi stats [<collective>] [--cluster NAME]".into()),
+        _ => return Err(opts.usage().into()),
     };
     let cluster = opts.get("cluster").unwrap_or("RI");
-    let mut engine = build_engine(&opts);
+    let mut engine = build_engine(opts);
     let table = engine.tuning_table(cluster, coll)?;
 
     // Exercise the runtime path too: probe the fresh table on-grid (exact
@@ -930,18 +818,14 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn Error>> {
 // ---------------------------------------------------------------------------
 // Serving: the selection path as a daemon (crates/serve)
 
-/// The daemon's SLO targets: `--slo FILE` must exist and parse; without
-/// the flag the daemon tracks none.
-fn slo_from_opts(opts: &Opts) -> Result<Option<pml_mpi::serve::SloTargets>, String> {
-    let Some(path) = opts.get("slo") else {
-        return Ok(None);
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("--slo {path}: {e}"))?;
-    pml_mpi::serve::targets_from_json(&text, path).map(Some)
-}
-
+/// The daemon's request observability; `--slo FILE` must exist and parse,
+/// and without it the daemon tracks no SLO targets.
 fn obs_config_from(opts: &Opts) -> Result<pml_mpi::serve::ObsConfig, String> {
     let defaults = pml_mpi::serve::ObsConfig::default();
+    let slo = opts.get("slo").map(|path| {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("--slo {path}: {e}"))?;
+        pml_mpi::serve::targets_from_json(&text, path)
+    });
     Ok(pml_mpi::serve::ObsConfig {
         trace_requests: opts.get("no-request-trace").is_none(),
         slow_threshold_ns: opts
@@ -950,28 +834,16 @@ fn obs_config_from(opts: &Opts) -> Result<pml_mpi::serve::ObsConfig, String> {
                 Some(defaults.slow_threshold_ns / 1_000),
             )?
             .saturating_mul(1_000),
-        slo: slo_from_opts(opts)?,
+        slo: slo.transpose()?,
         quality_sample: opts.value("quality-sample", Some(defaults.quality_sample))?,
         quality_cluster: opts.get("quality-cluster").map(str::to_string),
     })
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(
-        args,
-        &[
-            "socket",
-            "model",
-            "slow-threshold-us",
-            "slo",
-            "quality-sample",
-            "quality-cluster",
-        ],
-        &["no-request-trace"],
-    )?;
+fn cmd_serve(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let socket = PathBuf::from(opts.socket()?);
     let model_dir = PathBuf::from(opts.get("model").ok_or("missing required --model DIR")?);
-    let obs = obs_config_from(&opts)?;
+    let obs = obs_config_from(opts)?;
     if let Some(slo) = obs.slo.as_ref() {
         eprintln!(
             "slo targets from {}: p50 {} ns, p99 {} ns",
@@ -994,9 +866,8 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_client(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_client(opts: &Opts) -> Result<(), Box<dyn Error>> {
     use std::io::BufRead;
-    let opts = Opts::parse(args, &["socket"], &[])?;
     let mut client = Client::connect(opts.socket()?)?;
     let mut sender = Client::from(client.stream().try_clone()?);
     // Replies are read here and frames sent from a thread of their own, so
@@ -1035,9 +906,7 @@ fn cmd_client(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-/// `watch`: stream live daemon observability snapshots to the terminal.
-fn cmd_watch(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(args, &["socket", "interval-ms", "count"], &["raw"])?;
+fn cmd_watch(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let socket = Path::new(opts.socket()?);
     let interval_ms = opts.value("interval-ms", Some(1000))?;
     let count = opts.value("count", Some(0))?;
@@ -1065,7 +934,7 @@ fn loadgen_worker(
     warmup: usize,
     seed: u64,
     collective: Collective,
-    op: &str,
+    predict: bool,
 ) -> Result<(Vec<u64>, u64, Option<TimedSpan>), String> {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut client = Client::connect(socket).map_err(|e| e.to_string())?;
@@ -1089,13 +958,14 @@ fn loadgen_worker(
         let job = JobConfig::new(nodes, ppn, msg);
         let line = encode_request(&Request {
             id: Some(id as u64),
-            op: match op {
-                "predict" => Op::Predict {
+            op: if predict {
+                Op::Predict {
                     cluster: entry.name().to_string(),
                     collective,
                     job,
-                },
-                _ => Op::Select { collective, job },
+                }
+            } else {
+                Op::Select { collective, job }
             },
         });
         let t0 = std::time::Instant::now();
@@ -1123,6 +993,34 @@ fn loadgen_worker(
     Ok((latencies, bad_replies, span))
 }
 
+/// `loadgen`'s JSON report.
+#[derive(serde::Serialize)]
+struct LoadgenReport {
+    socket: String,
+    op: &'static str,
+    collective: &'static str,
+    requests: usize,
+    threads: usize,
+    warmup_per_connection: usize,
+    errors: u64,
+    wall_s: f64,
+    throughput_rps: f64,
+    latency_ns: Latencies,
+    /// The daemon's per-stage breakdown right after the run (`null` when
+    /// it could not answer).
+    stages: serde_json::JsonValue,
+}
+
+#[derive(serde::Serialize)]
+struct Latencies {
+    min: u64,
+    p50: u64,
+    p99: u64,
+    p999: u64,
+    max: u64,
+    mean: u64,
+}
+
 /// One worker's first timed send and last timed reply.
 type TimedSpan = (std::time::Instant, std::time::Instant);
 
@@ -1139,21 +1037,7 @@ fn timed_throughput(requests: usize, spans: &[TimedSpan]) -> (f64, f64) {
     (wall_s, requests as f64 / wall_s.max(1e-9))
 }
 
-fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let opts = Opts::parse(
-        args,
-        &[
-            "socket",
-            "requests",
-            "threads",
-            "warmup",
-            "seed",
-            "collective",
-            "op",
-            "out",
-        ],
-        &[],
-    )?;
+fn cmd_loadgen(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let socket = opts.socket()?.to_string();
     let total: usize = opts.value("requests", Some(100_000))?;
     let threads = opts.value::<usize>("threads", Some(4))?.clamp(1, 256);
@@ -1162,35 +1046,28 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
     let warmup: usize = opts.value("warmup", Some(32))?;
     let seed: u64 = opts.value("seed", Some(42))?;
     let collective = parse_collective(opts.get("collective").unwrap_or("alltoall"))?;
-    let op = opts.get("op").unwrap_or("select").to_string();
-    if op != "select" && op != "predict" {
-        return Err(format!("--op expects select or predict, got {op:?}").into());
-    }
-
-    let workers: Vec<_> = (0..threads)
-        .map(|i| {
-            let socket = socket.clone();
-            let op = op.clone();
-            let count = total / threads + usize::from(i < total % threads);
-            std::thread::spawn(move || {
-                loadgen_worker(
-                    &socket,
-                    count,
-                    warmup,
-                    seed.wrapping_add(i as u64),
-                    collective,
-                    &op,
-                )
+    let (op, predict) = match opts.get("op").unwrap_or("select") {
+        "select" => ("select", false),
+        "predict" => ("predict", true),
+        op => return Err(format!("--op expects select or predict, got {op:?}").into()),
+    };
+    let runs = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|i| {
+                let count = total / threads + usize::from(i < total % threads);
+                let seed = seed.wrapping_add(i as u64);
+                let socket = &socket;
+                scope
+                    .spawn(move || loadgen_worker(socket, count, warmup, seed, collective, predict))
             })
-        })
-        .collect();
+            .collect();
+        workers.into_iter().map(|w| w.join()).collect::<Vec<_>>()
+    });
     let mut latencies: Vec<u64> = Vec::with_capacity(total);
     let mut bad_replies = 0u64;
     let mut spans: Vec<TimedSpan> = Vec::with_capacity(threads);
-    for handle in workers {
-        let (lat, bad, span) = handle
-            .join()
-            .map_err(|_| "loadgen worker panicked".to_string())??;
+    for run in runs {
+        let (lat, bad, span) = run.map_err(|_| "loadgen worker panicked".to_string())??;
         latencies.extend(lat);
         bad_replies += bad;
         spans.extend(span);
@@ -1215,50 +1092,33 @@ fn cmd_loadgen(args: &[String]) -> Result<(), Box<dyn Error>> {
         latencies[idx.min(latencies.len() - 1)]
     };
     let sum_ns: u64 = latencies.iter().sum();
-    let uint = |v: u64| serde_json::JsonValue::UInt(v);
-    let doc = serde_json::JsonValue::Object(vec![
-        (
-            "socket".to_string(),
-            serde_json::JsonValue::Str(socket.clone()),
-        ),
-        ("op".to_string(), serde_json::JsonValue::Str(op.clone())),
-        (
-            "collective".to_string(),
-            serde_json::JsonValue::Str(
-                pml_mpi::serve::collective_wire_name(collective).to_string(),
-            ),
-        ),
-        ("requests".to_string(), uint(latencies.len() as u64)),
-        ("threads".to_string(), uint(threads as u64)),
-        ("warmup_per_connection".to_string(), uint(warmup as u64)),
-        ("errors".to_string(), uint(bad_replies)),
-        ("wall_s".to_string(), serde_json::JsonValue::Float(wall_s)),
-        (
-            "throughput_rps".to_string(),
-            serde_json::JsonValue::Float(throughput),
-        ),
-        (
-            "latency_ns".to_string(),
-            serde_json::JsonValue::Object(vec![
-                ("min".to_string(), uint(latencies[0])),
-                ("p50".to_string(), uint(pct(0.50))),
-                ("p99".to_string(), uint(pct(0.99))),
-                ("p999".to_string(), uint(pct(0.999))),
-                ("max".to_string(), uint(latencies[latencies.len() - 1])),
-                ("mean".to_string(), uint(sum_ns / latencies.len() as u64)),
-            ]),
-        ),
-        ("stages".to_string(), stages),
-    ]);
+    let doc = LoadgenReport {
+        socket,
+        op,
+        collective: pml_mpi::serve::collective_wire_name(collective),
+        requests: latencies.len(),
+        threads,
+        warmup_per_connection: warmup,
+        errors: bad_replies,
+        wall_s,
+        throughput_rps: throughput,
+        latency_ns: Latencies {
+            min: latencies[0],
+            p50: pct(0.50),
+            p99: pct(0.99),
+            p999: pct(0.999),
+            max: latencies[latencies.len() - 1],
+            mean: sum_ns / latencies.len() as u64,
+        },
+        stages,
+    };
     let json = serde_json::to_string_pretty(&doc).map_err(|e| format!("rendering JSON: {e}"))?;
     write_or_print(opts.get("out"), &json, "loadgen report")?;
+    let (n, l) = (doc.requests, &doc.latency_ns);
     eprintln!(
-        "{} requests in {wall_s:.2}s over {threads} connection(s): {throughput:.0} req/s, \
+        "{n} requests in {wall_s:.2}s over {threads} connection(s): {throughput:.0} req/s, \
          p50 {} ns, p99 {} ns, p999 {} ns",
-        latencies.len(),
-        pct(0.50),
-        pct(0.99),
-        pct(0.999)
+        l.p50, l.p99, l.p999
     );
     if bad_replies > 0 {
         return Err(format!("{bad_replies} request(s) got a non-ok reply").into());
@@ -1284,17 +1144,74 @@ mod tests {
         assert_eq!(timed_throughput(8, &[a]), (2.0, 4.0));
     }
 
+    /// The command line `line`, split at spaces.
+    fn parse(line: &str) -> Result<Opts, String> {
+        Opts::parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
     /// `--no-cache=0` must not read as the bare switch (which would turn
     /// the cache *off*): a switch given a value is an error.
     #[test]
     fn switch_given_a_value_is_an_error() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         for bad in ["--no-cache=0", "--no-cache=false", "--no-cache="] {
-            let err = Opts::parse(&args(&[bad]), &["out"], &["no-cache"]).err();
+            let err = parse(&format!("table {bad}")).err();
             assert_eq!(err.as_deref(), Some("--no-cache takes no value"), "{bad}");
         }
-        let ok = Opts::parse(&args(&["--no-cache", "--out=x"]), &["out"], &["no-cache"]).unwrap();
+        let ok = parse("table --no-cache --out=x").unwrap();
         assert!(ok.has("no-cache"));
         assert_eq!(ok.get("out"), Some("x"));
+    }
+
+    #[test]
+    fn help_names_every_subcommand_and_each_of_its_flags() {
+        let help = help_text();
+        let (listing, _examples) = help.split_once("\nEXAMPLES:").unwrap();
+        let blocks: Vec<&str> = listing.split("\n  pml-mpi ").skip(1).collect();
+        assert_eq!(blocks.len(), SUBCOMMANDS.len());
+        let listed = |text: &str, f: &Flag| text.contains(&format!("--{} {}", f.name, f.value));
+        for (cmd, block) in SUBCOMMANDS.iter().zip(blocks) {
+            assert!(block.starts_with(cmd.name()), "{block}");
+            assert!(cmd.flags.iter().all(|f| listed(block, f)), "{block}");
+        }
+        assert!(GLOBAL.iter().all(|f| listed(listing, f)), "{listing}");
+    }
+
+    /// The global flags go anywhere on the line; a flag that only another
+    /// subcommand declares is as unknown as a typo.
+    #[test]
+    fn flags_are_read_wherever_they_stand() {
+        for line in [
+            "--trace --metrics-out m.json table RI alltoall",
+            "table --trace RI alltoall --metrics-out m.json",
+            "--metrics-out=m.json table RI --trace alltoall",
+            "table RI alltoall --metrics-out=m.json --trace",
+        ] {
+            let opts = parse(line).unwrap();
+            let words = [opts.cmd.name(), &opts.positional[0], &opts.positional[1]];
+            assert_eq!(
+                (words, opts.positional.len()),
+                (["table", "RI", "alltoall"], 2)
+            );
+            assert_eq!(
+                (opts.has("trace"), opts.get("metrics-out")),
+                (true, Some("m.json"))
+            );
+        }
+        assert_eq!(parse("--trace").unwrap().cmd.name(), "help");
+        let needs = "--metrics-out needs a value";
+        for (line, err) in [
+            ("table RI alltoall --model m.json", "unknown option --model"),
+            ("zoo --socket x", "unknown option --socket"),
+            ("watch --socket s --requests 9", "unknown option --requests"),
+            ("table RI alltoall --metrics-out", needs),
+            ("--metrics-out", needs),
+        ] {
+            assert_eq!(parse(line).err().as_deref(), Some(err), "{line}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Golden polynomials: the exact `CostPoly` of every allgather/alltoall
 //! algorithm on deployment-sized layouts (244–256 ranks, PPN ≤ 16), plus
-//! one digest over the polynomials of the whole default schedcheck grid.
+//! one digest over the polynomials of the whole default schedcheck grid;
+//! and the pinned analytic rankings those polynomials price on one cluster.
 //! The fixture was generated on the commit *before* the schedule matcher
 //! and the longest-path walk were rebuilt (ISSUE 13), so any drift in a
 //! single coefficient — on the layouts a cold cluster bootstrap actually
@@ -10,13 +11,14 @@
 //! `cargo test --test schedcost_golden -- --ignored regenerate_fixture`.
 
 use pml_mpi::collectives::schedcheck::sweep_grid;
-use pml_mpi::collectives::schedcost::{cell_layout, extract_poly, CostPoly};
+use pml_mpi::collectives::schedcost::{cell_layout, extract_poly, rank_static, CostPoly};
 use pml_mpi::collectives::{Algorithm, Collective};
 use pml_mpi::simnet::JobLayout;
 use serde::{Deserialize, Serialize};
 
 const FIXTURE: &str = "tests/fixtures/costs/big_layout_polys.json";
 const FIXTURE_VERSION: &str = "pml-costgolden/v1";
+const RANKINGS: &str = "tests/fixtures/costs/ri_ranking.json";
 
 /// `(nodes, ppn)`: the benchmark's profile points (25×10, 31×8, 16×16),
 /// a 7-wide one, prime node counts at PPN 1–4 and two even fillers.
@@ -160,6 +162,47 @@ fn big_layout_polynomials_match_the_committed_fixture() {
     }
     assert_eq!(got.grid, want.grid, "grid digest over all polynomials");
     assert_eq!(want.grid.cells, 370, "the default schedcheck grid");
+}
+
+/// `pml-costs/v1`: known-good analytic rankings of grid cells on one zoo
+/// cluster's hardware.
+#[derive(Deserialize)]
+struct Rankings {
+    v: String,
+    cluster: String,
+    cells: Vec<RankedCell>,
+}
+
+#[derive(Deserialize)]
+struct RankedCell {
+    collective: String,
+    world: u32,
+    size: usize,
+    ranking: Vec<String>,
+}
+
+/// Every committed ranking reproduces exactly, so cost-model drift that
+/// still clears the differential's top-1 bar fails here, named by cell.
+#[test]
+fn pinned_rankings_reproduce_exactly() {
+    let text = std::fs::read_to_string(RANKINGS).expect("committed ranking fixture");
+    let want: Rankings = serde_json::from_str(&text).expect("fixture parses");
+    assert_eq!(want.v, "pml-costs/v1");
+    assert!(!want.cells.is_empty(), "fixture pins no cell");
+    let node = &pml_mpi::by_name(&want.cluster)
+        .expect("zoo cluster")
+        .spec
+        .node;
+    for cell in &want.cells {
+        let coll = pml_mpi::serve::parse_collective(&cell.collective).expect("collective");
+        let ranked = rank_static(coll, node, cell_layout(cell.world), cell.size);
+        let got: Vec<&str> = ranked.iter().map(|(algo, _)| algo.name()).collect();
+        let (c, p, size) = (&cell.collective, cell.world, cell.size);
+        assert_eq!(
+            got, cell.ranking,
+            "analytic ranking drifted for {c} p={p} size={size}"
+        );
+    }
 }
 
 #[test]
