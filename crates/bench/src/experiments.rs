@@ -13,7 +13,7 @@ use crate::{
 };
 use pml_apps::{run_app, Gromacs, MiniFe, Workload};
 use pml_clusters::{ClusterEntry, DatagenConfig, Split, TuningRecord};
-use pml_collectives::{measure_sweep, AlltoallAlgo, Collective};
+use pml_collectives::{measure_sweep, Algorithm, Collective};
 use pml_core::features::MPI_FEATURES;
 use pml_core::{
     overhead, records_to_dataset, AlgorithmSelector, JobConfig, MlSelector, MvapichDefault,
@@ -102,7 +102,8 @@ pub(crate) fn fig01(_: &Context) -> Result<Report, PmlError> {
 /// 2 nodes × 16 PPN, 1 B – 16 KiB as in the figure.
 pub(crate) fn fig02(_: &Context) -> Result<Report, PmlError> {
     let sizes = msg_sweep(14);
-    let algos: Vec<&str> = AlltoallAlgo::ALL.iter().map(|a| a.name()).collect();
+    let alltoall = Algorithm::all_for(Collective::Alltoall);
+    let algos: Vec<&str> = alltoall.iter().map(|a| a.name()).collect();
     let headers = format!("msg(B) | {}", algos.join(" | "));
     let mut report = Report::default();
     for name in HELD_OUT {
@@ -110,8 +111,8 @@ pub(crate) fn fig02(_: &Context) -> Result<Report, PmlError> {
         let sweep = measure_sweep(Collective::Alltoall, node, JobLayout::new(2, 16), &sizes);
         let rows = sweep.iter().zip(&sizes).map(|(col, m)| {
             let mut row = vec![m.to_string()];
-            for algo in AlltoallAlgo::ALL {
-                let hit = col.iter().find(|(a, _)| a.name() == algo.name());
+            for &algo in alltoall {
+                let hit = col.iter().find(|&&(a, _)| a == algo);
                 row.push(us(hit.map_or(f64::NAN, |(_, t)| *t)));
             }
             row

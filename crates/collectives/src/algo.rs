@@ -1,5 +1,6 @@
 //! Algorithm registry: the enumerations the rest of the system (dataset
-//! generation, classifiers, tuning tables) speaks in.
+//! generation, classifiers, tuning tables) speaks in, and `REGISTRY`, one
+//! row per algorithm holding everything else known about it.
 
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 #![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
@@ -9,6 +10,11 @@ use crate::schedule::CommSchedule;
 use crate::{allgather, allreduce, alltoall, bcast};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use AllgatherAlgo as Ag;
+use AllreduceAlgo as Ar;
+use AlltoallAlgo as Aa;
+use BcastAlgo as Bc;
+use World::{Any, EvenOrOne, PowerOfTwo};
 
 /// The supported collectives: the paper's two study subjects plus the
 /// broadcast/allreduce extensions from its future-work section.
@@ -43,12 +49,7 @@ impl Collective {
 
     /// Number of algorithm choices for this collective.
     pub fn algo_count(self) -> usize {
-        match self {
-            Collective::Allgather => AllgatherAlgo::ALL.len(),
-            Collective::Alltoall => AlltoallAlgo::ALL.len(),
-            Collective::Bcast => BcastAlgo::ALL.len(),
-            Collective::Allreduce => AllreduceAlgo::ALL.len(),
-        }
+        Algorithm::all_for(self).len()
     }
 }
 
@@ -64,69 +65,9 @@ pub enum AllgatherAlgo {
     RecursiveDoubling,
     Ring,
     Bruck,
-    /// The paper's "Recursive Doubling Communication" (see
-    /// [`allgather::neighbor_exchange`]).
+    /// The paper's "Recursive Doubling Communication" (`allgather::
+    /// neighbor_exchange`).
     NeighborExchange,
-}
-
-impl AllgatherAlgo {
-    pub const ALL: [AllgatherAlgo; 4] = [
-        AllgatherAlgo::RecursiveDoubling,
-        AllgatherAlgo::Ring,
-        AllgatherAlgo::Bruck,
-        AllgatherAlgo::NeighborExchange,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            AllgatherAlgo::RecursiveDoubling => "recursive_doubling",
-            AllgatherAlgo::Ring => "ring",
-            AllgatherAlgo::Bruck => "bruck",
-            AllgatherAlgo::NeighborExchange => "rd_communication",
-        }
-    }
-
-    /// Whether the algorithm is defined for `p` ranks.
-    pub fn supports(self, p: u32) -> bool {
-        match self {
-            AllgatherAlgo::RecursiveDoubling => allgather::recursive_doubling::supports(p),
-            AllgatherAlgo::Ring => allgather::ring::supports(p),
-            AllgatherAlgo::Bruck => allgather::bruck::supports(p),
-            AllgatherAlgo::NeighborExchange => allgather::neighbor_exchange::supports(p),
-        }
-    }
-
-    /// Generate the communication schedule. Errors with
-    /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
-    pub fn schedule(self, p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            AllgatherAlgo::RecursiveDoubling => allgather::recursive_doubling::schedule(p, block),
-            AllgatherAlgo::Ring => Ok(allgather::ring::schedule(p, block)),
-            AllgatherAlgo::Bruck => Ok(allgather::bruck::schedule(p, block)),
-            AllgatherAlgo::NeighborExchange => allgather::neighbor_exchange::schedule(p, block),
-        }
-    }
-
-    /// Stable class index for ML labels (the position in [`Self::ALL`];
-    /// `indices_round_trip` pins the two in sync).
-    pub fn index(self) -> usize {
-        match self {
-            AllgatherAlgo::RecursiveDoubling => 0,
-            AllgatherAlgo::Ring => 1,
-            AllgatherAlgo::Bruck => 2,
-            AllgatherAlgo::NeighborExchange => 3,
-        }
-    }
-
-    pub fn from_index(i: usize) -> Option<Self> {
-        Self::ALL.get(i).copied()
-    }
-}
-
-impl fmt::Display for AllgatherAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// `MPI_Alltoall` algorithm choices (§III).
@@ -139,131 +80,12 @@ pub enum AlltoallAlgo {
     Inplace,
 }
 
-impl AlltoallAlgo {
-    pub const ALL: [AlltoallAlgo; 5] = [
-        AlltoallAlgo::Bruck,
-        AlltoallAlgo::ScatterDest,
-        AlltoallAlgo::Pairwise,
-        AlltoallAlgo::RecursiveDoubling,
-        AlltoallAlgo::Inplace,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            AlltoallAlgo::Bruck => "bruck",
-            AlltoallAlgo::ScatterDest => "scatter_dest",
-            AlltoallAlgo::Pairwise => "pairwise",
-            AlltoallAlgo::RecursiveDoubling => "recursive_doubling",
-            AlltoallAlgo::Inplace => "inplace",
-        }
-    }
-
-    /// Whether the algorithm is defined for `p` ranks.
-    pub fn supports(self, p: u32) -> bool {
-        match self {
-            AlltoallAlgo::Bruck => alltoall::bruck::supports(p),
-            AlltoallAlgo::ScatterDest => alltoall::scatter_dest::supports(p),
-            AlltoallAlgo::Pairwise => alltoall::pairwise::supports(p),
-            AlltoallAlgo::RecursiveDoubling => alltoall::recursive_doubling::supports(p),
-            AlltoallAlgo::Inplace => alltoall::inplace::supports(p),
-        }
-    }
-
-    /// Generate the communication schedule. Errors with
-    /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
-    pub fn schedule(self, p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            AlltoallAlgo::Bruck => Ok(alltoall::bruck::schedule(p, block)),
-            AlltoallAlgo::ScatterDest => Ok(alltoall::scatter_dest::schedule(p, block)),
-            AlltoallAlgo::Pairwise => Ok(alltoall::pairwise::schedule(p, block)),
-            AlltoallAlgo::RecursiveDoubling => alltoall::recursive_doubling::schedule(p, block),
-            AlltoallAlgo::Inplace => Ok(alltoall::inplace::schedule(p, block)),
-        }
-    }
-
-    /// Stable class index for ML labels (the position in [`Self::ALL`];
-    /// `indices_round_trip` pins the two in sync).
-    pub fn index(self) -> usize {
-        match self {
-            AlltoallAlgo::Bruck => 0,
-            AlltoallAlgo::ScatterDest => 1,
-            AlltoallAlgo::Pairwise => 2,
-            AlltoallAlgo::RecursiveDoubling => 3,
-            AlltoallAlgo::Inplace => 4,
-        }
-    }
-
-    pub fn from_index(i: usize) -> Option<Self> {
-        Self::ALL.get(i).copied()
-    }
-}
-
-impl fmt::Display for AlltoallAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// `MPI_Bcast` algorithm choices (future-work extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum BcastAlgo {
     Binomial,
     ScatterAllgather,
     PipelinedRing,
-}
-
-impl BcastAlgo {
-    pub const ALL: [BcastAlgo; 3] = [
-        BcastAlgo::Binomial,
-        BcastAlgo::ScatterAllgather,
-        BcastAlgo::PipelinedRing,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            BcastAlgo::Binomial => "binomial",
-            BcastAlgo::ScatterAllgather => "scatter_allgather",
-            BcastAlgo::PipelinedRing => "pipelined_ring",
-        }
-    }
-
-    pub fn supports(self, p: u32) -> bool {
-        match self {
-            BcastAlgo::Binomial => bcast::binomial::supports(p),
-            BcastAlgo::ScatterAllgather => bcast::scatter_allgather::supports(p),
-            BcastAlgo::PipelinedRing => bcast::pipelined_ring::supports(p),
-        }
-    }
-
-    /// Generate the communication schedule. Errors with
-    /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
-    pub fn schedule(self, p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            BcastAlgo::Binomial => Ok(bcast::binomial::schedule(p, msg)),
-            BcastAlgo::ScatterAllgather => Ok(bcast::scatter_allgather::schedule(p, msg)),
-            BcastAlgo::PipelinedRing => Ok(bcast::pipelined_ring::schedule(p, msg)),
-        }
-    }
-
-    /// Stable class index for ML labels (the position in [`Self::ALL`];
-    /// `indices_round_trip` pins the two in sync).
-    pub fn index(self) -> usize {
-        match self {
-            BcastAlgo::Binomial => 0,
-            BcastAlgo::ScatterAllgather => 1,
-            BcastAlgo::PipelinedRing => 2,
-        }
-    }
-
-    pub fn from_index(i: usize) -> Option<Self> {
-        Self::ALL.get(i).copied()
-    }
-}
-
-impl fmt::Display for BcastAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// `MPI_Allreduce` algorithm choices (future-work extension).
@@ -274,61 +96,7 @@ pub enum AllreduceAlgo {
     ReduceBroadcast,
 }
 
-impl AllreduceAlgo {
-    pub const ALL: [AllreduceAlgo; 3] = [
-        AllreduceAlgo::RecursiveDoubling,
-        AllreduceAlgo::RingReduceScatter,
-        AllreduceAlgo::ReduceBroadcast,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            AllreduceAlgo::RecursiveDoubling => "recursive_doubling",
-            AllreduceAlgo::RingReduceScatter => "ring_reduce_scatter",
-            AllreduceAlgo::ReduceBroadcast => "reduce_broadcast",
-        }
-    }
-
-    pub fn supports(self, p: u32) -> bool {
-        match self {
-            AllreduceAlgo::RecursiveDoubling => allreduce::recursive_doubling::supports(p),
-            AllreduceAlgo::RingReduceScatter => allreduce::ring::supports(p),
-            AllreduceAlgo::ReduceBroadcast => allreduce::reduce_broadcast::supports(p),
-        }
-    }
-
-    /// Generate the communication schedule. Errors with
-    /// [`SchedError::UnsupportedWorld`] if `!supports(p)`.
-    pub fn schedule(self, p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            AllreduceAlgo::RecursiveDoubling => allreduce::recursive_doubling::schedule(p, msg),
-            AllreduceAlgo::RingReduceScatter => Ok(allreduce::ring::schedule(p, msg)),
-            AllreduceAlgo::ReduceBroadcast => Ok(allreduce::reduce_broadcast::schedule(p, msg)),
-        }
-    }
-
-    /// Stable class index for ML labels (the position in [`Self::ALL`];
-    /// `indices_round_trip` pins the two in sync).
-    pub fn index(self) -> usize {
-        match self {
-            AllreduceAlgo::RecursiveDoubling => 0,
-            AllreduceAlgo::RingReduceScatter => 1,
-            AllreduceAlgo::ReduceBroadcast => 2,
-        }
-    }
-
-    pub fn from_index(i: usize) -> Option<Self> {
-        Self::ALL.get(i).copied()
-    }
-}
-
-impl fmt::Display for AllreduceAlgo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Either collective's algorithm, as a single label type.
+/// Any collective's algorithm, as a single label type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Algorithm {
     Allgather(AllgatherAlgo),
@@ -337,31 +105,170 @@ pub enum Algorithm {
     Allreduce(AllreduceAlgo),
 }
 
+/// The world sizes `p` an algorithm is defined at. A restricted rule names
+/// the algorithm a selector runs where it fails: one of the same
+/// collective that is defined at every `p`.
+#[derive(Debug, Clone, Copy)]
+enum World {
+    Any,
+    /// Recursive doubling's `r XOR 2ᵏ` pairing.
+    PowerOfTwo(Algorithm),
+    /// Neighbour exchange's pairs, or the degenerate lone rank.
+    EvenOrOne(Algorithm),
+}
+
+/// Everything known about one algorithm; each accessor of [`Algorithm`]
+/// reads its row.
+#[derive(Debug)]
+struct Row {
+    algo: Algorithm,
+    /// The wire name: reports, CLI output and the `Display` label.
+    name: &'static str,
+    world: World,
+    /// The schedule generator, only ever called at a `p` `world` admits.
+    generate: fn(u32, usize) -> CommSchedule,
+    /// See [`Algorithm::scale_invariant`].
+    scale_invariant: bool,
+}
+
+/// One row per algorithm in label order: by collective, then in the
+/// declaration order of the collective's enum (`rows_in_label_order`).
+/// A restricted world names the fallback: Bruck is recursive doubling's
+/// any-`p` generalization, ring has neighbour exchange's bandwidth profile,
+/// and ring reduce-scatter matches RD-allreduce's bandwidth class.
+#[rustfmt::skip]
+const REGISTRY: [Row; 15] = [
+    Row { algo: Algorithm::Allgather(Ag::RecursiveDoubling), name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Allgather(Ag::Bruck)),             generate: allgather::recursive_doubling::schedule, scale_invariant: true },
+    Row { algo: Algorithm::Allgather(Ag::Ring),              name: "ring",                world: Any,                                                     generate: allgather::ring::schedule,               scale_invariant: true },
+    Row { algo: Algorithm::Allgather(Ag::Bruck),             name: "bruck",               world: Any,                                                     generate: allgather::bruck::schedule,              scale_invariant: true },
+    Row { algo: Algorithm::Allgather(Ag::NeighborExchange),  name: "rd_communication",    world: EvenOrOne(Algorithm::Allgather(Ag::Ring)),               generate: allgather::neighbor_exchange::schedule,  scale_invariant: true },
+    Row { algo: Algorithm::Alltoall(Aa::Bruck),              name: "bruck",               world: Any,                                                     generate: alltoall::bruck::schedule,               scale_invariant: true },
+    Row { algo: Algorithm::Alltoall(Aa::ScatterDest),        name: "scatter_dest",        world: Any,                                                     generate: alltoall::scatter_dest::schedule,        scale_invariant: true },
+    Row { algo: Algorithm::Alltoall(Aa::Pairwise),           name: "pairwise",            world: Any,                                                     generate: alltoall::pairwise::schedule,            scale_invariant: true },
+    Row { algo: Algorithm::Alltoall(Aa::RecursiveDoubling),  name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Alltoall(Aa::Bruck)),              generate: alltoall::recursive_doubling::schedule,  scale_invariant: true },
+    Row { algo: Algorithm::Alltoall(Aa::Inplace),            name: "inplace",             world: Any,                                                     generate: alltoall::inplace::schedule,             scale_invariant: true },
+    Row { algo: Algorithm::Bcast(Bc::Binomial),              name: "binomial",            world: Any,                                                     generate: bcast::binomial::schedule,               scale_invariant: true },
+    Row { algo: Algorithm::Bcast(Bc::ScatterAllgather),      name: "scatter_allgather",   world: Any,                                                     generate: bcast::scatter_allgather::schedule,      scale_invariant: false },
+    Row { algo: Algorithm::Bcast(Bc::PipelinedRing),         name: "pipelined_ring",      world: Any,                                                     generate: bcast::pipelined_ring::schedule,         scale_invariant: false },
+    Row { algo: Algorithm::Allreduce(Ar::RecursiveDoubling), name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Allreduce(Ar::RingReduceScatter)), generate: allreduce::recursive_doubling::schedule, scale_invariant: true },
+    Row { algo: Algorithm::Allreduce(Ar::RingReduceScatter), name: "ring_reduce_scatter", world: Any,                                                     generate: allreduce::ring::schedule,               scale_invariant: false },
+    Row { algo: Algorithm::Allreduce(Ar::ReduceBroadcast),   name: "reduce_broadcast",    world: Any,                                                     generate: allreduce::reduce_broadcast::schedule,   scale_invariant: true },
+];
+
+/// Each row's algorithm, so [`Algorithm::all_for`] can lend a slice.
+const ALGORITHMS: [Algorithm; REGISTRY.len()] = {
+    let mut all = [REGISTRY[0].algo; REGISTRY.len()];
+    let mut k = 0;
+    while k < all.len() {
+        all[k] = REGISTRY[k].algo;
+        k += 1;
+    }
+    all
+};
+
+/// `FIRST_ROW[c as usize]` is collective `c`'s first row and
+/// `FIRST_ROW[c as usize + 1]` its end: the rows of earlier collectives,
+/// counted.
+const FIRST_ROW: [usize; Collective::ALL.len() + 1] = {
+    let mut first = [0; Collective::ALL.len() + 1];
+    let mut k = 0;
+    while k < REGISTRY.len() {
+        first[REGISTRY[k].algo.label().0 as usize + 1] += 1;
+        k += 1;
+    }
+    let mut c = 0;
+    while c < Collective::ALL.len() {
+        first[c + 1] += first[c];
+        c += 1;
+    }
+    first
+};
+
+/// Whether every row is the one [`Algorithm::declared_row`] names for its
+/// algorithm, and sits at its variant's discriminant past its collective's
+/// first row. So each collective's rows are contiguous and follow its
+/// enum's declaration order, with no gaps.
+const fn rows_in_label_order() -> bool {
+    let mut k = 0;
+    while k < REGISTRY.len() {
+        let (collective, discriminant) = REGISTRY[k].algo.label();
+        let declared = REGISTRY[k].algo.declared_row().algo.label();
+        let at = FIRST_ROW[collective as usize] + discriminant;
+        if declared.0 as usize != collective as usize || declared.1 != discriminant || at != k {
+            return false;
+        }
+        k += 1;
+    }
+    true
+}
+
+// Does not build (an array of length 0 is not one of length 1) unless the
+// rows are in label order.
+const _: [(); 1] = [(); rows_in_label_order() as usize];
+
 impl Algorithm {
+    /// The row each algorithm has in `REGISTRY`: the one match that names
+    /// every algorithm, evaluated only by `rows_in_label_order`, which holds
+    /// every row to the arm of its algorithm. A new variant does not build
+    /// until it has an arm here, and an arm past the table's end is a
+    /// compile-time index error.
+    const fn declared_row(self) -> &'static Row {
+        match self {
+            Algorithm::Allgather(Ag::RecursiveDoubling) => &REGISTRY[0],
+            Algorithm::Allgather(Ag::Ring) => &REGISTRY[1],
+            Algorithm::Allgather(Ag::Bruck) => &REGISTRY[2],
+            Algorithm::Allgather(Ag::NeighborExchange) => &REGISTRY[3],
+            Algorithm::Alltoall(Aa::Bruck) => &REGISTRY[4],
+            Algorithm::Alltoall(Aa::ScatterDest) => &REGISTRY[5],
+            Algorithm::Alltoall(Aa::Pairwise) => &REGISTRY[6],
+            Algorithm::Alltoall(Aa::RecursiveDoubling) => &REGISTRY[7],
+            Algorithm::Alltoall(Aa::Inplace) => &REGISTRY[8],
+            Algorithm::Bcast(Bc::Binomial) => &REGISTRY[9],
+            Algorithm::Bcast(Bc::ScatterAllgather) => &REGISTRY[10],
+            Algorithm::Bcast(Bc::PipelinedRing) => &REGISTRY[11],
+            Algorithm::Allreduce(Ar::RecursiveDoubling) => &REGISTRY[12],
+            Algorithm::Allreduce(Ar::RingReduceScatter) => &REGISTRY[13],
+            Algorithm::Allreduce(Ar::ReduceBroadcast) => &REGISTRY[14],
+        }
+    }
+
+    /// The algorithm's collective and its variant's discriminant there.
+    #[inline]
+    const fn label(self) -> (Collective, usize) {
+        match self {
+            Algorithm::Allgather(a) => (Collective::Allgather, a as usize),
+            Algorithm::Alltoall(a) => (Collective::Alltoall, a as usize),
+            Algorithm::Bcast(a) => (Collective::Bcast, a as usize),
+            Algorithm::Allreduce(a) => (Collective::Allreduce, a as usize),
+        }
+    }
+
+    /// The algorithm's row, found without a branch: its collective's first
+    /// row plus its discriminant, which `rows_in_label_order` holds to be
+    /// the row `declared_row` names.
+    #[inline]
+    fn row(self) -> &'static Row {
+        let (collective, discriminant) = self.label();
+        &REGISTRY[FIRST_ROW[collective as usize] + discriminant]
+    }
+
+    #[inline]
     pub fn collective(self) -> Collective {
-        match self {
-            Algorithm::Allgather(_) => Collective::Allgather,
-            Algorithm::Alltoall(_) => Collective::Alltoall,
-            Algorithm::Bcast(_) => Collective::Bcast,
-            Algorithm::Allreduce(_) => Collective::Allreduce,
-        }
+        self.label().0
     }
 
+    #[inline]
     pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Allgather(a) => a.name(),
-            Algorithm::Alltoall(a) => a.name(),
-            Algorithm::Bcast(a) => a.name(),
-            Algorithm::Allreduce(a) => a.name(),
-        }
+        self.row().name
     }
 
+    /// Whether the algorithm is defined for `p` ranks: its row's world rule.
+    #[inline]
     pub fn supports(self, p: u32) -> bool {
-        match self {
-            Algorithm::Allgather(a) => a.supports(p),
-            Algorithm::Alltoall(a) => a.supports(p),
-            Algorithm::Bcast(a) => a.supports(p),
-            Algorithm::Allreduce(a) => a.supports(p),
+        match self.row().world {
+            Any => true,
+            PowerOfTwo(_) => p.is_power_of_two(),
+            EvenOrOne(_) => p == 1 || p.is_multiple_of(2),
         }
     }
 
@@ -370,74 +277,56 @@ impl Algorithm {
     /// True for every allgather/alltoall algorithm (all offsets scale
     /// linearly with the block); false for the chunked bcast/allreduce
     /// variants whose chunk boundaries depend on `msg mod p`.
+    #[inline]
     pub fn scale_invariant(self) -> bool {
-        !matches!(
-            self,
-            Algorithm::Bcast(BcastAlgo::ScatterAllgather)
-                | Algorithm::Bcast(BcastAlgo::PipelinedRing)
-                | Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter)
-        )
+        self.row().scale_invariant
+    }
+
+    /// What a selector runs at a `p` this algorithm is not defined at: a
+    /// relative in the same collective defined at every `p` (the algorithm
+    /// itself when it is defined everywhere).
+    #[inline]
+    pub fn fallback(self) -> Algorithm {
+        match self.row().world {
+            Any => self,
+            PowerOfTwo(relative) | EvenOrOne(relative) => relative,
+        }
     }
 
     /// Generate the communication schedule. Errors with
     /// [`SchedError::UnsupportedWorld`] if `!supports(p)` (e.g. recursive
     /// doubling at a non-power-of-two world size).
     pub fn schedule(self, p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-        match self {
-            Algorithm::Allgather(a) => a.schedule(p, block),
-            Algorithm::Alltoall(a) => a.schedule(p, block),
-            Algorithm::Bcast(a) => a.schedule(p, block),
-            Algorithm::Allreduce(a) => a.schedule(p, block),
+        if !self.supports(p) {
+            return Err(SchedError::UnsupportedWorld { world: p });
         }
+        Ok((self.row().generate)(p, block))
     }
 
-    /// Stable class index within the algorithm's collective.
+    /// Stable class index within the algorithm's collective: its row's
+    /// position among the collective's rows, which is its discriminant.
+    #[inline]
     pub fn index(self) -> usize {
-        match self {
-            Algorithm::Allgather(a) => a.index(),
-            Algorithm::Alltoall(a) => a.index(),
-            Algorithm::Bcast(a) => a.index(),
-            Algorithm::Allreduce(a) => a.index(),
-        }
+        self.label().1
     }
 
+    #[inline]
     pub fn from_index(collective: Collective, i: usize) -> Option<Self> {
-        match collective {
-            Collective::Allgather => AllgatherAlgo::from_index(i).map(Algorithm::Allgather),
-            Collective::Alltoall => AlltoallAlgo::from_index(i).map(Algorithm::Alltoall),
-            Collective::Bcast => BcastAlgo::from_index(i).map(Algorithm::Bcast),
-            Collective::Allreduce => AllreduceAlgo::from_index(i).map(Algorithm::Allreduce),
-        }
+        Self::all_for(collective).get(i).copied()
     }
 
-    /// All algorithms for a collective.
-    pub fn all_for(collective: Collective) -> Vec<Algorithm> {
-        match collective {
-            Collective::Allgather => AllgatherAlgo::ALL
-                .iter()
-                .map(|&a| Algorithm::Allgather(a))
-                .collect(),
-            Collective::Alltoall => AlltoallAlgo::ALL
-                .iter()
-                .map(|&a| Algorithm::Alltoall(a))
-                .collect(),
-            Collective::Bcast => BcastAlgo::ALL
-                .iter()
-                .map(|&a| Algorithm::Bcast(a))
-                .collect(),
-            Collective::Allreduce => AllreduceAlgo::ALL
-                .iter()
-                .map(|&a| Algorithm::Allreduce(a))
-                .collect(),
-        }
+    /// All algorithms for a collective, in label order.
+    #[inline]
+    pub fn all_for(collective: Collective) -> &'static [Algorithm] {
+        let c = collective as usize;
+        &ALGORITHMS[FIRST_ROW[c]..FIRST_ROW[c + 1]]
     }
 
     /// All algorithms for a collective that are defined at `p` ranks.
     pub fn applicable_for(collective: Collective, p: u32) -> Vec<Algorithm> {
-        Self::all_for(collective)
-            .into_iter()
-            .filter(|a| a.supports(p))
-            .collect()
+        let mut applicable = Self::all_for(collective).to_vec();
+        applicable.retain(|a| a.supports(p));
+        applicable
     }
 }
 
@@ -451,12 +340,36 @@ impl fmt::Display for Algorithm {
 mod tests {
     use super::*;
 
+    /// Every algorithm's serde JSON, `Display`, `name()` and `index()`, as
+    /// recorded before the registry replaced the per-collective matches:
+    /// the bytes of every model, table and report label.
+    #[rustfmt::skip]
+    const LABELS: [(&str, &str, &str, usize); 15] = [
+        (r#"{"Allgather":"RecursiveDoubling"}"#, "MPI_Allgather:recursive_doubling",  "recursive_doubling",  0),
+        (r#"{"Allgather":"Ring"}"#,              "MPI_Allgather:ring",                "ring",                1),
+        (r#"{"Allgather":"Bruck"}"#,             "MPI_Allgather:bruck",               "bruck",               2),
+        (r#"{"Allgather":"NeighborExchange"}"#,  "MPI_Allgather:rd_communication",    "rd_communication",    3),
+        (r#"{"Alltoall":"Bruck"}"#,              "MPI_Alltoall:bruck",                "bruck",               0),
+        (r#"{"Alltoall":"ScatterDest"}"#,        "MPI_Alltoall:scatter_dest",         "scatter_dest",        1),
+        (r#"{"Alltoall":"Pairwise"}"#,           "MPI_Alltoall:pairwise",             "pairwise",            2),
+        (r#"{"Alltoall":"RecursiveDoubling"}"#,  "MPI_Alltoall:recursive_doubling",   "recursive_doubling",  3),
+        (r#"{"Alltoall":"Inplace"}"#,            "MPI_Alltoall:inplace",              "inplace",             4),
+        (r#"{"Bcast":"Binomial"}"#,              "MPI_Bcast:binomial",                "binomial",            0),
+        (r#"{"Bcast":"ScatterAllgather"}"#,      "MPI_Bcast:scatter_allgather",       "scatter_allgather",   1),
+        (r#"{"Bcast":"PipelinedRing"}"#,         "MPI_Bcast:pipelined_ring",          "pipelined_ring",      2),
+        (r#"{"Allreduce":"RecursiveDoubling"}"#, "MPI_Allreduce:recursive_doubling",  "recursive_doubling",  0),
+        (r#"{"Allreduce":"RingReduceScatter"}"#, "MPI_Allreduce:ring_reduce_scatter", "ring_reduce_scatter", 1),
+        (r#"{"Allreduce":"ReduceBroadcast"}"#,   "MPI_Allreduce:reduce_broadcast",    "reduce_broadcast",    2),
+    ];
+
     #[test]
     fn indices_round_trip() {
         for c in Collective::ALL {
-            for a in Algorithm::all_for(c) {
+            for &a in Algorithm::all_for(c) {
                 assert_eq!(Algorithm::from_index(c, a.index()), Some(a));
+                assert_eq!(a.collective(), c);
             }
+            assert_eq!(Algorithm::from_index(c, c.algo_count()), None);
         }
     }
 
@@ -489,18 +402,65 @@ mod tests {
         assert!(!Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter).scale_invariant());
     }
 
+    /// Every algorithm paired with its row of `LABELS`, in registry order.
+    fn labelled() -> impl Iterator<
+        Item = (
+            Algorithm,
+            &'static (&'static str, &'static str, &'static str, usize),
+        ),
+    > {
+        let all: Vec<Algorithm> = Collective::ALL
+            .into_iter()
+            .flat_map(|c| Algorithm::all_for(c).iter().copied())
+            .collect();
+        assert_eq!(all.len(), LABELS.len());
+        all.into_iter().zip(&LABELS)
+    }
+
     #[test]
     fn display_strings() {
-        assert_eq!(
-            Algorithm::Alltoall(AlltoallAlgo::ScatterDest).to_string(),
-            "MPI_Alltoall:scatter_dest"
-        );
+        for (a, &(_, display, name, index)) in labelled() {
+            assert_eq!(a.to_string(), display);
+            assert_eq!(a.name(), name);
+            assert_eq!(a.index(), index);
+        }
     }
 
     #[test]
     fn serde_roundtrip() {
-        let a = Algorithm::Allgather(AllgatherAlgo::Bruck);
-        let json = serde_json::to_string(&a).unwrap();
-        assert_eq!(serde_json::from_str::<Algorithm>(&json).unwrap(), a);
+        for (a, &(json, ..)) in labelled() {
+            assert_eq!(serde_json::to_string(&a).unwrap(), json);
+            assert_eq!(serde_json::from_str::<Algorithm>(json).unwrap(), a);
+        }
+    }
+
+    #[test]
+    fn restricted_worlds_name_an_any_world_fallback() {
+        for row in &REGISTRY {
+            let fallback = row.algo.fallback();
+            match row.world {
+                Any => assert_eq!(fallback, row.algo),
+                PowerOfTwo(_) | EvenOrOne(_) => {
+                    assert_ne!(fallback, row.algo);
+                    assert_eq!(fallback.collective(), row.algo.collective());
+                    assert!((1..=1024).all(|p| fallback.supports(p)), "{}", row.algo);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_checks_the_world_rule_once() {
+        for &a in Collective::ALL.iter().flat_map(|&c| Algorithm::all_for(c)) {
+            for p in 1..=12u32 {
+                match a.schedule(p, 4) {
+                    Ok(s) => assert!(a.supports(p) && s.world == p, "{a} p={p}"),
+                    Err(e) => assert_eq!(
+                        (a.supports(p), e),
+                        (false, SchedError::UnsupportedWorld { world: p })
+                    ),
+                }
+            }
+        }
     }
 }

@@ -9,8 +9,3 @@ pub mod bruck;
 pub mod neighbor_exchange;
 pub mod recursive_doubling;
 pub mod ring;
-
-pub use bruck::schedule as bruck_schedule;
-pub use neighbor_exchange::schedule as neighbor_exchange_schedule;
-pub use recursive_doubling::schedule as recursive_doubling_schedule;
-pub use ring::schedule as ring_schedule;

@@ -10,22 +10,13 @@
 //! blocks per message — which trades latency terms for slightly larger
 //! transfers. Requires an even world size.
 
-use crate::schedcheck::SchedError;
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
-
-/// Defined for even world sizes (and the degenerate p = 1).
-pub fn supports(p: u32) -> bool {
-    p == 1 || p.is_multiple_of(2)
-}
 
 /// Build the schedule for `p` ranks with `block`-byte contributions.
 ///
-/// Errors with [`SchedError::UnsupportedWorld`] if `!supports(p)` —
-/// neighbour exchange needs an even world size.
-pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-    if !supports(p) {
-        return Err(SchedError::UnsupportedWorld { world: p });
-    }
+/// Needs an even world size (or a lone rank), which `Algorithm::schedule`
+/// checks before it calls here.
+pub fn schedule(p: u32, block: usize) -> CommSchedule {
     let b = block;
     let pu = p as usize;
     let mut sb = ScheduleBuilder::new(p, b, b, pu * b, 0);
@@ -69,7 +60,7 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
             last_pair = recv_pair;
         }
     }
-    Ok(sb.finish())
+    sb.finish()
 }
 
 /// (a - d) mod q on u32 without underflow.
@@ -81,18 +72,19 @@ fn last_pair_sub(a: u32, d: u32, q: u32) -> u32 {
 mod tests {
     use super::*;
     use crate::verify::check_allgather;
+    use crate::{Algorithm, AllgatherAlgo, SchedError};
 
     #[test]
     fn correct_for_even_worlds() {
         for p in [1u32, 2, 4, 6, 8, 10, 12, 14, 16, 20] {
-            check_allgather(&schedule(p, 8).unwrap(), 8).unwrap();
+            check_allgather(&schedule(p, 8), 8).unwrap();
         }
     }
 
     #[test]
     fn half_the_rounds_of_ring() {
         let p = 12u32;
-        let sch = schedule(p, 8).unwrap();
+        let sch = schedule(p, 8);
         // copy + p/2 exchange rounds.
         assert_eq!(sch.ranks[5].len(), 1 + p as usize / 2);
     }
@@ -101,7 +93,7 @@ mod tests {
     fn bandwidth_matches_ring() {
         let p = 10u32;
         let b = 32usize;
-        let sch = schedule(p, b).unwrap();
+        let sch = schedule(p, b);
         for r in 0..p {
             // 1 block + (p/2 - 1) pairs = p - 1 blocks.
             assert_eq!(sch.bytes_sent_by(r), (p as usize - 1) * b);
@@ -110,8 +102,9 @@ mod tests {
 
     #[test]
     fn rejects_odd_worlds() {
+        let algo = Algorithm::Allgather(AllgatherAlgo::NeighborExchange);
         assert!(matches!(
-            schedule(7, 8),
+            algo.schedule(7, 8),
             Err(SchedError::UnsupportedWorld { world: 7 })
         ));
     }

@@ -6,22 +6,13 @@
 //! (the MVAPICH/MPICH implementation falls back to other algorithms
 //! otherwise, and so does our registry).
 
-use crate::schedcheck::SchedError;
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
-
-/// Whether this algorithm is defined for `p` ranks.
-pub fn supports(p: u32) -> bool {
-    p.is_power_of_two()
-}
 
 /// Build the schedule for `p` ranks with `block`-byte contributions.
 ///
-/// Errors with [`SchedError::UnsupportedWorld`] if `!supports(p)` —
-/// recursive doubling needs a power-of-two world size.
-pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-    if !supports(p) {
-        return Err(SchedError::UnsupportedWorld { world: p });
-    }
+/// Needs a power-of-two world size, which `Algorithm::schedule` checks
+/// before it calls here.
+pub fn schedule(p: u32, block: usize) -> CommSchedule {
     let b = block;
     let mut sb = ScheduleBuilder::new(p, b, b, p as usize * b, 0);
     for r in 0..p {
@@ -41,24 +32,25 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
             k += 1;
         }
     }
-    Ok(sb.finish())
+    sb.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::check_allgather;
+    use crate::{Algorithm, AllgatherAlgo, SchedError};
 
     #[test]
     fn correct_for_powers_of_two() {
         for p in [1u32, 2, 4, 8, 16, 32] {
-            check_allgather(&schedule(p, 16).unwrap(), 16).unwrap();
+            check_allgather(&schedule(p, 16), 16).unwrap();
         }
     }
 
     #[test]
     fn log_rounds() {
-        let sch = schedule(16, 8).unwrap();
+        let sch = schedule(16, 8);
         // 1 copy step + 4 exchange steps.
         assert_eq!(sch.ranks[0].len(), 5);
     }
@@ -67,7 +59,7 @@ mod tests {
     fn each_rank_sends_p_minus_1_blocks() {
         let p = 8u32;
         let b = 32usize;
-        let sch = schedule(p, b).unwrap();
+        let sch = schedule(p, b);
         for r in 0..p {
             assert_eq!(sch.bytes_sent_by(r), (p as usize - 1) * b);
         }
@@ -75,8 +67,9 @@ mod tests {
 
     #[test]
     fn rejects_non_power_of_two() {
+        let algo = Algorithm::Allgather(AllgatherAlgo::RecursiveDoubling);
         assert!(matches!(
-            schedule(6, 8),
+            algo.schedule(6, 8),
             Err(SchedError::UnsupportedWorld { world: 6 })
         ));
     }

@@ -7,11 +7,6 @@
 
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 
-/// The ring is defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 /// Build the schedule for `p` ranks with `block`-byte contributions.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
     let b = block;

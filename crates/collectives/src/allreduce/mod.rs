@@ -8,7 +8,3 @@
 pub mod recursive_doubling;
 pub mod reduce_broadcast;
 pub mod ring;
-
-pub use recursive_doubling::schedule as recursive_doubling_schedule;
-pub use reduce_broadcast::schedule as reduce_broadcast_schedule;
-pub use ring::schedule as ring_schedule;

@@ -5,22 +5,13 @@
 //! but the whole vector crosses the wire every round — the small-message
 //! choice. Power-of-two worlds only.
 
-use crate::schedcheck::SchedError;
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
-
-/// Defined for power-of-two world sizes.
-pub fn supports(p: u32) -> bool {
-    p.is_power_of_two()
-}
 
 /// Build the schedule for `p` ranks reducing `msg`-byte vectors.
 ///
-/// Errors with [`SchedError::UnsupportedWorld`] if `!supports(p)` —
-/// recursive doubling needs a power-of-two world size.
-pub fn schedule(p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
-    if !supports(p) {
-        return Err(SchedError::UnsupportedWorld { world: p });
-    }
+/// Needs a power-of-two world size, which `Algorithm::schedule` checks
+/// before it calls here.
+pub fn schedule(p: u32, msg: usize) -> CommSchedule {
     let mut sb = ScheduleBuilder::new(p, msg, msg, msg, msg);
     sb.work_initialized_from_input();
     for r in 0..p {
@@ -42,18 +33,19 @@ pub fn schedule(p: u32, msg: usize) -> Result<CommSchedule, SchedError> {
             sb.step(r, |s| s.combine(Region::aux(0, msg), Region::work(0, msg)));
         }
     }
-    Ok(sb.finish())
+    sb.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::check_allreduce;
+    use crate::{Algorithm, AllreduceAlgo, SchedError};
 
     #[test]
     fn correct_for_powers_of_two() {
         for p in [1u32, 2, 4, 8, 16, 32] {
-            check_allreduce(&schedule(p, 16).unwrap(), 16).unwrap();
+            check_allreduce(&schedule(p, 16), 16).unwrap();
         }
     }
 
@@ -61,7 +53,7 @@ mod tests {
     fn full_vector_every_round() {
         let p = 8u32;
         let msg = 1024;
-        let sch = schedule(p, msg).unwrap();
+        let sch = schedule(p, msg);
         for r in 0..p {
             assert_eq!(sch.bytes_sent_by(r), 3 * msg); // log2(8) rounds
             assert_eq!(sch.messages_sent_by(r), 3);
@@ -70,8 +62,9 @@ mod tests {
 
     #[test]
     fn rejects_non_power_of_two() {
+        let algo = Algorithm::Allreduce(AllreduceAlgo::RecursiveDoubling);
         assert!(matches!(
-            schedule(6, 8),
+            algo.schedule(6, 8),
             Err(SchedError::UnsupportedWorld { world: 6 })
         ));
     }

@@ -9,11 +9,6 @@
 
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 
-/// Defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 /// Build the schedule for `p` ranks reducing `msg`-byte vectors.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
     let mut sb = ScheduleBuilder::new(p, msg, msg, msg, msg);

@@ -12,11 +12,6 @@
 
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 
-/// Defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 fn chunk_off(msg: usize, p: u32, i: u32) -> usize {
     let p = p as usize;
     let i = i as usize % (p + 1);

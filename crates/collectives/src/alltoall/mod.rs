@@ -9,9 +9,3 @@ pub mod inplace;
 pub mod pairwise;
 pub mod recursive_doubling;
 pub mod scatter_dest;
-
-pub use bruck::schedule as bruck_schedule;
-pub use inplace::schedule as inplace_schedule;
-pub use pairwise::schedule as pairwise_schedule;
-pub use recursive_doubling::schedule as recursive_doubling_schedule;
-pub use scatter_dest::schedule as scatter_dest_schedule;

@@ -9,11 +9,6 @@
 
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 
-/// Defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 /// Build the schedule for `p` ranks with `block`-byte blocks.
 pub fn schedule(p: u32, block: usize) -> CommSchedule {
     let b = block;

@@ -18,13 +18,7 @@
 //! exchange enumerate the transferred set in the same canonical (d, o)
 //! order, so the packed buffer needs no header.
 
-use crate::schedcheck::SchedError;
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
-
-/// Defined for power-of-two world sizes.
-pub fn supports(p: u32) -> bool {
-    p.is_power_of_two()
-}
 
 /// The blocks rank `q` sends in round k (bit = 2ᵏ), in canonical (d, o)
 /// order, as (origin, dest) pairs.
@@ -54,12 +48,9 @@ fn slot(o: u32, d: u32, mask: u32) -> usize {
 
 /// Build the schedule for `p` ranks with `block`-byte blocks.
 ///
-/// Errors with [`SchedError::UnsupportedWorld`] if `!supports(p)` —
-/// the hypercube exchange needs a power-of-two world size.
-pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
-    if !supports(p) {
-        return Err(SchedError::UnsupportedWorld { world: p });
-    }
+/// Needs a power-of-two world size, which `Algorithm::schedule` checks
+/// before it calls here.
+pub fn schedule(p: u32, block: usize) -> CommSchedule {
     let b = block;
     let pu = p as usize;
     let half = pu / 2;
@@ -123,18 +114,19 @@ pub fn schedule(p: u32, block: usize) -> Result<CommSchedule, SchedError> {
             });
         }
     }
-    Ok(sb.finish())
+    sb.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::check_alltoall;
+    use crate::{Algorithm, AlltoallAlgo, SchedError};
 
     #[test]
     fn correct_for_powers_of_two() {
         for p in [1u32, 2, 4, 8, 16, 32, 64] {
-            check_alltoall(&schedule(p, 8).unwrap(), 8).unwrap();
+            check_alltoall(&schedule(p, 8), 8).unwrap();
         }
     }
 
@@ -168,7 +160,7 @@ mod tests {
     fn log_messages_but_extra_volume() {
         let p = 16u32;
         let b = 32usize;
-        let sch = schedule(p, b).unwrap();
+        let sch = schedule(p, b);
         for r in 0..p {
             assert_eq!(sch.messages_sent_by(r), 4); // log2(16)
                                                     // (p/2)·log2(p) blocks — more volume than pairwise's p−1.
@@ -178,8 +170,9 @@ mod tests {
 
     #[test]
     fn rejects_non_power_of_two() {
+        let algo = Algorithm::Alltoall(AlltoallAlgo::RecursiveDoubling);
         assert!(matches!(
-            schedule(6, 8),
+            algo.schedule(6, 8),
             Err(SchedError::UnsupportedWorld { world: 6 })
         ));
     }

@@ -7,11 +7,6 @@
 
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 
-/// Defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 /// Build the schedule for `p` ranks and a `msg`-byte payload from rank 0.
 pub fn schedule(p: u32, msg: usize) -> CommSchedule {
     let mut sb = ScheduleBuilder::new(p, msg, msg, msg, 0);

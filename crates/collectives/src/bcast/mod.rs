@@ -8,7 +8,3 @@
 pub mod binomial;
 pub mod pipelined_ring;
 pub mod scatter_allgather;
-
-pub use binomial::schedule as binomial_schedule;
-pub use pipelined_ring::schedule as pipelined_ring_schedule;
-pub use scatter_allgather::schedule as scatter_allgather_schedule;

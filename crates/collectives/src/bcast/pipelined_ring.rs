@@ -14,11 +14,6 @@ use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 /// Pipeline depth.
 pub const SEGMENTS: usize = 8;
 
-/// Defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 fn seg_off(msg: usize, i: usize) -> usize {
     let base = msg / SEGMENTS;
     let rem = msg % SEGMENTS;

@@ -12,11 +12,6 @@
 
 use crate::schedule::{CommSchedule, Region, ScheduleBuilder};
 
-/// Defined for any world size.
-pub fn supports(_p: u32) -> bool {
-    true
-}
-
 /// Byte offset of chunk boundary `i` when `msg` bytes split into `p`
 /// near-equal chunks (first `msg % p` chunks get the extra byte).
 pub(crate) fn chunk_off(msg: usize, p: u32, i: u32) -> usize {

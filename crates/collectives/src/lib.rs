@@ -4,11 +4,12 @@
 //! the MVAPICH-engine substitute for the PML-MPI reproduction.
 //!
 //! Fifteen algorithms are implemented from scratch: four for
-//! `MPI_Allgather` ([`allgather`]), five for `MPI_Alltoall`
-//! ([`alltoall`]), three each for `MPI_Bcast` ([`bcast`]) and
-//! `MPI_Allreduce` ([`allreduce`]). Each is a *schedule generator*
-//! producing the [`schedule::CommSchedule`] IR, which one simulator, one
-//! test oracle and one static checker read:
+//! `MPI_Allgather` (`allgather`), five for `MPI_Alltoall` (`alltoall`),
+//! three each for `MPI_Bcast` (`bcast`) and `MPI_Allreduce` (`allreduce`).
+//! Each is a *schedule generator* producing the [`schedule::CommSchedule`]
+//! IR; [`mod@algo`]'s registry is the only public way to run one
+//! ([`Algorithm::schedule`]). One simulator, one test oracle and one
+//! static checker read the IR:
 //!
 //! * [`exec::sim`] — virtual time against a [`pml_simnet::CostModel`]
 //!   (the measurement backend for the ML dataset), walking the matched
@@ -23,10 +24,10 @@
 //! dataset generation runs.
 
 pub mod algo;
-pub mod allgather;
-pub mod allreduce;
-pub mod alltoall;
-pub mod bcast;
+pub(crate) mod allgather;
+pub(crate) mod allreduce;
+pub(crate) mod alltoall;
+pub(crate) mod bcast;
 pub mod exec;
 pub mod measure;
 pub mod schedcheck;

@@ -118,7 +118,6 @@ pub fn measure_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{AllgatherAlgo, AlltoallAlgo};
     use crate::schedcost::sim_time;
     use pml_simnet::{CpuFamily, CpuSpec, HcaGeneration, InterconnectSpec, PcieVersion};
 
@@ -143,12 +142,9 @@ mod tests {
     fn all_algorithms_measurable_at_pow2() {
         let node = frontera_like();
         let layout = JobLayout::new(2, 8);
-        for (coll, registered) in [
-            (Collective::Allgather, AllgatherAlgo::ALL.len()),
-            (Collective::Alltoall, AlltoallAlgo::ALL.len()),
-        ] {
+        for coll in Collective::PAPER {
             let column = &measure_sweep(coll, &node, layout, &[1024])[0];
-            assert_eq!(column.len(), registered);
+            assert_eq!(column.len(), coll.algo_count());
             for &(a, t) in column {
                 assert!(t > 0.0 && t.is_finite(), "{a}: {t}");
             }

@@ -462,10 +462,11 @@ pub fn sweep_grid(max_world: u32, sizes: &[usize]) -> Vec<(Algorithm, u32, usize
 }
 
 /// A grid sweep's outcome: how many cells of each algorithm passed, keyed
-/// by algorithm name, and each cell that failed with why, in sweep order.
+/// by algorithm (not by name, which collectives share), and each cell that
+/// failed with why, in sweep order.
 #[derive(Debug)]
 pub struct GridTally<E> {
-    pub passed: BTreeMap<&'static str, usize>,
+    pub passed: BTreeMap<Algorithm, usize>,
     pub failed: Vec<((Algorithm, u32, usize), E)>,
 }
 
@@ -479,7 +480,7 @@ impl<E> GridTally<E> {
         let (mut passed, mut failed) = (BTreeMap::new(), Vec::new());
         for (algo, p, size) in sweep_grid(max_world, sizes) {
             match check(algo, p, size) {
-                Ok(()) => *passed.entry(algo.name()).or_default() += 1,
+                Ok(()) => *passed.entry(algo).or_default() += 1,
                 Err(e) => failed.push(((algo, p, size), e)),
             }
         }
@@ -501,6 +502,7 @@ pub fn check_grid(max_world: u32, sizes: &[usize]) -> GridTally<SchedError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::{AllgatherAlgo, AlltoallAlgo};
     use crate::schedule::ScheduleBuilder;
     use crate::verify::{
         check_allgather, check_allreduce, check_alltoall, check_bcast, VerifyError,
@@ -595,6 +597,26 @@ mod tests {
         assert!(grid
             .iter()
             .all(|(a, p, _)| a.supports(*p) && *p >= 2 && *p <= 16));
+    }
+
+    #[test]
+    fn tally_counts_each_algorithm_of_each_collective_apart() {
+        let (max_world, sizes) = (16, [16, 21]);
+        let tally = GridTally::<()>::sweep(max_world, &sizes, |_, _, _| Ok(()));
+        let grid = sweep_grid(max_world, &sizes);
+        assert_eq!(tally.passed.len(), 15);
+        for (&algo, &n) in &tally.passed {
+            let own = grid.iter().filter(|(a, _, _)| *a == algo).count();
+            assert_eq!(n, own, "{algo}");
+        }
+        // Bruck is both an allgather and an alltoall algorithm: 15 worlds x
+        // 2 sizes each, never the 60 one shared name would merge them into.
+        assert_eq!(
+            tally.passed[&Algorithm::Allgather(AllgatherAlgo::Bruck)],
+            30
+        );
+        assert_eq!(tally.passed[&Algorithm::Alltoall(AlltoallAlgo::Bruck)], 30);
+        assert_eq!(tally.cells(), grid.len());
     }
 
     #[test]

@@ -208,7 +208,8 @@ mod tests {
         let node = test_node();
         let layout = JobLayout::new(3, 1);
         let chunked: Vec<Algorithm> = Algorithm::all_for(Collective::Bcast)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|a| !a.scale_invariant())
             .collect();
         assert!(!chunked.is_empty());
@@ -230,8 +231,8 @@ mod tests {
         // rank exactly as a from-scratch extraction does.
         for msg in [1usize, 2, 77, 5_000, 9_999, 10_000, 123_457] {
             let mut fresh: Vec<(Algorithm, f64)> = Algorithm::all_for(Collective::Bcast)
-                .into_iter()
-                .map(|a| {
+                .iter()
+                .map(|&a| {
                     let (block, scale) = if a.scale_invariant() {
                         (1, msg as f64)
                     } else {

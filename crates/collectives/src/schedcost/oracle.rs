@@ -176,11 +176,11 @@ fn deployment_sized_layouts_agree_too() {
     // bootstrap extracts (the golden fixture pins the rest).
     for (algo, layout) in [
         (
-            crate::AlltoallAlgo::ScatterDest.schedule(250, 1),
+            crate::Algorithm::Alltoall(crate::AlltoallAlgo::ScatterDest).schedule(250, 1),
             JobLayout::new(25, 10),
         ),
         (
-            crate::AllgatherAlgo::Ring.schedule(248, 1),
+            crate::Algorithm::Allgather(crate::AllgatherAlgo::Ring).schedule(248, 1),
             JobLayout::new(31, 8),
         ),
     ] {

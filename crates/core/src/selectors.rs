@@ -93,43 +93,13 @@ pub trait AlgorithmSelector {
 }
 
 /// If `preferred` is undefined at this world size, fall back to the best
-/// always-applicable relative (every MPI library does a variant of this).
+/// always-applicable relative its registry row names (every MPI library
+/// does a variant of this).
 pub fn applicable_or_fallback(preferred: Algorithm, world: u32) -> Algorithm {
     if preferred.supports(world) {
-        return preferred;
-    }
-    match preferred {
-        // Bruck is recursive doubling's any-p generalization.
-        Algorithm::Allgather(AllgatherAlgo::RecursiveDoubling) => {
-            Algorithm::Allgather(AllgatherAlgo::Bruck)
-        }
-        // Ring has the same bandwidth profile as neighbour exchange.
-        Algorithm::Allgather(AllgatherAlgo::NeighborExchange) => {
-            Algorithm::Allgather(AllgatherAlgo::Ring)
-        }
-        Algorithm::Alltoall(AlltoallAlgo::RecursiveDoubling) => {
-            Algorithm::Alltoall(AlltoallAlgo::Bruck)
-        }
-        // Ring reduce-scatter matches RD-allreduce's bandwidth class.
-        Algorithm::Allreduce(AllreduceAlgo::RecursiveDoubling) => {
-            Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter)
-        }
-        // Defined at every world size, so `supports` never sent them here.
-        // Named one by one: a new variant needs its own arm (and, if it is
-        // not always applicable, a relative above).
-        Algorithm::Allgather(AllgatherAlgo::Ring | AllgatherAlgo::Bruck)
-        | Algorithm::Alltoall(
-            AlltoallAlgo::Bruck
-            | AlltoallAlgo::ScatterDest
-            | AlltoallAlgo::Pairwise
-            | AlltoallAlgo::Inplace,
-        )
-        | Algorithm::Bcast(
-            BcastAlgo::Binomial | BcastAlgo::ScatterAllgather | BcastAlgo::PipelinedRing,
-        )
-        | Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter | AllreduceAlgo::ReduceBroadcast) => {
-            preferred
-        }
+        preferred
+    } else {
+        preferred.fallback()
     }
 }
 
@@ -535,6 +505,35 @@ mod tests {
 
     #[test]
     fn fallback_rules() {
+        // The index, in its collective, of what each algorithm runs at
+        // p = 1..=64, as recorded when every rule was its own match arm.
+        #[rustfmt::skip]
+        const RUNS: [(&str, &str); 15] = [
+            ("MPI_Allgather:recursive_doubling",  "0020222022222220222222222222222022222222222222222222222222222220"),
+            ("MPI_Allgather:ring",                "1111111111111111111111111111111111111111111111111111111111111111"),
+            ("MPI_Allgather:bruck",               "2222222222222222222222222222222222222222222222222222222222222222"),
+            ("MPI_Allgather:rd_communication",    "3313131313131313131313131313131313131313131313131313131313131313"),
+            ("MPI_Alltoall:bruck",                "0000000000000000000000000000000000000000000000000000000000000000"),
+            ("MPI_Alltoall:scatter_dest",         "1111111111111111111111111111111111111111111111111111111111111111"),
+            ("MPI_Alltoall:pairwise",             "2222222222222222222222222222222222222222222222222222222222222222"),
+            ("MPI_Alltoall:recursive_doubling",   "3303000300000003000000000000000300000000000000000000000000000003"),
+            ("MPI_Alltoall:inplace",              "4444444444444444444444444444444444444444444444444444444444444444"),
+            ("MPI_Bcast:binomial",                "0000000000000000000000000000000000000000000000000000000000000000"),
+            ("MPI_Bcast:scatter_allgather",       "1111111111111111111111111111111111111111111111111111111111111111"),
+            ("MPI_Bcast:pipelined_ring",          "2222222222222222222222222222222222222222222222222222222222222222"),
+            ("MPI_Allreduce:recursive_doubling",  "0010111011111110111111111111111011111111111111111111111111111110"),
+            ("MPI_Allreduce:ring_reduce_scatter", "1111111111111111111111111111111111111111111111111111111111111111"),
+            ("MPI_Allreduce:reduce_broadcast",    "2222222222222222222222222222222222222222222222222222222222222222"),
+        ];
+        let all = Collective::ALL.into_iter().flat_map(Algorithm::all_for);
+        assert_eq!(all.clone().count(), RUNS.len());
+        for (&preferred, (label, runs)) in all.zip(RUNS) {
+            assert_eq!(preferred.to_string(), label);
+            let got: String = (1..=64)
+                .map(|p| applicable_or_fallback(preferred, p).index().to_string())
+                .collect();
+            assert_eq!(got, runs, "{preferred}");
+        }
         assert_eq!(
             applicable_or_fallback(Algorithm::Allgather(AllgatherAlgo::RecursiveDoubling), 6),
             Algorithm::Allgather(AllgatherAlgo::Bruck)

@@ -396,7 +396,7 @@ mod tests {
         // 2^60 and the next integer), the farther of each pair listed first.
         let mut union = product(&[1, 2, 4], &[8], &[16, 1024, 65536]);
         let algos = Algorithm::all_for(Collective::Alltoall);
-        for (m, a) in [0, 1, 100, (1 << 60) + 1, 1 << 60].into_iter().zip(&algos) {
+        for (m, a) in [0, 1, 100, (1 << 60) + 1, 1 << 60].into_iter().zip(algos) {
             union.insert(61, 4, m, *a).unwrap();
         }
         assert_index_is_the_scan(&union);

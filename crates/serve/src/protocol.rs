@@ -1042,7 +1042,7 @@ mod tests {
         for id in [None, Some(0), Some(u64::MAX)] {
             let pong = vec![("pong".to_string(), Value::Bool(true))];
             assert_eq!(render_pong(id), frame(id, true, pong));
-            for algo in Collective::ALL.into_iter().flat_map(Algorithm::all_for) {
+            for &algo in Collective::ALL.into_iter().flat_map(Algorithm::all_for) {
                 assert_eq!(render_predict(id, algo), frame(id, true, choice(algo)));
                 for depth in depths {
                     let mut fields = choice(algo);

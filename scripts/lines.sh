@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Print the line counts CHANGES.md and ROADMAP.md quote: each crate's shipped
-# lines, the shipped lines of the two files ROADMAP item 8 budgets, then the
+# lines, the shipped lines of the files ROADMAP budgets (`src/main.rs` and
+# `server.rs`, item 8; the algorithm registry `algo.rs`, item 23), then the
 # workspace `.rs` total under `crates src tests examples`.
 # A crate's shipped lines are those of every `.rs` file under its `src/`, each
 # counted up to its first `#[cfg(test)]` at column 0. A test-only module file
@@ -43,8 +44,8 @@ shipped() {
         awk '{ s += $1 } END { print s + 0 }'
 }
 
-for src in crates/*/src src src/main.rs crates/serve/src/server.rs; do
-    printf '%-26s %6d\n' "${src%/src}" "$(shipped "$src")"
+for src in crates/*/src src src/main.rs crates/serve/src/server.rs crates/collectives/src/algo.rs; do
+    printf '%-30s %6d\n' "${src%/src}" "$(shipped "$src")"
 done
-printf '%-26s %6d\n' "workspace .rs" \
+printf '%-30s %6d\n' "workspace .rs" \
     "$(find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"

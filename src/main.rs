@@ -40,9 +40,11 @@ fn main() {
         let _span = span!(opts.cmd.span);
         (opts.cmd.run)(&opts)
     };
-    finish_obs(&opts, stats_run);
-    if let Err(e) = result {
+    let written = finish_obs(&opts, stats_run);
+    if let Err(e) = &result {
         eprintln!("error: {e}");
+    }
+    if result.is_err() || !written {
         std::process::exit(1);
     }
 }
@@ -324,11 +326,11 @@ impl Opts {
 
 /// After the subcommand returns (even on error): render the span tree to
 /// stderr (`--trace`, or always for `stats`) and write the metrics JSON
-/// (`--metrics-out`).
-fn finish_obs(opts: &Opts, stats_run: bool) {
+/// (`--metrics-out`). False if that write failed, which fails the run.
+fn finish_obs(opts: &Opts, stats_run: bool) -> bool {
     let tracer = obs::tracer();
     if !tracer.is_enabled() {
-        return;
+        return true;
     }
     let forest = tracer.finish();
     if (opts.has("trace") || stats_run) && !forest.is_empty() {
@@ -336,11 +338,13 @@ fn finish_obs(opts: &Opts, stats_run: bool) {
     }
     if let Some(path) = opts.get("metrics-out") {
         let json = obs::metrics_json(&obs::metrics::snapshot(), Some(&forest));
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("metrics written to {path}"),
-            Err(e) => eprintln!("error: writing {path}: {e}"),
+        if let Err(e) = std::fs::write(path, json) {
+            eprintln!("error: writing {path}: {e}");
+            return false;
         }
+        eprintln!("metrics written to {path}");
     }
+    true
 }
 
 /// `--nodes`, `--ppn` and `--msg` (`msg` when that flag is absent), held
@@ -644,8 +648,8 @@ fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
         for ((algo, p, size), e) in &tally.failed {
             eprintln!("FAIL {} p={p} size={size}: {e}", algo.name());
         }
-        for (name, n) in &tally.passed {
-            println!("{name}: {n} cells OK");
+        for (algo, n) in &tally.passed {
+            println!("{algo}: {n} cells OK");
         }
         let (failures, checked) = (tally.failed.len(), tally.cells());
         println!(
@@ -724,8 +728,8 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
         let name = algo.name();
         return Err(format!("no cost polynomial for {name} p={p} size={size}").into());
     }
-    for (name, n) in &derived.passed {
-        println!("{name}: {n} polynomials derived");
+    for (algo, n) in &derived.passed {
+        println!("{algo}: {n} polynomials derived");
     }
     println!(
         "derived {} cost polynomials statically (zero schedule executions)",

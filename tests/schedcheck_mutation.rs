@@ -7,21 +7,25 @@
 
 use pml_mpi::collectives::schedcheck::{check_schedule, SchedError, Spec};
 use pml_mpi::collectives::schedule::{Buf, CommSchedule, Op, Region};
-use pml_mpi::collectives::{AllgatherAlgo, AllreduceAlgo};
+use pml_mpi::collectives::{Algorithm, AllgatherAlgo, AllreduceAlgo};
 
 const P: u32 = 4;
 const B: usize = 8;
 
 fn ring_allgather() -> (CommSchedule, Spec) {
     (
-        AllgatherAlgo::Ring.schedule(P, B).unwrap(),
+        Algorithm::Allgather(AllgatherAlgo::Ring)
+            .schedule(P, B)
+            .unwrap(),
         Spec::Allgather { block: B },
     )
 }
 
 fn ring_allreduce() -> (CommSchedule, Spec) {
     (
-        AllreduceAlgo::RingReduceScatter.schedule(P, B).unwrap(),
+        Algorithm::Allreduce(AllreduceAlgo::RingReduceScatter)
+            .schedule(P, B)
+            .unwrap(),
         Spec::Allreduce { msg: B },
     )
 }

@@ -9,7 +9,7 @@
 use pml_mpi::collectives::schedcheck::{SchedError, ScheduleDoc};
 use pml_mpi::collectives::schedcost::{doc_cost, CostError};
 use pml_mpi::collectives::schedule::{CommSchedule, Op, Region};
-use pml_mpi::collectives::{AllgatherAlgo, Collective, Step};
+use pml_mpi::collectives::{Algorithm, AllgatherAlgo, Collective, Step};
 use pml_mpi::simnet::JobLayout;
 
 const P: u32 = 4;
@@ -19,7 +19,9 @@ fn ring_doc() -> ScheduleDoc {
     ScheduleDoc::new(
         Collective::Allgather,
         B,
-        AllgatherAlgo::Ring.schedule(P, B).unwrap(),
+        Algorithm::Allgather(AllgatherAlgo::Ring)
+            .schedule(P, B)
+            .unwrap(),
     )
 }
 

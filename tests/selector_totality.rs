@@ -11,7 +11,7 @@ fn every_algorithm_world_pair_resolves_to_an_applicable_algorithm() {
         .chain([96, 100, 127, 128, 255, 256, 509, 896, 1024, 4096, 65536])
         .collect();
     for collective in Collective::ALL {
-        for preferred in Algorithm::all_for(collective) {
+        for &preferred in Algorithm::all_for(collective) {
             for &w in &worlds {
                 let chosen = applicable_or_fallback(preferred, w);
                 assert!(
@@ -31,7 +31,7 @@ fn every_algorithm_world_pair_resolves_to_an_applicable_algorithm() {
 #[test]
 fn applicable_preference_is_kept() {
     for collective in Collective::ALL {
-        for preferred in Algorithm::all_for(collective) {
+        for &preferred in Algorithm::all_for(collective) {
             for w in [2u32, 8, 64, 1024] {
                 if preferred.supports(w) {
                     assert_eq!(applicable_or_fallback(preferred, w), preferred);
