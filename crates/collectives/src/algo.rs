@@ -6,8 +6,10 @@
 #![cfg_attr(not(test), deny(clippy::match_wildcard_for_single_variants))]
 
 use crate::schedcheck::SchedError;
+use crate::schedcost::{formula, CostPoly};
 use crate::schedule::CommSchedule;
 use crate::{allgather, allreduce, alltoall, bcast};
+use pml_simnet::JobLayout;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use AllgatherAlgo as Ag;
@@ -59,41 +61,63 @@ impl fmt::Display for Collective {
     }
 }
 
-/// `MPI_Allgather` algorithm choices (§III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum AllgatherAlgo {
-    RecursiveDoubling,
-    Ring,
-    Bruck,
-    /// The paper's "Recursive Doubling Communication" (`allgather::
-    /// neighbor_exchange`).
-    NeighborExchange,
+/// Declares one collective's algorithm enum and its `VARIANTS`: every
+/// variant in declaration order, as the [`Algorithm`] it labels. The
+/// registry's order check walks these, so a variant without a row of its
+/// own does not build.
+macro_rules! algorithms {
+    ($(#[$doc:meta])* $name:ident in $collective:ident { $($(#[$vdoc:meta])* $variant:ident,)* }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+        pub enum $name {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $name {
+            const VARIANTS: &'static [Algorithm] = &[$(Algorithm::$collective($name::$variant)),*];
+        }
+    };
 }
 
-/// `MPI_Alltoall` algorithm choices (§III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum AlltoallAlgo {
-    Bruck,
-    ScatterDest,
-    Pairwise,
-    RecursiveDoubling,
-    Inplace,
+algorithms! {
+    /// `MPI_Allgather` algorithm choices (§III).
+    AllgatherAlgo in Allgather {
+        RecursiveDoubling,
+        Ring,
+        Bruck,
+        /// The paper's "Recursive Doubling Communication" (`allgather::
+        /// neighbor_exchange`).
+        NeighborExchange,
+    }
 }
 
-/// `MPI_Bcast` algorithm choices (future-work extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum BcastAlgo {
-    Binomial,
-    ScatterAllgather,
-    PipelinedRing,
+algorithms! {
+    /// `MPI_Alltoall` algorithm choices (§III).
+    AlltoallAlgo in Alltoall {
+        Bruck,
+        ScatterDest,
+        Pairwise,
+        RecursiveDoubling,
+        Inplace,
+    }
 }
 
-/// `MPI_Allreduce` algorithm choices (future-work extension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum AllreduceAlgo {
-    RecursiveDoubling,
-    RingReduceScatter,
-    ReduceBroadcast,
+algorithms! {
+    /// `MPI_Bcast` algorithm choices (future-work extension).
+    BcastAlgo in Bcast {
+        Binomial,
+        ScatterAllgather,
+        PipelinedRing,
+    }
+}
+
+algorithms! {
+    /// `MPI_Allreduce` algorithm choices (future-work extension).
+    AllreduceAlgo in Allreduce {
+        RecursiveDoubling,
+        RingReduceScatter,
+        ReduceBroadcast,
+    }
 }
 
 /// Any collective's algorithm, as a single label type.
@@ -120,7 +144,7 @@ enum World {
 /// Everything known about one algorithm; each accessor of [`Algorithm`]
 /// reads its row.
 #[derive(Debug)]
-struct Row {
+pub(crate) struct Row {
     algo: Algorithm,
     /// The wire name: reports, CLI output and the `Display` label.
     name: &'static str,
@@ -128,7 +152,23 @@ struct Row {
     /// The schedule generator, only ever called at a `p` `world` admits.
     generate: fn(u32, usize) -> CommSchedule,
     /// See [`Algorithm::scale_invariant`].
-    scale_invariant: bool,
+    pub(crate) scale_invariant: bool,
+    /// The unit-block cost polynomial computed without a schedule: what
+    /// `extract_poly` returns for `generate(p, 1)` on the layout, for the
+    /// paper's nine algorithms; the others are extracted.
+    pub(crate) formula: Option<fn(JobLayout) -> Option<CostPoly>>,
+}
+
+impl Row {
+    /// Whether the algorithm is defined for `p` ranks.
+    #[inline]
+    pub(crate) fn supports(&self, p: u32) -> bool {
+        match self.world {
+            Any => true,
+            PowerOfTwo(_) => p.is_power_of_two(),
+            EvenOrOne(_) => p == 1 || p.is_multiple_of(2),
+        }
+    }
 }
 
 /// One row per algorithm in label order: by collective, then in the
@@ -138,21 +178,21 @@ struct Row {
 /// and ring reduce-scatter matches RD-allreduce's bandwidth class.
 #[rustfmt::skip]
 const REGISTRY: [Row; 15] = [
-    Row { algo: Algorithm::Allgather(Ag::RecursiveDoubling), name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Allgather(Ag::Bruck)),             generate: allgather::recursive_doubling::schedule, scale_invariant: true },
-    Row { algo: Algorithm::Allgather(Ag::Ring),              name: "ring",                world: Any,                                                     generate: allgather::ring::schedule,               scale_invariant: true },
-    Row { algo: Algorithm::Allgather(Ag::Bruck),             name: "bruck",               world: Any,                                                     generate: allgather::bruck::schedule,              scale_invariant: true },
-    Row { algo: Algorithm::Allgather(Ag::NeighborExchange),  name: "rd_communication",    world: EvenOrOne(Algorithm::Allgather(Ag::Ring)),               generate: allgather::neighbor_exchange::schedule,  scale_invariant: true },
-    Row { algo: Algorithm::Alltoall(Aa::Bruck),              name: "bruck",               world: Any,                                                     generate: alltoall::bruck::schedule,               scale_invariant: true },
-    Row { algo: Algorithm::Alltoall(Aa::ScatterDest),        name: "scatter_dest",        world: Any,                                                     generate: alltoall::scatter_dest::schedule,        scale_invariant: true },
-    Row { algo: Algorithm::Alltoall(Aa::Pairwise),           name: "pairwise",            world: Any,                                                     generate: alltoall::pairwise::schedule,            scale_invariant: true },
-    Row { algo: Algorithm::Alltoall(Aa::RecursiveDoubling),  name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Alltoall(Aa::Bruck)),              generate: alltoall::recursive_doubling::schedule,  scale_invariant: true },
-    Row { algo: Algorithm::Alltoall(Aa::Inplace),            name: "inplace",             world: Any,                                                     generate: alltoall::inplace::schedule,             scale_invariant: true },
-    Row { algo: Algorithm::Bcast(Bc::Binomial),              name: "binomial",            world: Any,                                                     generate: bcast::binomial::schedule,               scale_invariant: true },
-    Row { algo: Algorithm::Bcast(Bc::ScatterAllgather),      name: "scatter_allgather",   world: Any,                                                     generate: bcast::scatter_allgather::schedule,      scale_invariant: false },
-    Row { algo: Algorithm::Bcast(Bc::PipelinedRing),         name: "pipelined_ring",      world: Any,                                                     generate: bcast::pipelined_ring::schedule,         scale_invariant: false },
-    Row { algo: Algorithm::Allreduce(Ar::RecursiveDoubling), name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Allreduce(Ar::RingReduceScatter)), generate: allreduce::recursive_doubling::schedule, scale_invariant: true },
-    Row { algo: Algorithm::Allreduce(Ar::RingReduceScatter), name: "ring_reduce_scatter", world: Any,                                                     generate: allreduce::ring::schedule,               scale_invariant: false },
-    Row { algo: Algorithm::Allreduce(Ar::ReduceBroadcast),   name: "reduce_broadcast",    world: Any,                                                     generate: allreduce::reduce_broadcast::schedule,   scale_invariant: true },
+    Row { algo: Algorithm::Allgather(Ag::RecursiveDoubling), name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Allgather(Ag::Bruck)),             generate: allgather::recursive_doubling::schedule, scale_invariant: true, formula: Some(formula::allgather_recursive_doubling) },
+    Row { algo: Algorithm::Allgather(Ag::Ring),              name: "ring",                world: Any,                                                     generate: allgather::ring::schedule,               scale_invariant: true, formula: Some(formula::allgather_ring) },
+    Row { algo: Algorithm::Allgather(Ag::Bruck),             name: "bruck",               world: Any,                                                     generate: allgather::bruck::schedule,              scale_invariant: true, formula: Some(formula::allgather_bruck) },
+    Row { algo: Algorithm::Allgather(Ag::NeighborExchange),  name: "rd_communication",    world: EvenOrOne(Algorithm::Allgather(Ag::Ring)),               generate: allgather::neighbor_exchange::schedule,  scale_invariant: true, formula: Some(formula::allgather_neighbor_exchange) },
+    Row { algo: Algorithm::Alltoall(Aa::Bruck),              name: "bruck",               world: Any,                                                     generate: alltoall::bruck::schedule,               scale_invariant: true, formula: Some(formula::alltoall_bruck) },
+    Row { algo: Algorithm::Alltoall(Aa::ScatterDest),        name: "scatter_dest",        world: Any,                                                     generate: alltoall::scatter_dest::schedule,        scale_invariant: true, formula: Some(formula::alltoall_scatter_dest) },
+    Row { algo: Algorithm::Alltoall(Aa::Pairwise),           name: "pairwise",            world: Any,                                                     generate: alltoall::pairwise::schedule,            scale_invariant: true, formula: Some(formula::alltoall_pairwise) },
+    Row { algo: Algorithm::Alltoall(Aa::RecursiveDoubling),  name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Alltoall(Aa::Bruck)),              generate: alltoall::recursive_doubling::schedule,  scale_invariant: true, formula: Some(formula::alltoall_recursive_doubling) },
+    Row { algo: Algorithm::Alltoall(Aa::Inplace),            name: "inplace",             world: Any,                                                     generate: alltoall::inplace::schedule,             scale_invariant: true, formula: Some(formula::alltoall_inplace) },
+    Row { algo: Algorithm::Bcast(Bc::Binomial),              name: "binomial",            world: Any,                                                     generate: bcast::binomial::schedule,               scale_invariant: true, formula: None },
+    Row { algo: Algorithm::Bcast(Bc::ScatterAllgather),      name: "scatter_allgather",   world: Any,                                                     generate: bcast::scatter_allgather::schedule,      scale_invariant: false, formula: None },
+    Row { algo: Algorithm::Bcast(Bc::PipelinedRing),         name: "pipelined_ring",      world: Any,                                                     generate: bcast::pipelined_ring::schedule,         scale_invariant: false, formula: None },
+    Row { algo: Algorithm::Allreduce(Ar::RecursiveDoubling), name: "recursive_doubling",  world: PowerOfTwo(Algorithm::Allreduce(Ar::RingReduceScatter)), generate: allreduce::recursive_doubling::schedule, scale_invariant: true, formula: None },
+    Row { algo: Algorithm::Allreduce(Ar::RingReduceScatter), name: "ring_reduce_scatter", world: Any,                                                     generate: allreduce::ring::schedule,               scale_invariant: false, formula: None },
+    Row { algo: Algorithm::Allreduce(Ar::ReduceBroadcast),   name: "reduce_broadcast",    world: Any,                                                     generate: allreduce::reduce_broadcast::schedule,   scale_invariant: true, formula: None },
 ];
 
 /// Each row's algorithm, so [`Algorithm::all_for`] can lend a slice.
@@ -184,20 +224,39 @@ const FIRST_ROW: [usize; Collective::ALL.len() + 1] = {
     first
 };
 
-/// Whether every row is the one [`Algorithm::declared_row`] names for its
-/// algorithm, and sits at its variant's discriminant past its collective's
-/// first row. So each collective's rows are contiguous and follow its
-/// enum's declaration order, with no gaps.
+/// Each collective's variants, indexed by `Collective as usize`.
+const VARIANTS: [&[Algorithm]; Collective::ALL.len()] = [
+    AllgatherAlgo::VARIANTS,
+    AlltoallAlgo::VARIANTS,
+    BcastAlgo::VARIANTS,
+    AllreduceAlgo::VARIANTS,
+];
+
+/// Whether every collective has exactly one row per variant of its enum,
+/// and variant `i`'s row sits at `i` past the collective's first row. So
+/// each collective's rows are contiguous and follow its enum's declaration
+/// order with no gaps, and a variant cannot read another algorithm's row.
 const fn rows_in_label_order() -> bool {
-    let mut k = 0;
-    while k < REGISTRY.len() {
-        let (collective, discriminant) = REGISTRY[k].algo.label();
-        let declared = REGISTRY[k].algo.declared_row().algo.label();
-        let at = FIRST_ROW[collective as usize] + discriminant;
-        if declared.0 as usize != collective as usize || declared.1 != discriminant || at != k {
+    let mut c = 0;
+    while c < VARIANTS.len() {
+        let variants = VARIANTS[c];
+        if variants.len() != FIRST_ROW[c + 1] - FIRST_ROW[c] {
             return false;
         }
-        k += 1;
+        let mut i = 0;
+        while i < variants.len() {
+            let (row_collective, row_index) = REGISTRY[FIRST_ROW[c] + i].algo.label();
+            let (collective, index) = variants[i].label();
+            if row_collective as usize != c
+                || collective as usize != c
+                || row_index != i
+                || index != i
+            {
+                return false;
+            }
+            i += 1;
+        }
+        c += 1;
     }
     true
 }
@@ -207,31 +266,6 @@ const fn rows_in_label_order() -> bool {
 const _: [(); 1] = [(); rows_in_label_order() as usize];
 
 impl Algorithm {
-    /// The row each algorithm has in `REGISTRY`: the one match that names
-    /// every algorithm, evaluated only by `rows_in_label_order`, which holds
-    /// every row to the arm of its algorithm. A new variant does not build
-    /// until it has an arm here, and an arm past the table's end is a
-    /// compile-time index error.
-    const fn declared_row(self) -> &'static Row {
-        match self {
-            Algorithm::Allgather(Ag::RecursiveDoubling) => &REGISTRY[0],
-            Algorithm::Allgather(Ag::Ring) => &REGISTRY[1],
-            Algorithm::Allgather(Ag::Bruck) => &REGISTRY[2],
-            Algorithm::Allgather(Ag::NeighborExchange) => &REGISTRY[3],
-            Algorithm::Alltoall(Aa::Bruck) => &REGISTRY[4],
-            Algorithm::Alltoall(Aa::ScatterDest) => &REGISTRY[5],
-            Algorithm::Alltoall(Aa::Pairwise) => &REGISTRY[6],
-            Algorithm::Alltoall(Aa::RecursiveDoubling) => &REGISTRY[7],
-            Algorithm::Alltoall(Aa::Inplace) => &REGISTRY[8],
-            Algorithm::Bcast(Bc::Binomial) => &REGISTRY[9],
-            Algorithm::Bcast(Bc::ScatterAllgather) => &REGISTRY[10],
-            Algorithm::Bcast(Bc::PipelinedRing) => &REGISTRY[11],
-            Algorithm::Allreduce(Ar::RecursiveDoubling) => &REGISTRY[12],
-            Algorithm::Allreduce(Ar::RingReduceScatter) => &REGISTRY[13],
-            Algorithm::Allreduce(Ar::ReduceBroadcast) => &REGISTRY[14],
-        }
-    }
-
     /// The algorithm's collective and its variant's discriminant there.
     #[inline]
     const fn label(self) -> (Collective, usize) {
@@ -245,9 +279,9 @@ impl Algorithm {
 
     /// The algorithm's row, found without a branch: its collective's first
     /// row plus its discriminant, which `rows_in_label_order` holds to be
-    /// the row `declared_row` names.
+    /// the algorithm's own.
     #[inline]
-    fn row(self) -> &'static Row {
+    pub(crate) fn row(self) -> &'static Row {
         let (collective, discriminant) = self.label();
         &REGISTRY[FIRST_ROW[collective as usize] + discriminant]
     }
@@ -265,11 +299,7 @@ impl Algorithm {
     /// Whether the algorithm is defined for `p` ranks: its row's world rule.
     #[inline]
     pub fn supports(self, p: u32) -> bool {
-        match self.row().world {
-            Any => true,
-            PowerOfTwo(_) => p.is_power_of_two(),
-            EvenOrOne(_) => p == 1 || p.is_multiple_of(2),
-        }
+        self.row().supports(p)
     }
 
     /// Whether the schedule generated at unit block size, simulated with a

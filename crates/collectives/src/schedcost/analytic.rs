@@ -1,26 +1,31 @@
 //! Analytic algorithm ranking: memoized polynomials × fitted constants.
 //!
-//! The polynomial for a scale-invariant algorithm is extracted **once**
-//! per (algorithm, layout) at unit block and reused across the whole
+//! The polynomial for a scale-invariant algorithm is priced **once** per
+//! (algorithm, layout) at unit block and reused across the whole
 //! message-size sweep (the same trick `measure_sweep` plays with one
 //! `sim::Plan`); the chunked bcast/allreduce variants, whose schedule
 //! shape depends on `msg mod p`, are keyed by the actual size — and only
-//! the most recent few thousand of those are kept. Ties break by
-//! registry index, so rankings are bit-identical run to run — the
-//! property the obs-determinism CI lane pins for the selector tier built
-//! on top of this.
+//! the most recent few thousand of those are kept. A miss is priced by the
+//! registry row's formula where it has one (the paper's nine algorithms,
+//! `formula.rs`), else by generating the schedule and extracting it;
+//! extraction is the definition the formulas are tested against. The memo
+//! stays in front of the formulas because a hit costs less than a formula
+//! on the warm path. Ties break by registry index, so rankings are
+//! bit-identical run to run — the property the obs-determinism CI lane
+//! pins for the selector tier built on top of this.
 
 use super::extract::extract_poly;
 use super::fit::cached_params;
-use super::{CostParams, CostPoly};
-use crate::algo::{Algorithm, Collective};
+use super::CostPoly;
+use crate::algo::{Algorithm, Collective, Row};
 use pml_obs::{span, Counter};
 use pml_simnet::{JobLayout, NodeSpec};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{OnceLock, RwLock};
 
-/// Polynomial-cache hits, and misses (each one a schedule generated and
-/// extracted under a `schedcost.extract` span).
+/// Polynomial-cache hits, and misses (each one priced under a
+/// `schedcost.extract` span: by the row's formula where it has one, else
+/// by generating the schedule and extracting it).
 static POLY_HITS: Counter = Counter::new("schedcost.cache.poly_hits");
 static POLY_MISSES: Counter = Counter::new("schedcost.cache.poly_misses");
 
@@ -46,15 +51,27 @@ struct PolyCache {
 
 static POLYS: OnceLock<RwLock<PolyCache>> = OnceLock::new();
 
-/// The largest world a polynomial is extracted at. Extraction builds the
+/// The largest world a polynomial is priced at. Extraction builds the
 /// whole schedule, so its work and memory grow with the world (an alltoall
 /// has `p²` messages); above this bound a shape has no polynomial and so
 /// no analytic ranking. The largest zoo world (16 × 68 KNL ranks), so every
 /// shape the datasets, experiments and tables price is within it. A cold
 /// `rank_static` at 1 088 ranks took 0.8–2.1 s and peaked at 0.3–0.65 GB
-/// per collective on a 2-core x86-64 host; at 2 048 ranks, 3.6–13 s and
-/// 1.0–2.6 GB (alltoall the largest), too much for one request.
+/// per collective on a 2-core x86-64 host when every miss was extracted;
+/// at 2 048 ranks, 3.6–13 s and 1.0–2.6 GB (alltoall the largest). The
+/// formulas price allgather and alltoall there in under a millisecond, but
+/// bcast and allreduce are still extracted, and a higher bound would need
+/// an eviction rule for the scale-invariant keys.
 pub const MAX_EXTRACT_WORLD: u32 = 1088;
+
+/// The world of `layout` when polynomials are priced there: at most
+/// [`MAX_EXTRACT_WORLD`] ranks.
+fn priced_world(layout: JobLayout) -> Option<u32> {
+    let world = u64::from(layout.nodes) * u64::from(layout.ppn);
+    u32::try_from(world)
+        .ok()
+        .filter(|&p| p <= MAX_EXTRACT_WORLD)
+}
 
 /// The cost polynomial of `algo` at this layout and message size, from
 /// cache when possible. `None` above [`MAX_EXTRACT_WORLD`] ranks, when the
@@ -62,25 +79,33 @@ pub const MAX_EXTRACT_WORLD: u32 = 1088;
 /// fails extraction (which the schedcheck CI grid rules out for every
 /// registered algorithm).
 pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPoly> {
-    let world = u64::from(layout.nodes) * u64::from(layout.ppn);
-    let p = u32::try_from(world)
-        .ok()
-        .filter(|&p| p <= MAX_EXTRACT_WORLD)?;
-    if !algo.supports(p) {
+    let p = priced_world(layout)?;
+    let row = algo.row();
+    if !row.supports(p) {
         return None;
     }
-    let (block, size_key) = if algo.scale_invariant() {
-        (1, 0)
-    } else {
-        (msg.max(1), msg.max(1))
-    };
-    let key: PolyKey = (
+    cached_poly(algo, row, layout, msg)
+}
+
+/// The block `algo` is priced at and its cache key: unit block and size
+/// key 0 when scale-invariant, else the message size for both.
+fn keyed(algo: Algorithm, row: &Row, layout: JobLayout, msg: usize) -> (usize, PolyKey) {
+    let size = if row.scale_invariant { 0 } else { msg.max(1) };
+    let key = (
         algo.collective(),
         algo.index(),
         layout.nodes,
         layout.ppn,
-        size_key,
+        size,
     );
+    (size.max(1), key)
+}
+
+/// [`poly_for`] past its checks: `row` is `algo`'s and supports the
+/// layout's world, which is within the bound.
+fn cached_poly(algo: Algorithm, row: &Row, layout: JobLayout, msg: usize) -> Option<CostPoly> {
+    let (block, key) = keyed(algo, row, layout, msg);
+    let size_key = key.4;
     let cache = POLYS.get_or_init(Default::default);
     if let Ok(guard) = cache.read() {
         if let Some(poly) = guard.polys.get(&key) {
@@ -89,9 +114,12 @@ pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPo
         }
     }
     POLY_MISSES.inc();
+    let p = layout.world_size();
     let _span = span!("schedcost.extract", world = p, algo = algo.name());
-    let schedule = algo.schedule(p, block).ok()?;
-    let poly = extract_poly(&schedule, layout).ok()?;
+    let poly = match row.formula {
+        Some(formula) => formula(layout)?,
+        None => extract_poly(&algo.schedule(p, block).ok()?, layout).ok()?,
+    };
     if let Ok(mut guard) = cache.write() {
         if guard.polys.insert(key, poly).is_none() && size_key != 0 {
             if guard.size_keyed.len() == SIZE_KEYED_CAP {
@@ -107,33 +135,58 @@ pub fn poly_for(algo: Algorithm, layout: JobLayout, msg: usize) -> Option<CostPo
 
 /// Predicted runtime of `algo` on `node` at this shape, in seconds.
 pub fn cost_for(algo: Algorithm, node: &NodeSpec, layout: JobLayout, msg: usize) -> Option<f64> {
-    cost_with(algo, &cached_params(node, layout.ppn), layout, msg)
+    let poly = poly_for(algo, layout, msg)?;
+    Some(poly.eval(&cached_params(node, layout.ppn), scale(algo.row(), msg)))
 }
 
-/// [`cost_for`] with the node's fitted constants already in hand.
-fn cost_with(algo: Algorithm, params: &CostParams, layout: JobLayout, msg: usize) -> Option<f64> {
-    let poly = poly_for(algo, layout, msg)?;
-    let scale = if algo.scale_invariant() {
+/// The multiplier a polynomial of `row`'s algorithm is evaluated at: the
+/// message size for a unit-block polynomial, else 1 (the size is baked
+/// into the bytes).
+fn scale(row: &Row, msg: usize) -> f64 {
+    if row.scale_invariant {
         msg.max(1) as f64
     } else {
         1.0
-    };
-    Some(poly.eval(params, scale))
+    }
 }
 
 /// Every applicable algorithm for `collective` at this shape, cheapest
-/// first. Deterministic: ties break by registry index.
+/// first. Deterministic: ties break by registry index. Reads each
+/// algorithm's row once.
 pub fn rank_static(
     collective: Collective,
     node: &NodeSpec,
     layout: JobLayout,
     msg: usize,
 ) -> Vec<(Algorithm, f64)> {
+    let algos = Algorithm::all_for(collective);
+    let mut out = Vec::with_capacity(algos.len());
+    let Some(p) = priced_world(layout) else {
+        return out;
+    };
     let params = cached_params(node, layout.ppn);
-    let mut out: Vec<(Algorithm, f64)> = Algorithm::applicable_for(collective, layout.world_size())
-        .into_iter()
-        .filter_map(|a| cost_with(a, &params, layout, msg).map(|t| (a, t)))
-        .collect();
+    // Every cached polynomial under one read lock; the misses one by one.
+    let (cache, mut missed) = (POLYS.get_or_init(Default::default).read().ok(), Vec::new());
+    for &algo in algos {
+        let row = algo.row();
+        if !row.supports(p) {
+            continue;
+        }
+        let key = keyed(algo, row, layout, msg).1;
+        match cache.as_ref().and_then(|guard| guard.polys.get(&key)) {
+            Some(poly) => {
+                POLY_HITS.inc();
+                out.push((algo, poly.eval(&params, scale(row, msg))));
+            }
+            None => missed.push((algo, row)),
+        }
+    }
+    drop(cache);
+    for (algo, row) in missed {
+        if let Some(poly) = cached_poly(algo, row, layout, msg) {
+            out.push((algo, poly.eval(&params, scale(row, msg))));
+        }
+    }
     out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.index().cmp(&b.0.index())));
     out
 }

@@ -44,6 +44,7 @@ mod analytic;
 mod differential;
 mod extract;
 mod fit;
+pub(crate) mod formula;
 
 pub use analytic::{best_static, cost_for, poly_for, rank_static};
 pub use differential::{

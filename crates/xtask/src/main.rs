@@ -5,7 +5,7 @@
 //! cargo xtask lint --list               # print every current violation, exit 0
 //! cargo xtask verify-artifacts          # pml-mpi verify over committed + fresh artifacts
 //! cargo xtask verify-schedules          # statically prove every registered schedule
-//! cargo xtask verify-costs              # static cost polynomials vs simnet virtual time
+//! cargo xtask verify-costs              # static cost polynomials vs simnet virtual time; formulas vs extraction
 //! ```
 
 use std::path::PathBuf;
@@ -199,7 +199,10 @@ fn cmd_verify_schedules(args: &[String]) -> Result<(), String> {
 /// Static cost-analysis lane: `pml-mpi verify --costs` derives the
 /// symbolic α-β-γ polynomial of every schedcheck grid cell with zero
 /// schedule execution and holds the analytic ranking against simnet
-/// virtual time at the per-collective top-1 agreement bar. The committed
+/// virtual time at the per-collective top-1 agreement bar; then every
+/// cost formula is held to extraction on all 127 zoo layouts and 200
+/// seeded ones up to 1 088 ranks (`tests/schedcost_properties.rs`, in
+/// release). The committed
 /// known-good rankings, which catch cost-model drift that stays above the
 /// bar, are pinned by `tests/schedcost_golden.rs` on every `cargo test`.
 fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
@@ -211,7 +214,23 @@ fn cmd_verify_costs(args: &[String]) -> Result<(), String> {
         .args(["run", "--release", "-q", "-p", "pml-mpi", "--"])
         .args(["verify", "--costs", "--cluster", "RI"]);
     run(c, "cost differential")?;
-    println!("verify-costs: polynomials derived statically, differential at the top-1 bar");
+    let mut c = Command::new("cargo");
+    c.current_dir(find_root()?)
+        .args([
+            "test",
+            "--release",
+            "-q",
+            "--test",
+            "schedcost_properties",
+            "--",
+        ])
+        .args([
+            "--ignored",
+            "--exact",
+            "formulas_equal_extraction_on_zoo_and_sampled_layouts",
+        ]);
+    run(c, "formulas against extraction")?;
+    println!("verify-costs: polynomials derived statically, differential at the top-1 bar, formulas equal extraction on every zoo layout");
     Ok(())
 }
 

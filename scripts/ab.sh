@@ -23,10 +23,17 @@
 # the table). Exit 1 on a failed op, a failed run or a quality/digest
 # mismatch; a timing outside its bound is reported, not judged.
 #
+# Each timing's change ÷ parent ratio is also taken pair by pair, and its
+# median printed with the sign-test interval (no normality assumed: at ten
+# pairs the 2nd and 9th smallest ratios, 97.9 % coverage). A claimed gain is
+# shown when the whole interval lies on its side of the target, and
+# unresolved otherwise.
+#
 # The summary is also appended to BENCH_history.jsonl as one paired line,
 # {"kind":"ab","parent","change","date","machine","pairs",["trace_pairs",]
-# "workloads"}: per workload, each end-to-end metric's two medians and the
-# change's wins, with TRACE_PAIRS above 0 the same for every declared ledger
+# "workloads"}: per workload, each end-to-end metric's two medians, the
+# change's wins and the per-pair ratios (`ratios`, in pair order), with
+# TRACE_PAIRS above 0 the medians and wins for every declared ledger
 # row under `per_layer`, the failed ops of both sides (traced runs
 # included) and whether every artifact digest agreed.
 set -euo pipefail
@@ -47,6 +54,21 @@ summarize() {
             for (i = 1; i <= n; i++) if ((w, side, prefix i, m) in val) v[++k] = val[w, side, prefix i, m] + 0
             for (i = 2; i <= k; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
             return k == 0 ? 0 : (k % 2 ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2)
+        }
+        # The sign-test interval of the median of r[1..n] (sorted): the
+        # k-th smallest and k-th largest, k the largest whose two-sided
+        # coverage 1 − 2·P(Bin(n, ½) < k) is still ≥ 95 % (k = 2 at ten
+        # pairs: 97.9 %), else the extremes. No normality assumed.
+        function sign_interval(r, n,    k, c, tail, nx) {
+            k = 1; c = 1; tail = 2 ^ -n
+            while (k + 1 <= n / 2) {
+                c = c * (n - k + 1) / k
+                nx = tail + c * 2 ^ -n
+                if (1 - 2 * nx < 0.95) break
+                tail = nx; k++
+            }
+            iv_lo = r[k]; iv_hi = r[n + 1 - k]; iv_cover = n > 1 ? 1 - 2 * tail : 0
+            iv_mid = n % 2 ? r[(n + 1) / 2] : (r[n / 2] + r[n / 2 + 1]) / 2
         }
         # Runs <prefix>1 … <prefix><n> in which the change read better.
         function wins(w, m, prefix, n,    i, a, b, k) {
@@ -80,26 +102,32 @@ summarize() {
             for (k = 1; k <= n_workloads; k++) {
                 w = order[k]
                 rec = rec sprintf("%s\"%s\":{\"end_to_end\":{", k > 1 ? "," : "", w)
-                printf "\n%s\n  %-15s %14s %14s %8s %6s  %s\n", w, "metric", "parent p50", "change p50", "c/p", "wins", "verdict"
+                printf "\n%s\n  %-15s %14s %14s %8s %6s  %-34s %s\n", w, "metric", "parent p50", "change p50", "c/p", "wins", "pair ratio p50 [sign-test interval]", "verdict"
                 for (j = 1; j <= n_metrics; j++) {
                     m = metrics[j]
                     p = median(w, "parent", m, "", pairs); c = median(w, "change", m, "", pairs)
-                    won = wins(w, m, "", pairs); equal = 1
+                    won = wins(w, m, "", pairs); equal = 1; ratios = ""
                     for (i = 1; i <= pairs; i++) {
                         a = val[w, "parent", i, m]; b = val[w, "change", i, m]
                         if (a != b || a != val[w, "parent", 1, m]) equal = 0
+                        # A parent reading of 0 has no ratio; it counts as 0.
+                        ratio[i] = a + 0 == 0 ? 0 : b / a
+                        ratios = ratios sprintf("%s%.6g", i > 1 ? "," : "", ratio[i])
                     }
-                    rec = rec sprintf("%s\"%s\":{\"parent\":%.10g,\"change\":%.10g,\"wins\":%d}", j > 1 ? "," : "", m, p, c, won)
+                    for (i = 2; i <= pairs; i++) for (q = i; q > 1 && ratio[q - 1] > ratio[q]; q--) { swap = ratio[q]; ratio[q] = ratio[q - 1]; ratio[q - 1] = swap }
+                    sign_interval(ratio, pairs)
+                    interval = sprintf("%.3f [%.3f, %.3f] %.1f %%", iv_mid, iv_lo, iv_hi, 100 * iv_cover)
+                    rec = rec sprintf("%s\"%s\":{\"parent\":%.10g,\"change\":%.10g,\"wins\":%d,\"ratios\":[%s]}", j > 1 ? "," : "", m, p, c, won, ratios)
                     if (m == "top1_acc" || m == "mean_slowdown") {
                         verdict = equal ? "equal in every run" : "DIFFERS"
                         if (!equal) bad = 1
-                        printf "  %-15s %14.6g %14.6g %8s %6s  %s\n", m, p, c, "", "", verdict
+                        printf "  %-15s %14.6g %14.6g %8s %6s  %-34s %s\n", m, p, c, "", "", "", verdict
                         continue
                     } else {
                         worse = p == 0 ? 0 : (better[m] == "lower" ? c / p - 1 : 1 - c / p)
                         verdict = sprintf("%s bound %g (%+.1f %%)", worse > bound[m] ? "OUTSIDE" : "inside", bound[m], 100 * (p == 0 ? 0 : c / p - 1))
                     }
-                    printf "  %-15s %14.6g %14.6g %8.3f %3d/%-2d  %s\n", m, p, c, p == 0 ? 0 : c / p, won, pairs, verdict
+                    printf "  %-15s %14.6g %14.6g %8.3f %3d/%-2d  %-34s %s\n", m, p, c, p == 0 ? 0 : c / p, won, pairs, interval, verdict
                 }
                 rec = rec "}"
                 if (tpairs > 0) {

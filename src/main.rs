@@ -8,7 +8,8 @@
 //!
 //! Argument parsing is hand rolled (the build is offline — no clap); every
 //! user error surfaces as a message on stderr and exit code 1, never a
-//! panic.
+//! panic. Output goes through [`Stdout`]: a closed stdout ends the command
+//! quietly with exit code 141 ([`STDOUT_CLOSED_EXIT`]).
 
 use pml_mpi::clusters::measure_cell;
 use pml_mpi::obs;
@@ -42,12 +43,51 @@ fn main() {
     };
     let written = finish_obs(&opts, stats_run);
     if let Err(e) = &result {
+        if e.is::<StdoutClosed>() {
+            std::process::exit(STDOUT_CLOSED_EXIT);
+        }
         eprintln!("error: {e}");
     }
     if result.is_err() || !written {
         std::process::exit(1);
     }
 }
+
+/// The exit status of a command whose standard output was closed before it
+/// finished writing (`pml-mpi zoo | head -1`): the status a shell reports
+/// for a process that SIGPIPE ended (128 + 13), with no message.
+const STDOUT_CLOSED_EXIT: i32 = 141;
+
+/// A command's standard output, locked, written with `writeln!(stdout, …)?`:
+/// each write is flushed, a closed pipe is [`StdoutClosed`] and any other
+/// failure an error message.
+struct Stdout(std::io::StdoutLock<'static>);
+
+impl Stdout {
+    fn lock() -> Stdout {
+        Stdout(std::io::stdout().lock())
+    }
+
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), Box<dyn Error>> {
+        let written = self.0.write_fmt(args).and_then(|()| self.0.flush());
+        written.map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => StdoutClosed.into(),
+            _ => format!("writing stdout: {e}").into(),
+        })
+    }
+}
+
+/// Standard output's reader went away: the command stops quietly.
+#[derive(Debug)]
+struct StdoutClosed;
+
+impl std::fmt::Display for StdoutClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("standard output closed")
+    }
+}
+
+impl Error for StdoutClosed {}
 
 /// One subcommand: its root span `cmd.<name>` (the name is what follows
 /// `cmd.`), what follows the name in `help` and in its usage error, a
@@ -202,7 +242,8 @@ const EXAMPLES: &str = r#"  pml-mpi train allgather --out model_ag.json
   pml-mpi watch --socket /tmp/pml.sock --interval-ms 1000"#;
 
 fn cmd_help(_: &Opts) -> Result<(), Box<dyn Error>> {
-    println!("{}", help_text());
+    let mut stdout = Stdout::lock();
+    writeln!(stdout, "{}", help_text())?;
     Ok(())
 }
 
@@ -392,20 +433,23 @@ fn write_or_print(out: Option<&str>, json: &str, what: &str) -> Result<(), Box<d
             std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("{what} written to {path}");
         }
-        None => println!("{json}"),
+        None => writeln!(Stdout::lock(), "{json}")?,
     }
     Ok(())
 }
 
 fn cmd_zoo(_: &Opts) -> Result<(), Box<dyn Error>> {
-    println!(
+    let mut stdout = Stdout::lock();
+    writeln!(
+        stdout,
         "{:<14} {:<40} {:>5} {:>6}  {:<10} {:>12}",
         "cluster", "processor", "cores", "clock", "fabric", "grid cells"
-    );
+    )?;
     for e in pml_mpi::zoo() {
         let cpu = &e.spec.node.cpu;
         let nic = &e.spec.node.nic;
-        println!(
+        writeln!(
+            stdout,
             "{:<14} {:<40} {:>5} {:>5.2}G  {:<10} {:>12}",
             e.name(),
             cpu.model,
@@ -413,12 +457,13 @@ fn cmd_zoo(_: &Opts) -> Result<(), Box<dyn Error>> {
             cpu.max_clock_ghz,
             format!("{:?} x{}", nic.generation, nic.link_width),
             e.grid_size(),
-        );
+        )?;
     }
     Ok(())
 }
 
 fn cmd_dataset(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     let [coll] = opts.args()?;
     let coll = parse_collective(coll)?;
     let engine = build_engine(opts);
@@ -439,7 +484,7 @@ fn cmd_dataset(opts: &Opts) -> Result<(), Box<dyn Error>> {
         write_or_print(Some(path), &json, "dataset")?;
     } else {
         for (name, n) in &per_cluster {
-            println!("{name:<14} {n}");
+            writeln!(stdout, "{name:<14} {n}")?;
         }
     }
     Ok(())
@@ -493,6 +538,7 @@ fn resolve_node(opts: &Opts) -> Result<NodeSpec, Box<dyn Error>> {
 }
 
 fn cmd_predict(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     let [coll] = opts.args()?;
     let coll = parse_collective(coll)?;
     let job = job_flags(opts, None)?;
@@ -517,14 +563,15 @@ fn cmd_predict(opts: &Opts) -> Result<(), Box<dyn Error>> {
         }
     };
     let pick = model.predict(&node, job);
-    println!(
+    writeln!(
+        stdout,
         "{coll} at {}x{} ({} ranks), {} B -> {}",
         job.nodes,
         job.ppn,
         job.world_size(),
         job.msg_size,
         pick
-    );
+    )?;
     Ok(())
 }
 
@@ -539,6 +586,7 @@ fn cmd_table(opts: &Opts) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_compare(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     let [cluster, coll] = opts.args()?;
     let coll = parse_collective(coll)?;
     // Without --msg the sweep runs; its first size stands in for the check.
@@ -553,10 +601,11 @@ fn cmd_compare(opts: &Opts) -> Result<(), Box<dyn Error>> {
     report_warnings(&engine);
     let mva = MvapichDefault;
     let ompi = OpenMpiDefault;
-    println!(
+    writeln!(
+        stdout,
         "{:<9} {:<22} {:>9} {:<22} {:>9} {:<22} {:>9} {:<22}",
         "msg(B)", "ml pick", "us", "mvapich", "us", "openmpi", "us", "oracle"
-    );
+    )?;
     let fmt_us = |t: Option<f64>| match t {
         Some(s) => format!("{:.1}", s * 1e6),
         None => "-".to_string(),
@@ -579,7 +628,8 @@ fn cmd_compare(opts: &Opts) -> Result<(), Box<dyn Error>> {
         let ml = model.predict(&entry.spec.node, job);
         let m = mva.select(coll, job);
         let o = ompi.select(coll, job);
-        println!(
+        writeln!(
+            stdout,
             "{:<9} {:<22} {:>9} {:<22} {:>9} {:<22} {:>9} {:<22}",
             msg,
             ml.name(),
@@ -593,7 +643,7 @@ fn cmd_compare(opts: &Opts) -> Result<(), Box<dyn Error>> {
                 record.best.name(),
                 fmt_us(Some(record.best_runtime()))
             ),
-        );
+        )?;
     }
     Ok(())
 }
@@ -619,10 +669,11 @@ fn cmd_verify(opts: &Opts) -> Result<(), Box<dyn Error>> {
     if opts.positional.is_empty() {
         return Err(opts.usage().into());
     }
+    let mut stdout = Stdout::lock();
     let mut failures = 0usize;
     for path in &opts.positional {
         match pml_mpi::core::verify_artifact_file(Path::new(path)) {
-            Ok(kind) => println!("{path}: OK ({kind})"),
+            Ok(kind) => writeln!(stdout, "{path}: OK ({kind})")?,
             Err(e) => {
                 failures += 1;
                 eprintln!("FAIL {e}");
@@ -640,6 +691,7 @@ fn cmd_verify(opts: &Opts) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     use pml_mpi::collectives::schedcheck;
 
     let (failures, checked) = if opts.positional.is_empty() {
@@ -649,12 +701,13 @@ fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
             eprintln!("FAIL {} p={p} size={size}: {e}", algo.name());
         }
         for (algo, n) in &tally.passed {
-            println!("{algo}: {n} cells OK");
+            writeln!(stdout, "{algo}: {n} cells OK")?;
         }
         let (failures, checked) = (tally.failed.len(), tally.cells());
-        println!(
+        writeln!(
+            stdout,
             "verified {checked} (algorithm, world, size) cells statically, {failures} failure(s)"
-        );
+        )?;
         (failures, checked)
     } else {
         let mut failures = 0usize;
@@ -664,12 +717,13 @@ fn cmd_verify_schedules(opts: &Opts) -> Result<(), Box<dyn Error>> {
                 .map_err(|e| format!("parse: {e}"))
                 .and_then(|doc| doc.check().map(|()| doc).map_err(|e| e.to_string()));
             match verdict {
-                Ok(doc) => println!(
+                Ok(doc) => writeln!(
+                    stdout,
                     "{path}: OK ({} p={} size={})",
                     doc.collective.name(),
                     doc.schedule.world,
                     doc.size
-                ),
+                )?,
                 Err(e) => {
                     failures += 1;
                     eprintln!("FAIL {path}: {e}");
@@ -710,6 +764,7 @@ fn grid_opts(opts: &Opts) -> Result<(u32, Vec<usize>), Box<dyn Error>> {
 /// `verify --costs`: the static derive pass, then the differential against
 /// simnet virtual time at the top-1 bar the `verify-costs` CI lane holds.
 fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     use pml_mpi::collectives::schedcost;
 
     if !opts.positional.is_empty() {
@@ -729,12 +784,13 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
         return Err(format!("no cost polynomial for {name} p={p} size={size}").into());
     }
     for (algo, n) in &derived.passed {
-        println!("{algo}: {n} polynomials derived");
+        writeln!(stdout, "{algo}: {n} polynomials derived")?;
     }
-    println!(
+    writeln!(
+        stdout,
         "derived {} cost polynomials statically (zero schedule executions)",
         derived.cells()
-    );
+    )?;
 
     // Pass 2: the differential against simnet virtual time.
     let report = {
@@ -749,19 +805,21 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
         }
         let ok = report.meets_top1_bar(c);
         let below = (!ok).then(|| format!("  << below {bar}%"));
-        println!(
+        writeln!(
+            stdout,
             "{}: top-1 agreement {agree}/{total} ({:.1}%){}",
             c.name(),
             100.0 * agree as f64 / total as f64,
             below.unwrap_or_default(),
-        );
+        )?;
         failures += usize::from(!ok);
     }
-    println!(
+    writeln!(
+        stdout,
         "{} differential cells on {cluster}, mean Spearman rho {:.3}",
         report.cells.len(),
         report.mean_spearman()
-    );
+    )?;
     if failures > 0 {
         return Err(format!("{failures} collective(s) below {bar}% top-1 agreement").into());
     }
@@ -773,6 +831,7 @@ fn cmd_verify_costs(opts: &Opts) -> Result<(), Box<dyn Error>> {
 /// dataset cache's warnings, the metrics registry, and (via `main`'s exit
 /// path) the span tree. Tracing is always on for this subcommand.
 fn cmd_stats(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     let coll = match opts.positional.as_slice() {
         [] => Collective::Alltoall,
         [c] => parse_collective(c)?,
@@ -792,28 +851,32 @@ fn cmd_stats(opts: &Opts) -> Result<(), Box<dyn Error>> {
         *depths.entry(depth).or_default() += 1;
     }
     let cells = table.len();
-    println!("{cluster} {coll}: {cells} table cells; probes by fallback depth: {depths:?}");
+    writeln!(
+        stdout,
+        "{cluster} {coll}: {cells} table cells; probes by fallback depth: {depths:?}"
+    )?;
 
     // The dataset loads' warnings (cache recoveries), one line each.
     let warnings = engine.warnings();
-    println!("\nEVENTS ({}):", warnings.len());
+    writeln!(stdout, "\nEVENTS ({}):", warnings.len())?;
     for w in &warnings {
-        println!("  [warn] cache: {w}");
+        writeln!(stdout, "  [warn] cache: {w}")?;
     }
 
     let snap = obs::metrics::snapshot();
-    println!("\nMETRICS ({} total):", snap.total_metrics());
+    writeln!(stdout, "\nMETRICS ({} total):", snap.total_metrics())?;
     for (name, v) in &snap.counters {
-        println!("  counter    {name:<28} {v}");
+        writeln!(stdout, "  counter    {name:<28} {v}")?;
     }
     for (name, v) in &snap.gauges {
-        println!("  gauge      {name:<28} {v}");
+        writeln!(stdout, "  gauge      {name:<28} {v}")?;
     }
     for (name, h) in &snap.histograms {
-        println!(
+        writeln!(
+            stdout,
             "  histogram  {name:<28} count {} sum {} overflow {}",
             h.count, h.sum, h.overflow
-        );
+        )?;
     }
     eprintln!("\nspan tree (total/self times) follows on stderr:");
     Ok(())
@@ -871,6 +934,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_client(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    let mut stdout = Stdout::lock();
     use std::io::BufRead;
     let mut client = Client::connect(opts.socket()?)?;
     let mut sender = Client::from(client.stream().try_clone()?);
@@ -900,7 +964,7 @@ fn cmd_client(opts: &Opts) -> Result<(), Box<dyn Error>> {
     });
     let (mut reply, mut received) = (String::new(), 0);
     while client.recv(&mut reply)? {
-        print!("{reply}");
+        write!(stdout, "{reply}")?;
         received += 1;
     }
     match stdin_end.try_recv() {
@@ -914,16 +978,23 @@ fn cmd_watch(opts: &Opts) -> Result<(), Box<dyn Error>> {
     let socket = Path::new(opts.socket()?);
     let interval_ms = opts.value("interval-ms", Some(1000))?;
     let count = opts.value("count", Some(0))?;
-    watch::frames(socket, interval_ms, count, |frame| {
-        if opts.has("raw") {
-            print!("{frame}");
+    let (mut stdout, mut unwritten) = (Stdout::lock(), None);
+    let streamed = watch::frames(socket, interval_ms, count, |frame| {
+        let shown = if opts.has("raw") {
+            write!(stdout, "{frame}")
         } else {
-            print!("{}", watch::render(&watch::parse_tick(frame)?));
-        }
-        std::io::stdout().flush().ok();
-        Ok(())
-    })?;
-    Ok(())
+            write!(stdout, "{}", watch::render(&watch::parse_tick(frame)?))
+        };
+        shown.map_err(|e| {
+            let message = e.to_string();
+            unwritten = Some(e);
+            message
+        })
+    });
+    match unwritten {
+        Some(e) => Err(e),
+        None => Ok(streamed?),
+    }
 }
 
 /// One loadgen worker: its own connection, its own seeded rng, synchronous

@@ -3,9 +3,9 @@
 //! carrying each declared workload with the seven declared end-to-end
 //! metrics and a per-layer ledger; every line `scripts/ab.sh` assembles
 //! (`"kind":"ab"`) carries, per workload it ran, each declared end-to-end
-//! metric's parent and change medians and the change's wins, and, when it
-//! ran traced pairs, the same for every declared ledger row. Every line
-//! already committed is one of the two.
+//! metric's parent and change medians, the change's wins and the per-pair
+//! ratios, and, when it ran traced pairs, the medians and wins of every
+//! declared ledger row. Every line already committed is one of the two.
 
 use serde_json::JsonValue;
 use std::path::Path;
@@ -64,7 +64,8 @@ fn check_line(line: &str, layers: &[String]) {
 /// two medians and wins, the failed ops and whether the digests agreed.
 /// A line with a `trace_pairs` count also carries every declared ledger
 /// row's two medians and wins under `per_layer`; lines without one are
-/// the older shape and stay valid.
+/// the older shape and stay valid. Newer lines also keep each end-to-end
+/// metric's per-pair change ÷ parent `ratios`; older ones stay valid.
 fn check_ab_line(rec: &JsonValue) {
     let traced = keys(rec).contains(&"trace_pairs");
     let mut fields = vec!["kind", "parent", "change", "date", "machine", "pairs"];
@@ -83,14 +84,25 @@ fn check_ab_line(rec: &JsonValue) {
         let at = |n| declared_workloads.iter().position(|d| d == n);
         at(w[0]) < at(w[1])
     }));
-    // Every metric of `section` with its two medians and at most `pairs` wins.
+    // Every metric of `section` with its two medians, at most `pairs` wins
+    // and, on lines that keep them, its `pairs` per-pair ratios.
     let check_medians = |name: &str, section: &JsonValue, declared: Vec<String>, pairs: u64| {
         assert_eq!(keys(section), declared, "{name}");
         for metric in declared {
             let m = get(section, &metric);
-            assert_eq!(keys(m), ["parent", "change", "wins"], "{name} {metric}");
+            let fields = keys(m);
+            assert_eq!(fields[..3], ["parent", "change", "wins"], "{name} {metric}");
             assert!(get(m, "parent").as_f64().is_some() && get(m, "change").as_f64().is_some());
             assert!(get(m, "wins").as_u64().is_some_and(|w| w <= pairs));
+            if fields.len() > 3 {
+                assert_eq!(fields[3..], ["ratios"], "{name} {metric}");
+                let ratios = get(m, "ratios").as_array().expect("a list");
+                assert_eq!(ratios.len() as u64, pairs, "{name} {metric}");
+                assert!(
+                    ratios.iter().all(|r| r.as_f64().is_some()),
+                    "{name} {metric}"
+                );
+            }
         }
     };
     for name in ran {
@@ -185,10 +197,53 @@ fn timed_readings() -> String {
 fn ab_sh_assembles_one_paired_line_matching_the_contract() {
     let text = summarize(3, 0, &timed_readings());
     assert!(text.starts_with(
-        r#"{"kind":"ab","parent":"abc1234","change":"def5678+","date":"2026-01-01T00:00:00Z","machine":{"cpu":"Some CPU @ 2.20GHz","nproc":2,"kernel":"6.1.0"},"pairs":3,"workloads":{"pretrain":{"end_to_end":{"setup_s":{"parent":11,"change":11,"wins":0},"#
+        r#"{"kind":"ab","parent":"abc1234","change":"def5678+","date":"2026-01-01T00:00:00Z","machine":{"cpu":"Some CPU @ 2.20GHz","nproc":2,"kernel":"6.1.0"},"pairs":3,"workloads":{"pretrain":{"end_to_end":{"setup_s":{"parent":11,"change":11,"wins":0,"ratios":[1,1,1]},"#
     ));
-    assert!(text.contains(r#""op_p50_ms":{"parent":11,"change":9,"wins":2}"#));
+    assert!(text.contains(
+        r#""op_p50_ms":{"parent":11,"change":9,"wins":2,"ratios":[0.9,1.09091,0.666667]}"#
+    ));
     assert!(text.ends_with("},\"failed\":0,\"fnv_equal\":true}}}\n"));
+}
+
+#[test]
+fn ab_sh_prints_the_sign_test_interval_of_the_pair_ratios() {
+    // Ten pairs: `op_p50_ms` reads 100 on the parent and 41, 42, …, 50 on
+    // the change (ratios 0.41 … 0.50 in some order), so the median ratio is
+    // 0.455 and the sign-test interval the 2nd and 9th smallest ratios.
+    let mut readings = String::new();
+    for w in declared("workloads") {
+        for side in ["parent", "change"] {
+            for i in 1..=10 {
+                readings += &format!("{w} {side} {i} failed 0\n{w} {side} {i} fnv ab12\n");
+                for m in declared("end_to_end") {
+                    let v = match m.as_str() {
+                        "op_p50_ms" if side == "change" => 40 + (i * 7) % 10 + 1,
+                        "op_p50_ms" => 100,
+                        _ => 1,
+                    };
+                    readings += &format!("{w} {side} {i} {m} {v}\n");
+                }
+            }
+        }
+    }
+    let out = Command::new("bash")
+        .current_dir(std::env::temp_dir())
+        .arg("-c")
+        .arg(r#"source "$1" && summarize 10 0 /dev/null abc1234 def5678+ 2026-01-01T00:00:00Z '{"cpu":"c","nproc":2,"kernel":"k"}' <<<"$2""#)
+        .arg("bench_history")
+        .arg(root().join("scripts/ab.sh"))
+        .arg(&readings)
+        .output()
+        .expect("bash runs");
+    assert!(out.status.success(), "{out:?}");
+    let table = String::from_utf8(out.stdout).unwrap();
+    let row = table
+        .lines()
+        .find(|l| l.trim_start().starts_with("op_p50_ms"));
+    assert!(
+        row.is_some_and(|r| r.contains("0.455 [0.420, 0.490] 97.9 %")),
+        "{table}"
+    );
 }
 
 #[test]

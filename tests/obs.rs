@@ -51,6 +51,8 @@ fn artifacts_are_byte_identical_with_observability_on_or_off() {
 
 #[test]
 fn one_train_table_flow_populates_at_least_ten_metrics() {
+    // Takes turns with the tests that read counter deltas.
+    let _turn = TRACER.lock().unwrap_or_else(PoisonError::into_inner);
     let mut engine = common::mini_engine();
     engine.train(Collective::Alltoall).expect("train");
     engine
@@ -161,4 +163,53 @@ fn cold_extraction_shows_under_table_generate_and_a_warm_run_has_none() {
     let warm = extractions(&obs::tracer().finish());
     assert!(warm.is_empty(), "warm run extracted again: {warm:?}");
     assert_eq!(cold_table, warm_table);
+}
+
+/// The cost formulas' saving as exact counts, which no host noise moves:
+/// training and tabling allgather and alltoall on layouts nothing else in
+/// this binary prices misses the polynomial cache exactly as often as when
+/// every miss was extracted (the counts below were read on that build),
+/// and extracts nothing. On the zoo's dataset, `pml-mpi table RI allgather`
+/// and `table RI alltoall` with `--metrics-out` read 417 and 547 misses and
+/// no `schedcost.polys`, against 417 and 547 of each before.
+#[test]
+fn tables_price_every_polynomial_without_extracting() {
+    let _turn = TRACER.lock().unwrap_or_else(PoisonError::into_inner);
+    let counter = |name: &str| {
+        let counters = obs::metrics::snapshot().counters;
+        counters.get(name).copied().unwrap_or(0)
+    };
+    for (collective, misses) in [(Collective::Allgather, 10), (Collective::Alltoall, 16)] {
+        let mut cluster = by_name("RI").expect("zoo cluster").clone();
+        cluster.node_grid = vec![3, 6];
+        cluster.ppn_grid = vec![3, 5];
+        cluster.msg_grid = vec![16, 65536];
+        let cfg = EngineConfig {
+            datagen: DatagenConfig::noiseless(),
+            train: TrainConfig {
+                forest: ForestParams {
+                    n_estimators: 5,
+                    seed: 3,
+                    ..Default::default()
+                },
+                top_k_features: None,
+            },
+            cache_dir: None,
+        };
+        let before = [
+            counter("schedcost.cache.poly_misses"),
+            counter("schedcost.polys"),
+        ];
+        let mut engine = SelectionEngine::with_clusters(vec![cluster], cfg);
+        engine.tuning_table("RI", collective).expect("tuning table");
+        let after = [
+            counter("schedcost.cache.poly_misses"),
+            counter("schedcost.polys"),
+        ];
+        assert_eq!(
+            [after[0] - before[0], after[1] - before[1]],
+            [misses, 0],
+            "{collective}: polynomial-cache misses and extractions"
+        );
+    }
 }

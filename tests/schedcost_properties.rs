@@ -6,7 +6,7 @@
 //! identical. The permutations are seeded Fisher–Yates shuffles, so a
 //! failure reproduces from the printed seed.
 
-use pml_mpi::collectives::schedcost::{extract_poly, CostPoly};
+use pml_mpi::collectives::schedcost::{extract_poly, poly_for, CostPoly};
 use pml_mpi::collectives::schedule::{CommSchedule, Op, Step};
 use pml_mpi::collectives::{Algorithm, Collective};
 use pml_mpi::simnet::JobLayout;
@@ -190,5 +190,123 @@ fn relabeling_composes() {
             inv[to as usize] = i as u32;
         }
         assert_eq!(s, relabel(&relabel(&s, &perm), &inv), "{algo:?}");
+    }
+}
+
+/// The paper's nine algorithms, whose polynomials `poly_for` prices by
+/// formula on a cache miss.
+fn paper_algorithms() -> impl Iterator<Item = Algorithm> {
+    Collective::PAPER
+        .into_iter()
+        .flat_map(|c| Algorithm::all_for(c).iter().copied())
+}
+
+/// Every paper algorithm defined at the layout: `poly_for`'s answer (its
+/// formula, as each layout is new to this process) equals the extracted
+/// unit-block polynomial coefficient by coefficient.
+fn assert_formulas_extract(layout: JobLayout) {
+    let p = layout.world_size();
+    for algo in paper_algorithms().filter(|a| a.supports(p)) {
+        let extracted = poly(&algo.schedule(p, 1).expect("registry schedule"), layout);
+        let priced = poly_for(algo, layout, 4096).expect("a polynomial within the bound");
+        assert_eq!(priced, extracted, "{algo} on {layout:?}");
+    }
+}
+
+#[test]
+fn formulas_equal_extraction_up_to_128_ranks() {
+    for world in 1..=128u32 {
+        for ppn in (1..=world).filter(|ppn| world % ppn == 0) {
+            assert_formulas_extract(JobLayout::new(world / ppn, ppn));
+        }
+    }
+}
+
+#[test]
+fn formulas_equal_extraction_on_deploy_layouts() {
+    // The layouts a never-seen cluster's bootstrap draws (the benchmark's
+    // `deploy_cold`): 244–256 ranks at up to 16 per node.
+    for world in 244..=256u32 {
+        for ppn in (1..=16).filter(|ppn| world % ppn == 0) {
+            assert_formulas_extract(JobLayout::new(world / ppn, ppn));
+        }
+    }
+}
+
+/// The parts of `big_layout_polys.json` (`pml-costgolden/v1`) read here.
+#[derive(serde::Deserialize)]
+struct Golden {
+    layouts: Vec<GoldenLayout>,
+}
+
+#[derive(serde::Deserialize)]
+struct GoldenLayout {
+    nodes: u32,
+    ppn: u32,
+    polys: Vec<GoldenPoly>,
+}
+
+#[derive(serde::Deserialize)]
+struct GoldenPoly {
+    algo: String,
+    poly: CostPoly,
+}
+
+#[test]
+fn formulas_equal_the_committed_big_layout_polynomials() {
+    let text = std::fs::read_to_string("tests/fixtures/costs/big_layout_polys.json")
+        .expect("committed golden fixture");
+    let golden: Golden = serde_json::from_str(&text).expect("fixture parses");
+    assert_eq!(golden.layouts.len(), 9);
+    for entry in &golden.layouts {
+        let layout = JobLayout::new(entry.nodes, entry.ppn);
+        assert_formulas_extract(layout);
+        let priced: Vec<Algorithm> = paper_algorithms()
+            .filter(|a| a.supports(layout.world_size()))
+            .collect();
+        assert_eq!(entry.polys.len(), priced.len(), "{layout:?}");
+        for (algo, want) in priced.into_iter().zip(&entry.polys) {
+            assert_eq!(want.algo, algo.name(), "{layout:?}");
+            assert_eq!(
+                poly_for(algo, layout, 1),
+                Some(want.poly),
+                "{algo} on {layout:?}"
+            );
+        }
+    }
+}
+
+/// Every distinct `(nodes, ppn)` of the zoo's grids (127 layouts, up to
+/// 16 × 68 = 1 088 ranks) and 200 seeded layouts up to 1 088 ranks.
+/// Extraction at that size takes seconds a layout, so `cargo xtask
+/// verify-costs` runs this in release; `cargo test` runs the bounded
+/// tests above.
+#[test]
+#[ignore = "minutes of extraction; run by `cargo xtask verify-costs`"]
+fn formulas_equal_extraction_on_zoo_and_sampled_layouts() {
+    let mut layouts: Vec<(u32, u32)> = pml_mpi::zoo()
+        .iter()
+        .flat_map(|c| {
+            let ppns = c.ppn_grid.clone();
+            c.node_grid
+                .iter()
+                .flat_map(move |&n| ppns.clone().into_iter().map(move |p| (n, p)))
+        })
+        .collect();
+    layouts.sort_unstable();
+    layouts.dedup();
+    assert_eq!(layouts.len(), 127, "the zoo's layouts");
+    let mut rng = Lcg(0x5eed_f0a1);
+    let mut sampled = 0;
+    while sampled < 200 {
+        let nodes = 1 + (rng.next() % 64) as u32;
+        let ppn = 1 + (rng.next() % 72) as u32;
+        if nodes * ppn <= 1088 {
+            layouts.push((nodes, ppn));
+            sampled += 1;
+        }
+    }
+    for (nodes, ppn) in layouts {
+        assert_formulas_extract(JobLayout::new(nodes, ppn));
     }
 }
